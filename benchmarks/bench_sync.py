@@ -16,11 +16,10 @@ node axis:
   argument, measured.
 
 Per point: completion time, per-operation latency, and (hot-spot) the
-serialization ratio against the endpoint row.  Machines are built with
-a shrunken cache/DRAM footprint — the sync paths never touch either,
-and the full-size memory system dominates build time at 1024 nodes —
-and with radix-8 switches so the 1024-node fat tree stays 5 levels.
-Everything is seeded: the sweep is byte-identical for any ``--jobs``.
+serialization ratio against the endpoint row.  Machines are the
+default full-memory nodes with radix-8 switches, so the 1024-node fat
+tree stays 5 levels.  Everything is seeded: the sweep is byte-identical
+for any ``--jobs``.
 
 Also runnable directly (no pytest) for machine-readable output::
 
@@ -45,7 +44,7 @@ for _p in (_ROOT, os.path.join(_ROOT, "src")):
 
 from repro.bench import emit_json, fresh_machine, print_table, run_sweep
 from repro.bench.harness import strip_wall
-from repro.common.config import CacheConfig, DRAMConfig, NetworkConfig
+from repro.common.config import NetworkConfig
 from repro.lib.mpi import MiniMPI
 from repro.obs.snapshot import metrics_snapshot
 
@@ -68,9 +67,7 @@ CONTENTION = ((1, 16), (1, 1))
 
 
 def sync_machine(n_nodes, **overrides):
-    """A machine sized for sync sweeps: full network, skeletal memory."""
-    overrides.setdefault("l2", CacheConfig(size_bytes=8 * 1024))
-    overrides.setdefault("dram", DRAMConfig(size_bytes=64 * 1024))
+    """A machine sized for sync sweeps: radix-8 switches."""
     overrides.setdefault("network", NetworkConfig(radix=8))
     return fresh_machine(n_nodes, **overrides)
 

@@ -45,7 +45,7 @@ from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import Tracer
-from repro.firmware import install_default_firmware
+from repro.firmware import install_default_firmware, scoma_home_map
 
 class StarTVoyager:
     """A cluster of StarT-Voyager nodes on an Arctic fat tree.
@@ -106,10 +106,13 @@ class StarTVoyager:
         ]
         self._install_translation()
         if config.install_firmware:
+            home_map = None  # one per machine, shared read-only by its nodes
             for node in self.nodes:
                 if node is not None:
-                    install_default_firmware(node, config.n_nodes,
-                                             config.scoma_home_of)
+                    if home_map is None:
+                        home_map = scoma_home_map(node, config.n_nodes,
+                                                  config.scoma_home_of)
+                    install_default_firmware(node, config.n_nodes, home_map)
         for node in self.nodes:
             if node is not None:
                 node.start()

@@ -8,7 +8,7 @@ firmware.  Individual engines can also be installed piecemeal (tests do)
 and replaced at runtime (experiments do).
 """
 
-from typing import List, Optional
+from typing import Optional, Sequence, Union
 
 from repro.firmware.base import (
     fw_dram_read,
@@ -26,7 +26,7 @@ from repro.firmware.msg import declare_dram_queue, install_missq_firmware
 from repro.firmware.numa import NumaMap, setup_numa
 from repro.firmware.reflective import install_reflective
 from repro.firmware.reliable import ensure_reliable, setup_reliable
-from repro.firmware.scoma import setup_scoma
+from repro.firmware.scoma import HomeMap, setup_scoma
 
 __all__ = [
     "install_default_firmware",
@@ -38,6 +38,8 @@ __all__ = [
     "setup_reliable",
     "ensure_reliable",
     "setup_scoma",
+    "scoma_home_map",
+    "HomeMap",
     "declare_dram_queue",
     "register_msg_handler",
     "rxmsg_dispatcher",
@@ -50,12 +52,29 @@ __all__ = [
 ]
 
 
-def install_default_firmware(node, n_nodes: int,
-                             scoma_home_of: Optional[List[int]] = None) -> None:
-    """Load the complete default firmware image onto one node's sP.
+def scoma_home_map(node, n_nodes: int,
+                   scoma_home_of: Optional[Sequence[int]] = None) -> HomeMap:
+    """A machine's S-COMA home map, shaped by any one of its nodes.
 
     ``scoma_home_of`` assigns a home node per S-COMA line (defaults to
-    round-robin by page).  Must run before the machine starts.
+    round-robin by page).  Build it once per machine and hand the same
+    map to every node's :func:`install_default_firmware`.
+    """
+    if scoma_home_of is not None:
+        return HomeMap(scoma_home_of)
+    lines_per_page = node.config.dram.page_bytes // node.config.bus.line_bytes
+    return HomeMap((line // lines_per_page) % n_nodes
+                   for line in range(node.niu.cls.n_lines))
+
+
+def install_default_firmware(
+        node, n_nodes: int,
+        scoma_home_of: Union[HomeMap, Sequence[int], None] = None) -> None:
+    """Load the complete default firmware image onto one node's sP.
+
+    ``scoma_home_of`` is the machine's shared :class:`HomeMap` (see
+    :func:`scoma_home_map`) or a line -> home sequence; ``None`` means
+    the default.  Must run before the machine starts.
     """
     sp = node.sp
     sp.state["niu"] = node.niu
@@ -66,13 +85,8 @@ def install_default_firmware(node, n_nodes: int,
     setup_blockxfer(sp)
     numa_map = NumaMap(n_nodes, node.numa_bytes, node.numa_backing_base)
     setup_numa(sp, numa_map)
-    if scoma_home_of is None:
-        line_bytes = node.config.bus.line_bytes
-        lines_per_page = node.config.dram.page_bytes // line_bytes
-        n_lines = node.niu.cls.n_lines
-        scoma_home_of = [
-            (line // lines_per_page) % n_nodes for line in range(n_lines)
-        ]
+    if not isinstance(scoma_home_of, HomeMap):
+        scoma_home_of = scoma_home_map(node, n_nodes, scoma_home_of)
     setup_scoma(sp, scoma_home_of)
     setup_reliable(sp, n_nodes)
     # the CollectiveUnit (lazy import: repro.collectives builds on this

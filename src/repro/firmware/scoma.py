@@ -42,7 +42,7 @@ relinquished copy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Sequence, Tuple
 
 from repro.bus.ops import BusOpType
 from repro.coherence.directory import DirectoryController
@@ -87,13 +87,34 @@ from repro.coherence.directory import DirEntry  # noqa: F401
 GRANT_PRESERVES_HOME_STORES = True
 
 
+class HomeMap:
+    """S-COMA line -> home node, built once per machine and shared
+    read-only by every node's :class:`ScomaState` (DESIGN.md §8.4)."""
+
+    __slots__ = ("homes", "_lines_at")
+
+    def __init__(self, homes: Sequence[int]) -> None:
+        self.homes: Tuple[int, ...] = tuple(homes)
+        lines_at: Dict[int, List[int]] = {}
+        for line, home in enumerate(self.homes):
+            lines_at.setdefault(home, []).append(line)
+        self._lines_at = lines_at
+
+    def home_states(self, node_id: int) -> bytearray:
+        """``node_id``'s initial clsSRAM states: RW where it is home."""
+        states = bytearray([CLS_INVALID]) * len(self.homes)
+        for line in self._lines_at.get(node_id, ()):
+            states[line] = CLS_RW
+        return states
+
+
 class ScomaState:
     """Per-node S-COMA firmware state."""
 
     __slots__ = ("home_of", "scoma_base", "line_bytes", "staging", "dir",
                  "wide")
 
-    def __init__(self, home_of: List[int], scoma_base: int, line_bytes: int,
+    def __init__(self, home_of: Sequence[int], scoma_base: int, line_bytes: int,
                  staging: int, node_id: int, wide: bool = False) -> None:
         self.home_of = home_of
         self.scoma_base = scoma_base
@@ -120,19 +141,18 @@ class ScomaState:
         return self.scoma_base + line * self.line_bytes
 
 
-def setup_scoma(sp: "ServiceProcessor", home_of: List[int]) -> None:
+def setup_scoma(sp: "ServiceProcessor", home_map: HomeMap) -> None:
     """Install S-COMA firmware and initialize clsSRAM home states."""
     niu = sp.state["niu"]
     cls = niu.cls
     staging = niu.alloc_ssram(64)
     node = sp.state.get("node")
     n_nodes = (node.config.n_nodes if node is not None
-               else max(home_of, default=0) + 1)
-    st = ScomaState(home_of, cls.cover_base, cls.line_bytes, staging,
+               else max(home_map.homes, default=0) + 1)
+    st = ScomaState(home_map.homes, cls.cover_base, cls.line_bytes, staging,
                     sp.node_id, wide=needs_raw_addressing(n_nodes))
     sp.state["scoma"] = st
-    for line, home in enumerate(home_of):
-        cls.set_state(line, CLS_RW if home == sp.node_id else CLS_INVALID)
+    cls.load_states(home_map.home_states(sp.node_id))
     sp.register("scoma_miss", handle_miss)
     register_msg_handler(sp, proto.MSG_SCOMA_RREQ, handle_request_msg)
     register_msg_handler(sp, proto.MSG_SCOMA_WREQ, handle_request_msg)

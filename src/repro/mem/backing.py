@@ -1,9 +1,15 @@
 """Byte-addressable backing stores.
 
-Every memory in the model (DRAM, the NIU SRAMs, cache line frames) holds
-*real bytes* in a ``bytearray``.  That is what makes the test suite able
-to assert end-to-end data integrity: a DMA of random bytes must arrive
-byte-exact at the far node, through every queue, packet, and bus crossing.
+Every memory in the model (DRAM, the NIU SRAMs) holds *real bytes*.
+That is what makes the test suite able to assert end-to-end data
+integrity: a DMA of random bytes must arrive byte-exact at the far node,
+through every queue, packet, and bus crossing.
+
+The bytes live in a private anonymous ``mmap``: the kernel hands out
+zero pages on first touch, so a node's 8 MB of DRAM costs host memory
+only for the pages the simulation writes (DESIGN.md §8.4).
+``MAP_PRIVATE`` keeps a forked worker's copy copy-on-write, as a heap
+``bytearray`` would be.
 
 Two access styles coexist:
 
@@ -19,6 +25,7 @@ Two access styles coexist:
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable
 
 from repro.common.errors import AddressError
@@ -36,9 +43,11 @@ class ByteBacking:
             raise AddressError(f"fill byte out of range: {fill}")
         self.size = size
         self.name = name
-        self._data = bytearray([fill]) * size if fill else bytearray(size)
+        self._data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        if fill:
+            self._data[:] = bytes([fill]) * size
         # One long-lived memoryview; slicing it is allocation-light and,
-        # unlike slicing the bytearray, copies nothing.
+        # unlike slicing the mmap, copies nothing.
         self._mv = memoryview(self._data)
 
     def _check(self, offset: int, length: int) -> None:
@@ -53,8 +62,8 @@ class ByteBacking:
     def read(self, offset: int, length: int) -> bytes:
         """Copy ``length`` bytes starting at ``offset``."""
         self._check(offset, length)
-        # bytes(mv-slice) copies once; slicing the bytearray would copy twice.
-        return bytes(self._mv[offset : offset + length])
+        # slicing an mmap copies once, straight into a new bytes object
+        return self._data[offset : offset + length]
 
     def view(self, offset: int, length: int) -> memoryview:
         """Read-only zero-copy window onto the live backing store.

@@ -71,10 +71,11 @@ class SnoopingL2(Snooper):
         self.dram = dram
         self.name = name
         self.snooper_name = name
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine(config.line_bytes) for _ in range(config.ways)]
-            for _ in range(config.n_sets)
-        ]
+        #: set index -> its frames, both created on first fill (DESIGN.md
+        #: §8.4).  A frame not yet created behaves exactly like an INVALID
+        #: one at the end of its set, so hits, victims and LRU order
+        #: match a cache built in full up front.
+        self._sets: Dict[int, List[CacheLine]] = {}
         self._lru_clock = 0
         # statistics
         self.hits = 0
@@ -92,16 +93,20 @@ class SnoopingL2(Snooper):
 
     def _find(self, addr: int) -> Optional[CacheLine]:
         set_idx, tag = self._index(addr)
-        for frame in self._sets[set_idx]:
+        for frame in self._sets.get(set_idx, ()):
             if frame.state is not LineState.INVALID and frame.tag == tag:
                 return frame
         return None
 
     def _victim(self, set_idx: int) -> CacheLine:
-        frames = self._sets[set_idx]
+        frames = self._sets.setdefault(set_idx, [])
         for frame in frames:
             if frame.state is LineState.INVALID:
                 return frame
+        if len(frames) < self.config.ways:
+            frame = CacheLine(self.config.line_bytes)
+            frames.append(frame)
+            return frame
         return min(frames, key=lambda f: f.lru)
 
     def _touch(self, frame: CacheLine) -> None:

@@ -133,6 +133,21 @@ class ClsSram:
                                  cause)
         self._states[line] = state
 
+    def load_states(self, states: bytes) -> None:
+        """Bulk-write the 4-bit states of lines ``[0, len(states))``.
+
+        Setup only: one slice store instead of a :meth:`set_state` per
+        line.  Like any untagged setup write it is not reported to the
+        coherence sanitizer, which machines attach after installing
+        firmware.
+        """
+        if len(states) > self.n_lines:
+            raise AddressError(
+                f"clsSRAM load of {len(states)} lines exceeds its "
+                f"{self.n_lines}-line coverage"
+            )
+        self._states[: len(states)] = states
+
     def set_range(self, first_line: int, n_lines: int, state: int) -> None:
         """Bulk state write (block-operation-unit support)."""
         for line in range(first_line, first_line + n_lines):

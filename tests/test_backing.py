@@ -1,4 +1,7 @@
-"""Byte backing stores: bounds checks, word accessors."""
+"""Byte backing stores: bounds checks, word accessors, views, and the
+copy-on-write isolation of a forked process."""
+
+import os
 
 import pytest
 
@@ -74,3 +77,98 @@ def test_fill_constructor():
 def test_size_validation():
     with pytest.raises(AddressError):
         ByteBacking(0)
+
+
+def test_fill_constructor_spans_pages():
+    b = ByteBacking(3 * 4096 + 5, fill=0xA5)
+    assert b.read(4090, 12) == b"\xa5" * 12
+    assert b.read(b.size - 5, 5) == b"\xa5" * 5
+    with pytest.raises(AddressError):
+        b.read(b.size - 4, 5)
+
+
+def test_view_aliases_live_store():
+    b = ByteBacking(64)
+    b.write(8, b"before")
+    v = b.view(8, 6)
+    b.write(8, b"after!")
+    assert bytes(v) == b"after!"
+    b.write_parts(8, [b"ab", memoryview(b"cdef")])
+    assert bytes(v) == b"abcdef"
+    assert v.readonly
+    with pytest.raises(TypeError):
+        v[0] = 0
+
+
+def test_view_and_write_parts_bounds():
+    b = ByteBacking(16)
+    with pytest.raises(AddressError):
+        b.view(8, 9)
+    with pytest.raises(AddressError):
+        b.write_parts(12, [b"ab", b"cdef"])
+    with pytest.raises(AddressError):
+        b.fill(15, 2, 1)
+
+
+def _forked(child_body):
+    """Run ``child_body()`` in a forked child after the parent's go-ahead;
+    returns ``(release, wait)``: ``release()`` lets the child start,
+    ``wait()`` returns its exit status (0 = every child assertion held)."""
+    go_r, go_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: never return into pytest
+        status = 1
+        try:
+            os.close(go_w)
+            os.read(go_r, 1)
+            child_body()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(go_r)
+
+    def release():
+        os.write(go_w, b"x")
+        os.close(go_w)
+
+    def wait():
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    return release, wait
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_writes_invisible_to_parent():
+    b = ByteBacking(2 * 4096)
+    b.write(0, b"parent")
+    view = b.view(0, 6)
+
+    def child():
+        assert b.read(0, 6) == b"parent"
+        b.write(0, b"child!")
+        b.write(4096, b"far")
+        assert bytes(view) == b"child!"
+        assert b.read(4096, 3) == b"far"
+
+    release, wait = _forked(child)
+    release()
+    assert wait() == 0
+    assert b.read(0, 6) == b"parent"
+    assert bytes(view) == b"parent"
+    assert b.read(4096, 3) == bytes(3)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_parent_writes_after_fork_invisible_to_child():
+    b = ByteBacking(4096, fill=0x11)
+
+    def child():
+        assert b.read(0, 8) == b"\x11" * 8
+        assert b.read(100, 4) == b"\x11" * 4
+
+    release, wait = _forked(child)
+    b.write(0, b"parent!!")
+    b.fill(100, 4, 0x22)
+    release()
+    assert wait() == 0
+    assert b.read(0, 8) == b"parent!!"

@@ -1,26 +1,36 @@
-"""The snooping write-back L2: hits, fills, evictions, coherence."""
+"""The snooping write-back L2: hits, fills, evictions, coherence, and
+frames created on first fill."""
+
+import random
 
 import pytest
 
+import repro
 from repro.bus.bus import MemoryBus
 from repro.bus.ops import BusOpType, BusTransaction
+from repro.bus.snoop import SnoopResult
 from repro.common.config import default_config
 from repro.mem.address import AccessMode, AddressMap, Region
-from repro.mem.cache import LineState, SnoopingL2
+from repro.mem.cache import CacheLine, LineState, SnoopingL2
 from repro.mem.dram import DRAM
+from repro.sim.engine import Engine
 
 
 @pytest.fixture
 def rig(engine):
+    return _build_rig(engine, ways=2)
+
+
+def _build_rig(engine, ways, l2_cls=SnoopingL2):
     config = default_config()
     config.l2.size_bytes = 4096  # small cache so evictions are reachable
-    config.l2.ways = 2
+    config.l2.ways = ways
     amap = AddressMap()
     dram = DRAM(engine, config.dram, config.bus, base=0)
     amap.add(Region("dram", 0, config.dram.size_bytes, AccessMode.CACHED,
                     owner=dram))
     bus = MemoryBus(engine, config.bus, amap)
-    l2 = SnoopingL2(engine, config.l2, bus, dram)
+    l2 = l2_cls(engine, config.l2, bus, dram)
     return engine, bus, dram, l2
 
 
@@ -231,3 +241,98 @@ def test_snoop_foreign_partial_write_merges(rig):
     merged = _run(engine, body())
     assert merged == b"FOREIGN!LOCALMOD"
     assert l2.state_of(0xC00) is LineState.INVALID
+
+
+# ----------------------------------------------------------------------
+# frames created on first fill
+# ----------------------------------------------------------------------
+
+def test_fresh_machine_holds_no_l2_frames():
+    m = repro.StarTVoyager(repro.default_config(n_nodes=64))
+    assert all(not node.l2._sets for node in m.nodes)
+
+
+def test_invalidated_frame_reused_before_a_new_one(rig):
+    engine, bus, _, l2 = rig
+    stride = l2.config.n_sets * l2.config.line_bytes  # same set
+
+    def body():
+        yield from l2.store(0x0, b"first")
+        t = BusTransaction(BusOpType.RWITM, 0x0, 32, master="niu")
+        yield from bus.transact(t)  # invalidates the only frame
+
+    _run(engine, body())
+    (frame,) = l2._sets[0]
+    assert frame.state is LineState.INVALID
+    _run(engine, l2.store(stride, b"second"))
+    assert l2._sets[0] == [frame]  # reused, nothing new created
+    _run(engine, l2.store(2 * stride, b"third"))
+    assert len(l2._sets[0]) == 2
+
+
+class _EagerL2(SnoopingL2):
+    """The reference the lazy sets must match: every frame built up
+    front, victim = the first INVALID frame, else the LRU one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        cfg = self.config
+        self._sets = {i: [CacheLine(cfg.line_bytes) for _ in range(cfg.ways)]
+                      for i in range(cfg.n_sets)}
+
+    def _victim(self, set_idx):
+        frames = self._sets[set_idx]
+        for frame in frames:
+            if frame.state is LineState.INVALID:
+                return frame
+        return min(frames, key=lambda f: f.lru)
+
+
+class _BusLog:
+    snooper_name = "log"
+
+    def __init__(self):
+        self.txns = []
+
+    def snoop(self, txn):
+        self.txns.append((txn.op, txn.addr, txn.master))
+        return SnoopResult.OK
+
+
+def _replay(l2_cls, ways, seed):
+    """Drive one cache through a seeded mix of loads, stores and foreign
+    snoops on a handful of conflicting sets; return everything visible."""
+    engine, bus, dram, l2 = _build_rig(Engine(), ways, l2_cls)
+    log = _BusLog()
+    bus.attach_snooper(log)
+    rng = random.Random(seed)
+    stride = l2.config.n_sets * l2.config.line_bytes
+    addrs = [s * 32 + k * stride for s in range(3) for k in range(ways + 2)]
+    seen = []
+
+    def body():
+        for step in range(400):
+            addr = rng.choice(addrs) + 8 * rng.randrange(4)
+            kind = rng.random()
+            if kind < 0.45:
+                seen.append((yield from l2.load(addr, 8)))
+            elif kind < 0.85:
+                yield from l2.store(addr, step.to_bytes(8, "big"))
+            else:
+                op = rng.choice([BusOpType.READ_LINE, BusOpType.RWITM,
+                                 BusOpType.KILL, BusOpType.FLUSH])
+                t = BusTransaction(op, addr & ~31, 32, master="niu")
+                yield from bus.transact(t)
+
+    _run(engine, body())
+    states = [l2.state_of(a) for a in addrs]
+    return (seen, log.txns, l2.stats(), states,
+            dram.peek(0, 4 * stride), engine.now)
+
+
+@pytest.mark.parametrize("ways", [1, 2, 4])
+def test_lazy_sets_match_eager_model(ways):
+    lazy = _replay(SnoopingL2, ways, seed=ways)
+    eager = _replay(_EagerL2, ways, seed=ways)
+    assert lazy == eager
+    assert lazy[2]["writebacks"] > 0  # LRU victims were really evicted

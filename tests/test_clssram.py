@@ -54,6 +54,17 @@ def test_set_range():
         [0, 0, CLS_RO, CLS_RO, CLS_RO, CLS_RO, 0, 0]
 
 
+def test_load_states_bulk():
+    c = _cls()
+    c.set_state(7, CLS_RO)
+    c.load_states(bytes([CLS_RW, CLS_INVALID, CLS_RW]))
+    assert [c.state(i) for i in range(8)] == \
+        [CLS_RW, 0, CLS_RW, 0, 0, 0, 0, CLS_RO]  # lines past the load kept
+    with pytest.raises(AddressError):
+        c.load_states(bytes(17))  # longer than the coverage
+    assert c.state(0) == CLS_RW  # a rejected load writes nothing
+
+
 def test_unprogrammed_pairs_pass():
     c = _cls()
     action = c.check(BusOpType.READ, 0x1000)

@@ -1,8 +1,11 @@
 """The S-COMA directory protocol: sharing, ownership, invalidation."""
 
+import random
+
 import pytest
 
 import repro
+from repro.common.errors import AddressError
 from repro.niu.clssram import CLS_INVALID, CLS_RO, CLS_RW
 from repro.shm import ScomaRegion
 
@@ -189,3 +192,65 @@ def test_region_bounds(m2):
         region.addr(4 * 32)
     with pytest.raises(ProgramError):
         ScomaRegion(m2, n_lines=10**9)
+
+
+# ----------------------------------------------------------------------
+# the shared home map and the bulk clsSRAM home-state write
+# ----------------------------------------------------------------------
+
+def _per_line_rule(home_of, node_id, n_lines):
+    """The clsSRAM states the per-line setup loop used to write."""
+    return [(CLS_RW if home == node_id else CLS_INVALID)
+            for home in home_of] + [CLS_INVALID] * (n_lines - len(home_of))
+
+
+def _cls_states(node):
+    cls = node.niu.cls
+    return [cls.state(line) for line in range(cls.n_lines)]
+
+
+def test_default_home_states_match_per_line_rule(m3):
+    cls = m3.node(0).niu.cls
+    lines_per_page = m3.config.dram.page_bytes // cls.line_bytes
+    home_of = [(line // lines_per_page) % 3 for line in range(cls.n_lines)]
+    for i in range(3):
+        assert _cls_states(m3.node(i)) == _per_line_rule(home_of, i,
+                                                         cls.n_lines)
+
+
+def test_custom_home_states_match_per_line_rule():
+    cfg = repro.default_config(n_nodes=3)
+    rng = random.Random(7)
+    home_of = [rng.randrange(3) for _ in range(1000)]  # shorter than coverage
+    cfg.scoma_home_of = home_of
+    m = repro.StarTVoyager(cfg)
+    n_lines = m.node(0).niu.cls.n_lines
+    for i in range(3):
+        assert _cls_states(m.node(i)) == _per_line_rule(home_of, i, n_lines)
+        assert m.node(i).sp.state["scoma"].home_of == tuple(home_of)
+
+
+def test_home_map_longer_than_coverage_rejected(m2):
+    n_lines = m2.node(0).niu.cls.n_lines
+    cfg = repro.default_config(n_nodes=2)
+    cfg.scoma_home_of = [0] * (n_lines + 1)
+    with pytest.raises(AddressError):
+        repro.StarTVoyager(cfg)
+
+
+def test_default_home_map_shared_and_never_mutated(m2):
+    maps = [m2.node(i).sp.state["scoma"].home_of for i in range(2)]
+    assert maps[0] is maps[1]  # one map per machine, not one per node
+    before = list(maps[0])
+    page_lines = m2.config.dram.page_bytes // 32
+    region = _region(m2, n_lines=3 * page_lines)
+
+    def prog(api, rank):
+        for line in (0, page_lines, 2 * page_lines + 1):
+            yield from api.store(region.addr(line * 32), bytes([rank + 1]) * 8)
+            yield from api.load(region.addr(line * 32), 8)
+
+    m2.run_all([m2.spawn(i, prog, i) for i in range(2)], limit=1e10)
+    assert list(maps[0]) == before
+    with pytest.raises(TypeError):
+        maps[0][0] = 1  # read-only: a tuple
