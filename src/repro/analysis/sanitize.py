@@ -322,7 +322,7 @@ class QueueSanitizer:
 
     @staticmethod
     def _tap(backing: ByteBacking, guard: _BankGuard) -> _TapBacking:
-        # Shares the live bytearray/memoryview: views handed out earlier
+        # Shares the live mmap/memoryview: views handed out earlier
         # keep aliasing the same storage, only the write path changes.
         tap = _TapBacking.__new__(_TapBacking)
         tap.size = backing.size

@@ -45,7 +45,7 @@ from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import Tracer
-from repro.firmware import install_default_firmware, scoma_home_map
+from repro.firmware import HomeMap, install_default_firmware
 
 class StarTVoyager:
     """A cluster of StarT-Voyager nodes on an Arctic fat tree.
@@ -110,8 +110,8 @@ class StarTVoyager:
             for node in self.nodes:
                 if node is not None:
                     if home_map is None:
-                        home_map = scoma_home_map(node, config.n_nodes,
-                                                  config.scoma_home_of)
+                        home_map = HomeMap.for_machine(
+                            node, config.n_nodes, config.scoma_home_of)
                     install_default_firmware(node, config.n_nodes, home_map)
         for node in self.nodes:
             if node is not None:

@@ -8,8 +8,6 @@ firmware.  Individual engines can also be installed piecemeal (tests do)
 and replaced at runtime (experiments do).
 """
 
-from typing import Optional, Sequence, Union
-
 from repro.firmware.base import (
     fw_dram_read,
     fw_dram_write,
@@ -38,7 +36,6 @@ __all__ = [
     "setup_reliable",
     "ensure_reliable",
     "setup_scoma",
-    "scoma_home_map",
     "HomeMap",
     "declare_dram_queue",
     "register_msg_handler",
@@ -52,29 +49,11 @@ __all__ = [
 ]
 
 
-def scoma_home_map(node, n_nodes: int,
-                   scoma_home_of: Optional[Sequence[int]] = None) -> HomeMap:
-    """A machine's S-COMA home map, shaped by any one of its nodes.
-
-    ``scoma_home_of`` assigns a home node per S-COMA line (defaults to
-    round-robin by page).  Build it once per machine and hand the same
-    map to every node's :func:`install_default_firmware`.
-    """
-    if scoma_home_of is not None:
-        return HomeMap(scoma_home_of)
-    lines_per_page = node.config.dram.page_bytes // node.config.bus.line_bytes
-    return HomeMap((line // lines_per_page) % n_nodes
-                   for line in range(node.niu.cls.n_lines))
-
-
-def install_default_firmware(
-        node, n_nodes: int,
-        scoma_home_of: Union[HomeMap, Sequence[int], None] = None) -> None:
+def install_default_firmware(node, n_nodes: int, home_map: HomeMap) -> None:
     """Load the complete default firmware image onto one node's sP.
 
-    ``scoma_home_of`` is the machine's shared :class:`HomeMap` (see
-    :func:`scoma_home_map`) or a line -> home sequence; ``None`` means
-    the default.  Must run before the machine starts.
+    ``home_map`` is the machine's shared S-COMA :class:`HomeMap` (see
+    :meth:`HomeMap.for_machine`).  Must run before the machine starts.
     """
     sp = node.sp
     sp.state["niu"] = node.niu
@@ -85,9 +64,7 @@ def install_default_firmware(
     setup_blockxfer(sp)
     numa_map = NumaMap(n_nodes, node.numa_bytes, node.numa_backing_base)
     setup_numa(sp, numa_map)
-    if not isinstance(scoma_home_of, HomeMap):
-        scoma_home_of = scoma_home_map(node, n_nodes, scoma_home_of)
-    setup_scoma(sp, scoma_home_of)
+    setup_scoma(sp, home_map)
     setup_reliable(sp, n_nodes)
     # the CollectiveUnit (lazy import: repro.collectives builds on this
     # package's primitives)

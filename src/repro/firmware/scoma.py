@@ -42,7 +42,8 @@ relinquished copy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.bus.ops import BusOpType
 from repro.coherence.directory import DirectoryController
@@ -99,6 +100,22 @@ class HomeMap:
         for line, home in enumerate(self.homes):
             lines_at.setdefault(home, []).append(line)
         self._lines_at = lines_at
+
+    @classmethod
+    def for_machine(cls, node, n_nodes: int,
+                    scoma_home_of: Optional[Sequence[int]] = None
+                    ) -> "HomeMap":
+        """The machine's map, shaped by any one of its nodes.
+
+        ``scoma_home_of`` assigns a home node per S-COMA line (defaults
+        to round-robin by page).
+        """
+        if scoma_home_of is not None:
+            return cls(scoma_home_of)
+        config = node.config
+        lines_per_page = config.dram.page_bytes // config.bus.line_bytes
+        return cls((line // lines_per_page) % n_nodes
+                   for line in range(node.niu.cls.n_lines))
 
     def home_states(self, node_id: int) -> bytearray:
         """``node_id``'s initial clsSRAM states: RW where it is home."""
