@@ -30,7 +30,7 @@ from repro.sim.resource import PriorityResource
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
     from repro.sim.events import Event
-    from repro.sim.stats import StatsRegistry
+    from repro.sim.stats import Counter, StatsRegistry
     from repro.sim.trace import Tracer
 
 
@@ -54,6 +54,18 @@ class MemoryBus:
         self.tracer = tracer
         self._arbiter = PriorityResource(engine, capacity=1, name=f"{name}.arb")
         self._snoopers: List[Snooper] = []
+        # per-transaction constants, computed once (same float expressions
+        # as :meth:`cycles`, so every tenure lands on the same ns)
+        self._address_ns = self.cycles(config.arbitration_cycles
+                                       + config.address_cycles)
+        self._snoop_ns = self.cycles(config.snoop_cycles)
+        self._backoff_ns = self.cycles(config.retry_backoff_cycles)
+        # counters, fetched on first use so a bus that never completes
+        # (or retries) a transaction registers none — snapshot keys and
+        # their order stay those of a per-call lookup
+        self._txns: Optional[Counter] = None
+        self._bytes: Optional[Counter] = None
+        self._retries: Optional[Counter] = None
 
     # -- construction ------------------------------------------------------
 
@@ -88,31 +100,35 @@ class MemoryBus:
         (live-lock guard).
         """
         cfg = self.config
-        if txn.op.is_burst:
+        op = txn.op
+        if op.is_burst:
             if txn.size != cfg.line_bytes:
                 raise SimulationError(
-                    f"burst {txn.op.value} must be {cfg.line_bytes} bytes, "
+                    f"burst {op.value} must be {cfg.line_bytes} bytes, "
                     f"got {txn.size}"
                 )
             if txn.addr % cfg.line_bytes:
                 raise SimulationError(
-                    f"burst {txn.op.value} misaligned at {txn.addr:#x}"
+                    f"burst {op.value} misaligned at {txn.addr:#x}"
                 )
+        engine = self.engine
+        arbiter = self._arbiter
+        stats = self.stats
 
         while True:
             # arbitration + address tenure + snoop window, bus held
-            yield self._arbiter.request(priority)
+            yield arbiter.request(priority)
             try:
-                yield self.engine.timeout(
-                    self.cycles(cfg.arbitration_cycles + cfg.address_cycles)
-                )
+                yield engine.timeout(self._address_ns)
                 verdict, claimant = self._snoop_window(txn)
-                yield self.engine.timeout(self.cycles(cfg.snoop_cycles))
+                yield engine.timeout(self._snoop_ns)
 
                 if verdict is SnoopResult.RETRY:
                     txn.retries += 1
-                    if self.stats:
-                        self.stats.counter(f"{self.name}.retries").incr()
+                    if stats is not None:
+                        if self._retries is None:
+                            self._retries = stats.counter(f"{self.name}.retries")
+                        self._retries.incr()
                     if cfg.max_retries and txn.retries > cfg.max_retries:
                         raise SimulationError(
                             f"{txn!r} exceeded retry cap {cfg.max_retries}"
@@ -120,7 +136,7 @@ class MemoryBus:
                 else:
                     # data tenure while the bus is held
                     result = yield from self._data_tenure(txn, claimant)
-                    if txn.op.is_read:
+                    if op.is_read:
                         if result is None or len(result) != txn.size:
                             raise SimulationError(
                                 f"{txn!r}: handler returned "
@@ -128,21 +144,23 @@ class MemoryBus:
                                 f"bytes, expected {txn.size}"
                             )
                         txn.data = result
-                    if self.stats:
-                        self.stats.counter(f"{self.name}.txns").incr()
-                        if txn.op.has_data:
-                            self.stats.counter(f"{self.name}.bytes").incr(txn.size)
-                    if self.tracer:
-                        self.tracer.emit(
-                            self.name,
-                            f"bus.{txn.op.value}",
-                            (txn.addr, txn.size, txn.master),
-                        )
+                    if stats is not None:
+                        if self._txns is None:
+                            self._txns = stats.counter(f"{self.name}.txns")
+                        self._txns.incr()
+                        if op.has_data:
+                            if self._bytes is None:
+                                self._bytes = stats.counter(f"{self.name}.bytes")
+                            self._bytes.incr(txn.size)
+                    tr = self.tracer
+                    if tr is not None and tr.active:
+                        tr.emit(self.name, f"bus.{op.value}",
+                                (txn.addr, txn.size, txn.master))
                     return txn
             finally:
-                self._arbiter.release()
+                arbiter.release()
             # back off without holding the bus, then re-arbitrate
-            yield self.engine.timeout(self.cycles(cfg.retry_backoff_cycles))
+            yield engine.timeout(self._backoff_ns)
 
     def _snoop_window(self, txn: BusTransaction):
         """Collect snoop responses; returns (verdict, claimant)."""

@@ -33,28 +33,23 @@ class BusOpType(enum.Enum):
     #: force a modified line out of caches to memory.
     FLUSH = "flush"
 
-    @property
-    def is_burst(self) -> bool:
-        """True for full-cache-line transfers."""
-        return self in (BusOpType.READ_LINE, BusOpType.RWITM, BusOpType.WRITE_LINE)
-
-    @property
-    def is_read(self) -> bool:
-        """True when the master receives data."""
-        return self in (BusOpType.READ, BusOpType.READ_LINE, BusOpType.RWITM)
-
-    @property
-    def is_write(self) -> bool:
-        """True when the master supplies data."""
-        return self in (BusOpType.WRITE, BusOpType.WRITE_LINE)
-
-    @property
-    def has_data(self) -> bool:
-        """True when a data tenure occurs at all."""
-        return self not in (BusOpType.KILL, BusOpType.FLUSH)
+    def __init__(self, value: str) -> None:
+        # Flags are plain member attributes, set once: they are read on
+        # every bus transaction, where a property's membership test showed
+        # up in profiles.
+        #: True for full-cache-line transfers.
+        self.is_burst = value in ("read_line", "rwitm", "write_line")
+        #: True when the master receives data.
+        self.is_read = value in ("read", "read_line", "rwitm")
+        #: True when the master supplies data.
+        self.is_write = value in ("write", "write_line")
+        #: True when a data tenure occurs at all.
+        self.has_data = value not in ("kill", "flush")
 
 
 _txn_ids = itertools.count()
+#: the single-beat ops, whose transfers are limited to 8 bytes.
+_SINGLE_BEAT = (BusOpType.READ, BusOpType.WRITE)
 
 
 class BusTransaction:
@@ -92,7 +87,7 @@ class BusTransaction:
             raise ValueError(f"negative address {addr:#x}")
         if size <= 0:
             raise ValueError(f"transfer size must be positive, got {size}")
-        if op in (BusOpType.READ, BusOpType.WRITE) and size > 8:
+        if size > 8 and op in _SINGLE_BEAT:
             raise ValueError(f"single-beat op limited to 8 bytes, got {size}")
         if op.is_write:
             if data is None or len(data) != size:

@@ -23,6 +23,8 @@ import bisect
 import enum
 from typing import Any, List, Optional
 
+from repro.common.errors import AddressError
+
 
 class AccessMode(enum.Enum):
     """How the processor model accesses a region (see module docstring)."""
@@ -35,7 +37,7 @@ class AccessMode(enum.Enum):
 class Region:
     """A named, half-open physical address range ``[base, base+size)``."""
 
-    __slots__ = ("name", "base", "size", "mode", "owner")
+    __slots__ = ("name", "base", "size", "end", "mode", "owner")
 
     def __init__(
         self,
@@ -52,15 +54,12 @@ class Region:
         self.name = name
         self.base = base
         self.size = size
+        #: one past the last valid address (regions are never resized).
+        self.end = base + size
         self.mode = mode
         #: the bus slave that serves accesses (None = claimed by a snooper,
         #: e.g. the aBIU for NIU windows).
         self.owner = owner
-
-    @property
-    def end(self) -> int:
-        """One past the last valid address."""
-        return self.base + self.size
 
     def contains(self, addr: int, length: int = 1) -> bool:
         """True when ``[addr, addr+length)`` lies entirely inside."""
@@ -81,8 +80,6 @@ class Region:
 
 def AddressErrorFor(region: Region, addr: int):
     """Build a descriptive AddressError for an out-of-region access."""
-    from repro.common.errors import AddressError
-
     return AddressError(
         f"address {addr:#x} outside region {region.name!r} "
         f"[{region.base:#x}, {region.end:#x})"
@@ -98,8 +95,6 @@ class AddressMap:
 
     def add(self, region: Region) -> Region:
         """Register a region; overlap with an existing region is an error."""
-        from repro.common.errors import AddressError
-
         idx = bisect.bisect_right(self._bases, region.base)
         if idx > 0 and self._regions[idx - 1].end > region.base:
             raise AddressError(
@@ -116,14 +111,13 @@ class AddressMap:
     def lookup(self, addr: int, length: int = 1) -> Region:
         """The region containing ``[addr, addr+length)``; raises if unmapped
         or if the range straddles a region boundary."""
-        from repro.common.errors import AddressError
-
         idx = bisect.bisect_right(self._bases, addr) - 1
         if idx >= 0:
             region = self._regions[idx]
-            if region.contains(addr, length):
+            # the bisect already guarantees ``region.base <= addr``
+            if addr + length <= region.end:
                 return region
-            if region.contains(addr):
+            if addr < region.end:
                 raise AddressError(
                     f"access [{addr:#x}, {addr + length:#x}) straddles the end "
                     f"of region {region.name!r}"
@@ -140,8 +134,6 @@ class AddressMap:
         runtime reconfiguration (e.g. installing a reflective-memory
         window over part of DRAM) adjusts the map without rebuilding it.
         """
-        from repro.common.errors import AddressError
-
         parent = self.lookup(base, size)
         idx = self._regions.index(parent)
         del self._regions[idx]
@@ -163,8 +155,6 @@ class AddressMap:
 
     def find(self, name: str) -> Region:
         """The region registered under ``name``."""
-        from repro.common.errors import AddressError
-
         for r in self._regions:
             if r.name == name:
                 return r

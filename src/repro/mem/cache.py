@@ -71,6 +71,11 @@ class SnoopingL2(Snooper):
         self.dram = dram
         self.name = name
         self.snooper_name = name
+        # geometry and hit time, read on every access: computed once
+        # (the config's derived values are properties)
+        self.line_bytes = config.line_bytes
+        self.n_sets = config.n_sets
+        self._hit_ns = config.hit_cycles * bus.config.cycle_ns
         #: set index -> its frames, both created on first fill (DESIGN.md
         #: §8.4).  A frame not yet created behaves exactly like an INVALID
         #: one at the end of its set, so hits, victims and LRU order
@@ -88,8 +93,8 @@ class SnoopingL2(Snooper):
     # -- indexing -----------------------------------------------------------
 
     def _index(self, addr: int) -> Tuple[int, int]:
-        line = addr // self.config.line_bytes
-        return line % self.config.n_sets, line // self.config.n_sets
+        line = addr // self.line_bytes
+        return line % self.n_sets, line // self.n_sets
 
     def _find(self, addr: int) -> Optional[CacheLine]:
         set_idx, tag = self._index(addr)
@@ -104,7 +109,7 @@ class SnoopingL2(Snooper):
             if frame.state is LineState.INVALID:
                 return frame
         if len(frames) < self.config.ways:
-            frame = CacheLine(self.config.line_bytes)
+            frame = CacheLine(self.line_bytes)
             frames.append(frame)
             return frame
         return min(frames, key=lambda f: f.lru)
@@ -114,7 +119,7 @@ class SnoopingL2(Snooper):
         frame.lru = self._lru_clock
 
     def _line_base(self, addr: int) -> int:
-        return addr & ~(self.config.line_bytes - 1)
+        return addr & ~(self.line_bytes - 1)
 
     # -- processor-side interface (cached accesses) ------------------------------
 
@@ -129,7 +134,7 @@ class SnoopingL2(Snooper):
             # capture before the hit delay: a snoop may invalidate the
             # frame during it, but this load was ordered ahead of that
             data = bytes(frame.data[off : off + size])
-            yield self.engine.timeout(self._hit_ns())
+            yield self.engine.timeout(self._hit_ns)
             return data
         self.misses += 1
         frame = yield from self._fill(addr, modify=False)
@@ -154,7 +159,7 @@ class SnoopingL2(Snooper):
             if frame.state is LineState.MODIFIED:
                 self.hits += 1
                 self._touch(frame)
-                yield self.engine.timeout(self._hit_ns())
+                yield self.engine.timeout(self._hit_ns)
                 if self._find(addr) is frame:
                     break
                 continue  # invalidated during the hit delay: retry
@@ -165,7 +170,7 @@ class SnoopingL2(Snooper):
             kill = BusTransaction(
                 BusOpType.KILL,
                 self._line_base(addr),
-                self.config.line_bytes,
+                self.line_bytes,
                 master=self.name,
             )
             yield from self.bus.transact(kill)
@@ -186,7 +191,7 @@ class SnoopingL2(Snooper):
         if victim.state is LineState.MODIFIED:
             yield from self._writeback(victim, set_idx)
         op = BusOpType.RWITM if modify else BusOpType.READ_LINE
-        txn = BusTransaction(op, line_base, self.config.line_bytes, master=self.name)
+        txn = BusTransaction(op, line_base, self.line_bytes, master=self.name)
         yield from self.bus.transact(txn)
         victim.tag = tag
         victim.data[:] = txn.data  # type: ignore[arg-type]
@@ -198,12 +203,12 @@ class SnoopingL2(Snooper):
         self, frame: CacheLine, set_idx: int
     ) -> Generator["Event", None, None]:
         self.writebacks += 1
-        line_no = frame.tag * self.config.n_sets + set_idx
-        addr = line_no * self.config.line_bytes
+        line_no = frame.tag * self.n_sets + set_idx
+        addr = line_no * self.line_bytes
         txn = BusTransaction(
             BusOpType.WRITE_LINE,
             addr,
-            self.config.line_bytes,
+            self.line_bytes,
             data=bytes(frame.data),
             master=self.name,
         )
@@ -211,16 +216,13 @@ class SnoopingL2(Snooper):
         frame.state = LineState.INVALID
         frame.tag = -1
 
-    def _hit_ns(self) -> float:
-        return self.config.hit_cycles * self.bus.config.cycle_ns
-
     def _check_span(self, addr: int, size: int) -> None:
         if size <= 0:
             raise ProgramError(f"access size must be positive, got {size}")
         if self._line_base(addr) != self._line_base(addr + size - 1):
             raise ProgramError(
                 f"cached access [{addr:#x},+{size}) straddles a "
-                f"{self.config.line_bytes}-byte line; split it"
+                f"{self.line_bytes}-byte line; split it"
             )
 
     # -- snooper interface -------------------------------------------------------

@@ -76,6 +76,8 @@ class Ctrl:
         self.tracer = tracer
         self.name = f"ctrl{node_id}"
         ncfg = config.niu
+        #: CTRL internal pipeline latency for one operation.
+        self.op_ns = ncfg.ctrl_op_cycles * config.bus.cycle_ns
 
         #: IBus — arbitrated central data path.
         self.ibus = Resource(engine, 1, name=f"{self.name}.ibus")
@@ -144,11 +146,6 @@ class Ctrl:
     # ------------------------------------------------------------------
     # timing primitives
     # ------------------------------------------------------------------
-
-    @property
-    def op_ns(self) -> float:
-        """CTRL internal pipeline latency for one operation."""
-        return self.config.niu.ctrl_op_cycles * self.config.bus.cycle_ns
 
     def _bank(self, bank: int) -> DualPortedSRAM:
         return self.asram if bank == BANK_A else self.ssram

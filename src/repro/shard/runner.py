@@ -18,6 +18,9 @@ with a lower-bound-timestamp window barrier:
 3. Repeat until every heap is empty and no message is in flight; then
    align all clocks on the global maximum and fire drain hooks.
 
+With no cut channel (``shards=1``) the bound is infinite, so every
+phase runs as a single window.
+
 The same coordinator drives two backends through one handle protocol:
 ``inline`` (all shards in this process — deterministic reference, and
 what the parity tests compare against ``shards=1``) and ``process``
@@ -273,8 +276,14 @@ class ShardedMachine:
         return owners[channel]
 
     def _drive(self) -> None:
-        """Run windows until the whole machine is quiescent."""
-        lookahead = self.plan.lookahead_ns
+        """Run windows until the whole machine is quiescent.
+
+        The lookahead only protects cut channels: with none (``shards=1``)
+        nothing can arrive from outside, the bound is infinite and each
+        phase runs as one window.
+        """
+        cut = self._rx_owner or self._tx_owner
+        lookahead = self.plan.lookahead_ns if cut else INFINITY
         k = len(self.shards)
         inbound: List[List[BoundaryMessage]] = [[] for _ in range(k)]
         while True:

@@ -10,7 +10,8 @@ here: the whole point of the platform is comparing mechanisms, and noise
 from dict/heap tie-breaking would poison those comparisons.
 
 The ``kind`` field selects one of three inlined dispatch paths in the
-run loop (see DESIGN.md §"Simulation kernel fast paths"):
+one dispatch core, :meth:`Engine._dispatch`, which every run loop
+wraps (see DESIGN.md §8.1, the simulation kernel fast paths):
 
 ====  ==============  =====================================================
 kind  name            meaning
@@ -31,6 +32,7 @@ Time is a float in nanoseconds (see :mod:`repro.common.units`).
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import nextafter
 from time import perf_counter
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
@@ -168,27 +170,11 @@ class Engine:
 
     # -- scheduling (internal API used by events/processes) ---------------
 
-    def _push(self, time: float, fn: Callable[[], None]) -> None:
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (time, seq, KIND_CALL, fn, None))
-
     def _schedule_call(self, fn: Callable[[], None], delay: float = 0.0) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         self._seq = seq = self._seq + 1
         heappush(self._heap, (self._now + delay, seq, KIND_CALL, fn, None))
-
-    def _schedule_timeout(self, ev: Event, delay: float, value: Any) -> None:
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, seq, KIND_SUCCEED, ev, value))
-
-    def _schedule_event_callbacks(
-        self, ev: Event, callbacks: List[Callable[[Event], None]]
-    ) -> None:
-        # Callbacks run as a unit at the current time, after already-queued
-        # same-time entries scheduled earlier.
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now, seq, KIND_CALLBACKS, callbacks, ev))
 
     def _pop_decision(self, policy: SchedulePolicy) -> ScheduledItem:
         """Pop the next item through a schedule policy.
@@ -267,41 +253,9 @@ class Engine:
         fire: a drained shard heap mid-run only means the shard is idle
         until its next boundary injection.  Returns :meth:`peek_time`.
         """
-        heap = self._heap
-        crashes = self._crashes
-        policy = self.schedule_policy
-        executed = 0
-        t0 = perf_counter()
-        try:
-            while heap and heap[0][0] < until:
-                if policy is None:
-                    time, _seq, kind, target, arg = heappop(heap)
-                else:
-                    # every popped tie shares the first item's timestamp,
-                    # so the whole group satisfies the `< until` guard
-                    time, _seq, kind, target, arg = self._pop_decision(policy)
-                self._now = time
-                executed += 1
-                if kind == 2:  # KIND_CALLBACKS
-                    for cb in target:
-                        cb(arg)
-                elif kind == 1:  # KIND_SUCCEED
-                    if target._value is not _PENDING or target._exc is not None:
-                        raise SimulationError(f"event {target!r} triggered twice")
-                    target._value = arg
-                    callbacks = target._callbacks
-                    target._callbacks = None
-                    if callbacks:
-                        self._seq = seq = self._seq + 1
-                        heappush(heap, (time, seq, 2, callbacks, target))
-                else:  # KIND_CALL
-                    target()
-                if crashes and self.strict:
-                    raise self._crash_error()
-        finally:
-            self.events_executed += executed
-            self.wall_seconds += perf_counter() - t0
-        return heap[0][0] if heap else INFINITY
+        # the largest float below ``until``: ``t <= last`` iff ``t < until``
+        self._dispatch(nextafter(until, -INFINITY))
+        return self.peek_time()
 
     def advance_to(self, time: float) -> None:
         """Move an idle clock forward to ``time`` (inter-phase sync).
@@ -332,37 +286,44 @@ class Engine:
 
     # -- running -----------------------------------------------------------
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Execute events until the heap drains or ``until`` is reached.
+    def _dispatch(self, last: float, stop: Optional[Event] = None) -> None:
+        """The one dispatch core behind :meth:`run`, :meth:`run_window`
+        and :meth:`run_until_triggered`.
 
-        Returns the simulation time when execution stopped.  If a process
-        crashed with an unhandled exception and ``strict`` is set (the
-        default), the first crash is re-raised — silent process death is a
-        debugging nightmare in a simulator of this size.
+        Executes items in heap order while the earliest is due at or
+        before ``last`` (inclusive) and, when ``stop`` is given, until
+        ``stop`` has triggered.  A crashed process aborts the loop (when
+        ``strict``); everything else — clock forcing, drain hooks, the
+        deadlock and limit errors — is the wrappers' business.
+
+        Same-instant callback inlining: a KIND_SUCCEED item whose event
+        has waiters owes a KIND_CALLBACKS item at its own timestamp.
+        When nothing else is queued at that instant, that item would be
+        popped next, alone in its tie group (so a schedule policy never
+        sees it), and the core runs the callbacks at once instead.  It
+        still takes the item's sequence number and counts it in
+        :attr:`events_executed`, so seq order, decision points and the
+        executed count match the pushed form exactly.  ``stop``'s own
+        callbacks are always pushed: the loop returns as soon as
+        ``stop`` triggers, leaving them queued.
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"cannot run until {until} < now {self._now}")
         heap = self._heap
         crashes = self._crashes
         policy = self.schedule_policy
         executed = 0
         t0 = perf_counter()
         try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self._now = until
-                    break
+            while heap and heap[0][0] <= last:
                 if policy is None:
                     time, _seq, kind, target, arg = heappop(heap)
                 else:
+                    # every popped tie shares the first item's timestamp,
+                    # so the whole group satisfies the `<= last` guard
                     time, _seq, kind, target, arg = self._pop_decision(policy)
                 self._now = time
                 executed += 1
                 # Inline dispatch, most frequent kind first.
-                if kind == 2:  # KIND_CALLBACKS
-                    for cb in target:
-                        cb(arg)
-                elif kind == 1:  # KIND_SUCCEED (the Timeout fast path)
+                if kind == 1:  # KIND_SUCCEED (the Timeout fast path)
                     if target._value is not _PENDING or target._exc is not None:
                         raise SimulationError(f"event {target!r} triggered twice")
                     target._value = arg
@@ -370,19 +331,44 @@ class Engine:
                     target._callbacks = None
                     if callbacks:
                         self._seq = seq = self._seq + 1
-                        heappush(heap, (time, seq, 2, callbacks, target))
+                        if (heap and heap[0][0] == time) or target is stop:
+                            heappush(heap, (time, seq, 2, callbacks, target))
+                        else:
+                            executed += 1
+                            for cb in callbacks:
+                                cb(target)
+                elif kind == 2:  # KIND_CALLBACKS
+                    for cb in target:
+                        cb(arg)
                 else:  # KIND_CALL
                     target()
                 if crashes and self.strict:
                     raise self._crash_error()
-            else:
-                if until is not None:
-                    self._now = until
-                for hook in self.drain_hooks:
-                    hook()
+                if stop is not None and (
+                    stop._value is not _PENDING or stop._exc is not None
+                ):
+                    break
         finally:
             self.events_executed += executed
             self.wall_seconds += perf_counter() - t0
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Execute events until the heap drains or ``until`` is reached.
+
+        Items due exactly at ``until`` still run.  Returns the simulation
+        time when execution stopped.  If a process crashed with an
+        unhandled exception and ``strict`` is set (the default), the
+        first crash is re-raised — silent process death is a debugging
+        nightmare in a simulator of this size.
+        """
+        if until is not None and until < self._now:
+            raise SimulationError(f"cannot run until {until} < now {self._now}")
+        self._dispatch(INFINITY if until is None else until)
+        if until is not None:
+            self._now = until
+        if not self._heap:
+            for hook in self.drain_hooks:
+                hook()
         return self._now
 
     def run_until_triggered(self, ev: Event, limit: Optional[float] = None) -> Any:
@@ -393,48 +379,18 @@ class Engine:
         when the time ``limit`` is hit.  When the deadlock watchdog is
         installed, the drained-queue error carries its wait-for graph.
         """
-        heap = self._heap
-        crashes = self._crashes
-        policy = self.schedule_policy
-        executed = 0
-        t0 = perf_counter()
-        try:
-            while ev._value is _PENDING and ev._exc is None:  # not triggered
-                if not heap:
-                    msg = f"event queue drained before {ev!r} triggered (deadlock?)"
-                    dump = self.deadlock_dump
-                    if dump is not None:
-                        detail = dump()
-                        if detail:
-                            msg += "\n" + detail
-                    raise DeadlockError(msg)
-                if limit is not None and heap[0][0] > limit:
+        if not ev.triggered:
+            self._dispatch(INFINITY if limit is None else limit, ev)
+            if not ev.triggered:
+                if self._heap:
                     raise SimulationError(f"time limit {limit} hit before {ev!r}")
-                if policy is None:
-                    time, _seq, kind, target, arg = heappop(heap)
-                else:
-                    time, _seq, kind, target, arg = self._pop_decision(policy)
-                self._now = time
-                executed += 1
-                if kind == 2:  # KIND_CALLBACKS
-                    for cb in target:
-                        cb(arg)
-                elif kind == 1:  # KIND_SUCCEED
-                    if target._value is not _PENDING or target._exc is not None:
-                        raise SimulationError(f"event {target!r} triggered twice")
-                    target._value = arg
-                    callbacks = target._callbacks
-                    target._callbacks = None
-                    if callbacks:
-                        self._seq = seq = self._seq + 1
-                        heappush(heap, (time, seq, 2, callbacks, target))
-                else:  # KIND_CALL
-                    target()
-                if crashes and self.strict:
-                    raise self._crash_error()
-        finally:
-            self.events_executed += executed
-            self.wall_seconds += perf_counter() - t0
+                msg = f"event queue drained before {ev!r} triggered (deadlock?)"
+                dump = self.deadlock_dump
+                if dump is not None:
+                    detail = dump()
+                    if detail:
+                        msg += "\n" + detail
+                raise DeadlockError(msg)
         return ev.value
 
     # -- introspection -----------------------------------------------------

@@ -89,11 +89,10 @@ class Event:
         return self
 
     def _schedule_callbacks(self) -> None:
-        # Inlined KIND_CALLBACKS push (engine._schedule_event_callbacks):
-        # this runs once per triggered event, hot enough that the method
-        # call and the closure the engine used to allocate both showed up
-        # in profiles.  Callbacks run as a unit at the current time, after
-        # already-queued same-time entries.
+        # Inlined KIND_CALLBACKS push: this runs once per triggered
+        # event, hot enough that a method call and a closure both showed
+        # up in profiles.  Callbacks run as a unit at the current time,
+        # after already-queued same-time entries.
         callbacks, self._callbacks = self._callbacks, None
         if callbacks:
             engine = self.engine
@@ -123,9 +122,9 @@ class Timeout(Event):
     The constructor is the single hottest allocation site in the kernel
     (every modeled latency is a Timeout), so it writes the :class:`Event`
     fields directly instead of chaining ``super().__init__`` and pushes
-    its KIND_SUCCEED scheduled item inline instead of going through
-    ``engine._schedule_timeout``.  The name is a constant: formatting a
-    per-instance ``timeout(...)`` label cost more than the heap push.
+    its KIND_SUCCEED scheduled item inline.  The name is a constant:
+    formatting a per-instance ``timeout(...)`` label cost more than the
+    heap push.
     """
 
     __slots__ = ("delay",)

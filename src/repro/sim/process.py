@@ -89,10 +89,13 @@ class Process(Event):
         if self._waiting_on is not ev:
             return  # stale wakeup: the process was interrupted meanwhile
         self._waiting_on = None
-        if ev.ok:
+        # callbacks only run on triggered events: ``_exc`` alone says
+        # which way (the ``ok``/``triggered`` properties cost two calls)
+        exc = ev._exc
+        if exc is None:
             self._resume(send=ev._value)
         else:
-            self._resume(throw=ev.exception)
+            self._resume(throw=exc)
 
     def _resume(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
         try:
@@ -123,4 +126,9 @@ class Process(Event):
             self._gen.close()
             return
         self._waiting_on = target
-        target.add_callback(self._on_event)
+        # inlined Event.add_callback
+        callbacks = target._callbacks
+        if callbacks is None:
+            self._on_event(target)
+        else:
+            callbacks.append(self._on_event)

@@ -65,7 +65,7 @@ class Resource:
             raise SimulationError(f"release of idle resource {self.name!r}")
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
-            self._busy_time += self.engine.now - self._busy_since
+            self._busy_time += self.engine._now - self._busy_since
             self._busy_since = None
         while self._waiters:
             ev = self._waiters.popleft()
@@ -77,7 +77,7 @@ class Resource:
     def _grant(self, ev: Event) -> None:
         self._in_use += 1
         if self._busy_since is None:
-            self._busy_since = self.engine.now
+            self._busy_since = self.engine._now
         ev.succeed(self)
 
     # -- convenience -----------------------------------------------------
@@ -144,7 +144,7 @@ class PriorityResource(Resource):
             raise SimulationError(f"release of idle resource {self.name!r}")
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
-            self._busy_time += self.engine.now - self._busy_since
+            self._busy_time += self.engine._now - self._busy_since
             self._busy_since = None
         while self._pwaiters:
             _prio, _seq, ev = heapq.heappop(self._pwaiters)

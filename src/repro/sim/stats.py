@@ -171,7 +171,7 @@ class BusyTracker:
     def begin(self) -> None:
         """Enter a busy section."""
         if self._depth == 0:
-            self._since = self.engine.now
+            self._since = self.engine._now
         self._depth += 1
 
     def end(self) -> None:
@@ -180,7 +180,7 @@ class BusyTracker:
             raise SimulationError(f"busy tracker {self.name!r} not busy")
         self._depth -= 1
         if self._depth == 0:
-            self.busy_ns += self.engine.now - self._since
+            self.busy_ns += self.engine._now - self._since
 
     def current(self) -> float:
         """Busy ns so far, including an open section."""
@@ -242,9 +242,10 @@ class StatsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter ``name``."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def accumulator(self, name: str, scope: str = "") -> Accumulator:
         """Get or create the accumulator partial for ``name`` in ``scope``."""

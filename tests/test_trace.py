@@ -68,3 +68,21 @@ def test_timestamps(engine):
     assert t.records()[0].time == 42.0
     t.clear()
     assert len(t) == 0
+
+
+def test_bus_category_alone_records_every_transaction(machine2):
+    # an empty buffer must not read as "tracing off": with only "bus"
+    # enabled, each completed transaction leaves exactly one record
+    m = machine2
+    m.tracer.enable("bus")
+
+    def prog(api):
+        for i in range(4):  # four fresh lines: four cache fills
+            yield from api.load_u32(0x1000 + 64 * i)
+
+    m.run_all([m.spawn(0, prog)], limit=1e9)
+    txns = sum(m.stats.counter(f"bus{i}.txns").value for i in range(2))
+    records = m.tracer.records("bus.")
+    assert txns >= 4
+    assert len(records) == txns
+    assert m.tracer.records("bus.read_line", source="bus0")
