@@ -81,20 +81,20 @@ def _combine_hits(machine):
 def barrier_point(spec):
     """One barrier point: ``(n_nodes, algo)`` -> result row.
 
-    ``endpoint`` runs the counting barrier over the sP-served fallback
-    transport; ``nic`` and ``switch`` go through MiniMPI so the row
-    measures the same call an application would make.
+    ``endpoint`` runs the group barrier over the sP-served fallback
+    transport (one home sP counts arrivals); ``nic`` and ``switch`` go
+    through MiniMPI so the row measures the same call an application
+    would make.
     """
     n, algo = spec
     machine = sync_machine(n)
     if algo == "endpoint":
-        bar = machine.sync_fabric().group(range(n), mode="endpoint") \
-            .barrier(variant="counting")
+        grp = machine.sync_fabric().group(range(n), mode="endpoint")
 
         def prog(api, rank):
             for r in range(BARRIER_ROUNDS):
                 yield from api.compute(50 * ((rank + r) % 7))
-                yield from bar.wait(api, rank)
+                yield from grp.barrier(api, rank)
     else:
         mpi = MiniMPI(machine, algo=algo)
 

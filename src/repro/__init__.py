@@ -33,7 +33,6 @@ from repro.obs import (
 )
 from repro.shard import ShardRun, run_scenario, scenario, scenario_names
 from repro.sync import (
-    Barrier,
     Counter,
     McsLock,
     SyncFabric,
@@ -84,7 +83,6 @@ __all__ = [
     # synchronization primitives
     "SyncFabric",
     "SyncGroup",
-    "Barrier",
     "Counter",
     "TasLock",
     "TicketLock",

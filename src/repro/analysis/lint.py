@@ -134,8 +134,8 @@ HOT_CLASSES: Dict[Tuple[str, ...], Set[str]] = {
     ("net", "packet.py"): {"Packet"},
     ("net", "combine.py"): {"SyncTag", "GroupProgram", "_Slot", "CombineStage"},
     ("sync", "api.py"): {
-        "_NodeClient", "SyncFabric", "SyncGroup", "Counter", "Barrier",
-        "TasLock", "TicketLock", "McsLock", "WorkDeque",
+        "_NodeClient", "SyncFabric", "SyncGroup", "Counter", "TasLock",
+        "TicketLock", "McsLock", "WorkDeque",
     },
     ("sync", "firmware.py"): {"SyncFwState", "_CentralOp"},
     ("sync", "plan.py"): {"SwitchTreePlan"},

@@ -154,8 +154,9 @@ class MemoryBus:
                             self._bytes.incr(txn.size)
                     tr = self.tracer
                     if tr is not None and tr.active:
-                        tr.emit(self.name, f"bus.{op.value}",
-                                (txn.addr, txn.size, txn.master))
+                        tr.instant(f"bus.{op.value}", source=self.name,
+                                   track="bus", addr=txn.addr,
+                                   size=txn.size, master=txn.master)
                     return txn
             finally:
                 arbiter.release()

@@ -25,13 +25,10 @@ switch (``"flat"`` / ``"tree"`` / ``"nic"``).
 """
 
 from repro.collectives.plan import (
-    OPS,
     RdSchedule,
     TreePlan,
     binomial_tree,
     kary_tree,
-    op_by_code,
-    op_by_name,
     recursive_doubling,
 )
 from repro.collectives.firmware import setup_collectives, ensure_collectives
@@ -42,9 +39,6 @@ __all__ = [
     "kary_tree",
     "binomial_tree",
     "recursive_doubling",
-    "OPS",
-    "op_by_name",
-    "op_by_code",
     "setup_collectives",
     "ensure_collectives",
 ]

@@ -20,8 +20,8 @@ per-``(communicator, sequence)`` combining state along a spanning tree
 
 Combining happens in arrival order, so the offloaded reduction path is
 restricted to the commutative + associative named operators in
-:data:`repro.collectives.plan.OPS`; host-side algorithms handle
-arbitrary callables.
+:data:`repro.net.combine.OPS`; host-side algorithms handle arbitrary
+callables.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
 
 from repro.collectives import wire
-from repro.collectives.plan import TreePlan, binomial_tree, op_by_code
+from repro.collectives.plan import TreePlan, binomial_tree
 from repro.common.errors import FirmwareError
-from repro.firmware.base import fw_send, register_msg_handler
+from repro.firmware.base import fw_send_to, register_msg_handler
 from repro.firmware.proto import MSG_COLL_DOWN, MSG_COLL_REQ, MSG_COLL_UP
-from repro.niu.niu import (SP_SERVICE_QUEUE, SP_TX_GENERAL,
-                           needs_raw_addressing, vdst_for)
+from repro.net.combine import apply_op
+from repro.niu.niu import SP_SERVICE_QUEUE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
@@ -59,14 +59,13 @@ class _Pending:
 
 
 class CollectiveState:
-    """Per-node collective firmware state: the tree and in-flight calls."""
+    """Per-node collective firmware state: the tree and in-flight calls.
+
+    ``plan`` is validated once by whoever builds it and shared read-only
+    by every node of the machine."""
 
     def __init__(self, plan: TreePlan) -> None:
-        plan.validate()
         self.plan = plan
-        #: beyond 16 nodes the firmware addresses peers with kernel-mode
-        #: RAW headers (see :func:`repro.niu.niu.needs_raw_addressing`)
-        self.wide = needs_raw_addressing(plan.n)
         self.pending: Dict[Tuple[int, int], _Pending] = {}
 
 
@@ -101,6 +100,8 @@ def ensure_collectives(machine, plan: Optional[TreePlan] = None) -> TreePlan:
         )
     if plan is None:
         plan = binomial_tree(machine.config.n_nodes)
+    else:
+        plan.validate()
     for node in machine.nodes:
         setup_collectives(node.sp, plan)
     return plan
@@ -116,18 +117,6 @@ def _state(sp: "ServiceProcessor") -> CollectiveState:
     if st is None:
         raise FirmwareError(f"{sp.name}: collective firmware not installed")
     return st
-
-
-def _coll_send(sp: "ServiceProcessor", st: CollectiveState, node: int,
-               queue: int, payload: bytes
-               ) -> Generator["Event", None, None]:
-    """One firmware message to (node, logical queue), wide-safe."""
-    if st.wide:
-        yield from fw_send(sp, node, payload, queue=SP_TX_GENERAL,
-                           raw_queue=queue)
-    else:
-        yield from fw_send(sp, vdst_for(node, queue), payload,
-                           queue=SP_TX_GENERAL)
 
 
 def on_coll_request(sp: "ServiceProcessor", src: int, payload: bytes
@@ -187,7 +176,7 @@ def _contribute(sp: "ServiceProcessor", st: CollectiveState,
             pend.acc = value
         else:
             yield sp.compute(sp.fw.coll_combine_insns)
-            pend.acc = op_by_code(pend.op)(pend.acc, value)
+            pend.acc = apply_op(pend.op, pend.acc, value)
     pend.arrived += 1
     if pend.arrived < pend.want:
         return
@@ -199,13 +188,13 @@ def _contribute(sp: "ServiceProcessor", st: CollectiveState,
                             msg.seq, pend.root, pend.reply_queue, pend.tag,
                             data)
         parent = st.plan.parent[me]
-        yield from _coll_send(sp, st, parent, SP_SERVICE_QUEUE, up)
+        yield from fw_send_to(sp, parent, SP_SERVICE_QUEUE, up)
         return
     # fully combined at the root
     sp.stats.counter(f"{sp.name}.coll_completed").incr()
     if pend.kind == wire.KIND_REDUCE:
         # root-only result: no down phase at all
-        yield from _deliver(sp, st, pend.tag, pend.reply_queue, data)
+        yield from _deliver(sp, pend.tag, pend.reply_queue, data)
         return
     yield from _down_sweep(sp, st, pend.tag, pend.reply_queue, pend.kind,
                            msg.comm, msg.seq, data)
@@ -219,15 +208,14 @@ def _down_sweep(sp: "ServiceProcessor", st: CollectiveState, tag: int,
     for child in st.plan.children[me]:
         down = wire.pack_coll(MSG_COLL_DOWN, kind, 0, comm, seq,
                               st.plan.root, reply_queue, tag, data)
-        yield from _coll_send(sp, st, child, SP_SERVICE_QUEUE, down)
-    yield from _deliver(sp, st, tag, reply_queue, data)
+        yield from fw_send_to(sp, child, SP_SERVICE_QUEUE, down)
+    yield from _deliver(sp, tag, reply_queue, data)
 
 
-def _deliver(sp: "ServiceProcessor", st: CollectiveState, tag: int,
-             reply_queue: int, data: bytes
-             ) -> Generator["Event", None, None]:
+def _deliver(sp: "ServiceProcessor", tag: int, reply_queue: int,
+             data: bytes) -> Generator["Event", None, None]:
     """Hand the result to the local aP as one mini-MPI fragment."""
     frag = (tag.to_bytes(2, "big") + len(data).to_bytes(4, "big")
             + (0).to_bytes(4, "big") + data)
-    yield from _coll_send(sp, st, sp.node_id, reply_queue, frag)
+    yield from fw_send_to(sp, sp.node_id, reply_queue, frag)
     sp.stats.counter(f"{sp.name}.coll_delivered").incr()

@@ -18,49 +18,9 @@ ascending-rank fold (MPI's canonical reduction order), rotated by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import ProgramError
-
-# ----------------------------------------------------------------------
-# reduction operators
-# ----------------------------------------------------------------------
-
-#: named reduction operators usable on every algorithm path.  The
-#: NIC-offloaded path is restricted to these (firmware combines
-#: contributions in arrival order, which is only safe for commutative +
-#: associative operators); the host paths additionally accept arbitrary
-#: callables.
-OPS: Dict[str, Tuple[int, Callable[[int, int], int]]] = {
-    "sum": (0, lambda a, b: a + b),
-    "prod": (1, lambda a, b: a * b),
-    "min": (2, min),
-    "max": (3, max),
-    "band": (4, lambda a, b: a & b),
-    "bor": (5, lambda a, b: a | b),
-    "bxor": (6, lambda a, b: a ^ b),
-}
-
-_BY_CODE = {code: (name, fn) for name, (code, fn) in OPS.items()}
-
-
-def op_by_name(name: str) -> Tuple[int, Callable[[int, int], int]]:
-    """``(code, fn)`` of a named operator (raises on unknown names)."""
-    try:
-        return OPS[name]
-    except KeyError:
-        raise ProgramError(
-            f"unknown reduction op {name!r}; known: {sorted(OPS)}"
-        )
-
-
-def op_by_code(code: int) -> Callable[[int, int], int]:
-    """The combining function of an operator code (firmware side)."""
-    try:
-        return _BY_CODE[code][1]
-    except KeyError:
-        raise ProgramError(f"unknown reduction op code {code}")
-
 
 # ----------------------------------------------------------------------
 # spanning trees

@@ -8,7 +8,7 @@ bytes  field
 ====== ==========================================
 0      message type (MSG_COLL_REQ / _UP / _DOWN)
 1      collective kind (barrier/bcast/reduce/allreduce)
-2      reduction op code (:data:`repro.collectives.plan.OPS`)
+2      reduction op code (:data:`repro.net.combine.OPS`)
 3      communicator id
 4-7    collective sequence number (u32 — the firmware combining state is
        keyed by (comm, seq), so host-side 15-bit tag wraps never alias

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, List, Optional, Union
 
 from repro.analysis.sanitize import resolve_sanitizers
+from repro.collectives.plan import binomial_tree
 from repro.common.config import MachineConfig, default_config
 from repro.common.errors import ConfigError
 from repro.net.packet import PRIORITY_HIGH, PRIORITY_LOW
@@ -36,6 +37,7 @@ from repro.net.network import ArcticNetwork
 from repro.niu.niu import (
     SP_PROTOCOL_QUEUE,
     SP_SERVICE_QUEUE,
+    needs_raw_addressing,
     vdst_for,
 )
 from repro.niu.translation import TranslationEntry
@@ -106,13 +108,17 @@ class StarTVoyager:
         ]
         self._install_translation()
         if config.install_firmware:
-            home_map = None  # one per machine, shared read-only by its nodes
+            # one S-COMA home map and one collectives tree per machine,
+            # shared read-only by its nodes
+            home_map = None
+            coll_plan = binomial_tree(config.n_nodes)
             for node in self.nodes:
                 if node is not None:
                     if home_map is None:
                         home_map = HomeMap.for_machine(
                             node, config.n_nodes, config.scoma_home_of)
-                    install_default_firmware(node, config.n_nodes, home_map)
+                    install_default_firmware(node, config.n_nodes, home_map,
+                                             coll_plan)
         for node in self.nodes:
             if node is not None:
                 node.start()
@@ -149,16 +155,18 @@ class StarTVoyager:
         run kernel-mode RAW addressing instead: every tx queue is marked
         ``allow_raw`` and senders put the physical node and destination
         queue directly in the header (see
-        :func:`repro.niu.niu.needs_raw_addressing`)."""
-        if self.config.n_nodes > 16:
-            for node in self.nodes:
-                if node is None:
-                    continue
-                for q in node.ctrl.tx_queues:
-                    q.allow_raw = True
-            return
+        :func:`repro.niu.niu.needs_raw_addressing`).  This is the one
+        place the choice is made: ``ctrl.raw_addressing`` records it for
+        :meth:`repro.mp.basic.BasicPort.send_to` and
+        :func:`repro.firmware.base.fw_send_to`."""
         for node in self.nodes:
             if node is None:
+                continue
+            ctrl = node.ctrl
+            ctrl.raw_addressing = needs_raw_addressing(self.config.n_nodes)
+            if ctrl.raw_addressing:
+                for q in ctrl.tx_queues:
+                    q.allow_raw = True
                 continue
             for dst in range(self.config.n_nodes):
                 for queue in range(16):

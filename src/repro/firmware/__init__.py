@@ -13,6 +13,7 @@ from repro.firmware.base import (
     fw_dram_write,
     fw_recv_all,
     fw_send,
+    fw_send_to,
     fw_wait,
     install_base_firmware,
     register_msg_handler,
@@ -41,6 +42,7 @@ __all__ = [
     "register_msg_handler",
     "rxmsg_dispatcher",
     "fw_send",
+    "fw_send_to",
     "fw_recv_all",
     "fw_wait",
     "fw_dram_read",
@@ -49,11 +51,14 @@ __all__ = [
 ]
 
 
-def install_default_firmware(node, n_nodes: int, home_map: HomeMap) -> None:
+def install_default_firmware(node, n_nodes: int, home_map: HomeMap,
+                             coll_plan) -> None:
     """Load the complete default firmware image onto one node's sP.
 
     ``home_map`` is the machine's shared S-COMA :class:`HomeMap` (see
-    :meth:`HomeMap.for_machine`).  Must run before the machine starts.
+    :meth:`HomeMap.for_machine`) and ``coll_plan`` its shared, validated
+    collectives :class:`~repro.collectives.plan.TreePlan`.  Must run
+    before the machine starts.
     """
     sp = node.sp
     sp.state["niu"] = node.niu
@@ -65,10 +70,9 @@ def install_default_firmware(node, n_nodes: int, home_map: HomeMap) -> None:
     numa_map = NumaMap(n_nodes, node.numa_bytes, node.numa_backing_base)
     setup_numa(sp, numa_map)
     setup_scoma(sp, home_map)
-    setup_reliable(sp, n_nodes)
+    setup_reliable(sp)
     # the CollectiveUnit (lazy import: repro.collectives builds on this
     # package's primitives)
     from repro.collectives.firmware import setup_collectives
-    from repro.collectives.plan import binomial_tree
 
-    setup_collectives(sp, binomial_tree(n_nodes))
+    setup_collectives(sp, coll_plan)

@@ -3,7 +3,8 @@
 Provides the timed primitives firmware handlers compose:
 
 * :func:`fw_send` — compose and launch a message through a CTRL command
-  queue (the ordered firmware send path);
+  queue (the ordered firmware send path); :func:`fw_send_to` addresses
+  it to a (node, logical queue) in the machine's addressing mode;
 * :func:`fw_recv_all` — drain an sP-owned receive queue from sSRAM;
 * :func:`fw_dram_read` / :func:`fw_dram_write` — move DRAM data through
   the in-order command stream with a CmdCall completion fence;
@@ -36,7 +37,7 @@ from repro.niu.msgformat import (
     MsgHeader,
     decode_rx_header,
 )
-from repro.niu.niu import SP_TX_GENERAL
+from repro.niu.niu import SP_TX_GENERAL, vdst_for
 from repro.niu.queues import BANK_S
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,6 +91,18 @@ def fw_send(
     yield from sp.sbiu.enqueue_command(
         LOCAL_CMDQ_0, CmdSendMessage(queue=queue, header=hdr, payload=payload)
     )
+
+
+def fw_send_to(sp: "ServiceProcessor", node: int, queue: int,
+               payload: bytes, tx: int = SP_TX_GENERAL
+               ) -> Generator["Event", None, None]:
+    """Send ``payload`` to logical ``queue`` of ``node`` through tx
+    queue ``tx``: a translated vdst byte, or a RAW header when machine
+    assembly set ``ctrl.raw_addressing``."""
+    if sp.ctrl.raw_addressing:
+        yield from fw_send(sp, node, payload, queue=tx, raw_queue=queue)
+    else:
+        yield from fw_send(sp, vdst_for(node, queue), payload, queue=tx)
 
 
 def fw_recv_all(sp: "ServiceProcessor", logical: int

@@ -52,7 +52,7 @@ from repro.firmware import proto
 from repro.firmware.base import (
     fw_dram_read,
     fw_dram_write,
-    fw_send,
+    fw_send_to,
     register_msg_handler,
 )
 from repro.niu.clssram import CLS_INVALID, CLS_RO, CLS_RW
@@ -62,12 +62,7 @@ from repro.niu.commands import (
     CmdForward,
     CmdWriteDram,
 )
-from repro.niu.niu import (
-    SP_PROTOCOL_QUEUE,
-    SP_TX_PROTOCOL,
-    needs_raw_addressing,
-    vdst_for,
-)
+from repro.niu.niu import SP_PROTOCOL_QUEUE, SP_TX_PROTOCOL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
@@ -128,20 +123,16 @@ class HomeMap:
 class ScomaState:
     """Per-node S-COMA firmware state."""
 
-    __slots__ = ("home_of", "scoma_base", "line_bytes", "staging", "dir",
-                 "wide")
+    __slots__ = ("home_of", "scoma_base", "line_bytes", "staging", "dir")
 
     def __init__(self, home_of: Sequence[int], scoma_base: int, line_bytes: int,
-                 staging: int, node_id: int, wide: bool = False) -> None:
+                 staging: int, node_id: int) -> None:
         self.home_of = home_of
         self.scoma_base = scoma_base
         self.line_bytes = line_bytes
         self.staging = staging
         #: this node's directory controller (lines it is home for).
         self.dir = DirectoryController(node_id)
-        #: kernel-mode RAW addressing (machines beyond the 16-node
-        #: byte-vdst translation convention).
-        self.wide = wide
 
     @property
     def directory(self):
@@ -163,11 +154,8 @@ def setup_scoma(sp: "ServiceProcessor", home_map: HomeMap) -> None:
     niu = sp.state["niu"]
     cls = niu.cls
     staging = niu.alloc_ssram(64)
-    node = sp.state.get("node")
-    n_nodes = (node.config.n_nodes if node is not None
-               else max(home_map.homes, default=0) + 1)
     st = ScomaState(home_map.homes, cls.cover_base, cls.line_bytes, staging,
-                    sp.node_id, wide=needs_raw_addressing(n_nodes))
+                    sp.node_id)
     sp.state["scoma"] = st
     cls.load_states(home_map.home_states(sp.node_id))
     sp.register("scoma_miss", handle_miss)
@@ -183,14 +171,9 @@ def setup_scoma(sp: "ServiceProcessor", home_map: HomeMap) -> None:
 def _send_proto(sp: "ServiceProcessor", dst: int, payload: bytes
                 ) -> Generator["Event", None, None]:
     """Send one protocol message to ``dst``'s SP_PROTOCOL_QUEUE (always
-    the high network priority; RAW addressing beyond 16 nodes)."""
-    st: ScomaState = sp.state["scoma"]
-    if st.wide:
-        yield from fw_send(sp, dst, payload, queue=SP_TX_PROTOCOL,
-                           raw_queue=SP_PROTOCOL_QUEUE)
-    else:
-        yield from fw_send(sp, vdst_for(dst, SP_PROTOCOL_QUEUE), payload,
-                           queue=SP_TX_PROTOCOL)
+    the high network priority)."""
+    yield from fw_send_to(sp, dst, SP_PROTOCOL_QUEUE, payload,
+                          tx=SP_TX_PROTOCOL)
 
 
 # ----------------------------------------------------------------------

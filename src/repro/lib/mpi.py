@@ -44,19 +44,20 @@ bytes  field
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (TYPE_CHECKING, Callable, Dict, Generator, List, Optional,
                     Tuple, Union)
 
 from repro.collectives import api as coll_api
 from repro.collectives import wire
 from repro.collectives.firmware import ensure_collectives
-from repro.collectives.plan import (OPS, RdSchedule, TreePlan, binomial_tree,
-                                    kary_tree, op_by_name, recursive_doubling)
+from repro.collectives.plan import (RdSchedule, TreePlan, binomial_tree,
+                                    kary_tree, recursive_doubling)
 from repro.common.errors import ProgramError
 from repro.firmware.proto import MSG_COLL_REQ
 from repro.mp.basic import BasicPort
 from repro.net import combine
-from repro.niu.niu import SP_SERVICE_QUEUE, needs_raw_addressing, vdst_for
+from repro.niu.niu import SP_SERVICE_QUEUE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import StarTVoyager
@@ -82,24 +83,32 @@ _COLL_TAG_SPAN = 0x8000
 #: the collective algorithm families MiniMPI can route through.
 ALGOS = ("flat", "tree", "nic", "switch")
 
-#: named reduction ops the in-switch combining path supports.
-_SWITCH_OPS = {"sum": combine.OP_ADD, "min": combine.OP_MIN,
-               "max": combine.OP_MAX, "bor": combine.OP_OR}
-
-#: a reduction operator: a name from repro.collectives.plan.OPS, an
+#: a reduction operator: a name from :data:`repro.net.combine.OPS`, an
 #: arbitrary callable (host algorithms only), or None for sum.
 OpSpec = Union[None, str, Callable[[int, int], int]]
 
 
-def _resolve_op(op: OpSpec) -> Tuple[Optional[str], Callable[[int, int], int]]:
-    """``(name-or-None, fn)`` for an operator spec (None = sum)."""
+def _resolve_op(op: OpSpec) -> Tuple[Optional[int], Callable[[int, int], int]]:
+    """``(op-code-or-None, fn)`` for an operator spec (None = sum)."""
     if op is None:
-        return "sum", OPS["sum"][1]
+        op = "sum"
     if isinstance(op, str):
-        return op, op_by_name(op)[1]
+        code = combine.op_code(op)
+        return code, partial(combine.apply_op, code)
     if callable(op):
         return None, op
     raise ProgramError(f"op must be None, a name, or a callable: {op!r}")
+
+
+def _offload_code(code: Optional[int], where: str) -> int:
+    """The op code an offloaded (``nic``/``switch``) reduction carries;
+    callables only run on the host algorithms."""
+    if code is None:
+        raise ProgramError(
+            f"{where} reduction needs a named op from "
+            f"{sorted(combine.OPS)}; use algo='tree' for callables"
+        )
+    return code
 
 
 class MiniMPI:
@@ -128,10 +137,6 @@ class MiniMPI:
             raise ProgramError(f"unknown tree shape {tree!r}")
         self.machine = machine
         self.size = machine.config.n_nodes
-        #: beyond 16 nodes the byte-vdst translation convention runs out;
-        #: sends switch to kernel-mode RAW addressing (machine assembly
-        #: marks the tx queues allow_raw for such sizes).
-        self.wide = needs_raw_addressing(self.size)
         self.tx_index = tx_index
         self.rx_logical = rx_logical
         self.algo = algo
@@ -241,28 +246,11 @@ class MpiRank:
             frag = data[offset : offset + frag_data]
             payload = (tag.to_bytes(2, "big") + total.to_bytes(4, "big")
                        + offset.to_bytes(4, "big") + frag)
-            yield from self._launch(api, dst, self.mpi.rx_logical, payload)
+            yield from self.port.send_to(api, dst, self.mpi.rx_logical,
+                                         payload, reliable=self.mpi.reliable)
             offset += len(frag)
             if offset >= total:
                 break
-
-    def _launch(self, api: "ApApi", dst: int, queue: int, payload: bytes,
-                reliable: Optional[bool] = None
-                ) -> Generator["Event", None, None]:
-        """One Basic message to (node, logical queue), wide-safe.
-
-        ``reliable`` overrides the communicator-wide setting (the NIC
-        collective enqueue is a local sP hand-off and stays plain).
-        """
-        if self.mpi.reliable if reliable is None else reliable:
-            yield from self.port.send_reliable(api, dst, payload,
-                                               dst_queue=queue,
-                                               raw=self.mpi.wide)
-        elif self.mpi.wide:
-            yield from self.port.send(api, dst, payload, raw=True,
-                                      dst_queue=queue)
-        else:
-            yield from self.port.send(api, vdst_for(dst, queue), payload)
 
     def recv(self, api: "ApApi", src: Optional[int] = None,
              tag: Optional[int] = None
@@ -346,11 +334,12 @@ class MpiRank:
     def _nic_request(self, api: "ApApi", kind: int, op_code: int, seq: int,
                      tag: int, root: int, data: bytes
                      ) -> Generator["Event", None, None]:
-        """The single enqueue: one Basic message to the local sP."""
+        """The single enqueue: one Basic message to the local sP (a
+        lossless loopback hand-off, so never the reliable path)."""
         payload = wire.pack_coll(MSG_COLL_REQ, kind, op_code, 0, seq, root,
                                  self.mpi.rx_logical, tag, data)
-        yield from self._launch(api, self.rank, SP_SERVICE_QUEUE, payload,
-                                reliable=False)
+        yield from self.port.send_to(api, self.rank, SP_SERVICE_QUEUE,
+                                     payload)
 
     def barrier(self, api: "ApApi", algo: Optional[str] = None
                 ) -> Generator["Event", None, None]:
@@ -371,8 +360,7 @@ class MpiRank:
             return
         algo = self._pick_algo(algo)
         if algo == "switch":
-            yield from self.mpi.sync_group().tree_op(api, self.rank,
-                                                     combine.OP_ADD, 0)
+            yield from self.mpi.sync_group().barrier(api, self.rank)
         elif algo == "tree":
             yield from coll_api.tree_barrier(self, api, self.mpi.plan(0), tag)
         elif algo == "nic":
@@ -461,7 +449,7 @@ class MpiRank:
                ) -> Generator["Event", None, Optional[int]]:
         """Reduce 64-bit integers to ``root`` with ``op`` (default sum).
 
-        ``op`` may be a name from :data:`repro.collectives.plan.OPS` or —
+        ``op`` may be a name from :data:`repro.net.combine.OPS` or —
         on the host algorithm paths — an arbitrary callable.  The tree
         path folds in ascending-rank order (MPI's canonical order); the
         flat path folds in *arrival* order, so non-commutative callables
@@ -476,23 +464,18 @@ class MpiRank:
                    op: OpSpec = None
                    ) -> Generator["Event", None, Optional[int]]:
         seq, tag = self._next_coll()
-        name, fn = _resolve_op(op)
+        code, fn = _resolve_op(op)
         algo = self.mpi.algo
         if algo == "tree":
             return (yield from coll_api.tree_reduce(
                 self, api, value, fn, self.mpi.plan(root), tag))
         if algo == "nic":
             self._nic_root(root)
-            if name is None:
-                raise ProgramError(
-                    "NIC-offloaded reduction needs a named op from "
-                    f"{sorted(OPS)}; use algo='tree' for callables"
-                )
+            code = _offload_code(code, "NIC-offloaded")
             if self.size == 1:
                 return value
-            yield from self._nic_request(api, wire.KIND_REDUCE,
-                                         OPS[name][0], seq, tag, root,
-                                         wire.pack_value(value))
+            yield from self._nic_request(api, wire.KIND_REDUCE, code, seq,
+                                         tag, root, wire.pack_value(value))
             if self.rank != root:
                 return None
             _src, _tag, got = yield from self.recv(api, tag=tag)
@@ -513,9 +496,10 @@ class MpiRank:
                   ) -> Generator["Event", None, int]:
         """Reduce with ``op`` (default sum); every rank returns the result.
 
-        ``algo`` overrides the communicator's family for this call;
-        ``algo="switch"`` supports the named ops sum/min/max/bor (the
-        associative folds the combining hardware implements).
+        ``algo`` overrides the communicator's family for this call.
+        Every family accepts the named ops of
+        :data:`repro.net.combine.OPS`; callables run only on the host
+        families (``"flat"``/``"tree"``).
         """
         t0 = api.now
         out = yield from self._do_allreduce(api, value, op, algo)
@@ -528,17 +512,11 @@ class MpiRank:
         algo = self._pick_algo(algo)
         if algo == "switch":
             self._next_coll()  # keep tag sequencing aligned across algos
-            name, _fn = _resolve_op(op)
-            sw_op = _SWITCH_OPS.get(name) if name is not None else None
-            if sw_op is None:
-                raise ProgramError(
-                    "in-switch reduction needs a named op from "
-                    f"{sorted(_SWITCH_OPS)}; use algo='tree' for the rest"
-                )
+            code = _offload_code(_resolve_op(op)[0], "in-switch")
             if self.size == 1:
                 return value
             result = yield from self.mpi.sync_group().tree_op(
-                api, self.rank, sw_op, value)
+                api, self.rank, code, value)
             return result
         if algo == "tree":
             seq, tag = self._next_coll()
@@ -549,17 +527,11 @@ class MpiRank:
                 self, api, value, fn, self.mpi.rd_schedule(), tag))
         if algo == "nic":
             seq, tag = self._next_coll()
-            name, _fn = _resolve_op(op)
-            if name is None:
-                raise ProgramError(
-                    "NIC-offloaded reduction needs a named op from "
-                    f"{sorted(OPS)}; use algo='tree' for callables"
-                )
+            code = _offload_code(_resolve_op(op)[0], "NIC-offloaded")
             if self.size == 1:
                 return value
-            yield from self._nic_request(api, wire.KIND_ALLREDUCE,
-                                         OPS[name][0], seq, tag, 0,
-                                         wire.pack_value(value))
+            yield from self._nic_request(api, wire.KIND_ALLREDUCE, code,
+                                         seq, tag, 0, wire.pack_value(value))
             _src, _tag, got = yield from self.recv(api, tag=tag)
             return wire.unpack_value(got)
         # flat: reduce to rank 0, then broadcast the result

@@ -135,13 +135,41 @@ class BasicPort:
         self.sent += 1
         self.stats.accumulator("mp.basic.send_ns").add(api.now - t0)
 
+    def send_to(
+        self,
+        api: "ApApi",
+        node: int,
+        queue: int,
+        payload: bytes,
+        reliable: bool = False,
+        tagon: Optional[Tuple[int, int]] = None,
+    ) -> Generator["Event", None, None]:
+        """Send ``payload`` to logical ``queue`` of ``node``.
+
+        Addresses with a translated vdst byte, or with a RAW header when
+        machine assembly set ``ctrl.raw_addressing`` (see
+        :func:`repro.niu.niu.needs_raw_addressing`).  ``reliable=True``
+        goes through :meth:`send_reliable`, which cannot carry ``tagon``.
+        """
+        if reliable:
+            if tagon is not None:
+                raise ProgramError(
+                    "reliable delivery cannot carry TagOn attachments")
+            yield from self.send_reliable(api, node, payload,
+                                          dst_queue=queue)
+        elif self.node.ctrl.raw_addressing:
+            yield from self.send(api, node, payload, tagon=tagon, raw=True,
+                                 dst_queue=queue)
+        else:
+            yield from self.send(api, vdst_for(node, queue), payload,
+                                 tagon=tagon)
+
     def send_reliable(
         self,
         api: "ApApi",
         dst_node: int,
         payload: bytes,
         dst_queue: int = 0,
-        raw: bool = False,
     ) -> Generator["Event", None, None]:
         """Launch one message with firmware ack/retransmit delivery.
 
@@ -149,10 +177,9 @@ class BasicPort:
         (:mod:`repro.firmware.reliable`), which sequences it, keeps a
         copy for retransmission, and releases it only on a cumulative
         ACK from ``dst_node``.  Blocks (via the ordinary tx-full poll)
-        when the sP's retransmit window is saturated.  ``raw`` selects
-        kernel-mode addressing exactly as in :meth:`send`; here it
-        applies to the hop into the local sP, while ``dst_node`` always
-        travels in the request header.
+        when the sP's retransmit window is saturated.  ``dst_node``
+        travels in the request header; the hop into the local sP goes
+        through :meth:`send_to`.
         """
         from repro.firmware.proto import pack_rel_send
         from repro.firmware.reliable import REL_MAX_PAYLOAD
@@ -164,12 +191,7 @@ class BasicPort:
                 f" bytes)"
             )
         req = pack_rel_send(dst_queue, dst_node) + payload
-        me = self.node.node_id
-        if raw:
-            yield from self.send(api, me, req, raw=True,
-                                 dst_queue=SP_REL_TX_QUEUE)
-        else:
-            yield from self.send(api, vdst_for(me, SP_REL_TX_QUEUE), req)
+        yield from self.send_to(api, self.node.node_id, SP_REL_TX_QUEUE, req)
 
     def stage_tagon(self, api: "ApApi", niu_offset: int, data: bytes
                     ) -> Generator["Event", None, Tuple[int, int]]:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.common.errors import NetworkError
+from repro.common.errors import NetworkError, ProgramError
 from repro.net.packet import PRIORITY_HIGH, Packet, PacketKind
 from repro.sim.store import Store
 
@@ -59,9 +59,27 @@ OP_MAX = 2
 OP_OR = 3
 OP_SWAP = 4  #: unconditional exchange (MCS tail updates); combines.
 OP_CSWAP = 5  #: compare-and-swap; forwards uncombined (not associative).
+OP_MUL = 6
+OP_AND = 7
+OP_XOR = 8
 
-OP_NAMES = {OP_ADD: "add", OP_MIN: "min", OP_MAX: "max", OP_OR: "or",
-            OP_SWAP: "swap", OP_CSWAP: "cswap"}
+#: the named reduction ops and their wire codes: the one op table every
+#: combining path reads (switch ``SyncTag``s, the central sP, the sP
+#: collectives tree and MiniMPI's host algorithms).  All are commutative
+#: and associative, so any arrival order folds to the same result.
+OPS = {"sum": OP_ADD, "prod": OP_MUL, "min": OP_MIN, "max": OP_MAX,
+       "band": OP_AND, "bor": OP_OR, "bxor": OP_XOR}
+
+
+def op_code(name: str) -> int:
+    """The wire code of a named reduction op (raises on unknown names)."""
+    try:
+        return OPS[name]
+    except KeyError:
+        raise ProgramError(
+            f"unknown reduction op {name!r}; known: {sorted(OPS)}"
+        ) from None
+
 
 # tag phases / modes ----------------------------------------------------------
 PHASE_REQ = 0
@@ -91,6 +109,12 @@ def apply_op(op: int, acc: int, value: int) -> int:
         return acc | value
     if op == OP_SWAP:
         return value
+    if op == OP_MUL:
+        return acc * value
+    if op == OP_AND:
+        return acc & value
+    if op == OP_XOR:
+        return acc ^ value
     raise NetworkError(f"op {op} does not combine")
 
 
@@ -142,7 +166,7 @@ class SyncTag:
         ph = "REQ" if self.phase == PHASE_REQ else "DOWN"
         md = "tree" if self.mode == MODE_TREE else "fetch"
         return (f"<SyncTag {ph}/{md} g={self.group} cell={self.cell} "
-                f"seq={self.seq} op={OP_NAMES.get(self.op, self.op)} "
+                f"seq={self.seq} op={self.op} "
                 f"v={self.value} tok={self.token} origin={self.origin}>")
 
 

@@ -83,6 +83,10 @@ class Ctrl:
         self.ibus = Resource(engine, 1, name=f"{self.name}.ibus")
         self.sysregs = SystemRegisters()
         self.table = TranslationTable(ssram, table_base, entries=256)
+        #: set by machine assembly: peers are addressed with RAW headers
+        #: instead of translated vdst bytes (see
+        #: :func:`repro.niu.niu.needs_raw_addressing`).
+        self.raw_addressing = False
         self.rx_cache = RxQueueCache(ncfg.n_hw_rx_queues, ncfg.n_logical_rx_queues)
 
         self.tx_queues: List[QueueState] = []

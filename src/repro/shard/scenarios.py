@@ -460,12 +460,11 @@ class BurstScenario(ShardScenario):
 
     def setup(self, phase: int, machine, local_nodes, ctx) -> None:
         n = machine.config.n_nodes
-        bar = machine.sync_fabric().group(
-            range(n), mode="endpoint").barrier(variant="counting")
+        grp = machine.sync_fabric().group(range(n), mode="endpoint")
         done = ctx.setdefault("done", {})
 
         def prog(api, rank):
-            yield from bar.wait(api, rank)
+            yield from grp.barrier(api, rank)
             done[rank] = True
 
         for rank in local_nodes:

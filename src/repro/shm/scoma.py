@@ -96,20 +96,11 @@ class ScomaRegion:
         is any send-capable BasicPort on the caller's node.
         """
         from repro.firmware.scoma import pack_evict_req
-        from repro.niu.niu import (
-            SP_SERVICE_QUEUE,
-            needs_raw_addressing,
-            vdst_for,
-        )
+        from repro.niu.niu import SP_SERVICE_QUEUE
 
         line_offset = (offset // self.line_bytes) * self.line_bytes
-        if needs_raw_addressing(self.machine.config.n_nodes):
-            yield from port.send(api, api.node_id,
-                                 pack_evict_req(line_offset), raw=True,
-                                 dst_queue=SP_SERVICE_QUEUE)
-        else:
-            yield from port.send(api, vdst_for(api.node_id, SP_SERVICE_QUEUE),
-                                 pack_evict_req(line_offset))
+        yield from port.send_to(api, api.node_id, SP_SERVICE_QUEUE,
+                                pack_evict_req(line_offset))
 
     # -- state inspection (testing) ----------------------------------------------
 

@@ -13,7 +13,7 @@ from repro.sim.process import Interrupt, ProcGen, Process
 from repro.sim.resource import PriorityResource, Resource
 from repro.sim.stats import Accumulator, BusyTracker, Counter, StatsRegistry
 from repro.sim.store import Store
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import Tracer
 
 __all__ = [
     "Engine",
@@ -32,5 +32,4 @@ __all__ = [
     "BusyTracker",
     "StatsRegistry",
     "Tracer",
-    "TraceRecord",
 ]

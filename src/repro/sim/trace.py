@@ -1,14 +1,10 @@
-"""Lightweight event tracing: legacy string records and typed spans.
+"""Lightweight event tracing: typed spans in one bounded buffer.
 
-Two record families share one category-filtered, bounded tracer:
-
-* legacy :class:`TraceRecord` — flat ``(time, source, kind, detail)``
-  occurrences kept for existing tests and ad-hoc debugging;
-* typed :class:`SpanRecord` — structured occurrences with a start *and*
-  an end time, a node id and a display track, produced through
-  :meth:`Tracer.span` / :meth:`Tracer.instant`.  These are what the
-  :mod:`repro.obs` Perfetto exporter renders as per-node aP/sP/queue
-  timelines.
+Every record is a :class:`SpanRecord` — a structured occurrence with a
+start *and* an end time, a node id and a display track, produced
+through :meth:`Tracer.span` / :meth:`Tracer.instant` (an instant is a
+span whose start equals its end).  These are what the :mod:`repro.obs`
+Perfetto exporter renders as per-node aP/sP/queue timelines.
 
 Tracing is off by default — a simulator this size cannot afford
 per-event record building on hot paths — and is enabled per category, so
@@ -28,20 +24,11 @@ shared :data:`NULL_SPAN` singleton and allocates nothing.
 from __future__ import annotations
 
 from collections import deque
-from typing import (TYPE_CHECKING, Any, Deque, Dict, List, NamedTuple,
-                    Optional, Set, Tuple)
+from typing import (TYPE_CHECKING, Any, Deque, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
-
-
-class TraceRecord(NamedTuple):
-    """One traced occurrence (legacy flat form)."""
-
-    time: float
-    source: str
-    kind: str
-    detail: Any
 
 
 class SpanRecord(NamedTuple):
@@ -120,12 +107,11 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Category-filtered bounded trace buffer (legacy records + spans)."""
+    """Category-filtered bounded trace buffer of typed spans."""
 
     def __init__(self, engine: "Engine", capacity: int = 10_000) -> None:
         self.engine = engine
         self.capacity = capacity
-        self._records: Deque[TraceRecord] = deque(maxlen=capacity)
         self._spans: Deque[SpanRecord] = deque(maxlen=capacity)
         self._enabled: Set[str] = set()
         self._all = False
@@ -155,32 +141,6 @@ class Tracer:
     def wants(self, category: str) -> bool:
         """True when records of ``category`` would be kept (hot-path guard)."""
         return self._all or category in self._enabled
-
-    # -- legacy flat records -----------------------------------------------
-
-    def emit(self, source: str, kind: str, detail: Any = None) -> None:
-        """Record one occurrence if its category (= ``kind`` prefix) is on.
-
-        ``kind`` uses dotted categories: ``bus.read``, ``net.send`` — the
-        part before the first dot is the filter category.
-        """
-        cat = kind.split(".", 1)[0]
-        if not self.wants(cat):
-            return
-        self._records.append(TraceRecord(self.engine.now, source, kind, detail))
-
-    def records(
-        self, kind_prefix: Optional[str] = None, source: Optional[str] = None
-    ) -> List[TraceRecord]:
-        """Snapshot of matching legacy records in time order."""
-        out = []
-        for r in self._records:
-            if kind_prefix is not None and not r.kind.startswith(kind_prefix):
-                continue
-            if source is not None and r.source != source:
-                continue
-            out.append(r)
-        return out
 
     # -- typed spans -------------------------------------------------------
 
@@ -222,13 +182,5 @@ class Tracer:
     # -- maintenance -------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop all buffered records (both families)."""
-        self._records.clear()
+        """Drop all buffered records."""
         self._spans.clear()
-
-    def __len__(self) -> int:
-        return len(self._records) + len(self._spans)
-
-    def counts(self) -> Dict[str, int]:
-        """Buffered record counts per family (diagnostics)."""
-        return {"records": len(self._records), "spans": len(self._spans)}

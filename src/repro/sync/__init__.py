@@ -4,8 +4,8 @@ Switch-resident combining (:mod:`repro.net.combine`) planned over the
 fat tree (:mod:`repro.sync.plan`), served at the endpoints by sP
 firmware (:mod:`repro.sync.firmware`), and exposed to programs as a
 small library of scalable primitives (:mod:`repro.sync.api`):
-counters, barriers, locks and a work-stealing deque, each with both an
-in-switch transport and a pure-endpoint fallback.
+counters, the group barrier, locks and a work-stealing deque, each with
+both an in-switch transport and a pure-endpoint fallback.
 """
 
 from repro.net.combine import (
@@ -19,7 +19,6 @@ from repro.net.combine import (
 from repro.sync.api import (
     SYNC_RX_LOGICAL,
     SYNC_TX_INDEX,
-    Barrier,
     Counter,
     McsLock,
     SyncFabric,
@@ -39,7 +38,6 @@ __all__ = [
     "OP_SWAP",
     "SYNC_RX_LOGICAL",
     "SYNC_TX_INDEX",
-    "Barrier",
     "Counter",
     "McsLock",
     "SwitchTreePlan",

@@ -6,7 +6,8 @@ from two tiny verbs a :class:`SyncGroup` provides —
 * :meth:`SyncGroup.cell_op` — fetch-and-op on a named 64-bit cell
   (add / min / max / or / swap / compare-and-swap);
 * :meth:`SyncGroup.tree_op` — a full-group combining collective
-  (barrier when the value is ignored, allreduce when it is not).
+  (:meth:`SyncGroup.barrier` when the value is ignored, allreduce when
+  it is not).
 
 Each verb has two transports selected per group:
 
@@ -23,9 +24,8 @@ Each verb has two transports selected per group:
 On top of the verbs: :class:`Counter`, three locks of increasing
 sophistication (:class:`TasLock`, :class:`TicketLock` — fetch-and-add
 tickets, FIFO fair — and :class:`McsLock` — a queue lock whose handoff
-is two point-to-point messages), :class:`Barrier` in counting /
-software-tree / in-switch variants, and a :class:`WorkDeque` for
-work stealing.
+is two point-to-point messages), and a :class:`WorkDeque` for work
+stealing.
 
 Concurrency model: one sync client per node — the per-node port
 (aP tx queue ``SYNC_TX_INDEX``, rx logical ``SYNC_RX_LOGICAL``) is a
@@ -37,7 +37,8 @@ queue and (where applicable) network cost.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
+                    Optional, Tuple)
 
 from repro.common.errors import ConfigError, ProgramError
 from repro.firmware.proto import (
@@ -64,7 +65,7 @@ from repro.net.combine import (
     PHASE_REQ,
     SyncTag,
 )
-from repro.niu.niu import SP_SERVICE_QUEUE, needs_raw_addressing, vdst_for
+from repro.niu.niu import SP_SERVICE_QUEUE
 from repro.sync.firmware import ensure_sync_firmware
 from repro.sync.plan import SwitchTreePlan, plan_group
 
@@ -78,8 +79,6 @@ SYNC_TX_INDEX = 3
 SYNC_RX_LOGICAL = 3
 
 #: aP-to-aP message bytes on the sync port (user type space, >= 64).
-BAR_UP = 65  #: software-tree barrier: subtree complete
-BAR_DOWN = 66  #: software-tree barrier: release going down
 LOCK_LINK = 67  #: MCS: successor announces itself to its predecessor
 LOCK_GRANT = 68  #: MCS: predecessor hands the lock over
 
@@ -93,7 +92,7 @@ class _NodeClient:
         self.node_id = node_id
         self.port = BasicPort(board, SYNC_TX_INDEX, SYNC_RX_LOGICAL)
         #: arrived-but-unclaimed messages (out-of-order replies, early
-        #: LINKs, sibling barrier traffic): (src, payload).
+        #: LINKs, other groups' collectives): (src, payload).
         self.inbox: List[Tuple[int, bytes]] = []
         self.req = 0
 
@@ -106,14 +105,13 @@ class SyncFabric:
     :meth:`repro.core.machine.StarTVoyager.sync_fabric`.
     """
 
-    __slots__ = ("machine", "engine", "stats", "wide", "sanitizer",
-                 "groups", "_next_gid", "_clients")
+    __slots__ = ("machine", "engine", "stats", "sanitizer", "groups",
+                 "_next_gid", "_clients")
 
     def __init__(self, machine: "StarTVoyager") -> None:
         self.machine = machine
         self.engine = machine.engine
         self.stats = machine.stats
-        self.wide = needs_raw_addressing(machine.config.n_nodes)
         sanitizer = None
         layer = machine.sanitizers
         if layer is not None:
@@ -196,74 +194,58 @@ class SyncGroup:
 
     # -- transport helpers -------------------------------------------------
 
-    def _to_sp(self, api: "ApApi", cl: _NodeClient, dst_node: int,
-               payload: bytes) -> Generator["Event", None, None]:
-        """One message into ``dst_node``'s sP service queue, wide-safe."""
-        if self.fabric.wide:
-            yield from cl.port.send(api, dst_node, payload, raw=True,
-                                    dst_queue=SP_SERVICE_QUEUE)
-        else:
-            yield from cl.port.send(
-                api, vdst_for(dst_node, SP_SERVICE_QUEUE), payload)
-
-    def _to_member(self, api: "ApApi", cl: _NodeClient, member: int,
-                   payload: bytes) -> Generator["Event", None, None]:
-        """One aP-to-aP message onto a member's sync rx queue."""
-        if self.fabric.wide:
-            yield from cl.port.send(api, member, payload, raw=True,
-                                    dst_queue=SYNC_RX_LOGICAL)
-        else:
-            yield from cl.port.send(
-                api, vdst_for(member, SYNC_RX_LOGICAL), payload)
-
-    def _await_rep(self, api: "ApApi", cl: _NodeClient, req: int
-                   ) -> Generator["Event", None, Tuple[bool, int]]:
-        """Wait for the ``MSG_SYNC_REP`` matching request id ``req``."""
+    def _await(self, api: "ApApi", cl: _NodeClient,
+               match: Callable[[bytes], Any]) -> Generator["Event", None, Any]:
+        """Claim the first message ``match`` maps to a non-None result:
+        the inbox first, then fresh arrivals, stashing non-matches in
+        arrival order."""
         for i, (_src, p) in enumerate(cl.inbox):
-            if p[0] == MSG_SYNC_REP:
-                rtok, ok, value = unpack_sync_rep(p)
-                if rtok == req:
-                    del cl.inbox[i]
-                    return ok, value
-        while True:
-            src, p = yield from cl.port.recv(api)
-            if p[0] == MSG_SYNC_REP:
-                rtok, ok, value = unpack_sync_rep(p)
-                if rtok == req:
-                    return ok, value
-            cl.inbox.append((src, p))
-
-    def _await_tree(self, api: "ApApi", cl: _NodeClient, seq: int
-                    ) -> Generator["Event", None, int]:
-        """Wait for this group's ``MSG_SYNC_TREE_REP`` carrying ``seq``."""
-        for i, (_src, p) in enumerate(cl.inbox):
-            if p[0] == MSG_SYNC_TREE_REP:
-                g, s, value = unpack_sync_tree_rep(p)
-                if g == self.gid and s == seq:
-                    del cl.inbox[i]
-                    return value
-        while True:
-            src, p = yield from cl.port.recv(api)
-            if p[0] == MSG_SYNC_TREE_REP:
-                g, s, value = unpack_sync_tree_rep(p)
-                if g == self.gid and s == seq:
-                    return value
-            cl.inbox.append((src, p))
-
-    def _await_user(self, api: "ApApi", cl: _NodeClient, kind: int,
-                    cell: int) -> Generator["Event", None, int]:
-        """Wait for one user-space sync message; returns its origin."""
-        want = bytes([kind]) + self.gid.to_bytes(4, "big") \
-            + cell.to_bytes(4, "big")
-        for i, (_src, p) in enumerate(cl.inbox):
-            if p.startswith(want):
+            got = match(p)
+            if got is not None:
                 del cl.inbox[i]
-                return int.from_bytes(p[9:13], "big")
+                return got
         while True:
             src, p = yield from cl.port.recv(api)
-            if p.startswith(want):
-                return int.from_bytes(p[9:13], "big")
+            got = match(p)
+            if got is not None:
+                return got
             cl.inbox.append((src, p))
+
+    @staticmethod
+    def _rep_match(req: int) -> Callable[[bytes], Any]:
+        """``_await`` matcher: the ``MSG_SYNC_REP`` answering request
+        ``req``, as ``(ok, value)``."""
+        def match(p: bytes) -> Optional[Tuple[bool, int]]:
+            if p[0] == MSG_SYNC_REP:
+                rtok, ok, value = unpack_sync_rep(p)
+                if rtok == req:
+                    return ok, value
+            return None
+
+        return match
+
+    def _tree_match(self, seq: int) -> Callable[[bytes], Any]:
+        """``_await`` matcher: this group's ``MSG_SYNC_TREE_REP`` for
+        collective ``seq``, as the folded value."""
+        def match(p: bytes) -> Optional[int]:
+            if p[0] == MSG_SYNC_TREE_REP:
+                g, s, value = unpack_sync_tree_rep(p)
+                if g == self.gid and s == seq:
+                    return value
+            return None
+
+        return match
+
+    def _user_match(self, kind: int, cell: int) -> Callable[[bytes], Any]:
+        """``_await`` matcher: one user-space sync message, as its
+        origin node."""
+        want = self._user_msg(kind, cell, 0)[:9]
+
+        def match(p: bytes) -> Optional[int]:
+            return int.from_bytes(p[9:13], "big") if p.startswith(want) \
+                else None
+
+        return match
 
     def _user_msg(self, kind: int, cell: int, origin: int) -> bytes:
         return (bytes([kind]) + self.gid.to_bytes(4, "big")
@@ -288,14 +270,14 @@ class SyncGroup:
             tag = SyncTag(PHASE_REQ, MODE_FETCH, self.gid, op, value=value,
                           cell=cell, aux=aux, token=req, origin=node,
                           reply_queue=SYNC_RX_LOGICAL)
-            yield from self._to_sp(api, cl, node,
-                                   pack_sync_inject(tag.pack()))
+            yield from cl.port.send_to(api, node, SP_SERVICE_QUEUE,
+                                       pack_sync_inject(tag.pack()))
         else:
-            yield from self._to_sp(
-                api, cl, self.home(cell),
+            yield from cl.port.send_to(
+                api, self.home(cell), SP_SERVICE_QUEUE,
                 pack_sync_req(self.gid, cell, op, node, req,
                               SYNC_RX_LOGICAL, value, aux))
-        _ok, old = yield from self._await_rep(api, cl, req)
+        _ok, old = yield from self._await(api, cl, self._rep_match(req))
         return old
 
     def tree_op(self, api: "ApApi", node: int, op: int, value: int = 0
@@ -315,23 +297,27 @@ class SyncGroup:
             tag = SyncTag(PHASE_REQ, MODE_TREE, self.gid, op, value=value,
                           seq=seq, origin=node,
                           reply_queue=SYNC_RX_LOGICAL)
-            yield from self._to_sp(api, cl, node,
-                                   pack_sync_inject(tag.pack()))
+            yield from cl.port.send_to(api, node, SP_SERVICE_QUEUE,
+                                       pack_sync_inject(tag.pack()))
         else:
-            yield from self._to_sp(
-                api, cl, self.members[0],
+            yield from cl.port.send_to(
+                api, self.members[0], SP_SERVICE_QUEUE,
                 pack_sync_cbar(self.gid, seq, node, len(self.members),
                                SYNC_RX_LOGICAL, op, value))
-        result = yield from self._await_tree(api, cl, seq)
-        return result
+        return (yield from self._await(api, cl, self._tree_match(seq)))
+
+    def barrier(self, api: "ApApi", node: int
+                ) -> Generator["Event", None, None]:
+        """Wait until every member has entered: a :meth:`tree_op` whose
+        value is ignored (returns at once in a one-member group)."""
+        if len(self.members) == 1:
+            return
+        yield from self.tree_op(api, node, OP_ADD, 0)
 
     # -- primitive factories ----------------------------------------------
 
     def counter(self, cell: int = 0) -> "Counter":
         return Counter(self, cell)
-
-    def barrier(self, variant: str = "switch") -> "Barrier":
-        return Barrier(self, variant)
 
     def tas_lock(self, cell: int = 0) -> "TasLock":
         return TasLock(self, cell)
@@ -367,75 +353,6 @@ class Counter:
         """Current value (a fetch-and-add of zero, so reads combine too)."""
         old = yield from self.group.cell_op(api, node, self.cell, OP_ADD, 0)
         return old
-
-
-class Barrier:
-    """Group barrier in three variants.
-
-    * ``"counting"`` — every member messages the home sP, which counts
-      arrivals and unicasts releases: O(N) work at one node, the
-      textbook hot spot.
-    * ``"tree"`` — a software combining tree over aP-to-aP messages:
-      O(log N) depth, but every combine is an endpoint hop.
-    * ``"switch"`` — the in-switch reduction tree: combining happens in
-      the fabric, one packet per tree edge (endpoint service when the
-      group has no switch plan).
-    """
-
-    __slots__ = ("group", "variant", "_seq")
-
-    VARIANTS = ("counting", "tree", "switch")
-
-    def __init__(self, group: SyncGroup, variant: str) -> None:
-        if variant not in self.VARIANTS:
-            raise ConfigError(f"unknown barrier variant {variant!r}")
-        self.group = group
-        self.variant = variant
-        self._seq: Dict[int, int] = {}
-
-    def wait(self, api: "ApApi", node: int
-             ) -> Generator["Event", None, None]:
-        g = self.group
-        if len(g.members) == 1:
-            return
-        if self.variant == "tree":
-            yield from self._tree_wait(api, node)
-            return
-        if self.variant == "counting":
-            # force the central sP server even on a switch-mode group
-            cl = g.fabric.client(node)
-            seq = self._seq.get(node, 0) + 1
-            self._seq[node] = seq
-            # barrier sequences must not collide with tree_op sequences
-            # at the home sP: offset them into their own space
-            yield from g._to_sp(
-                api, cl, g.members[0],
-                pack_sync_cbar(g.gid, 0x40000000 + seq, node,
-                               len(g.members), SYNC_RX_LOGICAL, OP_ADD, 0))
-            yield from g._await_tree(api, cl, 0x40000000 + seq)
-            return
-        yield from g.tree_op(api, node, OP_ADD, 0)
-
-    def _tree_wait(self, api: "ApApi", node: int
-                   ) -> Generator["Event", None, None]:
-        """Binary software combining tree over group ranks."""
-        g = self.group
-        cl = g.fabric.client(node)
-        rank = g.rank_of(node)
-        n = len(g.members)
-        seq = self._seq.get(node, 0) + 1
-        self._seq[node] = seq
-        children = [c for c in (2 * rank + 1, 2 * rank + 2) if c < n]
-        for _ in children:
-            yield from g._await_user(api, cl, BAR_UP, seq)
-        if rank > 0:
-            parent = g.members[(rank - 1) // 2]
-            yield from g._to_member(api, cl, parent,
-                                    g._user_msg(BAR_UP, seq, node))
-            yield from g._await_user(api, cl, BAR_DOWN, seq)
-        for c in children:
-            yield from g._to_member(api, cl, g.members[c],
-                                    g._user_msg(BAR_DOWN, seq, node))
 
 
 class TasLock:
@@ -525,9 +442,9 @@ class McsLock:
         if prev == 0:
             return
         cl = g.fabric.client(node)
-        yield from g._to_member(api, cl, prev - 1,
-                                g._user_msg(LOCK_LINK, self.cell, node))
-        yield from g._await_user(api, cl, LOCK_GRANT, self.cell)
+        yield from cl.port.send_to(api, prev - 1, SYNC_RX_LOGICAL,
+                                   g._user_msg(LOCK_LINK, self.cell, node))
+        yield from g._await(api, cl, g._user_match(LOCK_GRANT, self.cell))
 
     def release(self, api: "ApApi", node: int
                 ) -> Generator["Event", None, None]:
@@ -537,9 +454,10 @@ class McsLock:
         if old == node + 1:
             return  # no successor; the CSWAP freed the lock
         cl = g.fabric.client(node)
-        successor = yield from g._await_user(api, cl, LOCK_LINK, self.cell)
-        yield from g._to_member(api, cl, successor,
-                                g._user_msg(LOCK_GRANT, self.cell, node))
+        successor = yield from g._await(
+            api, cl, g._user_match(LOCK_LINK, self.cell))
+        yield from cl.port.send_to(api, successor, SYNC_RX_LOGICAL,
+                                   g._user_msg(LOCK_GRANT, self.cell, node))
 
 
 class WorkDeque:
@@ -562,10 +480,10 @@ class WorkDeque:
         cl = g.fabric.client(node)
         cl.req += 1
         req = cl.req
-        yield from g._to_sp(
-            api, cl, self.owner,
+        yield from cl.port.send_to(
+            api, self.owner, SP_SERVICE_QUEUE,
             pack_sync_deque(g.gid, verb, node, req, SYNC_RX_LOGICAL, value))
-        ok, got = yield from g._await_rep(api, cl, req)
+        ok, got = yield from g._await(api, cl, g._rep_match(req))
         return ok, got
 
     def push(self, api: "ApApi", node: int, value: int
@@ -590,7 +508,6 @@ class WorkDeque:
 __all__ = [
     "SYNC_RX_LOGICAL",
     "SYNC_TX_INDEX",
-    "Barrier",
     "Counter",
     "McsLock",
     "SyncFabric",

@@ -37,12 +37,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Sequence
 from repro.common.errors import ConfigError
 from repro.firmware.proto import pack_dma_req
 from repro.mp.basic import BasicPort
-from repro.niu.niu import (
-    NOTIFY_QUEUE,
-    SP_SERVICE_QUEUE,
-    needs_raw_addressing,
-    vdst_for,
-)
+from repro.niu.niu import NOTIFY_QUEUE, SP_SERVICE_QUEUE
 from repro.traffic.firmware import ensure_traffic
 from repro.traffic.load import TraceRecord
 from repro.traffic.slo import DEFAULT_SLO_NS, SloRecorder
@@ -100,7 +95,6 @@ class KvClient:
         self.node = node
         self.me = node.node_id
         self.n_nodes = machine.config.n_nodes
-        self.wide = needs_raw_addressing(self.n_nodes)
         self.transport = transport
         self.reliable = reliable
         self.range_count = range_count
@@ -116,16 +110,8 @@ class KvClient:
 
     def _send(self, api: "ApApi", home: int, payload: bytes, tagon=None
               ) -> Generator["Event", None, None]:
-        if self.reliable:
-            yield from self.port.send_reliable(
-                api, home, payload, dst_queue=SP_SERVICE_QUEUE,
-                raw=self.wide)
-        elif self.wide:
-            yield from self.port.send(api, home, payload, tagon=tagon,
-                                      raw=True, dst_queue=SP_SERVICE_QUEUE)
-        else:
-            yield from self.port.send(api, vdst_for(home, SP_SERVICE_QUEUE),
-                                      payload, tagon=tagon)
+        yield from self.port.send_to(api, home, SP_SERVICE_QUEUE, payload,
+                                     reliable=self.reliable, tagon=tagon)
 
     def _issue(self, api: "ApApi", rec: TraceRecord, sched_ns: float
                ) -> Generator["Event", None, None]:
@@ -168,12 +154,7 @@ class KvClient:
             dma = pack_dma_req(src, home, dst, len(staged), NOTIFY_QUEUE, 3)
             # the DMA request is a loopback hop into the local sP —
             # lossless, so it never needs the reliable path
-            if self.wide:
-                yield from self.port.send(api, self.me, dma, raw=True,
-                                          dst_queue=SP_SERVICE_QUEUE)
-            else:
-                yield from self.port.send(
-                    api, vdst_for(self.me, SP_SERVICE_QUEUE), dma)
+            yield from self.port.send_to(api, self.me, SP_SERVICE_QUEUE, dma)
             yield from self._send(api, home, pack_kv_putref(
                 RX_LOGICAL, self.me, req_id, rec.key, dst, len(value)))
 

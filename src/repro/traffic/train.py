@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Generator, List
 from repro.common.errors import ConfigError
 from repro.lib.mpi import MiniMPI
 from repro.mp.basic import BasicPort
-from repro.niu.niu import SP_SERVICE_QUEUE, needs_raw_addressing, vdst_for
+from repro.niu.niu import SP_SERVICE_QUEUE
 from repro.traffic.firmware import ensure_traffic
 from repro.traffic.kv import RX_LOGICAL, TX_INDEX
 from repro.traffic.slo import SloRecorder
@@ -37,7 +37,6 @@ from repro.traffic.wire import pack_ps_push, unpack_ps_rep
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import StarTVoyager
     from repro.node.ap import ApApi
-    from repro.sim.events import Event
 
 #: default step SLO: a synchronous step that takes longer than this is
 #: a straggler round (200 µs of simulated time).
@@ -66,7 +65,6 @@ class TrainJob:
         self.steps = steps
         self.slo_ns = slo_ns
         self.n_nodes = machine.config.n_nodes
-        self.wide = needs_raw_addressing(self.n_nodes)
         self.reliable = reliable
         self._mpi = (MiniMPI(machine, algo=algo, reliable=reliable)
                      if mode == "allreduce" else None)
@@ -88,18 +86,6 @@ class TrainJob:
         port = BasicPort(board, TX_INDEX, RX_LOGICAL)
         slo = SloRecorder(board, "ps", self.slo_ns)
 
-        def send(api, home, payload):
-            if self.reliable:
-                yield from port.send_reliable(api, home, payload,
-                                              dst_queue=SP_SERVICE_QUEUE,
-                                              raw=self.wide)
-            elif self.wide:
-                yield from port.send(api, home, payload, raw=True,
-                                     dst_queue=SP_SERVICE_QUEUE)
-            else:
-                yield from port.send(api, vdst_for(home, SP_SERVICE_QUEUE),
-                                     payload)
-
         def program(api: "ApApi"):
             for step in range(self.steps):
                 t0 = api.now
@@ -108,8 +94,11 @@ class TrainJob:
                 for block in range(self.n_blocks):
                     grad = node + step + block + 1
                     home = block_home(block, self.n_nodes)
-                    yield from send(api, home, pack_ps_push(
-                        RX_LOGICAL, node, step, block, self.n_nodes, grad))
+                    yield from port.send_to(
+                        api, home, SP_SERVICE_QUEUE,
+                        pack_ps_push(RX_LOGICAL, node, step, block,
+                                     self.n_nodes, grad),
+                        reliable=self.reliable)
                 # synchronous step: wait for every block's new weight
                 for _ in range(self.n_blocks):
                     _src, payload = yield from port.recv(api)

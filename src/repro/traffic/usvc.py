@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Sequence
 
 from repro.mp.basic import BasicPort
-from repro.niu.niu import SP_SERVICE_QUEUE, needs_raw_addressing, vdst_for
+from repro.niu.niu import SP_SERVICE_QUEUE
 from repro.traffic.firmware import ensure_traffic
 from repro.traffic.kv import RX_LOGICAL, TX_INDEX
 from repro.traffic.load import TraceRecord
@@ -47,7 +47,6 @@ class UsvcClient:
         self.node = node
         self.me = node.node_id
         self.n_nodes = machine.config.n_nodes
-        self.wide = needs_raw_addressing(self.n_nodes)
         self.depth = depth
         self.fanout = fanout
         self.svc_insns = svc_insns
@@ -66,16 +65,8 @@ class UsvcClient:
         entry = rec.key % self.n_nodes
         payload = pack_usvc_req(self.depth, self.fanout, RX_LOGICAL,
                                 self.me, req_id, self.svc_insns)
-        if self.reliable:
-            yield from self.port.send_reliable(api, entry, payload,
-                                               dst_queue=SP_SERVICE_QUEUE,
-                                               raw=self.wide)
-        elif self.wide:
-            yield from self.port.send(api, entry, payload, raw=True,
-                                      dst_queue=SP_SERVICE_QUEUE)
-        else:
-            yield from self.port.send(api, vdst_for(entry, SP_SERVICE_QUEUE),
-                                      payload)
+        yield from self.port.send_to(api, entry, SP_SERVICE_QUEUE, payload,
+                                     reliable=self.reliable)
 
     def open_loop(self, records: Sequence[TraceRecord]
                   ) -> List[Callable[["ApApi"], Generator]]:

@@ -194,7 +194,7 @@ def test_wide_machine_collectives(algo):
     same collectives on a 17-node machine."""
     machine = _machine(17)
     mpi = MiniMPI(machine, algo=algo)
-    assert mpi.wide
+    assert all(node.ctrl.raw_addressing for node in machine.nodes)
 
     def worker(api, rank):
         comm = mpi.rank(rank)
@@ -204,3 +204,39 @@ def test_wide_machine_collectives(algo):
     procs = [machine.spawn(i, worker, i) for i in range(17)]
     results = machine.run_all(procs, limit=1e10)
     assert results == [sum(range(17))] * 17
+
+
+#: 5-rank inputs chosen so every named op has a distinct, nontrivial
+#: answer (band keeps 0b101, bxor keeps several bits).
+_OP_VALUES = (13, 7, 15, 5, 29)
+_OP_EXPECTED = {
+    "sum": 69, "prod": 13 * 7 * 15 * 5 * 29, "min": 5, "max": 29,
+    "band": 13 & 7 & 15 & 5 & 29, "bor": 13 | 7 | 15 | 5 | 29,
+    "bxor": 13 ^ 7 ^ 15 ^ 5 ^ 29,
+}
+
+
+@pytest.mark.parametrize("algo", ["flat", "tree", "nic", "switch"])
+def test_every_named_op_on_every_algo(algo):
+    """One op table: all seven named ops give the same allreduce on the
+    host families, the sP tree and the switch tree."""
+    machine = _machine(5)
+    mpi = MiniMPI(machine, algo=algo)
+
+    def worker(api, rank):
+        comm = mpi.rank(rank)
+        out = {}
+        for name in _OP_EXPECTED:
+            out[name] = yield from comm.allreduce(api, _OP_VALUES[rank],
+                                                  op=name)
+        return out
+
+    procs = [machine.spawn(i, worker, i) for i in range(5)]
+    assert machine.run_all(procs, limit=1e10) == [_OP_EXPECTED] * 5
+
+
+def test_collective_plan_shared_by_every_node():
+    """Machine assembly builds (and validates) one tree for all sPs."""
+    machine = _machine(8)
+    plans = {id(node.sp.state["collectives"].plan) for node in machine.nodes}
+    assert len(plans) == 1

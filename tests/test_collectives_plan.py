@@ -3,27 +3,35 @@
 import pytest
 
 from repro.collectives import wire
-from repro.collectives.plan import (OPS, binomial_tree, kary_tree, op_by_code,
-                                    op_by_name, recursive_doubling)
-from repro.common.errors import ProgramError
+from repro.collectives.plan import binomial_tree, kary_tree, recursive_doubling
+from repro.common.errors import NetworkError, ProgramError
+from repro.net.combine import (OP_ADD, OP_CSWAP, OP_MAX, OP_MIN, OP_OR,
+                               OP_SWAP, OPS, apply_op, op_code)
 
 
 # -- operators ---------------------------------------------------------------
 
 
 def test_op_codes_bijective():
-    codes = [code for code, _fn in OPS.values()]
-    assert len(set(codes)) == len(OPS)
-    for name, (code, fn) in OPS.items():
-        assert op_by_name(name) == (code, fn)
-        assert op_by_code(code) is fn
+    """One table for every combining path: distinct codes, the switch's
+    existing codes unchanged (so SyncTag bytes keep their values), and
+    ``sum`` still code 0 on the COLL wire."""
+    assert len(set(OPS.values())) == len(OPS)
+    assert (OPS["sum"], OPS["min"], OPS["max"], OPS["bor"]) \
+        == (OP_ADD, OP_MIN, OP_MAX, OP_OR) == (0, 1, 2, 3)
+    assert not set(OPS.values()) & {OP_SWAP, OP_CSWAP}
+    for name, code in OPS.items():
+        assert op_code(name) == code
+    want = {"sum": 10, "prod": 21, "min": 3, "max": 7, "band": 3,
+            "bor": 7, "bxor": 4}
+    assert {name: apply_op(code, 7, 3) for name, code in OPS.items()} == want
 
 
 def test_unknown_ops_rejected():
     with pytest.raises(ProgramError):
-        op_by_name("avg")
-    with pytest.raises(ProgramError):
-        op_by_code(99)
+        op_code("avg")
+    with pytest.raises(NetworkError):
+        apply_op(99, 1, 2)
 
 
 # -- spanning trees -------------------------------------------------------------

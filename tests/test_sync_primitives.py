@@ -88,20 +88,19 @@ def test_subgroup_membership_enforced():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", ("counting", "tree", "switch"))
-def test_barrier_separates_phases(variant):
+@pytest.mark.parametrize("mode", MODES)
+def test_barrier_separates_phases(mode):
     """Nobody may leave the barrier before everyone has entered: after
     the wait, every member sees the full pre-barrier count."""
     n = 5  # non-power-of-two exercises the odd tree shapes
     machine = _machine(n)
-    grp = _group(machine, "switch", members=range(n))
+    grp = _group(machine, mode, members=range(n))
     ctr = grp.counter(cell=7)
-    bar = grp.barrier(variant=variant)
 
     def prog(api, rank):
         yield from api.compute(300 * rank)  # staggered arrivals
         yield from ctr.add(api, rank, 1)
-        yield from bar.wait(api, rank)
+        yield from grp.barrier(api, rank)
         return (yield from ctr.read(api, rank))
 
     procs = [machine.spawn(i, prog, i) for i in range(n)]
@@ -112,22 +111,20 @@ def test_barrier_separates_phases(variant):
 def test_barrier_reusable_across_rounds():
     n, rounds = 4, 3
     machine = _machine(n)
-    bar = _group(machine, "switch").barrier(variant="switch")
+    grp = _group(machine, "switch")
 
     def prog(api, rank):
         for r in range(rounds):
             yield from api.compute(100 * ((rank + r) % n))
-            yield from bar.wait(api, rank)
+            yield from grp.barrier(api, rank)
         return rounds
 
     procs = [machine.spawn(i, prog, i) for i in range(n)]
     assert machine.run_all(procs, limit=1e9) == [rounds] * n
 
 
-def test_unknown_variant_rejected():
+def test_unknown_mode_rejected():
     machine = _machine(2)
-    with pytest.raises(ConfigError):
-        _group(machine, "switch").barrier(variant="hybrid")
     with pytest.raises(ConfigError):
         machine.sync_fabric().group([0, 1], mode="bogus")
 
@@ -139,11 +136,10 @@ def test_single_node_machine_degrades_to_endpoint():
     grp = _group(machine, "switch")
     assert grp.mode == "endpoint" and grp.plan is None
     ctr = grp.counter()
-    bar = grp.barrier(variant="switch")
 
     def prog(api):
         yield from ctr.add(api, 0, 5)
-        yield from bar.wait(api, 0)
+        yield from grp.barrier(api, 0)
         return (yield from ctr.read(api, 0))
 
     assert machine.run_until(machine.spawn(0, prog), limit=1e9) == 5
@@ -153,15 +149,15 @@ def test_service_queue_burst_overflow_redelivered():
     """A simultaneous-arrival burst deeper than the sP service queue
     diverts to the miss queue; firmware re-dispatches those entries
     through the normal handler table instead of dropping them (a
-    dropped arrival would hang the counting barrier forever)."""
+    dropped arrival would hang the endpoint barrier forever)."""
     from repro.common.config import NIUConfig
 
     n = 16
     machine = _machine(n, niu=NIUConfig(queue_depth=4))
-    bar = _group(machine, "endpoint").barrier(variant="counting")
+    grp = _group(machine, "endpoint")
 
     def prog(api, rank):
-        yield from bar.wait(api, rank)
+        yield from grp.barrier(api, rank)
         return 1
 
     procs = [machine.spawn(i, prog, i) for i in range(n)]
@@ -284,11 +280,10 @@ def _sync_point(spec):
     machine = _machine(n, sanitize=sanitize)
     grp = _group(machine, mode)
     ctr = grp.counter(cell=0)
-    bar = grp.barrier(variant="switch")
 
     def prog(api, rank):
         old = yield from ctr.add(api, rank, 1)
-        yield from bar.wait(api, rank)
+        yield from grp.barrier(api, rank)
         total = yield from ctr.read(api, rank)
         return old, total
 

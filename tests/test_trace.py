@@ -5,74 +5,79 @@ from repro.sim.trace import Tracer
 
 def test_disabled_by_default(engine):
     t = Tracer(engine)
-    t.emit("bus0", "bus.read", (1, 2))
-    assert len(t) == 0
+    t.instant("bus.read", source="bus0", addr=1)
+    with t.span("bus.write"):
+        pass
+    assert t.spans() == []
 
 
 def test_enable_category(engine):
     t = Tracer(engine)
     t.enable("bus")
-    t.emit("bus0", "bus.read", "a")
-    t.emit("net0", "net.send", "b")  # different category: dropped
-    assert len(t) == 1
-    assert t.records()[0].kind == "bus.read"
+    t.instant("bus.read", source="bus0")
+    t.instant("net.send", source="net0")  # different category: dropped
+    assert [r.kind for r in t.spans()] == ["bus.read"]
 
 
 def test_enable_all(engine):
     t = Tracer(engine)
     t.enable("*")
-    t.emit("x", "bus.read")
-    t.emit("y", "net.send")
-    assert len(t) == 2
+    t.instant("bus.read")
+    t.span("net.send").end()
+    assert len(t.spans()) == 2
 
 
 def test_disable(engine):
     t = Tracer(engine)
     t.enable("bus", "net")
     t.disable("bus")
-    t.emit("x", "bus.read")
-    t.emit("y", "net.send")
-    assert [r.kind for r in t.records()] == ["net.send"]
+    t.instant("bus.read")
+    t.instant("net.send")
+    assert [r.kind for r in t.spans()] == ["net.send"]
     t.disable("*")
-    t.emit("y", "net.send")
-    assert len(t.records()) == 1
+    assert t.active is False
+    t.instant("net.send")
+    assert len(t.spans()) == 1
 
 
 def test_filtering(engine):
     t = Tracer(engine)
     t.enable("*")
-    t.emit("bus0", "bus.read")
-    t.emit("bus0", "bus.write")
-    t.emit("bus1", "bus.read")
-    assert len(t.records(kind_prefix="bus.read")) == 2
-    assert len(t.records(source="bus0")) == 2
-    assert len(t.records(kind_prefix="bus.read", source="bus1")) == 1
+    t.instant("bus.read", node=0)
+    t.instant("bus.write", node=0)
+    t.instant("bus.read", node=1)
+    assert len(t.spans(kind_prefix="bus.read")) == 2
+    assert len(t.spans(node=0)) == 2
+    assert len(t.spans(kind_prefix="bus.read", node=1)) == 1
 
 
 def test_bounded_capacity(engine):
     t = Tracer(engine, capacity=10)
     t.enable("*")
     for i in range(25):
-        t.emit("s", "k.x", i)
-    records = t.records()
+        t.instant("k.x", i=i)
+    records = t.spans()
     assert len(records) == 10
-    assert records[0].detail == 15  # oldest entries evicted
+    assert dict(records[0].args)["i"] == 15  # oldest entries evicted
 
 
 def test_timestamps(engine):
     t = Tracer(engine)
     t.enable("k")
+    span = t.span("k.wait")
     ev = engine.timeout(42.0)
-    ev.add_callback(lambda _e: t.emit("s", "k.late"))
+    ev.add_callback(lambda _e: (t.instant("k.late"), span.end()))
     engine.run()
-    assert t.records()[0].time == 42.0
+    late, wait = t.spans("k.late")[0], t.spans("k.wait")[0]
+    assert late.start == late.end == 42.0
+    assert (wait.start, wait.end) == (0.0, 42.0)
     t.clear()
-    assert len(t) == 0
+    assert t.spans() == []
 
 
 def test_bus_category_alone_records_every_transaction(machine2):
-    # an empty buffer must not read as "tracing off": with only "bus"
-    # enabled, each completed transaction leaves exactly one record
+    # with only "bus" enabled, each completed transaction leaves exactly
+    # one instant (an empty buffer must not read as "tracing off")
     m = machine2
     m.tracer.enable("bus")
 
@@ -82,7 +87,8 @@ def test_bus_category_alone_records_every_transaction(machine2):
 
     m.run_all([m.spawn(0, prog)], limit=1e9)
     txns = sum(m.stats.counter(f"bus{i}.txns").value for i in range(2))
-    records = m.tracer.records("bus.")
+    records = m.tracer.spans("bus.")
     assert txns >= 4
     assert len(records) == txns
-    assert m.tracer.records("bus.read_line", source="bus0")
+    assert all(r.start == r.end for r in records)
+    assert [r for r in m.tracer.spans("bus.read_line") if r.source == "bus0"]
