@@ -7,7 +7,7 @@ machine moves per wall-clock second.  It is the perf trajectory for the
 fast-path kernel work — run it before and after touching ``repro.sim``
 and compare.
 
-Three workloads:
+Four workloads:
 
 * ``timeout_storm``   — the pure kernel fast path: N processes doing
   nothing but ``yield engine.timeout(d)``.  No machine, no payload;
@@ -18,11 +18,17 @@ Three workloads:
 * ``alltoall8``       — an 8-node machine where every node streams
   Basic messages to every other node: the end-to-end events/sec and
   bytes-moved/sec of the real data plane (SRAM, CTRL, network).
+* ``basic_poll``      — one aP spinning in ``BasicPort.recv`` on an empty
+  receive queue: the uncached-load path (aP -> bus -> aBIU pointer
+  window -> SRAM shadow) that dominates the collectives workloads.
+  Reports scheduled items per poll, a simulated count that must stay
+  exactly ``POLL_ITEMS`` (the CLI run fails otherwise), and wall us
+  per poll.
 
-Direct CLI (also the CI smoke job)::
+CLI (the CI smoke job runs the first)::
 
-    python benchmarks/bench_engine.py --quick
-    python benchmarks/bench_engine.py --record-as pre_refactor
+    python -m repro.bench engine --quick
+    python -m repro.bench engine --record-as pre_refactor
 
 Results merge into ``BENCH_engine.json`` (repo root by default) under
 ``runs[<label>]``; when both ``pre_refactor`` and ``post_refactor``
@@ -150,17 +156,62 @@ def alltoall8(n_nodes: int = 8, msgs_per_peer: int = 2,
     }
 
 
+#: scheduled items one empty poll executes: the pointer load's four
+#: timed phases (address tenure, snoop window, CTRL op, SRAM shadow
+#: read) and the polling loop's instruction overhead, each a Timeout
+#: plus its wake-up.
+POLL_ITEMS = 10
+
+
+def basic_poll(sim_ns: float = 2e6, warmup_ns: float = 1e4) -> dict:
+    """One aP spinning on an empty Basic receive queue for ``sim_ns``.
+
+    Timing starts after ``warmup_ns`` of spinning, so machine assembly
+    and the first polls' lazy set-up stay out of the per-poll figure.
+    """
+    import repro
+
+    machine = repro.StarTVoyager(repro.default_config(n_nodes=2))
+    port = BasicPort(machine.node(0), 0, 0)
+    ap = machine.node(0).ap
+
+    def spinner(api):
+        yield from port.recv(api)  # nothing is ever sent
+
+    machine.spawn(0, spinner)
+    machine.run(until=warmup_ns)
+    engine = machine.engine
+    items0, polls0 = engine.events_executed, ap.loads
+    t0 = time.perf_counter()
+    machine.run(until=warmup_ns + sim_ns)
+    wall = time.perf_counter() - t0
+    polls = ap.loads - polls0
+    items = engine.events_executed - items0
+    return {
+        "sim_ns": sim_ns,
+        "polls": polls,
+        "events": items,
+        "wall_s": wall,
+        "events_per_s": items / wall,
+        "ns_per_event": wall / items * 1e9,
+        "items_per_poll": items / polls,
+        "us_per_poll": wall / polls * 1e6,
+    }
+
+
 def measure(quick: bool = False, repeats: int = 3) -> dict:
-    """Run the three workloads (best-of-``repeats`` wall clock)."""
+    """Run the four workloads (best-of-``repeats`` wall clock)."""
     if quick:
         repeats = 1
         storm_args = dict(n_procs=20, steps=400)
         store_args = dict(n_pairs=5, items=400)
         a2a_args = dict(msgs_per_peer=1)
+        poll_args = dict(sim_ns=2e5)
     else:
         storm_args = {}
         store_args = {}
         a2a_args = {}
+        poll_args = {}
 
     def best(fn, **kwargs):
         runs = [fn(**kwargs) for _ in range(repeats)]
@@ -169,10 +220,12 @@ def measure(quick: bool = False, repeats: int = 3) -> dict:
     storm = best(timeout_storm, **storm_args)
     store = best(store_traffic, **store_args)
     a2a = best(alltoall8, **a2a_args)
+    poll = best(basic_poll, **poll_args)
     return {
         "timeout_storm": storm,
         "store_traffic": store,
         "alltoall8": a2a,
+        "basic_poll": poll,
         #: the headline gauge: pure-kernel event throughput.
         "events_per_s": storm["events_per_s"],
         "bytes_moved_per_s": a2a["bytes_moved_per_s"],
@@ -201,8 +254,13 @@ def test_engine_microbench(benchmark):
            ["workload", "events/s", "ns/event"],
            ["alltoall8", results["alltoall8"]["events_per_s"],
             results["alltoall8"]["events_per_s"]])
+    record("engine kernel throughput",
+           ["workload", "events/s", "ns/event"],
+           ["basic_poll", results["basic_poll"]["events_per_s"],
+            results["basic_poll"]["ns_per_event"]])
     assert results["events_per_s"] > 0
     assert results["bytes_moved_per_s"] > 0
+    assert results["basic_poll"]["items_per_poll"] == POLL_ITEMS
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +316,11 @@ def run(args):
     ]
     print_table("engine kernel throughput (wall clock)",
                 ["workload", "events/s", "ns/event", "payload B/s"], rows)
+    poll = results["basic_poll"]
+    print_table("empty Basic receive poll",
+                ["polls", "items/poll", "us/poll"],
+                [[poll["polls"], f"{poll['items_per_poll']:g}",
+                  f"{poll['us_per_poll']:.1f}"]])
 
     out = args.json or args.out
     doc = _merge(out, args.record_as, results)
@@ -265,6 +328,11 @@ def run(args):
     if "speedup_events_per_s" in doc:
         print(f"speedup (events/s, post/pre): "
               f"{doc['speedup_events_per_s']:.2f}x")
+    if poll["items_per_poll"] != POLL_ITEMS:
+        print(f"FAIL: an empty poll executed {poll['items_per_poll']:g} "
+              f"items, expected {POLL_ITEMS}")
+        return 1
+    return None
 
 
 BENCH = {

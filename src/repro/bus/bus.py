@@ -25,6 +25,7 @@ from repro.bus.snoop import BusSlave, Snooper, SnoopResult
 from repro.common.config import BusConfig
 from repro.common.errors import AddressError, SimulationError
 from repro.mem.address import AddressMap
+from repro.sim.events import Timeout
 from repro.sim.resource import PriorityResource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,12 +117,14 @@ class MemoryBus:
         stats = self.stats
 
         while True:
-            # arbitration + address tenure + snoop window, bus held
-            yield arbiter.request(priority)
+            # arbitration + address tenure + snoop window, bus held; a
+            # free bus is taken without yielding (see Resource.try_acquire)
+            if not arbiter.try_acquire():
+                yield arbiter.request(priority)
             try:
-                yield engine.timeout(self._address_ns)
+                yield Timeout(engine, self._address_ns)
                 verdict, claimant = self._snoop_window(txn)
-                yield engine.timeout(self._snoop_ns)
+                yield Timeout(engine, self._snoop_ns)
 
                 if verdict is SnoopResult.RETRY:
                     txn.retries += 1
@@ -134,8 +137,13 @@ class MemoryBus:
                             f"{txn!r} exceeded retry cap {cfg.max_retries}"
                         )
                 else:
-                    # data tenure while the bus is held
-                    result = yield from self._data_tenure(txn, claimant)
+                    # data tenure while the bus is held: the claiming
+                    # snooper serves it, else the region's bus slave
+                    if claimant is not None:
+                        txn.intervened = True
+                        result = yield from claimant.serve(txn)
+                    else:
+                        result = yield from self._data_tenure(txn)
                     if op.is_read:
                         if result is None or len(result) != txn.size:
                             raise SimulationError(
@@ -161,7 +169,7 @@ class MemoryBus:
             finally:
                 arbiter.release()
             # back off without holding the bus, then re-arbitrate
-            yield engine.timeout(self._backoff_ns)
+            yield Timeout(engine, self._backoff_ns)
 
     def _snoop_window(self, txn: BusTransaction):
         """Collect snoop responses; returns (verdict, claimant)."""
@@ -185,11 +193,9 @@ class MemoryBus:
         return SnoopResult.OK, None
 
     def _data_tenure(
-        self, txn: BusTransaction, claimant: Optional[Snooper]
+        self, txn: BusTransaction
     ) -> Generator["Event", None, Optional[bytes]]:
-        if claimant is not None:
-            txn.intervened = True
-            return (yield from claimant.serve(txn))
+        """Unclaimed data tenure: the address map's bus slave serves it."""
         if not txn.op.has_data:
             # address-only operation (KILL/FLUSH): snoopers already acted.
             return None

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Generator, Sequence
 
 from repro.common.errors import AddressError
 from repro.mem.backing import ByteBacking
+from repro.sim.events import Timeout
 from repro.sim.resource import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,9 +67,10 @@ class DualPortedSRAM:
     ) -> Generator["Event", None, bytes]:
         """Timed read through ``port`` (process fragment)."""
         res = self._ports[port]
-        yield res.request()
+        if not res.try_acquire():
+            yield res.request()
         try:
-            yield self.engine.timeout(self._beats(length) * self.access_ns)
+            yield Timeout(self.engine, self._beats(length) * self.access_ns)
             return self.backing.read(offset, length)
         finally:
             res.release()
@@ -84,9 +86,10 @@ class DualPortedSRAM:
         callers materialize at their protection boundary, not here.
         """
         res = self._ports[port]
-        yield res.request()
+        if not res.try_acquire():
+            yield res.request()
         try:
-            yield self.engine.timeout(self._beats(length) * self.access_ns)
+            yield Timeout(self.engine, self._beats(length) * self.access_ns)
             return self.backing.view(offset, length)
         finally:
             res.release()
@@ -96,9 +99,10 @@ class DualPortedSRAM:
     ) -> Generator["Event", None, None]:
         """Timed write through ``port`` (process fragment)."""
         res = self._ports[port]
-        yield res.request()
+        if not res.try_acquire():
+            yield res.request()
         try:
-            yield self.engine.timeout(self._beats(len(data)) * self.access_ns)
+            yield Timeout(self.engine, self._beats(len(data)) * self.access_ns)
             self.backing.write(offset, data)
         finally:
             res.release()
@@ -115,9 +119,10 @@ class DualPortedSRAM:
         """
         total = sum(len(p) for p in parts)
         res = self._ports[port]
-        yield res.request()
+        if not res.try_acquire():
+            yield res.request()
         try:
-            yield self.engine.timeout(self._beats(total) * self.access_ns)
+            yield Timeout(self.engine, self._beats(total) * self.access_ns)
             self.backing.write_parts(offset, parts)
         finally:
             res.release()

@@ -65,7 +65,16 @@ class BasicPort:
         self._tx_producer = self.tx.producer
         self._tx_known_consumer = self.tx.consumer
         self._rx_consumer = self.rx.consumer
-        self._ptr_base = NIU_CTL_BASE + PTR_WINDOW_OFF
+        # the four pointer registers this port touches, decoded once
+        ptr_base = NIU_CTL_BASE + PTR_WINDOW_OFF
+        self._tx_producer_addr = ptr_base + pointer_offset(
+            QueueKind.TX, self.tx.index, "producer")
+        self._tx_consumer_addr = ptr_base + pointer_offset(
+            QueueKind.TX, self.tx.index, "consumer")
+        self._rx_producer_addr = ptr_base + pointer_offset(
+            QueueKind.RX, self.rx.index, "producer")
+        self._rx_consumer_addr = ptr_base + pointer_offset(
+            QueueKind.RX, self.rx.index, "consumer")
         self.sent = 0
         self.received = 0
 
@@ -76,9 +85,6 @@ class BasicPort:
 
     def _rx_slot_addr(self, n: int) -> int:
         return ASRAM_BASE + self.rx.slot_offset(n)
-
-    def _ptr_addr(self, kind: QueueKind, index: int, which: str) -> int:
-        return self._ptr_base + pointer_offset(kind, index, which)
 
     # -- transmit ------------------------------------------------------------------
 
@@ -121,17 +127,13 @@ class BasicPort:
                     f"tx queue {self.tx.index} was shut down"
                 )
             self._tx_known_consumer = yield from api.load_u32(
-                self._ptr_addr(QueueKind.TX, self.tx.index, "consumer")
-            )
+                self._tx_consumer_addr)
             if self._tx_producer - self._tx_known_consumer >= self.tx.depth:
                 yield from api.compute(25)  # polling loop overhead
         slot = self._tx_slot_addr(self._tx_producer)
         yield from api.store(slot, encode_header(hdr) + payload)
         self._tx_producer += 1
-        yield from api.store_u32(
-            self._ptr_addr(QueueKind.TX, self.tx.index, "producer"),
-            self._tx_producer,
-        )
+        yield from api.store_u32(self._tx_producer_addr, self._tx_producer)
         self.sent += 1
         self.stats.accumulator("mp.basic.send_ns").add(api.now - t0)
 
@@ -215,9 +217,7 @@ class BasicPort:
     def poll(self, api: "ApApi"
              ) -> Generator["Event", None, Optional[Tuple[int, bytes]]]:
         """Non-blocking receive: one producer-shadow poll, then the entry."""
-        producer = yield from api.load_u32(
-            self._ptr_addr(QueueKind.RX, self.rx.index, "producer")
-        )
+        producer = yield from api.load_u32(self._rx_producer_addr)
         if producer == self._rx_consumer:
             return None
         return (yield from self._take(api))
@@ -232,9 +232,7 @@ class BasicPort:
         """
         t0 = api.now
         while True:
-            producer = yield from api.load_u32(
-                self._ptr_addr(QueueKind.RX, self.rx.index, "producer")
-            )
+            producer = yield from api.load_u32(self._rx_producer_addr)
             if producer != self._rx_consumer:
                 break
             yield from api.compute(poll_insns)
@@ -251,9 +249,6 @@ class BasicPort:
         if length:
             payload = yield from api.load(slot + HEADER_BYTES, length)
         self._rx_consumer += 1
-        yield from api.store_u32(
-            self._ptr_addr(QueueKind.RX, self.rx.index, "consumer"),
-            self._rx_consumer,
-        )
+        yield from api.store_u32(self._rx_consumer_addr, self._rx_consumer)
         self.received += 1
         return src, payload

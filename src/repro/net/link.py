@@ -71,7 +71,8 @@ class Link:
             raise NetworkError(f"{pkt!r}: priority outside this network's range")
         # credit first: never occupy the wire for a packet that cannot land.
         yield self._credits[pkt.priority].get()
-        yield self._tx.request(pkt.priority)
+        if not self._tx.try_acquire():
+            yield self._tx.request(pkt.priority)
         buffer = self._buffers[pkt.priority]
         # one size lookup per transmission; every charge below uses it
         wire_bytes = pkt.wire_bytes
@@ -181,7 +182,8 @@ class CutLinkTx:
         if not (0 <= pkt.priority < self.config.priorities):
             raise NetworkError(f"{pkt!r}: priority outside this network's range")
         yield self._credits[pkt.priority].get()
-        yield self._tx.request(pkt.priority)
+        if not self._tx.try_acquire():
+            yield self._tx.request(pkt.priority)
         wire_bytes = pkt.wire_bytes
         serialize_ns = wire_bytes * self.config.ns_per_byte
         fs = self.faults

@@ -70,6 +70,9 @@ class ABiu(Snooper):
         self.snooper_name = self.name
         self._master = f"niu{node_id}"
         self._handlers: List[Tuple[Region, BusHandler]] = []
+        #: address -> covering handler (or None), filled by
+        #: :meth:`handler_for`; :meth:`install` empties it
+        self._handler_memo: Dict[int, Optional[BusHandler]] = {}
         self._claimed: Dict[int, BusHandler] = {}
         self.observed = 0
         bus.attach_snooper(self)
@@ -81,8 +84,10 @@ class ABiu(Snooper):
         """Map ``handler`` over ``region``; returns any handler it replaced.
 
         Replacing a handler at runtime models reprogramming the FPGA with
-        new state machines.
+        new state machines.  Any install empties the per-address handler
+        memo, so the next operation on any address sees the new table.
         """
+        self._handler_memo.clear()
         for i, (r, old) in enumerate(self._handlers):
             if r.base == region.base and r.size == region.size:
                 self._handlers[i] = (region, handler)
@@ -97,10 +102,16 @@ class ABiu(Snooper):
 
     def handler_for(self, addr: int) -> Optional[BusHandler]:
         """The installed handler covering ``addr`` (None when uncovered)."""
+        memo = self._handler_memo
+        if addr in memo:
+            return memo[addr]
+        found = None
         for region, handler in self._handlers:
             if region.contains(addr):
-                return handler
-        return None
+                found = handler
+                break
+        memo[addr] = found
+        return found
 
     # -- snooper interface -----------------------------------------------------
 
@@ -123,11 +134,15 @@ class ABiu(Snooper):
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
-        """Route a claimed data tenure to the claiming handler."""
+        """Route a claimed data tenure to the claiming handler.
+
+        A plain function returning the handler's own generator: the bus
+        runs the handler's data tenure with no aBIU frame in between.
+        """
         handler = self._claimed.pop(txn.txn_id, None)
         if handler is None:
             raise SimulationError(f"{self.name}: serve without claim for {txn!r}")
-        return (yield from handler.serve(txn))
+        return handler.serve(txn)
 
     # -- bus mastering ------------------------------------------------------------
 

@@ -143,7 +143,8 @@ def write_dram(ctrl: "Ctrl", addr: int, data: bytes
     if type(data) is not bytes:
         data = bytes(data)
     # the data crosses the IBus from SRAM/RxU into the aBIU
-    yield ctrl.ibus.request()
+    if not ctrl.ibus.try_acquire():
+        yield ctrl.ibus.request()
     try:
         beats = -(-len(data) // ctrl.config.niu.ibus_width_bytes)
         yield ctrl.engine.timeout(ctrl.op_ns + beats * ctrl.config.bus.cycle_ns)
@@ -190,7 +191,8 @@ def read_dram(ctrl: "Ctrl", addr: int, length: int
         parts.append(txn.data)
         off += step
     # the data crosses the IBus on its way into SRAM/TxU
-    yield ctrl.ibus.request()
+    if not ctrl.ibus.try_acquire():
+        yield ctrl.ibus.request()
     try:
         beats = -(-length // ctrl.config.niu.ibus_width_bytes)
         yield ctrl.engine.timeout(ctrl.op_ns + beats * ctrl.config.bus.cycle_ns)

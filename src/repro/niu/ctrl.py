@@ -157,7 +157,8 @@ class Ctrl:
     def sram_read(self, bank: int, offset: int, size: int
                   ) -> Generator["Event", None, bytes]:
         """Read SRAM across the IBus (CTRL-mediated, timed)."""
-        yield self.ibus.request()
+        if not self.ibus.try_acquire():
+            yield self.ibus.request()
         try:
             yield self.engine.timeout(self.op_ns)
             data = yield from self._bank(bank).read(PORT_IBUS, offset, size)
@@ -170,7 +171,8 @@ class Ctrl:
         """Zero-copy :meth:`sram_read`: same IBus arbitration and timing,
         returns a read-only view of the bank (valid until the range is
         overwritten — materialize before it can be recycled)."""
-        yield self.ibus.request()
+        if not self.ibus.try_acquire():
+            yield self.ibus.request()
         try:
             yield self.engine.timeout(self.op_ns)
             data = yield from self._bank(bank).read_view(PORT_IBUS, offset, size)
@@ -181,7 +183,8 @@ class Ctrl:
     def sram_write(self, bank: int, offset: int, data: bytes
                    ) -> Generator["Event", None, None]:
         """Write SRAM across the IBus (CTRL-mediated, timed)."""
-        yield self.ibus.request()
+        if not self.ibus.try_acquire():
+            yield self.ibus.request()
         try:
             yield self.engine.timeout(self.op_ns)
             yield from self._bank(bank).write(PORT_IBUS, offset, data)
@@ -192,7 +195,8 @@ class Ctrl:
                          ) -> Generator["Event", None, None]:
         """Scatter-gather :meth:`sram_write`: timing-identical to writing
         the concatenation, without building it."""
-        yield self.ibus.request()
+        if not self.ibus.try_acquire():
+            yield self.ibus.request()
         try:
             yield self.engine.timeout(self.op_ns)
             yield from self._bank(bank).write_parts(PORT_IBUS, offset, parts)
@@ -525,7 +529,8 @@ class Ctrl:
         if lock is None:
             lock = self._rx_landing[slot] = Resource(
                 self.engine, 1, name=f"{self.name}.rxland{slot}")
-        yield lock.request()
+        if not lock.try_acquire():
+            yield lock.request()
         try:
             while q.is_full:
                 if q.full_policy is FullPolicy.DROP:

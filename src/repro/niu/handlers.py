@@ -26,6 +26,7 @@ from repro.niu.msgformat import (
     encode_header,
 )
 from repro.niu.queues import QueueKind, QueueState
+from repro.sim.events import Timeout
 from repro.sim.store import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,8 +67,16 @@ class PointerWindowHandler(BusHandler):
     def __init__(self, ctrl: "Ctrl", region: Region) -> None:
         self.ctrl = ctrl
         self.region = region
+        #: address -> decoded register; a polled pointer decodes once
+        self._decoded: Dict[int, Tuple[QueueKind, int, str, bool]] = {}
 
     def _decode(self, addr: int) -> Tuple[QueueKind, int, str, bool]:
+        decoded = self._decoded.get(addr)
+        if decoded is None:
+            decoded = self._decoded[addr] = self._decode_slot(addr)
+        return decoded
+
+    def _decode_slot(self, addr: int) -> Tuple[QueueKind, int, str, bool]:
         off = addr - self.region.base
         index, slot = divmod(off, PTR_STRIDE)
         if slot in (PTR_TX_PRODUCER, PTR_TX_CONSUMER):
@@ -108,7 +117,7 @@ class PointerWindowHandler(BusHandler):
               ) -> Generator["Event", None, Optional[bytes]]:
         ctrl = self.ctrl
         kind, index, which, writable = self._decode(txn.addr)
-        yield ctrl.engine.timeout(ctrl.op_ns)
+        yield Timeout(ctrl.engine, ctrl.op_ns)
         if txn.op is BusOpType.WRITE:
             if not writable:
                 raise QueueError(
@@ -239,7 +248,7 @@ class ExpressTxHandler(BusHandler):
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
-        yield self.ctrl.engine.timeout(self.ctrl.op_ns)
+        yield Timeout(self.ctrl.engine, self.ctrl.op_ns)
         if not self.queue.enabled:
             return None  # shut-down queue swallows the store
         off = txn.addr - self.region.base
@@ -293,7 +302,7 @@ class ExpressRxHandler(BusHandler):
               ) -> Generator["Event", None, Optional[bytes]]:
         ctrl = self.ctrl
         q = self.queue
-        yield ctrl.engine.timeout(ctrl.op_ns)
+        yield Timeout(ctrl.engine, ctrl.op_ns)
         if q.is_empty:
             self.empties += 1
             return EXPRESS_EMPTY[: txn.size]
@@ -335,7 +344,7 @@ class SysregHandler(BusHandler):
         name = self.regmap.get(txn.addr - self.region.base)
         if name is None:
             raise QueueError(f"sysreg window: unmapped offset {txn.addr:#x}")
-        yield ctrl.engine.timeout(ctrl.op_ns)
+        yield Timeout(ctrl.engine, ctrl.op_ns)
         if txn.op is BusOpType.WRITE:
             value = int.from_bytes(txn.data[:4], "big")  # type: ignore[index]
             ctrl.sysregs.write(name, value, trusted=self.trusted)
@@ -389,7 +398,7 @@ class NumaHandler(BusHandler):
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
-        yield self.ctrl.engine.timeout(self.ctrl.op_ns)
+        yield Timeout(self.ctrl.engine, self.ctrl.op_ns)
         if txn.op is BusOpType.WRITE:
             self.writes += 1
             self.ctrl.post_sp_event(("numa_write", txn.addr, bytes(txn.data)))  # type: ignore[arg-type]

@@ -25,6 +25,7 @@ from repro.bus.ops import BusOpType, BusTransaction
 from repro.common.config import MachineConfig
 from repro.common.errors import ProgramError
 from repro.mem.address import AccessMode
+from repro.sim.events import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.node.node import NodeBoard
@@ -58,11 +59,13 @@ class ApApi:
 
     def compute(self, n_insns: int) -> Generator["Event", None, None]:
         """Execute ``n_insns`` instructions of local computation."""
-        self._ap.busy.begin()
+        ap = self._ap
+        ap.busy.begin()
         try:
-            yield self.engine.timeout(self._ap.config.ap.insn_ns(n_insns))
+            # ProcessorConfig.insn_ns on the aP's hoisted constants
+            yield Timeout(self.engine, n_insns * ap.cpi * ap.cycle_ns)
         finally:
-            self._ap.busy.end()
+            ap.busy.end()
 
     def sleep(self, ns: float) -> Generator["Event", None, None]:
         """Idle for ``ns`` (not counted as occupancy)."""
@@ -83,14 +86,18 @@ class ApApi:
         """Write ``data`` at physical address ``addr``."""
         yield from self._ap.access(addr, len(data), data, self.pid)
 
+    # the u32 forms call the aP directly: one generator frame fewer on
+    # every pointer poll and pointer update
+
     def load_u32(self, addr: int) -> Generator["Event", None, int]:
         """4-byte big-endian load."""
-        raw = yield from self.load(addr, 4)
+        raw = yield from self._ap.access(addr, 4, None, self.pid)
         return int.from_bytes(raw, "big")
 
     def store_u32(self, addr: int, value: int) -> Generator["Event", None, None]:
         """4-byte big-endian store."""
-        yield from self.store(addr, (value & 0xFFFFFFFF).to_bytes(4, "big"))
+        yield from self._ap.access(
+            addr, 4, (value & 0xFFFFFFFF).to_bytes(4, "big"), self.pid)
 
 
 class AppProcessor:
@@ -102,6 +109,10 @@ class AppProcessor:
         self.config: MachineConfig = node.config
         self.name = f"ap{node.node_id}"
         self.busy = node.stats.busy_tracker(f"{self.name}.busy")
+        # per-operation constants, read once (ApApi.compute, _bus_span)
+        self.cpi = self.config.ap.cpi
+        self.cycle_ns = self.config.ap.cycle_ns
+        self._line_bytes = self.config.bus.line_bytes
         self.tracer = node.tracer
         self.loads = 0
         self.stores = 0
@@ -162,15 +173,26 @@ class AppProcessor:
             for a, n in self._line_spans(addr, size):
                 parts.append((yield from self.node.l2.load(a, n)))
             return b"".join(parts)
+        bus = self.node.bus
+        n, burst = self._bus_span(addr, size, mode)
+        if n == size:  # one transaction: nothing to gather
+            txn = BusTransaction(BusOpType.READ_LINE if burst else BusOpType.READ,
+                                 addr, n, master=self.name, tag=pid)
+            yield from bus.transact(txn)
+            data = txn.data
+            return data if type(data) is bytes else bytes(data)
         parts = []
-        for a, n, burst in self._bus_spans(addr, size, mode):
+        while True:
             op = BusOpType.READ_LINE if burst else BusOpType.READ
-            txn = BusTransaction(op, a, n, master=self.name, tag=pid)
-            yield from self.node.bus.transact(txn)
+            txn = BusTransaction(op, addr, n, master=self.name, tag=pid)
+            yield from bus.transact(txn)
             parts.append(txn.data)
-        # single gather of the per-span results (was: a bytearray append
-        # per span plus a final bytes() copy)
-        return b"".join(parts)
+            addr += n
+            size -= n
+            if not size:
+                # single gather of the per-span results
+                return b"".join(parts)
+            n, burst = self._bus_span(addr, size, mode)
 
     def _write(self, mode: AccessMode, addr: int, data: bytes, pid: int
                ) -> Generator["Event", None, None]:
@@ -178,20 +200,33 @@ class AppProcessor:
         # immutable copy through every span's transaction
         if type(data) is not bytes:
             data = bytes(data)
-        mv = memoryview(data)
+        size = len(data)
         if mode is AccessMode.CACHED:
+            mv = memoryview(data)
             off = 0
-            for a, n in self._line_spans(addr, len(data)):
+            for a, n in self._line_spans(addr, size):
                 yield from self.node.l2.store(a, mv[off : off + n])
                 off += n
             return
+        bus = self.node.bus
+        n, burst = self._bus_span(addr, size, mode)
+        if n == size:  # one transaction carries the whole store
+            txn = BusTransaction(BusOpType.WRITE_LINE if burst else BusOpType.WRITE,
+                                 addr, n, data=data, master=self.name, tag=pid)
+            yield from bus.transact(txn)
+            return
+        mv = memoryview(data)
         off = 0
-        for a, n, burst in self._bus_spans(addr, len(data), mode):
+        while True:
             op = BusOpType.WRITE_LINE if burst else BusOpType.WRITE
-            txn = BusTransaction(op, a, n, data=mv[off : off + n],
+            txn = BusTransaction(op, addr, n, data=mv[off : off + n],
                                  master=self.name, tag=pid)
-            yield from self.node.bus.transact(txn)
+            yield from bus.transact(txn)
+            addr += n
             off += n
+            if off == size:
+                return
+            n, burst = self._bus_span(addr, size - off, mode)
 
     # -- access decomposition ----------------------------------------------------
     #
@@ -200,24 +235,20 @@ class AppProcessor:
     # full-line transfers where aligned and singles at the ragged edges.
 
     def _line_spans(self, addr: int, size: int):
-        line = self.config.bus.line_bytes
+        line = self._line_bytes
         while size > 0:
             n = min(line - (addr % line), size)
             yield addr, n
             addr += n
             size -= n
 
-    def _bus_spans(self, addr: int, size: int, mode: AccessMode):
-        line = self.config.bus.line_bytes
-        while size > 0:
-            if mode is AccessMode.BURST and addr % line == 0 and size >= line:
-                yield addr, line, True
-                addr += line
-                size -= line
-            else:
-                n = min(8 - (addr % 8), size)
-                if mode is AccessMode.BURST:
-                    n = min(n, line - (addr % line))
-                yield addr, n, False
-                addr += n
-                size -= n
+    def _bus_span(self, addr: int, size: int, mode: AccessMode):
+        """The first bus transfer of ``size`` bytes at ``addr``:
+        ``(bytes, is_burst)``; callers step past it for the rest."""
+        line = self._line_bytes
+        if mode is AccessMode.BURST and addr % line == 0 and size >= line:
+            return line, True
+        n = min(8 - (addr % 8), size)
+        if mode is AccessMode.BURST:
+            n = min(n, line - (addr % line))
+        return n, False

@@ -92,10 +92,22 @@ class Process(Event):
         # callbacks only run on triggered events: ``_exc`` alone says
         # which way (the ``ok``/``triggered`` properties cost two calls)
         exc = ev._exc
-        if exc is None:
-            self._resume(send=ev._value)
-        else:
-            self._resume(throw=exc)
+        try:
+            if exc is None:
+                target = self._gen.send(ev._value)
+            else:
+                target = self._gen.throw(exc)
+        except BaseException as err:
+            self._finish(err)
+            return
+        # the common case inline: park on a pending event
+        if isinstance(target, Event):
+            callbacks = target._callbacks
+            if callbacks is not None:
+                self._waiting_on = target
+                callbacks.append(self._on_event)
+                return
+        self._wait(target)
 
     def _resume(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
         try:
@@ -103,32 +115,54 @@ class Process(Event):
                 target = self._gen.throw(throw)
             else:
                 target = self._gen.send(send)
-        except StopIteration as stop:
-            self.succeed(stop.value)
+        except BaseException as err:
+            self._finish(err)
             return
-        except BaseException as exc:
-            # A crashed process fails its join-event so parents see the
-            # error.  Only *unjoined* crashes surface through the engine —
-            # a parent that already yielded on this process receives the
-            # exception itself and decides what to do with it.
-            if not self._callbacks:
-                self.engine._note_process_crash(self, exc)
-            self.fail(exc)
+        self._wait(target)
+
+    def _wait(self, target: Any) -> None:
+        """Park on ``target``, first running past every already-triggered
+        target in a loop: one stack frame however many yields in a row
+        need no waiting (draining a pre-filled store, uncontended
+        requests).  Nothing is scheduled for those, exactly as when each
+        resumed through a callback run in place."""
+        gen = self._gen
+        while True:
+            if not isinstance(target, Event):
+                err = SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes must "
+                    "yield Event instances"
+                )
+                if not self._callbacks:
+                    self.engine._note_process_crash(self, err)
+                self.fail(err)
+                gen.close()
+                return
+            # inlined Event.add_callback
+            callbacks = target._callbacks
+            if callbacks is not None:
+                self._waiting_on = target
+                callbacks.append(self._on_event)
+                return
+            exc = target._exc
+            try:
+                if exc is None:
+                    target = gen.send(target._value)
+                else:
+                    target = gen.throw(exc)
+            except BaseException as err:
+                self._finish(err)
+                return
+
+    def _finish(self, err: BaseException) -> None:
+        """The generator ended: ``err`` is its StopIteration or crash."""
+        if isinstance(err, StopIteration):
+            self.succeed(err.value)
             return
-        if not isinstance(target, Event):
-            err = SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances"
-            )
-            if not self._callbacks:
-                self.engine._note_process_crash(self, err)
-            self.fail(err)
-            self._gen.close()
-            return
-        self._waiting_on = target
-        # inlined Event.add_callback
-        callbacks = target._callbacks
-        if callbacks is None:
-            self._on_event(target)
-        else:
-            callbacks.append(self._on_event)
+        # A crashed process fails its join-event so parents see the
+        # error.  Only *unjoined* crashes surface through the engine —
+        # a parent that already yielded on this process receives the
+        # exception itself and decides what to do with it.
+        if not self._callbacks:
+            self.engine._note_process_crash(self, err)
+        self.fail(err)

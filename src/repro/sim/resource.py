@@ -2,7 +2,17 @@
 
 Buses, SRAM ports, the IBus, link transmitters — anything only one user
 may hold at a time — are modeled as a :class:`Resource`.  Requests queue;
-grants are events.  ``PriorityResource`` orders waiters by a priority key
+grants are events.  Hot paths take a free unit with :meth:`Resource.try_acquire`
+first and fall back to yielding :meth:`Resource.request` only when they
+must wait::
+
+    if not res.try_acquire():
+        yield res.request()
+
+An immediate grant schedules nothing either way (the granted event has no
+waiters yet when it succeeds), so the two forms run the same heap items;
+``try_acquire`` just skips the event and the resume of the caller's whole
+generator chain.  ``PriorityResource`` orders waiters by a priority key
 (lower wins), with FIFO order among equals, which is exactly the shape of
 CTRL's transmit-queue arbitration and the Arctic two-priority links.
 """
@@ -14,7 +24,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Generator, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -53,11 +63,25 @@ class Resource:
     def request(self) -> Event:
         """An event that succeeds when one unit is granted to the caller."""
         ev = Event(self.engine, self._req_name)
-        if self._in_use < self.capacity:
-            self._grant(ev)
+        if self.try_acquire():
+            ev.succeed(self)
         else:
             self._waiters.append(ev)
         return ev
+
+    def try_acquire(self) -> bool:
+        """Take a free unit without an event; False (and no change) if none.
+
+        Every grant, immediate or queued, books its unit here.  A unit is
+        free only when nobody waits (a release hands the unit straight to
+        the next waiter), so this never jumps the queue.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            if self._busy_since is None:
+                self._busy_since = self.engine._now
+            return True
+        return False
 
     def release(self) -> None:
         """Return one unit; the longest-waiting request (if any) is granted."""
@@ -75,9 +99,7 @@ class Resource:
             break
 
     def _grant(self, ev: Event) -> None:
-        self._in_use += 1
-        if self._busy_since is None:
-            self._busy_since = self.engine._now
+        self.try_acquire()  # always True: release() just freed a unit
         ev.succeed(self)
 
     # -- convenience -----------------------------------------------------
@@ -89,9 +111,10 @@ class Resource:
 
             yield from resource.using(25.0)
         """
-        yield self.request()
+        if not self.try_acquire():
+            yield self.request()
         try:
-            yield self.engine.timeout(hold_ns)
+            yield Timeout(self.engine, hold_ns)
         finally:
             self.release()
 
@@ -132,8 +155,8 @@ class PriorityResource(Resource):
 
     def request(self, priority: int = 0) -> Event:  # type: ignore[override]
         ev = Event(self.engine, self._req_name)
-        if self._in_use < self.capacity:
-            self._grant(ev)
+        if self.try_acquire():
+            ev.succeed(self)
         else:
             self._seq += 1
             heapq.heappush(self._pwaiters, (priority, self._seq, ev))
@@ -159,8 +182,9 @@ class PriorityResource(Resource):
 
     def using(self, hold_ns: float, priority: int = 0):  # type: ignore[override]
         """Acquire at ``priority``, hold, release (see :meth:`Resource.using`)."""
-        yield self.request(priority)
+        if not self.try_acquire():
+            yield self.request(priority)
         try:
-            yield self.engine.timeout(hold_ns)
+            yield Timeout(self.engine, hold_ns)
         finally:
             self.release()

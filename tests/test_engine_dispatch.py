@@ -12,8 +12,10 @@ from heapq import heappop, heappush
 import pytest
 
 import repro
+from repro.mp import BasicPort, vdst_for
 from repro.shard import run_scenario, scenario
 from repro.sim.engine import Engine, SchedulePolicy
+from repro.sim.resource import PriorityResource
 
 
 class _Recorder(SchedulePolicy):
@@ -133,12 +135,24 @@ def test_policy_free_run_matches_policy_run():
     assert (order2, eng.events_executed, eng._seq) == (order, executed, seq)
 
 
-def test_machine_decision_points_match_pushed_form():
-    """Bus arbitration, snooping and cache fills on a real node board:
-    the same decision points, seq numbers and executed count."""
+def test_machine_decision_points_match_pushed_form(monkeypatch):
+    """Bus arbitration, snooping, cache fills and a Basic-message receive
+    spin on a real node board: the same decision points, seq numbers and
+    executed count, with some bus grants queued rather than immediate."""
+    queued = []
+    request = PriorityResource.request
+
+    def counting_request(self, priority=0):
+        # only reached when try_acquire found the bus taken
+        queued.append(self.name)
+        return request(self, priority)
+
+    monkeypatch.setattr(PriorityResource, "request", counting_request)
+
     def machine_run(runner):
         m = repro.StarTVoyager(repro.default_config(n_nodes=2))
         m.engine.schedule_policy = rec = _Recorder()
+        ports = [BasicPort(m.node(n), 0, 0) for n in range(2)]
 
         def prog(api, base):
             for i in range(3):
@@ -149,15 +163,28 @@ def test_machine_decision_points_match_pushed_form():
                 total += yield from api.load_u32(base + 64 * i)
             return total
 
+        def spin(api):
+            # polls the rx producer pointer until node 0's message lands
+            return (yield from ports[1].recv(api))
+
+        def ping(api):
+            yield from api.compute(200)
+            yield from ports[0].send(api, vdst_for(1, 0), b"ping")
+
         procs = [m.spawn(n, prog, 0x2000) for n in range(2)]
+        # a second program on node 0's aP, contending for its bus
         procs.append(m.spawn(0, prog, 0x4000))
+        procs.append(m.spawn(1, spin))
+        procs.append(m.spawn(0, ping))
         runner(m.engine)
         return (rec.points, [p.value for p in procs],
                 m.engine.events_executed, m.engine._seq, m.now)
 
     inlined = machine_run(lambda eng: eng.run())
+    assert queued and set(queued) <= {"bus0.arb", "bus1.arb"}
+    del queued[:]
     assert inlined == machine_run(_reference_run)
-    assert inlined[1] == [3, 3, 3]
+    assert inlined[1] == [3, 3, 3, (0, b"ping"), None]
     assert len(inlined[0]) > 0
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim.process import Interrupt
+from repro.sim.resource import Resource
+from repro.sim.store import Store
 
 
 def test_return_value_via_join(engine):
@@ -97,3 +99,38 @@ def test_child_failure_propagates_to_parent(engine):
 
     p = engine.process(parent())
     assert engine.run_until_triggered(p) == "handled"
+
+
+def test_long_run_of_triggered_yields_does_not_recurse(engine):
+    # every get on a pre-filled store is already triggered when yielded;
+    # the process must run past them in one frame, scheduling nothing
+    store = Store(engine, name="prefilled")
+    for i in range(3000):
+        store.try_put(i)
+
+    def drain():
+        total = 0
+        for _ in range(3000):
+            total += yield store.get()
+        return total
+
+    p = engine.process(drain())
+    engine.run()
+    assert p.value == sum(range(3000))
+    # the first step is the only item: no get scheduled anything
+    assert engine.events_executed == 1 and engine._seq == 1
+
+
+def test_uncontended_requests_in_a_loop_do_not_recurse(engine):
+    res = Resource(engine, name="solo")
+
+    def loop():
+        for _ in range(500):
+            yield res.request()
+            res.release()
+        return "done"
+
+    p = engine.process(loop())
+    engine.run()
+    assert p.value == "done"
+    assert engine.events_executed == 1 and res.in_use == 0

@@ -84,3 +84,26 @@ def test_window_outside_user_dram_rejected():
     from repro.common.errors import SimulationError
     with pytest.raises(SimulationError):
         install_reflective(m.node(0), m.node(0).scoma_base, 4096, [0, 1])
+
+
+def test_install_over_accessed_address_reaches_new_handler():
+    # the aBIU memoizes the handler per address; installing a handler is
+    # reprogramming the FPGA and must drop what it learned before
+    m = repro.StarTVoyager(repro.default_config(n_nodes=2))
+    abiu = m.node(0).niu.abiu
+
+    def reader(api):
+        return (yield from api.load(BASE, 8))
+
+    m.run_until(m.spawn(0, reader), limit=1e8)
+    assert abiu.handler_for(BASE) is None  # seen, and remembered as plain DRAM
+    handlers = [install_reflective(m.node(n), BASE, BYTES, [0, 1])
+                for n in range(2)]
+
+    def writer(api):
+        yield from api.store(BASE, b"reflect!")
+
+    m.run_until(m.spawn(0, writer), limit=1e8)
+    _settle(m)
+    assert handlers[0].captured == 1
+    assert m.node(1).dram.peek(BASE, 8) == b"reflect!"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.sim.engine import Engine
 from repro.sim.resource import PriorityResource, Resource
 
 
@@ -133,3 +134,58 @@ def test_queue_length(engine):
 def test_capacity_must_be_positive(engine):
     with pytest.raises(SimulationError):
         Resource(engine, capacity=0)
+
+
+@pytest.mark.parametrize("cls", [Resource, PriorityResource])
+def test_try_acquire_takes_a_free_unit_without_scheduling(engine, cls):
+    res = cls(engine)
+    assert res.try_acquire() is True
+    assert res.in_use == 1
+    assert engine._seq == 0 and engine.pending_events == 0
+
+
+@pytest.mark.parametrize("cls", [Resource, PriorityResource])
+def test_try_acquire_accounts_busy_time_like_request(cls):
+    def held(take):
+        eng = Engine()
+        res = cls(eng)
+
+        def user():
+            yield eng.timeout(5.0)
+            yield from take(res)
+            yield eng.timeout(20.0)
+            res.release()
+            yield eng.timeout(5.0)
+
+        eng.process(user())
+        eng.run()
+        return res.busy_time(), res.utilization(), eng.events_executed, eng._seq
+
+    def by_request(res):
+        yield res.request()
+
+    def by_try(res):
+        assert res.try_acquire()
+        return
+        yield  # a generator, like by_request
+
+    assert held(by_try) == held(by_request)
+    assert held(by_try)[0] == 20.0
+
+
+@pytest.mark.parametrize("cls", [Resource, PriorityResource])
+def test_try_acquire_on_busy_resource_changes_nothing(engine, cls):
+    res = cls(engine)
+    res.request()
+    waiter = res.request()  # queued behind the holder
+    engine.run(until=3.0)
+
+    def state():
+        return (res.in_use, res.queue_length, res.busy_time(),
+                engine._seq, engine.pending_events)
+
+    before = state()
+    assert res.try_acquire() is False
+    assert state() == before
+    res.release()
+    assert waiter.triggered  # the queued request still gets the unit
