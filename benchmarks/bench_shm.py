@@ -264,11 +264,6 @@ def run(args):
     from repro.bench import print_table
     from repro.obs import write_metrics
 
-    if getattr(args, "shards", 1) > 1:
-        # the S-COMA scenarios need the whole machine in one engine, so
-        # say so instead of silently dropping the flag
-        print(f"bench shm: --shards {args.shards} pinned to shards=1 "
-              f"(coherent scenario)")
     args.nodes = sorted({int(tok) for tok in
                          str(args.nodes).replace(",", " ").split()})
     document = {

@@ -10,14 +10,12 @@ offered requests) and the p50/p99/p99.9 latency tail, for the three
   falling once the hot shards saturate);
 * **parameter server vs allreduce** — one synchronous training step
   through the incast-prone central server and through the collective
-  algos (``nic``/``switch`` need the whole machine in one engine, so
-  those rows pin ``shards=1`` with a printed notice);
+  algos;
 * **microservice fan-out** — depth-2 request trees, tail-at-scale.
 
 Determinism is part of the contract and gated here: the mid-load KV
-point is re-run at ``shards=2`` and through a ``jobs``-wide process
-pool, and both wall-stripped snapshots must be byte-identical to the
-inline ``shards=1`` run.
+point is re-run through a 4-wide process pool, and its wall-stripped
+snapshot must be byte-identical to the inline run.
 
 The document lands in ``BENCH_traffic.json`` at the repo root::
 
@@ -44,10 +42,9 @@ DEFAULT_OUT = os.path.join(_ROOT, "BENCH_traffic.json")
 #: the comfortable region through well past the 64-node SLO knee.
 DEFAULT_RATES = (20_000.0, 50_000.0, 100_000.0, 200_000.0, 400_000.0)
 
-#: the training rows: (mode, algo); nic/switch pin shards=1.
+#: the training rows: (mode, algo).
 TRAIN_ROWS = (("ps", "-"), ("allreduce", "flat"), ("allreduce", "tree"),
               ("allreduce", "nic"), ("allreduce", "switch"))
-PINNED_ALGOS = ("nic", "switch")
 
 KV_HEADER = ["rate/node", "offered", "goodput", "p50_ns", "p99_ns",
              "p999_ns", "max_ns"]
@@ -58,37 +55,33 @@ APP_HEADER = ["app", "variant", "offered", "goodput", "p50_ns", "p99_ns",
 def traffic_point(spec):
     """One sweep point: build the scenario from a picklable spec, run it,
     return the traffic rollup plus the full snapshot."""
-    name, kwargs, n_nodes, shards, seed, sanitize = spec
+    name, kwargs, n_nodes, seed, sanitize = spec
     config = None
     if sanitize:
         import repro
 
         config = repro.default_config(n_nodes=n_nodes)
         config.seed = seed
-        config.shards = shards
         config.sanitize = sanitize
     t0 = time.monotonic()
     run = run_scenario(scenario(name, **kwargs), config=config,
-                       n_nodes=n_nodes, shards=shards, seed=seed)
+                       n_nodes=n_nodes, seed=seed)
     wall = time.monotonic() - t0
     return {
         "scenario": name,
         "params": kwargs,
         "n_nodes": n_nodes,
-        "shards": shards,
         "traffic": run.snapshot.get("traffic", {}),
         "wall_seconds": wall,
         "snapshot": run.snapshot,
     }
 
 
-def _kv_spec(rate, args, shards=None):
-    if shards is None:
-        shards = max(args.shards, 1)
+def _kv_spec(rate, args):
     return ("traffic_kv",
             {"per_node": args.per_node, "rate_rps": rate,
              "transport": args.transport, "reliable": args.reliable},
-            args.nodes, shards, args.seed, args.sanitize)
+            args.nodes, args.seed, args.sanitize)
 
 
 def _app_row(app, variant, section):
@@ -112,35 +105,26 @@ def kv_sweep(args):
 
 def parity_checks(args, baseline_point):
     """The determinism gate: the mid-load KV point must be byte-identical
-    (wall-stripped, shard-fields-stripped) at shards=2 and when computed
-    through a 4-wide process pool."""
+    (wall-stripped) when computed through a 4-wide process pool."""
     rate = baseline_point["rate_rps"]
     base = comparable(dict(baseline_point["snapshot"]))
-    other = 1 if baseline_point["shards"] == 2 else 2
-    sharded = traffic_point(_kv_spec(rate, args, shards=other))
     pooled = run_sweep(traffic_point, [_kv_spec(rate, args)], jobs=4)[0]
     return {
         "rate_rps": rate,
-        "shards2_identical": comparable(sharded["snapshot"]) == base,
         "jobs4_identical": comparable(pooled["snapshot"]) == base,
     }
 
 
 def train_points(args):
-    """The training rows; hardware-assisted collectives pin shards=1."""
+    """The training rows."""
     points = []
     for mode, algo in TRAIN_ROWS:
         kwargs = {"mode": mode, "steps": args.steps,
                   "n_blocks": args.blocks}
         if mode == "allreduce":
             kwargs["algo"] = algo
-        shards = args.shards
-        if algo in PINNED_ALGOS and shards > 1:
-            print(f"traffic_train[{algo}]: pinned to shards=1 "
-                  f"(machine-wide collective state)")
-            shards = 1
-        spec = ("traffic_train", kwargs, args.nodes, max(shards, 1),
-                args.seed, args.sanitize)
+        spec = ("traffic_train", kwargs, args.nodes, args.seed,
+                args.sanitize)
         p = traffic_point(spec)
         p["variant"] = f"{mode}/{algo}" if mode == "allreduce" else mode
         points.append(p)
@@ -151,7 +135,7 @@ def usvc_point(args):
     spec = ("traffic_usvc",
             {"per_node": args.per_node, "depth": args.depth,
              "fanout": args.fanout},
-            args.nodes, max(args.shards, 1), args.seed, args.sanitize)
+            args.nodes, args.seed, args.sanitize)
     return traffic_point(spec)
 
 
@@ -180,7 +164,7 @@ def _flags(parser):
     parser.add_argument("--min-goodput", type=float, default=0.99,
                         help="low-load KV goodput gate (default 0.99)")
     parser.add_argument("--skip-parity", action="store_true",
-                        help="skip the shards/jobs determinism re-runs")
+                        help="skip the jobs determinism re-run")
     parser.add_argument("--trace-in", default=None, metavar="FILE",
                         help="replay a recorded KV trace (JSON lines from "
                              "repro.traffic.dump_trace) instead of sweeping "
@@ -203,7 +187,7 @@ def replay_trace_in(args):
     spec = ("traffic_kv",
             {"transport": args.transport, "reliable": args.reliable,
              "trace": records},
-            args.nodes, max(args.shards, 1), args.seed, args.sanitize)
+            args.nodes, args.seed, args.sanitize)
     point = traffic_point(spec)
     t = point["traffic"].get("kv", {})
     lat = t.get("latency_ns") or {}
@@ -268,7 +252,6 @@ def run(args):
     if not args.skip_parity:
         parity = parity_checks(args, mid)
         print(f"parity @ {round(parity['rate_rps'])} req/s/node: "
-              f"shards2={parity['shards2_identical']} "
               f"jobs4={parity['jobs4_identical']}")
 
     low, high = kv_points[0], kv_points[-1]
@@ -305,8 +288,7 @@ def run(args):
               f"{low_goodput:.3f} at {round(low['rate_rps'])}",
               file=sys.stderr)
         failed = True
-    if parity is not None and not (parity["shards2_identical"]
-                                   and parity["jobs4_identical"]):
+    if parity is not None and not parity["jobs4_identical"]:
         print(f"FAIL: traffic metrics not deterministic: {parity}",
               file=sys.stderr)
         failed = True

@@ -60,7 +60,7 @@ __all__ = [
     "MachineConfig",
     "ReliabilityConfig",
     "default_config",
-    # sharded parallel-in-time execution (the run front door)
+    # registered scenarios (the run front door)
     "run",
     "run_scenario",
     "scenario",

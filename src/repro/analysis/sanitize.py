@@ -190,11 +190,6 @@ class CreditSanitizer:
         if network is None:
             return
         for link in network.links:
-            # a link cut at a shard boundary splits credits (tx shard)
-            # from buffers (rx shard); the conservation lane needs both
-            # sides, so half-links are not tapped.
-            if getattr(link, "is_cut_half", False):
-                continue
             self._tap_link(link)
 
     def _tap_link(self, link: "Link") -> None:
@@ -312,8 +307,6 @@ class QueueSanitizer:
 
     def install(self) -> None:
         for node in self.machine.nodes:
-            if node is None:  # sharded view: not every slot is local
-                continue
             ctrl = node.ctrl
             for bank, sram in enumerate((ctrl.asram, ctrl.ssram)):
                 guard = _BankGuard(self, ctrl, bank)
@@ -468,8 +461,6 @@ class CoherenceSanitizer:
 
     def install(self) -> None:
         for node in self.machine.nodes:
-            if node is None:
-                continue
             cls = node.ctrl.cls
             if cls is not None:
                 cls.sanitizer = self
@@ -711,8 +702,6 @@ class DeadlockWatchdog:
 
         lines = []
         for node in self.machine.nodes:
-            if node is None:
-                continue
             scoma = node.sp.state.get("scoma")
             if scoma is None:
                 continue

@@ -2,9 +2,8 @@
 
 Every benchmark lives in ``benchmarks/bench_*.py``.  Historically each
 file carried its own argparse copy; this CLI owns the *shared* flags
-once (``--jobs``, ``--shards``, ``--emit-metrics``, ``--trace``,
-``--sanitize``, ``--seed``, ``--json``) and discovers the per-file
-workers:
+once (``--jobs``, ``--emit-metrics``, ``--trace``, ``--sanitize``,
+``--seed``, ``--json``) and discovers the per-file workers:
 
 * a module that defines a ``BENCH`` registration — ``{"summary": str,
   "run": callable(args), "flags": callable(parser) | None}`` — is a
@@ -17,7 +16,6 @@ Usage::
 
     python -m repro.bench                  # list every benchmark
     python -m repro.bench fig3_latency --emit-metrics --jobs 4
-    python -m repro.bench scale --shards 4 --json out.json
     python benchmarks/bench_fig3_latency.py ...   # same thing (shim)
 """
 
@@ -34,8 +32,6 @@ from typing import Any, Dict, List, Optional
 SHARED_FLAG_HELP = {
     "--jobs": "worker processes for sweeps (byte-identical output for any "
               "value; default 1)",
-    "--shards": "conservative-parallel shard count for sharded workloads "
-                "(default 1)",
     "--emit-metrics": "write schema-versioned metrics snapshots next to the "
                       "human-readable table",
     "--trace": "render a Perfetto trace of one representative run",
@@ -83,8 +79,6 @@ def shared_parser(prog: str, summary: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=prog, description=summary)
     parser.add_argument("--jobs", type=int, default=1,
                         help=SHARED_FLAG_HELP["--jobs"])
-    parser.add_argument("--shards", type=int, default=1,
-                        help=SHARED_FLAG_HELP["--shards"])
     parser.add_argument("--emit-metrics", action="store_true",
                         help=SHARED_FLAG_HELP["--emit-metrics"])
     parser.add_argument("--trace", action="store_true",
@@ -139,8 +133,8 @@ def pytest_bench(name: str, summary: str) -> Dict[str, Any]:
     workers: shared flags are parsed, ``--sanitize`` maps to the
     ``REPRO_SANITIZE`` environment (installing runtime sanitizers in
     every machine the file builds), and ``--json`` dumps the recorded
-    result tables.  ``--jobs``/``--shards``/``--seed`` have no pytest
-    equivalent and are accepted but ignored.
+    result tables.  ``--jobs``/``--seed`` have no pytest equivalent
+    and are accepted but ignored.
     """
     summary = (summary or "").strip().splitlines()[0] if summary else ""
 

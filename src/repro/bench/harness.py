@@ -108,21 +108,9 @@ def strip_wall(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     return snapshot
 
 
-def comparable(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """Reduce a metrics snapshot to its shard-count-invariant core, in place.
-
-    Strips ``sim.wall`` (nondeterministic by nature) and the two fields
-    that *record* how the simulation was partitioned (top-level
-    ``shards`` and ``config.shards``).  Everything that remains is part
-    of the determinism contract: byte-identical at any shard count and
-    any ``--jobs`` value.
-    """
-    strip_wall(snapshot)
-    snapshot.pop("shards", None)
-    cfg = snapshot.get("config")
-    if isinstance(cfg, dict):
-        cfg.pop("shards", None)
-    return snapshot
+#: a snapshot's deterministic core, in place: everything but ``sim.wall``
+#: is byte-identical at any ``--jobs`` value.
+comparable = strip_wall
 
 
 def run_sweep(worker: Callable[[Any], Any], points: Sequence[Any],

@@ -422,13 +422,6 @@ class MachineConfig:
     faults: Optional[FaultPlan] = None
     #: seed for any randomized choices (e.g. fat-tree up-link spreading).
     seed: int = 0
-    #: number of conservative parallel-simulation shards the machine's
-    #: nodes are partitioned into.  ``1`` (the default) is the classic
-    #: single-event-queue path; ``K > 1`` machines are driven through
-    #: :class:`repro.shard.ShardedMachine`, which builds one sub-machine
-    #: per shard and synchronizes them on Arctic wire latency.  Metrics
-    #: are byte-identical at any shard count.
-    shards: int = 1
     #: load the shipped sP firmware image at machine assembly (tests that
     #: install firmware piecemeal turn this off).
     install_firmware: bool = True
@@ -447,12 +440,6 @@ class MachineConfig:
         """Check cross-field consistency; returns self for chaining."""
         if self.n_nodes < 1:
             raise ConfigError("need at least one node")
-        if self.shards < 1:
-            raise ConfigError("need at least one shard")
-        if self.shards > self.n_nodes:
-            raise ConfigError(
-                f"cannot split {self.n_nodes} nodes into {self.shards} shards"
-            )
         if not isinstance(self.sanitize, str):
             self.sanitize = tuple(self.sanitize)
         if self.scoma_home_of is not None:

@@ -31,7 +31,6 @@ from typing import Any, Callable, Generator, List, Optional, Union
 from repro.analysis.sanitize import resolve_sanitizers
 from repro.collectives.plan import binomial_tree
 from repro.common.config import MachineConfig, default_config
-from repro.common.errors import ConfigError
 from repro.net.packet import PRIORITY_HIGH, PRIORITY_LOW
 from repro.net.network import ArcticNetwork
 from repro.niu.niu import (
@@ -62,24 +61,12 @@ class StarTVoyager:
     def __init__(
         self,
         config: Optional[Union[MachineConfig, int]] = None,
-        shard_view=None,
     ) -> None:
         if config is None:
             config = default_config()
         elif isinstance(config, int):
             config = default_config(n_nodes=config)
         config.validate()
-        if config.shards > 1 and shard_view is None:
-            raise ConfigError(
-                f"config asks for {config.shards} shards; construct the "
-                "machine through repro.shard.ShardedMachine (or run a "
-                "scenario via repro.shard.run_scenario), which builds one "
-                "StarTVoyager sub-machine per shard"
-            )
-        #: in a sharded build, the :class:`repro.shard.boundary.ShardView`
-        #: restricting this sub-machine to its shard's nodes and switches;
-        #: ``None`` for a whole machine.
-        self.shard_view = shard_view
         self.config = config
         self.engine = Engine()
         self.stats = StatsRegistry(self.engine)
@@ -90,38 +77,29 @@ class StarTVoyager:
             self.network = ArcticNetwork(
                 self.engine, config.network, config.n_nodes,
                 seed=config.seed, stats=self.stats, tracer=self.tracer,
-                shard_view=shard_view,
             )
-        owns = (lambda i: True) if shard_view is None else shard_view.owns_node
-        # indexed by global node id; remote nodes of a sharded build are
-        # None — every local loop below must skip them.
-        self.nodes: List[Optional[NodeBoard]] = [
+        self.nodes: List[NodeBoard] = [
             NodeBoard(
                 self.engine, config, i,
                 self.network.port(i) if self.network else None,
                 # one stats scope per node: float-accumulator partials
-                # merge canonically, making metrics shard-count-invariant
+                # merge in canonical scope order
                 self.stats.scoped(f"n{i}"), self.tracer,
             )
-            if owns(i) else None
             for i in range(config.n_nodes)
         ]
         self._install_translation()
         if config.install_firmware:
             # one S-COMA home map and one collectives tree per machine,
             # shared read-only by its nodes
-            home_map = None
+            home_map = HomeMap.for_machine(
+                self.nodes[0], config.n_nodes, config.scoma_home_of)
             coll_plan = binomial_tree(config.n_nodes)
             for node in self.nodes:
-                if node is not None:
-                    if home_map is None:
-                        home_map = HomeMap.for_machine(
-                            node, config.n_nodes, config.scoma_home_of)
-                    install_default_firmware(node, config.n_nodes, home_map,
-                                             coll_plan)
+                install_default_firmware(node, config.n_nodes, home_map,
+                                         coll_plan)
         for node in self.nodes:
-            if node is not None:
-                node.start()
+            node.start()
         #: fault injector, armed when the config carries a fault plan
         #: (``config.faults``); None on a healthy machine.
         self.fault_injector = None
@@ -160,8 +138,6 @@ class StarTVoyager:
         :meth:`repro.mp.basic.BasicPort.send_to` and
         :func:`repro.firmware.base.fw_send_to`."""
         for node in self.nodes:
-            if node is None:
-                continue
             ctrl = node.ctrl
             ctrl.raw_addressing = needs_raw_addressing(self.config.n_nodes)
             if ctrl.raw_addressing:

@@ -30,14 +30,14 @@ expansion (``visited_hits``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.common.errors import ConfigError, ReproError
 from repro.explore.models import behavior_model
 from repro.explore.policy import Decision, GuidedPolicy
 from repro.explore.trace import normalize_choices
 
-#: shard-style scenarios small enough to explore, with their per-run
+#: registered scenarios small enough to explore, with their per-run
 #: default params at explorer scale (2–4 nodes, short workloads).
 EXPLORE_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "shm_hash": {"keys_per_rank": 2, "n_buckets": 8, "stripes": 2,
@@ -65,7 +65,7 @@ class ScheduleOutcome(NamedTuple):
     decisions: List[Decision]      #: per-decision records
     schedule_hash: int             #: order-sensitive schedule identity
     snapshot: Optional[Dict]       #: comparable metrics (None on error)
-    result: Optional[Any]          #: shard-0 scenario result (None on error)
+    result: Optional[Any]          #: scenario result (None on error)
     sanitizers: Optional[Dict]     #: per-checker activity counters
     error: Optional[str]           #: violation message, if any
     error_kind: Optional[str]      #: exception class / "CheckFailure"
@@ -175,16 +175,12 @@ CHECKS: Dict[str, Callable[[Dict], Optional[str]]] = {
 
 
 def _comparable(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """Wall-stripped, shard-count-invariant core of a metrics snapshot
-    (mirrors :func:`repro.bench.harness.comparable`, kept local so the
-    explorer does not drag the bench package in)."""
+    """Wall-stripped core of a metrics snapshot (mirrors
+    :func:`repro.bench.harness.comparable`, kept local so the explorer
+    does not drag the bench package in)."""
     sim = snapshot.get("sim")
     if isinstance(sim, dict):
         sim.pop("wall", None)
-    snapshot.pop("shards", None)
-    cfg = snapshot.get("config")
-    if isinstance(cfg, dict):
-        cfg.pop("shards", None)
     return snapshot
 
 
@@ -207,12 +203,11 @@ def run_schedule(scenario: str, params: Optional[Dict[str, Any]] = None,
     with behavior_model(model):
         config = default_config(n_nodes=n_nodes)
         config.seed = seed
-        config.shards = 1
         config.sanitize = sanitize or ()
         scen = make_scenario(scenario, **(params or {}))
         scen.prepare(config)
-        sm = ShardedMachine(config, scen, backend="inline")
-        machine = sm.machines[0]
+        sm = ShardedMachine(config, scen)
+        machine = sm.machine
         policy = GuidedPolicy(prefix, horizon_ns=horizon_ns,
                               max_decisions=max_decisions)
         machine.engine.schedule_policy = policy

@@ -112,13 +112,10 @@ class FaultInjector:
     def arm(self) -> None:
         """Attach link fault states and schedule every timed fault.
 
-        Sharded machines arm the same plan on every shard; each timed
-        action is scheduled as an engine event only on the shard that
-        canonically owns it (a link's transmitter side, a node's board),
-        while the routing-visible down/up timeline — statically known
-        from the plan — is installed on every shard's network via
-        :meth:`ArcticNetwork.schedule_downs`.  Event counts and timings
-        therefore sum across shards to exactly the single-queue run.
+        Each timed action is an engine event; the routing-visible
+        down/up timeline — statically known from the plan — is also
+        installed on the network via :meth:`ArcticNetwork.schedule_downs`
+        so routes see a flip from its timestamp on.
         """
         if self._armed:
             return
@@ -129,20 +126,11 @@ class FaultInjector:
         self._arm_stalls()
         self._install_downs_timeline()
 
-    def _owns_link(self, name: str) -> bool:
-        """True when this machine holds the link's transmitter side (the
-        side that makes fault decisions and owns its counters)."""
-        net = self.machine.network
-        link = net._links_by_name.get(name) if net is not None else None
-        return link is not None and hasattr(link, "send")
-
     def _arm_links(self) -> None:
         net = self.machine.network
         if net is None or not self.plan.link_faults:
             return
         for link in net.links:
-            if not hasattr(link, "send"):
-                continue  # rx half of a cut link: fate runs on the tx side
             for lf in self.plan.link_faults:
                 if fnmatch(link.name, lf.pattern):
                     # first matching entry wins (specific before general)
@@ -153,8 +141,7 @@ class FaultInjector:
     def _timed_flips(self) -> List[Tuple[float, str, bool]]:
         """Every statically known ``(time, link name, up)`` flip: plan
         link events plus the attachment drops implied by node crashes —
-        matched against the whole fabric's name universe, so every shard
-        derives the identical timeline."""
+        matched against every link name in the fabric."""
         net = self.machine.network
         if net is None:
             return []
@@ -172,11 +159,10 @@ class FaultInjector:
     def _arm_link_events(self) -> None:
         engine = self.machine.engine
         for time_ns, name, up in self._timed_flips():
-            if self._owns_link(name):
-                engine._schedule_call(
-                    lambda n=name, u=up: self.set_link(n, up=u),
-                    delay=time_ns,
-                )
+            engine._schedule_call(
+                lambda n=name, u=up: self.set_link(n, up=u),
+                delay=time_ns,
+            )
 
     def _install_downs_timeline(self) -> None:
         net = self.machine.network
@@ -191,12 +177,9 @@ class FaultInjector:
             return
         engine = self.machine.engine
         for node in self.machine.nodes:
-            if node is not None:
-                node.sp.register("fault.stall", _stall_handler)
+            node.sp.register("fault.stall", _stall_handler)
         for st in self.plan.sp_stalls:
             board = self.machine.nodes[st.node]
-            if board is None:
-                continue
             engine._schedule_call(
                 lambda b=board, d=st.duration_ns:
                     b.niu.sbiu.post_event(("fault.stall", d)),
@@ -206,8 +189,6 @@ class FaultInjector:
     def _arm_crashes(self) -> None:
         engine = self.machine.engine
         for cr in self.plan.node_crashes:
-            if self.machine.nodes[cr.node] is None:
-                continue  # another shard owns the board
             engine._schedule_call(lambda n=cr.node: self._crash_board(n),
                                   delay=cr.time_ns)
 
@@ -250,8 +231,7 @@ class FaultInjector:
 
         This is the direct (test-facing) entry point; plan-driven crashes
         arrive as a :meth:`_crash_board` event plus separately scheduled
-        attachment-link flips, so that in a sharded machine each piece
-        runs on the shard that owns it."""
+        attachment-link flips."""
         self._crash_board(node_id)
         net = self.machine.network
         if net is not None:

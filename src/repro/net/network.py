@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.common.config import NetworkConfig
 from repro.common.errors import NetworkError
-from repro.net.link import CutLinkRx, CutLinkTx, Link
+from repro.net.link import Link
 from repro.net.packet import Packet, check_packet_size
 from repro.net.switch import ArcticSwitch
 from repro.net.topology import FatTreeTopology
@@ -43,9 +43,8 @@ class NetworkPort:
         self._from_switch = from_switch
         self.injected = 0
         self.delivered = 0
-        # per-node scope for order-sensitive float statistics: keeping one
-        # accumulator partial per node makes the merged metrics identical
-        # at any shard count (see StatsRegistry.merged_accumulators).
+        # per-node scope for order-sensitive float statistics (see
+        # StatsRegistry.merged_accumulators).
         stats = network.stats
         self._stats = stats.scoped(f"n{node}") if stats is not None else None
 
@@ -115,18 +114,12 @@ class ArcticNetwork:
         seed: int = 0,
         stats: Optional["StatsRegistry"] = None,
         tracer: Optional["Tracer"] = None,
-        shard_view=None,
     ) -> None:
         self.engine = engine
         self.config = config
         self.n_nodes = n_nodes
         self.stats = stats
         self.tracer = tracer
-        #: sharded builds get a :class:`repro.shard.boundary.ShardView`
-        #: (duck-typed here — net sits below shard in the layering): it
-        #: answers which nodes/switches are local and collects the
-        #: boundary halves of cut links.  ``None`` builds the whole fabric.
-        self.shard_view = shard_view
         self.topology = FatTreeTopology(n_nodes, radix=config.radix, seed=seed)
         self.switches: Dict[Tuple[int, int], ArcticSwitch] = {}
         self.links: List[Link] = []
@@ -136,44 +129,20 @@ class ArcticNetwork:
         #: one falsy check per route) on a healthy machine.
         self.down_links: Set[str] = set()
         #: statically known down/up flips, ``(time_ns, name, up)`` sorted
-        #: by time — applied lazily as the clock passes them.  A sharded
-        #: machine needs every shard's routing to agree on down state
-        #: even for links it does not own, without spending per-shard
-        #: engine events on the bookkeeping; a flip is visible to any
-        #: route computed at or after its timestamp on every shard.
+        #: by time — applied lazily as the clock passes them, so a flip
+        #: is visible to any route computed at or after its timestamp.
         self._downs_schedule: List[Tuple[float, str, bool]] = []
         self._downs_idx = 0
-        self.ports: List[Optional[NetworkPort]] = []
+        self.ports: List[NetworkPort] = []
         self._build()
 
     # -- construction ------------------------------------------------------
 
-    def _new_link(self, name: str, to_switch: bool,
-                  src_local: bool = True, dst_local: bool = True):
+    def _new_link(self, name: str, to_switch: bool) -> Link:
         """Links toward switches may cut through; node-bound hops always
-        deliver complete packets (the RxU needs the tail).
-
-        In a sharded build a link whose endpoints straddle the boundary
-        materializes as only its local half: the sender side as a
-        :class:`CutLinkTx`, the receiver side as a :class:`CutLinkRx`,
-        registered with the shard view so the runner can carry boundary
-        messages.  Fully remote links are not built at all (``None``).
-        """
-        deliver_early = self.config.cut_through and to_switch
-        if src_local and dst_local:
-            link = Link(self.engine, self.config, name,
-                        deliver_early=deliver_early)
-        elif src_local:
-            link = CutLinkTx(self.engine, self.config, name,
-                             emit_pkt=self.shard_view.pkt_emitter(name),
-                             deliver_early=deliver_early)
-            self.shard_view.register_tx(name, link)
-        elif dst_local:
-            link = CutLinkRx(self.engine, self.config, name,
-                             emit_credit=self.shard_view.credit_emitter(name))
-            self.shard_view.register_rx(name, link)
-        else:
-            return None
+        deliver complete packets (the RxU needs the tail)."""
+        link = Link(self.engine, self.config, name,
+                    deliver_early=self.config.cut_through and to_switch)
         self.links.append(link)
         self._links_by_name[name] = link
         return link
@@ -181,55 +150,35 @@ class ArcticNetwork:
     def _build(self) -> None:
         topo = self.topology
         d = topo.down_degree
-        view = self.shard_view
-        node_local = (lambda n: True) if view is None else view.owns_node
-        switch_local = (lambda lv, ix: True) if view is None \
-            else view.owns_switch
         for level, index in topo.switch_ids():
-            if switch_local(level, index):
-                self.switches[(level, index)] = ArcticSwitch(
-                    self.engine, self.config, level, index
-                )
+            self.switches[(level, index)] = ArcticSwitch(
+                self.engine, self.config, level, index
+            )
         # node <-> level-1 switch links
         for node in range(self.n_nodes):
             leaf = topo.leaf_switch(node)
-            n_loc, s_loc = node_local(node), switch_local(1, leaf)
-            port = node % d
-            up = self._new_link(f"n{node}->sw1.{leaf}", to_switch=True,
-                                src_local=n_loc, dst_local=s_loc)
-            down = self._new_link(f"sw1.{leaf}->n{node}", to_switch=False,
-                                  src_local=s_loc, dst_local=n_loc)
-            if s_loc:
-                self.switches[(1, leaf)].attach(port, in_link=up, out_link=down)
-            if n_loc:
-                self.ports.append(
-                    NetworkPort(self.engine, self, node,
-                                to_switch=up, from_switch=down)
-                )
-            else:
-                self.ports.append(None)
+            up = self._new_link(f"n{node}->sw1.{leaf}", to_switch=True)
+            down = self._new_link(f"sw1.{leaf}->n{node}", to_switch=False)
+            self.switches[(1, leaf)].attach(node % d, in_link=up,
+                                            out_link=down)
+            self.ports.append(NetworkPort(self.engine, self, node,
+                                          to_switch=up, from_switch=down))
         # switch <-> switch links (child level, child index, up-port b)
         for level in range(1, topo.levels):
             for index in range(topo.switches_per_level):
-                c_loc = switch_local(level, index)
                 child_digit = (index // (d ** (level - 1))) % d
                 for b in range(d):
                     p_level, p_index = topo.up_target(level, index, b)
-                    p_loc = switch_local(p_level, p_index)
-                    if not (c_loc or p_loc):
-                        continue
                     up = self._new_link(
                         f"sw{level}.{index}->sw{p_level}.{p_index}",
-                        to_switch=True, src_local=c_loc, dst_local=p_loc)
+                        to_switch=True)
                     down = self._new_link(
                         f"sw{p_level}.{p_index}->sw{level}.{index}",
-                        to_switch=True, src_local=p_loc, dst_local=c_loc)
-                    if c_loc:
-                        self.switches[(level, index)].attach(
-                            d + b, in_link=down, out_link=up)
-                    if p_loc:
-                        self.switches[(p_level, p_index)].attach(
-                            child_digit, in_link=up, out_link=down)
+                        to_switch=True)
+                    self.switches[(level, index)].attach(
+                        d + b, in_link=down, out_link=up)
+                    self.switches[(p_level, p_index)].attach(
+                        child_digit, in_link=up, out_link=down)
         for sw in self.switches.values():
             sw.start()
 
@@ -270,23 +219,8 @@ class ArcticNetwork:
         self._downs_idx = i
 
     def all_link_names(self) -> List[str]:
-        """Every link name in the whole fabric, local or not — derived
-        from the topology alone, so every shard sees the same universe
-        (fault patterns must match identically everywhere)."""
-        topo = self.topology
-        d = topo.down_degree
-        names: List[str] = []
-        for node in range(self.n_nodes):
-            leaf = topo.leaf_switch(node)
-            names.append(f"n{node}->sw1.{leaf}")
-            names.append(f"sw1.{leaf}->n{node}")
-        for level in range(1, topo.levels):
-            for index in range(topo.switches_per_level):
-                for b in range(d):
-                    p_level, p_index = topo.up_target(level, index, b)
-                    names.append(f"sw{level}.{index}->sw{p_level}.{p_index}")
-                    names.append(f"sw{p_level}.{p_index}->sw{level}.{index}")
-        return names
+        """Every link name in the fabric, in build order."""
+        return list(self._links_by_name)
 
     def port(self, node: int) -> NetworkPort:
         """The attachment port of ``node``."""

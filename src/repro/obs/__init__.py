@@ -26,10 +26,7 @@ from repro.obs.sampler import QueueSampler
 from repro.obs.snapshot import (
     METRICS_SCHEMA,
     METRICS_SCHEMA_VERSION,
-    merge_shard_exports,
-    merged_metrics_snapshot,
     metrics_snapshot,
-    shard_export,
     write_metrics,
 )
 
@@ -43,9 +40,6 @@ __all__ = [
     "METRICS_SCHEMA",
     "METRICS_SCHEMA_VERSION",
     "metrics_snapshot",
-    "merged_metrics_snapshot",
-    "shard_export",
-    "merge_shard_exports",
     "write_metrics",
     "export_perfetto",
     "trace_events",

@@ -9,14 +9,10 @@ key                   contents
 ====================  =====================================================
 ``schema``            ``"startv.metrics"`` — the format's name
 ``schema_version``    integer, bumped on incompatible layout changes
-``now_ns``            simulated time of the snapshot (for a sharded run,
-                      the maximum across shard engines)
+``now_ns``            simulated time of the snapshot
 ``n_nodes``           machine size
-``shards``            conservative-parallel shard count the machine ran
-                      with (1 = the classic single event queue); the rest
-                      of the snapshot is byte-identical at any value
-``sim``               engine health: ``events_executed``, ``pending_events``
-                      (summed across shards), plus ``wall`` — *wall-clock*
+``sim``               engine health: ``events_executed``, ``pending_events``,
+                      plus ``wall`` — *wall-clock*
                       gauges (``seconds``, ``events_per_second``) that vary
                       run to run with host load; determinism comparisons
                       must strip ``sim.wall``
@@ -26,8 +22,7 @@ key                   contents
                       log-bucketed
                       :class:`~repro.common.histogram.Histogram`).  Values
                       come from per-scope partials folded in sorted-scope
-                      order (:meth:`StatsRegistry.merged_accumulators`),
-                      which is what makes them shard-count-invariant.
+                      order (:meth:`StatsRegistry.merged_accumulators`).
 ``busy_ns``           busy-tracker name -> accumulated busy nanoseconds
 ``occupancy``         node id (str) -> {"ap": fraction, "sp": fraction}
 ``directory``         cluster-wide S-COMA directory-protocol totals
@@ -48,14 +43,17 @@ Extra keys may appear next to these (benchmarks add ``benchmark``/
 Version history: v1 had no ``shards`` key and snapshotted accumulators in
 raw insertion order; v2 adds ``shards`` and the canonical scope-merged
 accumulator fold; v3 adds the ``directory`` section; v4 adds ``p999``
-to every accumulator row and the ``traffic`` SLO section.
+to every accumulator row and the ``traffic`` SLO section.  The top-level
+``shards`` key was later dropped with the sharded engine, still at v4:
+:func:`repro.bench.harness.comparable` always stripped it, so no
+wall-stripped snapshot or digest changed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict
 
 from repro.sim.stats import Accumulator
 
@@ -78,7 +76,7 @@ _DIRECTORY_COUNTERS = (
     ("stale_evicts", "scoma_stale_evicts"),
 )
 
-#: the sharer-occupancy accumulator (shard-invariant scoped name).
+#: the sharer-occupancy accumulator (scoped name).
 _SHARER_OCCUPANCY = "scoma.sharer_occupancy"
 
 #: serving-traffic applications (:mod:`repro.traffic`) the ``traffic``
@@ -148,7 +146,6 @@ def metrics_snapshot(machine: "StarTVoyager",
         "schema_version": METRICS_SCHEMA_VERSION,
         "now_ns": machine.now,
         "n_nodes": machine.config.n_nodes,
-        "shards": machine.config.shards,
         "sim": {
             "events_executed": machine.engine.events_executed,
             "pending_events": machine.engine.pending_events,
@@ -167,7 +164,7 @@ def metrics_snapshot(machine: "StarTVoyager",
                 "ap": node.ap.busy.occupancy(),
                 "sp": node.sp.busy.occupancy(),
             }
-            for node in machine.nodes if node is not None
+            for node in machine.nodes
         },
         "directory": _directory_section(counters, accumulators),
         "traffic": _traffic_section(counters, accumulators),
@@ -175,121 +172,6 @@ def metrics_snapshot(machine: "StarTVoyager",
     if include_config:
         snapshot["config"] = machine.config.describe()
     return snapshot
-
-
-def shard_export(machine: "StarTVoyager") -> Dict[str, Any]:
-    """One shard sub-machine's measurement state as a *picklable* dict.
-
-    This is the unit the sharded runner carries out of worker processes:
-    raw counters, busy nanoseconds, per-scope accumulator partials
-    (:class:`Accumulator` objects — pure ``__slots__`` data, they pickle
-    cleanly), and per-node busy totals for occupancy.  Both runner
-    backends merge the same exports via :func:`merge_shard_exports`, so
-    inline and process runs cannot diverge in the merge itself.
-    """
-    stats = machine.stats
-    return {
-        "now": machine.now,
-        "events_executed": machine.engine.events_executed,
-        "pending_events": machine.engine.pending_events,
-        "wall_seconds": machine.engine.wall_seconds,
-        "counters": {name: c.value for name, c in stats._counters.items()},
-        "busy": {name: b.current() for name, b in stats._busy.items()},
-        "partials": {name: dict(scopes)
-                     for name, scopes in stats._accumulators.items()},
-        "node_busy": {
-            str(node.node_id): (node.ap.busy.current(), node.sp.busy.current())
-            for node in machine.nodes if node is not None
-        },
-    }
-
-
-def merge_shard_exports(exports: Sequence[Dict[str, Any]],
-                        config=None) -> Dict[str, Any]:
-    """One snapshot from per-shard exports (see :func:`shard_export`).
-
-    Counters and busy times live under node- or switch-unique names and
-    integer/float-sum exactly; accumulator partials are keyed by scope,
-    each scope lives on exactly one shard, and the canonical sorted-scope
-    fold makes the result byte-identical to the same machine snapshotted
-    unsharded (``sim.wall`` excepted — wall clocks are never
-    deterministic).
-    """
-    if not exports:
-        raise ValueError("merge_shard_exports needs at least one shard")
-    now = max(e["now"] for e in exports)
-    counters: Dict[str, int] = {}
-    busy: Dict[str, float] = {}
-    partials: Dict[str, Dict[str, List[Accumulator]]] = {}
-    occupancy: Dict[str, Dict[str, float]] = {}
-    events = 0
-    pending = 0
-    wall = 0.0
-    for e in exports:
-        events += e["events_executed"]
-        pending += e["pending_events"]
-        wall += e["wall_seconds"]
-        for name, value in e["counters"].items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in e["busy"].items():
-            busy[name] = busy.get(name, 0.0) + value
-        for name, scopes in e["partials"].items():
-            by_scope = partials.setdefault(name, {})
-            for scope, acc in scopes.items():
-                by_scope.setdefault(scope, []).append(acc)
-        for node_id, (ap_ns, sp_ns) in e["node_busy"].items():
-            occupancy[node_id] = {
-                "ap": ap_ns / now if now > 0 else 0.0,
-                "sp": sp_ns / now if now > 0 else 0.0,
-            }
-    merged: Dict[str, Accumulator] = {}
-    for name, by_scope in partials.items():
-        acc = Accumulator(name)
-        for scope in sorted(by_scope):
-            for part in by_scope[scope]:
-                acc.merge(part)
-        merged[name] = acc
-    counter_rows = dict(sorted(counters.items()))
-    accumulator_rows = _accumulator_rows(merged)
-    snapshot: Dict[str, Any] = {
-        "schema": METRICS_SCHEMA,
-        "schema_version": METRICS_SCHEMA_VERSION,
-        "now_ns": now,
-        "n_nodes": config.n_nodes if config is not None else None,
-        "shards": config.shards if config is not None else None,
-        "sim": {
-            "events_executed": events,
-            "pending_events": pending,
-            "wall": {
-                "seconds": wall,
-                "events_per_second": events / wall if wall > 0 else 0.0,
-            },
-        },
-        "counters": counter_rows,
-        "accumulators": accumulator_rows,
-        "busy_ns": dict(sorted(busy.items())),
-        "occupancy": dict(sorted(occupancy.items(), key=lambda kv: int(kv[0]))),
-        "directory": _directory_section(counter_rows, accumulator_rows),
-        "traffic": _traffic_section(counter_rows, accumulator_rows),
-    }
-    if config is not None:
-        snapshot["config"] = config.describe()
-    return snapshot
-
-
-def merged_metrics_snapshot(machines: Sequence["StarTVoyager"],
-                            include_config: bool = True) -> Dict[str, Any]:
-    """One snapshot for a machine simulated as several shard sub-machines
-    (the inline-backend convenience over export-and-merge)."""
-    if not machines:
-        raise ValueError("merged_metrics_snapshot needs at least one shard")
-    config = machines[0].config if include_config else None
-    exports = [shard_export(m) for m in machines]
-    snap = merge_shard_exports(exports, config)
-    if not include_config:
-        snap["n_nodes"] = machines[0].config.n_nodes
-        snap["shards"] = machines[0].config.shards
-    return snap
 
 
 def write_metrics(path: str, snapshot: Dict[str, Any]) -> str:

@@ -1,23 +1,19 @@
-"""``repro.shard`` — conservative parallel-in-time sharded execution.
+"""``repro.shard`` — the scenario registry and its runner.
 
-Partition a machine's nodes into ``K`` contiguous blocks, build one
-sub-machine (own event queue, own boards and switches) per block, and
-synchronize them at time-window barriers whose lookahead is the Arctic
-wire latency.  The determinism contract: the merged metrics snapshot is
-byte-identical (wall gauges stripped) at any shard count and in either
-backend.
+A :class:`ShardScenario` describes a whole-machine workload as
+per-phase setup; :func:`run_scenario` builds one machine, runs each
+phase to quiescence and returns the metrics snapshot with the
+scenario's result.
 
 Front door::
 
     from repro.shard import run_scenario, scenario
 
-    run = run_scenario(scenario("mixed"), n_nodes=8, shards=4)
-    run.snapshot   # merged, shard-count-invariant metrics
-    run.results    # per-shard scenario results
+    run = run_scenario(scenario("mixed"), n_nodes=8)
+    run.snapshot   # the machine's metrics snapshot
+    run.results    # [the scenario's result]
 """
 
-from repro.shard.boundary import MSG_CREDIT, MSG_PKT, ShardView
-from repro.shard.partition import ShardPlan
 from repro.shard.runner import ShardRun, ShardedMachine, run_scenario
 from repro.shard.scenarios import (
     ChaosScenario,
@@ -25,14 +21,11 @@ from repro.shard.scenarios import (
     PingScenario,
     ShardScenario,
     SyncScenario,
-    boundary_link_names,
     scenario,
     scenario_names,
 )
 
 __all__ = [
-    "ShardPlan",
-    "ShardView",
     "ShardRun",
     "ShardedMachine",
     "run_scenario",
@@ -43,7 +36,4 @@ __all__ = [
     "ChaosScenario",
     "scenario",
     "scenario_names",
-    "boundary_link_names",
-    "MSG_PKT",
-    "MSG_CREDIT",
 ]

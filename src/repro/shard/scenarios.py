@@ -1,36 +1,31 @@
-"""Shard-aware workload scenarios.
+"""Whole-machine workload scenarios.
 
-A whole-machine workload cannot be a plain script once the machine is
-sharded: each shard only holds its own node boards, so the workload must
-be expressed as *per-shard setup* — "spawn the programs whose home node
-you own".  A :class:`ShardScenario` packages that: the runner calls
-:meth:`~ShardScenario.setup` once per shard per phase (with the shard's
-local node range) and :meth:`~ShardScenario.result` after the global
-drain.
+A :class:`ShardScenario` packages a workload as per-phase setup: the
+runner (:mod:`repro.shard.runner`) calls :meth:`~ShardScenario.setup`
+once per phase with every node of the machine, drains the event queue,
+and calls :meth:`~ShardScenario.result` after the last phase.
 
 Every scenario here is written against the wide-safe MiniMPI
 point-to-point layer, so the same workload runs on 2 nodes or 512.  The
-registry holds the workloads the shard parity tests and the scaling
-benchmark share:
+registry holds the workloads the tests, the benches and the explorer
+share:
 
 ``fig3``   ping-pong latency ladder between the first and last node
-           (the paper's Figure-3 shape; crosses every shard boundary).
+           (the paper's Figure-3 shape).
 ``mixed``  all-to-all staggered messaging — the mixed-workload
            determinism pattern from ``tests/test_determinism.py``.
 ``sync``   software-tree barrier + allreduce on every rank.
-``chaos``  ``mixed`` under a fault plan that downs a leaf uplink —
-           a link that *is* a shard boundary at ``shards >= 2`` — then
-           repairs it.
+``chaos``  ``mixed`` under a fault plan that downs two fat-tree
+           up-links mid-run, then repairs them.
 ``shm_graph``  level-synchronous parallel BFS over an S-COMA shared
-           region (the directory-coherence workload; shards=1 only).
+           region (the directory-coherence workload).
 ``shm_hash``   striped-lock shared hash table: every rank inserts,
-           then looks its keys back up (shards=1 only).
+           then looks its keys back up.
 ``sync_burst`` simultaneous-arrival counting-barrier burst against a
-           deliberately shallow sP service queue — the PR 7 overflow
-           regression shape, sized for the interleaving explorer.
+           deliberately shallow sP service queue — the service-queue
+           overflow regression shape, sized for the interleaving explorer.
 ``shm_takeover`` home-node stores racing a remote exclusive takeover
-           of the same S-COMA line — the PR 9 FLUSH-vs-KILL regression
-           shape (shards=1 only).
+           of the same S-COMA line — the FLUSH-vs-KILL regression shape.
 
 The production-traffic scenarios (``traffic_kv``, ``traffic_train``,
 ``traffic_usvc`` — see :mod:`repro.traffic.scenarios`) register here
@@ -47,23 +42,22 @@ from repro.common.errors import ConfigError
 
 
 class ShardScenario:
-    """One workload, described shard-locally.
+    """One workload, described as per-phase setup.
 
-    Subclasses override :meth:`setup` (spawn programs for nodes in
-    ``local_nodes``; stash anything :meth:`result` needs in ``ctx``,
-    which is private to the shard and its phases) and :meth:`result`
-    (return a *picklable* value — it may cross a worker pipe).
-    :meth:`prepare` runs once in the coordinator before any sub-machine
-    is built and may mutate the config (fault plans, queue depths).
+    Subclasses override :meth:`setup` (spawn programs for the nodes in
+    ``local_nodes`` — every node of the machine; stash anything
+    :meth:`result` needs in ``ctx``, which the phases share) and
+    :meth:`result`.  :meth:`prepare` runs once before the machine is
+    built and may mutate the config (fault plans, queue depths).
     """
 
     name = "scenario"
-    #: number of setup/drain rounds; phase ``p`` starts only after phase
-    #: ``p-1`` is globally quiescent and all shard clocks are aligned.
+    #: number of setup/drain rounds; phase ``p`` starts at the instant
+    #: phase ``p-1`` drained.
     phases = 1
 
     def prepare(self, config: MachineConfig) -> None:
-        """Adjust the machine config before the shards are built."""
+        """Adjust the machine config before the machine is built."""
 
     def setup(self, phase: int, machine, local_nodes, ctx: Dict[str, Any]
               ) -> None:
@@ -75,8 +69,8 @@ class ShardScenario:
     # -- shared helpers ----------------------------------------------------
 
     def _mpi(self, machine, ctx: Dict[str, Any]):
-        """The shard's MiniMPI factory (software tree: no cluster-wide
-        firmware install, so it builds cleanly on a partial machine)."""
+        """The scenario's MiniMPI factory (software tree: no
+        cluster-wide firmware install)."""
         if "mpi" not in ctx:
             from repro.lib.mpi import MiniMPI
 
@@ -100,34 +94,30 @@ class PingScenario(ShardScenario):
             raise ConfigError("fig3 ping-pong needs at least 2 nodes")
         src, dst = 0, n - 1
         schedule = [s for s in self.sizes for _ in range(self.pings)]
-        if src in local_nodes:
-            src_comm = self._mpi(machine, ctx).rank(src)
+        src_comm = self._mpi(machine, ctx).rank(src)
 
-            def pinger(api):
-                rtts: List[Tuple[int, float]] = []
-                ok = True
-                for i, size in enumerate(schedule):
-                    payload = bytes((i + j) & 0xFF for j in range(size))
-                    t0 = api.now
-                    yield from src_comm.send(api, dst, payload, tag=1)
-                    _s, _t, back = yield from src_comm.recv(api, src=dst,
-                                                            tag=2)
-                    ok = ok and back == payload
-                    rtts.append((size, api.now - t0))
-                ctx["rtts"] = rtts
-                ctx["echo_ok"] = ok
+        def pinger(api):
+            rtts: List[Tuple[int, float]] = []
+            ok = True
+            for i, size in enumerate(schedule):
+                payload = bytes((i + j) & 0xFF for j in range(size))
+                t0 = api.now
+                yield from src_comm.send(api, dst, payload, tag=1)
+                _s, _t, back = yield from src_comm.recv(api, src=dst, tag=2)
+                ok = ok and back == payload
+                rtts.append((size, api.now - t0))
+            ctx["rtts"] = rtts
+            ctx["echo_ok"] = ok
 
-            machine.spawn(src, pinger)
-        if dst in local_nodes:
-            dst_comm = self._mpi(machine, ctx).rank(dst)
+        machine.spawn(src, pinger)
+        dst_comm = self._mpi(machine, ctx).rank(dst)
 
-            def echo(api):
-                for _ in range(len(schedule)):
-                    _s, _t, data = yield from dst_comm.recv(api, src=src,
-                                                            tag=1)
-                    yield from dst_comm.send(api, src, data, tag=2)
+        def echo(api):
+            for _ in range(len(schedule)):
+                _s, _t, data = yield from dst_comm.recv(api, src=src, tag=1)
+                yield from dst_comm.send(api, src, data, tag=2)
 
-            machine.spawn(dst, echo)
+        machine.spawn(dst, echo)
 
     def result(self, machine, local_nodes, ctx) -> Dict[str, Any]:
         return {"rtts": ctx.get("rtts"), "echo_ok": ctx.get("echo_ok")}
@@ -138,9 +128,6 @@ class MixedScenario(ShardScenario):
 
     Rank ``r`` sends ``rounds`` messages to ``(r + 1 + i) % n`` and then
     drains exactly the deliveries addressed to it, logging each arrival.
-    Traffic between ranks in different node blocks crosses the shard
-    boundary; traffic inside a block stays shard-local — both paths run
-    in the same event history.
     """
 
     name = "mixed"
@@ -199,46 +186,14 @@ class SyncScenario(ShardScenario):
         return ctx.get("sums", {})
 
 
-def boundary_link_names(config: MachineConfig, ref_shards: int = 2
-                        ) -> List[str]:
-    """Link names cut by the ``ref_shards``-way partition of ``config``.
-
-    Computed against a *fixed reference* shard count, not the config's
-    own, so callers (the chaos scenario, its parity test) derive the
-    identical link set no matter how many shards actually run.
-    """
-    from dataclasses import replace
-
-    from repro.shard.partition import ShardPlan
-
-    plan = ShardPlan(replace(config, shards=ref_shards))
-    topo = plan.topology
-    cut: List[str] = []
-    for node in range(config.n_nodes):
-        leaf = topo.leaf_switch(node)
-        if plan.node_shard(node) != plan.switch_shard(1, leaf):
-            cut.append(f"n{node}->sw1.{leaf}")
-            cut.append(f"sw1.{leaf}->n{node}")
-    for level in range(1, topo.levels):
-        for index in range(topo.switches_per_level):
-            here = plan.switch_shard(level, index)
-            for b in range(topo.down_degree):
-                p_level, p_index = topo.up_target(level, index, b)
-                if here != plan.switch_shard(p_level, p_index):
-                    cut.append(f"sw{level}.{index}->sw{p_level}.{p_index}")
-                    cut.append(f"sw{p_level}.{p_index}->sw{level}.{index}")
-    return sorted(set(cut))
-
-
 class ChaosScenario(MixedScenario):
-    """The mixed workload with boundary links failing mid-run.
+    """The mixed workload with fat-tree links failing mid-run.
 
-    The plan downs the first two links cut by the reference 2-way
-    partition (see :func:`boundary_link_names`) — at ``shards >= 2``
-    cross-shard traffic must reroute around the failure over the fat
-    tree's path diversity — then repairs them.  The down/up timeline is
-    statically known, so every shard count observes the identical
-    routing history.
+    The plan downs the first ``n_links`` up-links (by name) of the
+    middle switch one level below the top of the tree, then repairs
+    them; traffic that routed through them must detour over the fat
+    tree's path diversity.  The down/up timeline is static, so the run
+    is deterministic.
     """
 
     name = "chaos"
@@ -250,40 +205,35 @@ class ChaosScenario(MixedScenario):
         self.up_ns = up_ns
         self.n_links = n_links
 
+    def victims(self, config: MachineConfig) -> List[str]:
+        """The link names the fault plan downs."""
+        from repro.net.topology import FatTreeTopology
+
+        topo = FatTreeTopology(config.n_nodes, radix=config.network.radix,
+                               seed=config.seed)
+        level = topo.levels - 1
+        if level < 1:
+            raise ConfigError("chaos needs a fat tree of two or more levels")
+        index = topo.switches_per_level // 2
+        ups = sorted("sw%d.%d->sw%d.%d" % (level, index,
+                                           *topo.up_target(level, index, b))
+                     for b in range(topo.down_degree))
+        return ups[:self.n_links]
+
     def prepare(self, config: MachineConfig) -> None:
         from repro.faults.plan import FaultPlan, LinkEvent
 
         if config.faults is not None:
             raise ConfigError("chaos scenario supplies its own fault plan")
-        victims = boundary_link_names(config)[:self.n_links]
-        if not victims:
-            raise ConfigError("no shard-boundary links to fault")
         events = []
-        for name in victims:
+        for name in self.victims(config):
             events.append(LinkEvent(time_ns=self.down_ns, link=name,
                                     up=False))
             events.append(LinkEvent(time_ns=self.up_ns, link=name, up=True))
         config.faults = FaultPlan(seed=config.seed, link_events=events)
 
 
-class _CoherentScenario(ShardScenario):
-    """Base for S-COMA shared-memory workloads.
-
-    The coherence traffic itself is ordinary firmware messaging and
-    would shard, but the sanitizer's quiescence check fires at every
-    window barrier — where an in-flight invalidation round is
-    legitimate — so these scenarios pin ``shards=1`` until windowed
-    quiescence learns to carry BUSY lines across barriers.
-    """
-
-    def prepare(self, config: MachineConfig) -> None:
-        if config.shards > 1:
-            raise ConfigError(
-                f"scenario {self.name!r} requires shards=1 (directory "
-                f"quiescence is checked at every window barrier)")
-
-
-class GraphScenario(_CoherentScenario):
+class GraphScenario(ShardScenario):
     """Parallel BFS over a shared distance array (see
     :mod:`repro.shm.workloads`): phase 0 runs the level-synchronous
     traversal on every rank, phase 1 coherently re-reads the distances
@@ -323,10 +273,8 @@ class GraphScenario(_CoherentScenario):
                               adj, slices[rank].start, slices[rank].stop,
                               out)
             return
-        if 0 in local_nodes:
-            expected = sequential_bfs(ctx["adj"])
-            machine.spawn(0, bfs_verify, ctx["region"], expected,
-                          ctx["out"])
+        expected = sequential_bfs(ctx["adj"])
+        machine.spawn(0, bfs_verify, ctx["region"], expected, ctx["out"])
 
     def result(self, machine, local_nodes, ctx) -> Dict[str, Any]:
         out = ctx.get("out", {})
@@ -334,7 +282,7 @@ class GraphScenario(_CoherentScenario):
                 "bad_vertices": out.get("bfs_bad_vertices")}
 
 
-class HashScenario(_CoherentScenario):
+class HashScenario(ShardScenario):
     """Striped-lock shared hash table: phase 0 has every rank insert its
     key set under ticket locks; phase 1 looks every key back up."""
 
@@ -399,7 +347,7 @@ class HashScenario(_CoherentScenario):
                 "found": ctx.get("found", {})}
 
 
-class PatternScenario(_CoherentScenario):
+class PatternScenario(ShardScenario):
     """One sharing-pattern kernel (see
     :func:`repro.shm.workloads.pattern_worker`): every rank runs
     ``rounds`` rounds of the pattern's access mix; the result is the
@@ -414,12 +362,16 @@ class PatternScenario(_CoherentScenario):
 
     def setup(self, phase: int, machine, local_nodes, ctx) -> None:
         from repro.shm.scoma import ScomaRegion
-        from repro.shm.workloads import pattern_worker
+        from repro.shm.workloads import pattern_worker, private_offset
 
         n = machine.config.n_nodes
         region = ctx["region"] = ScomaRegion(machine)
-        # line 0 is the shared line; each rank's private line follows
-        region.init_data(0, bytes((n + 1) * region.line_bytes))
+        # line 0 is the shared line; each rank's private line is homed
+        # at the rank
+        blank = bytes(region.line_bytes)
+        region.init_data(0, blank)
+        for rank in range(n):
+            region.init_data(private_offset(region, rank), blank)
         mpi = self._mpi(machine, ctx)
         out = ctx.setdefault("out", {})
         for rank in local_nodes:
@@ -452,10 +404,6 @@ class BurstScenario(ShardScenario):
         self.queue_depth = queue_depth
 
     def prepare(self, config: MachineConfig) -> None:
-        if config.shards > 1:
-            raise ConfigError(
-                f"scenario {self.name!r} requires shards=1 (the barrier "
-                f"group spans every node)")
         config.niu.queue_depth = self.queue_depth
 
     def setup(self, phase: int, machine, local_nodes, ctx) -> None:
@@ -476,7 +424,7 @@ class BurstScenario(ShardScenario):
                 "all_released": len(done) == machine.config.n_nodes}
 
 
-class TakeoverScenario(_CoherentScenario):
+class TakeoverScenario(ShardScenario):
     """Home-node stores racing a remote exclusive takeover of the line.
 
     Phase 0: rank 0 (the home) streams single-byte stores into line 0
@@ -514,19 +462,16 @@ class TakeoverScenario(_CoherentScenario):
                 yield from api.sleep(self.steal_ns)
                 yield from api.store(region.addr(self.stores), b"\xbb")
 
-            if 0 in local_nodes:
-                machine.spawn(0, home_writer)
-            if 1 in local_nodes:
-                machine.spawn(1, thief)
+            machine.spawn(0, home_writer)
+            machine.spawn(1, thief)
             return
-        if 0 in local_nodes:
-            region = ctx["region"]
+        region = ctx["region"]
 
-            def reader(api):
-                got = yield from api.load(region.addr(0), self.stores + 1)
-                ctx["got"] = bytes(got)
+        def reader(api):
+            got = yield from api.load(region.addr(0), self.stores + 1)
+            ctx["got"] = bytes(got)
 
-            machine.spawn(0, reader)
+        machine.spawn(0, reader)
 
     def result(self, machine, local_nodes, ctx) -> Dict[str, Any]:
         want = bytes(0xA0 + i for i in range(self.stores)) + b"\xbb"

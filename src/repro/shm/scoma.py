@@ -28,9 +28,8 @@ class ScomaRegion:
     def __init__(self, machine: "StarTVoyager", n_lines: Optional[int] = None
                  ) -> None:
         self.machine = machine
-        # any local node board works: the window layout is identical on
-        # every node (a sharded sub-machine may not own node 0)
-        ref = next(n for n in machine.nodes if n is not None)
+        # the window layout is identical on every node
+        ref = machine.nodes[0]
         self.line_bytes = machine.config.bus.line_bytes
         self.base = ref.scoma_base
         self._home_of = ref.sp.state["scoma"].home_of
@@ -69,9 +68,7 @@ class ScomaRegion:
         """Pre-load region contents at the homes (untimed setup).
 
         Writes each line's bytes into its *home* frame; other nodes start
-        INVALID, exactly the protocol's initial condition.  On a sharded
-        sub-machine only locally-owned homes are written — every shard
-        calling with the same arguments covers the whole region.
+        INVALID, exactly the protocol's initial condition.
         """
         line_bytes = self.line_bytes
         start_line = self.line_of(offset)
@@ -80,10 +77,7 @@ class ScomaRegion:
         for i in range(len(data) // line_bytes):
             line = start_line + i
             home = self.home_of(line * line_bytes)
-            node = self.machine.node(home)
-            if node is None:
-                continue
-            node.dram.poke(self.addr(line * line_bytes),
+            self.machine.node(home).dram.poke(self.addr(line * line_bytes),
                            data[i * line_bytes : (i + 1) * line_bytes])
 
     # -- capacity management --------------------------------------------------

@@ -19,10 +19,8 @@ stores at cluster scale:
   (private / migratory / producer-consumer / hotspot) measured as
   ns-per-access, the ``bench_shm`` sweep's inner loops.
 
-Every function here is shard-shape agnostic: workers take explicit
-(rank, slice) arguments so the shard scenarios in
-:mod:`repro.shard.scenarios` can spawn exactly the ranks a sub-machine
-owns.
+Workers take explicit (rank, slice) arguments; the scenarios in
+:mod:`repro.shard.scenarios` spawn one per rank.
 """
 
 from __future__ import annotations
@@ -262,6 +260,16 @@ def hash_value_of(key: int) -> int:
 SHARING_PATTERNS = ("private", "migratory", "producer_consumer", "hotspot")
 
 
+def private_offset(region: "ScomaRegion", rank: int) -> int:
+    """Region offset of ``rank``'s private line for the ``private``
+    pattern: the first line after the shared line 0 homed at ``rank``."""
+    line_bytes = region.line_bytes
+    for line in range(1, region.n_lines):
+        if region.home_of(line * line_bytes) == rank:
+            return line * line_bytes
+    raise ProgramError(f"no region line is homed at node {rank}")
+
+
 def pattern_worker(api: "ApApi", comm, region: "ScomaRegion", pattern: str,
                    rank: int, n_ranks: int, rounds: int, out: Dict
                    ) -> Generator["Event", None, None]:
@@ -283,10 +291,8 @@ def pattern_worker(api: "ApApi", comm, region: "ScomaRegion", pattern: str,
     """
     if pattern not in SHARING_PATTERNS:
         raise ProgramError(f"unknown sharing pattern {pattern!r}")
-    line_bytes = region.line_bytes
-    # one private line per rank (pattern "private"), line 0... shared
     shared = region.addr(0)
-    private = region.addr(((rank + 1) % region.n_lines) * line_bytes)
+    private = region.addr(private_offset(region, rank))
     accesses = 0
     busy = 0.0
     payload = bytes([rank & 0xFF] * 8)

@@ -32,7 +32,6 @@ Time is a float in nanoseconds (see :mod:`repro.common.units`).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import nextafter
 from time import perf_counter
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
@@ -45,7 +44,7 @@ KIND_CALL = 0
 KIND_SUCCEED = 1
 KIND_CALLBACKS = 2
 
-#: "no scheduled work": the lower-bound timestamp of an empty heap.
+#: an unbounded run horizon.
 INFINITY = float("inf")
 
 #: one heap entry: (time, seq, kind, target, arg).
@@ -213,82 +212,11 @@ class Engine:
         err.__cause__ = exc
         return err
 
-    # -- sharded execution (conservative parallel-in-time windows) ---------
-
-    def peek_time(self) -> float:
-        """Timestamp of the earliest scheduled item (``inf`` when empty).
-
-        The sharded runner's lower-bound-timestamp exchange: every shard
-        reports this, and the global safe window is their minimum plus
-        the cross-shard lookahead.
-        """
-        heap = self._heap
-        return heap[0][0] if heap else INFINITY
-
-    def inject(self, time: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` at an absolute ``time`` (boundary injection).
-
-        Used by the shard runner to land cross-shard deliveries at their
-        exact simulated timestamp.  Injection assigns the next sequence
-        number, so messages injected back-to-back keep their injection
-        order at equal timestamps — the runner sorts boundary messages
-        canonically before injecting (see :mod:`repro.shard.runner`).
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot inject at {time} < now {self._now} (lookahead "
-                "violation: the conservative window was too wide)"
-            )
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (time, seq, KIND_CALL, fn, None))
-
-    def run_window(self, until: float) -> float:
-        """Execute every item with ``time < until`` (strictly).
-
-        Unlike :meth:`run`, items scheduled exactly at ``until`` stay
-        queued — a window ``[t, until)`` must not consume events at the
-        barrier instant, because a cross-shard message may still arrive
-        *at* ``until`` and tie with them.  The clock is left at the last
-        executed item (never forced to ``until``) and drain hooks do not
-        fire: a drained shard heap mid-run only means the shard is idle
-        until its next boundary injection.  Returns :meth:`peek_time`.
-        """
-        # the largest float below ``until``: ``t <= last`` iff ``t < until``
-        self._dispatch(nextafter(until, -INFINITY))
-        return self.peek_time()
-
-    def advance_to(self, time: float) -> None:
-        """Move an idle clock forward to ``time`` (inter-phase sync).
-
-        After a global drain, shard clocks sit at their last local event;
-        a scenario's next phase must start from one common instant on
-        every shard — the global maximum — or spawn times would diverge
-        between shard counts.  Only ever moves forward, and never past
-        scheduled work.
-        """
-        if self._heap and self._heap[0][0] < time:
-            raise SimulationError(
-                f"cannot advance to {time} past scheduled work at "
-                f"{self._heap[0][0]}"
-            )
-        if time > self._now:
-            self._now = time
-
-    def finish_windows(self) -> None:
-        """Run end-of-run hooks after the *global* sharded drain.
-
-        :meth:`run_window` never fires drain hooks (a shard idling
-        between windows has not finished); the runner calls this once on
-        every shard when no shard has work and no message is in flight.
-        """
-        for hook in self.drain_hooks:
-            hook()
-
     # -- running -----------------------------------------------------------
 
     def _dispatch(self, last: float, stop: Optional[Event] = None) -> None:
-        """The one dispatch core behind :meth:`run`, :meth:`run_window`
-        and :meth:`run_until_triggered`.
+        """The one dispatch core behind :meth:`run` and
+        :meth:`run_until_triggered`.
 
         Executes items in heap order while the earliest is due at or
         before ``last`` (inclusive) and, when ``stop`` is given, until

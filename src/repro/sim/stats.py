@@ -76,11 +76,10 @@ class Accumulator:
     def merge(self, other: "Accumulator") -> None:
         """Fold ``other``'s samples into this accumulator (Chan et al.).
 
-        The sharded metrics pipeline keeps one accumulator partial per
-        *scope* (node, switch) and combines partials in sorted-scope
-        order, so the merged floating-point result is byte-identical for
-        any shard count — unlike interleaved :meth:`add` order, which
-        would differ between one global engine and K shard engines.
+        The metrics pipeline keeps one accumulator partial per *scope*
+        (node, switch) and combines partials in sorted-scope order, so
+        the merged floating-point result does not depend on how samples
+        from different scopes interleave.
         """
         if other.n == 0:
             return
@@ -202,8 +201,7 @@ class ScopedStats:
     Accumulator means/variances are floating-point *order dependent*, so
     each scope keeps its own partial; the registry folds partials in
     sorted-scope order (see :meth:`StatsRegistry.merged_accumulators`),
-    which makes the merged result independent of event interleaving —
-    and therefore identical at any shard count.
+    which makes the merged result independent of event interleaving.
     """
 
     __slots__ = ("_registry", "scope")
@@ -273,7 +271,7 @@ class StatsRegistry:
     def merged_accumulators(self) -> Dict[str, Accumulator]:
         """Canonical per-name accumulators: scope partials folded in
         sorted-scope order, so the result does not depend on the order
-        samples were interleaved across scopes (or shards)."""
+        samples were interleaved across scopes."""
         out: Dict[str, Accumulator] = {}
         for name, scopes in self._accumulators.items():
             merged = Accumulator(name)

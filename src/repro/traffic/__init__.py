@@ -16,8 +16,8 @@ applications run on the messaging and firmware layers:
 
 Load is open-loop by default (:mod:`repro.traffic.load`): seeded
 Poisson or bursty MMPP arrivals with per-node schedules that depend
-only on ``(seed, node)`` — deterministic at any ``--jobs`` or shard
-count — plus replayable traces.  Per-request accounting
+only on ``(seed, node)`` — deterministic at any ``--jobs`` count —
+plus replayable traces.  Per-request accounting
 (:mod:`repro.traffic.slo`) flows into the ``traffic`` section of
 ``machine.metrics()`` with goodput and p50/p99/p99.9.
 """

@@ -24,8 +24,7 @@ embedded sP makes the NIU a *programmable* application accelerator:
   never cross wires.
 
 ``setup_traffic`` installs the handlers on one sP; ``ensure_traffic``
-covers a whole machine and — critically for the sharded engine — skips
-the ``None`` placeholders a shard keeps for nodes it does not own.
+covers a whole machine.
 """
 
 from __future__ import annotations
@@ -188,8 +187,7 @@ def _on_ps_push(sp: "ServiceProcessor", src: int, payload: bytes
     sp.stats.counter(f"traffic.ps.s{sp.node_id}.steps").incr()
     rep = pack_ps_rep(step, block, weight)
     # canonical fan-out order: lockstep workers produce same-timestamp
-    # arrival ties whose queue order may differ across shard counts, so
-    # replying in arrival order would break shard determinism
+    # arrival ties, so reply by worker id rather than by arrival order
     for worker, queue in sorted(entry[1]):
         yield from fw_send_to(sp, worker, queue, rep)
 
@@ -256,13 +254,7 @@ def setup_traffic(sp: "ServiceProcessor", n_nodes: int) -> None:
 
 
 def ensure_traffic(machine: "StarTVoyager") -> None:
-    """Install the traffic firmware machine-wide (idempotent).
-
-    A sharded sub-machine keeps ``None`` for nodes it does not own —
-    skip them; each shard installs on exactly the nodes it simulates.
-    """
+    """Install the traffic firmware machine-wide (idempotent)."""
     for node in machine.nodes:
-        if node is None:
-            continue
         if "traffic" not in node.sp.state:
             setup_traffic(node.sp, machine.config.n_nodes)

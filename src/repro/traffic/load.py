@@ -1,13 +1,13 @@
 """Load generation: seeded arrival processes, key popularity, traces.
 
 The production-traffic layer drives every application from *schedules*
-computed up front, because determinism across ``--jobs`` and shard
-counts demands it: a node's arrival times may depend only on the
-workload seed, the node id, and the process parameters — never on
-global sampling order, simulation state, or anything another node did.
-Each generator therefore owns a private :class:`random.Random` seeded
-from ``(seed, node)``, so shard K computing node 37's schedule draws
-the identical sequence the unsharded machine would.
+computed up front, because determinism across ``--jobs`` counts
+demands it: a node's arrival times may depend only on the workload
+seed, the node id, and the process parameters — never on global
+sampling order, simulation state, or anything another node did.  Each
+generator therefore owns a private :class:`random.Random` seeded from
+``(seed, node)``, so node 37's schedule is the same sequence in any
+process.
 
 Three arrival shapes cover the datacenter-serving literature:
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 import json
 import random
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple
 
 from repro.common.errors import ConfigError
 
@@ -48,7 +48,7 @@ def node_rng(seed: int, node: int, salt: int = 0) -> random.Random:
     """A private, deterministic generator for one node's draws.
 
     The stream depends only on ``(seed, node, salt)`` — the contract
-    that makes schedules identical at any shard count and job count.
+    that makes schedules identical at any job count.
     ``salt`` separates independent uses on the same node (arrival times
     vs key draws) so adding one draw to a stream never shifts another.
     """
@@ -199,7 +199,7 @@ def make_kv_trace(n_nodes: int, per_node: int, rate_rps: float, *,
 
     Built per node from the seeded generators above and merged on
     ``(time_ns, node)``, so the trace is byte-identical however many
-    processes or shards later replay it.
+    processes later replay it.
     """
     if not (0.0 <= put_fraction + range_fraction <= 1.0):
         raise ConfigError("op fractions must sum to at most 1")

@@ -1,17 +1,14 @@
-"""Shard-aware scenarios for the traffic applications.
+"""Registered scenarios for the traffic applications.
 
 These plug the serving workloads into the same
 :class:`~repro.shard.scenarios.ShardScenario` machinery the platform
 scenarios use, so ``repro.shard.runner`` (and therefore the benches,
-the parity tests, and CI) can run them at any node count and — for the
-shard-safe ones — any shard count:
+the tests, and CI) can run them at any node count:
 
-``traffic_kv``     open- or closed-loop KV store load (shard-safe: the
-                   arrival schedules derive only from seed+node).
-``traffic_train``  parameter-server or allreduce training steps; the
-                   ``"nic"``/``"switch"`` collective algos pin
-                   ``shards=1`` exactly like the coherent scenarios.
-``traffic_usvc``   microservice fan-out trees (shard-safe).
+``traffic_kv``     open- or closed-loop KV store load (the arrival
+                   schedules derive only from seed+node).
+``traffic_train``  parameter-server or allreduce training steps.
+``traffic_usvc``   microservice fan-out trees.
 
 Every scenario seeds its load from ``config.seed`` unless given an
 explicit ``seed``, so two runs of one config are identical and two
@@ -22,8 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.common.config import MachineConfig
-from repro.common.errors import ConfigError
 from repro.shard.scenarios import ShardScenario
 from repro.traffic.load import (
     MmppArrivals,
@@ -118,16 +113,6 @@ class TrainScenario(ShardScenario):
         self.reliable = reliable
         self.slo_ns = slo_ns
 
-    def prepare(self, config: MachineConfig) -> None:
-        # the hardware-assisted collectives install machine-wide firmware
-        # and switch state; like the coherent scenarios they need the
-        # whole machine in one engine
-        if (self.mode == "allreduce" and self.algo in ("nic", "switch")
-                and config.shards > 1):
-            raise ConfigError(
-                f"scenario {self.name!r} with algo={self.algo!r} requires "
-                f"shards=1 (machine-wide collective state)")
-
     def setup(self, phase: int, machine, local_nodes, ctx) -> None:
         from repro.traffic.train import DEFAULT_STEP_SLO_NS, TrainJob
 
@@ -205,7 +190,7 @@ class UsvcScenario(ShardScenario):
         }
 
 
-#: merged into the shard-scenario registry by repro.shard.scenarios.
+#: merged into the scenario registry by repro.shard.scenarios.
 TRAFFIC_SCENARIOS = {
     KvScenario.name: KvScenario,
     TrainScenario.name: TrainScenario,

@@ -13,10 +13,10 @@ section:
 * ``traffic.<app>.latency_ns`` — the per-request latency distribution
   (an accumulator, so p50/p99/p99.9 ride along for free).
 
-Counters are per-node *names* (they sum exactly across shards) and the
-accumulator is per-node *scoped* through ``node.stats``, so the rollup
-is byte-identical at any shard count — the same discipline every other
-subsystem follows.
+Counters are per-node *names* and the accumulator is per-node *scoped*
+through ``node.stats``, so the rollup does not depend on how nodes'
+samples interleave — the same discipline every other subsystem
+follows.
 
 Open-loop latency is measured from the request's **scheduled** arrival
 time, not its send time: when the client falls behind (tx queue full,

@@ -11,7 +11,7 @@ pattern rather than a microbenchmark's:
   the classic central-server hot spot.
 * ``mode="allreduce"`` — the gradient sum runs through
   :class:`~repro.lib.mpi.MiniMPI` with ``algo`` choosing the machinery:
-  ``"flat"``/``"tree"`` (pure point-to-point, shard-safe), ``"nic"``
+  ``"flat"``/``"tree"`` (pure point-to-point), ``"nic"``
   (firmware combining), or ``"switch"`` (Arctic in-network combining —
   the paper's headline mechanism).
 

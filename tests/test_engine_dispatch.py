@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.mp import BasicPort, vdst_for
-from repro.shard import run_scenario, scenario
+from repro.shard import ShardedMachine, scenario
 from repro.sim.engine import Engine, SchedulePolicy
 from repro.sim.resource import PriorityResource
 
@@ -201,9 +201,40 @@ def test_run_until_triggered_leaves_target_callbacks_queued(engine):
 
 
 @pytest.mark.parametrize("name", ["mixed", "shm_hash"])
-def test_one_shard_runs_one_window_per_phase(name):
-    # no channel is cut at shards=1, so nothing bounds a window: each
-    # phase (one for "mixed", two for "shm_hash") drains in one
+def test_one_shard_runs_one_window_per_phase(name, monkeypatch):
+    # each phase (one for "mixed", two for "shm_hash") spawns its
+    # programs and drains in one Engine.run(): the next phase's programs
+    # start at that drain instant, and drain hooks fire at every drain
     scn = scenario(name)
-    run = run_scenario(scn, n_nodes=4, shards=1)
+    config = repro.default_config(n_nodes=4)
+    config.sanitize = "credit"
+    scn.prepare(config)
+    runner = ShardedMachine(config, scn)
+    machine = runner.machine
+    drains, starts = [], []
+    credit = machine.sanitizers.checker("credit")
+    check_credits = credit.on_drain
+
+    def on_drain():
+        drains.append(machine.now)
+        check_credits()
+
+    monkeypatch.setattr(credit, "on_drain", on_drain)
+    spawn = machine.spawn
+
+    def probed_spawn(node, program, *args, **kwargs):
+        phase = len(drains)
+
+        def probe(api, *a):
+            starts.append((phase, api.now))
+            return (yield from program(api, *a))
+
+        return spawn(node, probe, *args, **kwargs)
+
+    monkeypatch.setattr(machine, "spawn", probed_spawn)
+    run = runner.run()
     assert run.windows == scn.phases
+    assert len(drains) == scn.phases and drains == sorted(set(drains))
+    assert {phase for phase, _ in starts} == set(range(scn.phases))
+    for phase, t in starts:
+        assert t == (drains[phase - 1] if phase else 0.0)

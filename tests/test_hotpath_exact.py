@@ -55,7 +55,7 @@ def test_stock_scenario_matches_pins(key):
     scn.prepare(config)
     machine = ShardedMachine(config, scn, backend="inline")
     run = machine.run()
-    engine = machine.shards[0].machine.engine
+    engine = machine.machine.engine
     got = (engine.events_executed, engine._seq, run.snapshot["now_ns"],
            _digest(run.snapshot))
     assert got == PINS[key]

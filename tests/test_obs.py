@@ -183,7 +183,7 @@ def test_metrics_snapshot_schema(m2):
     assert snap["schema"] == "startv.metrics"
     assert snap["schema_version"] == 4
     assert snap["n_nodes"] == 2
-    assert snap["shards"] == 1
+    assert "shards" not in snap
     assert snap["sim"]["events_executed"] > 0
     assert snap["counters"]["ctrl0.msgs_sent"] >= 6
     lat = snap["accumulators"]["net.latency_ns"]

@@ -139,3 +139,22 @@ def test_pattern_ordering_private_cheapest():
             config=_config(4, sanitize=""))
         cost[pattern] = run.results[0]["ns_per_access"]
     assert cost["private"] * 3 < cost["hotspot"]
+
+
+def test_private_pattern_lines_homed_at_their_rank():
+    """Each rank's ``private`` line is homed at the rank itself (not in
+    node 0's first page), so the kernel runs without directory traffic."""
+    from repro.shm.scoma import ScomaRegion
+    from repro.shm.workloads import private_offset
+
+    n = 16
+    region = ScomaRegion(repro.StarTVoyager(repro.default_config(n_nodes=n)))
+    offsets = [private_offset(region, rank) for rank in range(n)]
+    assert 0 not in offsets and len(set(offsets)) == n
+    assert [region.home_of(off) for off in offsets] == list(range(n))
+    run = repro.run(repro.scenario("shm_patterns", pattern="private",
+                                   rounds=3),
+                    config=_config(n, sanitize=""))
+    directory = run.snapshot["directory"]
+    assert directory["forwards"] == 0
+    assert directory["invalidations_sent"] == 0

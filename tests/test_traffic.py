@@ -3,7 +3,7 @@
 Correctness of the three applications over every transport, the
 ``traffic`` metrics section, the hot-key incast regression, and the
 determinism contract: byte-identical wall-stripped metrics across
-``--jobs`` 1/4 and shards 1/2, distinct seeds giving distinct runs.
+``--jobs`` 1/4, distinct seeds giving distinct runs.
 """
 
 import pytest
@@ -204,49 +204,45 @@ def test_usvc_trees_complete_and_touch_many_stages():
 
 
 # ----------------------------------------------------------------------
-# determinism: jobs 1/4, shards 1/2, seeds apart
+# determinism: jobs 1/4, repeat runs, seeds apart
 # ----------------------------------------------------------------------
 
 
-def _kv_metrics_point(spec):
+def _kv_metrics_point(seed):
     """Module-level (picklable) sweep worker: comparable KV metrics."""
-    shards, seed = spec
     run = repro.run(repro.scenario("traffic_kv", per_node=4,
                                    rate_rps=100_000.0, put_fraction=0.5),
-                    n_nodes=8, shards=shards, seed=seed)
+                    n_nodes=8, seed=seed)
     return comparable(run.snapshot)
 
 
-def test_kv_metrics_identical_across_jobs_and_shards():
-    specs = [(1, 0), (2, 0)]
-    serial = run_sweep(_kv_metrics_point, specs, jobs=1)
-    pooled = run_sweep(_kv_metrics_point, specs, jobs=4)
+def test_kv_metrics_identical_across_jobs():
+    serial = run_sweep(_kv_metrics_point, [0, 0], jobs=1)
+    pooled = run_sweep(_kv_metrics_point, [0, 0], jobs=4)
     assert serial == pooled  # jobs 1 vs 4: byte-identical
-    assert serial[0] == serial[1]  # shards 1 vs 2: byte-identical
+    assert serial[0] == serial[1]  # two runs of one seed: byte-identical
     assert serial[0]["traffic"]["kv"]["offered"] == 32
 
 
 def test_kv_metrics_distinct_across_seeds():
-    a = _kv_metrics_point((1, 0))
-    b = _kv_metrics_point((1, 1))
+    a = _kv_metrics_point(0)
+    b = _kv_metrics_point(1)
     assert a != b
     assert a["traffic"]["kv"]["latency_ns"] != \
         b["traffic"]["kv"]["latency_ns"]
 
 
-def test_train_scenario_pins_hw_collectives_to_one_shard():
-    with pytest.raises(ConfigError):
-        repro.run(repro.scenario("traffic_train", mode="allreduce",
-                                 algo="switch"),
-                  n_nodes=4, shards=2)
-    run = repro.run(repro.scenario("traffic_train", mode="ps", steps=2,
-                                   n_blocks=2),
-                    n_nodes=4, shards=2)
+@pytest.mark.parametrize("mode,algo", [("ps", "tree"),
+                                       ("allreduce", "switch")])
+def test_train_scenario_completes_every_step(mode, algo):
+    run = repro.run(repro.scenario("traffic_train", mode=mode, algo=algo,
+                                   steps=2, n_blocks=2),
+                    n_nodes=4)
     assert run.snapshot["traffic"]["ps"]["completed"] == 8
 
 
-def test_usvc_scenario_shard_invariant():
+def test_usvc_scenario_deterministic():
     runs = [repro.run(repro.scenario("traffic_usvc", per_node=2),
-                      n_nodes=8, shards=k, seed=0) for k in (1, 2)]
+                      n_nodes=8, seed=0) for _ in range(2)]
     assert comparable(runs[0].snapshot) == comparable(runs[1].snapshot)
     assert runs[0].snapshot["traffic"]["usvc"]["completed"] == 16

@@ -1,8 +1,8 @@
 """Load generation (`repro.traffic.load`): the determinism contract.
 
 Every schedule must depend only on ``(seed, node, params)`` — that is
-what makes the traffic workloads byte-identical across ``--jobs`` and
-shard counts — plus the statistical sanity of each arrival shape.
+what makes the traffic workloads byte-identical across ``--jobs``
+counts — plus the statistical sanity of each arrival shape.
 """
 
 import statistics
