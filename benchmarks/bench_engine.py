@@ -7,11 +7,14 @@ machine moves per wall-clock second.  It is the perf trajectory for the
 fast-path kernel work — run it before and after touching ``repro.sim``
 and compare.
 
-Four workloads:
+Five workloads:
 
 * ``timeout_storm``   — the pure kernel fast path: N processes doing
   nothing but ``yield engine.timeout(d)``.  No machine, no payload;
   this isolates heap + event + process-resume overhead.
+* ``sleep_storm``     — the same loop sleeping with ``yield d`` (a float):
+  the same scheduled items and executed count, without an Event per
+  sleep — the form every modeled latency in the simulator uses.
 * ``store_traffic``   — producer/consumer pairs through bounded
   :class:`~repro.sim.store.Store`\\ s: the put/get/callback path every
   hardware FIFO in the model rides.
@@ -71,6 +74,22 @@ def timeout_storm(n_procs: int = 50, steps: int = 2000) -> dict:
         for _ in range(steps):
             yield engine.timeout(delay)
 
+    return _run_storm(engine, proc, n_procs)
+
+
+def sleep_storm(n_procs: int = 50, steps: int = 2000) -> dict:
+    """:func:`timeout_storm` sleeping on floats instead of Timeouts."""
+    engine = Engine()
+
+    def proc(i):
+        delay = 1.0 + (i % 7)
+        for _ in range(steps):
+            yield delay  # a float: a sleep, no Event
+
+    return _run_storm(engine, proc, n_procs)
+
+
+def _run_storm(engine, proc, n_procs: int) -> dict:
     for i in range(n_procs):
         engine.process(proc(i), name=f"storm{i}")
     t0 = time.perf_counter()
@@ -158,8 +177,8 @@ def alltoall8(n_nodes: int = 8, msgs_per_peer: int = 2,
 
 #: scheduled items one empty poll executes: the pointer load's four
 #: timed phases (address tenure, snoop window, CTRL op, SRAM shadow
-#: read) and the polling loop's instruction overhead, each a Timeout
-#: plus its wake-up.
+#: read) and the polling loop's instruction overhead, each a float
+#: sleep: a SLEEP item plus its WAKE (inlined or pushed).
 POLL_ITEMS = 10
 
 
@@ -200,7 +219,7 @@ def basic_poll(sim_ns: float = 2e6, warmup_ns: float = 1e4) -> dict:
 
 
 def measure(quick: bool = False, repeats: int = 3) -> dict:
-    """Run the four workloads (best-of-``repeats`` wall clock)."""
+    """Run the five workloads (best-of-``repeats`` wall clock)."""
     if quick:
         repeats = 1
         storm_args = dict(n_procs=20, steps=400)
@@ -218,11 +237,13 @@ def measure(quick: bool = False, repeats: int = 3) -> dict:
         return max(runs, key=lambda r: r["events_per_s"])
 
     storm = best(timeout_storm, **storm_args)
+    sleep = best(sleep_storm, **storm_args)
     store = best(store_traffic, **store_args)
     a2a = best(alltoall8, **a2a_args)
     poll = best(basic_poll, **poll_args)
     return {
         "timeout_storm": storm,
+        "sleep_storm": sleep,
         "store_traffic": store,
         "alltoall8": a2a,
         "basic_poll": poll,
@@ -246,6 +267,10 @@ def test_engine_microbench(benchmark):
            ["workload", "events/s", "ns/event"],
            ["timeout_storm", results["timeout_storm"]["events_per_s"],
             results["timeout_storm"]["ns_per_event"]])
+    record("engine kernel throughput",
+           ["workload", "events/s", "ns/event"],
+           ["sleep_storm", results["sleep_storm"]["events_per_s"],
+            results["sleep_storm"]["ns_per_event"]])
     record("engine kernel throughput",
            ["workload", "events/s", "ns/event"],
            ["store_traffic", results["store_traffic"]["events_per_s"],
@@ -309,6 +334,8 @@ def run(args):
     rows = [
         ["timeout_storm", f"{results['timeout_storm']['events_per_s']:,.0f}",
          f"{results['timeout_storm']['ns_per_event']:.0f}", "-"],
+        ["sleep_storm", f"{results['sleep_storm']['events_per_s']:,.0f}",
+         f"{results['sleep_storm']['ns_per_event']:.0f}", "-"],
         ["store_traffic", f"{results['store_traffic']['events_per_s']:,.0f}",
          f"{results['store_traffic']['ns_per_event']:.0f}", "-"],
         ["alltoall8", f"{results['alltoall8']['events_per_s']:,.0f}", "-",

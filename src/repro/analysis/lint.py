@@ -30,6 +30,10 @@ ARCH002  ``examples/``/``benchmarks/`` import of a repro internal —
          deliberate internals poke needs a justifying suppression
 PERF001  class registered as hot-path (engine events, packets, queue
          state...) missing ``__slots__``
+PERF002  a yielded ``Timeout(...)`` or ``<x>.timeout(...)`` in
+         ``src/`` — a process sleeps by yielding the float delay,
+         which schedules the same items without an Event; keep a
+         Timeout only where its Event identity is needed
 ======== ==============================================================
 
 Any violation can be suppressed on its line with a justifying comment::
@@ -59,6 +63,7 @@ RULES: Dict[str, str] = {
     "ARCH001": "import violates the layering rules",
     "ARCH002": "examples/benchmarks must import the public surface only",
     "PERF001": "hot-path class must declare __slots__",
+    "PERF002": "yield of a fresh Timeout: yield the float delay instead",
 }
 
 #: inline suppression: ``# repro: allow DET003`` (comma-separate several).
@@ -696,6 +701,27 @@ def _check_slots(tree: ast.AST, path: str,
 
 
 # ----------------------------------------------------------------------
+# PERF002 — sleep with a float, not a Timeout
+# ----------------------------------------------------------------------
+
+
+def _check_timeout_yields(tree: ast.AST, path: str) -> List[Violation]:
+    out: List[Violation] = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Yield) and isinstance(node.value, ast.Call)):
+            continue
+        func = node.value.func
+        if ((isinstance(func, ast.Name) and func.id == "Timeout")
+                or (isinstance(func, ast.Attribute)
+                    and func.attr in ("Timeout", "timeout"))):
+            out.append(Violation(
+                "PERF002", path, node.lineno, node.col_offset,
+                "yield of a fresh Timeout: yield the float delay in ns",
+            ))
+    return out
+
+
+# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 
@@ -722,6 +748,7 @@ def check_source(source: str, relpath: str) -> List[Violation]:
         violations += _check_set_iteration(tree, relpath)
         violations += _check_layering(tree, relpath, module_parts)
         violations += _check_slots(tree, relpath, module_parts)
+        violations += _check_timeout_yields(tree, relpath)
     violations += _check_id_ordering(tree, relpath)
     if module_parts != ("sim", "engine.py"):
         violations += _check_heap_ties(tree, relpath)

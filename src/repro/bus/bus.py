@@ -25,7 +25,6 @@ from repro.bus.snoop import BusSlave, Snooper, SnoopResult
 from repro.common.config import BusConfig
 from repro.common.errors import AddressError, SimulationError
 from repro.mem.address import AddressMap
-from repro.sim.events import Timeout
 from repro.sim.resource import PriorityResource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,7 +111,6 @@ class MemoryBus:
                 raise SimulationError(
                     f"burst {op.value} misaligned at {txn.addr:#x}"
                 )
-        engine = self.engine
         arbiter = self._arbiter
         stats = self.stats
 
@@ -122,9 +120,9 @@ class MemoryBus:
             if not arbiter.try_acquire():
                 yield arbiter.request(priority)
             try:
-                yield Timeout(engine, self._address_ns)
+                yield self._address_ns
                 verdict, claimant = self._snoop_window(txn)
-                yield Timeout(engine, self._snoop_ns)
+                yield self._snoop_ns
 
                 if verdict is SnoopResult.RETRY:
                     txn.retries += 1
@@ -169,7 +167,7 @@ class MemoryBus:
             finally:
                 arbiter.release()
             # back off without holding the bus, then re-arbitrate
-            yield Timeout(engine, self._backoff_ns)
+            yield self._backoff_ns
 
     def _snoop_window(self, txn: BusTransaction):
         """Collect snoop responses; returns (verdict, claimant)."""

@@ -449,15 +449,14 @@ class MachineConfig:
                 raise ConfigError(
                     f"scoma_home_of names nonexistent nodes: {bad[:4]}"
                 )
-        self.ap.validate()
-        self.sp.validate()
-        self.bus.validate()
-        self.dram.validate()
-        self.l2.validate()
-        self.niu.validate()
-        self.network.validate()
-        self.firmware.validate()
-        self.reliability.validate()
+        for sub in (self.ap, self.sp, self.bus, self.dram, self.l2, self.niu,
+                    self.network, self.firmware, self.reliability):
+            # timing fields reach the kernel as float sleeps: 40 must
+            # run (and describe itself) exactly as 40.0
+            for f in dataclasses.fields(sub):
+                if f.name.endswith("_ns"):
+                    setattr(sub, f.name, float(getattr(sub, f.name)))
+            sub.validate()
         if self.faults is not None:
             self.faults.validate(self.n_nodes)
         if self.l2.line_bytes != self.bus.line_bytes:

@@ -17,8 +17,9 @@ key tag    derived from
 ``store``  a :class:`~repro.sim.store.Store` put/get event — the
            store's name (``put:X`` and ``get:X`` share the key ``X``,
            so producers and consumers of one queue conflict)
-``proc``   a process wake-up (timeout expiry, first step, interrupt) —
-           the sorted names of the processes the item resumes
+``proc``   a process wake-up (timeout or sleep expiry, first step,
+           interrupt) — the sorted names of the processes the item
+           resumes
 ``ev``     any other named event — the event name
 ``cells``  a closure (link delivery, credit return...) — the sorted
            names of every named object captured in its cells, so two
@@ -108,6 +109,9 @@ def conflict_key(item: Tuple) -> ConflictKey:
         return _event_key(arg, callbacks=target)
     if kind == 1:  # KIND_SUCCEED: target is the event about to trigger
         return _event_key(target)
+    if kind >= 3:  # KIND_SLEEP/KIND_WAKE: target is the sleeping process,
+        # keyed as the equivalent Timeout's callback owner would be
+        return ("proc", (target.name,))
     return _call_key(target)
 
 

@@ -262,7 +262,7 @@ def _stall_handler(sp, event: Tuple) -> "object":
     """Firmware-level stall: the engine sits busy doing nothing."""
     _kind, duration_ns = event
     sp.stats.counter("faults.sp_stalls").incr()
-    yield sp.engine.timeout(duration_ns)
+    yield duration_ns
 
 
 __all__: List[str] = [

@@ -112,6 +112,8 @@ class SpStall:
             raise ConfigError(f"SpStall.node {self.node} does not exist")
         if self.time_ns < 0 or self.duration_ns <= 0:
             raise ConfigError("SpStall needs time_ns >= 0 and duration_ns > 0")
+        # the stall handler sleeps for it, and sleeps are floats
+        self.duration_ns = float(self.duration_ns)
 
 
 @dataclass

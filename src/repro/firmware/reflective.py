@@ -57,7 +57,7 @@ class ReflectiveWindowHandler(BusHandler):
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
-        yield self.ctrl.engine.timeout(self.ctrl.op_ns)
+        yield self.ctrl.op_ns
         self.captured += 1
         # the write must still reach local DRAM: the handler claimed the
         # tenure, so it applies the store itself (zero extra bus traffic,

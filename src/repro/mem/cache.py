@@ -134,7 +134,7 @@ class SnoopingL2(Snooper):
             # capture before the hit delay: a snoop may invalidate the
             # frame during it, but this load was ordered ahead of that
             data = bytes(frame.data[off : off + size])
-            yield self.engine.timeout(self._hit_ns)
+            yield self._hit_ns
             return data
         self.misses += 1
         frame = yield from self._fill(addr, modify=False)
@@ -159,7 +159,7 @@ class SnoopingL2(Snooper):
             if frame.state is LineState.MODIFIED:
                 self.hits += 1
                 self._touch(frame)
-                yield self.engine.timeout(self._hit_ns)
+                yield self._hit_ns
                 if self._find(addr) is frame:
                     break
                 continue  # invalidated during the hit delay: retry

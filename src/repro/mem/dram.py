@@ -78,7 +78,7 @@ class DRAM(BusSlave):
         self, txn: BusTransaction
     ) -> Generator["Event", None, Optional[bytes]]:
         """Serve one transaction's data tenure."""
-        yield self.engine.timeout(self.access_ns(self._beats(txn), txn.addr))
+        yield self.access_ns(self._beats(txn), txn.addr)
         offset = txn.addr - self.base
         if txn.op.is_write:
             assert txn.data is not None

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Generator, Sequence
 
 from repro.common.errors import AddressError
 from repro.mem.backing import ByteBacking
-from repro.sim.events import Timeout
 from repro.sim.resource import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,7 +69,7 @@ class DualPortedSRAM:
         if not res.try_acquire():
             yield res.request()
         try:
-            yield Timeout(self.engine, self._beats(length) * self.access_ns)
+            yield self._beats(length) * self.access_ns
             return self.backing.read(offset, length)
         finally:
             res.release()
@@ -89,7 +88,7 @@ class DualPortedSRAM:
         if not res.try_acquire():
             yield res.request()
         try:
-            yield Timeout(self.engine, self._beats(length) * self.access_ns)
+            yield self._beats(length) * self.access_ns
             return self.backing.view(offset, length)
         finally:
             res.release()
@@ -102,7 +101,7 @@ class DualPortedSRAM:
         if not res.try_acquire():
             yield res.request()
         try:
-            yield Timeout(self.engine, self._beats(len(data)) * self.access_ns)
+            yield self._beats(len(data)) * self.access_ns
             self.backing.write(offset, data)
         finally:
             res.release()
@@ -122,7 +121,7 @@ class DualPortedSRAM:
         if not res.try_acquire():
             yield res.request()
         try:
-            yield Timeout(self.engine, self._beats(total) * self.access_ns)
+            yield self._beats(total) * self.access_ns
             self.backing.write_parts(offset, parts)
         finally:
             res.release()

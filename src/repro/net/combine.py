@@ -284,7 +284,7 @@ class CombineStage:
     def accept(self, port: int, pkt: Packet):
         """Consume one tagged packet arriving on ``port``."""
         tag: SyncTag = pkt.sync
-        yield self.engine.timeout(self.config.combine_latency_ns)
+        yield self.config.combine_latency_ns
         prog = self.programs.get(tag.group)
         if prog is None:
             raise NetworkError(
@@ -400,7 +400,7 @@ class CombineStage:
 
     def _window(self, prog: GroupProgram, key: Tuple):
         """Hold one fetch slot open for the combining window, then flush."""
-        yield self.engine.timeout(self.config.combine_window_ns)
+        yield self.config.combine_window_ns
         slot = self.slots.pop(key, None)
         if slot is not None:
             self._flush_fetch(prog, key, slot)

@@ -94,14 +94,14 @@ class Link:
                 # transmitter stays busy until the tail has left
                 header_ns = min(wire_bytes, self.config.header_bytes) \
                     * self.config.ns_per_byte
-                yield self.engine.timeout(header_ns)
+                yield header_ns
                 self.engine._schedule_call(
                     deliver,
                     delay=self.config.wire_latency_ns,
                 )
-                yield self.engine.timeout(serialize_ns - header_ns)
+                yield serialize_ns - header_ns
             else:
-                yield self.engine.timeout(serialize_ns)
+                yield serialize_ns
                 self.engine._schedule_call(
                     deliver,
                     delay=self.config.wire_latency_ns,

@@ -89,7 +89,7 @@ class ArcticSwitch:
     def _forward(self, port: int, in_link: Link, priority: int):
         while True:
             pkt: Packet = yield in_link.receive(priority)
-            yield self.engine.timeout(self.config.switch_latency_ns)
+            yield self.config.switch_latency_ns
             if pkt.sync is not None:
                 # in-network computing: tagged packets terminate in the
                 # combining stage instead of consuming a routing digit

@@ -66,7 +66,7 @@ class CommandProcessor:
     def _loop(self):
         while True:
             cmd = yield self.queue.dequeue()
-            yield self.ctrl.engine.timeout(self.ctrl.op_ns)
+            yield self.ctrl.op_ns
             yield from self.execute(cmd)
             self.executed += 1
 
@@ -81,7 +81,7 @@ class CommandProcessor:
                 n = -(-len(cmd.data) // line_bytes)
                 for line in range(first, first + n):
                     ctrl.cls.set_state(line, cmd.set_cls_state, fill=True)
-                yield ctrl.engine.timeout(n * ctrl.config.bus.cycle_ns)
+                yield n * ctrl.config.bus.cycle_ns
             if getattr(cmd, "notify_sp", False):
                 ctrl.post_sp_event(("dram_write", cmd.addr, len(cmd.data)))
         elif isinstance(cmd, CmdWriteDramFromSram):
@@ -106,7 +106,7 @@ class CommandProcessor:
             if ctrl.cls is None:
                 raise FirmwareError("CmdSetClsState without clsSRAM configured")
             ctrl.cls.set_range(cmd.line, cmd.n_lines, cmd.state)
-            yield ctrl.engine.timeout(cmd.n_lines * ctrl.config.bus.cycle_ns)
+            yield cmd.n_lines * ctrl.config.bus.cycle_ns
         elif isinstance(cmd, CmdBusOp):
             txn = BusTransaction(cmd.op, cmd.addr, cmd.size, cmd.data,
                                  master=f"niu{ctrl.node_id}")
@@ -147,7 +147,7 @@ def write_dram(ctrl: "Ctrl", addr: int, data: bytes
         yield ctrl.ibus.request()
     try:
         beats = -(-len(data) // ctrl.config.niu.ibus_width_bytes)
-        yield ctrl.engine.timeout(ctrl.op_ns + beats * ctrl.config.bus.cycle_ns)
+        yield ctrl.op_ns + beats * ctrl.config.bus.cycle_ns
     finally:
         ctrl.ibus.release()
     # slices of the immutable copy ride each bus transaction without
@@ -195,7 +195,7 @@ def read_dram(ctrl: "Ctrl", addr: int, length: int
         yield ctrl.ibus.request()
     try:
         beats = -(-length // ctrl.config.niu.ibus_width_bytes)
-        yield ctrl.engine.timeout(ctrl.op_ns + beats * ctrl.config.bus.cycle_ns)
+        yield ctrl.op_ns + beats * ctrl.config.bus.cycle_ns
     finally:
         ctrl.ibus.release()
     # single gather of the per-transaction results (was: bytearray append

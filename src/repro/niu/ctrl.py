@@ -160,7 +160,7 @@ class Ctrl:
         if not self.ibus.try_acquire():
             yield self.ibus.request()
         try:
-            yield self.engine.timeout(self.op_ns)
+            yield self.op_ns
             data = yield from self._bank(bank).read(PORT_IBUS, offset, size)
         finally:
             self.ibus.release()
@@ -174,7 +174,7 @@ class Ctrl:
         if not self.ibus.try_acquire():
             yield self.ibus.request()
         try:
-            yield self.engine.timeout(self.op_ns)
+            yield self.op_ns
             data = yield from self._bank(bank).read_view(PORT_IBUS, offset, size)
         finally:
             self.ibus.release()
@@ -186,7 +186,7 @@ class Ctrl:
         if not self.ibus.try_acquire():
             yield self.ibus.request()
         try:
-            yield self.engine.timeout(self.op_ns)
+            yield self.op_ns
             yield from self._bank(bank).write(PORT_IBUS, offset, data)
         finally:
             self.ibus.release()
@@ -198,7 +198,7 @@ class Ctrl:
         if not self.ibus.try_acquire():
             yield self.ibus.request()
         try:
-            yield self.engine.timeout(self.op_ns)
+            yield self.op_ns
             yield from self._bank(bank).write_parts(PORT_IBUS, offset, parts)
         finally:
             self.ibus.release()
@@ -285,7 +285,7 @@ class Ctrl:
                 yield self._tx_work
                 self._tx_work = None
                 continue
-            yield self.engine.timeout(self.op_ns)
+            yield self.op_ns
             yield from self._send_from_queue(q)
 
     def _send_from_queue(self, q: QueueState) -> Generator["Event", None, None]:
@@ -366,7 +366,7 @@ class Ctrl:
     ) -> Generator["Event", None, None]:
         if dst_node == self.node_id:
             # CTRL loopback: no network involvement
-            yield self.engine.timeout(self.op_ns)
+            yield self.op_ns
             yield from self.deliver(dst_queue, self.node_id, payload)
             return
         route = self._route_or_drop(dst_node)
@@ -389,7 +389,7 @@ class Ctrl:
     ) -> Generator["Event", None, None]:
         """Send a command to a (possibly remote) NIU's remote command queue."""
         if dst_node == self.node_id:
-            yield self.engine.timeout(self.op_ns)
+            yield self.op_ns
             which = REMOTE_CMDQ_HIGH if priority == PRIORITY_HIGH else REMOTE_CMDQ
             yield self.cmdqs[which].enqueue(command)
             return
@@ -472,7 +472,7 @@ class Ctrl:
         """RxU: drain one network priority into queues / the remote cmdq."""
         while True:
             pkt: Packet = yield self.net_port.receive(priority)
-            yield self.engine.timeout(self.op_ns)
+            yield self.op_ns
             if self.crashed:
                 self._rx_drop(pkt.dst_queue, "crashed")
                 continue

@@ -95,7 +95,7 @@ class DiffUnit:
                 f"diff needs a full {self.line_bytes}-byte line"
             )
         beats = self.line_bytes // self.word_bytes
-        yield self.engine.timeout(beats * self.compare_ns_per_beat)
+        yield beats * self.compare_ns_per_beat
         twin = self._twins.get(line, bytes(self.line_bytes))
         runs: List[Tuple[int, bytes]] = []
         run_start = None

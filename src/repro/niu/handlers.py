@@ -26,7 +26,6 @@ from repro.niu.msgformat import (
     encode_header,
 )
 from repro.niu.queues import QueueKind, QueueState
-from repro.sim.events import Timeout
 from repro.sim.store import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,7 +116,7 @@ class PointerWindowHandler(BusHandler):
               ) -> Generator["Event", None, Optional[bytes]]:
         ctrl = self.ctrl
         kind, index, which, writable = self._decode(txn.addr)
-        yield Timeout(ctrl.engine, ctrl.op_ns)
+        yield ctrl.op_ns
         if txn.op is BusOpType.WRITE:
             if not writable:
                 raise QueueError(
@@ -248,7 +247,7 @@ class ExpressTxHandler(BusHandler):
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
-        yield Timeout(self.ctrl.engine, self.ctrl.op_ns)
+        yield self.ctrl.op_ns
         if not self.queue.enabled:
             return None  # shut-down queue swallows the store
         off = txn.addr - self.region.base
@@ -302,7 +301,7 @@ class ExpressRxHandler(BusHandler):
               ) -> Generator["Event", None, Optional[bytes]]:
         ctrl = self.ctrl
         q = self.queue
-        yield Timeout(ctrl.engine, ctrl.op_ns)
+        yield ctrl.op_ns
         if q.is_empty:
             self.empties += 1
             return EXPRESS_EMPTY[: txn.size]
@@ -344,7 +343,7 @@ class SysregHandler(BusHandler):
         name = self.regmap.get(txn.addr - self.region.base)
         if name is None:
             raise QueueError(f"sysreg window: unmapped offset {txn.addr:#x}")
-        yield Timeout(ctrl.engine, ctrl.op_ns)
+        yield ctrl.op_ns
         if txn.op is BusOpType.WRITE:
             value = int.from_bytes(txn.data[:4], "big")  # type: ignore[index]
             ctrl.sysregs.write(name, value, trusted=self.trusted)
@@ -398,7 +397,7 @@ class NumaHandler(BusHandler):
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
-        yield Timeout(self.ctrl.engine, self.ctrl.op_ns)
+        yield self.ctrl.op_ns
         if txn.op is BusOpType.WRITE:
             self.writes += 1
             self.ctrl.post_sp_event(("numa_write", txn.addr, bytes(txn.data)))  # type: ignore[arg-type]

@@ -69,13 +69,13 @@ class SBiu:
     def read_ssram(self, offset: int, size: int
                    ) -> Generator["Event", None, bytes]:
         """Timed sSRAM read on behalf of the sP."""
-        yield self.engine.timeout(self._busop_ns())
+        yield self._busop_ns()
         return (yield from self.ssram.read(PORT_BUS, offset, size))
 
     def write_ssram(self, offset: int, data: bytes
                     ) -> Generator["Event", None, None]:
         """Timed sSRAM write on behalf of the sP."""
-        yield self.engine.timeout(self._busop_ns())
+        yield self._busop_ns()
         yield from self.ssram.write(PORT_BUS, offset, data)
 
     # -- CTRL immediate interface ----------------------------------------------
@@ -89,7 +89,7 @@ class SBiu:
         "immediate command interface allows the sP to read and update CTRL
         state".
         """
-        yield self.engine.timeout(self._busop_ns() + self.ctrl.op_ns)
+        yield self._busop_ns() + self.ctrl.op_ns
         return fn()
 
     def read_pointer(self, kind: QueueKind, index: int, which: str
@@ -104,5 +104,5 @@ class SBiu:
     def enqueue_command(self, which: int, cmd: Command
                         ) -> Generator["Event", None, None]:
         """Issue one command into a local CTRL command queue (in order)."""
-        yield self.engine.timeout(self._busop_ns())
+        yield self._busop_ns()
         yield self.ctrl.cmdqs[which].enqueue(cmd)

@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.ctrl import Ctrl
     from repro.niu.sbiu import SBiu
     from repro.sim.engine import Engine
-    from repro.sim.events import Event
     from repro.sim.stats import StatsRegistry
     from repro.sim.trace import Tracer
 
@@ -90,9 +89,10 @@ class ServiceProcessor:
 
     # -- execution-cost primitives (used inside handlers) -------------------------
 
-    def compute(self, n_insns: int) -> "Event":
-        """Model ``n_insns`` instructions of straight-line firmware."""
-        return self.engine.timeout(self.proc.insn_ns(n_insns))
+    def compute(self, n_insns: int) -> float:
+        """Model ``n_insns`` instructions of straight-line firmware: the
+        float sleep a handler yields (``yield sp.compute(n)``)."""
+        return self.proc.insn_ns(n_insns)
 
     # -- the dispatch kernel ---------------------------------------------------------
 

@@ -25,7 +25,6 @@ from repro.bus.ops import BusOpType, BusTransaction
 from repro.common.config import MachineConfig
 from repro.common.errors import ProgramError
 from repro.mem.address import AccessMode
-from repro.sim.events import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.node.node import NodeBoard
@@ -63,13 +62,13 @@ class ApApi:
         ap.busy.begin()
         try:
             # ProcessorConfig.insn_ns on the aP's hoisted constants
-            yield Timeout(self.engine, n_insns * ap.cpi * ap.cycle_ns)
+            yield n_insns * ap.cpi * ap.cycle_ns
         finally:
             ap.busy.end()
 
     def sleep(self, ns: float) -> Generator["Event", None, None]:
         """Idle for ``ns`` (not counted as occupancy)."""
-        yield self.engine.timeout(ns)
+        yield float(ns)
 
     def wait(self, event: "Event") -> Generator["Event", None, Any]:
         """Block on an event without accruing occupancy ("do other work")."""

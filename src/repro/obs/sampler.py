@@ -38,7 +38,7 @@ class QueueSampler:
         if period_ns <= 0:
             raise ValueError(f"sample period must be positive: {period_ns}")
         self.machine = machine
-        self.period_ns = period_ns
+        self.period_ns = float(period_ns)
         self.samples: Deque[Sample] = deque(maxlen=max_samples)
         self._running = False
         self._busy_last: Dict[str, float] = {}
@@ -75,9 +75,8 @@ class QueueSampler:
                      min(1.0, delta / self.period_ns)))
 
     def _run(self):
-        engine = self.machine.engine
         while self._running:
-            yield engine.timeout(self.period_ns)
+            yield self.period_ns
             if not self._running:
                 return
             self._take()

@@ -9,7 +9,7 @@ inspects ``kind``/``target``/``arg``.  Determinism is a hard requirement
 here: the whole point of the platform is comparing mechanisms, and noise
 from dict/heap tie-breaking would poison those comparisons.
 
-The ``kind`` field selects one of three inlined dispatch paths in the
+The ``kind`` field selects one of five inlined dispatch paths in the
 one dispatch core, :meth:`Engine._dispatch`, which every run loop
 wraps (see DESIGN.md §8.1, the simulation kernel fast paths):
 
@@ -19,7 +19,16 @@ kind  name            meaning
 0     CALL            ``target`` is a no-arg callable; ``arg`` unused
 1     SUCCEED         ``target`` is an :class:`Event`; succeed with ``arg``
 2     CALLBACKS       ``target`` is a callback list; ``arg`` the event
+3     SLEEP           ``target`` is a :class:`Process` that yielded a
+                      float; ``arg`` its wait token
+4     WAKE            ``target`` is that process, owed a same-instant
+                      wake-up; ``arg`` its wait token
 ====  ==============  =====================================================
+
+A SLEEP/WAKE pair is a yielded ``Timeout(engine, d)`` without the Event:
+SLEEP stands where the Timeout's SUCCEED item stood and WAKE where its
+CALLBACKS item stood, with the same sequence numbers and the same two
+executed items per sleep, tied or not.
 
 Earlier revisions stored a closure per entry (``lambda: ev.succeed(v)``)
 — one allocation per scheduled event plus an indirect call at dispatch.
@@ -43,6 +52,8 @@ from repro.sim.process import ProcGen, Process
 KIND_CALL = 0
 KIND_SUCCEED = 1
 KIND_CALLBACKS = 2
+KIND_SLEEP = 3
+KIND_WAKE = 4
 
 #: an unbounded run horizon.
 INFINITY = float("inf")
@@ -142,7 +153,8 @@ class Engine:
         return Event(self, name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that succeeds ``delay`` ns from now."""
+        """An event that succeeds ``delay`` ns from now (a process that
+        just sleeps yields the float ``delay`` instead)."""
         return Timeout(self, delay, value)
 
     def process(self, gen: ProcGen, name: str = "", daemon: bool = False) -> Process:
@@ -234,6 +246,16 @@ class Engine:
         executed count match the pushed form exactly.  ``stop``'s own
         callbacks are always pushed: the loop returns as soon as
         ``stop`` triggers, leaving them queued.
+
+        A KIND_SLEEP item gets the same treatment: it owes a KIND_WAKE
+        item at its own timestamp, and when nothing else is queued there
+        the core resumes the process at once.  This inlined wake is the
+        one deliberate copy of :meth:`Process._wake`; it also parks a
+        follow-up float sleep itself, so a process that only sleeps
+        never leaves the loop.  A process interrupted mid-sleep no
+        longer holds the item's token: its items still take their
+        sequence number and count, and resume nothing — exactly a stale
+        Timeout callback.
         """
         heap = self._heap
         crashes = self._crashes
@@ -251,7 +273,26 @@ class Engine:
                 self._now = time
                 executed += 1
                 # Inline dispatch, most frequent kind first.
-                if kind == 1:  # KIND_SUCCEED (the Timeout fast path)
+                if kind == 3:  # KIND_SLEEP: arg is the process's wait token
+                    self._seq = seq = self._seq + 1
+                    if heap and heap[0][0] == time:
+                        heappush(heap, (time, seq, 4, target, arg))
+                    else:
+                        executed += 1
+                        if target._waiting_on is arg:
+                            target._waiting_on = None
+                            try:
+                                arg = target._gen.send(None)
+                            except BaseException as err:
+                                target._finish(err)
+                            else:
+                                if type(arg) is float and arg >= 0.0:
+                                    self._seq = seq = self._seq + 1
+                                    target._waiting_on = seq
+                                    heappush(heap, (time + arg, seq, 3, target, seq))
+                                else:
+                                    target._wait(arg)
+                elif kind == 1:  # KIND_SUCCEED (the Timeout fast path)
                     if target._value is not _PENDING or target._exc is not None:
                         raise SimulationError(f"event {target!r} triggered twice")
                     target._value = arg
@@ -268,6 +309,8 @@ class Engine:
                 elif kind == 2:  # KIND_CALLBACKS
                     for cb in target:
                         cb(arg)
+                elif kind == 4:  # KIND_WAKE
+                    target._wake(arg)
                 else:  # KIND_CALL
                     target()
                 if crashes and self.strict:

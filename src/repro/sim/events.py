@@ -1,9 +1,10 @@
 """Events: the unit of synchronization in the simulation kernel.
 
-A process (see :mod:`repro.sim.process`) advances by yielding
+A process (see :mod:`repro.sim.process`) waits by yielding
 :class:`Event` objects.  The engine resumes the process when the event
 *triggers*, sending the event's value into the generator (or throwing the
-event's exception, if it failed).
+event's exception, if it failed).  A process that only needs to let time
+pass yields the float delay instead — no Event at all.
 
 This is a deliberately small SimPy-like core: ``Event``, ``Timeout``,
 ``AllOf``/``AnyOf`` combinators.  Everything else (resources, stores,
@@ -119,12 +120,10 @@ class Event:
 class Timeout(Event):
     """An event that succeeds after a fixed simulated delay.
 
-    The constructor is the single hottest allocation site in the kernel
-    (every modeled latency is a Timeout), so it writes the :class:`Event`
-    fields directly instead of chaining ``super().__init__`` and pushes
-    its KIND_SUCCEED scheduled item inline.  The name is a constant:
-    formatting a per-instance ``timeout(...)`` label cost more than the
-    heap push.
+    Only for a delay whose Event identity matters: a timer raced in an
+    :class:`AnyOf`, or one handed to other code.  A process that just
+    sleeps yields the float delay, which schedules the same items
+    without an Event (lint rule PERF002).
     """
 
     __slots__ = ("delay",)
@@ -132,11 +131,7 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout {delay}")
-        self.engine = engine
-        self._value = _PENDING
-        self._exc = None
-        self._callbacks = []
-        self.name = "timeout"
+        super().__init__(engine, "timeout")
         self.delay = delay
         engine._seq = seq = engine._seq + 1
         heappush(engine._heap, (engine._now + delay, seq, 1, self, value))

@@ -3,9 +3,12 @@
 A process wraps a Python generator.  The generator models one hardware
 unit's control flow (a bus master's transaction sequence, a firmware
 handler, a switch's forwarding loop...).  It advances by ``yield``-ing
-:class:`~repro.sim.events.Event` objects; the engine resumes it with the
-event's value when the event triggers, or throws the event's exception
-into it.
+either an :class:`~repro.sim.events.Event` — the engine resumes it with
+the event's value when the event triggers, or throws the event's
+exception into it — or a ``float``: a sleep of that many ns, resumed
+with ``None``.  A sleep is the cheap form of yielding ``Timeout(engine, d)``:
+the same scheduled items, sequence numbers and executed count, but no
+Event, callback list or bound-method wake-up behind it (DESIGN.md §8.1).
 
 A ``Process`` is itself an event: it triggers with the generator's return
 value when the generator finishes, so processes can wait on each other
@@ -14,7 +17,8 @@ value when the generator finishes, so processes can wait on each other
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from heapq import heappush
+from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
 from repro.common.errors import SimulationError
 from repro.sim.events import Event
@@ -22,7 +26,7 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
 
-ProcGen = Generator[Event, Any, Any]
+ProcGen = Generator[Any, Any, Any]
 
 
 class Interrupt(Exception):
@@ -53,7 +57,9 @@ class Process(Event):
             )
         super().__init__(engine, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
+        #: the Event this process is parked on, or the int token (the
+        #: KIND_SLEEP item's seq) of the sleep it is in; None otherwise.
+        self._waiting_on: Union[Event, int, None] = None
         self._started = False
         #: infrastructure service loop — expected to idle-block forever,
         #: invisible to the deadlock watchdog.
@@ -69,8 +75,9 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time.
 
         Interrupting a finished process is an error; interrupting a process
-        blocked on an event detaches it from that event (the event may
-        still trigger later; the process simply no longer waits on it).
+        blocked on an event or a sleep detaches it from that wait (the
+        event may still trigger, the sleep's items still run and count;
+        the process simply no longer waits on them).
         """
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
@@ -100,13 +107,19 @@ class Process(Event):
         except BaseException as err:
             self._finish(err)
             return
-        # the common case inline: park on a pending event
-        if isinstance(target, Event):
-            callbacks = target._callbacks
-            if callbacks is not None:
-                self._waiting_on = target
-                callbacks.append(self._on_event)
-                return
+        self._wait(target)
+
+    def _wake(self, token: int) -> None:
+        """The end of a float sleep (a KIND_WAKE item): resume with
+        ``None``, as the equivalent Timeout's waiter would."""
+        if self._waiting_on is not token:
+            return  # stale wakeup: the process was interrupted meanwhile
+        self._waiting_on = None
+        try:
+            target = self._gen.send(None)
+        except BaseException as err:
+            self._finish(err)
+            return
         self._wait(target)
 
     def _resume(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
@@ -125,26 +138,46 @@ class Process(Event):
         target in a loop: one stack frame however many yields in a row
         need no waiting (draining a pre-filled store, uncontended
         requests).  Nothing is scheduled for those, exactly as when each
-        resumed through a callback run in place."""
+        resumed through a callback run in place.
+
+        A float ``target`` sleeps: one KIND_SLEEP item whose sequence
+        number doubles as the wait token, pushed here — at the yield,
+        where ``Timeout.__init__`` pushed its KIND_SUCCEED item.  A
+        negative one throws ``Timeout``'s error into the generator at
+        the yield.  (:meth:`Engine._dispatch` inlines the float case for
+        a process it has just woken from a sleep.)
+        """
         gen = self._gen
         while True:
-            if not isinstance(target, Event):
+            if isinstance(target, float):
+                if target < 0:
+                    exc: BaseException = SimulationError(
+                        f"negative timeout {target}")
+                else:
+                    engine = self.engine
+                    engine._seq = seq = engine._seq + 1
+                    self._waiting_on = seq
+                    heappush(engine._heap,
+                             (engine._now + target, seq, 3, self, seq))
+                    return
+            elif not isinstance(target, Event):
                 err = SimulationError(
                     f"process {self.name!r} yielded {target!r}; processes must "
-                    "yield Event instances"
+                    "yield an Event or a float delay in ns"
                 )
                 if not self._callbacks:
                     self.engine._note_process_crash(self, err)
                 self.fail(err)
                 gen.close()
                 return
-            # inlined Event.add_callback
-            callbacks = target._callbacks
-            if callbacks is not None:
-                self._waiting_on = target
-                callbacks.append(self._on_event)
-                return
-            exc = target._exc
+            else:
+                # inlined Event.add_callback
+                callbacks = target._callbacks
+                if callbacks is not None:
+                    self._waiting_on = target
+                    callbacks.append(self._on_event)
+                    return
+                exc = target._exc
             try:
                 if exc is None:
                     target = gen.send(target._value)

@@ -24,7 +24,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Generator, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
@@ -114,7 +114,7 @@ class Resource:
         if not self.try_acquire():
             yield self.request()
         try:
-            yield Timeout(self.engine, hold_ns)
+            yield float(hold_ns)
         finally:
             self.release()
 
@@ -185,6 +185,6 @@ class PriorityResource(Resource):
         if not self.try_acquire():
             yield self.request(priority)
         try:
-            yield Timeout(self.engine, hold_ns)
+            yield float(hold_ns)
         finally:
             self.release()

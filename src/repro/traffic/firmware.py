@@ -152,7 +152,8 @@ def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
         data = yield from fw_dram_read(sp, addr, length + 4, _KV_STAGING)
         if int.from_bytes(data[length:], "big") == req_id:
             break
-        yield from fw_wait(sp, sp.engine.timeout(_PUTREF_POLL_NS))
+        poll = sp.engine.timeout(_PUTREF_POLL_NS)  # fw_wait takes an Event
+        yield from fw_wait(sp, poll)
     else:
         raise FirmwareError(
             f"node {sp.node_id}: DMA PUT doorbell for req {req_id} "

@@ -315,6 +315,46 @@ def test_perf001_unregistered_class_exempt():
 
 
 # ----------------------------------------------------------------------
+# PERF002 — sleep with a float, not a Timeout
+# ----------------------------------------------------------------------
+
+
+def test_perf002_yielded_timeout_fires():
+    src = """
+    def body(self, engine):
+        yield Timeout(engine, 5.0)
+        yield self.engine.timeout(self.op_ns)
+        yield events.Timeout(engine, 1.0)
+    """
+    assert rules_of(src) == ["PERF002"] * 3
+
+
+def test_perf002_float_sleep_and_kept_events_ok():
+    src = """
+    def body(self, engine, sp, ev):
+        yield self.op_ns
+        yield 5.0
+        timer = engine.timeout(10.0)  # raced below: needs the Event
+        yield engine.any_of([timer, ev])
+        yield from fw_wait(sp, sp.engine.timeout(1.0))
+    """
+    assert rules_of(src) == []
+
+
+def test_perf002_only_in_repro():
+    src = "def body(engine):\n    yield engine.timeout(5.0)\n"
+    assert rules_of(src, SIM) == ["PERF002"]
+    assert rules_of(src, TESTFILE) == []
+    assert rules_of(src, BENCHFILE) == []
+
+
+def test_perf002_suppressible():
+    src = ("def body(engine):\n"
+           "    yield engine.timeout(5.0)  # repro: allow PERF002 -- demo\n")
+    assert rules_of(src) == []
+
+
+# ----------------------------------------------------------------------
 # suppression, parse errors, driver
 # ----------------------------------------------------------------------
 

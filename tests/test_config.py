@@ -113,3 +113,40 @@ def test_firmware_costs_nonnegative():
     cfg.firmware.dispatch_insns = -1
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_int_durations_run_exactly_as_floats():
+    """Timing fields, stalls and sleeps given as ints are coerced once, at
+    their boundary: the kernel only sleeps on floats, and an int
+    config must describe itself and run exactly like the float one."""
+    import json
+
+    import repro
+    from repro.bench.harness import comparable
+    from repro.faults import FaultPlan, SpStall
+    from repro.mp import BasicPort, vdst_for
+
+    def run(num):
+        cfg = default_config(n_nodes=4)
+        cfg.network.switch_latency_ns = num(40)
+        cfg.network.combine_window_ns = num(80)
+        cfg.faults = FaultPlan(seed=1, sp_stalls=[
+            SpStall(node=1, time_ns=1_000.0, duration_ns=num(5_000))])
+        machine = repro.StarTVoyager(cfg)
+        ports = [BasicPort(machine.node(n), 0, 0) for n in range(4)]
+
+        def prog(api, me):
+            peer = (me + 2) % 4
+            yield from api.sleep(num(50_000))
+            yield from ports[me].send(api, vdst_for(peer, 0), bytes([me]))
+            return (yield from ports[me].recv(api))
+
+        procs = [machine.spawn(n, prog, n) for n in range(4)]
+        results = machine.run_all(procs, limit=1e9)
+        snapshot = comparable(json.loads(json.dumps(machine.metrics(),
+                                                    default=repr)))
+        return json.dumps(snapshot, sort_keys=True), results, machine.now
+
+    as_int, as_float = run(int), run(float)
+    assert as_int == as_float
+    assert as_float[2] > 50_000

@@ -4,7 +4,9 @@ A fired Timeout with waiters owes a KIND_CALLBACKS item at its own
 instant.  The core runs those callbacks inline when nothing else is
 queued at that instant; these tests pin down that the shortcut is
 invisible: wake order, ``events_executed`` and schedule-policy decision
-points are those of the pushed form.
+points are those of the pushed form.  A float sleep owes a KIND_WAKE
+item the same way, and a program that sleeps with ``yield d`` must run
+exactly as the one that yields ``Timeout(engine, d)``.
 """
 
 from heapq import heappop, heappush
@@ -14,7 +16,11 @@ import pytest
 import repro
 from repro.mp import BasicPort, vdst_for
 from repro.shard import ShardedMachine, scenario
+from repro.common.errors import SimulationError
+from repro.explore.conflict import conflict_key
 from repro.sim.engine import Engine, SchedulePolicy
+from repro.sim.events import Timeout
+from repro.sim.process import Interrupt
 from repro.sim.resource import PriorityResource
 
 
@@ -71,7 +77,8 @@ def test_untied_timeout_keeps_sequence_numbers(engine):
 
 def _reference_run(eng):
     """The pushed form: a dispatch loop that never inlines, so every
-    fired Timeout with waiters queues its KIND_CALLBACKS item."""
+    fired Timeout with waiters queues its KIND_CALLBACKS item and every
+    float sleep its KIND_WAKE item."""
     heap = eng._heap
     policy = eng.schedule_policy
     while heap:
@@ -90,6 +97,11 @@ def _reference_run(eng):
             if callbacks:
                 eng._seq += 1
                 heappush(heap, (time, eng._seq, 2, callbacks, target))
+        elif kind == 3:
+            eng._seq += 1
+            heappush(heap, (time, eng._seq, 4, target, arg))
+        elif kind == 4:
+            target._wake(arg)
         else:
             target()
 
@@ -186,6 +198,158 @@ def test_machine_decision_points_match_pushed_form(monkeypatch):
     assert inlined == machine_run(_reference_run)
     assert inlined[1] == [3, 3, 3, (0, b"ping"), None]
     assert len(inlined[0]) > 0
+
+
+# ----------------------------------------------------------------------
+# float sleeps: the Timeout form's items, without the Event
+# ----------------------------------------------------------------------
+
+#: a sleep's items stand where the Timeout's stood: SLEEP for SUCCEED,
+#: WAKE for CALLBACKS
+_AS_TIMEOUT_KIND = {3: 1, 4: 2}
+
+
+def _timeout_form(eng, d):
+    return Timeout(eng, d)
+
+
+def _sleep_form(eng, d):
+    return d
+
+
+def _tie_programs(eng, sleep, out):
+    def proc(tag, delays):
+        for d in delays:
+            yield sleep(eng, d)
+            out.append((tag, eng.now))
+        return tag
+
+    # b and c wake at t=5 together; a's second wake ties with b's
+    eng._schedule_call(lambda: out.append(("call", eng.now)), delay=10.0)
+    return [eng.process(proc("a", (5.0, 5.0, 3.0))),
+            eng.process(proc("b", (5.0, 5.0))),
+            eng.process(proc("c", (5.0,)))]
+
+
+def _untied_programs(eng, sleep, out):
+    def proc():
+        for d in (2.0, 7.5, 0.25):
+            yield sleep(eng, d)
+            out.append(eng.now)
+        return len(out)
+
+    return [eng.process(proc())]
+
+
+def _interrupt_programs(eng, sleep, out):
+    def victim():
+        try:
+            yield sleep(eng, 10.0)
+        except Interrupt as intr:
+            out.append((intr.cause, eng.now))
+        # still asleep when the stale item from the first sleep fires
+        yield sleep(eng, 9.0)
+        out.append(("woke", eng.now))
+        return "done"
+
+    def interrupter(target):
+        yield sleep(eng, 4.0)
+        target.interrupt("poke")
+
+    v = eng.process(victim())
+    return [v, eng.process(interrupter(v))]
+
+
+def _negative_programs(eng, sleep, out):
+    def proc():
+        try:
+            yield sleep(eng, -1.0)
+        except SimulationError as err:
+            out.append((str(err), eng.now))
+        yield sleep(eng, 3.0)
+        return eng.now
+
+    return [eng.process(proc())]
+
+
+def _both_forms(programs):
+    """Run ``programs`` once per sleep form under a recording policy."""
+    runs = []
+    for sleep in (_timeout_form, _sleep_form):
+        eng = Engine()
+        eng.schedule_policy = rec = _Recorder()
+        out = []
+        procs = programs(eng, sleep, out)
+        eng.run()
+        points = [(t, [(seq, _AS_TIMEOUT_KIND.get(kind, kind))
+                       for seq, kind in ready])
+                  for t, ready in rec.points]
+        runs.append((points, out, [p.value for p in procs],
+                     eng.events_executed, eng._seq, eng.now))
+    return runs
+
+
+@pytest.mark.parametrize("programs", [
+    _tie_programs, _untied_programs, _interrupt_programs, _negative_programs,
+], ids=["tie", "untied", "interrupt", "negative"])
+def test_sleep_matches_timeout_form(programs):
+    timeout_run, sleep_run = _both_forms(programs)
+    assert sleep_run == timeout_run
+    assert sleep_run[1]  # the programs did run
+
+
+def test_sleep_cases_exercise_their_paths():
+    tie = _both_forms(_tie_programs)[1]
+    assert tie[0]  # same-instant ties reached the policy
+    untied = _both_forms(_untied_programs)[1]
+    assert untied[0] == [] and untied[3] == 1 + 3 * 2
+    interrupted = _both_forms(_interrupt_programs)[1]
+    assert interrupted[1] == [("poke", 4.0), ("woke", 13.0)]
+    negative = _both_forms(_negative_programs)[1]
+    assert negative[1] == [("negative timeout -1.0", 0.0)]
+    assert negative[2] == [3.0]
+
+
+def test_sleep_items_classify_like_the_timeout_items():
+    def programs(eng, sleep, out):
+        def proc():
+            yield sleep(eng, 5.0)
+
+        return [eng.process(proc(), name="p"), eng.process(proc(), name="q")]
+
+    keys = []
+    for sleep in (_timeout_form, _sleep_form):
+        eng = Engine()
+        eng.schedule_policy = rec = _Recorder()
+        seen = []
+        choose = rec.choose
+
+        def keyed_choose(time, ready, choose=choose, seen=seen):
+            seen.append([(item[2], conflict_key(item)) for item in ready])
+            return choose(time, ready)
+
+        rec.choose = keyed_choose
+        programs(eng, sleep, [])
+        eng.run()
+        keys.append(seen)
+    timeout_keys, sleep_keys = keys
+    # first steps, then both expiries tied at t=5, then the second
+    # expiry against the first one's pushed wake-up
+    assert [k for k, _ in sleep_keys[1]] == [3, 3]
+    assert [k for k, _ in sleep_keys[2]] == [3, 4]
+    strip = [[key for _, key in group] for group in sleep_keys]
+    assert strip == [[key for _, key in group] for group in timeout_keys]
+    assert strip[2] == [("proc", ("q",)), ("proc", ("p",))]
+
+
+def test_bad_yield_names_both_accepted_forms(engine):
+    def body():
+        yield 40  # an int: not a float delay
+
+    proc = engine.process(body())
+    with pytest.raises(SimulationError):
+        engine.run()
+    assert "an Event or a float delay in ns" in str(proc.exception)
 
 
 def test_run_until_triggered_leaves_target_callbacks_queued(engine):

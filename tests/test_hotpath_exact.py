@@ -20,6 +20,11 @@ import pytest
 
 from repro.bench.harness import comparable
 from repro.common.config import default_config
+from repro.core.machine import StarTVoyager
+from repro.faults import FaultPlan, NodeCrash
+from repro.faults.inject import FaultInjector
+from repro.mp import BasicPort, vdst_for
+from repro.obs.snapshot import metrics_snapshot
 from repro.shard import ShardedMachine, scenario
 
 #: (scenario, kwargs, nodes) -> (events_executed, final _seq, now_ns,
@@ -59,3 +64,89 @@ def test_stock_scenario_matches_pins(key):
     got = (engine.events_executed, engine._seq, run.snapshot["now_ns"],
            _digest(run.snapshot))
     assert got == PINS[key]
+
+
+#: crash instant -> (events_executed, final _seq, now_ns, sha256 of the
+#: comparable snapshot) of :func:`_crash_run`.  Node 1's two programs are
+#: both inside a bus operation at 2333 ns and both computing at 2703 ns.
+CRASH_PINS = {
+    "mid_bus_op": (2333.0, (
+        2287, 2287, 9675.063891931355,
+        "f2af9d3a6b7f9168b8790afa72b421908368128ba93cf88f3d38e47e76479a72",
+    )),
+    "mid_compute": (2703.0, (
+        2310, 2310, 9675.063891931355,
+        "0db1cd5d4cca13840b4c89d7a2f81245b67937f6869dd3f0fb35f15f4e356bf1",
+    )),
+}
+
+
+def _generator_chain(gen):
+    """Names of a process's nested generators, outermost first."""
+    names = []
+    while gen is not None:
+        names.append(gen.gi_code.co_name)
+        gen = gen.gi_yieldfrom
+    return names
+
+
+def _crash_run(crash_ns, monkeypatch):
+    """3 nodes: node 1 polls an empty Basic queue and runs a
+    store/compute/sleep loop until a NodeCrash kills both programs;
+    nodes 0 and 2 trade eight Basic messages each way meanwhile.
+    Returns the pin tuple and the victims' generator chains at the
+    crash."""
+    config = default_config(n_nodes=3)
+    config.faults = FaultPlan(seed=1, node_crashes=[
+        NodeCrash(node=1, time_ns=crash_ns)])
+    machine = StarTVoyager(config)
+    ports = [BasicPort(machine.node(n), 0, 0) for n in range(3)]
+    chains = []
+    crash_board = FaultInjector._crash_board
+
+    def recording_crash(self, node_id):
+        chains.extend(_generator_chain(p._gen)
+                      for p in machine.node(node_id).ap.programs
+                      if p.is_alive)
+        crash_board(self, node_id)
+
+    monkeypatch.setattr(FaultInjector, "_crash_board", recording_crash)
+
+    def spin(api):
+        while True:
+            yield from ports[1].recv(api)
+
+    def worker(api):
+        for i in range(1000):
+            yield from api.store_u32(0x2000 + 64 * (i % 4), i)
+            yield from api.compute(40)
+            yield from api.sleep(300)
+
+    def exchange(api, me, peer):
+        got = []
+        for i in range(8):
+            yield from ports[me].send(api, vdst_for(peer, 0), bytes([me, i]))
+            got.append((yield from ports[me].recv(api)))
+        return got
+
+    machine.spawn(1, spin)
+    machine.spawn(1, worker)
+    procs = [machine.spawn(0, exchange, 0, 2), machine.spawn(2, exchange, 2, 0)]
+    results = machine.run_all(procs, limit=1e9)
+    assert [len(r) for r in results] == [8, 8]
+    engine = machine.engine
+    got = (engine.events_executed, engine._seq, machine.now,
+           _digest(metrics_snapshot(machine)))
+    return got, chains
+
+
+@pytest.mark.parametrize("case", sorted(CRASH_PINS))
+def test_node_crash_matches_pins(case, monkeypatch):
+    crash_ns, pins = CRASH_PINS[case]
+    got, chains = _crash_run(crash_ns, monkeypatch)
+    assert len(chains) == 2
+    if case == "mid_bus_op":
+        assert all("transact" in chain for chain in chains), chains
+    else:
+        assert all(chain[-1] == "compute" for chain in chains), chains
+    assert got == pins
