@@ -19,7 +19,7 @@ Results also land in ``benchmarks/results/collectives.json`` via
 Also runnable directly, fanning the grid out over processes with
 byte-identical output (every point is an independent seeded machine)::
 
-    python benchmarks/bench_collectives.py --jobs 4
+    python -m repro.bench collectives --jobs 4
 """
 
 import os
@@ -145,14 +145,3 @@ BENCH = {
     "flags": _flags,
     "run": run,
 }
-
-
-def main(argv=None):
-    from repro.bench.cli import main as bench_main
-
-    return bench_main(
-        ["collectives", *(sys.argv[1:] if argv is None else list(argv))])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -43,8 +43,8 @@ import os
 import sys
 import time
 
-# script execution (`python benchmarks/bench_engine.py`) has only
-# benchmarks/ on sys.path; make the repo root and src/ importable
+# imported with only benchmarks/ on sys.path (e.g. a bare pytest run);
+# make the repo root and src/ importable
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for _p in (_ROOT, os.path.join(_ROOT, "src")):
     if _p not in sys.path:
@@ -367,14 +367,3 @@ BENCH = {
     "flags": _flags,
     "run": run,
 }
-
-
-def main(argv=None):
-    from repro.bench.cli import main as bench_main
-
-    return bench_main(
-        ["engine", *(sys.argv[1:] if argv is None else list(argv))])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,8 +17,8 @@ is byte-identical for any ``--jobs`` value.
 
 Also runnable directly (no pytest) for machine-readable output::
 
-    python benchmarks/bench_faults.py --emit-metrics
-    python benchmarks/bench_faults.py --jobs 4 --emit-metrics
+    python -m repro.bench faults --emit-metrics
+    python -m repro.bench faults --jobs 4 --emit-metrics
 
 The CLI exits nonzero if any reliable point fails 100% delivery, which
 is what the CI chaos-smoke job checks.
@@ -27,8 +27,8 @@ is what the CI chaos-smoke job checks.
 import os
 import sys
 
-# script execution (`python benchmarks/bench_faults.py`) has only
-# benchmarks/ on sys.path; make the repo root and src/ importable
+# imported with only benchmarks/ on sys.path (e.g. a bare pytest run);
+# make the repo root and src/ importable
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for _p in (_ROOT, os.path.join(_ROOT, "src")):
     if _p not in sys.path:
@@ -294,14 +294,3 @@ BENCH = {
     "flags": _flags,
     "run": run,
 }
-
-
-def main(argv=None):
-    from repro.bench.cli import main as bench_main
-
-    return bench_main(
-        ["faults", *(sys.argv[1:] if argv is None else list(argv))])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

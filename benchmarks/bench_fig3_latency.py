@@ -11,9 +11,9 @@ win as size grows, with 3 ahead of 2.
 
 Also runnable directly (no pytest) for machine-readable output::
 
-    python benchmarks/bench_fig3_latency.py --emit-metrics
-    python benchmarks/bench_fig3_latency.py --jobs 4 --emit-metrics
-    python benchmarks/bench_fig3_latency.py --trace --size 4096
+    python -m repro.bench fig3_latency --emit-metrics
+    python -m repro.bench fig3_latency --jobs 4 --emit-metrics
+    python -m repro.bench fig3_latency --trace --size 4096
 
 ``--emit-metrics`` writes the sweep with one schema-versioned
 ``machine.metrics()`` snapshot per data point (p50/p90/p99 included);
@@ -26,8 +26,8 @@ Chrome/Perfetto trace_event file (open at ui.perfetto.dev).
 import os
 import sys
 
-# script execution (`python benchmarks/bench_fig3_latency.py`) has only
-# benchmarks/ on sys.path; make the repo root and src/ importable
+# imported with only benchmarks/ on sys.path (e.g. a bare pytest run);
+# make the repo root and src/ importable
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for _p in (_ROOT, os.path.join(_ROOT, "src")):
     if _p not in sys.path:
@@ -135,14 +135,3 @@ BENCH = {
     "flags": _flags,
     "run": run,
 }
-
-
-def main(argv=None):
-    from repro.bench.cli import main as bench_main
-
-    return bench_main(
-        ["fig3_latency", *(sys.argv[1:] if argv is None else list(argv))])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,7 +8,7 @@ high network priority overtaking congested low-priority traffic.
 Also runnable directly; ``--jobs N`` fans the scenario grid out over
 processes with byte-identical output::
 
-    python benchmarks/bench_network.py --jobs 4
+    python -m repro.bench network --jobs 4
 """
 
 import os
@@ -248,14 +248,3 @@ BENCH = {
     "flags": _flags,
     "run": run,
 }
-
-
-def main(argv=None):
-    from repro.bench.cli import main as bench_main
-
-    return bench_main(
-        ["network", *(sys.argv[1:] if argv is None else list(argv))])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

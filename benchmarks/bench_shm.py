@@ -7,7 +7,6 @@ cache").  Expected shape: S-COMA cold miss ~ NUMA read; S-COMA warm hit
 orders of magnitude cheaper; NUMA flat regardless of reuse.
 """
 
-
 from benchmarks.conftest import record
 from repro.bench import fresh_machine
 from repro.shm import NumaSpace, ScomaRegion
@@ -183,7 +182,6 @@ def test_priority_isolates_protocol_from_bulk(benchmark):
 # ----------------------------------------------------------------------
 
 import os
-import sys
 
 SWEEP_HEADER = ["pattern", "nodes", "ns/access"]
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -301,14 +299,3 @@ BENCH = {
     "flags": _shm_flags,
     "run": run,
 }
-
-
-def main(argv=None):
-    from repro.bench.cli import main as bench_main
-
-    return bench_main(["shm", *(sys.argv[1:] if argv is None else
-                                list(argv))])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,8 +23,8 @@ for any ``--jobs``.
 
 Also runnable directly (no pytest) for machine-readable output::
 
-    python benchmarks/bench_sync.py --nodes 64 --sanitize combine
-    python benchmarks/bench_sync.py --jobs 6 --emit-metrics
+    python -m repro.bench sync --nodes 64 --sanitize combine
+    python -m repro.bench sync --jobs 6 --emit-metrics
 
 The summary artifact always lands in ``BENCH_sync.json`` at the repo
 root; the CLI exits nonzero if in-switch combining fails to beat the
@@ -35,8 +35,8 @@ the CI sync-smoke job checks.
 import os
 import sys
 
-# script execution (`python benchmarks/bench_sync.py`) has only
-# benchmarks/ on sys.path; make the repo root and src/ importable
+# imported with only benchmarks/ on sys.path (e.g. a bare pytest run);
+# make the repo root and src/ importable
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for _p in (_ROOT, os.path.join(_ROOT, "src")):
     if _p not in sys.path:
@@ -273,14 +273,3 @@ BENCH = {
     "flags": _flags,
     "run": run,
 }
-
-
-def main(argv=None):
-    from repro.bench.cli import main as bench_main
-
-    return bench_main(
-        ["sync", *(sys.argv[1:] if argv is None else list(argv))])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

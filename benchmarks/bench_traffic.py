@@ -21,7 +21,7 @@ The document lands in ``BENCH_traffic.json`` at the repo root::
 
     python -m repro.bench traffic                 # 64 nodes
     python -m repro.bench traffic --nodes 128 --jobs 4
-    python benchmarks/bench_traffic.py --rates 20000,200000
+    python -m repro.bench traffic --rates 20000,200000
 """
 
 import os
@@ -308,14 +308,3 @@ BENCH = {
     "flags": _flags,
     "run": run,
 }
-
-
-def main(argv=None):
-    from repro.bench.cli import main as bench_main
-
-    return bench_main(
-        ["traffic", *(sys.argv[1:] if argv is None else list(argv))])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

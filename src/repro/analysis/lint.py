@@ -34,6 +34,11 @@ PERF002  a yielded ``Timeout(...)`` or ``<x>.timeout(...)`` in
          ``src/`` — a process sleeps by yielding the float delay,
          which schedules the same items without an Event; keep a
          Timeout only where its Event identity is needed
+ARCH003  a hand-rolled byte codec (``int.from_bytes(`` or
+         ``.to_bytes(``) in ``firmware/``, ``collectives/``, ``sync/``,
+         ``traffic/`` or ``net/combine.py`` — message layouts are
+         declared once in :mod:`repro.common.wire`; a non-wire use
+         (a hash input, a DRAM word) takes a justifying suppression
 ======== ==============================================================
 
 Any violation can be suppressed on its line with a justifying comment::
@@ -64,6 +69,7 @@ RULES: Dict[str, str] = {
     "ARCH002": "examples/benchmarks must import the public surface only",
     "PERF001": "hot-path class must declare __slots__",
     "PERF002": "yield of a fresh Timeout: yield the float delay instead",
+    "ARCH003": "hand-rolled byte codec: declare the layout in common/wire.py",
 }
 
 #: inline suppression: ``# repro: allow DET003`` (comma-separate several).
@@ -151,7 +157,15 @@ HOT_CLASSES: Dict[Tuple[str, ...], Set[str]] = {
     ("firmware", "reliable.py"): {"_Flow"},
     ("traffic", "firmware.py"): {"TrafficState"},
     ("traffic", "slo.py"): {"SloRecorder"},
+    ("common", "wire.py"): {"Layout"},
 }
+
+#: where message bytes are built and parsed (ARCH003): these speak only
+#: through the layouts of ``common/wire.py``.
+_WIRE_SPEAKERS: Tuple[Tuple[str, ...], ...] = (
+    ("firmware",), ("collectives",), ("sync",), ("traffic",),
+    ("net", "combine.py"),
+)
 
 
 class Violation(NamedTuple):
@@ -722,6 +736,30 @@ def _check_timeout_yields(tree: ast.AST, path: str) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
+# ARCH003 — message bytes go through the wire registry
+# ----------------------------------------------------------------------
+
+
+def _check_byte_codecs(tree: ast.AST, path: str) -> List[Violation]:
+    out: List[Violation] = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if func.attr == "to_bytes" or (
+                func.attr == "from_bytes"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "int"):
+            out.append(Violation(
+                "ARCH003", path, node.lineno, node.col_offset,
+                f"hand-rolled {func.attr}: declare the message layout in "
+                "repro.common.wire (or justify a non-wire use)",
+            ))
+    return out
+
+
+# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 
@@ -749,6 +787,8 @@ def check_source(source: str, relpath: str) -> List[Violation]:
         violations += _check_layering(tree, relpath, module_parts)
         violations += _check_slots(tree, relpath, module_parts)
         violations += _check_timeout_yields(tree, relpath)
+        if any(module_parts[:len(w)] == w for w in _WIRE_SPEAKERS):
+            violations += _check_byte_codecs(tree, relpath)
     violations += _check_id_ordering(tree, relpath)
     if module_parts != ("sim", "engine.py"):
         violations += _check_heap_ties(tree, relpath)

@@ -16,7 +16,6 @@ Usage::
 
     python -m repro.bench                  # list every benchmark
     python -m repro.bench fig3_latency --emit-metrics --jobs 4
-    python benchmarks/bench_fig3_latency.py ...   # same thing (shim)
 """
 
 from __future__ import annotations

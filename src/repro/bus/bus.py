@@ -79,14 +79,6 @@ class MemoryBus:
         """Convert bus cycles to nanoseconds."""
         return n * self.config.cycle_ns
 
-    def data_beats(self, txn: BusTransaction) -> int:
-        """Data beats the transaction's data tenure occupies."""
-        if not txn.op.has_data:
-            return 0
-        if txn.op.is_burst:
-            return self.config.beats_per_line
-        return 1
-
     # -- the transaction protocol ---------------------------------------------
 
     def transact(

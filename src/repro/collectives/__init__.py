@@ -8,13 +8,12 @@ that combines contributions as they arrive and forwards one message per
 tree edge — the aP issues a single enqueue and a single dequeue per
 collective instead of O(N) point-to-point messages.
 
-Three layers, lowest first:
+Three layers, lowest first (the ``COLL`` message layout they share is
+declared in :mod:`repro.common.wire`):
 
 * :mod:`repro.collectives.plan` — pure-data spanning trees (k-ary,
   binomial) and recursive-doubling schedules; unit-testable without the
   simulator;
-* :mod:`repro.collectives.wire` — the collective message formats carried
-  over Basic messages to/between service processors;
 * :mod:`repro.collectives.firmware` — the ``CollectiveUnit`` sP firmware
   (combining state, arrival counters, tree forwarding);
 * :mod:`repro.collectives.api` — host-side tree algorithms over mini-MPI

@@ -28,17 +28,29 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
 
-from repro.collectives import wire
 from repro.collectives.plan import TreePlan, binomial_tree
 from repro.common.errors import FirmwareError
+from repro.common.wire import (
+    COLL,
+    MPI_FRAG,
+    MSG_COLL_DOWN,
+    MSG_COLL_REQ,
+    MSG_COLL_UP,
+    VALUE,
+)
 from repro.firmware.base import fw_send_to, register_msg_handler
-from repro.firmware.proto import MSG_COLL_DOWN, MSG_COLL_REQ, MSG_COLL_UP
 from repro.net.combine import apply_op
 from repro.niu.niu import SP_SERVICE_QUEUE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
     from repro.sim.events import Event
+
+#: collective kinds (the ``kind`` byte of a ``COLL`` message).
+KIND_BARRIER = 0
+KIND_BCAST = 1
+KIND_REDUCE = 2
+KIND_ALLREDUCE = 3
 
 
 class _Pending:
@@ -47,12 +59,9 @@ class _Pending:
     __slots__ = ("kind", "op", "root", "tag", "reply_queue", "arrived",
                  "want", "acc")
 
-    def __init__(self, msg: wire.CollMsg, want: int) -> None:
-        self.kind = msg.kind
-        self.op = msg.op
-        self.root = msg.root
-        self.tag = msg.tag
-        self.reply_queue = msg.reply_queue
+    def __init__(self, msg: tuple, want: int) -> None:
+        (_type, self.kind, self.op, _comm, _seq, self.root,
+         self.reply_queue, self.tag, _data) = msg
         self.arrived = 0
         self.want = want
         self.acc: Optional[int] = None
@@ -124,16 +133,17 @@ def on_coll_request(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_COLL_REQ``: the local aP's single enqueue."""
     yield sp.compute(sp.fw.coll_request_insns)
     st = _state(sp)
-    msg = wire.unpack_coll(payload)
-    if msg.kind == wire.KIND_BCAST:
+    msg = COLL.unpack(payload)
+    _type, kind, _op, comm, seq, root, reply_queue, tag, data = msg
+    if kind == KIND_BCAST:
         # broadcast has no combining phase: the root's request starts the
         # down-sweep immediately
-        if sp.node_id != msg.root:
+        if sp.node_id != root:
             raise FirmwareError(
                 f"{sp.name}: bcast request at non-root rank {sp.node_id}"
             )
-        yield from _down_sweep(sp, st, msg.tag, msg.reply_queue, msg.kind,
-                               msg.comm, msg.seq, msg.data)
+        yield from _down_sweep(sp, st, tag, reply_queue, kind, comm, seq,
+                               data)
         return
     yield from _contribute(sp, st, msg)
 
@@ -142,9 +152,7 @@ def on_coll_up(sp: "ServiceProcessor", src: int, payload: bytes
                ) -> Generator["Event", None, None]:
     """``MSG_COLL_UP``: a child subtree's combined contribution."""
     yield sp.compute(sp.fw.coll_combine_insns)
-    st = _state(sp)
-    msg = wire.unpack_coll(payload)
-    yield from _contribute(sp, st, msg)
+    yield from _contribute(sp, _state(sp), COLL.unpack(payload))
 
 
 def on_coll_down(sp: "ServiceProcessor", src: int, payload: bytes
@@ -152,9 +160,9 @@ def on_coll_down(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_COLL_DOWN``: the result fanning back out over the tree."""
     yield sp.compute(sp.fw.coll_forward_insns)
     st = _state(sp)
-    msg = wire.unpack_coll(payload)
-    yield from _down_sweep(sp, st, msg.tag, msg.reply_queue, msg.kind,
-                           msg.comm, msg.seq, msg.data)
+    _type, kind, _op, comm, seq, _root, reply_queue, tag, data = \
+        COLL.unpack(payload)
+    yield from _down_sweep(sp, st, tag, reply_queue, kind, comm, seq, data)
 
 
 # ----------------------------------------------------------------------
@@ -163,15 +171,18 @@ def on_coll_down(sp: "ServiceProcessor", src: int, payload: bytes
 
 
 def _contribute(sp: "ServiceProcessor", st: CollectiveState,
-                msg: wire.CollMsg) -> Generator["Event", None, None]:
-    """Fold one contribution (local REQ or child UP) into pending state."""
+                msg: tuple) -> Generator["Event", None, None]:
+    """Fold one decoded contribution (local REQ or child UP) into
+    pending state, keyed by (comm, seq)."""
     me = sp.node_id
     want = len(st.plan.children[me]) + 1  # children's UPs + the local REQ
-    pend = st.pending.get(msg.key)
+    _type, _kind, _op, comm, seq, _root, _queue, _tag, data = msg
+    key = (comm, seq)
+    pend = st.pending.get(key)
     if pend is None:
-        pend = st.pending[msg.key] = _Pending(msg, want)
-    if msg.data:
-        value = wire.unpack_value(msg.data)
+        pend = st.pending[key] = _Pending(msg, want)
+    if data:
+        (value,) = VALUE.unpack(data)
         if pend.acc is None:
             pend.acc = value
         else:
@@ -181,23 +192,22 @@ def _contribute(sp: "ServiceProcessor", st: CollectiveState,
     if pend.arrived < pend.want:
         return
     # subtree complete
-    del st.pending[msg.key]
-    data = wire.pack_value(pend.acc) if pend.acc is not None else b""
+    del st.pending[key]
+    data = VALUE.pack(pend.acc) if pend.acc is not None else b""
     if me != st.plan.root:
-        up = wire.pack_coll(MSG_COLL_UP, pend.kind, pend.op, msg.comm,
-                            msg.seq, pend.root, pend.reply_queue, pend.tag,
-                            data)
+        up = COLL.pack(MSG_COLL_UP, pend.kind, pend.op, comm, seq,
+                       pend.root, pend.reply_queue, pend.tag, tail=data)
         parent = st.plan.parent[me]
         yield from fw_send_to(sp, parent, SP_SERVICE_QUEUE, up)
         return
     # fully combined at the root
     sp.stats.counter(f"{sp.name}.coll_completed").incr()
-    if pend.kind == wire.KIND_REDUCE:
+    if pend.kind == KIND_REDUCE:
         # root-only result: no down phase at all
         yield from _deliver(sp, pend.tag, pend.reply_queue, data)
         return
     yield from _down_sweep(sp, st, pend.tag, pend.reply_queue, pend.kind,
-                           msg.comm, msg.seq, data)
+                           comm, seq, data)
 
 
 def _down_sweep(sp: "ServiceProcessor", st: CollectiveState, tag: int,
@@ -206,8 +216,8 @@ def _down_sweep(sp: "ServiceProcessor", st: CollectiveState, tag: int,
     """Forward the result to tree children and the local aP."""
     me = sp.node_id
     for child in st.plan.children[me]:
-        down = wire.pack_coll(MSG_COLL_DOWN, kind, 0, comm, seq,
-                              st.plan.root, reply_queue, tag, data)
+        down = COLL.pack(MSG_COLL_DOWN, kind, 0, comm, seq, st.plan.root,
+                         reply_queue, tag, tail=data)
         yield from fw_send_to(sp, child, SP_SERVICE_QUEUE, down)
     yield from _deliver(sp, tag, reply_queue, data)
 
@@ -215,7 +225,6 @@ def _down_sweep(sp: "ServiceProcessor", st: CollectiveState, tag: int,
 def _deliver(sp: "ServiceProcessor", tag: int, reply_queue: int,
              data: bytes) -> Generator["Event", None, None]:
     """Hand the result to the local aP as one mini-MPI fragment."""
-    frag = (tag.to_bytes(2, "big") + len(data).to_bytes(4, "big")
-            + (0).to_bytes(4, "big") + data)
+    frag = MPI_FRAG.pack(tag, len(data), 0, tail=data)
     yield from fw_send_to(sp, sp.node_id, reply_queue, frag)
     sp.stats.counter(f"{sp.name}.coll_delivered").incr()

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List
 
 from repro.common.errors import ProgramError
+from repro.common.wire import BT45_ARM
 from repro.core.machine import StarTVoyager
-from repro.firmware.blockxfer import pack_bt45_arm
 from repro.mp.basic import BasicPort
 from repro.mp.dma import DmaNotifier, dma_write
 from repro.niu.niu import NOTIFY_QUEUE, SP_SERVICE_QUEUE, vdst_for
@@ -260,7 +260,7 @@ class BlockTransferExperiment:
         # arm the destination lines (firmware for 4, block machinery for 5)
         yield from self.receiver_port.send(
             api, vdst_for(self.dst, SP_SERVICE_QUEUE),
-            pack_bt45_arm(dst_addr, size, mode),
+            BT45_ARM.pack(mode, dst_addr, size),
         )
         yield from api.compute(50)
         # tell the sender to start

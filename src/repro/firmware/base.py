@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Tuple
 
+from repro.common.errors import FirmwareError
 from repro.niu.commands import (
     LOCAL_CMDQ_0,
     CmdCall,
@@ -170,8 +171,19 @@ MsgHandler = Callable[["ServiceProcessor", int, bytes], Generator]
 
 def register_msg_handler(sp: "ServiceProcessor", msg_type: int,
                          handler: MsgHandler) -> None:
-    """Bind a protocol message type byte to its firmware handler."""
-    sp.state.setdefault("msg_handlers", {})[msg_type] = handler
+    """Bind a protocol message type byte to its firmware handler.
+
+    Re-binding the same handler is a no-op (setups are idempotent); a
+    type byte already bound to a *different* handler raises rather than
+    silently replacing it."""
+    handlers = sp.state.setdefault("msg_handlers", {})
+    bound = handlers.get(msg_type)
+    if bound is not None and bound is not handler:
+        raise FirmwareError(
+            f"{sp.name}: message type {msg_type} is already bound to "
+            f"{getattr(bound, '__name__', bound)}, not "
+            f"{getattr(handler, '__name__', handler)}")
+    handlers[msg_type] = handler
 
 
 def register_queue_dispatcher(sp: "ServiceProcessor", logical: int,

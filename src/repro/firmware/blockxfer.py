@@ -33,7 +33,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Tuple
 
 from repro.common.errors import FirmwareError
-from repro.firmware import proto
+from repro.common.wire import (
+    BT2_CHUNK,
+    BT2_DONE,
+    BT45_ARM,
+    DMA_NOTIFY,
+    MSG_BT2_CHUNK,
+    MSG_BT2_DONE,
+    MSG_BT45_ARM,
+)
 from repro.firmware.base import (
     fw_wait,
     register_msg_handler,
@@ -66,34 +74,21 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
 
 #: Approach-2 chunk: the large TagOn attachment (2.5 lines).
-BT2_CHUNK = TAGON_LARGE_UNITS * TAGON_UNIT_BYTES  # 80 bytes
+BT2_CHUNK_BYTES = TAGON_LARGE_UNITS * TAGON_UNIT_BYTES  # 80 bytes
 #: firmware cost per Approach-2 chunk on each side.
 BT2_SEND_CHUNK_INSNS = 90
 BT2_RECV_CHUNK_INSNS = 80
-#: MSG_BT45_ARM: type, mode, addr6, len4
+#: firmware cost of arming one line (Approach 4).
 ARM_INSNS_PER_LINE = 10
-
-
-def pack_bt45_arm(dst_addr: int, length: int, mode: int) -> bytes:
-    """Arm request for the optimistic-notification experiments."""
-    return (bytes([proto.MSG_USER, mode]) + dst_addr.to_bytes(6, "big")
-            + length.to_bytes(4, "big"))
-
-
-def unpack_bt45_arm(p: bytes) -> Tuple[int, int, int]:
-    """Returns (dst_addr, length, mode)."""
-    if p[0] != proto.MSG_USER:
-        raise FirmwareError(f"not an ARM request: {p!r}")
-    return int.from_bytes(p[2:8], "big"), int.from_bytes(p[8:12], "big"), p[1]
 
 
 def setup_blockxfer(sp: "ServiceProcessor") -> None:
     """Install Approach-2 and Approach-4/5 firmware on one sP."""
     niu = sp.state["niu"]
-    sp.state["bt2_staging"] = niu.alloc_ssram(BT2_CHUNK, align=16)
+    sp.state["bt2_staging"] = niu.alloc_ssram(BT2_CHUNK_BYTES, align=16)
     sp.state["bt2_rx_next"] = 0
     register_queue_dispatcher(sp, SP_BULK_QUEUE, bt2_receive_dispatcher)
-    register_msg_handler(sp, proto.MSG_USER, handle_arm)
+    register_msg_handler(sp, MSG_BT45_ARM, handle_arm)
     sp.register("dram_write", handle_dram_write)
 
 
@@ -109,7 +104,7 @@ def bt2_send(sp: "ServiceProcessor", src_addr: int, dst_node: int,
     bulk_vdst = vdst_for(dst_node, SP_BULK_QUEUE)
     offset = 0
     while offset < length:
-        chunk = min(BT2_CHUNK, length - offset)
+        chunk = min(BT2_CHUNK_BYTES, length - offset)
         yield sp.compute(BT2_SEND_CHUNK_INSNS)
         yield from sp.sbiu.enqueue_command(
             LOCAL_CMDQ_0, CmdReadDram(src_addr + offset, chunk, BANK_S, staging)
@@ -117,7 +112,7 @@ def bt2_send(sp: "ServiceProcessor", src_addr: int, dst_node: int,
         hdr = MsgHeader(
             flags=FLAG_TAGON,
             vdst=bulk_vdst,
-            length=8,
+            length=BT2_CHUNK.size,
             tagon_bank=BANK_S,
             tagon_offset=staging,
             tagon_units=TAGON_LARGE_UNITS,
@@ -125,16 +120,16 @@ def bt2_send(sp: "ServiceProcessor", src_addr: int, dst_node: int,
         yield from sp.sbiu.enqueue_command(
             LOCAL_CMDQ_0,
             CmdSendMessage(queue=SP_TX_GENERAL, header=hdr,
-                           payload=proto.pack_bt2_chunk(dst_addr + offset)),
+                           payload=BT2_CHUNK.pack(dst_addr + offset)),
         )
         offset += chunk
     # the completion marker follows the data through the same FIFO path
     yield sp.compute(sp.fw.send_msg_insns)
-    done_hdr = MsgHeader(vdst=bulk_vdst, length=6)
+    done_hdr = MsgHeader(vdst=bulk_vdst, length=BT2_DONE.size)
     yield from sp.sbiu.enqueue_command(
         LOCAL_CMDQ_0,
         CmdSendMessage(queue=SP_TX_GENERAL, header=done_hdr,
-                       payload=proto.pack_bt2_done(notify_queue, length)),
+                       payload=BT2_DONE.pack(notify_queue, length)),
     )
     sp.stats.counter(f"{sp.name}.bt2_served").incr()
 
@@ -163,15 +158,16 @@ def bt2_receive_dispatcher(sp: "ServiceProcessor", logical: int
         sp.state["bt2_rx_next"] = next_unprocessed
         yield sp.compute(BT2_RECV_CHUNK_INSNS)
         base = q.slot_offset(entry)
-        raw = yield from sp.sbiu.read_ssram(base, HEADER_BYTES + 8)
+        raw = yield from sp.sbiu.read_ssram(base, HEADER_BYTES + BT2_CHUNK.size)
         src, length, _flags = decode_rx_header(raw[:HEADER_BYTES])
         desc = raw[HEADER_BYTES:]
-        if desc[0] == proto.MSG_BT2_CHUNK:
-            dst_addr, _ = proto.unpack_bt2_chunk(desc)
-            data_len = length - 8  # TagOn bytes after the 8-byte descriptor
+        if desc[0] == MSG_BT2_CHUNK:
+            dst_addr, _ = BT2_CHUNK.unpack(desc)
+            data_len = length - BT2_CHUNK.size  # TagOn bytes after it
             yield from sp.sbiu.enqueue_command(
                 LOCAL_CMDQ_0,
-                CmdWriteDramFromSram(BANK_S, base + HEADER_BYTES + 8,
+                CmdWriteDramFromSram(BANK_S,
+                                     base + HEADER_BYTES + BT2_CHUNK.size,
                                      dst_addr, data_len),
             )
             yield from sp.sbiu.enqueue_command(
@@ -179,12 +175,12 @@ def bt2_receive_dispatcher(sp: "ServiceProcessor", logical: int
                 CmdCall(lambda i=slot, c=entry + 1:
                         ctrl.rx_consumer_update(i, c)),
             )
-        elif desc[0] == proto.MSG_BT2_DONE:
-            notify_queue, total = proto.unpack_bt2_done(desc[:6])
+        elif desc[0] == MSG_BT2_DONE:
+            notify_queue, total = BT2_DONE.unpack(desc[:BT2_DONE.size])
             # the notification must follow the last data write: same queue
             yield from sp.sbiu.enqueue_command(
                 LOCAL_CMDQ_0,
-                CmdNotify(notify_queue, total.to_bytes(4, "big"),
+                CmdNotify(notify_queue, DMA_NOTIFY.pack(total),
                           src_node=src),
             )
             yield from sp.sbiu.enqueue_command(
@@ -203,7 +199,7 @@ def bt2_receive_dispatcher(sp: "ServiceProcessor", logical: int
 def handle_arm(sp: "ServiceProcessor", src: int, payload: bytes
                ) -> Generator["Event", None, None]:
     """Set the destination lines to PENDING before an optimistic transfer."""
-    dst_addr, length, mode = unpack_bt45_arm(payload)
+    mode, dst_addr, length = BT45_ARM.unpack(payload)
     cls = sp.state["niu"].cls
     line_bytes = cls.line_bytes
     first = cls.line_of(dst_addr)

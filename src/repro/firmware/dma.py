@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, List, Tuple
 
 from repro.common.errors import FirmwareError
-from repro.firmware import proto
+from repro.common.wire import DMA_NOTIFY, DMA_REQ, MSG_DMA_REQ
 from repro.firmware.base import fw_wait, register_msg_handler
 from repro.niu.clssram import CLS_RW
 from repro.niu.commands import LOCAL_CMDQ_1, CmdBlockRead, CmdBlockTx
@@ -61,7 +61,7 @@ def setup_dma_engine(sp: "ServiceProcessor") -> None:
     sp.state["dma_buffer_free"] = [None, None]
     sp.state["dma_requests"] = Store(sp.engine, capacity=None,
                                      name=f"{sp.name}.dmareq")
-    register_msg_handler(sp, proto.MSG_DMA_REQ, intake_dma_request)
+    register_msg_handler(sp, MSG_DMA_REQ, intake_dma_request)
     sp.engine.process(_dma_engine_task(sp), name=f"{sp.name}.dma_engine",
                       daemon=True)
 
@@ -105,7 +105,7 @@ def handle_dma_request(sp: "ServiceProcessor", src: int, payload: bytes
                        ) -> Generator["Event", None, None]:
     """Serve one MSG_DMA_REQ: chained block read + block transmit per page."""
     src_addr, dst_node, dst_addr, length, notify_q, mode = \
-        proto.unpack_dma_req(payload)
+        DMA_REQ.unpack(payload)
     if mode == 2:
         # Approach 2: the sP packetizes with TagOn messages instead of
         # using the block units
@@ -166,7 +166,7 @@ def handle_dma_request(sp: "ServiceProcessor", src: int, payload: bytes
                 after=read_done,
                 done=tx_done,
                 notify_queue=notify_q if (notify_here or early_here) else None,
-                notify_payload=length.to_bytes(4, "big"),
+                notify_payload=DMA_NOTIFY.pack(length),
                 cls_state=CLS_RW if mode == 5 else None,
                 notify_sp_each=(mode == 4),
             ),

@@ -107,10 +107,9 @@ def missq_service(sp: "ServiceProcessor", event: Tuple
         entry = encode_rx_header(src, len(payload), flags) + payload
         yield from fw_dram_write(sp, ring.entry_addr(n), entry, fence=False)
         producers[logical] = n + 1
-        yield from fw_dram_write(
-            sp, ring.base, (producers[logical] & 0xFFFFFFFF).to_bytes(4, "big"),
-            fence=False,
-        )
+        # the ring's producer pointer is a DRAM word, not a message
+        pointer = (producers[logical] & 0xFFFFFFFF).to_bytes(4, "big")  # repro: allow ARCH003
+        yield from fw_dram_write(sp, ring.base, pointer, fence=False)
         ctrl.stats.counter(f"{ctrl.name}.missq_serviced").incr()
 
 

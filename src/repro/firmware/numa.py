@@ -23,7 +23,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Tuple
 
 from repro.common.errors import FirmwareError
-from repro.firmware import proto
+from repro.common.wire import (
+    MSG_NUMA_RREP,
+    MSG_NUMA_RREQ,
+    MSG_NUMA_WREQ,
+    NUMA_RREP,
+    NUMA_RREQ,
+    NUMA_WREQ,
+)
 from repro.firmware.base import fw_dram_read, fw_send, register_msg_handler
 from repro.mem.address import NUMA_BASE
 from repro.niu.commands import LOCAL_CMDQ_0, CmdWriteDram
@@ -70,9 +77,9 @@ def setup_numa(sp: "ServiceProcessor", numa_map: NumaMap) -> None:
     sp.state["numa_staging"] = sp.state["niu"].alloc_ssram(64)
     sp.register("numa_read", handle_local_read)
     sp.register("numa_write", handle_local_write)
-    register_msg_handler(sp, proto.MSG_NUMA_RREQ, handle_home_read)
-    register_msg_handler(sp, proto.MSG_NUMA_RREP, handle_read_reply)
-    register_msg_handler(sp, proto.MSG_NUMA_WREQ, handle_home_write)
+    register_msg_handler(sp, MSG_NUMA_RREQ, handle_home_read)
+    register_msg_handler(sp, MSG_NUMA_RREP, handle_read_reply)
+    register_msg_handler(sp, MSG_NUMA_WREQ, handle_home_write)
 
 
 def handle_local_read(sp: "ServiceProcessor", event: Tuple
@@ -90,7 +97,7 @@ def handle_local_read(sp: "ServiceProcessor", event: Tuple
     else:
         yield from fw_send(
             sp, vdst_for(home, SP_PROTOCOL_QUEUE),
-            proto.pack_numa_rreq(addr, size), queue=SP_TX_PROTOCOL,
+            NUMA_RREQ.pack(size, addr), queue=SP_TX_PROTOCOL,
         )
 
 
@@ -108,14 +115,14 @@ def handle_local_write(sp: "ServiceProcessor", event: Tuple
     else:
         yield from fw_send(
             sp, vdst_for(home, SP_PROTOCOL_QUEUE),
-            proto.pack_numa_wreq(addr, data), queue=SP_TX_PROTOCOL,
+            NUMA_WREQ.pack(addr, tail=data), queue=SP_TX_PROTOCOL,
         )
 
 
 def handle_home_read(sp: "ServiceProcessor", src: int, payload: bytes
                      ) -> Generator["Event", None, None]:
     """Home side of a remote NUMA load."""
-    addr, size = proto.unpack_numa_rreq(payload)
+    size, addr = NUMA_RREQ.unpack(payload)
     yield sp.compute(sp.fw.numa_home_insns)
     nm: NumaMap = sp.state["numa_map"]
     if nm.home_of(addr) != sp.node_id:
@@ -125,14 +132,14 @@ def handle_home_read(sp: "ServiceProcessor", src: int, payload: bytes
     )
     yield from fw_send(
         sp, vdst_for(src, SP_PROTOCOL_QUEUE),
-        proto.pack_numa_rrep(addr, data[:size]), queue=SP_TX_PROTOCOL,
+        NUMA_RREP.pack(addr, tail=data[:size]), queue=SP_TX_PROTOCOL,
     )
 
 
 def handle_read_reply(sp: "ServiceProcessor", src: int, payload: bytes
                       ) -> Generator["Event", None, None]:
     """Requester side: arm the aBIU so the retried load completes."""
-    addr, data = proto.unpack_numa_rrep(payload)
+    addr, data = NUMA_RREP.unpack(payload)
     yield sp.compute(sp.fw.numa_reply_insns)
     sp.state["niu"].numa_handler.supply(addr, data)
 
@@ -140,7 +147,7 @@ def handle_read_reply(sp: "ServiceProcessor", src: int, payload: bytes
 def handle_home_write(sp: "ServiceProcessor", src: int, payload: bytes
                       ) -> Generator["Event", None, None]:
     """Home side of a remote NUMA (posted) store."""
-    addr, data = proto.unpack_numa_wreq(payload)
+    addr, data = NUMA_WREQ.unpack(payload)
     yield sp.compute(sp.fw.numa_home_insns)
     nm: NumaMap = sp.state["numa_map"]
     if nm.home_of(addr) != sp.node_id:

@@ -43,19 +43,17 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Generator, Tuple
 
 from repro.common.errors import FirmwareError
+from repro.common.wire import (
+    MSG_REL_ACK,
+    MSG_REL_DATA,
+    REL_ACK,
+    REL_DATA,
+    REL_SEND,
+)
 from repro.firmware.base import (
     fw_send_to,
     register_msg_handler,
     register_queue_dispatcher,
-)
-from repro.firmware.proto import (
-    MSG_REL_ACK,
-    MSG_REL_DATA,
-    pack_rel_ack,
-    pack_rel_data,
-    unpack_rel_ack,
-    unpack_rel_data,
-    unpack_rel_send,
 )
 from repro.niu.msgformat import HEADER_BYTES, MAX_PAYLOAD
 from repro.niu.niu import (
@@ -71,10 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: sequence-number space (16-bit serial arithmetic).
 SEQ_MOD = 1 << 16
-#: MSG_REL_DATA overhead: type + dst_queue + 2-byte seq.
-REL_HEADER_BYTES = 4
 #: largest user payload one reliable segment can carry.
-REL_MAX_PAYLOAD = MAX_PAYLOAD - REL_HEADER_BYTES
+REL_MAX_PAYLOAD = MAX_PAYLOAD - REL_DATA.size
 
 
 def seq_lt(a: int, b: int) -> bool:
@@ -169,7 +165,7 @@ def rel_tx_dispatcher(sp: "ServiceProcessor", logical: int
         raw = yield from sp.sbiu.read_ssram(offset, HEADER_BYTES)
         length = raw[3]
         payload = yield from sp.sbiu.read_ssram(offset + HEADER_BYTES, length)
-        dst_queue, dst_node, user = unpack_rel_send(payload)
+        dst_queue, dst_node, user = REL_SEND.unpack(payload)
         flow = st.flow(dst_node, cfg.timeout_ns)
         if len(flow.pending) >= cfg.window:
             sp.stats.counter(f"{sp.name}.rel.backpressured").incr()
@@ -193,7 +189,7 @@ def _send_segment(sp: "ServiceProcessor", flow: _Flow, dst_queue: int,
         san.on_rel_tx(sp, flow)
     sp.stats.counter(f"{sp.name}.rel.segments").incr()
     yield from fw_send_to(sp, flow.dst, SP_REL_QUEUE,
-                          pack_rel_data(dst_queue, seq) + user)
+                          REL_DATA.pack(dst_queue, seq, tail=user))
     if not flow.timer_armed:
         _arm_timer(sp, flow)
 
@@ -227,7 +223,7 @@ def on_rel_timer(sp: "ServiceProcessor", event: Tuple
         flow.retransmits += 1
         sp.stats.counter(f"{sp.name}.rel.retransmits").incr()
         yield from fw_send_to(sp, dst_node, SP_REL_QUEUE,
-                              pack_rel_data(dst_queue, seq) + user)
+                              REL_DATA.pack(dst_queue, seq, tail=user))
     cfg = sp.ctrl.config.reliability
     flow.rto = min(flow.rto * cfg.backoff, cfg.max_timeout_ns)
     _arm_timer(sp, flow)
@@ -241,7 +237,7 @@ def on_rel_ack(sp: "ServiceProcessor", src: int, payload: bytes
     flow = st.flows.get(src)
     if flow is None:
         return
-    ack = unpack_rel_ack(payload)
+    (ack,) = REL_ACK.unpack(payload)
     progressed = False
     while flow.pending and seq_lt(flow.pending[0][0], ack):
         flow.pending.popleft()
@@ -276,7 +272,7 @@ def on_rel_data(sp: "ServiceProcessor", src: int, payload: bytes
     """One DATA segment: deliver if in order, always re-ack."""
     yield sp.compute(sp.fw.rel_data_insns)
     st = _state(sp)
-    dst_queue, seq, user = unpack_rel_data(payload)
+    dst_queue, seq, user = REL_DATA.unpack(payload)
     expected = st.rx_expected.get(src, 0)
     san = sp.sanitizer
     if san is not None:
@@ -297,5 +293,5 @@ def on_rel_data(sp: "ServiceProcessor", src: int, payload: bytes
         sp.stats.counter(f"{sp.name}.rel.out_of_order").incr()
     # acks ride the high-priority protocol tx queue: they must overtake
     # the data they acknowledge
-    yield from fw_send_to(sp, src, SP_PROTOCOL_QUEUE, pack_rel_ack(expected),
+    yield from fw_send_to(sp, src, SP_PROTOCOL_QUEUE, REL_ACK.pack(expected),
                           tx=SP_TX_PROTOCOL)

@@ -48,7 +48,25 @@ from typing import (TYPE_CHECKING, Dict, Generator, List, Optional, Sequence,
 from repro.bus.ops import BusOpType
 from repro.coherence.directory import DirectoryController
 from repro.common.errors import FirmwareError
-from repro.firmware import proto
+from repro.common.wire import (
+    MSG_SCOMA_EVICT,
+    MSG_SCOMA_EVICT_DIRTY,
+    MSG_SCOMA_EVICT_REQ,
+    MSG_SCOMA_INV,
+    MSG_SCOMA_INVACK,
+    MSG_SCOMA_RREQ,
+    MSG_SCOMA_WBDATA,
+    MSG_SCOMA_WBREQ,
+    MSG_SCOMA_WREQ,
+    SCOMA_EVICT,
+    SCOMA_EVICT_DIRTY,
+    SCOMA_EVICT_REQ,
+    SCOMA_INV,
+    SCOMA_INVACK,
+    SCOMA_REQ,
+    SCOMA_WBDATA,
+    SCOMA_WBREQ,
+)
 from repro.firmware.base import (
     fw_dram_read,
     fw_dram_write,
@@ -159,12 +177,12 @@ def setup_scoma(sp: "ServiceProcessor", home_map: HomeMap) -> None:
     sp.state["scoma"] = st
     cls.load_states(home_map.home_states(sp.node_id))
     sp.register("scoma_miss", handle_miss)
-    register_msg_handler(sp, proto.MSG_SCOMA_RREQ, handle_request_msg)
-    register_msg_handler(sp, proto.MSG_SCOMA_WREQ, handle_request_msg)
-    register_msg_handler(sp, proto.MSG_SCOMA_INV, handle_invalidate)
-    register_msg_handler(sp, proto.MSG_SCOMA_INVACK, handle_invack)
-    register_msg_handler(sp, proto.MSG_SCOMA_WBREQ, handle_writeback_req)
-    register_msg_handler(sp, proto.MSG_SCOMA_WBDATA, handle_writeback_data)
+    register_msg_handler(sp, MSG_SCOMA_RREQ, handle_request_msg)
+    register_msg_handler(sp, MSG_SCOMA_WREQ, handle_request_msg)
+    register_msg_handler(sp, MSG_SCOMA_INV, handle_invalidate)
+    register_msg_handler(sp, MSG_SCOMA_INVACK, handle_invack)
+    register_msg_handler(sp, MSG_SCOMA_WBREQ, handle_writeback_req)
+    register_msg_handler(sp, MSG_SCOMA_WBDATA, handle_writeback_data)
     install_eviction(sp)
 
 
@@ -197,7 +215,8 @@ def handle_miss(sp: "ServiceProcessor", event: Tuple
         yield from home_request(sp, want_rw, line, sp.node_id)
     else:
         yield from _send_proto(
-            sp, home, proto.pack_scoma_req(want_rw, line * st.line_bytes, sp.node_id))
+            sp, home, SCOMA_REQ.pack(MSG_SCOMA_WREQ if want_rw else MSG_SCOMA_RREQ,
+                                     sp.node_id, line * st.line_bytes))
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +226,8 @@ def handle_miss(sp: "ServiceProcessor", event: Tuple
 def handle_request_msg(sp: "ServiceProcessor", src: int, payload: bytes
                        ) -> Generator["Event", None, None]:
     """RREQ/WREQ arriving at the home node."""
-    want_rw, offset, requester = proto.unpack_scoma_req(payload)
+    kind, requester, offset = SCOMA_REQ.unpack(payload)
+    want_rw = kind == MSG_SCOMA_WREQ
     yield sp.compute(sp.fw.scoma_home_insns)
     st: ScomaState = sp.state["scoma"]
     yield from home_request(sp, want_rw, st.line_of_offset(offset), requester)
@@ -238,13 +258,12 @@ def home_request(sp: "ServiceProcessor", want_rw: bool, line: int,
         sp.stats.counter(f"{sp.name}.scoma_inv_sent").incr(len(targets))
         for sharer in targets:
             yield from _send_proto(
-                sp, sharer, proto.pack_scoma_inv(line * st.line_bytes))
+                sp, sharer, SCOMA_INV.pack(line * st.line_bytes))
         return
     if kind == "recall":
         owner, downgrade_to_ro = action[1], action[2]
         yield from _send_proto(
-            sp, owner, proto.pack_scoma_wbreq(line * st.line_bytes,
-                                   downgrade_to_ro=downgrade_to_ro))
+            sp, owner, SCOMA_WBREQ.pack(downgrade_to_ro, line * st.line_bytes))
         return
     # ("grant", want_rw, requester, keep_ro): the directory has settled;
     # move the data and flip the state bits.
@@ -347,19 +366,19 @@ def _drain_waiters(sp: "ServiceProcessor", line: int
 def handle_invalidate(sp: "ServiceProcessor", src: int, payload: bytes
                       ) -> Generator["Event", None, None]:
     """A sharer drops its copy and acknowledges."""
-    offset = proto.unpack_scoma_inv(payload)
+    (offset,) = SCOMA_INV.unpack(payload)
     yield sp.compute(sp.fw.cls_update_insns)
     st: ScomaState = sp.state["scoma"]
     line = st.line_of_offset(offset)
     yield from _set_own_cls(sp, line, CLS_INVALID, kill_l2=True, cause="inv")
     yield from _send_proto(
-        sp, src, proto.pack_scoma_invack(offset))
+        sp, src, SCOMA_INVACK.pack(offset))
 
 
 def handle_invack(sp: "ServiceProcessor", src: int, payload: bytes
                   ) -> Generator["Event", None, None]:
     """Home collects invalidation acks; the last one releases the grant."""
-    offset = proto.unpack_scoma_invack(payload)
+    (offset,) = SCOMA_INVACK.unpack(payload)
     yield sp.compute(sp.fw.scoma_home_insns)
     st: ScomaState = sp.state["scoma"]
     line = st.line_of_offset(offset)
@@ -374,7 +393,7 @@ def handle_invack(sp: "ServiceProcessor", src: int, payload: bytes
 def handle_writeback_req(sp: "ServiceProcessor", src: int, payload: bytes
                          ) -> Generator["Event", None, None]:
     """The exclusive owner returns its (possibly dirty) line to the home."""
-    offset, downgrade_to_ro = proto.unpack_scoma_wbreq(payload)
+    downgrade_to_ro, offset = SCOMA_WBREQ.unpack(payload)
     yield sp.compute(sp.fw.scoma_fill_insns)
     st: ScomaState = sp.state["scoma"]
     cls = sp.state["niu"].cls
@@ -398,13 +417,13 @@ def handle_writeback_req(sp: "ServiceProcessor", src: int, payload: bytes
     )
     data = yield from fw_dram_read(sp, frame, st.line_bytes, st.staging)
     yield from _send_proto(
-        sp, src, proto.pack_scoma_wbdata(offset, data))
+        sp, src, SCOMA_WBDATA.pack(offset, tail=data))
 
 
 def handle_writeback_data(sp: "ServiceProcessor", src: int, payload: bytes
                           ) -> Generator["Event", None, None]:
     """Home installs recalled data and completes the pending request."""
-    offset, data = proto.unpack_scoma_wbdata(payload)
+    offset, data = SCOMA_WBDATA.unpack(payload)
     yield sp.compute(sp.fw.scoma_home_insns)
     st: ScomaState = sp.state["scoma"]
     line = st.line_of_offset(offset)
@@ -436,26 +455,18 @@ def handle_writeback_data(sp: "ServiceProcessor", src: int, payload: bytes
 # treats an eviction that crosses a recall as the recall's writeback,
 # and late echoes for an already-settled line are counted and dropped.
 
-#: request type for the local "evict this line" ask (application range).
-MSG_SCOMA_EVICT_REQ = proto.MSG_USER + 2
-
-
-def pack_evict_req(line_offset: int) -> bytes:
-    """Local eviction request (aP -> own sP service queue)."""
-    return bytes([MSG_SCOMA_EVICT_REQ, 0]) + line_offset.to_bytes(4, "big")
-
 
 def install_eviction(sp: "ServiceProcessor") -> None:
     """Enable eviction support (registered by setup_scoma)."""
     register_msg_handler(sp, MSG_SCOMA_EVICT_REQ, handle_evict_request)
-    register_msg_handler(sp, proto.MSG_SCOMA_EVICT, handle_evict_notice)
-    register_msg_handler(sp, proto.MSG_SCOMA_EVICT_DIRTY, handle_evict_dirty)
+    register_msg_handler(sp, MSG_SCOMA_EVICT, handle_evict_notice)
+    register_msg_handler(sp, MSG_SCOMA_EVICT_DIRTY, handle_evict_dirty)
 
 
 def handle_evict_request(sp: "ServiceProcessor", src: int, payload: bytes
                          ) -> Generator["Event", None, None]:
     """Local side: drop the line, telling the home what it needs to know."""
-    offset = int.from_bytes(payload[2:6], "big")
+    (offset,) = SCOMA_EVICT_REQ.unpack(payload)
     yield sp.compute(sp.fw.scoma_miss_insns)
     st: ScomaState = sp.state["scoma"]
     cls = sp.state["niu"].cls
@@ -469,7 +480,7 @@ def handle_evict_request(sp: "ServiceProcessor", src: int, payload: bytes
         yield from _set_own_cls(sp, line, CLS_INVALID, kill_l2=True,
                                 cause="evict")
         yield from _send_proto(
-            sp, home, proto.pack_scoma_evict(offset))
+            sp, home, SCOMA_EVICT.pack(offset))
     elif state == CLS_RW:
         # drop rights first (stores after the flip queue at the home),
         # flush newer L2 data into the frame, read it, ship it home
@@ -481,14 +492,14 @@ def handle_evict_request(sp: "ServiceProcessor", src: int, payload: bytes
         data = yield from fw_dram_read(sp, st.frame_addr(line),
                                        st.line_bytes, st.staging)
         yield from _send_proto(
-            sp, home, proto.pack_scoma_evict_dirty(offset, data))
+            sp, home, SCOMA_EVICT_DIRTY.pack(offset, tail=data))
     # INVALID/PENDING: nothing cached here; the request is a no-op
 
 
 def handle_evict_notice(sp: "ServiceProcessor", src: int, payload: bytes
                         ) -> Generator["Event", None, None]:
     """Home side: a sharer dropped its clean copy."""
-    offset = proto.unpack_scoma_evict(payload)
+    (offset,) = SCOMA_EVICT.unpack(payload)
     yield sp.compute(sp.fw.scoma_home_insns)
     st: ScomaState = sp.state["scoma"]
     st.dir.evict_clean(st.line_of_offset(offset), src)
@@ -503,7 +514,7 @@ def handle_evict_dirty(sp: "ServiceProcessor", src: int, payload: bytes
     eviction from anyone but the recorded owner is a stale echo of a
     previous ownership epoch — its data must not touch the frame.
     """
-    offset, data = proto.unpack_scoma_evict_dirty(payload)
+    offset, data = SCOMA_EVICT_DIRTY.unpack(payload)
     yield sp.compute(sp.fw.scoma_home_insns)
     st: ScomaState = sp.state["scoma"]
     line = st.line_of_offset(offset)

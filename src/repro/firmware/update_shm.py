@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING, Generator, List
 
 from repro.bus.ops import BusOpType, BusTransaction
 from repro.bus.snoop import SnoopResult
-from repro.common.errors import FirmwareError, SimulationError
-from repro.firmware import proto
+from repro.common.errors import SimulationError
+from repro.common.wire import MSG_UPDATE_RELEASE, UPDATE_RELEASE
 from repro.firmware.base import fw_dram_read, register_msg_handler
 from repro.mem.address import Region
 from repro.niu.abiu import BusHandler
@@ -43,17 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
     from repro.sim.events import Event
 
-#: protocol type byte for release requests (application range).
-MSG_UPDATE_RELEASE = proto.MSG_USER + 1
-
 #: firmware cost of one release dispatch and of handling one dirty line.
 RELEASE_INSNS = 80
 PER_LINE_INSNS = 25
-
-
-def pack_release(notify_queue: int) -> bytes:
-    """Release request carried on the node's own service queue."""
-    return bytes([MSG_UPDATE_RELEASE, notify_queue])
 
 
 class UpdateRegionHandler(BusHandler):
@@ -91,9 +83,7 @@ class UpdateRegionHandler(BusHandler):
 def handle_release(sp: "ServiceProcessor", src: int, payload: bytes
                    ) -> Generator["Event", None, None]:
     """The firmware release: flush, diff, propagate, notify."""
-    if payload[0] != MSG_UPDATE_RELEASE:
-        raise FirmwareError(f"not a release request: {payload!r}")
-    notify_queue = payload[1]
+    (notify_queue,) = UPDATE_RELEASE.unpack(payload)
     yield sp.compute(RELEASE_INSNS)
     unit: DiffUnit = sp.state["update_unit"]
     peers: List[int] = sp.state["update_peers"]

@@ -49,12 +49,13 @@ from typing import (TYPE_CHECKING, Callable, Dict, Generator, List, Optional,
                     Tuple, Union)
 
 from repro.collectives import api as coll_api
-from repro.collectives import wire
-from repro.collectives.firmware import ensure_collectives
+from repro.collectives.firmware import (KIND_ALLREDUCE, KIND_BARRIER,
+                                        KIND_BCAST, KIND_REDUCE,
+                                        ensure_collectives)
 from repro.collectives.plan import (RdSchedule, TreePlan, binomial_tree,
                                     kary_tree, recursive_doubling)
 from repro.common.errors import ProgramError
-from repro.firmware.proto import MSG_COLL_REQ
+from repro.common.wire import COLL, COLL_MAX_DATA, MPI_FRAG, MSG_COLL_REQ, VALUE
 from repro.mp.basic import BasicPort
 from repro.net import combine
 from repro.niu.niu import SP_SERVICE_QUEUE
@@ -64,10 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.node.ap import ApApi
     from repro.sim.events import Event
 
-FRAG_HEADER = 10
 FRAG_DATA = 78
 #: reliable sends lose 4 bytes of each Basic payload to the go-back-N
-#: header (repro.firmware.reliable.REL_HEADER_BYTES), so fragments shrink.
+#: header (repro.common.wire.REL_DATA), so fragments shrink.
 FRAG_DATA_RELIABLE = 74
 #: collective traffic owns tags 0x8000..0xFFFF (user tags are 15-bit),
 #: sequenced per collective call so that back-to-back collectives never
@@ -244,8 +244,7 @@ class MpiRank:
         offset = 0
         while True:
             frag = data[offset : offset + frag_data]
-            payload = (tag.to_bytes(2, "big") + total.to_bytes(4, "big")
-                       + offset.to_bytes(4, "big") + frag)
+            payload = MPI_FRAG.pack(tag, total, offset, tail=frag)
             yield from self.port.send_to(api, dst, self.mpi.rx_logical,
                                          payload, reliable=self.mpi.reliable)
             offset += len(frag)
@@ -277,10 +276,7 @@ class MpiRank:
         return None
 
     def _absorb(self, src: int, payload: bytes) -> None:
-        tag = int.from_bytes(payload[0:2], "big")
-        total = int.from_bytes(payload[2:6], "big")
-        offset = int.from_bytes(payload[6:10], "big")
-        frag = payload[FRAG_HEADER:]
+        tag, total, offset, frag = MPI_FRAG.unpack(payload)
         key = (src, tag)
         if offset == 0 and len(frag) >= total:
             self._mailbox.setdefault(key, []).append(frag[:total])
@@ -336,8 +332,8 @@ class MpiRank:
                      ) -> Generator["Event", None, None]:
         """The single enqueue: one Basic message to the local sP (a
         lossless loopback hand-off, so never the reliable path)."""
-        payload = wire.pack_coll(MSG_COLL_REQ, kind, op_code, 0, seq, root,
-                                 self.mpi.rx_logical, tag, data)
+        payload = COLL.pack(MSG_COLL_REQ, kind, op_code, 0, seq, root,
+                            self.mpi.rx_logical, tag, tail=data)
         yield from self.port.send_to(api, self.rank, SP_SERVICE_QUEUE,
                                      payload)
 
@@ -364,7 +360,7 @@ class MpiRank:
         elif algo == "tree":
             yield from coll_api.tree_barrier(self, api, self.mpi.plan(0), tag)
         elif algo == "nic":
-            yield from self._nic_request(api, wire.KIND_BARRIER, 0, seq, tag,
+            yield from self._nic_request(api, KIND_BARRIER, 0, seq, tag,
                                          0, b"")
             yield from self.recv(api, tag=tag)
         elif self.rank == 0:
@@ -397,13 +393,13 @@ class MpiRank:
             self._nic_root(root)
             if self.rank == root:
                 assert data is not None, "root must supply the data"
-                if len(data) > wire.COLL_MAX_DATA:
+                if len(data) > COLL_MAX_DATA:
                     raise ProgramError(
                         f"NIC-offloaded bcast carries at most "
-                        f"{wire.COLL_MAX_DATA} bytes (got {len(data)}); use "
+                        f"{COLL_MAX_DATA} bytes (got {len(data)}); use "
                         f"algo='tree' for larger payloads"
                     )
-                yield from self._nic_request(api, wire.KIND_BCAST, 0, seq,
+                yield from self._nic_request(api, KIND_BCAST, 0, seq,
                                              tag, root, data)
             _src, _tag, got = yield from self.recv(api, tag=tag)
             return got
@@ -474,21 +470,19 @@ class MpiRank:
             code = _offload_code(code, "NIC-offloaded")
             if self.size == 1:
                 return value
-            yield from self._nic_request(api, wire.KIND_REDUCE, code, seq,
-                                         tag, root, wire.pack_value(value))
+            yield from self._nic_request(api, KIND_REDUCE, code, seq,
+                                         tag, root, VALUE.pack(value))
             if self.rank != root:
                 return None
             _src, _tag, got = yield from self.recv(api, tag=tag)
-            return wire.unpack_value(got)
+            return VALUE.unpack(got)[0]
         if self.rank == root:
             acc = value
             for _ in range(self.size - 1):
                 _src, _tag, got = yield from self.recv(api, tag=tag)
-                acc = fn(acc, int.from_bytes(got, "big", signed=True))
+                acc = fn(acc, VALUE.unpack(got)[0])
             return acc
-        yield from self._send(api, root,
-                              value.to_bytes(8, "big", signed=True),
-                              tag)
+        yield from self._send(api, root, VALUE.pack(value), tag)
         return None
 
     def allreduce(self, api: "ApApi", value: int, op: OpSpec = None,
@@ -530,15 +524,14 @@ class MpiRank:
             code = _offload_code(_resolve_op(op)[0], "NIC-offloaded")
             if self.size == 1:
                 return value
-            yield from self._nic_request(api, wire.KIND_ALLREDUCE, code,
-                                         seq, tag, 0, wire.pack_value(value))
+            yield from self._nic_request(api, KIND_ALLREDUCE, code,
+                                         seq, tag, 0, VALUE.pack(value))
             _src, _tag, got = yield from self.recv(api, tag=tag)
-            return wire.unpack_value(got)
+            return VALUE.unpack(got)[0]
         # flat: reduce to rank 0, then broadcast the result
         acc = yield from self.reduce(api, value, root=0, op=op)
         if self.rank == 0:
-            result = yield from self.bcast(
-                api, acc.to_bytes(8, "big", signed=True), root=0)
+            result = yield from self.bcast(api, VALUE.pack(acc), root=0)
         else:
             result = yield from self.bcast(api, None, root=0)
-        return int.from_bytes(result, "big", signed=True)
+        return VALUE.unpack(result)[0]

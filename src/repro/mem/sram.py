@@ -139,7 +139,3 @@ class DualPortedSRAM:
     def poke(self, offset: int, data: bytes) -> None:
         """Untimed write of the backing store."""
         self.backing.write(offset, data)
-
-    def port_utilization(self, port: int) -> float:
-        """Busy fraction of one port (diagnostics)."""
-        return self._ports[port].utilization()

@@ -183,7 +183,7 @@ class BasicPort:
         travels in the request header; the hop into the local sP goes
         through :meth:`send_to`.
         """
-        from repro.firmware.proto import pack_rel_send
+        from repro.common.wire import REL_SEND
         from repro.firmware.reliable import REL_MAX_PAYLOAD
 
         if len(payload) > REL_MAX_PAYLOAD:
@@ -192,7 +192,7 @@ class BasicPort:
                 f"(the go-back-N header claims {MAX_PAYLOAD - REL_MAX_PAYLOAD}"
                 f" bytes)"
             )
-        req = pack_rel_send(dst_queue, dst_node) + payload
+        req = REL_SEND.pack(dst_queue, dst_node, tail=payload)
         yield from self.send_to(api, self.node.node_id, SP_REL_TX_QUEUE, req)
 
     def stage_tagon(self, api: "ApApi", niu_offset: int, data: bytes

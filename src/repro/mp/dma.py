@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional, Tuple
 
 from repro.common.errors import ProgramError
-from repro.firmware.proto import pack_dma_req
+from repro.common.wire import DMA_NOTIFY, DMA_REQ
 from repro.mp.basic import BasicPort
 from repro.niu.niu import NOTIFY_QUEUE, SP_SERVICE_QUEUE, vdst_for
 
@@ -45,7 +45,7 @@ def dma_write(
     """
     if length <= 0:
         raise ProgramError(f"DMA length must be positive, got {length}")
-    request = pack_dma_req(src_addr, dst_node, dst_addr, length,
+    request = DMA_REQ.pack(src_addr, dst_node, dst_addr, length,
                            notify_queue, mode)
     t0 = api.now
     yield from port.send(api, vdst_for(api.node_id, SP_SERVICE_QUEUE), request)
@@ -65,7 +65,7 @@ class DmaNotifier:
         t0 = api.now
         src, payload = yield from self.port.recv(api)
         self.port.stats.accumulator("mp.dma.notify_wait_ns").add(api.now - t0)
-        length = int.from_bytes(payload[:4], "big") if len(payload) >= 4 else 0
+        length = DMA_NOTIFY.unpack(payload[:4])[0] if len(payload) >= 4 else 0
         return src, length
 
     def poll(self, api: "ApApi"
@@ -75,5 +75,5 @@ class DmaNotifier:
         if msg is None:
             return None
         src, payload = msg
-        length = int.from_bytes(payload[:4], "big") if len(payload) >= 4 else 0
+        length = DMA_NOTIFY.unpack(payload[:4])[0] if len(payload) >= 4 else 0
         return src, length

@@ -34,9 +34,11 @@ otherwise wedge an entire reduction tree — the same reason SHARP runs
 over a reliable transport).
 
 Layering: this module may import only ``common``, ``net`` and ``sim``
-(ARCH001); the endpoint protocol bytes it emits toward member NIUs are
-therefore defined *here* and mirrored by :mod:`repro.firmware.proto`
-(a unit test asserts the two registries agree).
+(ARCH001).  The replies it emits toward member NIUs (``SYNC_REP``,
+``SYNC_TREE_REP``) and the tag's own encoding (``SYNC_TAG``) are the
+layouts of :mod:`repro.common.wire`, the registry the firmware reads
+and writes too — so a waiting member cannot tell (and need not care)
+whether its reply came from firmware or from the fabric.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import NetworkError, ProgramError
+from repro.common.wire import SYNC_REP, SYNC_TAG, SYNC_TREE_REP
 from repro.net.packet import PRIORITY_HIGH, Packet, PacketKind
 from repro.sim.store import Store
 
@@ -86,15 +89,6 @@ PHASE_REQ = 0
 PHASE_DOWN = 1
 MODE_TREE = 0
 MODE_FETCH = 1
-
-#: endpoint reply type bytes, mirrored by ``repro.firmware.proto``
-#: (``MSG_SYNC_REP`` / ``MSG_SYNC_TREE_REP``).  Duplicated because the
-#: net layer must not import the firmware layer (ARCH001).
-SYNC_REP_BYTE = 23
-SYNC_TREE_REP_BYTE = 26
-
-#: packed on-the-wire size of one sync tag (realistic link occupancy).
-TAG_WIRE_BYTES = 44
 
 
 def apply_op(op: int, acc: int, value: int) -> int:
@@ -151,16 +145,17 @@ class SyncTag:
 
     def pack(self) -> bytes:
         """Wire encoding (size realism; switches read the object fields)."""
-        return (bytes([self.phase, self.mode])
-                + self.group.to_bytes(4, "big")
-                + self.cell.to_bytes(4, "big")
-                + self.seq.to_bytes(4, "big")
-                + bytes([self.op, self.reply_queue])
-                + self.value.to_bytes(8, "big", signed=True)
-                + self.aux.to_bytes(8, "big", signed=True)
-                + self.token.to_bytes(4, "big")
-                + (self.origin & 0xFFFFFFFF).to_bytes(4, "big")
-                + self.count.to_bytes(4, "big"))
+        return SYNC_TAG.pack(self.phase, self.mode, self.group, self.cell,
+                             self.seq, self.op, self.reply_queue, self.value,
+                             self.aux, self.token, self.origin, self.count)
+
+    @classmethod
+    def unpack(cls, raw: bytes) -> "SyncTag":
+        """Decode :meth:`pack` (used by the sP leaf-inject handler)."""
+        (phase, mode, group, cell, seq, op, reply_queue, value, aux, token,
+         origin, count) = SYNC_TAG.unpack(raw)
+        return cls(phase, mode, group, op, value, cell, seq, aux, token,
+                   origin, reply_queue, count)
 
     def __repr__(self) -> str:  # pragma: no cover
         ph = "REQ" if self.phase == PHASE_REQ else "DOWN"
@@ -168,27 +163,6 @@ class SyncTag:
         return (f"<SyncTag {ph}/{md} g={self.group} cell={self.cell} "
                 f"seq={self.seq} op={self.op} "
                 f"v={self.value} tok={self.token} origin={self.origin}>")
-
-
-def unpack_tag(raw: bytes) -> SyncTag:
-    """Decode :meth:`SyncTag.pack` (used by the sP leaf-inject handler)."""
-    if len(raw) < TAG_WIRE_BYTES - 8:
-        raise NetworkError(f"sync tag truncated at {len(raw)} bytes")
-    origin = int.from_bytes(raw[36:40], "big")
-    if origin == 0xFFFFFFFF:
-        origin = -1
-    return SyncTag(
-        phase=raw[0], mode=raw[1],
-        group=int.from_bytes(raw[2:6], "big"),
-        cell=int.from_bytes(raw[6:10], "big"),
-        seq=int.from_bytes(raw[10:14], "big"),
-        op=raw[14], reply_queue=raw[15],
-        value=int.from_bytes(raw[16:24], "big", signed=True),
-        aux=int.from_bytes(raw[24:32], "big", signed=True),
-        token=int.from_bytes(raw[32:36], "big"),
-        origin=origin,
-        count=int.from_bytes(raw[40:44], "big"),
-    )
 
 
 class GroupProgram:
@@ -351,10 +325,7 @@ class CombineStage:
                                value=value, seq=tag.seq)
                 self._emit_switch(port, down)
             else:
-                payload = (bytes([SYNC_TREE_REP_BYTE])
-                           + tag.group.to_bytes(4, "big")
-                           + tag.seq.to_bytes(4, "big")
-                           + value.to_bytes(8, "big", signed=True))
+                payload = SYNC_TREE_REP.pack(tag.group, tag.seq, value)
                 self._emit_member(port, member, entry[4], payload,
                                   SyncTag(PHASE_DOWN, MODE_TREE, tag.group,
                                           tag.op, value=value, seq=tag.seq,
@@ -481,10 +452,7 @@ class CombineStage:
 
     def _member_fetch_reply(self, port: int, member: int, reply_queue: int,
                             req_token: int, value: int, tag: SyncTag) -> None:
-        payload = (bytes([SYNC_REP_BYTE])
-                   + req_token.to_bytes(4, "big")
-                   + b"\x01"
-                   + value.to_bytes(8, "big", signed=True))
+        payload = SYNC_REP.pack(req_token, True, value)
         reply = SyncTag(PHASE_DOWN, MODE_FETCH, tag.group, tag.op,
                         value=value, cell=tag.cell, token=req_token,
                         origin=member)

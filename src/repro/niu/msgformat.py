@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.common.errors import QueueError
+from repro.common.wire import MAX_PAYLOAD
 
 HEADER_BYTES = 8
-MAX_PAYLOAD = 88
 #: one queue entry in SRAM: header + max payload.
 ENTRY_BYTES = HEADER_BYTES + MAX_PAYLOAD
 

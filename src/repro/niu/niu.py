@@ -337,10 +337,6 @@ class NIU:
 
     # -- convenience accessors ---------------------------------------------------------
 
-    def ap_tx(self, i: int) -> QueueState:
-        """aP general transmit queue ``i``."""
-        return self.ctrl.tx_queues[i]
-
     def ap_rx_slot(self, logical: int) -> QueueState:
         """Hardware receive queue currently caching ``logical``."""
         slot = self.ctrl.rx_cache.resident().get(logical)

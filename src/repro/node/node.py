@@ -100,10 +100,6 @@ class NodeBoard:
         """The NIU's CTRL ASIC."""
         return self.niu.ctrl
 
-    def scoma_line_addr(self, line: int) -> int:
-        """DRAM address of S-COMA window line ``line``."""
-        return self.niu.cls.addr_of(line)
-
     def peek_coherent(self, addr: int, length: int) -> bytes:
         """Untimed coherent read: modified L2 lines override DRAM.
 

@@ -33,11 +33,6 @@ class NumaSpace:
         """Global address of ``offset`` within ``home``'s backing."""
         return self.map.global_addr(home, offset)
 
-    @property
-    def bytes_per_node(self) -> int:
-        """Backing bytes each node contributes."""
-        return self.map.span
-
     # -- convenience wrappers (just api.load/store on global addresses) ------
 
     def read(self, api: "ApApi", home: int, offset: int, size: int

@@ -89,12 +89,12 @@ class ScomaRegion:
         sharer set; a dirty copy writes back to the home first.  ``port``
         is any send-capable BasicPort on the caller's node.
         """
-        from repro.firmware.scoma import pack_evict_req
+        from repro.common.wire import SCOMA_EVICT_REQ
         from repro.niu.niu import SP_SERVICE_QUEUE
 
         line_offset = (offset // self.line_bytes) * self.line_bytes
         yield from port.send_to(api, api.node_id, SP_SERVICE_QUEUE,
-                                pack_evict_req(line_offset))
+                                SCOMA_EVICT_REQ.pack(line_offset))
 
     # -- state inspection (testing) ----------------------------------------------
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.common.errors import ProgramError
-from repro.firmware.update_shm import install_update_region, pack_release
+from repro.common.wire import UPDATE_RELEASE
+from repro.firmware.update_shm import install_update_region
 from repro.mp.basic import BasicPort
 from repro.niu.niu import SP_SERVICE_QUEUE, vdst_for
 
@@ -55,7 +56,7 @@ class UpdateRegion:
         """
         yield from port.send(
             api, vdst_for(api.node_id, SP_SERVICE_QUEUE),
-            pack_release(notify_queue),
+            UPDATE_RELEASE.pack(notify_queue),
         )
         while True:
             msg = yield from port.poll(api)

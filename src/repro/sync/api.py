@@ -41,18 +41,18 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
                     Optional, Tuple)
 
 from repro.common.errors import ConfigError, ProgramError
-from repro.firmware.proto import (
-    DEQUE_POP,
-    DEQUE_PUSH,
-    DEQUE_STEAL,
+from repro.common.wire import (
+    LOCK_MSG,
+    MSG_LOCK_GRANT,
+    MSG_LOCK_LINK,
     MSG_SYNC_REP,
     MSG_SYNC_TREE_REP,
-    pack_sync_cbar,
-    pack_sync_deque,
-    pack_sync_inject,
-    pack_sync_req,
-    unpack_sync_rep,
-    unpack_sync_tree_rep,
+    SYNC_CBAR,
+    SYNC_DEQUE,
+    SYNC_INJECT,
+    SYNC_REP,
+    SYNC_REQ,
+    SYNC_TREE_REP,
 )
 from repro.mp.basic import BasicPort
 from repro.net.combine import (
@@ -66,7 +66,8 @@ from repro.net.combine import (
     SyncTag,
 )
 from repro.niu.niu import SP_SERVICE_QUEUE
-from repro.sync.firmware import ensure_sync_firmware
+from repro.sync.firmware import (DEQUE_POP, DEQUE_PUSH, DEQUE_STEAL,
+                                 ensure_sync_firmware)
 from repro.sync.plan import SwitchTreePlan, plan_group
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,10 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: the sync library's queue convention (MiniMPI owns tx/rx 2).
 SYNC_TX_INDEX = 3
 SYNC_RX_LOGICAL = 3
-
-#: aP-to-aP message bytes on the sync port (user type space, >= 64).
-LOCK_LINK = 67  #: MCS: successor announces itself to its predecessor
-LOCK_GRANT = 68  #: MCS: predecessor hands the lock over
 
 
 class _NodeClient:
@@ -217,7 +214,7 @@ class SyncGroup:
         ``req``, as ``(ok, value)``."""
         def match(p: bytes) -> Optional[Tuple[bool, int]]:
             if p[0] == MSG_SYNC_REP:
-                rtok, ok, value = unpack_sync_rep(p)
+                rtok, ok, value = SYNC_REP.unpack(p)
                 if rtok == req:
                     return ok, value
             return None
@@ -229,27 +226,24 @@ class SyncGroup:
         collective ``seq``, as the folded value."""
         def match(p: bytes) -> Optional[int]:
             if p[0] == MSG_SYNC_TREE_REP:
-                g, s, value = unpack_sync_tree_rep(p)
+                g, s, value = SYNC_TREE_REP.unpack(p)
                 if g == self.gid and s == seq:
                     return value
             return None
 
         return match
 
-    def _user_match(self, kind: int, cell: int) -> Callable[[bytes], Any]:
-        """``_await`` matcher: one user-space sync message, as its
-        origin node."""
-        want = self._user_msg(kind, cell, 0)[:9]
-
+    def _lock_match(self, kind: int, cell: int) -> Callable[[bytes], Any]:
+        """``_await`` matcher: this group's MCS ``kind`` message for
+        ``cell``, as its origin node."""
         def match(p: bytes) -> Optional[int]:
-            return int.from_bytes(p[9:13], "big") if p.startswith(want) \
-                else None
+            if p[0] == kind:
+                _kind, g, c, origin = LOCK_MSG.unpack(p)
+                if g == self.gid and c == cell:
+                    return origin
+            return None
 
         return match
-
-    def _user_msg(self, kind: int, cell: int, origin: int) -> bytes:
-        return (bytes([kind]) + self.gid.to_bytes(4, "big")
-                + cell.to_bytes(4, "big") + origin.to_bytes(4, "big"))
 
     # -- the two verbs -----------------------------------------------------
 
@@ -271,11 +265,11 @@ class SyncGroup:
                           cell=cell, aux=aux, token=req, origin=node,
                           reply_queue=SYNC_RX_LOGICAL)
             yield from cl.port.send_to(api, node, SP_SERVICE_QUEUE,
-                                       pack_sync_inject(tag.pack()))
+                                       SYNC_INJECT.pack(tail=tag.pack()))
         else:
             yield from cl.port.send_to(
                 api, self.home(cell), SP_SERVICE_QUEUE,
-                pack_sync_req(self.gid, cell, op, node, req,
+                SYNC_REQ.pack(self.gid, cell, op, node, req,
                               SYNC_RX_LOGICAL, value, aux))
         _ok, old = yield from self._await(api, cl, self._rep_match(req))
         return old
@@ -298,11 +292,11 @@ class SyncGroup:
                           seq=seq, origin=node,
                           reply_queue=SYNC_RX_LOGICAL)
             yield from cl.port.send_to(api, node, SP_SERVICE_QUEUE,
-                                       pack_sync_inject(tag.pack()))
+                                       SYNC_INJECT.pack(tail=tag.pack()))
         else:
             yield from cl.port.send_to(
                 api, self.members[0], SP_SERVICE_QUEUE,
-                pack_sync_cbar(self.gid, seq, node, len(self.members),
+                SYNC_CBAR.pack(self.gid, seq, node, len(self.members),
                                SYNC_RX_LOGICAL, op, value))
         return (yield from self._await(api, cl, self._tree_match(seq)))
 
@@ -423,7 +417,7 @@ class McsLock:
 
     The tail cell holds the last waiter's node id + 1 (0 = free).
     Acquire swaps itself in; a contended acquirer announces itself to
-    its predecessor (``LOCK_LINK``) and blocks for ``LOCK_GRANT``.
+    its predecessor (``MSG_LOCK_LINK``) and blocks for ``MSG_LOCK_GRANT``.
     Release compare-and-swaps the tail back to 0 — the one place the
     non-combining CSWAP is required: a plain swap would race a
     concurrent enqueuer and strand it.
@@ -442,9 +436,10 @@ class McsLock:
         if prev == 0:
             return
         cl = g.fabric.client(node)
-        yield from cl.port.send_to(api, prev - 1, SYNC_RX_LOGICAL,
-                                   g._user_msg(LOCK_LINK, self.cell, node))
-        yield from g._await(api, cl, g._user_match(LOCK_GRANT, self.cell))
+        yield from cl.port.send_to(
+            api, prev - 1, SYNC_RX_LOGICAL,
+            LOCK_MSG.pack(MSG_LOCK_LINK, g.gid, self.cell, node))
+        yield from g._await(api, cl, g._lock_match(MSG_LOCK_GRANT, self.cell))
 
     def release(self, api: "ApApi", node: int
                 ) -> Generator["Event", None, None]:
@@ -455,9 +450,10 @@ class McsLock:
             return  # no successor; the CSWAP freed the lock
         cl = g.fabric.client(node)
         successor = yield from g._await(
-            api, cl, g._user_match(LOCK_LINK, self.cell))
-        yield from cl.port.send_to(api, successor, SYNC_RX_LOGICAL,
-                                   g._user_msg(LOCK_GRANT, self.cell, node))
+            api, cl, g._lock_match(MSG_LOCK_LINK, self.cell))
+        yield from cl.port.send_to(
+            api, successor, SYNC_RX_LOGICAL,
+            LOCK_MSG.pack(MSG_LOCK_GRANT, g.gid, self.cell, node))
 
 
 class WorkDeque:
@@ -482,7 +478,7 @@ class WorkDeque:
         req = cl.req
         yield from cl.port.send_to(
             api, self.owner, SP_SERVICE_QUEUE,
-            pack_sync_deque(g.gid, verb, node, req, SYNC_RX_LOGICAL, value))
+            SYNC_DEQUE.pack(g.gid, verb, node, req, SYNC_RX_LOGICAL, value))
         ok, got = yield from g._await(api, cl, g._rep_match(req))
         return ok, got
 

@@ -31,27 +31,29 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
 from repro.common.errors import FirmwareError
-from repro.firmware.base import fw_send_to, register_msg_handler
-from repro.firmware.proto import (
-    DEQUE_POP,
-    DEQUE_PUSH,
-    DEQUE_STEAL,
+from repro.common.wire import (
     MSG_SYNC_CBAR,
     MSG_SYNC_DEQUE,
     MSG_SYNC_INJECT,
     MSG_SYNC_REQ,
-    pack_sync_rep,
-    pack_sync_tree_rep,
-    unpack_sync_cbar,
-    unpack_sync_deque,
-    unpack_sync_inject,
-    unpack_sync_req,
+    SYNC_CBAR,
+    SYNC_DEQUE,
+    SYNC_INJECT,
+    SYNC_REP,
+    SYNC_REQ,
+    SYNC_TREE_REP,
 )
-from repro.net.combine import OP_CSWAP, apply_op, unpack_tag
+from repro.firmware.base import fw_send_to, register_msg_handler
+from repro.net.combine import OP_CSWAP, SyncTag, apply_op
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
     from repro.sim.events import Event
+
+#: work-stealing deque verbs (the ``verb`` byte of ``MSG_SYNC_DEQUE``).
+DEQUE_PUSH = 0
+DEQUE_POP = 1
+DEQUE_STEAL = 2
 
 
 class _CentralOp:
@@ -116,7 +118,7 @@ def on_sync_req(sp: "ServiceProcessor", src: int, payload: bytes
     yield sp.compute(sp.fw.sync_cell_insns)
     st = _state(sp)
     group, cell, op, origin, req, reply_queue, value, aux = \
-        unpack_sync_req(payload)
+        SYNC_REQ.unpack(payload)
     key = (group, cell)
     old = st.cells.get(key, 0)
     if op == OP_CSWAP:
@@ -126,7 +128,7 @@ def on_sync_req(sp: "ServiceProcessor", src: int, payload: bytes
         st.cells[key] = apply_op(op, old, value)
     sp.stats.counter(f"{sp.name}.sync_cell_ops").incr()
     yield from fw_send_to(sp, origin, reply_queue,
-                          pack_sync_rep(req, old))
+                          SYNC_REP.pack(req, True, old))
 
 
 def on_sync_cbar(sp: "ServiceProcessor", src: int, payload: bytes
@@ -134,7 +136,7 @@ def on_sync_cbar(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_SYNC_CBAR``: central counting barrier / serial allreduce."""
     yield sp.compute(sp.fw.sync_barrier_insns)
     st = _state(sp)
-    group, seq, origin, n, reply_queue, op, value = unpack_sync_cbar(payload)
+    group, seq, origin, n, reply_queue, op, value = SYNC_CBAR.unpack(payload)
     key = (group, seq)
     pend = st.central.get(key)
     if pend is None:
@@ -150,7 +152,7 @@ def on_sync_cbar(sp: "ServiceProcessor", src: int, payload: bytes
     # everyone arrived: release serially (the hot-spot cost is the point)
     del st.central[key]
     sp.stats.counter(f"{sp.name}.sync_central_ops").incr()
-    rep = pack_sync_tree_rep(group, seq, pend.acc)
+    rep = SYNC_TREE_REP.pack(group, seq, pend.acc)
     for member, rq in pend.waiters:
         yield from fw_send_to(sp, member, rq, rep)
 
@@ -159,7 +161,8 @@ def on_sync_inject(sp: "ServiceProcessor", src: int, payload: bytes
                    ) -> Generator["Event", None, None]:
     """``MSG_SYNC_INJECT``: leaf of the combining tree — into the fabric."""
     yield sp.compute(sp.fw.sync_inject_insns)
-    tag = unpack_tag(unpack_sync_inject(payload))
+    (raw,) = SYNC_INJECT.unpack(payload)
+    tag = SyncTag.unpack(raw)
     tag.origin = sp.node_id
     sp.stats.counter(f"{sp.name}.sync_injects").incr()
     yield from sp.ctrl.emit_sync(tag)
@@ -170,13 +173,13 @@ def on_sync_deque(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_SYNC_DEQUE``: owner-resident work-stealing deque."""
     yield sp.compute(sp.fw.sync_deque_insns)
     st = _state(sp)
-    group, verb, origin, req, reply_queue, value = unpack_sync_deque(payload)
+    group, verb, origin, req, reply_queue, value = SYNC_DEQUE.unpack(payload)
     dq = st.deques.setdefault(group, [])
     if verb == DEQUE_PUSH:
         dq.append(value)
         sp.stats.counter(f"{sp.name}.deque_pushes").incr()
         yield from fw_send_to(sp, origin, reply_queue,
-                              pack_sync_rep(req, len(dq)))
+                              SYNC_REP.pack(req, True, len(dq)))
         return
     if verb == DEQUE_POP:
         ok = bool(dq)
@@ -189,7 +192,7 @@ def on_sync_deque(sp: "ServiceProcessor", src: int, payload: bytes
     else:
         raise FirmwareError(f"{sp.name}: unknown deque verb {verb}")
     yield from fw_send_to(sp, origin, reply_queue,
-                          pack_sync_rep(req, got, ok=ok))
+                          SYNC_REP.pack(req, ok, got))
 
 
 __all__ = [

@@ -8,8 +8,8 @@ embedded sP makes the NIU a *programmable* application accelerator:
   get/put/range run against an in-DRAM table (modelled as ``sp.state``)
   with per-op instruction budgets from
   :class:`~repro.common.config.FirmwareCostConfig`.  PUT values arrive
-  inline, as TagOn attachments (same handler — see
-  :mod:`repro.traffic.wire`), or by DMA reference
+  inline, as TagOn attachments (same handler — see ``KV_REQ`` in
+  :mod:`repro.common.wire`), or by DMA reference
   (``MSG_KV_PUTREF``, where the handler pulls the staged bytes through
   :func:`~repro.firmware.base.fw_dram_read`).
 * **Parameter server** — accumulates one gradient per worker per
@@ -32,6 +32,20 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
 from repro.common.errors import FirmwareError
+from repro.common.wire import (
+    KV_PUTREF,
+    KV_REP,
+    KV_REQ,
+    MSG_KV_PUTREF,
+    MSG_KV_REQ,
+    MSG_PS_PUSH,
+    MSG_USVC_REP,
+    MSG_USVC_REQ,
+    PS_PUSH,
+    PS_REP,
+    USVC_REP,
+    USVC_REQ,
+)
 from repro.firmware.base import (
     fw_dram_read,
     fw_send_to,
@@ -39,32 +53,20 @@ from repro.firmware.base import (
     register_msg_handler,
 )
 from repro.niu.niu import SP_SERVICE_QUEUE
-from repro.traffic.wire import (
-    KV_GET,
-    KV_MISS,
-    KV_OK,
-    KV_PUT,
-    KV_RANGE,
-    MSG_KV_PUTREF,
-    MSG_KV_REQ,
-    MSG_PS_PUSH,
-    MSG_USVC_REP,
-    MSG_USVC_REQ,
-    pack_kv_rep,
-    pack_ps_rep,
-    pack_usvc_rep,
-    pack_usvc_req,
-    unpack_kv_putref,
-    unpack_kv_req,
-    unpack_ps_push,
-    unpack_usvc_rep,
-    unpack_usvc_req,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import StarTVoyager
     from repro.niu.sp import ServiceProcessor
     from repro.sim.events import Event
+
+#: KV operations (the ``op`` byte of ``MSG_KV_REQ``).
+KV_GET = 0
+KV_PUT = 1
+KV_RANGE = 2
+
+#: KV reply status byte.
+KV_OK = 0
+KV_MISS = 1
 
 #: sSRAM staging offset for DMA-referenced PUT values (distinct from the
 #: DMA/blockxfer staging areas, which use low offsets).
@@ -113,22 +115,22 @@ def _state(sp: "ServiceProcessor") -> TrafficState:
 def _on_kv_req(sp: "ServiceProcessor", src: int, payload: bytes
                ) -> Generator["Event", None, None]:
     st = _state(sp)
-    op, reply_q, origin, req_id, key, count, value = unpack_kv_req(payload)
+    op, reply_q, origin, req_id, key, count, value = KV_REQ.unpack(payload)
     if op == KV_PUT:
         yield sp.compute(sp.fw.kv_op_insns)
         st.store[key] = bytes(value)
-        rep = pack_kv_rep(KV_OK, req_id)
+        rep = KV_REP.pack(KV_OK, req_id)
     elif op == KV_GET:
         yield sp.compute(sp.fw.kv_op_insns)
         found = st.store.get(key)
-        rep = pack_kv_rep(KV_OK if found is not None else KV_MISS, req_id,
-                          found or b"")
+        rep = KV_REP.pack(KV_OK if found is not None else KV_MISS, req_id,
+                          tail=found or b"")
     elif op == KV_RANGE:
         yield sp.compute(sp.fw.kv_op_insns
                          + count * sp.fw.kv_range_per_key_insns)
         joined = b"".join(st.store.get(k, b"")
                           for k in range(key, key + count))
-        rep = pack_kv_rep(KV_OK, req_id, joined[:_KV_REPLY_VALUE_CAP])
+        rep = KV_REP.pack(KV_OK, req_id, tail=joined[:_KV_REPLY_VALUE_CAP])
     else:
         raise FirmwareError(f"unknown KV op {op}")
     sp.stats.counter(f"traffic.kv.s{sp.node_id}.served").incr()
@@ -146,11 +148,11 @@ def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
     the standard RDMA completion idiom, here in sP firmware.
     """
     st = _state(sp)
-    reply_q, origin, req_id, key, addr, length = unpack_kv_putref(payload)
+    reply_q, origin, req_id, key, addr, length = KV_PUTREF.unpack(payload)
     yield sp.compute(sp.fw.kv_op_insns)
     for attempt in range(_PUTREF_POLL_LIMIT):
         data = yield from fw_dram_read(sp, addr, length + 4, _KV_STAGING)
-        if int.from_bytes(data[length:], "big") == req_id:
+        if int.from_bytes(data[length:], "big") == req_id:  # repro: allow ARCH003 -- doorbell
             break
         poll = sp.engine.timeout(_PUTREF_POLL_NS)  # fw_wait takes an Event
         yield from fw_wait(sp, poll)
@@ -160,7 +162,7 @@ def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
             f"never rang (addr {addr:#x})")
     st.store[key] = data[:length]
     sp.stats.counter(f"traffic.kv.s{sp.node_id}.served").incr()
-    yield from fw_send_to(sp, origin, reply_q, pack_kv_rep(KV_OK, req_id))
+    yield from fw_send_to(sp, origin, reply_q, KV_REP.pack(KV_OK, req_id))
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +173,7 @@ def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
 def _on_ps_push(sp: "ServiceProcessor", src: int, payload: bytes
                 ) -> Generator["Event", None, None]:
     st = _state(sp)
-    reply_q, origin, step, block, n_workers, grad = unpack_ps_push(payload)
+    reply_q, origin, step, block, n_workers, grad = PS_PUSH.unpack(payload)
     yield sp.compute(sp.fw.ps_push_insns)
     entry = st.ps_pending.get((step, block))
     if entry is None:
@@ -186,7 +188,7 @@ def _on_ps_push(sp: "ServiceProcessor", src: int, payload: bytes
     weight = st.ps_weights.get(block, 0) + entry[0]
     st.ps_weights[block] = weight
     sp.stats.counter(f"traffic.ps.s{sp.node_id}.steps").incr()
-    rep = pack_ps_rep(step, block, weight)
+    rep = PS_REP.pack(step, block, weight)
     # canonical fan-out order: lockstep workers produce same-timestamp
     # arrival ties, so reply by worker id rather than by arrival order
     for worker, queue in sorted(entry[1]):
@@ -205,17 +207,17 @@ def _usvc_children(me: int, fanout: int, n_nodes: int) -> List[int]:
 def _on_usvc_req(sp: "ServiceProcessor", src: int, payload: bytes
                  ) -> Generator["Event", None, None]:
     st = _state(sp)
-    depth, fanout, reply_q, origin, ctx, svc_insns = unpack_usvc_req(payload)
+    depth, fanout, reply_q, origin, ctx, svc_insns = USVC_REQ.unpack(payload)
     yield sp.compute(sp.fw.usvc_dispatch_insns + svc_insns)
     sp.stats.counter(f"traffic.usvc.s{sp.node_id}.stages").incr()
     if depth == 0 or fanout == 0:
-        yield from fw_send_to(sp, origin, reply_q, pack_usvc_rep(ctx))
+        yield from fw_send_to(sp, origin, reply_q, USVC_REP.pack(ctx))
         return
     children = _usvc_children(sp.node_id, fanout, st.n_nodes)
     token = st.usvc_next_ctx
     st.usvc_next_ctx = (token + 1) & 0xFFFFFFFF
     st.usvc_pending[token] = [len(children), origin, reply_q, ctx]
-    fwd = pack_usvc_req(depth - 1, fanout, SP_SERVICE_QUEUE, sp.node_id,
+    fwd = USVC_REQ.pack(depth - 1, fanout, SP_SERVICE_QUEUE, sp.node_id,
                         token, svc_insns)
     for child in children:
         yield from fw_send_to(sp, child, SP_SERVICE_QUEUE, fwd)
@@ -224,7 +226,7 @@ def _on_usvc_req(sp: "ServiceProcessor", src: int, payload: bytes
 def _on_usvc_rep(sp: "ServiceProcessor", src: int, payload: bytes
                  ) -> Generator["Event", None, None]:
     st = _state(sp)
-    token = unpack_usvc_rep(payload)
+    (token,) = USVC_REP.unpack(payload)
     entry = st.usvc_pending.get(token)
     if entry is None:
         raise FirmwareError(
@@ -234,7 +236,7 @@ def _on_usvc_rep(sp: "ServiceProcessor", src: int, payload: bytes
     if entry[0] > 0:
         return
     del st.usvc_pending[token]
-    yield from fw_send_to(sp, entry[1], entry[2], pack_usvc_rep(entry[3]))
+    yield from fw_send_to(sp, entry[1], entry[2], USVC_REP.pack(entry[3]))
 
 
 # ----------------------------------------------------------------------

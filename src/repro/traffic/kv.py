@@ -35,20 +35,12 @@ import zlib
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Sequence
 
 from repro.common.errors import ConfigError
-from repro.firmware.proto import pack_dma_req
+from repro.common.wire import DMA_REQ, KV_PUTREF, KV_REP, KV_REQ
 from repro.mp.basic import BasicPort
 from repro.niu.niu import NOTIFY_QUEUE, SP_SERVICE_QUEUE
-from repro.traffic.firmware import ensure_traffic
+from repro.traffic.firmware import KV_GET, KV_PUT, KV_RANGE, ensure_traffic
 from repro.traffic.load import TraceRecord
 from repro.traffic.slo import DEFAULT_SLO_NS, SloRecorder
-from repro.traffic.wire import (
-    KV_GET,
-    KV_PUT,
-    KV_RANGE,
-    pack_kv_putref,
-    pack_kv_req,
-    unpack_kv_rep,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import StarTVoyager
@@ -71,12 +63,13 @@ _DMA_SLOT = 128
 
 def home_node(key: int, n_nodes: int) -> int:
     """The node serving ``key`` (CRC32 consistent hash)."""
-    return zlib.crc32(key.to_bytes(4, "big")) % n_nodes
+    return zlib.crc32(key.to_bytes(4, "big")) % n_nodes  # repro: allow ARCH003 -- hash input
 
 
 def _value_bytes(req_id: int, size: int) -> bytes:
     """Deterministic value content derived from the request id."""
-    return (req_id.to_bytes(4, "big") * ((size + 3) // 4))[:size]
+    return (req_id.to_bytes(4, "big")  # repro: allow ARCH003 -- value content
+            * ((size + 3) // 4))[:size]
 
 
 class KvClient:
@@ -121,12 +114,12 @@ class KvClient:
         self.slo.offer()
         home = home_node(rec.key, self.n_nodes)
         if rec.op == "get":
-            yield from self._send(api, home, pack_kv_req(
-                KV_GET, RX_LOGICAL, self.me, req_id, rec.key))
+            yield from self._send(api, home, KV_REQ.pack(
+                KV_GET, RX_LOGICAL, self.me, req_id, rec.key, 0))
         elif rec.op == "range":
-            yield from self._send(api, home, pack_kv_req(
+            yield from self._send(api, home, KV_REQ.pack(
                 KV_RANGE, RX_LOGICAL, self.me, req_id, rec.key,
-                count=self.range_count))
+                self.range_count))
         elif rec.op == "put":
             yield from self._put(api, home, req_id, rec)
         else:
@@ -136,30 +129,30 @@ class KvClient:
              ) -> Generator["Event", None, None]:
         value = _value_bytes(req_id, rec.size)
         if self.transport == "basic":
-            yield from self._send(api, home, pack_kv_req(
-                KV_PUT, RX_LOGICAL, self.me, req_id, rec.key, value=value))
+            yield from self._send(api, home, KV_REQ.pack(
+                KV_PUT, RX_LOGICAL, self.me, req_id, rec.key, 0, tail=value))
         elif self.transport == "tagon":
             tagon = yield from self.port.stage_tagon(
                 api, self._tagon_staging, value)
-            yield from self._send(api, home, pack_kv_req(
-                KV_PUT, RX_LOGICAL, self.me, req_id, rec.key), tagon=tagon)
+            yield from self._send(api, home, KV_REQ.pack(
+                KV_PUT, RX_LOGICAL, self.me, req_id, rec.key, 0), tagon=tagon)
         else:  # dma
             # stage value + doorbell locally, RDMA it into the home's
             # per-request slot, then race the by-reference PUT after it
             src = _DMA_SRC_BASE + (req_id % _DMA_RING) * _DMA_SLOT
             dst = _DMA_DST_BASE + (
                 self.me * _DMA_RING + req_id % _DMA_RING) * _DMA_SLOT
-            staged = value + req_id.to_bytes(4, "big")
+            staged = value + req_id.to_bytes(4, "big")  # repro: allow ARCH003 -- DRAM doorbell
             yield from api.store(src, staged)
-            dma = pack_dma_req(src, home, dst, len(staged), NOTIFY_QUEUE, 3)
+            dma = DMA_REQ.pack(src, home, dst, len(staged), NOTIFY_QUEUE, 3)
             # the DMA request is a loopback hop into the local sP —
             # lossless, so it never needs the reliable path
             yield from self.port.send_to(api, self.me, SP_SERVICE_QUEUE, dma)
-            yield from self._send(api, home, pack_kv_putref(
+            yield from self._send(api, home, KV_PUTREF.pack(
                 RX_LOGICAL, self.me, req_id, rec.key, dst, len(value)))
 
     def _complete(self, api: "ApApi", payload: bytes) -> None:
-        _status, req_id, _value = unpack_kv_rep(payload)
+        _status, req_id, _value = KV_REP.unpack(payload)
         sched = self.inflight.pop(req_id)
         self.slo.complete(api.now - sched)
 

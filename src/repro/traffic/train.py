@@ -26,13 +26,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Generator, List
 
 from repro.common.errors import ConfigError
+from repro.common.wire import PS_PUSH, PS_REP
 from repro.lib.mpi import MiniMPI
 from repro.mp.basic import BasicPort
 from repro.niu.niu import SP_SERVICE_QUEUE
 from repro.traffic.firmware import ensure_traffic
 from repro.traffic.kv import RX_LOGICAL, TX_INDEX
 from repro.traffic.slo import SloRecorder
-from repro.traffic.wire import pack_ps_push, unpack_ps_rep
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import StarTVoyager
@@ -96,13 +96,13 @@ class TrainJob:
                     home = block_home(block, self.n_nodes)
                     yield from port.send_to(
                         api, home, SP_SERVICE_QUEUE,
-                        pack_ps_push(RX_LOGICAL, node, step, block,
+                        PS_PUSH.pack(RX_LOGICAL, node, step, block,
                                      self.n_nodes, grad),
                         reliable=self.reliable)
                 # synchronous step: wait for every block's new weight
                 for _ in range(self.n_blocks):
                     _src, payload = yield from port.recv(api)
-                    unpack_ps_rep(payload)
+                    PS_REP.unpack(payload)
                 slo.complete(api.now - t0)
 
         return program

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Sequence
 
+from repro.common.wire import USVC_REP, USVC_REQ
 from repro.mp.basic import BasicPort
 from repro.niu.niu import SP_SERVICE_QUEUE
 from repro.traffic.firmware import ensure_traffic
 from repro.traffic.kv import RX_LOGICAL, TX_INDEX
 from repro.traffic.load import TraceRecord
 from repro.traffic.slo import SloRecorder
-from repro.traffic.wire import pack_usvc_req, unpack_usvc_rep
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import StarTVoyager
@@ -63,7 +63,7 @@ class UsvcClient:
         self.inflight[req_id] = sched_ns
         self.slo.offer()
         entry = rec.key % self.n_nodes
-        payload = pack_usvc_req(self.depth, self.fanout, RX_LOGICAL,
+        payload = USVC_REQ.pack(self.depth, self.fanout, RX_LOGICAL,
                                 self.me, req_id, self.svc_insns)
         yield from self.port.send_to(api, entry, SP_SERVICE_QUEUE, payload,
                                      reliable=self.reliable)
@@ -82,7 +82,7 @@ class UsvcClient:
         def receiver(api: "ApApi"):
             for _ in range(total):
                 _src, payload = yield from self.port.recv(api)
-                ctx = unpack_usvc_rep(payload)
+                (ctx,) = USVC_REP.unpack(payload)
                 sched = self.inflight.pop(ctx)
                 self.slo.complete(api.now - sched)
 

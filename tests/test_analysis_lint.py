@@ -354,6 +354,50 @@ def test_perf002_suppressible():
     assert rules_of(src) == []
 
 
+def test_perf001_covers_the_wire_layout():
+    src = "class Layout:\n    def __init__(self):\n        self.size = 0\n"
+    assert rules_of(src, "src/repro/common/wire.py") == ["PERF001"]
+
+
+# ----------------------------------------------------------------------
+# ARCH003 — message bytes go through the wire registry
+# ----------------------------------------------------------------------
+
+
+def test_arch003_hand_rolled_codecs_fire():
+    src = """
+    def pack(seq, p):
+        head = seq.to_bytes(4, "big") + (-1).to_bytes(8, "big", signed=True)
+        return head, int.from_bytes(p[1:5], "big")
+    """
+    for path in ("src/repro/firmware/numa.py", "src/repro/collectives/api.py",
+                 "src/repro/sync/api.py", "src/repro/traffic/kv.py",
+                 "src/repro/net/combine.py"):
+        assert rules_of(src, path) == ["ARCH003"] * 3, path
+
+
+def test_arch003_registry_and_other_layers_exempt():
+    src = "def f(v):\n    return v.to_bytes(4, 'big'), int.from_bytes(b'ab', 'big')\n"
+    for path in ("src/repro/common/wire.py", "src/repro/net/link.py",
+                 "src/repro/niu/ctrl.py", "src/repro/lib/mpi.py",
+                 TESTFILE, BENCHFILE):
+        assert rules_of(src, path) == [], path
+
+
+def test_arch003_layouts_and_lookalikes_ok():
+    src = """
+    def f(KV_REQ, p, data):
+        return KV_REQ.unpack(p), bytes.fromhex("00"), data.from_bytes(p)
+    """
+    assert rules_of(src, "src/repro/traffic/firmware.py") == []
+
+
+def test_arch003_suppressible():
+    src = ("import zlib\n"
+           "h = zlib.crc32(k.to_bytes(4, 'big'))  # repro: allow ARCH003 -- hash\n")
+    assert rules_of(src, "src/repro/traffic/kv.py") == []
+
+
 # ----------------------------------------------------------------------
 # suppression, parse errors, driver
 # ----------------------------------------------------------------------

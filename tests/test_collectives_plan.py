@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.collectives import wire
+from repro.collectives.firmware import KIND_ALLREDUCE, KIND_BCAST
 from repro.collectives.plan import binomial_tree, kary_tree, recursive_doubling
 from repro.common.errors import NetworkError, ProgramError
+from repro.common.wire import COLL, COLL_MAX_DATA, MSG_COLL_REQ, VALUE
 from repro.net.combine import (OP_ADD, OP_CSWAP, OP_MAX, OP_MIN, OP_OR,
                                OP_SWAP, OPS, apply_op, op_code)
 
@@ -137,22 +138,22 @@ def test_rd_schedule_rejects_empty():
 
 
 def test_coll_wire_roundtrip():
-    msg = wire.unpack_coll(wire.pack_coll(
-        16, wire.KIND_ALLREDUCE, 3, comm=7, seq=0xDEADBEEF, root=5,
-        reply_queue=2, tag=0x8123, data=wire.pack_value(-42)))
-    assert (msg.kind, msg.op, msg.comm) == (wire.KIND_ALLREDUCE, 3, 7)
-    assert (msg.seq, msg.root, msg.reply_queue) == (0xDEADBEEF, 5, 2)
-    assert msg.tag == 0x8123
-    assert wire.unpack_value(msg.data) == -42
-    assert msg.key == (7, 0xDEADBEEF)
+    msg = COLL.unpack(COLL.pack(
+        MSG_COLL_REQ, KIND_ALLREDUCE, 3, 7, 0xDEADBEEF, 5, 2, 0x8123,
+        tail=VALUE.pack(-42)))
+    typ, kind, op, comm, seq, root, reply_queue, tag, data = msg
+    assert (typ, kind, op, comm) == (MSG_COLL_REQ, KIND_ALLREDUCE, 3, 7)
+    assert (seq, root, reply_queue) == (0xDEADBEEF, 5, 2)
+    assert tag == 0x8123
+    assert VALUE.unpack(data) == (-42,)
 
 
 def test_coll_wire_data_cap():
-    big = bytes(wire.COLL_MAX_DATA + 1)
+    big = bytes(COLL_MAX_DATA + 1)
     with pytest.raises(ProgramError):
-        wire.pack_coll(16, wire.KIND_BCAST, 0, 0, 1, 0, 2, 0x8000, big)
+        COLL.pack(MSG_COLL_REQ, KIND_BCAST, 0, 0, 1, 0, 2, 0x8000, tail=big)
 
 
 def test_value_packing_signed_64():
     for v in (0, 1, -1, 2**63 - 1, -(2**63)):
-        assert wire.unpack_value(wire.pack_value(v)) == v
+        assert VALUE.unpack(VALUE.pack(v)) == (v,)

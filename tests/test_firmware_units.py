@@ -4,9 +4,31 @@ packing."""
 import pytest
 
 import repro
-from repro.firmware import proto
-from repro.firmware.blockxfer import pack_bt45_arm, unpack_bt45_arm
+from repro.common.errors import FirmwareError
+from repro.common.wire import (
+    BT2_CHUNK,
+    BT2_DONE,
+    BT45_ARM,
+    DMA_REQ,
+    MSG_BT45_ARM,
+    MSG_KV_REQ,
+    MSG_PS_PUSH,
+    MSG_SCOMA_EVICT_REQ,
+    MSG_SCOMA_RREQ,
+    MSG_SCOMA_WREQ,
+    NUMA_RREP,
+    NUMA_RREQ,
+    NUMA_WREQ,
+    SCOMA_INV,
+    SCOMA_INVACK,
+    SCOMA_REQ,
+    SCOMA_WBDATA,
+    SCOMA_WBREQ,
+)
+from repro.firmware.base import register_msg_handler
+from repro.firmware.blockxfer import handle_arm
 from repro.firmware.dma import split_pages
+from repro.firmware.scoma import handle_evict_request
 from repro.niu.clssram import CLS_PENDING
 
 
@@ -38,62 +60,59 @@ def test_split_tiny_pieces_pipeline():
 # -- protocol packing ------------------------------------------------------------
 
 def test_dma_req_roundtrip():
-    p = proto.pack_dma_req(0x123456, 3, 0xABCDEF, 70000, 7, 4)
-    assert proto.unpack_dma_req(p) == (0x123456, 3, 0xABCDEF, 70000, 7, 4)
+    p = DMA_REQ.pack(0x123456, 3, 0xABCDEF, 70000, 7, 4)
+    assert DMA_REQ.unpack(p) == (0x123456, 3, 0xABCDEF, 70000, 7, 4)
     assert len(p) <= 88
 
 
 def test_bt2_chunk_roundtrip():
-    p = proto.pack_bt2_chunk(0xDEAD00)
-    addr, data = proto.unpack_bt2_chunk(p + b"payload")
+    p = BT2_CHUNK.pack(0xDEAD00)
+    addr, data = BT2_CHUNK.unpack(p + b"payload")
     assert addr == 0xDEAD00
     assert data == b"payload"
 
 
 def test_bt2_done_roundtrip():
-    p = proto.pack_bt2_done(7, 123456)
-    assert proto.unpack_bt2_done(p) == (7, 123456)
+    p = BT2_DONE.pack(7, 123456)
+    assert BT2_DONE.unpack(p) == (7, 123456)
 
 
 def test_numa_packing_roundtrips():
-    assert proto.unpack_numa_rreq(proto.pack_numa_rreq(0x42, 8)) == (0x42, 8)
-    assert proto.unpack_numa_rrep(proto.pack_numa_rrep(0x42, b"abc")) == \
+    assert NUMA_RREQ.unpack(NUMA_RREQ.pack(8, 0x42)) == (8, 0x42)
+    assert NUMA_RREP.unpack(NUMA_RREP.pack(0x42, tail=b"abc")) == \
         (0x42, b"abc")
-    assert proto.unpack_numa_wreq(proto.pack_numa_wreq(0x42, b"xyz")) == \
+    assert NUMA_WREQ.unpack(NUMA_WREQ.pack(0x42, tail=b"xyz")) == \
         (0x42, b"xyz")
 
 
 def test_scoma_packing_roundtrips():
-    assert proto.unpack_scoma_req(proto.pack_scoma_req(True, 0x40, 2)) == \
-        (True, 0x40, 2)
-    assert proto.unpack_scoma_req(proto.pack_scoma_req(False, 0x40, 2)) == \
-        (False, 0x40, 2)
-    assert proto.unpack_scoma_inv(proto.pack_scoma_inv(0x80)) == 0x80
-    assert proto.unpack_scoma_invack(proto.pack_scoma_invack(0x80)) == 0x80
-    assert proto.unpack_scoma_wbreq(proto.pack_scoma_wbreq(0x80, True)) == \
-        (0x80, True)
+    assert SCOMA_REQ.unpack(SCOMA_REQ.pack(MSG_SCOMA_WREQ, 2, 0x40)) == \
+        (MSG_SCOMA_WREQ, 2, 0x40)
+    assert SCOMA_REQ.unpack(SCOMA_REQ.pack(MSG_SCOMA_RREQ, 2, 0x40)) == \
+        (MSG_SCOMA_RREQ, 2, 0x40)
+    assert SCOMA_INV.unpack(SCOMA_INV.pack(0x80)) == (0x80,)
+    assert SCOMA_INVACK.unpack(SCOMA_INVACK.pack(0x80)) == (0x80,)
+    assert SCOMA_WBREQ.unpack(SCOMA_WBREQ.pack(True, 0x80)) == (True, 0x80)
     line = bytes(range(32))
-    assert proto.unpack_scoma_wbdata(proto.pack_scoma_wbdata(0x80, line)) == \
+    assert SCOMA_WBDATA.unpack(SCOMA_WBDATA.pack(0x80, tail=line)) == \
         (0x80, line)
 
 
 def test_wrong_type_rejected():
-    from repro.common.errors import FirmwareError
     with pytest.raises(FirmwareError):
-        proto.unpack_dma_req(bytes([99]) + bytes(30))
+        DMA_REQ.unpack(bytes([99]) + bytes(20))
     with pytest.raises(FirmwareError):
-        proto.unpack_numa_rreq(bytes([1, 2, 3]))
+        NUMA_RREQ.unpack(bytes([1, 2, 3]))
 
 
 def test_address_width_guard():
-    from repro.common.errors import FirmwareError
     with pytest.raises(FirmwareError):
-        proto.pack_numa_rreq(1 << 48, 8)
+        NUMA_RREQ.pack(8, 1 << 48)
 
 
 def test_arm_roundtrip():
-    p = pack_bt45_arm(0x700000, 16384, 5)
-    assert unpack_bt45_arm(p) == (0x700000, 16384, 5)
+    p = BT45_ARM.pack(5, 0x700000, 16384)
+    assert BT45_ARM.unpack(p) == (5, 0x700000, 16384)
 
 
 # -- arm handler behaviour -----------------------------------------------------------
@@ -113,7 +132,7 @@ def _arm(m2, mode):
 
     def prog(api):
         yield from port.send(api, vdst_for(1, SP_SERVICE_QUEUE),
-                             pack_bt45_arm(base, 256, mode))
+                             BT45_ARM.pack(mode, base, 256))
 
     m2.run_until(m2.spawn(1, prog), limit=1e8)
     m2.run(until=m2.now + 200_000)
@@ -140,6 +159,31 @@ def test_arm_mode5_uses_block_machinery(m2):
     assert busy5 < busy4  # hardware bulk set beats the firmware walk
 
 
+def test_traffic_firmware_keeps_platform_handlers(m2):
+    """The serving applications' type bytes no longer shadow the
+    default firmware: with the traffic firmware installed, the arm and
+    the S-COMA evict request still reach their handlers, and an arm
+    still sets its lines PENDING."""
+    from repro.traffic.firmware import ensure_traffic
+
+    ensure_traffic(m2)
+    handlers = m2.node(1).sp.state["msg_handlers"]
+    assert handlers[MSG_BT45_ARM] is handle_arm
+    assert handlers[MSG_SCOMA_EVICT_REQ] is handle_evict_request
+    assert handlers[MSG_KV_REQ] is not handle_arm
+    assert handlers[MSG_PS_PUSH] is not handle_evict_request
+    cls = _arm(m2, 5)
+    assert all(cls.state(line) == CLS_PENDING for line in range(8))
+
+
+def test_rebinding_a_type_byte_raises(m2):
+    sp = m2.node(0).sp
+    register_msg_handler(sp, MSG_BT45_ARM, handle_arm)  # same: idempotent
+    with pytest.raises(FirmwareError, match="already bound"):
+        register_msg_handler(sp, MSG_BT45_ARM, handle_evict_request)
+    assert sp.state["msg_handlers"][MSG_BT45_ARM] is handle_arm
+
+
 # -- DMA request validation --------------------------------------------------------
 
 def test_unknown_dma_mode_crashes_firmware(m2):
@@ -151,7 +195,7 @@ def test_unknown_dma_mode_crashes_firmware(m2):
     def prog(api):
         yield from port.send(
             api, vdst_for(0, SP_SERVICE_QUEUE),
-            proto.pack_dma_req(0x10000, 1, 0x20000, 64, 7, mode=9))
+            DMA_REQ.pack(0x10000, 1, 0x20000, 64, 7, 9))
 
     m2.run_until(m2.spawn(0, prog), limit=1e8)
     from repro.common.errors import SimulationError

@@ -1,10 +1,10 @@
 """Switch-resident combining (`repro.net.combine`): units and machine
 integration.
 
-Covers the tag wire format, the op fold semantics, the protocol-byte
-mirror between the net and firmware layers (ARCH001 forces the
-duplication; this file is the test the combine module's docstring
-promises), combine-hit counters flowing into ``machine.metrics()``, and
+Covers the tag wire format, the op fold semantics, the reply layouts
+the switches share with the firmware (one registry in
+``repro.common.wire``), combine-hit counters flowing into
+``machine.metrics()``, and
 the decombine-exactly-once sanitizer — both a clean pass and a seeded
 violation (a forged stale reply) that must raise.
 """
@@ -14,9 +14,8 @@ import os
 import pytest
 
 import repro
+from repro.common import wire
 from repro.common.errors import NetworkError, SanitizerError, SimulationError
-from repro.firmware import proto
-from repro.net import combine
 from repro.net.combine import (
     MODE_FETCH,
     OP_ADD,
@@ -28,16 +27,18 @@ from repro.net.combine import (
     PHASE_DOWN,
     SyncTag,
     apply_op,
-    unpack_tag,
 )
 from repro.net.packet import PRIORITY_HIGH, Packet, PacketKind
 
 
 def test_reply_bytes_mirror_firmware_proto():
-    """The net layer cannot import firmware (ARCH001), so the reply type
-    bytes are defined twice; the two registries must agree."""
-    assert combine.SYNC_REP_BYTE == proto.MSG_SYNC_REP
-    assert combine.SYNC_TREE_REP_BYTE == proto.MSG_SYNC_TREE_REP
+    """The switches and the firmware share one registry: the replies a
+    combining switch emits carry the firmware's reply type bytes."""
+    assert wire.SYNC_REP.types == (wire.MSG_SYNC_REP,)
+    assert wire.SYNC_TREE_REP.types == (wire.MSG_SYNC_TREE_REP,)
+    rep = wire.SYNC_REP.pack(42, True, -5)
+    assert rep[0] == wire.MSG_SYNC_REP
+    assert wire.SYNC_REP.unpack(rep) == (42, True, -5)
 
 
 def test_sync_tag_roundtrip():
@@ -45,15 +46,15 @@ def test_sync_tag_roundtrip():
                   cell=3, seq=11, aux=-2, token=42, origin=6,
                   reply_queue=3, count=5)
     raw = tag.pack()
-    assert len(raw) == combine.TAG_WIRE_BYTES
-    back = unpack_tag(raw)
+    assert len(raw) == wire.SYNC_TAG.size == 44
+    back = SyncTag.unpack(raw)
     for field in SyncTag.__slots__:
         assert getattr(back, field) == getattr(tag, field), field
     # combined packets carry origin -1
     anon = SyncTag(PHASE_DOWN, MODE_FETCH, group=1, op=OP_ADD)
-    assert unpack_tag(anon.pack()).origin == -1
+    assert SyncTag.unpack(anon.pack()).origin == -1
     with pytest.raises(NetworkError):
-        unpack_tag(raw[:10])
+        SyncTag.unpack(raw[:10])
 
 
 def test_apply_op_semantics():
