@@ -18,10 +18,10 @@ had to pick:
 import pytest
 
 from benchmarks.conftest import record
+from repro import default_config
 from repro.bench import fresh_machine
 from repro.core.blocktransfer import BlockTransferExperiment
-from repro.mp.basic import BasicPort
-from repro.mp import vdst_for
+from repro.scenarios import run_scenario, scenario
 
 HEADER = ["knob", "value", "metric", "result"]
 SIZE = 16384
@@ -59,25 +59,10 @@ def test_piece_size_tradeoff(benchmark):
 
 
 def _stream_with_depth(depth, count=60):
-    import repro
-    cfg = repro.default_config(n_nodes=2)
+    cfg = default_config(n_nodes=2)
     cfg.niu.queue_depth = depth
-    machine = repro.StarTVoyager(cfg)
-    p0 = BasicPort(machine.node(0), 0, 0)
-    p1 = BasicPort(machine.node(1), 0, 0)
-
-    def sender(api):
-        for i in range(count):
-            yield from p0.send(api, vdst_for(1, 0), bytes(64))
-
-    def receiver(api):
-        for _ in range(count):
-            yield from p1.recv(api)
-
-    t0 = machine.now
-    machine.run_all([machine.spawn(0, sender), machine.spawn(1, receiver)],
-                    limit=1e10)
-    return count * 64 / (machine.now - t0) * 1000.0
+    run = run_scenario(scenario("basic_stream", count=count), config=cfg)
+    return run.results[0]["mb_per_s"]
 
 
 @pytest.mark.parametrize("depth", [4, 16, 64])

@@ -15,7 +15,7 @@ that separates 4 from 5.
 import pytest
 
 from benchmarks.conftest import record
-from repro.bench import run_block_transfer
+from repro.scenarios import measure
 
 HEADER = ["approach", "size_B", "notify_us", "consume_us", "recv_sP"]
 SIZES = [4096, 16384, 65536]
@@ -24,7 +24,9 @@ SIZES = [4096, 16384, 65536]
 @pytest.mark.parametrize("approach", [3, 4, 5])
 @pytest.mark.parametrize("size", SIZES)
 def test_a45_rows(benchmark, approach, size):
-    result = benchmark.pedantic(run_block_transfer, args=(approach, size),
+    result = benchmark.pedantic(
+        measure, args=("block_transfer",),
+        kwargs={"approach": approach, "size": size},
                                 rounds=1, iterations=1)
     assert result.verified
     occ = result.occupancy_row()
@@ -36,7 +38,8 @@ def test_a45_rows(benchmark, approach, size):
 
 def test_a45_claims(benchmark):
     def run():
-        return {a: run_block_transfer(a, 16384) for a in (3, 4, 5)}
+        return {a: measure("block_transfer", approach=a, size=16384)
+                for a in (3, 4, 5)}
 
     r = benchmark.pedantic(run, rounds=1, iterations=1)
     # notification arrives far earlier than full completion

@@ -33,12 +33,8 @@ for _p in (_ROOT, os.path.join(_ROOT, "src")):
 import pytest
 
 from benchmarks.conftest import record
-from repro.bench import (
-    collective_latency,
-    collective_metrics_sweep,
-    emit_json,
-    print_table,
-)
+from repro.bench import collective_metrics_sweep, emit_json, print_table
+from repro.scenarios import measure
 
 HEADER = ["collective", "algo"] + [f"{n} nodes (us)" for n in (2, 4, 8, 16, 32)]
 NODES = [2, 4, 8, 16, 32]
@@ -48,7 +44,8 @@ _results = {}
 
 
 def _sweep(name, algo):
-    xs = [collective_latency(name, n, algo, repeats=2) for n in NODES]
+    xs = [measure("collective", n, collective=name, algo=algo, repeats=2)
+          for n in NODES]
     _results.setdefault(name, {})[algo] = dict(zip(NODES, xs))
     record("collective scaling", HEADER,
            [name, algo] + [x / 1000.0 for x in xs])

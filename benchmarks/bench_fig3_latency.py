@@ -41,10 +41,10 @@ from repro.bench import (
     block_transfer_metrics_sweep,
     fresh_machine,
     print_table,
-    run_block_transfer,
 )
 from repro.core.blocktransfer import BlockTransferExperiment
 from repro.obs import write_metrics
+from repro.scenarios import measure
 
 HEADER = ["approach", "size_B", "latency_us", "verified"]
 
@@ -56,7 +56,8 @@ RESULTS_DIR = os.path.join(_ROOT, "benchmarks", "results")
 @pytest.mark.parametrize("size", FIG_SIZES)
 def test_fig3_latency(benchmark, approach, size):
     result = benchmark.pedantic(
-        run_block_transfer, args=(approach, size), rounds=1, iterations=1
+        measure, args=("block_transfer",),
+        kwargs={"approach": approach, "size": size}, rounds=1, iterations=1
     )
     assert result.verified
     row = [f"A{approach}", size, result.notify_latency_ns / 1000.0,
@@ -68,8 +69,10 @@ def test_fig3_shape(benchmark):
     """The series' shape: A1 best at 256 B, worst at 64 KB."""
 
     def series():
-        small = {a: run_block_transfer(a, 256) for a in (1, 2, 3)}
-        large = {a: run_block_transfer(a, 65536) for a in (1, 2, 3)}
+        small = {a: measure("block_transfer", approach=a, size=256)
+                 for a in (1, 2, 3)}
+        large = {a: measure("block_transfer", approach=a, size=65536)
+                 for a in (1, 2, 3)}
         return small, large
 
     small, large = benchmark.pedantic(series, rounds=1, iterations=1)

@@ -14,7 +14,8 @@ maximum hardware speeds."
 import pytest
 
 from benchmarks.conftest import record
-from repro.bench import FIG_SIZES, run_block_transfer
+from repro.bench import FIG_SIZES
+from repro.scenarios import measure
 
 HEADER = ["approach", "size_B", "bandwidth_MB_s", "verified"]
 
@@ -23,7 +24,8 @@ HEADER = ["approach", "size_B", "bandwidth_MB_s", "verified"]
 @pytest.mark.parametrize("size", FIG_SIZES)
 def test_fig4_bandwidth(benchmark, approach, size):
     result = benchmark.pedantic(
-        run_block_transfer, args=(approach, size), rounds=1, iterations=1
+        measure, args=("block_transfer",),
+        kwargs={"approach": approach, "size": size}, rounds=1, iterations=1
     )
     assert result.verified
     record("Figure 4: block transfer bandwidth (MB/s)", HEADER,
@@ -34,7 +36,8 @@ def test_fig4_shape(benchmark):
     """At 64 KB the paper's ordering holds: A3 > A2 > A1."""
 
     def series():
-        return {a: run_block_transfer(a, 65536) for a in (1, 2, 3)}
+        return {a: measure("block_transfer", approach=a, size=65536)
+                for a in (1, 2, 3)}
 
     results = benchmark.pedantic(series, rounds=1, iterations=1)
     assert results[3].bandwidth_mb_s > results[2].bandwidth_mb_s

@@ -14,10 +14,12 @@ the raw network flight time of the same packet.
 
 
 from benchmarks.conftest import record
-from repro.bench import express_oneway_latency, fresh_machine
+from repro import default_config
+from repro.bench import fresh_machine
 from repro.firmware.reflective import install_reflective  # repro: allow ARCH002 -- compares firmware layers below the public API
 from repro.mp.express import ExpressPort
 from repro.mp import EXPRESS_RX_LOGICAL, vdst_for
+from repro.scenarios import ScenarioMachine, measure, scenario
 
 HEADER = ["path", "metric", "ns"]
 
@@ -68,7 +70,7 @@ def test_end_to_end_layer_budget(benchmark):
     """One-way Express latency vs the raw wire time of its packet."""
 
     def run():
-        latency = express_oneway_latency(repeats=20)
+        latency = measure("express", repeats=20)
         # the same packet's unavoidable network time: serialization on two
         # links (node->switch->node) + switch + wire latencies
         machine = fresh_machine(2)
@@ -93,29 +95,12 @@ def test_new_mechanism_does_not_tax_existing(benchmark):
     slow unrelated Express traffic — handlers are per-region."""
 
     def run():
-        base = express_oneway_latency(repeats=10)
-        machine = fresh_machine(2)
+        base = measure("express", repeats=10)
+        runner = ScenarioMachine(default_config(n_nodes=2),
+                                 scenario("express", repeats=10))
         for n in range(2):
-            install_reflective(machine.node(n), 0x40000, 4096, [0, 1])
-        e0 = ExpressPort(machine.node(0))
-        e1 = ExpressPort(machine.node(1))
-
-        def ping(api):
-            for _ in range(10):
-                yield from e0.send(api, vdst_for(1, EXPRESS_RX_LOGICAL),
-                                   b"01234")
-                yield from e0.recv_blocking(api)
-
-        def pong(api):
-            for _ in range(10):
-                yield from e1.recv_blocking(api)
-                yield from e1.send(api, vdst_for(0, EXPRESS_RX_LOGICAL),
-                                   b"43210")
-
-        t0 = machine.now
-        machine.run_all([machine.spawn(0, ping), machine.spawn(1, pong)],
-                        limit=1e10)
-        return base, (machine.now - t0) / 20
+            install_reflective(runner.machine.node(n), 0x40000, 4096, [0, 1])
+        return base, runner.run().results[0]
 
     base, with_handler = benchmark.pedantic(run, rounds=1, iterations=1)
     record("Layering overhead", HEADER,

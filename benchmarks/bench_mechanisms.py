@@ -11,21 +11,16 @@ at marginal cost.
 import pytest
 
 from benchmarks.conftest import record
-from repro.bench import (
-    basic_oneway_latency,
-    basic_stream_rate,
-    express_oneway_latency,
-    fresh_machine,
-    mpi_pingpong_latency,
-)
+from repro.bench import fresh_machine
 from repro.mp.basic import BasicPort
 from repro.mp import vdst_for
+from repro.scenarios import measure
 
 HEADER = ["mechanism", "metric", "value"]
 
 
 def test_express_latency(benchmark):
-    latency = benchmark.pedantic(express_oneway_latency, rounds=1,
+    latency = benchmark.pedantic(measure, args=("express",), rounds=1,
                                  iterations=1)
     record("Mechanism microbenchmarks", HEADER,
            ["express", "one-way ns (5 B)", latency])
@@ -34,7 +29,8 @@ def test_express_latency(benchmark):
 
 @pytest.mark.parametrize("payload", [8, 88])
 def test_basic_latency(benchmark, payload):
-    latency = benchmark.pedantic(basic_oneway_latency, args=(payload,),
+    latency = benchmark.pedantic(measure, args=("basic",),
+                                 kwargs={"payload_bytes": payload},
                                  rounds=1, iterations=1)
     record("Mechanism microbenchmarks", HEADER,
            ["basic", f"one-way ns ({payload} B)", latency])
@@ -43,7 +39,7 @@ def test_basic_latency(benchmark, payload):
 
 def test_express_beats_basic(benchmark):
     def both():
-        return express_oneway_latency(), basic_oneway_latency(8)
+        return measure("express"), measure("basic", payload_bytes=8)
 
     express, basic = benchmark.pedantic(both, rounds=1, iterations=1)
     assert express < basic
@@ -76,11 +72,12 @@ def test_tagon_amortizes_data(benchmark):
     record("Mechanism microbenchmarks", HEADER,
            ["basic+tagon", "per-message ns (83 B)", per_msg])
     # 83 bytes per message must cost far less than 11 separate sends
-    assert per_msg < 5 * basic_oneway_latency(8)
+    assert per_msg < 5 * measure("basic", payload_bytes=8)
 
 
 def test_basic_stream_rate(benchmark):
-    stats = benchmark.pedantic(basic_stream_rate, rounds=1, iterations=1)
+    stats = benchmark.pedantic(measure, args=("basic_stream",), rounds=1,
+                               iterations=1)
     record("Mechanism microbenchmarks", HEADER,
            ["basic", "stream MB/s (64 B msgs)", stats["mb_per_s"]])
     record("Mechanism microbenchmarks", HEADER,
@@ -89,11 +86,12 @@ def test_basic_stream_rate(benchmark):
 
 
 def test_mpi_latency(benchmark):
-    latency = benchmark.pedantic(mpi_pingpong_latency, rounds=1, iterations=1)
+    latency = benchmark.pedantic(measure, args=("mpi_pingpong",), rounds=1,
+                                 iterations=1)
     record("Mechanism microbenchmarks", HEADER,
            ["mini-MPI", "one-way ns (64 B)", latency])
     # library layering costs something, but not an order of magnitude
-    assert latency < 10 * basic_oneway_latency(64)
+    assert latency < 10 * measure("basic", payload_bytes=64)
 
 
 from repro.bench.cli import pytest_bench

@@ -9,33 +9,13 @@ completion time vs node count on the linear-algorithm collectives.
 import pytest
 
 from benchmarks.conftest import record
-from repro.bench import fresh_machine
-from repro.lib.mpi import MiniMPI
+from repro.scenarios import measure
 
 HEADER = ["operation", "scale", "us"]
 
 
-def _pingpong(payload_bytes, repeats=10):
-    machine = fresh_machine(2)
-    mpi = MiniMPI(machine)
-    payload = bytes(payload_bytes)
-
-    def ping(api):
-        comm = mpi.rank(0)
-        for _ in range(repeats):
-            yield from comm.send(api, 1, payload)
-            yield from comm.recv(api, src=1)
-
-    def pong(api):
-        comm = mpi.rank(1)
-        for _ in range(repeats):
-            _s, _t, d = yield from comm.recv(api, src=0)
-            yield from comm.send(api, 0, d)
-
-    t0 = machine.now
-    machine.run_all([machine.spawn(0, ping), machine.spawn(1, pong)],
-                    limit=1e10)
-    return (machine.now - t0) / (2 * repeats) / 1000.0
+def _pingpong(payload_bytes):
+    return measure("mpi_pingpong", payload_bytes=payload_bytes) / 1000.0
 
 
 @pytest.mark.parametrize("payload", [8, 78, 256, 1024])
@@ -58,23 +38,8 @@ def test_fragmentation_cost_linear(benchmark):
 
 
 def _collective(name, n_nodes):
-    machine = fresh_machine(n_nodes)
-    mpi = MiniMPI(machine)
-
-    def worker(api, rank):
-        comm = mpi.rank(rank)
-        if name == "barrier":
-            yield from comm.barrier(api)
-        elif name == "bcast":
-            yield from comm.bcast(
-                api, b"x" * 64 if rank == 0 else None, root=0)
-        elif name == "allreduce":
-            yield from comm.allreduce(api, rank + 1)
-
-    t0 = machine.now
-    procs = [machine.spawn(n, worker, n) for n in range(n_nodes)]
-    machine.run_all(procs, limit=1e10)
-    return (machine.now - t0) / 1000.0
+    return measure("collective", n_nodes, collective=name, algo="flat",
+                   repeats=1, payload_bytes=64) / 1000.0
 
 
 @pytest.mark.parametrize("name", ["barrier", "bcast", "allreduce"])

@@ -16,7 +16,7 @@ claim.
 import pytest
 
 from benchmarks.conftest import record
-from repro.bench import run_block_transfer
+from repro.scenarios import measure
 
 SIZE = 8192
 HEADER = ["approach", "sender_aP", "sender_sP", "recv_aP", "recv_sP"]
@@ -24,12 +24,15 @@ HEADER = ["approach", "sender_aP", "sender_sP", "recv_aP", "recv_sP"]
 
 @pytest.fixture(scope="module")
 def results():
-    return {a: run_block_transfer(a, SIZE) for a in (1, 2, 3)}
+    return {a: measure("block_transfer", approach=a, size=SIZE)
+            for a in (1, 2, 3)}
 
 
 @pytest.mark.parametrize("approach", [1, 2, 3])
 def test_occupancy_rows(benchmark, approach):
-    result = benchmark.pedantic(run_block_transfer, args=(approach, SIZE),
+    result = benchmark.pedantic(
+        measure, args=("block_transfer",),
+        kwargs={"approach": approach, "size": SIZE},
                                 rounds=1, iterations=1)
     occ = result.occupancy_row()
     record("Occupancy during an 8 KB transfer (busy fraction)", HEADER,
@@ -39,7 +42,8 @@ def test_occupancy_rows(benchmark, approach):
 
 def test_occupancy_claims(benchmark):
     def run():
-        return {a: run_block_transfer(a, SIZE) for a in (1, 2, 3)}
+        return {a: measure("block_transfer", approach=a, size=SIZE)
+                for a in (1, 2, 3)}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     occ1 = results[1].occupancy_row()

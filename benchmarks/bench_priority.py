@@ -13,14 +13,31 @@ from benchmarks.conftest import record
 from repro.bench import fresh_machine
 from repro.mp.basic import BasicPort
 from repro.mp import vdst_for
+from repro.sim.store import Store  # repro: allow ARCH002 -- taps CTRL's transmit FIFO to read the arbiter's launch order
 
 HEADER = ["configuration", "queue", "drain_order_share"]
 COUNT = 24
 
 
+class _LaunchTap(Store):
+    """CTRL's transmit FIFO, logging each packet's queue letter as it
+    enters: the order CTRL launches in (receive-side polling would
+    interleave it)."""
+
+    __slots__ = ("launched",)
+
+    def __init__(self, fifo: Store) -> None:
+        super().__init__(fifo.engine, fifo.capacity, fifo.name)
+        self.launched = []
+
+    def put(self, pkt):
+        self.launched.append(pkt.payload[:1].decode())
+        return super().put(pkt)
+
+
 def _race(priorities):
-    """Pre-fill two tx queues, then let CTRL drain them; returns the
-    network delivery order.
+    """Pre-fill two tx queues, then let CTRL drain them; returns CTRL's
+    launch order as a string of queue letters.
 
     The queues are composed directly in SRAM before the arbiter gets to
     run (hardware-state setup, zero simulated time), so both queues hold
@@ -44,16 +61,7 @@ def _race(priorities):
             asram.poke(q.slot_offset(i), encode_header(hdr) + payload)
         ctrl0.tx_producer_update(queue_idx, COUNT // 2)
 
-    # observe the arbiter directly: the order messages enter the TxU FIFO
-    # is CTRL's launch order (receive-side polling would interleave it)
-    launched = []
-    original_put = ctrl0.tx_fifo.put
-
-    def tapped_put(pkt):
-        launched.append(pkt.payload[:1].decode())
-        return original_put(pkt)
-
-    ctrl0.tx_fifo.put = tapped_put
+    tap = ctrl0.tx_fifo = _LaunchTap(ctrl0.tx_fifo)
 
     def rcv(api, port, tag):
         for _ in range(COUNT // 2):
@@ -61,7 +69,7 @@ def _race(priorities):
 
     machine.run_all([machine.spawn(1, rcv, ra, "A"),
                      machine.spawn(1, rcv, rb, "B")], limit=1e10)
-    return launched
+    return "".join(tap.launched)
 
 
 def test_equal_priorities_interleave(benchmark):
@@ -71,6 +79,7 @@ def test_equal_priorities_interleave(benchmark):
     record("Transmit priority arbitration", HEADER,
            ["equal priorities", "A share of first half", share_a])
     assert 0.25 < share_a < 0.75  # round-robin interleaves
+    assert order == "AB" * (COUNT // 2)
 
 
 def test_prioritized_queue_drains_first(benchmark):
@@ -80,6 +89,7 @@ def test_prioritized_queue_drains_first(benchmark):
     record("Transmit priority arbitration", HEADER,
            ["B prioritized", "B share of first half", share_b])
     assert share_b > 0.8  # the high-priority queue dominates early service
+    assert order == "B" * (COUNT // 2) + "A" * (COUNT // 2)
 
 
 def test_reconfiguration_takes_effect_dynamically(benchmark):

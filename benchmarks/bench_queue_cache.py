@@ -17,40 +17,27 @@ from repro.firmware.msg import declare_dram_queue  # repro: allow ARCH002 -- mea
 from repro.mp.basic import BasicPort
 from repro.mp.dramq import DramQueueReader
 from repro.mp import vdst_for
+from repro.scenarios import measure
 
 HEADER = ["queue kind", "msgs", "ns_per_msg"]
 COUNT = 40
 
 
 def _resident_stream():
-    machine = fresh_machine(2)
-    p0 = BasicPort(machine.node(0), 0, 0)
-    p1 = BasicPort(machine.node(1), 0, 0)
-
-    def sender(api):
-        for i in range(COUNT):
-            yield from p0.send(api, vdst_for(1, 0), bytes([i]))
-
-    def receiver(api):
-        for _ in range(COUNT):
-            yield from p1.recv(api)
-
-    t0 = machine.now
-    machine.run_all([machine.spawn(0, sender), machine.spawn(1, receiver)],
-                    limit=1e10)
-    return (machine.now - t0) / COUNT
+    return measure("basic_stream", payload_bytes=1,
+                   count=COUNT)["elapsed_ns"] / COUNT
 
 
 def _nonresident_stream():
     machine = fresh_machine(2)
     node1 = machine.node(1)
-    ring = declare_dram_queue(node1.sp, logical=10, base=0x30000, depth=64)
+    ring = declare_dram_queue(node1.sp, logical=12, base=0x30000, depth=64)
     reader = DramQueueReader(ring)
     p0 = BasicPort(machine.node(0), 0, 0)
 
     def sender(api):
         for i in range(COUNT):
-            yield from p0.send(api, vdst_for(1, 10), bytes([i]))
+            yield from p0.send(api, vdst_for(1, 12), bytes([i]))
 
     def receiver(api):
         for _ in range(COUNT):
@@ -91,7 +78,7 @@ def test_mixed_traffic_isolation(benchmark):
     def run():
         machine = fresh_machine(2)
         node1 = machine.node(1)
-        ring = declare_dram_queue(node1.sp, logical=10, base=0x30000,
+        ring = declare_dram_queue(node1.sp, logical=12, base=0x30000,
                                   depth=64)
         reader = DramQueueReader(ring)
         p0 = BasicPort(machine.node(0), 0, 0)
@@ -105,7 +92,7 @@ def test_mixed_traffic_isolation(benchmark):
 
         def slow_sender(api):
             for i in range(COUNT):
-                yield from p0b.send(api, vdst_for(1, 10), bytes([i]))
+                yield from p0b.send(api, vdst_for(1, 12), bytes([i]))
 
         def fast_receiver(api):
             t0 = api.now

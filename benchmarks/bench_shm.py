@@ -9,48 +9,14 @@ orders of magnitude cheaper; NUMA flat regardless of reuse.
 
 from benchmarks.conftest import record
 from repro.bench import fresh_machine
-from repro.shm import NumaSpace, ScomaRegion
+from repro.scenarios import measure
+from repro.shm import ScomaRegion
 
 HEADER = ["mechanism", "access", "latency_ns"]
 
 
-def _numa_read_latency(repeat):
-    machine = fresh_machine(2)
-    numa = NumaSpace(machine)
-    out = {}
-
-    def prog(api):
-        yield from numa.write(api, 1, 0x100, b"x" * 8)
-        t0 = api.now
-        for _ in range(repeat):
-            yield from numa.read(api, 1, 0x100, 8)
-        out["ns"] = (api.now - t0) / repeat
-
-    machine.run_until(machine.spawn(0, prog), limit=1e10)
-    return out["ns"]
-
-
-def _scoma_latencies():
-    machine = fresh_machine(2)
-    region = ScomaRegion(machine, n_lines=64)
-    region.init_data(0, bytes(32))
-    out = {}
-
-    def prog(api):
-        t0 = api.now
-        yield from api.load(region.addr(0), 8)  # cold: remote fetch
-        out["cold"] = api.now - t0
-        t0 = api.now
-        for _ in range(20):
-            yield from api.load(region.addr(0), 8)  # warm: local (L2!)
-        out["warm"] = (api.now - t0) / 20
-
-    machine.run_until(machine.spawn(1, prog), limit=1e10)
-    return out
-
-
 def test_numa_remote_read(benchmark):
-    latency = benchmark.pedantic(_numa_read_latency, args=(10,), rounds=1,
+    latency = benchmark.pedantic(measure, args=("numa_read",), rounds=1,
                                  iterations=1)
     record("Shared-memory access latency", HEADER,
            ["NUMA", "remote read (every access)", latency])
@@ -58,7 +24,8 @@ def test_numa_remote_read(benchmark):
 
 
 def test_scoma_cold_and_warm(benchmark):
-    out = benchmark.pedantic(_scoma_latencies, rounds=1, iterations=1)
+    out = benchmark.pedantic(measure, args=("scoma_read",), rounds=1,
+                             iterations=1)
     record("Shared-memory access latency", HEADER,
            ["S-COMA", "cold miss (protocol fill)", out["cold"]])
     record("Shared-memory access latency", HEADER,
@@ -71,7 +38,7 @@ def test_scoma_amortizes_vs_numa(benchmark):
     times."""
 
     def run():
-        numa_total = _numa_read_latency(10) * 10
+        numa_total = measure("numa_read", repeats=10) * 10
         machine = fresh_machine(2)
         region = ScomaRegion(machine, n_lines=64)
         region.init_data(0, bytes(32))

@@ -34,7 +34,7 @@ for _p in (_ROOT, os.path.join(_ROOT, "src")):
         sys.path.insert(0, _p)
 
 from repro.bench import comparable, emit_json, print_table, run_sweep
-from repro.shard import run_scenario, scenario
+from repro.scenarios import run_scenario, scenario
 
 DEFAULT_OUT = os.path.join(_ROOT, "BENCH_traffic.json")
 

@@ -9,8 +9,7 @@ latency/bandwidth/occupancy comparison the paper's Figures 3/4 draw.
 Run:  python examples/block_transfer.py
 """
 
-import repro
-from repro.core.blocktransfer import BlockTransferExperiment
+from repro.scenarios import measure
 
 SIZE = 16384
 
@@ -23,8 +22,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for approach in (1, 2, 3, 4, 5):
-        machine = repro.StarTVoyager(repro.default_config(n_nodes=2))
-        result = BlockTransferExperiment(machine).run(approach, SIZE)
+        result = measure("block_transfer", approach=approach, size=SIZE)
         occ = result.occupancy_row()
         print(f"{approach:9} {result.notify_latency_ns / 1000:11.1f} "
               f"{result.data_ready_latency_ns / 1000:10.1f} "

@@ -31,7 +31,7 @@ from repro.obs import (
     metrics_snapshot,
     write_metrics,
 )
-from repro.shard import ShardRun, run_scenario, scenario, scenario_names
+from repro.scenarios import ScenarioRun, run_scenario, scenario, scenario_names
 from repro.sync import (
     Counter,
     McsLock,
@@ -65,7 +65,7 @@ __all__ = [
     "run_scenario",
     "scenario",
     "scenario_names",
-    "ShardRun",
+    "ScenarioRun",
     # fault injection
     "FaultPlan",
     "LinkEvent",

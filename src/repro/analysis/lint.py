@@ -127,7 +127,7 @@ _LAYER_RULES: Dict[str, Tuple[str, Set[str]]] = {
 _PUBLIC_PREFIXES: Tuple[str, ...] = (
     "repro.analysis", "repro.bench", "repro.coherence", "repro.common",
     "repro.explore", "repro.faults", "repro.lib", "repro.mp", "repro.obs",
-    "repro.shard", "repro.shm", "repro.sync", "repro.traffic",
+    "repro.scenarios", "repro.shm", "repro.sync", "repro.traffic",
 )
 _PUBLIC_EXACT: Tuple[str, ...] = (
     "repro", "repro.core.blocktransfer", "repro.core.inspect",

@@ -1,22 +1,19 @@
-"""Benchmark harness utilities shared by the ``benchmarks/`` targets."""
+"""Benchmark harness utilities shared by the ``benchmarks/`` targets.
+
+The data points themselves are registered scenarios: see
+:func:`repro.scenarios.measure`.
+"""
 
 from repro.bench.harness import (
     FIG_SIZES,
-    basic_oneway_latency,
-    basic_stream_rate,
     block_transfer_metrics_sweep,
     block_transfer_point,
-    block_transfer_sweep,
-    collective_latency,
     collective_metrics_sweep,
     collective_point,
     comparable,
     emit_json,
-    express_oneway_latency,
     fresh_machine,
-    mpi_pingpong_latency,
     print_table,
-    run_block_transfer,
     run_sweep,
     strip_wall,
 )
@@ -24,8 +21,6 @@ from repro.bench.harness import (
 __all__ = [
     "FIG_SIZES",
     "fresh_machine",
-    "run_block_transfer",
-    "block_transfer_sweep",
     "block_transfer_metrics_sweep",
     "block_transfer_point",
     "collective_metrics_sweep",
@@ -35,9 +30,4 @@ __all__ = [
     "comparable",
     "print_table",
     "emit_json",
-    "basic_oneway_latency",
-    "express_oneway_latency",
-    "basic_stream_rate",
-    "collective_latency",
-    "mpi_pingpong_latency",
 ]

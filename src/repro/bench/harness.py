@@ -1,9 +1,10 @@
-"""Benchmark harness: sweeps, mechanism microbenchmarks, table printing.
+"""Benchmark harness: sweeps, table printing, JSON output.
 
 Shared by the ``benchmarks/`` targets so that every table and figure is
-regenerated through one code path: build a fresh machine per data point,
-run the workload, extract the simulated metrics, print the paper-style
-rows (and return them for programmatic checks).
+regenerated through one code path: every data point is a registered
+scenario (:func:`repro.scenarios.measure`) run on a fresh machine, and
+the harness prints the paper-style rows (and returns them for
+programmatic checks).
 
 Sweeps fan out across processes through :func:`run_sweep`: every data
 point is an independent, fully seeded simulation, so the grid is
@@ -19,12 +20,7 @@ import os
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import repro
-from repro.core.blocktransfer import BlockTransferExperiment, TransferResult
-from repro.lib.mpi import MiniMPI
-from repro.mp.basic import BasicPort
-from repro.mp.express import ExpressPort
-from repro.niu.niu import EXPRESS_RX_LOGICAL, vdst_for
-from repro.obs.snapshot import metrics_snapshot
+from repro.scenarios import measure, run_scenario, scenario
 
 #: the size axis used for the Figure 3/4 sweeps.
 FIG_SIZES = [256, 1024, 4096, 16384, 65536]
@@ -33,19 +29,6 @@ FIG_SIZES = [256, 1024, 4096, 16384, 65536]
 def fresh_machine(n_nodes: int = 2, **overrides) -> "repro.StarTVoyager":
     """One standard-configuration machine (fresh per data point)."""
     return repro.StarTVoyager(repro.default_config(n_nodes=n_nodes, **overrides))
-
-
-def run_block_transfer(approach: int, size: int) -> TransferResult:
-    """One Figure-3/4 data point on a fresh two-node machine."""
-    machine = fresh_machine(2)
-    return BlockTransferExperiment(machine).run(approach, size)
-
-
-def block_transfer_sweep(approaches: Sequence[int],
-                         sizes: Sequence[int] = FIG_SIZES
-                         ) -> List[TransferResult]:
-    """The full (approach x size) grid."""
-    return [run_block_transfer(a, s) for a in approaches for s in sizes]
 
 
 def print_table(title: str, header: Sequence[str],
@@ -146,8 +129,11 @@ def block_transfer_point(spec: Tuple[int, int]) -> Dict[str, Any]:
     schema-versioned measurement without a second run.
     """
     approach, size = spec
-    machine = fresh_machine(2)
-    result = BlockTransferExperiment(machine).run(approach, size)
+    run = run_scenario(scenario("block_transfer", approach=approach,
+                                size=size), n_nodes=2)
+    result = run.results[0]
+    snapshot = strip_wall(run.snapshot)
+    del snapshot["config"]
     return {
         "approach": approach,
         "size_bytes": size,
@@ -155,8 +141,7 @@ def block_transfer_point(spec: Tuple[int, int]) -> Dict[str, Any]:
         "data_ready_latency_ns": result.data_ready_latency_ns,
         "bandwidth_mb_s": result.bandwidth_mb_s,
         "verified": result.verified,
-        "metrics": strip_wall(metrics_snapshot(machine,
-                                               include_config=False)),
+        "metrics": snapshot,
     }
 
 
@@ -175,8 +160,8 @@ def collective_point(spec: Tuple[str, int, str, int]) -> Dict[str, Any]:
         "collective": name,
         "n_nodes": n_nodes,
         "algo": algo,
-        "latency_ns": collective_latency(name, n_nodes, algo,
-                                         repeats=repeats),
+        "latency_ns": measure("collective", n_nodes, collective=name,
+                              algo=algo, repeats=repeats),
     }
 
 
@@ -187,138 +172,3 @@ def collective_metrics_sweep(names: Sequence[str], nodes: Sequence[int],
     specs = [(name, n, algo, repeats)
              for name in names for algo in algos for n in nodes]
     return run_sweep(collective_point, specs, jobs=jobs)
-
-
-# ----------------------------------------------------------------------
-# mechanism microbenchmarks (one-way latency / message rate)
-# ----------------------------------------------------------------------
-
-def basic_oneway_latency(payload_bytes: int = 8, repeats: int = 20) -> float:
-    """Mean one-way Basic-message latency in ns (ping-pong halved)."""
-    machine = fresh_machine(2)
-    p0 = BasicPort(machine.node(0), 0, 0)
-    p1 = BasicPort(machine.node(1), 0, 0)
-    payload = bytes(payload_bytes)
-
-    def ping(api):
-        for _ in range(repeats):
-            yield from p0.send(api, vdst_for(1, 0), payload)
-            yield from p0.recv(api)
-
-    def pong(api):
-        for _ in range(repeats):
-            yield from p1.recv(api)
-            yield from p1.send(api, vdst_for(0, 0), payload)
-
-    t0 = machine.now
-    a = machine.spawn(0, ping)
-    b = machine.spawn(1, pong)
-    machine.run_all([a, b])
-    return (machine.now - t0) / (2 * repeats)
-
-
-def express_oneway_latency(repeats: int = 20) -> float:
-    """Mean one-way Express-message latency in ns."""
-    machine = fresh_machine(2)
-    e0, e1 = ExpressPort(machine.node(0)), ExpressPort(machine.node(1))
-
-    def ping(api):
-        for _ in range(repeats):
-            yield from e0.send(api, vdst_for(1, EXPRESS_RX_LOGICAL), b"01234")
-            yield from e0.recv_blocking(api)
-
-    def pong(api):
-        for _ in range(repeats):
-            yield from e1.recv_blocking(api)
-            yield from e1.send(api, vdst_for(0, EXPRESS_RX_LOGICAL), b"43210")
-
-    t0 = machine.now
-    a = machine.spawn(0, ping)
-    b = machine.spawn(1, pong)
-    machine.run_all([a, b])
-    return (machine.now - t0) / (2 * repeats)
-
-
-def collective_latency(name: str, n_nodes: int, algo: str = "flat",
-                       repeats: int = 4, payload_bytes: int = 32,
-                       **mpi_kwargs) -> float:
-    """Mean completion time (ns) of one collective on a fresh machine.
-
-    ``name`` is ``"barrier"``, ``"bcast"`` or ``"allreduce"``; ``algo``
-    selects the :class:`~repro.lib.mpi.MiniMPI` collective family
-    (``"flat"`` / ``"tree"`` / ``"nic"``).  Back-to-back ``repeats``
-    amortize start-up skew.
-    """
-    machine = fresh_machine(n_nodes)
-    mpi = MiniMPI(machine, algo=algo, **mpi_kwargs)
-    payload = bytes(payload_bytes)
-
-    def worker(api, rank):
-        comm = mpi.rank(rank)
-        for _ in range(repeats):
-            if name == "barrier":
-                yield from comm.barrier(api)
-            elif name == "bcast":
-                yield from comm.bcast(api, payload if rank == 0 else None)
-            elif name == "allreduce":
-                yield from comm.allreduce(api, rank + 1, op="sum")
-            else:
-                raise ValueError(f"unknown collective {name!r}")
-
-    t0 = machine.now
-    procs = [machine.spawn(n, worker, n) for n in range(n_nodes)]
-    machine.run_all(procs, limit=1e10)
-    return (machine.now - t0) / repeats
-
-
-def basic_stream_rate(payload_bytes: int = 64, count: int = 200
-                      ) -> Dict[str, float]:
-    """One-directional Basic-message stream: msgs/s and MB/s."""
-    machine = fresh_machine(2)
-    p0 = BasicPort(machine.node(0), 0, 0)
-    p1 = BasicPort(machine.node(1), 0, 0)
-    payload = bytes(payload_bytes)
-
-    def producer(api):
-        for _ in range(count):
-            yield from p0.send(api, vdst_for(1, 0), payload)
-
-    def consumer(api):
-        for _ in range(count):
-            yield from p1.recv(api)
-
-    t0 = machine.now
-    a = machine.spawn(0, producer)
-    b = machine.spawn(1, consumer)
-    machine.run_all([a, b])
-    elapsed = machine.now - t0
-    return {
-        "msgs_per_s": count / (elapsed / 1e9),
-        "mb_per_s": (count * payload_bytes) / elapsed * 1000.0,
-        "elapsed_ns": elapsed,
-    }
-
-
-def mpi_pingpong_latency(payload_bytes: int = 64, repeats: int = 10) -> float:
-    """Mean one-way mini-MPI latency (library overhead included)."""
-    machine = fresh_machine(2)
-    mpi = MiniMPI(machine)
-    payload = bytes(payload_bytes)
-
-    def ping(api):
-        r = mpi.rank(0)
-        for _ in range(repeats):
-            yield from r.send(api, 1, payload)
-            yield from r.recv(api, src=1)
-
-    def pong(api):
-        r = mpi.rank(1)
-        for _ in range(repeats):
-            yield from r.recv(api, src=0)
-            yield from r.send(api, 0, payload)
-
-    t0 = machine.now
-    a = machine.spawn(0, ping)
-    b = machine.spawn(1, pong)
-    machine.run_all([a, b])
-    return (machine.now - t0) / (2 * repeats)

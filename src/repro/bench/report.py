@@ -2,7 +2,8 @@
 
 ``python -m repro.bench.report`` runs the full experiment suite against
 the simulator and prints the paper-style tables — the same numbers the
-``benchmarks/`` targets assert on and EXPERIMENTS.md records.  Use
+``benchmarks/`` targets assert on and EXPERIMENTS.md records, each one a
+registered :mod:`repro.scenarios` point.  Use
 ``--quick`` to skip the 64 KB sweep points.
 """
 
@@ -12,15 +13,8 @@ import argparse
 import sys
 from typing import List
 
-from repro.bench.harness import (
-    FIG_SIZES,
-    basic_oneway_latency,
-    basic_stream_rate,
-    express_oneway_latency,
-    mpi_pingpong_latency,
-    print_table,
-    run_block_transfer,
-)
+from repro.bench.harness import FIG_SIZES, print_table
+from repro.scenarios import measure
 
 
 def report_block_transfer(sizes: List[int], plot: bool = False) -> None:
@@ -29,7 +23,7 @@ def report_block_transfer(sizes: List[int], plot: bool = False) -> None:
     for size in sizes:
         lat, bw = [size], [size]
         for approach in (1, 2, 3, 4, 5):
-            r = run_block_transfer(approach, size)
+            r = measure("block_transfer", approach=approach, size=size)
             assert r.verified, f"A{approach}/{size} corrupted data"
             lat.append(r.notify_latency_ns / 1000.0)
             bw.append(r.bandwidth_mb_s)
@@ -51,7 +45,8 @@ def report_block_transfer(sizes: List[int], plot: bool = False) -> None:
         print(figure4(published))
     occ_rows = []
     for approach in (1, 2, 3, 4, 5):
-        occ = run_block_transfer(approach, 8192).occupancy_row()
+        occ = measure("block_transfer", approach=approach,
+                      size=8192).occupancy_row()
         occ_rows.append([f"A{approach}", occ["sender_ap"],
                          occ["sender_sp"], occ["receiver_sp"]])
     print_table("Occupancy during an 8 KB transfer",
@@ -61,52 +56,22 @@ def report_block_transfer(sizes: List[int], plot: bool = False) -> None:
 
 def report_mechanisms() -> None:
     """X-mp microbenchmarks."""
-    stream = basic_stream_rate()
     print_table("Mechanism microbenchmarks", ["mechanism", "metric", "value"], [
-        ["express", "one-way ns", express_oneway_latency()],
-        ["basic", "one-way ns (8 B)", basic_oneway_latency(8)],
-        ["basic", "one-way ns (88 B)", basic_oneway_latency(88)],
-        ["basic", "stream MB/s (64 B)", stream["mb_per_s"]],
-        ["mini-MPI", "one-way ns (64 B)", mpi_pingpong_latency()],
+        ["express", "one-way ns", measure("express")],
+        ["basic", "one-way ns (8 B)", measure("basic", payload_bytes=8)],
+        ["basic", "one-way ns (88 B)", measure("basic", payload_bytes=88)],
+        ["basic", "stream MB/s (64 B)", measure("basic_stream")["mb_per_s"]],
+        ["mini-MPI", "one-way ns (64 B)", measure("mpi_pingpong")],
     ])
 
 
 def report_shared_memory() -> None:
     """X-shm: NUMA vs S-COMA."""
-    from repro.bench.harness import fresh_machine
-    from repro.shm import NumaSpace, ScomaRegion
-
-    machine = fresh_machine(2)
-    numa = NumaSpace(machine)
-    out = {}
-
-    def numa_prog(api):
-        yield from numa.write(api, 1, 0x100, b"x" * 8)
-        t0 = api.now
-        for _ in range(10):
-            yield from numa.read(api, 1, 0x100, 8)
-        out["numa"] = (api.now - t0) / 10
-
-    machine.run_until(machine.spawn(0, numa_prog), limit=1e10)
-
-    machine2 = fresh_machine(2)
-    region = ScomaRegion(machine2, n_lines=64)
-    region.init_data(0, bytes(32))
-
-    def scoma_prog(api):
-        t0 = api.now
-        yield from api.load(region.addr(0), 8)
-        out["cold"] = api.now - t0
-        t0 = api.now
-        for _ in range(20):
-            yield from api.load(region.addr(0), 8)
-        out["warm"] = (api.now - t0) / 20
-
-    machine2.run_until(machine2.spawn(1, scoma_prog), limit=1e10)
+    scoma = measure("scoma_read")
     print_table("Shared memory (ns)", ["mechanism", "access", "latency"], [
-        ["NUMA", "remote read, every access", out["numa"]],
-        ["S-COMA", "cold miss", out["cold"]],
-        ["S-COMA", "warm hit", out["warm"]],
+        ["NUMA", "remote read, every access", measure("numa_read")],
+        ["S-COMA", "cold miss", scoma["cold"]],
+        ["S-COMA", "warm hit", scoma["warm"]],
     ])
 
 

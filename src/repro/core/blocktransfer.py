@@ -35,7 +35,7 @@ discusses qualitatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List
+from typing import Dict, Generator
 
 from repro.common.errors import ProgramError
 from repro.common.wire import BT45_ARM
@@ -272,19 +272,3 @@ class BlockTransferExperiment:
         # start consuming immediately: reads of unarrived lines retry
         yield from self._consume(api, dst_addr, size)
         marks["consumed"] = api.now
-
-
-def sweep(machine_factory, approaches: List[int], sizes: List[int]
-          ) -> List[TransferResult]:
-    """Run a (approach x size) sweep, one fresh machine per point.
-
-    ``machine_factory() -> StarTVoyager`` keeps runs independent — the
-    §6 comparison's whole point is holding everything else constant.
-    """
-    results = []
-    for approach in approaches:
-        for size in sizes:
-            machine = machine_factory()
-            exp = BlockTransferExperiment(machine)
-            results.append(exp.run(approach, size))
-    return results

@@ -25,8 +25,6 @@ Front door::
 
 from repro.explore.conflict import conflict_key, keys_conflict
 from repro.explore.driver import (
-    CHECKS,
-    EXPLORE_DEFAULTS,
     ExploreResult,
     ScheduleOutcome,
     Violation,
@@ -45,9 +43,7 @@ from repro.explore.trace import (
 )
 
 __all__ = [
-    "CHECKS",
     "Decision",
-    "EXPLORE_DEFAULTS",
     "ExploreResult",
     "GuidedPolicy",
     "MODELS",

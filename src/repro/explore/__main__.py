@@ -26,11 +26,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigError, ReproError
-from repro.explore.driver import (
-    EXPLORE_DEFAULTS,
-    explore_scenario,
-    replay_trace,
-)
+from repro.explore.driver import explore_scenario, replay_trace
 from repro.explore.models import MODELS
 from repro.explore.trace import (
     dump_trace,
@@ -38,6 +34,7 @@ from repro.explore.trace import (
     parse_trace,
     trace_document,
 )
+from repro.scenarios import scenario
 
 
 def _coerce(text: str) -> Any:
@@ -115,7 +112,7 @@ def _cmd_explore(argv: Sequence[str]) -> int:
                     "runtime sanitizers + the schedule-invariance oracle.")
     parser.add_argument("--scenario", default="shm_hash",
                         help="scenario name (default shm_hash; see "
-                             "repro.shard.scenarios)")
+                             "repro.scenarios)")
     parser.add_argument("--nodes", type=int, default=2,
                         help="machine size, 2-4 (default 2)")
     parser.add_argument("--seed", type=int, default=0)
@@ -154,7 +151,7 @@ def _cmd_explore(argv: Sequence[str]) -> int:
     summary.update({
         "schema": "startv.explore/v1",
         "scenario": args.scenario,
-        "params": params or EXPLORE_DEFAULTS.get(args.scenario, {}),
+        "params": params or scenario(args.scenario).explore_params,
         "n_nodes": args.nodes,
         "seed": args.seed,
         "sanitize": args.sanitize,
@@ -190,7 +187,7 @@ def _cmd_explore(argv: Sequence[str]) -> int:
 
     if args.trace_out and witness_choices is not None:
         doc = trace_document(
-            args.scenario, params or EXPLORE_DEFAULTS.get(args.scenario, {}),
+            args.scenario, params or scenario(args.scenario).explore_params,
             args.nodes, args.seed, args.sanitize, args.model,
             normalize_choices(witness_choices), verdict=verdict)
         _write(args.trace_out, dump_trace(doc))

@@ -10,9 +10,9 @@ schedule against three oracles:
    checkers armed; any :class:`~repro.common.errors.SanitizerError` /
    :class:`~repro.common.errors.DeadlockError` is a violation tagged
    with the raising checker's message.
-2. **scenario check** — each scenario's registered result predicate
-   (every insert found, every rank released, no lost store, every
-   request completed).  A bug that corrupts *every* schedule equally
+2. **scenario check** — each scenario's own
+   :meth:`~repro.scenarios.Scenario.check` of its result (every insert
+   found, every rank released, no lost store, every request completed).  A bug that corrupts *every* schedule equally
    would slip past the invariance oracle; this one catches it.
 3. **schedule invariance** — every clean schedule's wall-stripped
    metrics snapshot must equal schedule 0's.  A mismatch means the
@@ -36,17 +36,6 @@ from repro.common.errors import ConfigError, ReproError
 from repro.explore.models import behavior_model
 from repro.explore.policy import Decision, GuidedPolicy
 from repro.explore.trace import normalize_choices
-
-#: registered scenarios small enough to explore, with their per-run
-#: default params at explorer scale (2–4 nodes, short workloads).
-EXPLORE_DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "shm_hash": {"keys_per_rank": 2, "n_buckets": 8, "stripes": 2,
-                 "lock_mode": "endpoint"},
-    "shm_takeover": {},
-    "sync_burst": {},
-    "traffic_kv": {"per_node": 3, "rate_rps": 200_000.0, "n_keys": 16},
-    "fig3": {"sizes": (4, 64), "pings": 1},
-}
 
 #: per-schedule liveness bounds: a schedule that passes either without
 #: quiescing is hung or livelocked (a poller spinning on a barrier that
@@ -122,69 +111,6 @@ class ExploreResult:
 
 
 # ----------------------------------------------------------------------
-# scenario result checks (oracle 2)
-# ----------------------------------------------------------------------
-
-
-def _check_shm_hash(result: Dict) -> Optional[str]:
-    inserted = result.get("inserted") or {}
-    found = result.get("found") or {}
-    if not inserted or not all(inserted.values()):
-        return f"hash-table inserts failed: {inserted}"
-    if len(found) != len(inserted) or not all(found.values()):
-        return f"hash-table lookups failed: {found}"
-    return None
-
-
-def _check_sync_burst(result: Dict) -> Optional[str]:
-    if not result.get("all_released"):
-        return (f"barrier never released every rank: "
-                f"{sorted(result.get('done', {}))} done")
-    return None
-
-
-def _check_shm_takeover(result: Dict) -> Optional[str]:
-    if not result.get("ok"):
-        return (f"home stores lost: line holds {result.get('got')!r}, "
-                f"expected {result.get('want')!r}")
-    return None
-
-
-def _check_completed(result: Dict) -> Optional[str]:
-    offered, completed = result.get("offered"), result.get("completed")
-    if offered != completed or not offered:
-        return f"only {completed}/{offered} requests completed"
-    return None
-
-
-def _check_fig3(result: Dict) -> Optional[str]:
-    if not result.get("echo_ok"):
-        return "ping-pong payload corrupted"
-    return None
-
-
-#: scenario name -> result predicate (None = pass, str = failure).
-CHECKS: Dict[str, Callable[[Dict], Optional[str]]] = {
-    "shm_hash": _check_shm_hash,
-    "sync_burst": _check_sync_burst,
-    "shm_takeover": _check_shm_takeover,
-    "traffic_kv": _check_completed,
-    "traffic_usvc": _check_completed,
-    "fig3": _check_fig3,
-}
-
-
-def _comparable(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """Wall-stripped core of a metrics snapshot (mirrors
-    :func:`repro.bench.harness.comparable`, kept local so the explorer
-    does not drag the bench package in)."""
-    sim = snapshot.get("sim")
-    if isinstance(sim, dict):
-        sim.pop("wall", None)
-    return snapshot
-
-
-# ----------------------------------------------------------------------
 # one schedule
 # ----------------------------------------------------------------------
 
@@ -196,9 +122,9 @@ def run_schedule(scenario: str, params: Optional[Dict[str, Any]] = None,
                  max_decisions: Optional[int] = DECISION_BUDGET,
                  ) -> ScheduleOutcome:
     """Execute one scenario under one choice prefix on a fresh machine."""
+    from repro.bench.harness import strip_wall
     from repro.common.config import default_config
-    from repro.shard.runner import ShardedMachine
-    from repro.shard.scenarios import scenario as make_scenario
+    from repro.scenarios import ScenarioMachine, scenario as make_scenario
 
     with behavior_model(model):
         config = default_config(n_nodes=n_nodes)
@@ -206,7 +132,7 @@ def run_schedule(scenario: str, params: Optional[Dict[str, Any]] = None,
         config.sanitize = sanitize or ()
         scen = make_scenario(scenario, **(params or {}))
         scen.prepare(config)
-        sm = ShardedMachine(config, scen)
+        sm = ScenarioMachine(config, scen)
         machine = sm.machine
         policy = GuidedPolicy(prefix, horizon_ns=horizon_ns,
                               max_decisions=max_decisions)
@@ -218,13 +144,11 @@ def run_schedule(scenario: str, params: Optional[Dict[str, Any]] = None,
         except ReproError as exc:
             error, error_kind = str(exc), type(exc).__name__
         else:
-            snapshot = _comparable(run.snapshot)
+            snapshot = strip_wall(run.snapshot)
             result = run.results[0]
-            check = CHECKS.get(scenario)
-            if check is not None:
-                failure = check(result)
-                if failure is not None:
-                    error, error_kind = failure, "CheckFailure"
+            failure = scen.check(result)
+            if failure is not None:
+                error, error_kind = failure, "CheckFailure"
         layer = getattr(machine, "sanitizers", None)
         sanitizers = layer.oracle_report() if layer is not None else None
     return ScheduleOutcome(
@@ -280,7 +204,9 @@ def explore_scenario(scenario: str, params: Optional[Dict[str, Any]] = None,
             f"the explorer targets 2-4 node configs, not {n_nodes} "
             f"(schedule counts explode with machine size)")
     if params is None:
-        params = EXPLORE_DEFAULTS.get(scenario, {})
+        from repro.scenarios import scenario as make_scenario
+
+        params = make_scenario(scenario).explore_params
 
     def runner(prefix: Sequence[int]) -> ScheduleOutcome:
         return run_schedule(scenario, params, n_nodes=n_nodes, seed=seed,

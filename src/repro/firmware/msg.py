@@ -27,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, Tuple
 
+from repro.common.errors import ConfigError
 from repro.firmware.base import fw_dram_write
 from repro.niu.msgformat import ENTRY_BYTES, encode_rx_header
+from repro.niu.niu import SP_REL_TX_QUEUE, SP_SERVICE_QUEUE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
@@ -64,7 +66,15 @@ class DramRing:
 
 def declare_dram_queue(sp: "ServiceProcessor", logical: int,
                        base: int, depth: int) -> DramRing:
-    """Register a DRAM ring as the home of a non-resident logical queue."""
+    """Register a DRAM ring as the home of a non-resident logical queue.
+
+    Logical queues 5-10 belong to the sP firmware (service, protocol,
+    notify, bulk and the two reliable-delivery queues), whose
+    dispatchers would parse the ring's messages as their own.
+    """
+    if SP_SERVICE_QUEUE <= logical <= SP_REL_TX_QUEUE:
+        raise ConfigError(f"logical queue {logical} is owned by the sP "
+                          f"firmware; a DRAM ring cannot home it")
     rings: Dict[int, DramRing] = sp.state.setdefault("dram_rings", {})
     ring = DramRing(base, depth)
     rings[logical] = ring

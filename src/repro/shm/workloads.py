@@ -20,7 +20,7 @@ stores at cluster scale:
   ns-per-access, the ``bench_shm`` sweep's inner loops.
 
 Workers take explicit (rank, slice) arguments; the scenarios in
-:mod:`repro.shard.scenarios` spawn one per rank.
+:mod:`repro.scenarios` spawn one per rank.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Registered scenarios for the traffic applications.
 
 These plug the serving workloads into the same
-:class:`~repro.shard.scenarios.ShardScenario` machinery the platform
-scenarios use, so ``repro.shard.runner`` (and therefore the benches,
-the tests, and CI) can run them at any node count:
+:class:`~repro.scenarios.Scenario` machinery the platform scenarios
+use, so the :mod:`repro.scenarios` runner (and therefore the benches,
+the tests, the explorer and CI) can run them at any node count:
 
 ``traffic_kv``     open- or closed-loop KV store load (the arrival
                    schedules derive only from seed+node).
@@ -17,9 +17,9 @@ seeds give distinct schedules.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
-from repro.shard.scenarios import ShardScenario
+from repro.scenarios import Scenario
 from repro.traffic.load import (
     MmppArrivals,
     PoissonArrivals,
@@ -31,10 +31,11 @@ from repro.traffic.load import (
 from repro.traffic.slo import DEFAULT_SLO_NS
 
 
-class KvScenario(ShardScenario):
+class KvScenario(Scenario):
     """The KV store under seeded open-loop (or closed-loop) load."""
 
     name = "traffic_kv"
+    explore_params = {"per_node": 3, "rate_rps": 200_000.0, "n_keys": 16}
 
     def __init__(self, per_node: int = 8, rate_rps: float = 100_000.0,
                  n_keys: int = 256, skew: float = 1.1,
@@ -72,12 +73,12 @@ class KvScenario(ShardScenario):
             range_fraction=self.range_fraction,
             value_bytes=self.value_bytes, process=self.process)
 
-    def setup(self, phase: int, machine, local_nodes, ctx) -> None:
+    def setup(self, phase: int, machine, nodes, ctx) -> None:
         from repro.traffic.kv import KvClient
 
         trace = self._records(machine)
         clients = ctx.setdefault("clients", [])
-        for node in local_nodes:
+        for node in nodes:
             records = node_slice(trace, node)
             client = KvClient(machine, machine.node(node),
                               slo_ns=self.slo_ns, transport=self.transport,
@@ -89,7 +90,7 @@ class KvScenario(ShardScenario):
                 for prog in client.open_loop(records):
                     machine.spawn(node, prog)
 
-    def result(self, machine, local_nodes, ctx) -> Dict[str, int]:
+    def result(self, machine, nodes, ctx) -> Dict[str, int]:
         clients = ctx.get("clients", [])
         return {
             "offered": sum(c.slo.offered.value for c in clients),
@@ -97,8 +98,11 @@ class KvScenario(ShardScenario):
             "slo_violations": sum(c.slo.violations.value for c in clients),
         }
 
+    def check(self, result: Dict[str, int]) -> Optional[str]:
+        return _check_completed(result)
 
-class TrainScenario(ShardScenario):
+
+class TrainScenario(Scenario):
     """Synchronous training steps: parameter server or allreduce."""
 
     name = "traffic_train"
@@ -113,7 +117,7 @@ class TrainScenario(ShardScenario):
         self.reliable = reliable
         self.slo_ns = slo_ns
 
-    def setup(self, phase: int, machine, local_nodes, ctx) -> None:
+    def setup(self, phase: int, machine, nodes, ctx) -> None:
         from repro.traffic.train import DEFAULT_STEP_SLO_NS, TrainJob
 
         job = ctx.get("job")
@@ -124,21 +128,21 @@ class TrainScenario(ShardScenario):
                 machine, mode=self.mode, algo=self.algo,
                 n_blocks=self.n_blocks, steps=self.steps, slo_ns=slo,
                 reliable=self.reliable)
-        for node in local_nodes:
+        for node in nodes:
             machine.spawn(node, job.worker(node))
 
-    def result(self, machine, local_nodes, ctx) -> Dict[str, Any]:
+    def result(self, machine, nodes, ctx) -> Dict[str, Any]:
         job = ctx.get("job")
         weights: Dict[int, int] = {}
         if job is not None and job.mode == "ps":
-            for node in local_nodes:
+            for node in nodes:
                 st = machine.node(node).sp.state.get("traffic")
                 if st is not None:
                     weights.update(st.ps_weights)
         return {"steps": self.steps, "weights": weights}
 
 
-class UsvcScenario(ShardScenario):
+class UsvcScenario(Scenario):
     """Open-loop microservice fan-out trees."""
 
     name = "traffic_usvc"
@@ -157,7 +161,7 @@ class UsvcScenario(ShardScenario):
         self.slo_ns = slo_ns
         self.seed = seed
 
-    def setup(self, phase: int, machine, local_nodes, ctx) -> None:
+    def setup(self, phase: int, machine, nodes, ctx) -> None:
         from repro.traffic.usvc import DEFAULT_TREE_SLO_NS, UsvcClient
 
         n = machine.config.n_nodes
@@ -165,7 +169,7 @@ class UsvcScenario(ShardScenario):
         slo = (self.slo_ns if self.slo_ns is not None
                else DEFAULT_TREE_SLO_NS)
         clients = ctx.setdefault("clients", [])
-        for node in local_nodes:
+        for node in nodes:
             if self.process == "mmpp":
                 arrivals = MmppArrivals(self.rate_rps, seed=seed, node=node)
             else:
@@ -182,15 +186,25 @@ class UsvcScenario(ShardScenario):
             for prog in client.open_loop(records):
                 machine.spawn(node, prog)
 
-    def result(self, machine, local_nodes, ctx) -> Dict[str, int]:
+    def result(self, machine, nodes, ctx) -> Dict[str, int]:
         clients = ctx.get("clients", [])
         return {
             "offered": sum(c.slo.offered.value for c in clients),
             "completed": sum(c.slo.completed.value for c in clients),
         }
 
+    def check(self, result: Dict[str, int]) -> Optional[str]:
+        return _check_completed(result)
 
-#: merged into the scenario registry by repro.shard.scenarios.
+
+def _check_completed(result: Dict[str, int]) -> Optional[str]:
+    offered, completed = result.get("offered"), result.get("completed")
+    if offered != completed or not offered:
+        return f"only {completed}/{offered} requests completed"
+    return None
+
+
+#: merged into the scenario registry by repro.scenarios.
 TRAFFIC_SCENARIOS = {
     KvScenario.name: KvScenario,
     TrainScenario.name: TrainScenario,

@@ -275,10 +275,15 @@ def test_arch002_public_surface_allowed():
     from repro.bench import fresh_machine
     from repro.mp import BasicPort, vdst_for
     from repro.lib.mpi import MiniMPI
-    from repro.shard import run_scenario
+    from repro.scenarios import run_scenario
     from repro.core.blocktransfer import BlockTransferEngine
     """
     assert rules_of(src, BENCHMARK) == []
+
+
+def test_arch002_flags_the_retired_shard_stub():
+    assert rules_of("from repro.shard import run_scenario\n", BENCHMARK) \
+        == ["ARCH002"]
 
 
 def test_arch002_only_applies_to_user_facing_dirs():

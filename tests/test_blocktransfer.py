@@ -8,7 +8,7 @@ using a 16 KB transfer, where the orderings are stable.
 import pytest
 
 import repro
-from repro.core.blocktransfer import BlockTransferExperiment, sweep
+from repro.core.blocktransfer import BlockTransferExperiment
 
 SIZE = 16384
 
@@ -90,13 +90,6 @@ def test_latency_small_transfers_favor_direct_send():
     r1 = _run(1, 256)
     r3 = _run(3, 256)
     assert r1.notify_latency_ns < r3.notify_latency_ns
-
-
-def test_sweep_helper():
-    results = sweep(lambda: repro.StarTVoyager(2), [1], [256, 1024])
-    assert len(results) == 2
-    assert all(r.verified for r in results)
-    assert [r.size for r in results] == [256, 1024]
 
 
 def test_invalid_approach_rejected():

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.mp import BasicPort, vdst_for
-from repro.shard import ShardedMachine, scenario
+from repro.scenarios import ScenarioMachine, scenario
 from repro.common.errors import SimulationError
 from repro.explore.conflict import conflict_key
 from repro.sim.engine import Engine, SchedulePolicy
@@ -373,7 +373,7 @@ def test_one_shard_runs_one_window_per_phase(name, monkeypatch):
     config = repro.default_config(n_nodes=4)
     config.sanitize = "credit"
     scn.prepare(config)
-    runner = ShardedMachine(config, scn)
+    runner = ScenarioMachine(config, scn)
     machine = runner.machine
     drains, starts = [], []
     credit = machine.sanitizers.checker("credit")

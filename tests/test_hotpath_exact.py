@@ -25,7 +25,7 @@ from repro.faults import FaultPlan, NodeCrash
 from repro.faults.inject import FaultInjector
 from repro.mp import BasicPort, vdst_for
 from repro.obs.snapshot import metrics_snapshot
-from repro.shard import ShardedMachine, scenario
+from repro.scenarios import ScenarioMachine, scenario
 
 #: (scenario, kwargs, nodes) -> (events_executed, final _seq, now_ns,
 #: sha256 of the comparable snapshot)
@@ -58,7 +58,7 @@ def test_stock_scenario_matches_pins(key):
     config = default_config(n_nodes=n_nodes)
     # run_scenario's steps, keeping the machine to read its engine
     scn.prepare(config)
-    machine = ShardedMachine(config, scn, backend="inline")
+    machine = ScenarioMachine(config, scn)
     run = machine.run()
     engine = machine.machine.engine
     got = (engine.events_executed, engine._seq, run.snapshot["now_ns"],

@@ -1,15 +1,25 @@
-"""The platform scenarios in the registry, each run on one machine.
+"""The scenarios in the registry, each run on one machine.
 
 ``repro.run`` builds one machine, runs the scenario's phases to
 quiescence and returns the metrics snapshot with the scenario result;
-these pin down what each platform scenario must deliver.
+these pin down what each scenario must deliver.
 """
 
 import json
 
+import pytest
+
 import repro
+import repro.scenarios
 from repro.bench import comparable
-from repro.shard import MixedScenario, PingScenario, SyncScenario, scenario
+from repro.common.errors import ConfigError
+from repro.scenarios import (
+    MixedScenario,
+    PingScenario,
+    SyncScenario,
+    scenario,
+    scenario_names,
+)
 
 N_NODES = 8
 
@@ -63,3 +73,27 @@ def test_chaos_downs_repairs_and_delivers():
     assert counters["faults.link_up"] == 2
     (log,) = run.results
     assert len(log) == _expected_deliveries(scn)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_scenario_passes_its_own_check(name):
+    scn = scenario(name)
+    run = repro.run(scn, n_nodes=scn.min_nodes)
+    assert scn.check(run.results[0]) is None
+
+
+def test_scenario_refuses_too_few_nodes():
+    with pytest.raises(ConfigError):
+        repro.run(scenario("express"), n_nodes=1)
+
+
+def test_shard_names_are_the_scenarios_objects():
+    import repro.shard
+    import repro.shard.scenarios
+
+    renamed = {"ShardScenario": "Scenario", "ShardedMachine":
+               "ScenarioMachine", "ShardRun": "ScenarioRun"}
+    for stub in (repro.shard, repro.shard.scenarios):
+        for name in stub.__all__:
+            assert getattr(stub, name) is \
+                getattr(repro.scenarios, renamed.get(name, name))

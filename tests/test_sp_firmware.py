@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.common.errors import FirmwareError
+from repro.common.errors import ConfigError, FirmwareError
 from repro.firmware.base import (
     fw_dram_read,
     fw_dram_write,
@@ -15,7 +15,7 @@ from repro.firmware.base import (
 from repro.firmware.msg import declare_dram_queue
 from repro.mp.basic import BasicPort
 from repro.mp.dramq import DramQueueReader
-from repro.niu.niu import SP_SERVICE_QUEUE, vdst_for
+from repro.niu.niu import SP_REL_TX_QUEUE, SP_SERVICE_QUEUE, vdst_for
 
 
 @pytest.fixture
@@ -158,6 +158,15 @@ def test_missq_to_dram_ring(m2):
     assert (s1, p1) == (0, b"to-dram-ring-1")
     assert (s2, p2) == (0, b"to-dram-ring-2")
     assert node1.ctrl.rx_cache.misses >= 2
+
+
+@pytest.mark.parametrize("logical",
+                         range(SP_SERVICE_QUEUE, SP_REL_TX_QUEUE + 1))
+def test_dram_ring_refuses_firmware_owned_queue(m2, logical):
+    # that queue's firmware dispatcher would parse the ring's messages
+    with pytest.raises(ConfigError):
+        declare_dram_queue(m2.node(1).sp, logical=logical, base=0x30000,
+                           depth=8)
 
 
 def test_missq_without_ring_drops_and_logs(m2):
