@@ -38,20 +38,8 @@ def test_scoma_amortizes_vs_numa(benchmark):
     times."""
 
     def run():
-        numa_total = measure("numa_read", repeats=10) * 10
-        machine = fresh_machine(2)
-        region = ScomaRegion(machine, n_lines=64)
-        region.init_data(0, bytes(32))
-        out = {}
-
-        def prog(api):
-            t0 = api.now
-            for _ in range(10):
-                yield from api.load(region.addr(0), 8)
-            out["total"] = api.now - t0
-
-        machine.run_until(machine.spawn(1, prog), limit=1e10)
-        return numa_total, out["total"]
+        scoma = measure("scoma_read", warm_reads=9)
+        return measure("numa_read") * 10, scoma["cold"] + 9 * scoma["warm"]
 
     numa_total, scoma_total = benchmark.pedantic(run, rounds=1, iterations=1)
     record("Shared-memory access latency", HEADER,
@@ -190,23 +178,15 @@ def _workload_checks(args):
 
     nodes = max(args.nodes)
     results = {}
-    run = repro.run(
-        repro.scenario("shm_graph", n_vertices=6 * nodes),
-        config=_sweep_config(nodes, args))
-    g = run.results[0]
-    results["graph"] = {"nodes": nodes, "levels": g["levels"],
-                        "ok": bool(g["bfs_ok"])}
-    run = repro.run(
-        repro.scenario("shm_hash", keys_per_rank=2,
-                       n_buckets=4 * nodes, stripes=8),
-        config=_sweep_config(nodes, args))
-    h = run.results[0]
-    results["hash"] = {
-        "nodes": nodes,
-        "ok": bool(h["inserted"] and h["found"]
-                   and all(h["inserted"].values())
-                   and all(h["found"].values())),
-    }
+    graph = repro.scenario("shm_graph", n_vertices=6 * nodes)
+    run = repro.run(graph, config=_sweep_config(nodes, args))
+    results["graph"] = {"nodes": nodes, "levels": run.results[0]["levels"],
+                        "ok": graph.check(run.results[0]) is None}
+    table = repro.scenario("shm_hash", keys_per_rank=2,
+                           n_buckets=4 * nodes, stripes=8)
+    run = repro.run(table, config=_sweep_config(nodes, args))
+    results["hash"] = {"nodes": nodes,
+                       "ok": table.check(run.results[0]) is None}
     return results
 
 

@@ -20,6 +20,8 @@ import os
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import repro
+from repro.obs.snapshot import comparable  # noqa: F401  (re-exported)
+from repro.obs.snapshot import strip_wall
 from repro.scenarios import measure, run_scenario, scenario
 
 #: the size axis used for the Figure 3/4 sweeps.
@@ -74,26 +76,9 @@ def emit_json(path: str, payload: object) -> str:
 # is embarrassingly parallel.  Determinism contract: ``run_sweep``
 # returns results in point order for *any* ``jobs`` value, and point
 # workers strip the one nondeterministic part of a metrics snapshot
-# (``sim.wall``, the wall-clock gauges) — the merged document is
-# byte-identical whether the grid ran serially or across N processes.
-
-def strip_wall(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """Drop the wall-clock gauges from a metrics snapshot, in place.
-
-    ``sim.wall`` (host seconds, events/second) varies run to run with
-    machine load; everything else in the snapshot is simulated and
-    deterministic.  Sweep workers call this so merged sweep documents
-    compare byte-for-byte across job counts and hosts.
-    """
-    sim = snapshot.get("sim")
-    if isinstance(sim, dict):
-        sim.pop("wall", None)
-    return snapshot
-
-
-#: a snapshot's deterministic core, in place: everything but ``sim.wall``
-#: is byte-identical at any ``--jobs`` value.
-comparable = strip_wall
+# (``sim.wall``, the wall-clock gauges, via :func:`strip_wall`) — the
+# merged document is byte-identical whether the grid ran serially or
+# across N processes.
 
 
 def run_sweep(worker: Callable[[Any], Any], points: Sequence[Any],

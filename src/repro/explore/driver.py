@@ -122,8 +122,8 @@ def run_schedule(scenario: str, params: Optional[Dict[str, Any]] = None,
                  max_decisions: Optional[int] = DECISION_BUDGET,
                  ) -> ScheduleOutcome:
     """Execute one scenario under one choice prefix on a fresh machine."""
-    from repro.bench.harness import strip_wall
     from repro.common.config import default_config
+    from repro.obs.snapshot import strip_wall
     from repro.scenarios import ScenarioMachine, scenario as make_scenario
 
     with behavior_model(model):

@@ -26,7 +26,9 @@ from repro.obs.sampler import QueueSampler
 from repro.obs.snapshot import (
     METRICS_SCHEMA,
     METRICS_SCHEMA_VERSION,
+    comparable,
     metrics_snapshot,
+    strip_wall,
     write_metrics,
 )
 
@@ -40,6 +42,8 @@ __all__ = [
     "METRICS_SCHEMA",
     "METRICS_SCHEMA_VERSION",
     "metrics_snapshot",
+    "strip_wall",
+    "comparable",
     "write_metrics",
     "export_perfetto",
     "trace_events",

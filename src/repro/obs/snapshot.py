@@ -45,7 +45,7 @@ raw insertion order; v2 adds ``shards`` and the canonical scope-merged
 accumulator fold; v3 adds the ``directory`` section; v4 adds ``p999``
 to every accumulator row and the ``traffic`` SLO section.  The top-level
 ``shards`` key was later dropped with the sharded engine, still at v4:
-:func:`repro.bench.harness.comparable` always stripped it, so no
+:func:`comparable` always stripped it, so no
 wall-stripped snapshot or digest changed.
 """
 
@@ -172,6 +172,24 @@ def metrics_snapshot(machine: "StarTVoyager",
     if include_config:
         snapshot["config"] = machine.config.describe()
     return snapshot
+
+
+def strip_wall(snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    """Drop the wall-clock gauges from a metrics snapshot, in place.
+
+    ``sim.wall`` (host seconds, events/second) varies run to run with
+    machine load; everything else in the snapshot is simulated and
+    deterministic.  Sweep workers and the schedule explorer call this so
+    their documents compare byte-for-byte across job counts and hosts.
+    """
+    sim = snapshot.get("sim")
+    if isinstance(sim, dict):
+        sim.pop("wall", None)
+    return snapshot
+
+
+#: a snapshot's deterministic core, in place: everything but ``sim.wall``.
+comparable = strip_wall
 
 
 def write_metrics(path: str, snapshot: Dict[str, Any]) -> str:

@@ -117,14 +117,10 @@ class ScenarioMachine:
 
     The machine is built here, so a caller can reach it through
     :attr:`machine` (to install a schedule policy or a handler, say)
-    before :meth:`run`.  ``backend`` is kept for callers of the retired
-    ``repro.shard`` API; ``"inline"`` is its only value.
+    before :meth:`run`.
     """
 
-    def __init__(self, config: MachineConfig, scenario: Scenario,
-                 backend: str = "inline") -> None:
-        if backend != "inline":
-            raise ValueError(f"unknown backend {backend!r} (only 'inline')")
+    def __init__(self, config: MachineConfig, scenario: Scenario) -> None:
         if config.n_nodes < scenario.min_nodes:
             raise ConfigError(f"{scenario.name} needs at least "
                               f"{scenario.min_nodes} nodes")
@@ -393,9 +389,8 @@ class NumaReadScenario(Scenario):
     is a firmware round trip."""
 
     name = "numa_read"
-
-    def __init__(self, repeats: int = 10) -> None:
-        self.repeats = repeats
+    #: reads averaged over.
+    repeats = 10
 
     def setup(self, phase: int, machine, nodes, ctx) -> None:
         from repro.shm import NumaSpace

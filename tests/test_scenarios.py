@@ -91,9 +91,15 @@ def test_shard_names_are_the_scenarios_objects():
     import repro.shard
     import repro.shard.scenarios
 
-    renamed = {"ShardScenario": "Scenario", "ShardedMachine":
-               "ScenarioMachine", "ShardRun": "ScenarioRun"}
+    renamed = {"ShardScenario": "Scenario", "ShardRun": "ScenarioRun"}
     for stub in (repro.shard, repro.shard.scenarios):
         for name in stub.__all__:
+            if stub is repro.shard and name == "ShardedMachine":
+                continue  # a constructor function, checked below
             assert getattr(stub, name) is \
                 getattr(repro.scenarios, renamed.get(name, name))
+    config = repro.default_config(n_nodes=2)
+    sm = repro.shard.ShardedMachine(config, scenario("express"), "inline")
+    assert isinstance(sm, repro.scenarios.ScenarioMachine)
+    with pytest.raises(ValueError):
+        repro.shard.ShardedMachine(config, scenario("express"), "process")
