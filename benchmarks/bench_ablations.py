@@ -62,24 +62,32 @@ def _stream_with_depth(depth, count=60):
     cfg = default_config(n_nodes=2)
     cfg.niu.queue_depth = depth
     run = run_scenario(scenario("basic_stream", count=count), config=cfg)
-    return run.results[0]["mb_per_s"]
+    return run.results[0]
 
 
 @pytest.mark.parametrize("depth", [4, 16, 64])
 def test_queue_depth(benchmark, depth):
-    mb_s = benchmark.pedantic(_stream_with_depth, args=(depth,), rounds=1,
-                              iterations=1)
+    stream = benchmark.pedantic(_stream_with_depth, args=(depth,), rounds=1,
+                                iterations=1)
     record("Ablations", HEADER,
-           ["queue depth", depth, "stream MB/s (64 B)", mb_s])
+           ["queue depth", depth, "stream MB/s (64 B)", stream["mb_per_s"]])
+    record("Ablations", HEADER,
+           ["queue depth", depth, "sender MB/s (64 B)",
+            stream["send_mb_per_s"]])
 
 
 def test_depth_helps_until_saturation(benchmark):
+    # The sender's side: with a shallow transmit queue it stalls on the
+    # consumer-pointer poll until CTRL drains a slot.  The receiver-bound
+    # end of the stream is set by the consumer's polling and reads the
+    # same at every depth, so it would show nothing here.
     def run():
-        return {d: _stream_with_depth(d) for d in (4, 16, 64)}
+        return {d: _stream_with_depth(d)["send_mb_per_s"]
+                for d in (2, 4, 16, 64)}
 
     bw = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert bw[16] >= bw[4]  # more buffering absorbs burstiness
-    assert bw[64] >= 0.9 * bw[16]  # but returns diminish
+    assert bw[2] < bw[4] < bw[16]  # more buffering absorbs burstiness
+    assert abs(bw[64] - bw[16]) <= 0.1 * bw[16]  # but returns diminish
 
 
 def _a3_with_poll(poll_insns):

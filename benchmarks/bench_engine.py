@@ -7,7 +7,7 @@ machine moves per wall-clock second.  It is the perf trajectory for the
 fast-path kernel work — run it before and after touching ``repro.sim``
 and compare.
 
-Five workloads:
+Six workloads:
 
 * ``timeout_storm``   — the pure kernel fast path: N processes doing
   nothing but ``yield engine.timeout(d)``.  No machine, no payload;
@@ -27,6 +27,11 @@ Five workloads:
   Reports scheduled items per poll, a simulated count that must stay
   exactly ``POLL_ITEMS`` (the CLI run fails otherwise), and wall us
   per poll.
+* ``basic_poll64``    — the same empty spin on every node of a 64-node
+  machine.  The 2-node poll runs on a near-empty heap and a tiny
+  working set; at 64 nodes every sleep sifts through a heap of ~64
+  items and every node's bus, aBIU and SRAM objects are live, as in
+  ``allreduce_nic64``.
 
 CLI (the CI smoke job runs the first)::
 
@@ -182,31 +187,37 @@ def alltoall8(n_nodes: int = 8, msgs_per_peer: int = 2,
 POLL_ITEMS = 10
 
 
-def basic_poll(sim_ns: float = 2e6, warmup_ns: float = 1e4) -> dict:
-    """One aP spinning on an empty Basic receive queue for ``sim_ns``.
+def basic_poll(sim_ns: float = 2e6, warmup_ns: float = 1e4,
+               n_nodes: int = 2, spinners: int = 1) -> dict:
+    """``spinners`` aPs (nodes 0, 1, ...) of an ``n_nodes`` machine each
+    spinning on an empty Basic receive queue for ``sim_ns``.
 
     Timing starts after ``warmup_ns`` of spinning, so machine assembly
     and the first polls' lazy set-up stay out of the per-poll figure.
     """
     import repro
 
-    machine = repro.StarTVoyager(repro.default_config(n_nodes=2))
-    port = BasicPort(machine.node(0), 0, 0)
-    ap = machine.node(0).ap
+    machine = repro.StarTVoyager(repro.default_config(n_nodes=n_nodes))
+    ports = [BasicPort(machine.node(n), 0, 0) for n in range(spinners)]
+    aps = [machine.node(n).ap for n in range(spinners)]
 
-    def spinner(api):
+    def spinner(api, port):
         yield from port.recv(api)  # nothing is ever sent
 
-    machine.spawn(0, spinner)
+    for n, port in enumerate(ports):
+        machine.spawn(n, spinner, port)
     machine.run(until=warmup_ns)
     engine = machine.engine
-    items0, polls0 = engine.events_executed, ap.loads
+    items0 = engine.events_executed
+    polls0 = sum(ap.loads for ap in aps)
     t0 = time.perf_counter()
     machine.run(until=warmup_ns + sim_ns)
     wall = time.perf_counter() - t0
-    polls = ap.loads - polls0
+    polls = sum(ap.loads for ap in aps) - polls0
     items = engine.events_executed - items0
     return {
+        "n_nodes": n_nodes,
+        "spinners": spinners,
         "sim_ns": sim_ns,
         "polls": polls,
         "events": items,
@@ -218,19 +229,26 @@ def basic_poll(sim_ns: float = 2e6, warmup_ns: float = 1e4) -> dict:
     }
 
 
+def basic_poll64(sim_ns: float = 1e5, warmup_ns: float = 1e4) -> dict:
+    """:func:`basic_poll` with one spinner on each of 64 nodes."""
+    return basic_poll(sim_ns, warmup_ns, n_nodes=64, spinners=64)
+
+
 def measure(quick: bool = False, repeats: int = 3) -> dict:
-    """Run the five workloads (best-of-``repeats`` wall clock)."""
+    """Run the six workloads (best-of-``repeats`` wall clock)."""
     if quick:
         repeats = 1
         storm_args = dict(n_procs=20, steps=400)
         store_args = dict(n_pairs=5, items=400)
         a2a_args = dict(msgs_per_peer=1)
         poll_args = dict(sim_ns=2e5)
+        poll64_args = dict(sim_ns=1e4)
     else:
         storm_args = {}
         store_args = {}
         a2a_args = {}
         poll_args = {}
+        poll64_args = {}
 
     def best(fn, **kwargs):
         runs = [fn(**kwargs) for _ in range(repeats)]
@@ -241,12 +259,14 @@ def measure(quick: bool = False, repeats: int = 3) -> dict:
     store = best(store_traffic, **store_args)
     a2a = best(alltoall8, **a2a_args)
     poll = best(basic_poll, **poll_args)
+    poll64 = best(basic_poll64, **poll64_args)
     return {
         "timeout_storm": storm,
         "sleep_storm": sleep,
         "store_traffic": store,
         "alltoall8": a2a,
         "basic_poll": poll,
+        "basic_poll64": poll64,
         #: the headline gauge: pure-kernel event throughput.
         "events_per_s": storm["events_per_s"],
         "bytes_moved_per_s": a2a["bytes_moved_per_s"],
@@ -283,9 +303,14 @@ def test_engine_microbench(benchmark):
            ["workload", "events/s", "ns/event"],
            ["basic_poll", results["basic_poll"]["events_per_s"],
             results["basic_poll"]["ns_per_event"]])
+    record("engine kernel throughput",
+           ["workload", "events/s", "ns/event"],
+           ["basic_poll64", results["basic_poll64"]["events_per_s"],
+            results["basic_poll64"]["ns_per_event"]])
     assert results["events_per_s"] > 0
     assert results["bytes_moved_per_s"] > 0
     assert results["basic_poll"]["items_per_poll"] == POLL_ITEMS
+    assert results["basic_poll64"]["items_per_poll"] == POLL_ITEMS
 
 
 # ----------------------------------------------------------------------
@@ -343,11 +368,11 @@ def run(args):
     ]
     print_table("engine kernel throughput (wall clock)",
                 ["workload", "events/s", "ns/event", "payload B/s"], rows)
-    poll = results["basic_poll"]
+    polls = [results["basic_poll"], results["basic_poll64"]]
     print_table("empty Basic receive poll",
-                ["polls", "items/poll", "us/poll"],
-                [[poll["polls"], f"{poll['items_per_poll']:g}",
-                  f"{poll['us_per_poll']:.1f}"]])
+                ["nodes", "polls", "items/poll", "us/poll"],
+                [[poll["n_nodes"], poll["polls"], f"{poll['items_per_poll']:g}",
+                  f"{poll['us_per_poll']:.1f}"] for poll in polls])
 
     out = args.json or args.out
     doc = _merge(out, args.record_as, results)
@@ -355,10 +380,11 @@ def run(args):
     if "speedup_events_per_s" in doc:
         print(f"speedup (events/s, post/pre): "
               f"{doc['speedup_events_per_s']:.2f}x")
-    if poll["items_per_poll"] != POLL_ITEMS:
-        print(f"FAIL: an empty poll executed {poll['items_per_poll']:g} "
-              f"items, expected {POLL_ITEMS}")
-        return 1
+    for poll in polls:
+        if poll["items_per_poll"] != POLL_ITEMS:
+            print(f"FAIL: an empty poll on {poll['n_nodes']} nodes executed "
+                  f"{poll['items_per_poll']:g} items, expected {POLL_ITEMS}")
+            return 1
     return None
 
 

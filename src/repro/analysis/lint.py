@@ -34,6 +34,12 @@ PERF002  a yielded ``Timeout(...)`` or ``<x>.timeout(...)`` in
          ``src/`` — a process sleeps by yielding the float delay,
          which schedules the same items without an Event; keep a
          Timeout only where its Event identity is needed
+PERF003  an attribute load on a hot enum class (``SnoopResult``,
+         ``BusOpType``, ``AccessMode``, ``QueueKind``, ``LineState``)
+         inside a function body in ``src/`` — each such load goes
+         through the enum metaclass; use the module constant its
+         module exports next to the class (``SNOOP_RETRY``,
+         ``OP_READ``...)
 ARCH003  a hand-rolled byte codec (``int.from_bytes(`` or
          ``.to_bytes(``) in ``firmware/``, ``collectives/``, ``sync/``,
          ``traffic/`` or ``net/combine.py`` — message layouts are
@@ -69,6 +75,7 @@ RULES: Dict[str, str] = {
     "ARCH002": "examples/benchmarks must import the public surface only",
     "PERF001": "hot-path class must declare __slots__",
     "PERF002": "yield of a fresh Timeout: yield the float delay instead",
+    "PERF003": "hot enum member loaded through its class: use the module constant",
     "ARCH003": "hand-rolled byte codec: declare the layout in common/wire.py",
 }
 
@@ -159,6 +166,12 @@ HOT_CLASSES: Dict[Tuple[str, ...], Set[str]] = {
     ("traffic", "slo.py"): {"SloRecorder"},
     ("common", "wire.py"): {"Layout"},
 }
+
+#: enums read on the simulator's inner loops (PERF003): each module
+#: exports its members as constants next to the class.
+HOT_ENUMS = frozenset({
+    "SnoopResult", "BusOpType", "AccessMode", "QueueKind", "LineState",
+})
 
 #: where message bytes are built and parsed (ARCH003): these speak only
 #: through the layouts of ``common/wire.py``.
@@ -736,6 +749,41 @@ def _check_timeout_yields(tree: ast.AST, path: str) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
+# PERF003 — hot enum members through their module constants
+# ----------------------------------------------------------------------
+
+
+def _check_enum_loads(tree: ast.AST, path: str) -> List[Violation]:
+    out: List[Violation] = []
+    seen: Set[Tuple[int, int]] = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.Lambda):
+            body: List[ast.AST] = [fn.body]
+        elif isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = list(fn.body)
+        else:
+            continue
+        # only the body: defaults, decorators and annotations run once
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if not (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in HOT_ENUMS):
+                    continue
+                where = (node.lineno, node.col_offset)
+                if where in seen:  # nested functions are walked twice
+                    continue
+                seen.add(where)
+                out.append(Violation(
+                    "PERF003", path, node.lineno, node.col_offset,
+                    f"{node.value.id}.{node.attr} in a function body: load "
+                    "the module constant instead",
+                ))
+    return out
+
+
+# ----------------------------------------------------------------------
 # ARCH003 — message bytes go through the wire registry
 # ----------------------------------------------------------------------
 
@@ -787,6 +835,7 @@ def check_source(source: str, relpath: str) -> List[Violation]:
         violations += _check_layering(tree, relpath, module_parts)
         violations += _check_slots(tree, relpath, module_parts)
         violations += _check_timeout_yields(tree, relpath)
+        violations += _check_enum_loads(tree, relpath)
         if any(module_parts[:len(w)] == w for w in _WIRE_SPEAKERS):
             violations += _check_byte_codecs(tree, relpath)
     violations += _check_id_ordering(tree, relpath)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.bus.ops import BusTransaction
-from repro.bus.snoop import BusSlave, Snooper, SnoopResult
+from repro.bus.snoop import SNOOP_CLAIM, SNOOP_RETRY, BusSlave, Snooper
 from repro.common.config import BusConfig
 from repro.common.errors import AddressError, SimulationError
 from repro.mem.address import AddressMap
@@ -113,10 +113,25 @@ class MemoryBus:
                 yield arbiter.request(priority)
             try:
                 yield self._address_ns
-                verdict, claimant = self._snoop_window(txn)
+                # the snoop window: every snooper votes (any RETRY aborts
+                # the tenure; at most one may CLAIM the data tenure)
+                claimant: Optional[Snooper] = None
+                retried = False
+                for snooper in self._snoopers:
+                    res = snooper.snoop(txn)
+                    if res is SNOOP_RETRY:
+                        retried = True
+                    elif res is SNOOP_CLAIM:
+                        if claimant is not None:
+                            raise SimulationError(
+                                f"{txn!r} claimed by both "
+                                f"{claimant.snooper_name!r} and "
+                                f"{snooper.snooper_name!r}"
+                            )
+                        claimant = snooper
                 yield self._snoop_ns
 
-                if verdict is SnoopResult.RETRY:
+                if retried:
                     txn.retries += 1
                     if stats is not None:
                         if self._retries is None:
@@ -145,11 +160,13 @@ class MemoryBus:
                     if stats is not None:
                         if self._txns is None:
                             self._txns = stats.counter(f"{self.name}.txns")
-                        self._txns.incr()
+                        # Counter.incr without its sign check: both
+                        # steps are positive (a size is checked > 0)
+                        self._txns.value += 1
                         if op.has_data:
                             if self._bytes is None:
                                 self._bytes = stats.counter(f"{self.name}.bytes")
-                            self._bytes.incr(txn.size)
+                            self._bytes.value += txn.size
                     tr = self.tracer
                     if tr is not None and tr.active:
                         tr.instant(f"bus.{op.value}", source=self.name,
@@ -160,27 +177,6 @@ class MemoryBus:
                 arbiter.release()
             # back off without holding the bus, then re-arbitrate
             yield self._backoff_ns
-
-    def _snoop_window(self, txn: BusTransaction):
-        """Collect snoop responses; returns (verdict, claimant)."""
-        claimant: Optional[Snooper] = None
-        retried = False
-        for snooper in self._snoopers:
-            res = snooper.snoop(txn)
-            if res is SnoopResult.RETRY:
-                retried = True
-            elif res is SnoopResult.CLAIM:
-                if claimant is not None:
-                    raise SimulationError(
-                        f"{txn!r} claimed by both {claimant.snooper_name!r} "
-                        f"and {snooper.snooper_name!r}"
-                    )
-                claimant = snooper
-        if retried:
-            return SnoopResult.RETRY, None
-        if claimant is not None:
-            return SnoopResult.CLAIM, claimant
-        return SnoopResult.OK, None
 
     def _data_tenure(
         self, txn: BusTransaction

@@ -46,10 +46,24 @@ class BusOpType(enum.Enum):
         #: True when a data tenure occurs at all.
         self.has_data = value not in ("kill", "flush")
 
+    # members are singletons: identity hashing is exact and keeps the
+    # ``(op, state)`` table lookups off Enum.__hash__ (DESIGN.md §8.1)
+    __hash__ = object.__hash__
+
+
+#: the members as module constants: hot code loads these globals instead
+#: of looking ``BusOpType.X`` up through the enum class (lint PERF003).
+OP_READ = BusOpType.READ
+OP_WRITE = BusOpType.WRITE
+OP_READ_LINE = BusOpType.READ_LINE
+OP_RWITM = BusOpType.RWITM
+OP_WRITE_LINE = BusOpType.WRITE_LINE
+OP_KILL = BusOpType.KILL
+OP_FLUSH = BusOpType.FLUSH
 
 _txn_ids = itertools.count()
 #: the single-beat ops, whose transfers are limited to 8 bytes.
-_SINGLE_BEAT = (BusOpType.READ, BusOpType.WRITE)
+_SINGLE_BEAT = (OP_READ, OP_WRITE)
 
 
 class BusTransaction:

@@ -36,6 +36,17 @@ class SnoopResult(enum.Enum):
     RETRY = "retry"
     CLAIM = "claim"
 
+    # members are singletons: identity hashing is exact and skips
+    # Enum.__hash__, a Python-level call (DESIGN.md §8.1)
+    __hash__ = object.__hash__
+
+
+#: the members as module constants: hot code loads these globals instead
+#: of looking ``SnoopResult.X`` up through the enum class (lint PERF003).
+SNOOP_OK = SnoopResult.OK
+SNOOP_RETRY = SnoopResult.RETRY
+SNOOP_CLAIM = SnoopResult.CLAIM
+
 
 class Snooper:
     """Interface for bus-snooping agents (L2 cache, aBIU, ...)."""

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
-from repro.bus.ops import BusOpType, BusTransaction
-from repro.bus.snoop import SnoopResult
+from repro.bus.ops import OP_WRITE, OP_WRITE_LINE, BusTransaction
+from repro.bus.snoop import SNOOP_CLAIM, SNOOP_OK, SnoopResult
 from repro.common.errors import SimulationError
 from repro.mem.address import Region
 from repro.niu.abiu import BusHandler
@@ -51,9 +51,9 @@ class ReflectiveWindowHandler(BusHandler):
         self.captured = 0
 
     def decide(self, txn: BusTransaction) -> SnoopResult:
-        if txn.op in (BusOpType.WRITE, BusOpType.WRITE_LINE):
-            return SnoopResult.CLAIM
-        return SnoopResult.OK  # reads served by DRAM as usual
+        if txn.op in (OP_WRITE, OP_WRITE_LINE):
+            return SNOOP_CLAIM
+        return SNOOP_OK  # reads served by DRAM as usual
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
@@ -101,7 +101,7 @@ def install_reflective(node, window_base: int, window_bytes: int,
     (symmetric windows, as in Memory Channel).  Returns the installed
     handler for test introspection.
     """
-    from repro.mem.address import AccessMode
+    from repro.mem.address import MODE_UNCACHED
 
     if window_base + window_bytes > node.user_dram_bytes:
         raise SimulationError("reflective window outside user DRAM")
@@ -110,7 +110,7 @@ def install_reflective(node, window_base: int, window_bytes: int,
     # reason.  Loads keep hitting DRAM through the carved region's owner.
     region = node.address_map.carve(
         f"reflective{node.node_id}", window_base, window_bytes,
-        AccessMode.UNCACHED,
+        MODE_UNCACHED,
     )
     handler = ReflectiveWindowHandler(node.ctrl, region)
     handler._dram = node.dram

@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Dict, Generator, List, Optional, Sequence,
                     Tuple)
 
-from repro.bus.ops import BusOpType
+from repro.bus.ops import OP_FLUSH, OP_KILL, OP_RWITM, OP_WRITE, OP_WRITE_LINE
 from repro.coherence.directory import DirectoryController
 from repro.common.errors import FirmwareError
 from repro.common.wire import (
@@ -198,8 +198,8 @@ def _send_proto(sp: "ServiceProcessor", dst: int, payload: bytes
 # requester side
 # ----------------------------------------------------------------------
 
-_WRITE_OPS = (BusOpType.WRITE, BusOpType.WRITE_LINE, BusOpType.RWITM,
-              BusOpType.KILL)
+_WRITE_OPS = (OP_WRITE, OP_WRITE_LINE, OP_RWITM,
+              OP_KILL)
 
 
 def handle_miss(sp: "ServiceProcessor", event: Tuple
@@ -317,7 +317,7 @@ def _grant(sp: "ServiceProcessor", line: int, want_rw: bool, requester: int,
             # KILL would destroy them — the WBREQ/evict paths agree)
             yield from sp.sbiu.enqueue_command(
                 LOCAL_CMDQ_0,
-                CmdBusOp(BusOpType.FLUSH, frame, st.line_bytes),
+                CmdBusOp(OP_FLUSH, frame, st.line_bytes),
             )
         data = yield from fw_dram_read(sp, frame, st.line_bytes, st.staging)
     new_state = CLS_RW if want_rw else CLS_RO
@@ -343,7 +343,7 @@ def _set_own_cls(sp: "ServiceProcessor", line: int, state: int,
     if kill_l2:
         yield from sp.sbiu.enqueue_command(
             LOCAL_CMDQ_0,
-            CmdBusOp(BusOpType.KILL, st.frame_addr(line), st.line_bytes),
+            CmdBusOp(OP_KILL, st.frame_addr(line), st.line_bytes),
         )
 
 
@@ -413,7 +413,7 @@ def handle_writeback_req(sp: "ServiceProcessor", src: int, payload: bytes
     else:
         yield from _set_own_cls(sp, line, CLS_INVALID, cause="relinquish")
     yield from sp.sbiu.enqueue_command(
-        LOCAL_CMDQ_0, CmdBusOp(BusOpType.FLUSH, frame, st.line_bytes)
+        LOCAL_CMDQ_0, CmdBusOp(OP_FLUSH, frame, st.line_bytes)
     )
     data = yield from fw_dram_read(sp, frame, st.line_bytes, st.staging)
     yield from _send_proto(
@@ -487,7 +487,7 @@ def handle_evict_request(sp: "ServiceProcessor", src: int, payload: bytes
         yield from _set_own_cls(sp, line, CLS_INVALID, cause="evict")
         yield from sp.sbiu.enqueue_command(
             LOCAL_CMDQ_0,
-            CmdBusOp(BusOpType.FLUSH, st.frame_addr(line), st.line_bytes),
+            CmdBusOp(OP_FLUSH, st.frame_addr(line), st.line_bytes),
         )
         data = yield from fw_dram_read(sp, st.frame_addr(line),
                                        st.line_bytes, st.staging)

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List
 
-from repro.bus.ops import BusOpType, BusTransaction
-from repro.bus.snoop import SnoopResult
+from repro.bus.ops import (OP_FLUSH, OP_KILL, OP_RWITM, OP_WRITE,
+                           OP_WRITE_LINE, BusTransaction)
+from repro.bus.snoop import SNOOP_OK, SnoopResult
 from repro.common.errors import SimulationError
 from repro.common.wire import MSG_UPDATE_RELEASE, UPDATE_RELEASE
 from repro.firmware.base import fw_dram_read, register_msg_handler
@@ -58,8 +59,8 @@ class UpdateRegionHandler(BusHandler):
 
     handler_name = "update-region"
 
-    _DIRTYING = (BusOpType.RWITM, BusOpType.KILL, BusOpType.WRITE,
-                 BusOpType.WRITE_LINE)
+    _DIRTYING = (OP_RWITM, OP_KILL, OP_WRITE,
+                 OP_WRITE_LINE)
 
     def __init__(self, unit: DiffUnit, node_master: str) -> None:
         self.unit = unit
@@ -73,7 +74,7 @@ class UpdateRegionHandler(BusHandler):
         if txn.op in self._DIRTYING and not txn.master.startswith("niu"):
             self.unit.mark_dirty(txn.addr)
             self.observed_dirtying += 1
-        return SnoopResult.OK
+        return SNOOP_OK
 
     def serve(self, txn):  # pragma: no cover - never claims
         raise SimulationError("UpdateRegionHandler never claims")
@@ -93,7 +94,7 @@ def handle_release(sp: "ServiceProcessor", src: int, payload: bytes
         addr = unit.line_addr(line)
         # push any newer L2 data into DRAM, in order, before reading it
         yield from sp.sbiu.enqueue_command(
-            LOCAL_CMDQ_0, CmdBusOp(BusOpType.FLUSH, addr, unit.line_bytes))
+            LOCAL_CMDQ_0, CmdBusOp(OP_FLUSH, addr, unit.line_bytes))
         data = yield from fw_dram_read(sp, addr, unit.line_bytes, staging)
         runs = yield from unit.diff(line, data)
         for offset, changed in runs:
@@ -118,14 +119,14 @@ def install_update_region(node, base: int, size: int,
     ``base``/``size`` name the same cached DRAM range on every peer.
     Returns the node's :class:`DiffUnit` for inspection.
     """
-    from repro.mem.address import AccessMode
+    from repro.mem.address import MODE_CACHED
 
     if base + size > node.user_dram_bytes:
         raise SimulationError("update region outside user DRAM")
     line = node.config.bus.line_bytes
     unit = DiffUnit(node.engine, base, size, line,
                     compare_ns_per_beat=node.config.bus.cycle_ns)
-    region = Region(f"update{node.node_id}", base, size, AccessMode.CACHED)
+    region = Region(f"update{node.node_id}", base, size, MODE_CACHED)
     handler = UpdateRegionHandler(unit, f"niu{node.node_id}")
     node.niu.abiu.install(region, handler)
     sp = node.sp

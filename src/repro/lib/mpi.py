@@ -495,43 +495,41 @@ class MpiRank:
         :data:`repro.net.combine.OPS`; callables run only on the host
         families (``"flat"``/``"tree"``).
         """
+        # one frame, unlike the other collectives' _do_* split: a rank
+        # spinning in the NIC allreduce's receive resumes this chain on
+        # every poll.  Each branch leaves its result in ``out``.
         t0 = api.now
-        out = yield from self._do_allreduce(api, value, op, algo)
-        self.stats.accumulator("mpi.allreduce_ns").add(api.now - t0)
-        return out
-
-    def _do_allreduce(self, api: "ApApi", value: int, op: OpSpec = None,
-                      algo: Optional[str] = None
-                      ) -> Generator["Event", None, int]:
         algo = self._pick_algo(algo)
         if algo == "switch":
             self._next_coll()  # keep tag sequencing aligned across algos
             code = _offload_code(_resolve_op(op)[0], "in-switch")
-            if self.size == 1:
-                return value
-            result = yield from self.mpi.sync_group().tree_op(
-                api, self.rank, code, value)
-            return result
-        if algo == "tree":
+            out = value
+            if self.size > 1:
+                out = yield from self.mpi.sync_group().tree_op(
+                    api, self.rank, code, value)
+        elif algo == "tree":
             seq, tag = self._next_coll()
             _name, fn = _resolve_op(op)
-            if self.size == 1:
-                return value
-            return (yield from coll_api.rd_allreduce(
-                self, api, value, fn, self.mpi.rd_schedule(), tag))
-        if algo == "nic":
+            out = value
+            if self.size > 1:
+                out = yield from coll_api.rd_allreduce(
+                    self, api, value, fn, self.mpi.rd_schedule(), tag)
+        elif algo == "nic":
             seq, tag = self._next_coll()
             code = _offload_code(_resolve_op(op)[0], "NIC-offloaded")
-            if self.size == 1:
-                return value
-            yield from self._nic_request(api, KIND_ALLREDUCE, code,
-                                         seq, tag, 0, VALUE.pack(value))
-            _src, _tag, got = yield from self.recv(api, tag=tag)
-            return VALUE.unpack(got)[0]
-        # flat: reduce to rank 0, then broadcast the result
-        acc = yield from self.reduce(api, value, root=0, op=op)
-        if self.rank == 0:
-            result = yield from self.bcast(api, VALUE.pack(acc), root=0)
+            out = value
+            if self.size > 1:
+                yield from self._nic_request(api, KIND_ALLREDUCE, code,
+                                             seq, tag, 0, VALUE.pack(value))
+                _src, _tag, got = yield from self.recv(api, tag=tag)
+                out = VALUE.unpack(got)[0]
         else:
-            result = yield from self.bcast(api, None, root=0)
-        return VALUE.unpack(result)[0]
+            # flat: reduce to rank 0, then broadcast the result
+            acc = yield from self.reduce(api, value, root=0, op=op)
+            if self.rank == 0:
+                result = yield from self.bcast(api, VALUE.pack(acc), root=0)
+            else:
+                result = yield from self.bcast(api, None, root=0)
+            out = VALUE.unpack(result)[0]
+        self.stats.accumulator("mpi.allreduce_ns").add(api.now - t0)
+        return out

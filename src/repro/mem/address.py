@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.common.errors import AddressError
 
@@ -32,6 +32,15 @@ class AccessMode(enum.Enum):
     CACHED = "cached"
     UNCACHED = "uncached"
     BURST = "burst"
+
+    # members are singletons: identity hashing is exact (DESIGN.md §8.1)
+    __hash__ = object.__hash__
+
+
+#: the members as module constants, for hot code (lint PERF003).
+MODE_CACHED = AccessMode.CACHED
+MODE_UNCACHED = AccessMode.UNCACHED
+MODE_BURST = AccessMode.BURST
 
 
 class Region:
@@ -92,9 +101,13 @@ class AddressMap:
     def __init__(self) -> None:
         self._bases: List[int] = []
         self._regions: List[Region] = []
+        #: address -> the region containing it, filled by :meth:`lookup`;
+        #: :meth:`add` (and so :meth:`carve`) empties it
+        self._memo: Dict[int, Region] = {}
 
     def add(self, region: Region) -> Region:
         """Register a region; overlap with an existing region is an error."""
+        self._memo.clear()
         idx = bisect.bisect_right(self._bases, region.base)
         if idx > 0 and self._regions[idx - 1].end > region.base:
             raise AddressError(
@@ -111,11 +124,15 @@ class AddressMap:
     def lookup(self, addr: int, length: int = 1) -> Region:
         """The region containing ``[addr, addr+length)``; raises if unmapped
         or if the range straddles a region boundary."""
+        region = self._memo.get(addr)
+        if region is not None and addr + length <= region.end:
+            return region
         idx = bisect.bisect_right(self._bases, addr) - 1
         if idx >= 0:
             region = self._regions[idx]
             # the bisect already guarantees ``region.base <= addr``
             if addr + length <= region.end:
+                self._memo[addr] = region
                 return region
             if addr < region.end:
                 raise AddressError(

@@ -61,7 +61,8 @@ class ByteBacking:
 
     def read(self, offset: int, length: int) -> bytes:
         """Copy ``length`` bytes starting at ``offset``."""
-        self._check(offset, length)
+        if length < 0 or offset < 0 or offset + length > self.size:
+            self._check(offset, length)  # raises the descriptive error
         # slicing an mmap copies once, straight into a new bytes object
         return self._data[offset : offset + length]
 

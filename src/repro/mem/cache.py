@@ -21,8 +21,9 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
-from repro.bus.ops import BusOpType, BusTransaction
-from repro.bus.snoop import Snooper, SnoopResult
+from repro.bus.ops import (OP_KILL, OP_READ_LINE, OP_RWITM, OP_WRITE_LINE,
+                           BusTransaction)
+from repro.bus.snoop import SNOOP_OK, Snooper, SnoopResult
 from repro.coherence.protocol import l2_snoop_reaction
 from repro.common.config import CacheConfig
 from repro.common.errors import ProgramError
@@ -41,6 +42,15 @@ class LineState(enum.Enum):
     SHARED = "S"
     MODIFIED = "M"
 
+    # members are singletons: identity hashing is exact (DESIGN.md §8.1)
+    __hash__ = object.__hash__
+
+
+#: the members as module constants, for hot code (lint PERF003).
+LINE_INVALID = LineState.INVALID
+LINE_SHARED = LineState.SHARED
+LINE_MODIFIED = LineState.MODIFIED
+
 
 class CacheLine:
     """One line frame: tag, state, data, LRU stamp."""
@@ -49,7 +59,7 @@ class CacheLine:
 
     def __init__(self, line_bytes: int) -> None:
         self.tag: int = -1
-        self.state = LineState.INVALID
+        self.state = LINE_INVALID
         self.data = bytearray(line_bytes)
         self.lru = 0
 
@@ -97,16 +107,22 @@ class SnoopingL2(Snooper):
         return line % self.n_sets, line // self.n_sets
 
     def _find(self, addr: int) -> Optional[CacheLine]:
-        set_idx, tag = self._index(addr)
-        for frame in self._sets.get(set_idx, ()):
-            if frame.state is not LineState.INVALID and frame.tag == tag:
+        # the _index arithmetic, inline: every snooped bus operation asks,
+        # and most touch a set that never filled (an uncached NIU address)
+        line = addr // self.line_bytes
+        frames = self._sets.get(line % self.n_sets)
+        if not frames:
+            return None
+        tag = line // self.n_sets
+        for frame in frames:
+            if frame.state is not LINE_INVALID and frame.tag == tag:
                 return frame
         return None
 
     def _victim(self, set_idx: int) -> CacheLine:
         frames = self._sets.setdefault(set_idx, [])
         for frame in frames:
-            if frame.state is LineState.INVALID:
+            if frame.state is LINE_INVALID:
                 return frame
         if len(frames) < self.config.ways:
             frame = CacheLine(self.line_bytes)
@@ -156,7 +172,7 @@ class SnoopingL2(Snooper):
                 self.misses += 1
                 frame = yield from self._fill(addr, modify=True)
                 break
-            if frame.state is LineState.MODIFIED:
+            if frame.state is LINE_MODIFIED:
                 self.hits += 1
                 self._touch(frame)
                 yield self._hit_ns
@@ -168,19 +184,19 @@ class SnoopingL2(Snooper):
             self.upgrades += 1
             self._touch(frame)
             kill = BusTransaction(
-                BusOpType.KILL,
+                OP_KILL,
                 self._line_base(addr),
                 self.line_bytes,
                 master=self.name,
             )
             yield from self.bus.transact(kill)
-            if self._find(addr) is frame and frame.state is not LineState.INVALID:
-                frame.state = LineState.MODIFIED
+            if self._find(addr) is frame and frame.state is not LINE_INVALID:
+                frame.state = LINE_MODIFIED
                 break
             # lost the line while upgrading: retry as a miss
         off = addr - self._line_base(addr)
         frame.data[off : off + len(data)] = data
-        frame.state = LineState.MODIFIED
+        frame.state = LINE_MODIFIED
 
     def _fill(
         self, addr: int, modify: bool
@@ -188,14 +204,14 @@ class SnoopingL2(Snooper):
         line_base = self._line_base(addr)
         set_idx, tag = self._index(addr)
         victim = self._victim(set_idx)
-        if victim.state is LineState.MODIFIED:
+        if victim.state is LINE_MODIFIED:
             yield from self._writeback(victim, set_idx)
-        op = BusOpType.RWITM if modify else BusOpType.READ_LINE
+        op = OP_RWITM if modify else OP_READ_LINE
         txn = BusTransaction(op, line_base, self.line_bytes, master=self.name)
         yield from self.bus.transact(txn)
         victim.tag = tag
         victim.data[:] = txn.data  # type: ignore[arg-type]
-        victim.state = LineState.MODIFIED if modify else LineState.SHARED
+        victim.state = LINE_MODIFIED if modify else LINE_SHARED
         self._touch(victim)
         return victim
 
@@ -206,14 +222,14 @@ class SnoopingL2(Snooper):
         line_no = frame.tag * self.n_sets + set_idx
         addr = line_no * self.line_bytes
         txn = BusTransaction(
-            BusOpType.WRITE_LINE,
+            OP_WRITE_LINE,
             addr,
             self.line_bytes,
             data=bytes(frame.data),
             master=self.name,
         )
         yield from self.bus.transact(txn)
-        frame.state = LineState.INVALID
+        frame.state = LINE_INVALID
         frame.tag = -1
 
     def _check_span(self, addr: int, size: int) -> None:
@@ -238,21 +254,21 @@ class SnoopingL2(Snooper):
         writer and force a writeback first), then downgrade/invalidate.
         """
         if txn.master == self.name:
-            return SnoopResult.OK
+            return SNOOP_OK
         frame = self._find(txn.addr)
         if frame is None:
-            return SnoopResult.OK
+            return SNOOP_OK
         reaction = l2_snoop_reaction(frame.state.value, txn.op)
         if reaction is None:
-            return SnoopResult.OK
+            return SNOOP_OK
         if reaction.push:
             self._push_to_dram(txn.addr, frame)
         if reaction.next_state is not None:
             next_state = LineState(reaction.next_state)
-            if next_state is LineState.INVALID:
+            if next_state is LINE_INVALID:
                 frame.tag = -1
             frame.state = next_state
-        return SnoopResult.OK
+        return SNOOP_OK
 
     def _push_to_dram(self, addr: int, frame: CacheLine) -> None:
         self.snoop_pushes += 1
@@ -263,7 +279,7 @@ class SnoopingL2(Snooper):
     def state_of(self, addr: int) -> LineState:
         """Coherence state of the line containing ``addr`` (testing)."""
         frame = self._find(addr)
-        return frame.state if frame is not None else LineState.INVALID
+        return frame.state if frame is not None else LINE_INVALID
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss/writeback counters (testing/diagnostics)."""

@@ -40,7 +40,7 @@ from repro.niu.msgformat import (
     encode_header,
 )
 from repro.niu.niu import PTR_WINDOW_OFF, SP_REL_TX_QUEUE, vdst_for
-from repro.niu.queues import BANK_A, QueueKind, QueueState
+from repro.niu.queues import BANK_A, QUEUE_RX, QUEUE_TX, QueueState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.node.ap import ApApi
@@ -68,13 +68,13 @@ class BasicPort:
         # the four pointer registers this port touches, decoded once
         ptr_base = NIU_CTL_BASE + PTR_WINDOW_OFF
         self._tx_producer_addr = ptr_base + pointer_offset(
-            QueueKind.TX, self.tx.index, "producer")
+            QUEUE_TX, self.tx.index, "producer")
         self._tx_consumer_addr = ptr_base + pointer_offset(
-            QueueKind.TX, self.tx.index, "consumer")
+            QUEUE_TX, self.tx.index, "consumer")
         self._rx_producer_addr = ptr_base + pointer_offset(
-            QueueKind.RX, self.rx.index, "producer")
+            QUEUE_RX, self.rx.index, "producer")
         self._rx_consumer_addr = ptr_base + pointer_offset(
-            QueueKind.RX, self.rx.index, "consumer")
+            QUEUE_RX, self.rx.index, "consumer")
         self.sent = 0
         self.received = 0
 
@@ -126,8 +126,8 @@ class BasicPort:
                 raise ProtectionViolation(
                     f"tx queue {self.tx.index} was shut down"
                 )
-            self._tx_known_consumer = yield from api.load_u32(
-                self._tx_consumer_addr)
+            raw = yield from api.load(self._tx_consumer_addr, 4)
+            self._tx_known_consumer = int.from_bytes(raw, "big")
             if self._tx_producer - self._tx_known_consumer >= self.tx.depth:
                 yield from api.compute(25)  # polling loop overhead
         slot = self._tx_slot_addr(self._tx_producer)
@@ -217,8 +217,8 @@ class BasicPort:
     def poll(self, api: "ApApi"
              ) -> Generator["Event", None, Optional[Tuple[int, bytes]]]:
         """Non-blocking receive: one producer-shadow poll, then the entry."""
-        producer = yield from api.load_u32(self._rx_producer_addr)
-        if producer == self._rx_consumer:
+        raw = yield from api.load(self._rx_producer_addr, 4)
+        if int.from_bytes(raw, "big") == self._rx_consumer:
             return None
         return (yield from self._take(api))
 
@@ -232,8 +232,10 @@ class BasicPort:
         """
         t0 = api.now
         while True:
-            producer = yield from api.load_u32(self._rx_producer_addr)
-            if producer != self._rx_consumer:
+            # api.load hands back the aP's generator, so each poll
+            # resumes straight into AppProcessor.access
+            raw = yield from api.load(self._rx_producer_addr, 4)
+            if int.from_bytes(raw, "big") != self._rx_consumer:
                 break
             yield from api.compute(poll_insns)
         msg = yield from self._take(api)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from repro.bus.ops import BusTransaction
-from repro.bus.snoop import Snooper, SnoopResult
+from repro.bus.snoop import SNOOP_CLAIM, SNOOP_OK, Snooper, SnoopResult
 from repro.common.errors import SimulationError
 from repro.mem.address import Region
 
@@ -34,6 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.ctrl import Ctrl
     from repro.sim.engine import Engine
     from repro.sim.events import Event
+
+
+#: marks an address :meth:`ABiu.handler_for` has not memoized yet (its
+#: memo also stores None, for an address no handler covers).
+_UNSEEN = object()
 
 
 class BusHandler:
@@ -122,13 +127,16 @@ class ABiu(Snooper):
         gates its own grants out of the snoop path).
         """
         if txn.master == self._master:
-            return SnoopResult.OK
-        handler = self.handler_for(txn.addr)
+            return SNOOP_OK
+        # handler_for's memo, read inline: every aP bus operation asks
+        handler = self._handler_memo.get(txn.addr, _UNSEEN)
+        if handler is _UNSEEN:
+            handler = self.handler_for(txn.addr)
         if handler is None:
-            return SnoopResult.OK
+            return SNOOP_OK
         self.observed += 1
         verdict = handler.decide(txn)
-        if verdict is SnoopResult.CLAIM:
+        if verdict is SNOOP_CLAIM:
             self._claimed[txn.txn_id] = handler
         return verdict
 

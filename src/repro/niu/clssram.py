@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.bus.ops import BusOpType
+from repro.bus.ops import (OP_KILL, OP_READ, OP_READ_LINE, OP_RWITM, OP_WRITE,
+                           OP_WRITE_LINE, BusOpType)
 from repro.coherence.protocol import (
     MSI_INVALID,
     MSI_PENDING,
@@ -191,12 +192,12 @@ def install_scoma_default_table(cls: ClsSram) -> None:
     valid states pass.  Writes need RW: RO writes retry and request an
     upgrade; the KILL a store-upgrade emits behaves like the write itself.
     """
-    for read_op in (BusOpType.READ, BusOpType.READ_LINE):
+    for read_op in (OP_READ, OP_READ_LINE):
         cls.set_action(read_op, CLS_INVALID,
                        ClsAction(retry=True, pass_to_sp=True, next_state=CLS_PENDING))
         cls.set_action(read_op, CLS_PENDING, ClsAction(retry=True))
-    for write_op in (BusOpType.WRITE, BusOpType.WRITE_LINE, BusOpType.RWITM,
-                     BusOpType.KILL):
+    for write_op in (OP_WRITE, OP_WRITE_LINE, OP_RWITM,
+                     OP_KILL):
         cls.set_action(write_op, CLS_INVALID,
                        ClsAction(retry=True, pass_to_sp=True, next_state=CLS_PENDING))
         cls.set_action(write_op, CLS_PENDING, ClsAction(retry=True))

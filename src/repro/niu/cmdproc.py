@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.bus.ops import BusOpType, BusTransaction
+from repro.bus.ops import (OP_READ, OP_READ_LINE, OP_WRITE, OP_WRITE_LINE,
+                           BusTransaction)
 from repro.common.errors import FirmwareError, QueueError
 from repro.niu.commands import (
     CmdBlockRead,
@@ -160,12 +161,12 @@ def write_dram(ctrl: "Ctrl", addr: int, data: bytes
         a = addr + off
         remaining = total - off
         if a % line == 0 and remaining >= line:
-            txn = BusTransaction(BusOpType.WRITE_LINE, a, line,
+            txn = BusTransaction(OP_WRITE_LINE, a, line,
                                  mv[off : off + line], master=master)
             off += line
         else:
             step = min(8 - (a % 8), remaining)
-            txn = BusTransaction(BusOpType.WRITE, a, step,
+            txn = BusTransaction(OP_WRITE, a, step,
                                  mv[off : off + step], master=master)
             off += step
         yield from ctrl.abiu_issue(txn)
@@ -182,11 +183,11 @@ def read_dram(ctrl: "Ctrl", addr: int, length: int
         a = addr + off
         remaining = length - off
         if a % line == 0 and remaining >= line:
-            txn = BusTransaction(BusOpType.READ_LINE, a, line, master=master)
+            txn = BusTransaction(OP_READ_LINE, a, line, master=master)
             step = line
         else:
             step = min(8 - (a % 8), remaining)
-            txn = BusTransaction(BusOpType.READ, a, step, master=master)
+            txn = BusTransaction(OP_READ, a, step, master=master)
         yield from ctrl.abiu_issue(txn)
         parts.append(txn.data)
         off += step

@@ -37,7 +37,8 @@ from repro.mem.sram import PORT_IBUS, DualPortedSRAM
 from repro.net.packet import PRIORITY_HIGH, PRIORITY_LOW, Packet, PacketKind
 from repro.niu.commands import Command, CommandQueue, REMOTE_CMDQ, REMOTE_CMDQ_HIGH
 from repro.niu.msgformat import HEADER_BYTES, MsgHeader, decode_header, encode_rx_header
-from repro.niu.queues import BANK_A, BANK_S, FullPolicy, QueueKind, QueueState
+from repro.niu.queues import (BANK_A, BANK_S, QUEUE_RX, QUEUE_TX, FullPolicy,
+                              QueueKind, QueueState)
 from repro.niu.sysregs import SystemRegisters
 from repro.niu.translation import RxQueueCache, TranslationTable
 from repro.sim.resource import Resource
@@ -129,7 +130,7 @@ class Ctrl:
         idx = len(self.tx_queues)
         if idx >= self.config.niu.n_hw_tx_queues:
             raise QueueError("all hardware tx queues are in use")
-        q = QueueState(QueueKind.TX, idx, bank, base, depth)
+        q = QueueState(QUEUE_TX, idx, bank, base, depth)
         q.shadow_offset = None
         self.tx_queues.append(q)
         return q
@@ -140,7 +141,7 @@ class Ctrl:
         idx = len(self.rx_queues)
         if idx >= self.config.niu.n_hw_rx_queues:
             raise QueueError("all hardware rx queues are in use")
-        q = QueueState(QueueKind.RX, idx, bank, base, depth)
+        q = QueueState(QUEUE_RX, idx, bank, base, depth)
         q.shadow_offset = None
         q.logical_id = logical_id
         self.rx_queues.append(q)
@@ -225,7 +226,7 @@ class Ctrl:
 
     def read_pointer(self, kind: QueueKind, idx: int, which: str) -> int:
         """Immediate pointer read (sP immediate interface; BIUs use shadows)."""
-        q = self._tx(idx) if kind is QueueKind.TX else self._rx(idx)
+        q = self._tx(idx) if kind is QUEUE_TX else self._rx(idx)
         return q.producer if which == "producer" else q.consumer
 
     def _tx(self, idx: int) -> QueueState:

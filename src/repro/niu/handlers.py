@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
 
-from repro.bus.ops import BusOpType, BusTransaction
-from repro.bus.snoop import SnoopResult
+from repro.bus.ops import (OP_READ, OP_READ_LINE, OP_WRITE, OP_WRITE_LINE,
+                           BusTransaction)
+from repro.bus.snoop import SNOOP_CLAIM, SNOOP_OK, SNOOP_RETRY, SnoopResult
 from repro.common.errors import ProtectionViolation, QueueError, SimulationError
 from repro.mem.address import Region
 from repro.mem.sram import PORT_BUS, DualPortedSRAM
@@ -25,7 +26,7 @@ from repro.niu.msgformat import (
     MsgHeader,
     encode_header,
 )
-from repro.niu.queues import QueueKind, QueueState
+from repro.niu.queues import QUEUE_RX, QUEUE_TX, QueueKind, QueueState
 from repro.sim.store import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,7 +48,7 @@ PTR_RX_CONSUMER = 24
 def pointer_offset(kind: QueueKind, index: int, which: str) -> int:
     """Window offset of one pointer register (library-layer helper)."""
     base = index * PTR_STRIDE
-    if kind is QueueKind.TX:
+    if kind is QUEUE_TX:
         return base + (PTR_TX_PRODUCER if which == "producer" else PTR_TX_CONSUMER)
     return base + (PTR_RX_PRODUCER if which == "producer" else PTR_RX_CONSUMER)
 
@@ -68,6 +69,9 @@ class PointerWindowHandler(BusHandler):
         self.region = region
         #: address -> decoded register; a polled pointer decodes once
         self._decoded: Dict[int, Tuple[QueueKind, int, str, bool]] = {}
+        #: address -> (bank, offset) of the SRAM pointer shadow a read of
+        #: that register is served from, filled on its first read
+        self._shadows: Dict[int, Tuple[DualPortedSRAM, int]] = {}
 
     def _decode(self, addr: int) -> Tuple[QueueKind, int, str, bool]:
         decoded = self._decoded.get(addr)
@@ -79,11 +83,11 @@ class PointerWindowHandler(BusHandler):
         off = addr - self.region.base
         index, slot = divmod(off, PTR_STRIDE)
         if slot in (PTR_TX_PRODUCER, PTR_TX_CONSUMER):
-            kind = QueueKind.TX
+            kind = QUEUE_TX
             which = "producer" if slot == PTR_TX_PRODUCER else "consumer"
             writable = slot == PTR_TX_PRODUCER
         elif slot in (PTR_RX_PRODUCER, PTR_RX_CONSUMER):
-            kind = QueueKind.RX
+            kind = QUEUE_RX
             which = "producer" if slot == PTR_RX_PRODUCER else "consumer"
             writable = slot == PTR_RX_CONSUMER
         else:
@@ -91,9 +95,9 @@ class PointerWindowHandler(BusHandler):
         return kind, index, which, writable
 
     def decide(self, txn: BusTransaction) -> SnoopResult:
-        if txn.op in (BusOpType.READ, BusOpType.WRITE):
-            return SnoopResult.CLAIM
-        return SnoopResult.OK
+        if txn.op in (OP_READ, OP_WRITE):
+            return SNOOP_CLAIM
+        return SNOOP_OK
 
     def _owner_ok(self, q, txn: BusTransaction) -> bool:
         """Queue-ownership check: pid 0 (kernel) and unowned queues pass.
@@ -115,20 +119,30 @@ class PointerWindowHandler(BusHandler):
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
         ctrl = self.ctrl
+        shadow = self._shadows.get(txn.addr) if txn.op is OP_READ else None
+        if shadow is not None:
+            # a pointer poll: this register decoded, and its shadow was
+            # found, on an earlier read
+            yield ctrl.op_ns
+            bank, off = shadow
+            raw = yield from bank.read(PORT_BUS, off, 4)
+            if txn.size == 4:
+                return raw
+            return raw[: txn.size] + b"\x00" * max(0, txn.size - 4)
         kind, index, which, writable = self._decode(txn.addr)
         yield ctrl.op_ns
-        if txn.op is BusOpType.WRITE:
+        if txn.op is OP_WRITE:
             if not writable:
                 raise QueueError(
                     f"pointer window: {kind.value}{index}.{which} is read-only"
                 )
-            q = ctrl.tx_queues[index] if kind is QueueKind.TX \
+            q = ctrl.tx_queues[index] if kind is QUEUE_TX \
                 else ctrl.rx_queues[index]
             if not self._owner_ok(q, txn):
                 return None  # hardware drops the intruding write
             value = int.from_bytes(txn.data[:4], "big")  # type: ignore[index]
             try:
-                if kind is QueueKind.TX:
+                if kind is QUEUE_TX:
                     ctrl.tx_producer_update(index, value)
                 else:
                     ctrl.rx_consumer_update(index, value)
@@ -138,17 +152,15 @@ class PointerWindowHandler(BusHandler):
                 pass
             return None
         # reads come from the SRAM shadow like any SRAM access
-        q = ctrl.tx_queues[index] if kind is QueueKind.TX else ctrl.rx_queues[index]
+        q = ctrl.tx_queues[index] if kind is QUEUE_TX else ctrl.rx_queues[index]
         if q.shadow_offset is None:
-            value = ctrl.read_pointer(kind, index, which)
+            raw = ctrl.read_pointer(kind, index, which).to_bytes(4, "big")
         else:
             bank = ctrl._bank(q.bank)
             off = q.shadow_offset + (0 if which == "producer" else 4)
+            self._shadows[txn.addr] = (bank, off)
             raw = yield from bank.read(PORT_BUS, off, 4)
-            value = int.from_bytes(raw, "big")
-        return value.to_bytes(4, "big")[: txn.size] + b"\x00" * max(
-            0, txn.size - 4
-        )
+        return raw[: txn.size] + b"\x00" * max(0, txn.size - 4)
 
 
 # ----------------------------------------------------------------------
@@ -171,10 +183,9 @@ class SramWindowHandler(BusHandler):
         self.region = region
 
     def decide(self, txn: BusTransaction) -> SnoopResult:
-        if txn.op in (BusOpType.READ, BusOpType.WRITE,
-                      BusOpType.READ_LINE, BusOpType.WRITE_LINE):
-            return SnoopResult.CLAIM
-        return SnoopResult.OK  # coherence ops mean nothing to SRAM
+        if txn.op in (OP_READ, OP_WRITE, OP_READ_LINE, OP_WRITE_LINE):
+            return SNOOP_CLAIM
+        return SNOOP_OK  # coherence ops mean nothing to SRAM
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
@@ -227,8 +238,8 @@ class ExpressTxHandler(BusHandler):
                             daemon=True)
 
     def decide(self, txn: BusTransaction) -> SnoopResult:
-        if txn.op is not BusOpType.WRITE:
-            return SnoopResult.OK
+        if txn.op is not OP_WRITE:
+            return SNOOP_OK
         pid = txn.tag if isinstance(txn.tag, int) else 0
         if self.queue.owner_pid and pid and pid != self.queue.owner_pid:
             # wrong process: same §4 response as the pointer window
@@ -237,13 +248,13 @@ class ExpressTxHandler(BusHandler):
                 f"express send by pid {pid}, queue owned by "
                 f"{self.queue.owner_pid}",
             )
-            return SnoopResult.CLAIM  # complete the store, drop the message
+            return SNOOP_CLAIM  # complete the store, drop the message
         if not self.queue.enabled:
-            return SnoopResult.CLAIM  # shut down: swallow silently
+            return SNOOP_CLAIM  # shut down: swallow silently
         if self.fifo.is_full or self.queue.space <= self._uncommitted:
             self.retried_full += 1
-            return SnoopResult.RETRY
-        return SnoopResult.CLAIM
+            return SNOOP_RETRY
+        return SNOOP_CLAIM
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
@@ -293,9 +304,9 @@ class ExpressRxHandler(BusHandler):
         self.empties = 0
 
     def decide(self, txn: BusTransaction) -> SnoopResult:
-        if txn.op is BusOpType.READ:
-            return SnoopResult.CLAIM
-        return SnoopResult.OK
+        if txn.op is OP_READ:
+            return SNOOP_CLAIM
+        return SNOOP_OK
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
@@ -333,9 +344,9 @@ class SysregHandler(BusHandler):
         self.trusted = trusted
 
     def decide(self, txn: BusTransaction) -> SnoopResult:
-        if txn.op in (BusOpType.READ, BusOpType.WRITE):
-            return SnoopResult.CLAIM
-        return SnoopResult.OK
+        if txn.op in (OP_READ, OP_WRITE):
+            return SNOOP_CLAIM
+        return SNOOP_OK
 
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
@@ -344,7 +355,7 @@ class SysregHandler(BusHandler):
         if name is None:
             raise QueueError(f"sysreg window: unmapped offset {txn.addr:#x}")
         yield ctrl.op_ns
-        if txn.op is BusOpType.WRITE:
+        if txn.op is OP_WRITE:
             value = int.from_bytes(txn.data[:4], "big")  # type: ignore[index]
             ctrl.sysregs.write(name, value, trusted=self.trusted)
             return None
@@ -380,17 +391,17 @@ class NumaHandler(BusHandler):
         self.retries = 0
 
     def decide(self, txn: BusTransaction) -> SnoopResult:
-        if txn.op is BusOpType.WRITE:
-            return SnoopResult.CLAIM
-        if txn.op is BusOpType.READ:
+        if txn.op is OP_WRITE:
+            return SNOOP_CLAIM
+        if txn.op is OP_READ:
             key = txn.addr
             if key in self._ready:
-                return SnoopResult.CLAIM
+                return SNOOP_CLAIM
             self.retries += 1
             if key not in self._pending:
                 self._pending[key] = True
                 self.ctrl.post_sp_event(("numa_read", txn.addr, txn.size))
-            return SnoopResult.RETRY
+            return SNOOP_RETRY
         raise SimulationError(
             f"NUMA region accessed with {txn.op.value}; map it uncached"
         )
@@ -398,7 +409,7 @@ class NumaHandler(BusHandler):
     def serve(self, txn: BusTransaction
               ) -> Generator["Event", None, Optional[bytes]]:
         yield self.ctrl.op_ns
-        if txn.op is BusOpType.WRITE:
+        if txn.op is OP_WRITE:
             self.writes += 1
             self.ctrl.post_sp_event(("numa_write", txn.addr, bytes(txn.data)))  # type: ignore[arg-type]
             return None
@@ -438,7 +449,7 @@ class ScomaHandler(BusHandler):
         action = self.cls.check(txn.op, line_base)
         if action.pass_to_sp:
             self.ctrl.post_sp_event(("scoma_miss", txn.op, line_base))
-        return SnoopResult.RETRY if action.retry else SnoopResult.OK
+        return SNOOP_RETRY if action.retry else SNOOP_OK
 
     def serve(self, txn: BusTransaction):  # pragma: no cover - never claims
         raise SimulationError("ScomaHandler never claims transactions")

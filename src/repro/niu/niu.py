@@ -41,10 +41,12 @@ from repro.common.config import MachineConfig
 from repro.common.errors import ConfigError
 from repro.mem.address import (
     ASRAM_BASE,
+    MODE_BURST,
+    MODE_CACHED,
+    MODE_UNCACHED,
     NIU_CTL_BASE,
     NUMA_BASE,
     NUMA_SIZE,
-    AccessMode,
     AddressMap,
     Region,
 )
@@ -268,22 +270,22 @@ class NIU:
 
         ptr_region = add(Region(f"niu{self.node_id}.ptr",
                                 NIU_CTL_BASE + PTR_WINDOW_OFF,
-                                PTR_WINDOW_SIZE, AccessMode.UNCACHED))
+                                PTR_WINDOW_SIZE, MODE_UNCACHED))
         install(ptr_region, PointerWindowHandler(self.ctrl, ptr_region))
 
         asram_region = add(Region(f"niu{self.node_id}.asram", ASRAM_BASE,
-                                  ncfg.asram_bytes, AccessMode.BURST))
+                                  ncfg.asram_bytes, MODE_BURST))
         install(asram_region, SramWindowHandler(self.asram, asram_region))
 
         extx_region = add(Region(f"niu{self.node_id}.extx",
                                  NIU_CTL_BASE + EXPRESS_TX_OFF,
-                                 EXPRESS_WINDOW_BYTES, AccessMode.UNCACHED))
+                                 EXPRESS_WINDOW_BYTES, MODE_UNCACHED))
         install(extx_region, ExpressTxHandler(
             self.ctrl, extx_region, self.ctrl.tx_queues[EXPRESS_TX_IDX]))
 
         exrx_region = add(Region(f"niu{self.node_id}.exrx",
                                  NIU_CTL_BASE + EXPRESS_RX_OFF,
-                                 EXPRESS_RX_SIZE, AccessMode.UNCACHED))
+                                 EXPRESS_RX_SIZE, MODE_UNCACHED))
         express_rx_slot = self.ctrl.rx_cache.resident()[EXPRESS_RX_LOGICAL]
         install(exrx_region, ExpressRxHandler(
             self.ctrl, exrx_region, self.ctrl.rx_queues[express_rx_slot]))
@@ -294,19 +296,19 @@ class NIU:
         }
         sysreg_region = add(Region(f"niu{self.node_id}.sysregs",
                                    NIU_CTL_BASE + SYSREG_OFF,
-                                   SYSREG_SIZE, AccessMode.UNCACHED))
+                                   SYSREG_SIZE, MODE_UNCACHED))
         install(sysreg_region, SysregHandler(self.ctrl, sysreg_region, regmap))
 
         # shared-memory handlers: the 1 GB NUMA window and the S-COMA
         # check over its DRAM window (the DRAM region itself is owned by
         # the memory controller; ScomaHandler only retries/forwards).
         numa_region = add(Region(f"niu{self.node_id}.numa", NUMA_BASE,
-                                 NUMA_SIZE, AccessMode.UNCACHED))
+                                 NUMA_SIZE, MODE_UNCACHED))
         self.numa_handler = NumaHandler(self.ctrl, numa_region)
         install(numa_region, self.numa_handler)
 
         scoma_region = Region(f"niu{self.node_id}.scoma", scoma_base,
-                              scoma_bytes, AccessMode.CACHED)
+                              scoma_bytes, MODE_CACHED)
         self.scoma_handler = ScomaHandler(self.ctrl, self.cls,
                                           self.config.bus.line_bytes)
         install(scoma_region, self.scoma_handler)

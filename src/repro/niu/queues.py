@@ -29,6 +29,14 @@ class QueueKind(enum.Enum):
     TX = "tx"
     RX = "rx"
 
+    # members are singletons: identity hashing is exact (DESIGN.md §8.1)
+    __hash__ = object.__hash__
+
+
+#: the members as module constants, for hot code (lint PERF003).
+QUEUE_TX = QueueKind.TX
+QUEUE_RX = QueueKind.RX
+
 
 class FullPolicy(enum.Enum):
     """What CTRL does with a message bound for a full receive queue.

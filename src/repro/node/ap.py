@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
 
-from repro.bus.ops import BusOpType, BusTransaction
+from repro.bus.ops import (OP_READ, OP_READ_LINE, OP_WRITE, OP_WRITE_LINE,
+                           BusTransaction)
 from repro.common.config import MachineConfig
 from repro.common.errors import ProgramError
-from repro.mem.address import AccessMode
+from repro.mem.address import MODE_BURST, MODE_CACHED, AccessMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.node.node import NodeBoard
@@ -76,17 +77,19 @@ class ApApi:
         return value
 
     # -- memory ------------------------------------------------------------
+    #
+    # load, store and store_u32 are plain functions returning the aP's
+    # own generator (as ABiu.serve returns its handler's): no ApApi frame
+    # sits in the chain a spinning poll resumes.  Argument errors still
+    # surface at the first resume, inside AppProcessor.access.
 
     def load(self, addr: int, size: int) -> Generator["Event", None, bytes]:
         """Read ``size`` bytes from physical address ``addr``."""
-        return (yield from self._ap.access(addr, size, None, self.pid))
+        return self._ap.access(addr, size, None, self.pid)
 
     def store(self, addr: int, data: bytes) -> Generator["Event", None, None]:
         """Write ``data`` at physical address ``addr``."""
-        yield from self._ap.access(addr, len(data), data, self.pid)
-
-    # the u32 forms call the aP directly: one generator frame fewer on
-    # every pointer poll and pointer update
+        return self._ap.access(addr, len(data), data, self.pid)
 
     def load_u32(self, addr: int) -> Generator["Event", None, int]:
         """4-byte big-endian load."""
@@ -95,7 +98,7 @@ class ApApi:
 
     def store_u32(self, addr: int, value: int) -> Generator["Event", None, None]:
         """4-byte big-endian store."""
-        yield from self._ap.access(
+        return self._ap.access(
             addr, 4, (value & 0xFFFFFFFF).to_bytes(4, "big"), self.pid)
 
 
@@ -112,6 +115,9 @@ class AppProcessor:
         self.cpi = self.config.ap.cpi
         self.cycle_ns = self.config.ap.cycle_ns
         self._line_bytes = self.config.bus.line_bytes
+        # the node's map and bus, fixed at assembly: one load per access
+        self._address_map = node.address_map
+        self._bus = node.bus
         self.tracer = node.tracer
         self.loads = 0
         self.stores = 0
@@ -142,7 +148,7 @@ class AppProcessor:
         """Perform one load (``data is None``) or store, split as needed."""
         if size <= 0:
             raise ProgramError(f"access size must be positive, got {size}")
-        region = self.node.address_map.lookup(addr, size)
+        region = self._address_map.lookup(addr, size)
         # hot path: `active` is a plain attribute, so with tracing off the
         # whole observability layer costs one attribute load here
         tr = self.tracer
@@ -150,13 +156,25 @@ class AppProcessor:
                         source=self.name, node=self.node.node_id,
                         track="aP", addr=addr, size=size)
                 if tr is not None and tr.active else None)
+        mode = region.mode
         self.busy.begin()
         try:
             if data is None:
                 self.loads += 1
-                return (yield from self._read(region.mode, addr, size, pid))
+                if mode is not MODE_CACHED:
+                    n, burst = self._bus_span(addr, size, mode)
+                    if n == size:
+                        # one bus transaction, issued here: a pointer
+                        # poll resumes no frame between access and the bus
+                        txn = BusTransaction(OP_READ_LINE if burst else OP_READ,
+                                             addr, n, master=self.name, tag=pid)
+                        yield from self._bus.transact(txn)
+                        data = txn.data
+                        return data if type(data) is bytes else bytes(data)
+                    return (yield from self._read_spans(addr, size, mode, pid))
+                return (yield from self._read_cached(addr, size))
             self.stores += 1
-            yield from self._write(region.mode, addr, data, pid)
+            yield from self._write(mode, addr, data, pid)
             return None
         finally:
             self.busy.end()
@@ -165,25 +183,22 @@ class AppProcessor:
 
     # -- read paths -------------------------------------------------------------
 
-    def _read(self, mode: AccessMode, addr: int, size: int, pid: int
-              ) -> Generator["Event", None, bytes]:
-        if mode is AccessMode.CACHED:
-            parts = []
-            for a, n in self._line_spans(addr, size):
-                parts.append((yield from self.node.l2.load(a, n)))
-            return b"".join(parts)
-        bus = self.node.bus
-        n, burst = self._bus_span(addr, size, mode)
-        if n == size:  # one transaction: nothing to gather
-            txn = BusTransaction(BusOpType.READ_LINE if burst else BusOpType.READ,
-                                 addr, n, master=self.name, tag=pid)
-            yield from bus.transact(txn)
-            data = txn.data
-            return data if type(data) is bytes else bytes(data)
+    def _read_cached(self, addr: int, size: int
+                     ) -> Generator["Event", None, bytes]:
+        parts = []
+        for a, n in self._line_spans(addr, size):
+            parts.append((yield from self.node.l2.load(a, n)))
+        return b"".join(parts)
+
+    def _read_spans(self, addr: int, size: int, mode: AccessMode, pid: int
+                    ) -> Generator["Event", None, bytes]:
+        """An uncached read of more than one bus transfer, gathered."""
+        bus = self._bus
         parts = []
         while True:
-            op = BusOpType.READ_LINE if burst else BusOpType.READ
-            txn = BusTransaction(op, addr, n, master=self.name, tag=pid)
+            n, burst = self._bus_span(addr, size, mode)
+            txn = BusTransaction(OP_READ_LINE if burst else OP_READ,
+                                 addr, n, master=self.name, tag=pid)
             yield from bus.transact(txn)
             parts.append(txn.data)
             addr += n
@@ -191,7 +206,6 @@ class AppProcessor:
             if not size:
                 # single gather of the per-span results
                 return b"".join(parts)
-            n, burst = self._bus_span(addr, size, mode)
 
     def _write(self, mode: AccessMode, addr: int, data: bytes, pid: int
                ) -> Generator["Event", None, None]:
@@ -200,24 +214,24 @@ class AppProcessor:
         if type(data) is not bytes:
             data = bytes(data)
         size = len(data)
-        if mode is AccessMode.CACHED:
+        if mode is MODE_CACHED:
             mv = memoryview(data)
             off = 0
             for a, n in self._line_spans(addr, size):
                 yield from self.node.l2.store(a, mv[off : off + n])
                 off += n
             return
-        bus = self.node.bus
+        bus = self._bus
         n, burst = self._bus_span(addr, size, mode)
         if n == size:  # one transaction carries the whole store
-            txn = BusTransaction(BusOpType.WRITE_LINE if burst else BusOpType.WRITE,
+            txn = BusTransaction(OP_WRITE_LINE if burst else OP_WRITE,
                                  addr, n, data=data, master=self.name, tag=pid)
             yield from bus.transact(txn)
             return
         mv = memoryview(data)
         off = 0
         while True:
-            op = BusOpType.WRITE_LINE if burst else BusOpType.WRITE
+            op = OP_WRITE_LINE if burst else OP_WRITE
             txn = BusTransaction(op, addr, n, data=mv[off : off + n],
                                  master=self.name, tag=pid)
             yield from bus.transact(txn)
@@ -245,9 +259,9 @@ class AppProcessor:
         """The first bus transfer of ``size`` bytes at ``addr``:
         ``(bytes, is_burst)``; callers step past it for the rest."""
         line = self._line_bytes
-        if mode is AccessMode.BURST and addr % line == 0 and size >= line:
+        if mode is MODE_BURST and addr % line == 0 and size >= line:
             return line, True
         n = min(8 - (addr % 8), size)
-        if mode is AccessMode.BURST:
+        if mode is MODE_BURST:
             n = min(n, line - (addr % line))
         return n, False

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.bus.bus import MemoryBus
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigError
-from repro.mem.address import AccessMode, AddressMap, Region
+from repro.mem.address import MODE_CACHED, AddressMap, Region
 from repro.mem.cache import SnoopingL2
 from repro.mem.dram import DRAM
 from repro.niu.niu import NIU
@@ -65,12 +65,12 @@ class NodeBoard:
                          name=f"dram{node_id}")
         # three views of the one DRAM, differing only in NIU treatment
         self.address_map.add(Region("dram", 0, self.user_dram_bytes,
-                                    AccessMode.CACHED, owner=self.dram))
+                                    MODE_CACHED, owner=self.dram))
         self.address_map.add(Region("dram.numa_backing",
                                     self.numa_backing_base, self.numa_bytes,
-                                    AccessMode.CACHED, owner=self.dram))
+                                    MODE_CACHED, owner=self.dram))
         self.address_map.add(Region("dram.scoma", self.scoma_base,
-                                    self.scoma_bytes, AccessMode.CACHED,
+                                    self.scoma_bytes, MODE_CACHED,
                                     owner=self.dram))
 
         self.bus = MemoryBus(engine, config.bus, self.address_map,

@@ -268,7 +268,12 @@ class MpiPingPongScenario(_PingPong):
 
 class BasicStreamScenario(Scenario):
     """One-directional Basic-message stream, node 0 to node 1: the
-    result is ``{"msgs_per_s", "mb_per_s", "elapsed_ns"}``."""
+    result is ``{"msgs_per_s", "mb_per_s", "elapsed_ns"}``, timed to the
+    end of the stream (the receiver's last message), plus the sender's
+    side: ``{"send_mb_per_s", "send_elapsed_ns"}``, timed to the last
+    send returning.  The sender-side rate is the one transmit-queue
+    depth moves; the receiver-bound end is set by the consumer's
+    polling."""
 
     name = "basic_stream"
 
@@ -287,22 +292,26 @@ class BasicStreamScenario(Scenario):
         def producer(api):
             for _ in range(self.count):
                 yield from p0.send(api, vdst_for(1, 0), payload)
-            ctx["end"] = api.now
+            ctx["send_end"] = api.now
 
         def consumer(api):
             for _ in range(self.count):
                 yield from p1.recv(api)
-            ctx["end"] = api.now
+            ctx["recv_end"] = api.now
 
         machine.spawn(0, producer)
         machine.spawn(1, consumer)
 
     def result(self, machine, nodes, ctx) -> Dict[str, float]:
-        elapsed = ctx["end"] - ctx["t0"]
+        elapsed = max(ctx["send_end"], ctx["recv_end"]) - ctx["t0"]
+        send_elapsed = ctx["send_end"] - ctx["t0"]
+        volume = self.count * self.payload_bytes
         return {
             "msgs_per_s": self.count / (elapsed / 1e9),
-            "mb_per_s": (self.count * self.payload_bytes) / elapsed * 1000.0,
+            "mb_per_s": volume / elapsed * 1000.0,
             "elapsed_ns": elapsed,
+            "send_mb_per_s": volume / send_elapsed * 1000.0,
+            "send_elapsed_ns": send_elapsed,
         }
 
     def check(self, result: Dict[str, float]) -> Optional[str]:

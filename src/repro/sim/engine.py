@@ -40,7 +40,7 @@ Time is a float in nanoseconds (see :mod:`repro.common.units`).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from time import perf_counter
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
@@ -249,49 +249,97 @@ class Engine:
 
         A KIND_SLEEP item gets the same treatment: it owes a KIND_WAKE
         item at its own timestamp, and when nothing else is queued there
-        the core resumes the process at once.  This inlined wake is the
-        one deliberate copy of :meth:`Process._wake`; it also parks a
-        follow-up float sleep itself, so a process that only sleeps
-        never leaves the loop.  A process interrupted mid-sleep no
-        longer holds the item's token: its items still take their
-        sequence number and count, and resume nothing — exactly a stale
-        Timeout callback.
+        the core resumes the process at once, as a KIND_WAKE item does.
+        The core is the only place a sleeper is woken: it sends ``None``
+        into the generator and, when the process sleeps again, parks
+        that sleep itself, so a process that only sleeps never leaves
+        the loop.  A process interrupted mid-sleep no longer holds the
+        item's token: its items still take their sequence number and
+        count, and resume nothing — exactly a stale Timeout callback.
+
+        Peek, then replace: without a policy the core reads the heap top
+        and leaves a KIND_SLEEP or KIND_WAKE item queued while it runs.
+        It is the minimum, and everything pushed meanwhile is due no
+        earlier and has a larger ``seq``, so it stays at ``heap[0]``.
+        The item that follows it (the KIND_WAKE, or the resumed
+        process's next sleep) takes its place with one ``heapreplace``
+        instead of a pop and a push.  The tie test looks past it, at
+        ``heap[1]`` and ``heap[2]``, the only places the next-earliest
+        item can sit.  Every other exit pops it before calling anything
+        that could raise or schedule, so it never outlives its own
+        dispatch.  Pop order depends only on the set of queued
+        ``(time, seq)`` keys, never on the heap's layout, so nothing
+        observable moves.  Under a schedule policy a lone item takes the
+        same path; a tie group goes to :meth:`_pop_decision`, which pops
+        the chosen item itself (``queued`` is then False).
         """
         heap = self._heap
         crashes = self._crashes
         policy = self.schedule_policy
+        pop, push, replace = heappop, heappush, heapreplace
         executed = 0
         t0 = perf_counter()
         try:
-            while heap and heap[0][0] <= last:
-                if policy is None:
-                    time, _seq, kind, target, arg = heappop(heap)
-                else:
-                    # every popped tie shares the first item's timestamp,
-                    # so the whole group satisfies the `<= last` guard
+            while heap:
+                time, _seq, kind, target, arg = heap[0]
+                if time > last:
+                    break
+                if policy is not None and (
+                        (len(heap) > 1 and heap[1][0] == time)
+                        or (len(heap) > 2 and heap[2][0] == time)):
+                    # a tie group: a decision point.  Every popped tie
+                    # shares the first item's timestamp, so the whole
+                    # group satisfies the `<= last` guard
                     time, _seq, kind, target, arg = self._pop_decision(policy)
+                    queued = False
+                elif kind >= 3:
+                    queued = True  # replaced or popped below
+                else:
+                    pop(heap)
                 self._now = time
                 executed += 1
-                # Inline dispatch, most frequent kind first.
-                if kind == 3:  # KIND_SLEEP: arg is the process's wait token
-                    self._seq = seq = self._seq + 1
-                    if heap and heap[0][0] == time:
-                        heappush(heap, (time, seq, 4, target, arg))
-                    else:
-                        executed += 1
-                        if target._waiting_on is arg:
-                            target._waiting_on = None
-                            try:
-                                arg = target._gen.send(None)
-                            except BaseException as err:
-                                target._finish(err)
+                # Inline dispatch, most frequent kinds first.
+                if kind >= 3:  # SLEEP / WAKE: arg is the process's wait token
+                    if kind == 3:
+                        self._seq = seq = self._seq + 1
+                        if queued:
+                            n = len(heap)
+                            tied = ((n > 1 and heap[1][0] == time)
+                                    or (n > 2 and heap[2][0] == time))
+                        else:
+                            tied = bool(heap) and heap[0][0] == time
+                        if tied:
+                            # the WAKE item waits its turn.  Nothing ran,
+                            # so there is no crash or stop to check
+                            if queued:
+                                replace(heap, (time, seq, 4, target, arg))
                             else:
-                                if type(arg) is float and arg >= 0.0:
-                                    self._seq = seq = self._seq + 1
-                                    target._waiting_on = seq
-                                    heappush(heap, (time + arg, seq, 3, target, seq))
+                                push(heap, (time, seq, 4, target, arg))
+                            continue
+                        executed += 1  # the WAKE item, run inline
+                    if target._waiting_on is arg:
+                        target._waiting_on = None
+                        try:
+                            arg = target._gen.send(None)
+                        except BaseException as err:
+                            if queued:
+                                pop(heap)
+                            target._finish(err)
+                        else:
+                            if type(arg) is float and arg >= 0.0:
+                                self._seq = seq = self._seq + 1
+                                target._waiting_on = seq
+                                item = (time + arg, seq, 3, target, seq)
+                                if queued:
+                                    replace(heap, item)
                                 else:
-                                    target._wait(arg)
+                                    push(heap, item)
+                            else:
+                                if queued:
+                                    pop(heap)
+                                target._wait(arg)
+                    elif queued:
+                        pop(heap)  # stale: the process was interrupted
                 elif kind == 1:  # KIND_SUCCEED (the Timeout fast path)
                     if target._value is not _PENDING or target._exc is not None:
                         raise SimulationError(f"event {target!r} triggered twice")
@@ -301,7 +349,7 @@ class Engine:
                     if callbacks:
                         self._seq = seq = self._seq + 1
                         if (heap and heap[0][0] == time) or target is stop:
-                            heappush(heap, (time, seq, 2, callbacks, target))
+                            push(heap, (time, seq, 2, callbacks, target))
                         else:
                             executed += 1
                             for cb in callbacks:
@@ -309,8 +357,6 @@ class Engine:
                 elif kind == 2:  # KIND_CALLBACKS
                     for cb in target:
                         cb(arg)
-                elif kind == 4:  # KIND_WAKE
-                    target._wake(arg)
                 else:  # KIND_CALL
                     target()
                 if crashes and self.strict:

@@ -109,19 +109,6 @@ class Process(Event):
             return
         self._wait(target)
 
-    def _wake(self, token: int) -> None:
-        """The end of a float sleep (a KIND_WAKE item): resume with
-        ``None``, as the equivalent Timeout's waiter would."""
-        if self._waiting_on is not token:
-            return  # stale wakeup: the process was interrupted meanwhile
-        self._waiting_on = None
-        try:
-            target = self._gen.send(None)
-        except BaseException as err:
-            self._finish(err)
-            return
-        self._wait(target)
-
     def _resume(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
         try:
             if throw is not None:

@@ -20,8 +20,7 @@ CTRL's transmit-queue arbitration and the Arctic two-priority links.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.sim.events import Event
@@ -51,7 +50,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        # a FIFO of rarely more than a few waiters: a plain list (an
+        # empty deque costs about ten times an empty list)
+        self._waiters: List[Event] = []
         # utilization accounting
         self._busy_since: Optional[float] = None
         self._busy_time = 0.0
@@ -92,7 +93,7 @@ class Resource:
             self._busy_time += self.engine._now - self._busy_since
             self._busy_since = None
         while self._waiters:
-            ev = self._waiters.popleft()
+            ev = self._waiters.pop(0)
             if ev.triggered:  # cancelled/failed externally
                 continue
             self._grant(ev)

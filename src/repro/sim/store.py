@@ -44,8 +44,11 @@ class Store:
         self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
+        # waiter FIFOs: rarely more than a few entries, so plain lists
+        # (an empty deque costs about ten times an empty list, and a
+        # 64-node machine has thousands of stores)
+        self._getters: List[Event] = []
+        self._putters: List[Tuple[Event, Any]] = []
         # statistics
         self.total_put = 0
         self.total_got = 0
@@ -104,7 +107,7 @@ class Store:
     def _accept(self, item: Any) -> None:
         # Hand directly to a waiting getter when one exists, preserving FIFO.
         while self._getters:
-            ev = self._getters.popleft()
+            ev = self._getters.pop(0)
             if ev.triggered:
                 continue
             self.total_put += 1
@@ -125,7 +128,7 @@ class Store:
         while self._putters and (
             self.capacity is None or len(self._items) < self.capacity
         ):
-            ev, item = self._putters.popleft()
+            ev, item = self._putters.pop(0)
             if ev.triggered:
                 continue
             self._accept(item)

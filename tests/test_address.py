@@ -109,3 +109,17 @@ def test_regions_sorted():
     m.add(Region("mid", 0x2000, 0x100, AccessMode.CACHED))
     bases = [r.base for r in m.regions()]
     assert bases == sorted(bases)
+
+
+def test_lookup_memo_follows_a_carve():
+    m = _map()
+    # the first lookup fills the per-address memo
+    assert m.lookup(0x500, 4).name == "dram"
+    assert m.lookup(0x500, 4).name == "dram"
+    m.carve("window", 0x400, 0x200, AccessMode.UNCACHED)
+    hit = m.lookup(0x500, 4)
+    assert hit.name == "window" and hit.mode is AccessMode.UNCACHED
+    # a remembered address still enforces the access length
+    with pytest.raises(AddressError):
+        m.lookup(0x5FC, 8)
+    assert m.lookup(0x5FC, 4).name == "window"

@@ -359,6 +359,50 @@ def test_perf002_suppressible():
     assert rules_of(src) == []
 
 
+# ----------------------------------------------------------------------
+# PERF003 — hot enum members through their module constants
+# ----------------------------------------------------------------------
+
+
+def test_perf003_enum_member_loads_in_function_bodies_fire():
+    src = """
+    def decide(self, txn):
+        if txn.op in (BusOpType.READ, BusOpType.WRITE):
+            return SnoopResult.CLAIM
+        check = lambda q: q.kind is QueueKind.TX
+        def inner(frame):
+            return frame.state is LineState.INVALID
+        return AccessMode.CACHED
+    """
+    assert rules_of(src) == ["PERF003"] * 6
+
+
+def test_perf003_constants_and_one_time_loads_ok():
+    src = """
+    OP_READ = BusOpType.READ
+    _READS = (BusOpType.READ, BusOpType.READ_LINE)
+
+    class Handler:
+        kinds = (QueueKind.TX, QueueKind.RX)
+
+        def decide(self, txn, default=SnoopResult.OK) -> SnoopResult:
+            if txn.op is OP_READ:
+                return SNOOP_CLAIM
+            return LineState(txn.state), FullPolicy.DROP
+    """
+    assert rules_of(src) == []
+
+
+def test_perf003_only_in_repro_and_suppressible():
+    src = "def f(op):\n    return op is BusOpType.KILL\n"
+    assert rules_of(src, SIM) == ["PERF003"]
+    assert rules_of(src, TESTFILE) == []
+    assert rules_of(src, BENCHFILE) == []
+    src = ("def f(op):\n"
+           "    return op is BusOpType.KILL  # repro: allow PERF003 -- demo\n")
+    assert rules_of(src) == []
+
+
 def test_perf001_covers_the_wire_layout():
     src = "class Layout:\n    def __init__(self):\n        self.size = 0\n"
     assert rules_of(src, "src/repro/common/wire.py") == ["PERF001"]

@@ -206,3 +206,34 @@ def test_sanitizer_rejects_illegal_cause_transition():
         cls.set_state(0, CLS_RW, cause="inv")
     with pytest.raises(SanitizerError):
         cls.set_state(1, CLS_RO, cause="no_such_cause")
+
+
+def test_hot_enum_table_keys_hash_by_identity():
+    """The hot enums hash by identity (members are singletons): an
+    ``(op, state)`` key built anywhere still finds its table slot, and
+    the module constants are the members themselves."""
+    from repro.bus.ops import OP_READ, OP_RWITM, BusOpType
+    from repro.bus.snoop import SNOOP_RETRY, SnoopResult
+    from repro.coherence.protocol import l2_snoop_reaction
+    from repro.mem.address import MODE_BURST, AccessMode
+    from repro.mem.cache import LINE_SHARED, LineState
+    from repro.niu.queues import QUEUE_RX, QueueKind
+
+    for member, const in ((BusOpType.READ, OP_READ),
+                          (SnoopResult.RETRY, SNOOP_RETRY),
+                          (AccessMode.BURST, MODE_BURST),
+                          (LineState.SHARED, LINE_SHARED),
+                          (QueueKind.RX, QUEUE_RX)):
+        assert member is const
+        assert hash(member) == object.__hash__(member)
+        assert type(member)(member.value) is member
+        assert {member: 1}[const] == 1
+    c = _cls()
+    install_scoma_default_table(c)
+    action = c._table[(BusOpType("read"), CLS_INVALID)]
+    assert action.retry and action.pass_to_sp
+    assert (OP_READ, CLS_PENDING) in c._table
+    assert c.check(BusOpType["READ"], 0x1000) is action
+    assert l2_snoop_reaction("M", BusOpType("rwitm")).next_state == "I"
+    assert l2_snoop_reaction("S", OP_RWITM) is l2_snoop_reaction(
+        "S", BusOpType.RWITM)

@@ -101,7 +101,11 @@ def _reference_run(eng):
             eng._seq += 1
             heappush(heap, (time, eng._seq, 4, target, arg))
         elif kind == 4:
-            target._wake(arg)
+            # the end of a float sleep: resume with None, as the
+            # equivalent Timeout's waiter would, unless interrupted
+            if target._waiting_on is arg:
+                target._waiting_on = None
+                target._resume()
         else:
             target()
 
@@ -350,6 +354,147 @@ def test_bad_yield_names_both_accepted_forms(engine):
     with pytest.raises(SimulationError):
         engine.run()
     assert "an Event or a float delay in ns" in str(proc.exception)
+
+
+# ----------------------------------------------------------------------
+# peek, then replace: the sleep's item stays at heap[0] while it runs
+# ----------------------------------------------------------------------
+
+
+def _crowd_programs(eng, out):
+    """64 processes over a deep heap: sleeps that tie at one instant in
+    every heap position, a crash right after an untied wake-up and an
+    interrupt that leaves a stale sleep item behind."""
+
+    def sleeper(i):
+        for step in range(12):
+            yield float(1 + (i * 5 + step * 7) % 11)
+            out.append((i, eng.now))
+
+    def crasher():
+        yield 3.5
+        yield 2.25  # lands alone at t=5.75: an inlined wake
+        raise RuntimeError("boom")
+
+    def victim():
+        try:
+            yield 50.0
+        except Interrupt as intr:
+            out.append((intr.cause, eng.now))
+        yield 1.0
+        out.append(("victim", eng.now))
+
+    def interrupter(target):
+        yield 4.0
+        target.interrupt("poke")
+
+    procs = [eng.process(sleeper(i), name=f"s{i}") for i in range(61)]
+    v = eng.process(victim(), name="victim")
+    procs += [eng.process(crasher(), name="crasher"), v,
+              eng.process(interrupter(v), name="interrupter")]
+    return procs
+
+
+def _right_child_tie_programs(eng, out):
+    """a and b both wake at t=5 with a later item between them, so the
+    heap reads [a@5, call@6, b@5]: a's tie sits at heap[2], not heap[1]."""
+
+    def sleeper(tag):
+        yield 5.0
+        out.append((tag, eng.now))
+
+    procs = [eng.process(sleeper("a"), name="a"),
+             eng.process(sleeper("b"), name="b")]
+    eng._schedule_call(lambda: out.append(("call", eng.now)), delay=6.0)
+    return procs
+
+
+def _spied_run(programs, runner, policy, monkeypatch):
+    """Run ``programs`` once; returns everything the pushed form fixes,
+    and the heap positions at which a queued sleep found its tie."""
+    import repro.sim.engine as engine_mod
+
+    tie_at = set()
+    replace = engine_mod.heapreplace
+
+    def spying_replace(heap, item):
+        if item[2] == 4:  # a WAKE queued because another item tied
+            tie_at.add(1 if len(heap) > 1 and heap[1][0] == item[0] else 2)
+        return replace(heap, item)
+
+    monkeypatch.setattr(engine_mod, "heapreplace", spying_replace)
+    eng = Engine()
+    eng.strict = False  # a crash is recorded; the run goes on
+    rec = _Recorder()
+    if policy:
+        eng.schedule_policy = rec
+    out = []
+    procs = programs(eng, out)
+    runner(eng)
+    return (rec.points, out, eng.events_executed, eng._seq, eng.now,
+            [(p.name, repr(exc)) for p, exc in eng._crashes],
+            [p.value for p in procs if p.ok]), tie_at
+
+
+@pytest.mark.parametrize("policy", [True, False], ids=["policy", "free"])
+def test_64_process_heap_matches_pushed_form(policy, monkeypatch):
+    inlined, tie_at = _spied_run(_crowd_programs, lambda eng: eng.run(),
+                                 policy, monkeypatch)
+    pushed, _ = _spied_run(_crowd_programs, _reference_run, policy,
+                           monkeypatch)
+    assert inlined == pushed
+    points, out, executed, _seq, _now, crashes, values = inlined
+    assert ("poke", 4.0) in out and ("victim", 5.0) in out
+    assert crashes == [("crasher", "RuntimeError('boom')")]
+    assert len(out) == 61 * 12 + 2 and len(values) == 63
+    # two items per sleep, SLEEP and WAKE, inlined or not
+    assert executed > 2 * 61 * 12
+    if policy:
+        assert len(points) > 10  # the crowd's ties reached the policy
+    else:
+        assert points == [] and 1 in tie_at
+
+
+@pytest.mark.parametrize("policy", [True, False], ids=["policy", "free"])
+def test_tie_at_the_right_child_matches_pushed_form(policy, monkeypatch):
+    inlined, tie_at = _spied_run(_right_child_tie_programs,
+                                 lambda eng: eng.run(), policy, monkeypatch)
+    pushed, _ = _spied_run(_right_child_tie_programs, _reference_run,
+                           policy, monkeypatch)
+    assert inlined == pushed
+    points, out = inlined[:2]
+    assert out == [("a", 5.0), ("b", 5.0), ("call", 6.0)]
+    if policy:
+        assert {t for t, _ready in points} == {0.0, 5.0}
+    else:
+        assert tie_at == {2}
+
+
+@pytest.mark.parametrize("bad", ["raise", "yield_int"])
+def test_failed_wake_leaves_no_item_queued(bad):
+    eng = Engine()
+    seen = []
+
+    def failing():
+        yield 2.0  # alone at t=2: the core wakes it inline
+        if bad == "raise":
+            raise ValueError("boom")
+        yield 7  # not a float: the process fails in Process._wait
+
+    def bystander():
+        yield 10.0
+        seen.append(eng.now)
+
+    proc = eng.process(failing(), name="failing")
+    eng.process(bystander(), name="bystander")
+    with pytest.raises(SimulationError):
+        eng.run()
+    assert eng.now == 2.0 and not proc.ok
+    assert all(item[3] is not proc for item in eng._heap)
+    # the engine carries on with what is left
+    eng._crashes.clear()
+    eng.run()
+    assert seen == [10.0] and eng.pending_events == 0
 
 
 def test_run_until_triggered_leaves_target_callbacks_queued(engine):

@@ -55,6 +55,27 @@ def test_pointer_readonly_slots(m2):
         m2.run_until(m2.spawn(0, prog), limit=1e7)
 
 
+def test_pointer_shadow_memo_serves_reads_only(m2):
+    addr = NIU_CTL_BASE + PTR_WINDOW_OFF + pointer_offset(
+        QueueKind.TX, 0, "consumer")
+    out = []
+
+    def prog(api):
+        first = yield from api.load(addr, 4)  # remembers the shadow
+        again = yield from api.load(addr, 4)
+        narrow = yield from api.load(addr, 2)
+        wide = yield from api.load(addr, 8)
+        out.append((first, again, narrow, wide))
+        # a remembered register still refuses a write to a read-only slot
+        yield from api.store_u32(addr, 1)
+
+    proc = m2.spawn(0, prog)
+    with pytest.raises(SimulationError):
+        m2.run_until(proc, limit=1e7)
+    assert out == [(bytes(4), bytes(4), bytes(2), bytes(8))]
+    assert "read-only" in str(proc.exception)
+
+
 def test_pointer_write_to_disabled_queue_dropped(m2):
     ctrl = m2.node(0).ctrl
     ctrl.tx_queues[0].shutdown()

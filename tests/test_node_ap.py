@@ -121,3 +121,27 @@ def test_program_return_value_and_counters(m2):
 
     assert m2.run_until(m2.spawn(0, prog, 21), limit=1e7) == 42
     assert ap.loads == 1 and ap.stores == 1
+
+
+@pytest.mark.parametrize("access", ["load", "store"])
+def test_zero_length_access_fails_at_first_resume(m2, access):
+    from repro.common.errors import ProgramError, SimulationError
+    from repro.node import ApApi
+
+    api = ApApi(m2.node(0).ap)
+    # load/store hand back the aP's generator: building it checks nothing
+    gen = api.load(0x1000, 0) if access == "load" else api.store(0x1000, b"")
+    with pytest.raises(ProgramError, match="access size must be positive"):
+        next(gen)
+
+    def prog(api):
+        if access == "load":
+            yield from api.load(0x1000, 0)
+        else:
+            yield from api.store(0x1000, b"")
+
+    proc = m2.spawn(0, prog)
+    with pytest.raises(SimulationError):
+        m2.run_until(proc, limit=1e6)
+    assert isinstance(proc.exception, ProgramError)
+    assert m2.now == 0.0
