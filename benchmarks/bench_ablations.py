@@ -155,8 +155,3 @@ def test_tight_polling_steals_bus_bandwidth(benchmark):
            ["polling contention", "0 vs 200", "bandwidth ratio",
             loose / tight])
     assert loose > tight  # backing off the poll loop speeds the transfer
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("ablations", __doc__)

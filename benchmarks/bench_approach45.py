@@ -51,8 +51,3 @@ def test_a45_claims(benchmark):
     # approach 4 pays receiver-sP time; approach 5's hardware absorbs it
     assert r[4].occupancy_row()["receiver_sp"] > \
         5 * r[5].occupancy_row()["receiver_sp"]
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("approach45", __doc__)

@@ -13,40 +13,27 @@ doubling amount for a linear one.  The NIC path carries a higher
 constant (every hop pays sP dispatch + combining occupancy), so the
 curves are about growth rates, not absolute crossover at these sizes.
 
-Results also land in ``benchmarks/results/collectives.json`` via
-:func:`repro.bench.emit_json` for plotting.
-
 Also runnable directly, fanning the grid out over processes with
-byte-identical output (every point is an independent seeded machine)::
+byte-identical output (every point is an independent seeded machine);
+the record lands in ``benchmarks/results/collectives.json``::
 
     python -m repro.bench collectives --jobs 4
 """
 
-import os
-import sys
-
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-for _p in (_ROOT, os.path.join(_ROOT, "src")):
-    if _p not in sys.path:
-        sys.path.insert(0, _p)
-
 import pytest
 
 from benchmarks.conftest import record
-from repro.bench import collective_metrics_sweep, emit_json, print_table
+from repro.bench import collective_metrics_sweep, print_table, write_record
 from repro.scenarios import measure
 
 HEADER = ["collective", "algo"] + [f"{n} nodes (us)" for n in (2, 4, 8, 16, 32)]
 NODES = [2, 4, 8, 16, 32]
 ALGOS = ["flat", "tree", "nic"]
 
-_results = {}
-
 
 def _sweep(name, algo):
     xs = [measure("collective", n, collective=name, algo=algo, repeats=2)
           for n in NODES]
-    _results.setdefault(name, {})[algo] = dict(zip(NODES, xs))
     record("collective scaling", HEADER,
            [name, algo] + [x / 1000.0 for x in xs])
     return xs
@@ -98,15 +85,6 @@ def test_tree_allreduce_beats_flat(benchmark):
     assert tree32 < flat32
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _emit():
-    yield
-    if _results:
-        emit_json(os.path.join(os.path.dirname(__file__), "results",
-                               "collectives.json"),
-                  {"unit": "ns", "nodes": NODES, "series": _results})
-
-
 # ----------------------------------------------------------------------
 # direct CLI (parallel sweep)
 # ----------------------------------------------------------------------
@@ -114,10 +92,6 @@ def _emit():
 def _flags(parser):
     parser.add_argument("--repeats", type=int, default=2,
                         help="back-to-back calls per point (default 2)")
-    parser.add_argument("--out", default=os.path.join(
-                            os.path.dirname(os.path.abspath(__file__)),
-                            "results", "collectives.json"),
-                        help="output JSON path")
 
 
 def run(args):
@@ -132,9 +106,11 @@ def run(args):
     rows = [[name, algo] + [series[name][algo][n] / 1000.0 for n in NODES]
             for name in series for algo in series[name]]
     print_table("collective scaling (us)", HEADER, rows)
-    path = emit_json(args.json or args.out,
-                     {"unit": "ns", "nodes": NODES, "series": series})
-    print(f"results: {path}")
+    path = write_record(args.json, "collectives",
+                        {"repeats": args.repeats, "nodes": NODES,
+                         "unit": "ns"},
+                        {"series": series}, {})
+    print(f"record: {path}")
 
 
 BENCH = {

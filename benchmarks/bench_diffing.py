@@ -145,8 +145,3 @@ def test_line_tracking_beats_page_diffing(benchmark):
            ["lines diffed (tracked vs page)", f"of {page_lines}",
             lines_diffed])
     assert lines_diffed == N_LINES_TOUCHED  # not the whole page
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("diffing", __doc__)

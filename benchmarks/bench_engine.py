@@ -36,34 +36,33 @@ Six workloads:
 CLI (the CI smoke job runs the first)::
 
     python -m repro.bench engine --quick
-    python -m repro.bench engine --record-as pre_refactor
+    python -m repro.bench engine --json BENCH_engine.json --record-as post_x
 
-Results merge into ``BENCH_engine.json`` (repo root by default) under
-``runs[<label>]``; when both ``pre_refactor`` and ``post_refactor``
-labels are present the document gains a ``speedup_events_per_s`` field —
-the number the fast-path refactor is gated on.
+Each run adds its results, under its ``--record-as`` label, to the
+``wall.runs`` history of the record at ``--json`` (the committed
+trajectory is ``BENCH_engine.json``); the record's ``sim`` holds this
+run's simulated counts.  When both ``pre_refactor`` and
+``post_refactor`` labels are present the ``wall`` block gains a
+``speedup_events_per_s`` field.
 """
 
+import json
 import os
-import sys
 import time
 
-# imported with only benchmarks/ on sys.path (e.g. a bare pytest run);
-# make the repo root and src/ importable
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-for _p in (_ROOT, os.path.join(_ROOT, "src")):
-    if _p not in sys.path:
-        sys.path.insert(0, _p)
-
-import json
-
+from repro.bench import print_table, write_record
 from repro.mp.basic import BasicPort
 from repro.mp import vdst_for
 from repro.sim.engine import Engine  # repro: allow ARCH002 -- event-kernel microbenchmark drives the raw engine
 from repro.sim.store import Store  # repro: allow ARCH002 -- event-kernel microbenchmark drives the raw engine
 
-#: default artifact (repo root: this file is the perf trajectory).
-DEFAULT_OUT = os.path.join(_ROOT, "BENCH_engine.json")
+#: the six workloads, in table order.
+WORKLOADS = ("timeout_storm", "sleep_storm", "store_traffic", "alltoall8",
+             "basic_poll", "basic_poll64")
+
+#: the wall-clock fields of a workload's results; the rest are simulated.
+WALL_FIELDS = ("wall_s", "events_per_s", "ns_per_event", "bytes_moved_per_s",
+               "us_per_poll")
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +174,7 @@ def alltoall8(n_nodes: int = 8, msgs_per_peer: int = 2,
         "events": events,
         "wall_s": wall,
         "events_per_s": events / wall,
+        "ns_per_event": wall / events * 1e9,
         "bytes_moved_per_s": total_payload / wall,
         "sim_ns": machine.now,
     }
@@ -283,30 +283,11 @@ def test_engine_microbench(benchmark):
 
     results = benchmark.pedantic(measure, kwargs={"quick": True},
                                  rounds=1, iterations=1)
-    record("engine kernel throughput",
-           ["workload", "events/s", "ns/event"],
-           ["timeout_storm", results["timeout_storm"]["events_per_s"],
-            results["timeout_storm"]["ns_per_event"]])
-    record("engine kernel throughput",
-           ["workload", "events/s", "ns/event"],
-           ["sleep_storm", results["sleep_storm"]["events_per_s"],
-            results["sleep_storm"]["ns_per_event"]])
-    record("engine kernel throughput",
-           ["workload", "events/s", "ns/event"],
-           ["store_traffic", results["store_traffic"]["events_per_s"],
-            results["store_traffic"]["ns_per_event"]])
-    record("engine kernel throughput",
-           ["workload", "events/s", "ns/event"],
-           ["alltoall8", results["alltoall8"]["events_per_s"],
-            results["alltoall8"]["events_per_s"]])
-    record("engine kernel throughput",
-           ["workload", "events/s", "ns/event"],
-           ["basic_poll", results["basic_poll"]["events_per_s"],
-            results["basic_poll"]["ns_per_event"]])
-    record("engine kernel throughput",
-           ["workload", "events/s", "ns/event"],
-           ["basic_poll64", results["basic_poll64"]["events_per_s"],
-            results["basic_poll64"]["ns_per_event"]])
+    for workload in WORKLOADS:
+        record("engine kernel throughput",
+               ["workload", "events/s", "ns/event"],
+               [workload, results[workload]["events_per_s"],
+                results[workload]["ns_per_event"]])
     assert results["events_per_s"] > 0
     assert results["bytes_moved_per_s"] > 0
     assert results["basic_poll"]["items_per_poll"] == POLL_ITEMS
@@ -317,55 +298,33 @@ def test_engine_microbench(benchmark):
 # direct CLI
 # ----------------------------------------------------------------------
 
-def _merge(path: str, label: str, results: dict) -> dict:
-    """Fold one measurement into the trajectory document at ``path``."""
-    doc = {
-        "benchmark": "engine_kernel",
-        "schema": "startv.bench_engine",
-        "schema_version": 1,
-        "runs": {},
-    }
-    if os.path.exists(path):
-        with open(path) as fh:
-            doc.update(json.load(fh))
-    doc.setdefault("runs", {})[label] = results
-    pre = doc["runs"].get("pre_refactor")
-    post = doc["runs"].get("post_refactor")
-    if pre and post:
-        doc["speedup_events_per_s"] = (
-            post["events_per_s"] / pre["events_per_s"])
-        doc["speedup_bytes_moved_per_s"] = (
-            post["bytes_moved_per_s"] / pre["bytes_moved_per_s"])
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
+def _history(path: str) -> dict:
+    """The ``wall`` block of the record already at ``path`` (empty when
+    there is none): the trajectory a new run is added to."""
+    if not os.path.exists(path):
+        return {"runs": {}}
+    with open(path) as fh:
+        return json.load(fh)["wall"]
 
 
 def _flags(parser):
     parser.add_argument("--quick", action="store_true",
                         help="small sizes, single repeat (CI smoke)")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help="trajectory JSON path (default BENCH_engine.json)")
     parser.add_argument("--record-as", default="current",
-                        help="label for this run in the JSON document "
-                             "(pre_refactor / post_refactor / current)")
+                        help="label for this run in the record's wall.runs "
+                             "history (pre_refactor / post_refactor / "
+                             "current)")
 
 
 def run(args):
     results = measure(quick=args.quick)
-    from repro.bench import print_table
-
-    rows = [
-        ["timeout_storm", f"{results['timeout_storm']['events_per_s']:,.0f}",
-         f"{results['timeout_storm']['ns_per_event']:.0f}", "-"],
-        ["sleep_storm", f"{results['sleep_storm']['events_per_s']:,.0f}",
-         f"{results['sleep_storm']['ns_per_event']:.0f}", "-"],
-        ["store_traffic", f"{results['store_traffic']['events_per_s']:,.0f}",
-         f"{results['store_traffic']['ns_per_event']:.0f}", "-"],
-        ["alltoall8", f"{results['alltoall8']['events_per_s']:,.0f}", "-",
-         f"{results['alltoall8']['bytes_moved_per_s']:,.0f}"],
-    ]
+    rows = []
+    for w in WORKLOADS[:4]:
+        r = results[w]
+        payload = (f"{r['bytes_moved_per_s']:,.0f}"
+                   if "bytes_moved_per_s" in r else "-")
+        rows.append([w, f"{r['events_per_s']:,.0f}",
+                     f"{r['ns_per_event']:.0f}", payload])
     print_table("engine kernel throughput (wall clock)",
                 ["workload", "events/s", "ns/event", "payload B/s"], rows)
     polls = [results["basic_poll"], results["basic_poll64"]]
@@ -374,12 +333,23 @@ def run(args):
                 [[poll["n_nodes"], poll["polls"], f"{poll['items_per_poll']:g}",
                   f"{poll['us_per_poll']:.1f}"] for poll in polls])
 
-    out = args.json or args.out
-    doc = _merge(out, args.record_as, results)
-    print(f"\nrecorded as {args.record_as!r} in {out}")
-    if "speedup_events_per_s" in doc:
+    wall = _history(args.json)
+    wall["runs"][args.record_as] = results
+    pre = wall["runs"].get("pre_refactor")
+    post = wall["runs"].get("post_refactor")
+    if pre and post:
+        wall["speedup_events_per_s"] = (
+            post["events_per_s"] / pre["events_per_s"])
+        wall["speedup_bytes_moved_per_s"] = (
+            post["bytes_moved_per_s"] / pre["bytes_moved_per_s"])
         print(f"speedup (events/s, post/pre): "
-              f"{doc['speedup_events_per_s']:.2f}x")
+              f"{wall['speedup_events_per_s']:.2f}x")
+    sim = {w: {k: v for k, v in results[w].items() if k not in WALL_FIELDS}
+           for w in WORKLOADS}
+    write_record(args.json, "engine",
+                 {"quick": args.quick, "record_as": args.record_as},
+                 sim, wall)
+    print(f"\nrecorded as {args.record_as!r} in {args.json}")
     for poll in polls:
         if poll["items_per_poll"] != POLL_ITEMS:
             print(f"FAIL: an empty poll on {poll['n_nodes']} nodes executed "

@@ -15,27 +15,26 @@ corrupt-drop counts, and delivered-message latency percentiles (each
 payload carries its send timestamp).  Everything is seeded — the sweep
 is byte-identical for any ``--jobs`` value.
 
-Also runnable directly (no pytest) for machine-readable output::
+Also runnable directly (no pytest); the record lands in
+``benchmarks/results/faults.json``, ``--emit-metrics`` adds each point's
+metrics snapshot to it::
 
     python -m repro.bench faults --emit-metrics
     python -m repro.bench faults --jobs 4 --emit-metrics
 
 The CLI exits nonzero if any reliable point fails 100% delivery, which
-is what the CI chaos-smoke job checks.
+is what the golden gate's ``faults`` entry checks.
 """
 
-import os
 import sys
 
-# imported with only benchmarks/ on sys.path (e.g. a bare pytest run);
-# make the repo root and src/ importable
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-for _p in (_ROOT, os.path.join(_ROOT, "src")):
-    if _p not in sys.path:
-        sys.path.insert(0, _p)
-
-from repro.bench import emit_json, fresh_machine, print_table, run_sweep
-from repro.bench.harness import strip_wall
+from repro.bench import (
+    fresh_machine,
+    print_table,
+    run_sweep,
+    strip_wall,
+    write_record,
+)
 from repro.faults import FaultPlan
 from repro.lib.mpi import MiniMPI
 from repro.mp.basic import BasicPort
@@ -43,9 +42,6 @@ from repro.obs.snapshot import metrics_snapshot
 
 HEADER = ["workload", "loss", "reliable", "sent", "delivered", "goodput",
           "retx", "timeouts", "corrupt", "p50_us", "p99_us"]
-
-#: where the CLI drops its artifacts.
-RESULTS_DIR = os.path.join(_ROOT, "benchmarks", "results")
 
 #: the loss axis: per-packet drop probability (corrupt runs at half it).
 LOSS_RATES = (0.0, 0.01, 0.05)
@@ -240,20 +236,7 @@ def _us(v):
     return "-" if v is None else v / 1000.0
 
 
-def _flags(parser):
-    parser.add_argument("--out-dir", default=RESULTS_DIR,
-                        help="artifact directory (default benchmarks/results)")
-
-
 def run(args):
-    if args.sanitize:
-        from repro.analysis.sanitize import resolve_sanitizers
-
-        resolve_sanitizers(args.sanitize, env="")  # fail fast on typos
-        # the environment propagates to sweep pool workers, so every
-        # point's machine comes up with the checkers installed
-        os.environ["REPRO_SANITIZE"] = args.sanitize
-
     points = fault_sweep(jobs=args.jobs)
     rows = [[p["workload"], p["loss"], p["reliable"], p["sent"],
              p["delivered"], f"{p['goodput']:.3f}", p["retransmits"],
@@ -262,17 +245,13 @@ def run(args):
     print_table("X-faults: goodput and latency under injected loss",
                 HEADER, rows)
 
-    if args.emit_metrics or args.json:
-        document = {
-            "benchmark": "faults",
-            "schema": "startv.metrics",
-            "schema_version": 1,
-            "points": points,
-        }
-        path = emit_json(
-            args.json or os.path.join(args.out_dir, "faults_metrics.json"),
-            document)
-        print(f"metrics: {path}")
+    if not args.emit_metrics:
+        points = [{k: v for k, v in p.items() if k != "metrics"}
+                  for p in points]
+    path = write_record(args.json, "faults",
+                        {"loss_rates": list(LOSS_RATES)},
+                        {"points": points}, {})
+    print(f"record: {path}")
 
     undelivered = [p for p in points
                    if p["reliable"] and p["goodput"] < 1.0]
@@ -291,6 +270,6 @@ def run(args):
 
 BENCH = {
     "summary": "Goodput and latency under injected loss, plain vs reliable",
-    "flags": _flags,
+    "flags": None,
     "run": run,
 }

@@ -15,23 +15,16 @@ Also runnable directly (no pytest) for machine-readable output::
     python -m repro.bench fig3_latency --jobs 4 --emit-metrics
     python -m repro.bench fig3_latency --trace --size 4096
 
-``--emit-metrics`` writes the sweep with one schema-versioned
-``machine.metrics()`` snapshot per data point (p50/p90/p99 included);
-``--jobs N`` fans the grid out over N processes with byte-identical
-output (each point is an independent seeded simulation — see
-:func:`repro.bench.run_sweep`); ``--trace`` renders one transfer as a
-Chrome/Perfetto trace_event file (open at ui.perfetto.dev).
+The record lands in ``benchmarks/results/fig3_latency.json``;
+``--emit-metrics`` adds one schema-versioned ``machine.metrics()``
+snapshot per data point (p50/p90/p99 included); ``--jobs N`` fans the
+grid out over N processes with byte-identical output (each point is an
+independent seeded simulation — see :func:`repro.bench.run_sweep`);
+``--trace`` renders one transfer as a Chrome/Perfetto trace_event file
+next to the record (open at ui.perfetto.dev).
 """
 
 import os
-import sys
-
-# imported with only benchmarks/ on sys.path (e.g. a bare pytest run);
-# make the repo root and src/ importable
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-for _p in (_ROOT, os.path.join(_ROOT, "src")):
-    if _p not in sys.path:
-        sys.path.insert(0, _p)
 
 import pytest
 
@@ -41,15 +34,12 @@ from repro.bench import (
     block_transfer_metrics_sweep,
     fresh_machine,
     print_table,
+    write_record,
 )
 from repro.core.blocktransfer import BlockTransferExperiment
-from repro.obs import write_metrics
 from repro.scenarios import measure
 
 HEADER = ["approach", "size_B", "latency_us", "verified"]
-
-#: where the CLI drops its artifacts.
-RESULTS_DIR = os.path.join(_ROOT, "benchmarks", "results")
 
 
 @pytest.mark.parametrize("approach", [1, 2, 3])
@@ -103,8 +93,6 @@ def _flags(parser):
                         help="approach for --trace (default 3)")
     parser.add_argument("--size", type=int, default=4096,
                         help="transfer size for --trace (default 4096)")
-    parser.add_argument("--out-dir", default=RESULTS_DIR,
-                        help="artifact directory (default benchmarks/results)")
 
 
 def run(args):
@@ -114,23 +102,19 @@ def run(args):
              p["notify_latency_ns"] / 1000.0, p["verified"]] for p in points]
     print_table("Figure 3: block transfer latency (us)", HEADER, rows)
 
-    if args.emit_metrics or args.json:
-        document = {
-            "benchmark": "fig3_latency",
-            "schema": "startv.metrics",
-            "schema_version": 1,
-            "points": points,
-        }
-        path = write_metrics(
-            args.json or os.path.join(args.out_dir, "fig3_metrics.json"),
-            document)
-        print(f"metrics: {path}")
+    if not args.emit_metrics:
+        points = [{k: v for k, v in p.items() if k != "metrics"}
+                  for p in points]
+    path = write_record(args.json, "fig3_latency",
+                        {"approaches": [1, 2, 3], "sizes": FIG_SIZES},
+                        {"points": points}, {})
+    print(f"record: {path}")
 
     if args.trace:
         path = _traced_transfer(
             args.approach, args.size,
-            os.path.join(args.out_dir, "fig3_trace.json"))
-        print(f"trace:   {path}")
+            os.path.join(os.path.dirname(args.json), "fig3_trace.json"))
+        print(f"trace:  {path}")
 
 
 BENCH = {

@@ -42,8 +42,3 @@ def test_fig4_shape(benchmark):
     results = benchmark.pedantic(series, rounds=1, iterations=1)
     assert results[3].bandwidth_mb_s > results[2].bandwidth_mb_s
     assert results[2].bandwidth_mb_s > results[1].bandwidth_mb_s
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("fig4_bandwidth", __doc__)

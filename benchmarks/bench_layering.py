@@ -107,8 +107,3 @@ def test_new_mechanism_does_not_tax_existing(benchmark):
            ["Express with extra handler installed", "one-way",
             with_handler])
     assert with_handler < 1.05 * base
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("layering", __doc__)

@@ -92,8 +92,3 @@ def test_mpi_latency(benchmark):
            ["mini-MPI", "one-way ns (64 B)", latency])
     # library layering costs something, but not an order of magnitude
     assert latency < 10 * measure("basic", payload_bytes=64)
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("mechanisms", __doc__)

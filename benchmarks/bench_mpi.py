@@ -59,8 +59,3 @@ def test_collective_scaling_linear(benchmark):
 
     two, eight = benchmark.pedantic(run, rounds=1, iterations=1)
     assert eight < 8 * two
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("mpi", __doc__)

@@ -11,14 +11,6 @@ processes with byte-identical output::
     python -m repro.bench network --jobs 4
 """
 
-import os
-import sys
-
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-for _p in (_ROOT, os.path.join(_ROOT, "src")):
-    if _p not in sys.path:
-        sys.path.insert(0, _p)
-
 import pytest
 
 from benchmarks.conftest import record
@@ -223,15 +215,8 @@ def _network_point(spec):
     raise ValueError(f"unknown scenario {spec!r}")
 
 
-def _flags(parser):
-    parser.add_argument("--out", default=os.path.join(
-                            os.path.dirname(os.path.abspath(__file__)),
-                            "results", "network.json"),
-                        help="output JSON path")
-
-
 def run(args):
-    from repro.bench import emit_json, print_table, run_sweep
+    from repro.bench import print_table, run_sweep, write_record
 
     specs = ([("stream",)]
              + [("random", n) for n in (2, 4, 8, 16)]
@@ -239,12 +224,12 @@ def run(args):
     rows = run_sweep(_network_point, specs, jobs=args.jobs)
     print_table("Arctic network", HEADER,
                 [[r["scenario"], r["metric"], r["value"]] for r in rows])
-    path = emit_json(args.json or args.out, {"rows": rows})
-    print(f"results: {path}")
+    path = write_record(args.json, "network", {}, {"rows": rows}, {})
+    print(f"record: {path}")
 
 
 BENCH = {
     "summary": "Arctic fabric: saturation, bisection scaling, cut-through",
-    "flags": _flags,
+    "flags": None,
     "run": run,
 }

@@ -58,8 +58,3 @@ def test_occupancy_claims(benchmark):
     # A3: minimal to nil
     assert occ3["sender_ap"] < 0.05 and occ3["sender_sp"] < 0.10
     assert occ3["receiver_sp"] < 0.05
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("occupancy", __doc__)

@@ -107,8 +107,3 @@ def test_reconfiguration_takes_effect_dynamically(benchmark):
     record("Transmit priority arbitration", HEADER,
            ["flipped registers", "winner share", min(a_first, b_first)])
     assert b_first > 0.8 and a_first > 0.8
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("priority", __doc__)

@@ -117,8 +117,3 @@ def test_mixed_traffic_isolation(benchmark):
     # itself must stay well under double the sender-limited interval —
     # i.e. residency does not degrade to miss-service behaviour
     assert mixed_fast < 2.0 * _nonresident_stream()
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("queue_cache", __doc__)

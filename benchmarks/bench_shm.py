@@ -5,10 +5,15 @@ firmware round-trip on *every* remote access; S-COMA pays a coherence
 miss once and then hits local DRAM ("a region of DRAM used as a level 3
 cache").  Expected shape: S-COMA cold miss ~ NUMA read; S-COMA warm hit
 orders of magnitude cheaper; NUMA flat regardless of reuse.
+
+The sweep CLI writes its record to ``benchmarks/results/shm.json``::
+
+    python -m repro.bench shm --workload all --json BENCH_shm.json
 """
 
+import repro
 from benchmarks.conftest import record
-from repro.bench import fresh_machine
+from repro.bench import fresh_machine, print_table, write_record
 from repro.scenarios import measure
 from repro.shm import ScomaRegion
 
@@ -136,25 +141,12 @@ def test_priority_isolates_protocol_from_bulk(benchmark):
 # the X-shm sweep CLI: sharing-pattern curves at cluster scale
 # ----------------------------------------------------------------------
 
-import os
-
 SWEEP_HEADER = ["pattern", "nodes", "ns/access"]
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def _sweep_config(nodes, args):
-    import repro
-
-    cfg = repro.default_config(n_nodes=nodes)
-    if args.sanitize:
-        cfg.sanitize = args.sanitize
-    return cfg
 
 
 def _pattern_sweep(args):
     """ns-per-access for each sharing pattern at each node count — the
     four curves of the X-shm figure."""
-    import repro
     from repro.shm.workloads import SHARING_PATTERNS
 
     curves = {}
@@ -164,7 +156,7 @@ def _pattern_sweep(args):
             run = repro.run(
                 repro.scenario("shm_patterns", pattern=pattern,
                                rounds=args.rounds),
-                config=_sweep_config(nodes, args))
+                config=repro.default_config(n_nodes=nodes))
             r = run.results[0]
             points.append({"nodes": nodes,
                            "ns_per_access": r["ns_per_access"]})
@@ -174,17 +166,15 @@ def _pattern_sweep(args):
 def _workload_checks(args):
     """The two real shared-memory workloads at the sweep's largest
     machine: correctness booleans, not timing."""
-    import repro
-
     nodes = max(args.nodes)
     results = {}
     graph = repro.scenario("shm_graph", n_vertices=6 * nodes)
-    run = repro.run(graph, config=_sweep_config(nodes, args))
+    run = repro.run(graph, config=repro.default_config(n_nodes=nodes))
     results["graph"] = {"nodes": nodes, "levels": run.results[0]["levels"],
                         "ok": graph.check(run.results[0]) is None}
     table = repro.scenario("shm_hash", keys_per_rank=2,
                            n_buckets=4 * nodes, stripes=8)
-    run = repro.run(table, config=_sweep_config(nodes, args))
+    run = repro.run(table, config=repro.default_config(n_nodes=nodes))
     results["hash"] = {"nodes": nodes,
                        "ok": table.check(run.results[0]) is None}
     return results
@@ -201,43 +191,31 @@ def _shm_flags(parser):
                         help="patterns = the four-curve sweep; workloads = "
                              "graph+hash correctness at the largest node "
                              "count; all = both (default patterns)")
-    parser.add_argument("--out-dir", default=RESULTS_DIR,
-                        help="artifact directory (default benchmarks/results)")
 
 
 def run(args):
-    from repro.bench import print_table
-    from repro.obs import write_metrics
-
     args.nodes = sorted({int(tok) for tok in
                          str(args.nodes).replace(",", " ").split()})
-    document = {
-        "benchmark": "shm",
-        "schema": "startv.bench_shm",
-        "schema_version": 1,
-        "nodes": args.nodes,
-        "rounds": args.rounds,
-    }
+    sim = {}
     if args.workload in ("patterns", "all"):
-        curves = _pattern_sweep(args)
-        document["patterns"] = curves
+        curves = sim["patterns"] = _pattern_sweep(args)
         rows = [[pattern, point["nodes"],
                  round(point["ns_per_access"], 1)]
                 for pattern, points in curves.items() for point in points]
         print_table("X-shm: sharing-pattern sweep (ns per access)",
                     SWEEP_HEADER, rows)
     if args.workload in ("workloads", "all"):
-        checks = document["workloads"] = _workload_checks(args)
+        checks = sim["workloads"] = _workload_checks(args)
         print_table("X-shm: shared-memory workloads",
                     ["workload", "nodes", "ok"],
                     [[name, c["nodes"], c["ok"]]
                      for name, c in checks.items()])
-        if not all(c["ok"] for c in checks.values()):
-            return 1
-    path = write_metrics(
-        args.json or os.path.join(args.out_dir, "BENCH_shm.json"), document)
-    print(f"metrics: {path}")
-    return 0
+    path = write_record(args.json, "shm",
+                        {"nodes": args.nodes, "rounds": args.rounds,
+                         "workload": args.workload}, sim, {})
+    print(f"record: {path}")
+    ok = all(c["ok"] for c in sim.get("workloads", {}).values())
+    return 0 if ok else 1
 
 
 BENCH = {

@@ -21,29 +21,29 @@ default full-memory nodes with radix-8 switches, so the 1024-node fat
 tree stays 5 levels.  Everything is seeded: the sweep is byte-identical
 for any ``--jobs``.
 
-Also runnable directly (no pytest) for machine-readable output::
+Also runnable directly (no pytest); the record lands in
+``benchmarks/results/sync.json`` (the committed full-axis run is
+``BENCH_sync.json``), and ``--emit-metrics`` adds each point's metrics
+snapshot to it::
 
     python -m repro.bench sync --nodes 64 --sanitize combine
-    python -m repro.bench sync --jobs 6 --emit-metrics
+    python -m repro.bench sync --jobs 6 --json BENCH_sync.json
 
-The summary artifact always lands in ``BENCH_sync.json`` at the repo
-root; the CLI exits nonzero if in-switch combining fails to beat the
-pure-endpoint implementation at any size >= 256 nodes, which is what
-the CI sync-smoke job checks.
+The CLI exits nonzero if in-switch combining fails to beat the
+pure-endpoint implementation at any size >= 256 nodes (at the largest
+size, for a smaller axis), which the golden gate's ``sync`` entry
+checks.
 """
 
-import os
 import sys
 
-# imported with only benchmarks/ on sys.path (e.g. a bare pytest run);
-# make the repo root and src/ importable
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-for _p in (_ROOT, os.path.join(_ROOT, "src")):
-    if _p not in sys.path:
-        sys.path.insert(0, _p)
-
-from repro.bench import emit_json, fresh_machine, print_table, run_sweep
-from repro.bench.harness import strip_wall
+from repro.bench import (
+    fresh_machine,
+    print_table,
+    run_sweep,
+    strip_wall,
+    write_record,
+)
 from repro.common.config import NetworkConfig
 from repro.lib.mpi import MiniMPI
 from repro.obs.snapshot import metrics_snapshot
@@ -51,11 +51,6 @@ from repro.obs.snapshot import metrics_snapshot
 BARRIER_HEADER = ["nodes", "algo", "rounds", "total_us", "per_barrier_us"]
 HOTSPOT_HEADER = ["nodes", "contenders", "transport", "ops", "total_us",
                   "per_op_ns", "combine_hits"]
-
-#: where the CLI drops the optional per-point metrics snapshots.
-RESULTS_DIR = os.path.join(_ROOT, "benchmarks", "results")
-#: the always-written summary artifact (acceptance checks read this).
-SUMMARY_PATH = os.path.join(_ROOT, "BENCH_sync.json")
 
 #: the machine-size axis (fat-tree leaves; radix 8 keeps 1024 at 5 levels).
 NODE_AXIS = (64, 256, 1024)
@@ -210,22 +205,9 @@ def _flags(parser):
     parser.add_argument("--nodes", type=int, nargs="+", default=None,
                         metavar="N",
                         help="machine sizes to sweep (default: 64 256 1024)")
-    parser.add_argument("--out-dir", default=RESULTS_DIR,
-                        help="artifact directory (default benchmarks/results)")
-    parser.add_argument("--summary", default=SUMMARY_PATH,
-                        help="summary artifact path (default BENCH_sync.json "
-                             "at the repo root)")
 
 
 def run(args):
-    if args.sanitize:
-        from repro.analysis.sanitize import resolve_sanitizers
-
-        resolve_sanitizers(args.sanitize, env="")  # fail fast on typos
-        # the environment propagates to sweep pool workers, so every
-        # point's machine comes up with the checkers installed
-        os.environ["REPRO_SANITIZE"] = args.sanitize
-
     node_axis = tuple(args.nodes) if args.nodes else NODE_AXIS
     points = sync_sweep(jobs=args.jobs, node_axis=node_axis)
 
@@ -244,24 +226,13 @@ def run(args):
 
     violations = check_switch_wins(points,
                                    floor=min(256, max(node_axis)))
-    summary = {
-        "benchmark": "sync",
-        "schema": "startv.metrics",
-        "schema_version": 1,
-        "node_axis": list(node_axis),
-        "switch_beats_endpoint": not violations,
-        "violations": violations,
-        "points": [{k: v for k, v in p.items() if k != "metrics"}
-                   for p in points],
-    }
-    path = emit_json(args.json or args.summary, summary)
-    print(f"summary: {path}")
-
-    if args.emit_metrics:
-        document = dict(summary, points=points)
-        mpath = emit_json(os.path.join(args.out_dir, "sync_metrics.json"),
-                          document)
-        print(f"metrics: {mpath}")
+    if not args.emit_metrics:
+        points = [{k: v for k, v in p.items() if k != "metrics"}
+                  for p in points]
+    path = write_record(args.json, "sync", {"node_axis": list(node_axis)},
+                        {"switch_beats_endpoint": not violations,
+                         "violations": violations, "points": points}, {})
+    print(f"record: {path}")
 
     for v in violations:
         print(f"FAIL: {v}", file=sys.stderr)

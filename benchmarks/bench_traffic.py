@@ -17,9 +17,12 @@ Determinism is part of the contract and gated here: the mid-load KV
 point is re-run through a 4-wide process pool, and its wall-stripped
 snapshot must be byte-identical to the inline run.
 
-The document lands in ``BENCH_traffic.json`` at the repo root::
+The record lands in ``benchmarks/results/traffic.json`` (the committed
+64-node run is ``BENCH_traffic.json``); each point's wall seconds go to
+its ``wall`` block, and ``--emit-metrics`` adds each point's metrics
+snapshot to its ``sim``::
 
-    python -m repro.bench traffic                 # 64 nodes
+    python -m repro.bench traffic --json BENCH_traffic.json   # 64 nodes
     python -m repro.bench traffic --nodes 128 --jobs 4
     python -m repro.bench traffic --rates 20000,200000
 """
@@ -28,15 +31,14 @@ import os
 import sys
 import time
 
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-for _p in (_ROOT, os.path.join(_ROOT, "src")):
-    if _p not in sys.path:
-        sys.path.insert(0, _p)
-
-from repro.bench import comparable, emit_json, print_table, run_sweep
+from repro.bench import (
+    comparable,
+    print_table,
+    run_sweep,
+    strip_wall,
+    write_record,
+)
 from repro.scenarios import run_scenario, scenario
-
-DEFAULT_OUT = os.path.join(_ROOT, "BENCH_traffic.json")
 
 #: offered-load axis (requests/second per node) for the KV sweep; spans
 #: the comfortable region through well past the 64-node SLO knee.
@@ -55,17 +57,9 @@ APP_HEADER = ["app", "variant", "offered", "goodput", "p50_ns", "p99_ns",
 def traffic_point(spec):
     """One sweep point: build the scenario from a picklable spec, run it,
     return the traffic rollup plus the full snapshot."""
-    name, kwargs, n_nodes, seed, sanitize = spec
-    config = None
-    if sanitize:
-        import repro
-
-        config = repro.default_config(n_nodes=n_nodes)
-        config.seed = seed
-        config.sanitize = sanitize
+    name, kwargs, n_nodes, seed = spec
     t0 = time.monotonic()
-    run = run_scenario(scenario(name, **kwargs), config=config,
-                       n_nodes=n_nodes, seed=seed)
+    run = run_scenario(scenario(name, **kwargs), n_nodes=n_nodes, seed=seed)
     wall = time.monotonic() - t0
     return {
         "scenario": name,
@@ -81,7 +75,7 @@ def _kv_spec(rate, args):
     return ("traffic_kv",
             {"per_node": args.per_node, "rate_rps": rate,
              "transport": args.transport, "reliable": args.reliable},
-            args.nodes, args.seed, args.sanitize)
+            args.nodes, args.seed)
 
 
 def _app_row(app, variant, section):
@@ -123,8 +117,7 @@ def train_points(args):
                   "n_blocks": args.blocks}
         if mode == "allreduce":
             kwargs["algo"] = algo
-        spec = ("traffic_train", kwargs, args.nodes, args.seed,
-                args.sanitize)
+        spec = ("traffic_train", kwargs, args.nodes, args.seed)
         p = traffic_point(spec)
         p["variant"] = f"{mode}/{algo}" if mode == "allreduce" else mode
         points.append(p)
@@ -135,7 +128,7 @@ def usvc_point(args):
     spec = ("traffic_usvc",
             {"per_node": args.per_node, "depth": args.depth,
              "fanout": args.fanout},
-            args.nodes, args.seed, args.sanitize)
+            args.nodes, args.seed)
     return traffic_point(spec)
 
 
@@ -169,9 +162,16 @@ def _flags(parser):
                         help="replay a recorded KV trace (JSON lines from "
                              "repro.traffic.dump_trace) instead of sweeping "
                              "the offered-load axis")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help="output JSON path (default BENCH_traffic.json "
-                             "at the repo root)")
+
+
+def _sim(point, args):
+    """A point's simulated part: no wall seconds, and its (wall-stripped)
+    snapshot only with ``--emit-metrics``."""
+    sim = {k: v for k, v in point.items()
+           if k not in ("wall_seconds", "snapshot")}
+    if args.emit_metrics:
+        sim["snapshot"] = strip_wall(point["snapshot"])
+    return sim
 
 
 def replay_trace_in(args):
@@ -187,7 +187,7 @@ def replay_trace_in(args):
     spec = ("traffic_kv",
             {"transport": args.transport, "reliable": args.reliable,
              "trace": records},
-            args.nodes, args.seed, args.sanitize)
+            args.nodes, args.seed)
     point = traffic_point(spec)
     t = point["traffic"].get("kv", {})
     lat = t.get("latency_ns") or {}
@@ -198,18 +198,13 @@ def replay_trace_in(args):
         [[t.get("offered", 0), t.get("goodput", 0.0),
           round(lat.get("p50", 0.0)), round(lat.get("p99", 0.0)),
           round(lat.get("p999", 0.0)), round(lat.get("max", 0.0))]])
-    document = {
-        "benchmark": "traffic",
-        "schema": "startv.metrics",
-        "schema_version": 1,
-        "n_nodes": args.nodes,
-        "transport": args.transport,
-        "trace_in": os.path.basename(args.trace_in),
-        "trace_requests": len(records),
-        "replay_point": {k: v for k, v in point.items() if k != "snapshot"},
-    }
-    path = emit_json(args.json or args.out, document)
-    print(f"results: {path}")
+    path = write_record(
+        args.json, "traffic",
+        {"n_nodes": args.nodes, "transport": args.transport,
+         "trace_in": os.path.basename(args.trace_in)},
+        {"trace_requests": len(records), "replay_point": _sim(point, args)},
+        {"seconds": {"replay_point": point["wall_seconds"]}})
+    print(f"record: {path}")
     if t.get("completed") != t.get("offered") or not t.get("offered"):
         print(f"FAIL: replay completed {t.get('completed')} of "
               f"{t.get('offered')} offered", file=sys.stderr)
@@ -258,31 +253,28 @@ def run(args):
     low_goodput = low["traffic"].get("kv", {}).get("goodput", 0.0)
     high_goodput = high["traffic"].get("kv", {}).get("goodput", 1.0)
 
-    document = {
-        "benchmark": "traffic",
-        "schema": "startv.metrics",
-        "schema_version": 1,
-        "n_nodes": args.nodes,
-        "transport": args.transport,
-        "kv_points": [{k: v for k, v in p.items() if k != "snapshot"}
-                      for p in kv_points],
-        "train_points": [{k: v for k, v in p.items() if k != "snapshot"}
-                         for p in trains],
-        "usvc_point": {k: v for k, v in usvc.items() if k != "snapshot"},
-        "parity": parity,
-        "low_load_goodput": low_goodput,
-        "high_load_goodput": high_goodput,
-        "knee_visible": high_goodput < low_goodput,
-    }
-    path = emit_json(args.json or args.out, document)
-    print(f"results: {path}")
+    knee_visible = high_goodput < low_goodput
+    path = write_record(
+        args.json, "traffic",
+        {"n_nodes": args.nodes, "transport": args.transport},
+        {"kv_points": [_sim(p, args) for p in kv_points],
+         "train_points": [_sim(p, args) for p in trains],
+         "usvc_point": _sim(usvc, args),
+         "parity": parity,
+         "low_load_goodput": low_goodput,
+         "high_load_goodput": high_goodput,
+         "knee_visible": knee_visible},
+        {"seconds": {"kv_points": [p["wall_seconds"] for p in kv_points],
+                     "train_points": [p["wall_seconds"] for p in trains],
+                     "usvc_point": usvc["wall_seconds"]}})
+    print(f"record: {path}")
 
     failed = False
     if low_goodput <= args.min_goodput:
         print(f"FAIL: low-load KV goodput {low_goodput:.3f} <= "
               f"{args.min_goodput}", file=sys.stderr)
         failed = True
-    if not document["knee_visible"]:
+    if not knee_visible:
         print(f"FAIL: no SLO knee — goodput {high_goodput:.3f} at "
               f"{round(high['rate_rps'])} req/s/node is not below "
               f"{low_goodput:.3f} at {round(low['rate_rps'])}",

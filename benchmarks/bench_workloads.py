@@ -90,8 +90,3 @@ def test_mixed_workload(benchmark):
     elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
     record("System workloads", HEADER,
            ["mixed msg+DMA+S-COMA", 2, "completion us", elapsed / 1000])
-
-
-from repro.bench.cli import pytest_bench
-
-BENCH = pytest_bench("workloads", __doc__)

@@ -1,7 +1,9 @@
 """Benchmark harness utilities shared by the ``benchmarks/`` targets.
 
 The data points themselves are registered scenarios: see
-:func:`repro.scenarios.measure`.
+:func:`repro.scenarios.measure`.  Every bench writes one
+``startv.bench`` record (:func:`write_record`); ``python -m repro.bench
+golden`` hashes them all (:mod:`repro.bench.golden`).
 """
 
 from repro.bench.harness import (
@@ -11,11 +13,11 @@ from repro.bench.harness import (
     collective_metrics_sweep,
     collective_point,
     comparable,
-    emit_json,
     fresh_machine,
     print_table,
     run_sweep,
     strip_wall,
+    write_record,
 )
 
 __all__ = [
@@ -29,5 +31,5 @@ __all__ = [
     "strip_wall",
     "comparable",
     "print_table",
-    "emit_json",
+    "write_record",
 ]

@@ -1,43 +1,51 @@
 """``python -m repro.bench`` — the unified benchmark front door.
 
-Every benchmark lives in ``benchmarks/bench_*.py``.  Historically each
-file carried its own argparse copy; this CLI owns the *shared* flags
-once (``--jobs``, ``--emit-metrics``, ``--trace``, ``--sanitize``,
-``--seed``, ``--json``) and discovers the per-file workers:
+Every benchmark lives in ``benchmarks/bench_*.py``.  This CLI owns the
+*shared* flags once (``--jobs``, ``--emit-metrics``, ``--trace``,
+``--sanitize``, ``--seed``, ``--json``) and discovers the per-file
+workers:
 
 * a module that defines a ``BENCH`` registration — ``{"summary": str,
   "run": callable(args), "flags": callable(parser) | None}`` — is a
   *CLI worker*: the CLI builds shared flags + the module's extras and
-  calls ``run(args)``;
+  calls ``run(args)``, which writes one ``startv.bench`` record
+  (:func:`repro.bench.harness.write_record`) to ``--json OUT``, by
+  default ``benchmarks/results/<name>.json``;
 * any other ``bench_*.py`` is a *pytest worker* and is executed through
-  ``pytest`` (the pedantic-benchmark style files).
+  ``pytest`` with the remaining arguments (the pedantic-benchmark style
+  files); sanitize one with ``REPRO_SANITIZE=... python -m repro.bench
+  <name>``.
+
+``python -m repro.bench golden`` (no options) runs the golden-output
+gate of :mod:`repro.bench.golden`.
 
 Usage::
 
     python -m repro.bench                  # list every benchmark
     python -m repro.bench fig3_latency --emit-metrics --jobs 4
+    python -m repro.bench sync --json BENCH_sync.json
+    python -m repro.bench golden
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-#: shared-flag defaults a worker can rely on even when the flag makes no
-#: sense for it (documented as ignored in that case).
 SHARED_FLAG_HELP = {
     "--jobs": "worker processes for sweeps (byte-identical output for any "
               "value; default 1)",
-    "--emit-metrics": "write schema-versioned metrics snapshots next to the "
-                      "human-readable table",
+    "--emit-metrics": "add per-point metrics snapshots to the record",
     "--trace": "render a Perfetto trace of one representative run",
-    "--sanitize": "comma-separated runtime sanitizers to install "
-                  "(see repro.analysis)",
+    "--sanitize": "comma-separated runtime sanitizers to install in every "
+                  "machine the run builds (see repro.analysis)",
     "--seed": "topology/workload seed (default 0)",
-    "--json": "write the benchmark's machine-readable document to OUT",
+    "--json": "where to write the startv.bench record "
+              "(default benchmarks/results/<name>.json)",
 }
 
 
@@ -74,8 +82,9 @@ def load_bench(name: str):
     return importlib.import_module(f"benchmarks.bench_{name}")
 
 
-def shared_parser(prog: str, summary: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=prog, description=summary)
+def shared_parser(name: str, summary: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"python -m repro.bench {name}",
+                                     description=summary)
     parser.add_argument("--jobs", type=int, default=1,
                         help=SHARED_FLAG_HELP["--jobs"])
     parser.add_argument("--emit-metrics", action="store_true",
@@ -86,9 +95,32 @@ def shared_parser(prog: str, summary: str) -> argparse.ArgumentParser:
                         help=SHARED_FLAG_HELP["--sanitize"])
     parser.add_argument("--seed", type=int, default=0,
                         help=SHARED_FLAG_HELP["--seed"])
-    parser.add_argument("--json", default=None, metavar="OUT",
+    parser.add_argument("--json", metavar="OUT",
+                        default=os.path.join(benchmarks_dir(), "results",
+                                             f"{name}.json"),
                         help=SHARED_FLAG_HELP["--json"])
     return parser
+
+
+@contextlib.contextmanager
+def sanitized(spec: Optional[str]) -> Iterator[None]:
+    """Install ``spec``'s sanitizers in every machine built inside the
+    block, through ``REPRO_SANITIZE`` (which sweep pool workers inherit);
+    the environment is restored on exit.  Unknown names raise."""
+    if not spec:
+        yield
+        return
+    from repro.analysis.sanitize import resolve_sanitizers
+
+    previous = os.environ.get("REPRO_SANITIZE")
+    os.environ["REPRO_SANITIZE"] = ",".join(resolve_sanitizers(spec))
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_SANITIZE", None)
+        else:
+            os.environ["REPRO_SANITIZE"] = previous
 
 
 def _summary_of(module) -> str:
@@ -115,61 +147,9 @@ def list_benchmarks(stream=None) -> int:
         except Exception as exc:  # a broken bench must not hide the rest
             kind, summary = "error ", f"import failed: {exc}"
         print(f"  {name:<16s} [{kind}] {summary}", file=stream)
+    print(f"  {'golden':<16s} [gate  ] every scenario and smoke bench, "
+          f"hashed into GOLDEN.json", file=stream)
     return 0
-
-
-def run_pytest_bench(path: str, extra: List[str]) -> int:
-    """Execute a pytest-style benchmark file under pytest."""
-    import pytest
-
-    return pytest.main([path, "-q", *extra])
-
-
-def pytest_bench(name: str, summary: str) -> Dict[str, Any]:
-    """``BENCH`` registration for a pytest-style benchmark file.
-
-    Gives the pedantic-benchmark files the same front door as the CLI
-    workers: shared flags are parsed, ``--sanitize`` maps to the
-    ``REPRO_SANITIZE`` environment (installing runtime sanitizers in
-    every machine the file builds), and ``--json`` dumps the recorded
-    result tables.  ``--jobs``/``--seed`` have no pytest equivalent
-    and are accepted but ignored.
-    """
-    summary = (summary or "").strip().splitlines()[0] if summary else ""
-
-    def run(args) -> int:
-        path = os.path.join(benchmarks_dir(), f"bench_{name}.py")
-        previous = os.environ.get("REPRO_SANITIZE")
-        if args.sanitize:
-            os.environ["REPRO_SANITIZE"] = args.sanitize
-        try:
-            rc = run_pytest_bench(path, ["-s"])
-        finally:
-            if args.sanitize:
-                if previous is None:
-                    os.environ.pop("REPRO_SANITIZE", None)
-                else:
-                    os.environ["REPRO_SANITIZE"] = previous
-        if args.json:
-            import json
-
-            from benchmarks.conftest import _rows
-
-            document = {
-                "benchmark": name,
-                "schema": "startv.bench_tables",
-                "schema_version": 1,
-                "tables": {
-                    title: {"header": list(header), "rows": rows}
-                    for title, (header, rows) in _rows.items()
-                },
-            }
-            with open(args.json, "w") as fh:
-                json.dump(document, fh, indent=2, sort_keys=True)
-            print(f"tables: {args.json}")
-        return rc
-
-    return {"summary": summary, "run": run, "flags": None}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -180,6 +160,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(__doc__)
         return 0
     name, rest = argv[0], argv[1:]
+    if name == "golden":
+        from repro.bench import golden
+
+        return golden.main(rest)
     known = discover()
     if name not in known:
         print(f"unknown benchmark {name!r}; known: {', '.join(known)}",
@@ -188,12 +172,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     module = load_bench(name)
     bench: Optional[Dict[str, Any]] = getattr(module, "BENCH", None)
     if bench is None:
-        return run_pytest_bench(known[name], rest)
-    parser = shared_parser(f"python -m repro.bench {name}",
-                           _summary_of(module))
+        import pytest
+
+        return pytest.main([known[name], "-q", "-s", *rest])
+    parser = shared_parser(name, _summary_of(module))
     flags = bench.get("flags")
     if flags is not None:
         flags(parser)
     args = parser.parse_args(rest)
-    result = bench["run"](args)
+    with sanitized(args.sanitize):
+        result = bench["run"](args)
     return 0 if result is None else int(result)

@@ -1,4 +1,4 @@
-"""Benchmark harness: sweeps, table printing, JSON output.
+"""Benchmark harness: sweeps, table printing, the bench record.
 
 Shared by the ``benchmarks/`` targets so that every table and figure is
 regenerated through one code path: every data point is a registered
@@ -14,14 +14,14 @@ job count (see the function's determinism contract).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import repro
-from repro.obs.snapshot import comparable  # noqa: F401  (re-exported)
-from repro.obs.snapshot import strip_wall
+from repro.obs.snapshot import comparable
 from repro.scenarios import measure, run_scenario, scenario
 
 #: the size axis used for the Figure 3/4 sweeps.
@@ -51,20 +51,75 @@ def _fmt(v: object) -> str:
     return str(v)
 
 
-def emit_json(path: str, payload: object) -> str:
-    """Write one benchmark's results as a JSON document; returns the path.
+#: the one bench document schema (see :func:`write_record`).
+RECORD_SCHEMA = "startv.bench"
 
-    The machine-readable twin of :func:`print_table` — plotting scripts
-    consume these instead of scraping stdout.  Parent directories are
-    created as needed.
+
+def _provenance() -> Dict[str, Any]:
+    """Where a record was measured: commit, CPU count, Python version."""
+    import platform
+    import subprocess
+
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {"commit": commit, "cpus": os.cpu_count(),
+            "python": platform.python_version()}
+
+
+def write_record(path: str, benchmark: str, params: Dict[str, Any],
+                 sim: Dict[str, Any], wall: Dict[str, Any]) -> str:
+    """Write one benchmark run as a ``startv.bench`` v1 record.
+
+    ``sim`` holds the wall-free results the tables and gates read (every
+    snapshot in it already wall-stripped); ``wall`` holds every
+    wall-clock field; ``provenance`` is added here.  So
+    :func:`strip_wall` of two records of the same run compares their
+    simulated results only.  Parent directories are created as needed;
+    returns ``path``.
     """
+    record = {
+        "schema": RECORD_SCHEMA,
+        "schema_version": 1,
+        "benchmark": benchmark,
+        "params": params,
+        "sim": sim,
+        "wall": wall,
+        "provenance": _provenance(),
+    }
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+    text = json.dumps(record, indent=2, sort_keys=True, default=_jsonable)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
+
+
+def _jsonable(value: Any) -> Any:
+    """JSON form of a scenario result: a dataclass, or raw bytes as their
+    ``repr``.  Any other type raises, so no unordered set or
+    address-bearing ``repr`` can slip a run-dependent value into a
+    hashed record."""
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    if isinstance(value, bytes):
+        return str(value)
+    raise TypeError(f"no JSON form for {type(value).__name__} in a record")
+
+
+def strip_wall(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """Drop the wall-clock parts, in place: a record's ``wall`` and
+    ``provenance``, or a metrics snapshot's ``sim.wall``."""
+    if doc.get("schema") == RECORD_SCHEMA:
+        doc.pop("wall", None)
+        doc.pop("provenance", None)
+        return doc
+    return comparable(doc)
 
 
 # ----------------------------------------------------------------------
