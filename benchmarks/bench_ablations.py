@@ -15,47 +15,24 @@ had to pick:
   work" generalizes to polling).
 """
 
-import pytest
-
-from benchmarks.conftest import record
+import repro
 from repro import default_config
-from repro.bench import fresh_machine
+from repro.bench import check_claims, fresh_machine, print_table, write_record
 from repro.core.blocktransfer import BlockTransferExperiment
 from repro.scenarios import run_scenario, scenario
 
 HEADER = ["knob", "value", "metric", "result"]
 SIZE = 16384
+PIECES = (256, 512, 1024, 2048, 4096)
+DEPTHS = (2, 4, 16, 64)
+POLLS = (0, 25, 200)
 
 
 def _a3_with_piece(piece_bytes):
     machine = fresh_machine(2)
     for node in machine.nodes:
         node.sp.state["dma_piece_bytes"] = piece_bytes
-    result = BlockTransferExperiment(machine).run(3, SIZE)
-    assert result.verified
-    return result
-
-
-@pytest.mark.parametrize("piece", [256, 512, 1024, 2048, 4096])
-def test_dma_piece_size(benchmark, piece):
-    result = benchmark.pedantic(_a3_with_piece, args=(piece,), rounds=1,
-                                iterations=1)
-    record("Ablations", HEADER,
-           ["DMA piece bytes", piece, "A3 bandwidth MB/s",
-            result.bandwidth_mb_s])
-
-
-def test_piece_size_tradeoff(benchmark):
-    """Both extremes lose to the middle: tiny pieces drown in per-piece
-    overhead, page-sized pieces serialize read against transmit."""
-
-    def run():
-        return {p: _a3_with_piece(p).bandwidth_mb_s
-                for p in (256, 1024, 4096)}
-
-    bw = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert bw[1024] >= bw[256]
-    assert bw[1024] >= bw[4096] * 0.95  # mid piece at least matches a page
+    return BlockTransferExperiment(machine).run(3, SIZE)
 
 
 def _stream_with_depth(depth, count=60):
@@ -63,31 +40,6 @@ def _stream_with_depth(depth, count=60):
     cfg.niu.queue_depth = depth
     run = run_scenario(scenario("basic_stream", count=count), config=cfg)
     return run.results[0]
-
-
-@pytest.mark.parametrize("depth", [4, 16, 64])
-def test_queue_depth(benchmark, depth):
-    stream = benchmark.pedantic(_stream_with_depth, args=(depth,), rounds=1,
-                                iterations=1)
-    record("Ablations", HEADER,
-           ["queue depth", depth, "stream MB/s (64 B)", stream["mb_per_s"]])
-    record("Ablations", HEADER,
-           ["queue depth", depth, "sender MB/s (64 B)",
-            stream["send_mb_per_s"]])
-
-
-def test_depth_helps_until_saturation(benchmark):
-    # The sender's side: with a shallow transmit queue it stalls on the
-    # consumer-pointer poll until CTRL drains a slot.  The receiver-bound
-    # end of the stream is set by the consumer's polling and reads the
-    # same at every depth, so it would show nothing here.
-    def run():
-        return {d: _stream_with_depth(d)["send_mb_per_s"]
-                for d in (2, 4, 16, 64)}
-
-    bw = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert bw[2] < bw[4] < bw[16]  # more buffering absorbs burstiness
-    assert abs(bw[64] - bw[16]) <= 0.1 * bw[16]  # but returns diminish
 
 
 def _a3_with_poll(poll_insns):
@@ -102,56 +54,83 @@ def _a3_with_poll(poll_insns):
         return original_recv(api, poll_insns=poll_insns_)
 
     exp.notifier.port.recv = recv
-    result = exp.run(3, SIZE)
-    assert result.verified
-    return result
-
-
-@pytest.mark.parametrize("poll", [0, 25, 200])
-def test_poll_backoff(benchmark, poll):
-    result = benchmark.pedantic(_a3_with_poll, args=(poll,), rounds=1,
-                                iterations=1)
-    record("Ablations", HEADER,
-           ["receiver poll insns", poll, "A3 bandwidth MB/s",
-            result.bandwidth_mb_s])
+    return exp.run(3, SIZE)
 
 
 def _a3_with_dram(row_buffer):
-    import repro
-
-    cfg = repro.default_config(n_nodes=2)
+    cfg = default_config(n_nodes=2)
     cfg.dram.row_buffer = row_buffer
     machine = repro.StarTVoyager(cfg)
-    result = BlockTransferExperiment(machine).run(3, SIZE)
-    assert result.verified
-    return result
+    return BlockTransferExperiment(machine).run(3, SIZE)
 
 
-@pytest.mark.parametrize("row_buffer", [False, True])
-def test_dram_open_page(benchmark, row_buffer):
-    result = benchmark.pedantic(_a3_with_dram, args=(row_buffer,), rounds=1,
-                                iterations=1)
-    record("Ablations", HEADER,
-           ["DRAM open-page", "on" if row_buffer else "off",
-            "A3 bandwidth MB/s", result.bandwidth_mb_s])
+def run(args):
+    pieces = {p: _a3_with_piece(p) for p in PIECES}
+    depths = {d: _stream_with_depth(d) for d in DEPTHS}
+    polls = {p: _a3_with_poll(p) for p in POLLS}
+    drams = {rb: _a3_with_dram(rb) for rb in (False, True)}
+    piece_bw = {p: r.bandwidth_mb_s for p, r in pieces.items()}
+    send_bw = {d: s["send_mb_per_s"] for d, s in depths.items()}
+    poll_bw = {p: r.bandwidth_mb_s for p, r in polls.items()}
+    dram_bw = {rb: r.bandwidth_mb_s for rb, r in drams.items()}
+    poll_ratio = poll_bw[200] / poll_bw[0]
+
+    rows = [["DMA piece bytes", p, "A3 bandwidth MB/s", bw]
+            for p, bw in piece_bw.items()]
+    for d, stream in depths.items():
+        rows.append(["queue depth", d, "stream MB/s (64 B)",
+                     stream["mb_per_s"]])
+        rows.append(["queue depth", d, "sender MB/s (64 B)",
+                     stream["send_mb_per_s"]])
+    rows += [["receiver poll insns", p, "A3 bandwidth MB/s", bw]
+             for p, bw in poll_bw.items()]
+    rows += [["DRAM open-page", "on" if rb else "off", "A3 bandwidth MB/s",
+              bw] for rb, bw in dram_bw.items()]
+    rows.append(["polling contention", "0 vs 200", "bandwidth ratio",
+                 poll_ratio])
+    print_table("Ablations", HEADER, rows)
+    path = write_record(
+        args.json, "ablations", {"size": SIZE},
+        {"piece_bandwidth_mb_s": piece_bw,
+         "queue_depth_streams": depths,
+         "poll_bandwidth_mb_s": poll_bw,
+         "dram_open_page_bandwidth_mb_s": {"off": dram_bw[False],
+                                           "on": dram_bw[True]},
+         "poll_bandwidth_ratio": poll_ratio}, {})
+    print(f"record: {path}")
+
+    verified = {f"A3 verified with {p} B DMA pieces": r.verified
+                for p, r in pieces.items()}
+    verified.update({f"A3 verified with {p} receiver poll insns": r.verified
+                     for p, r in polls.items()})
+    verified.update({f"A3 verified with DRAM open-page "
+                     f"{'on' if rb else 'off'}": r.verified
+                     for rb, r in drams.items()})
+    return check_claims({
+        **verified,
+        # both extremes lose to the middle: tiny pieces drown in
+        # per-piece overhead, page-sized pieces serialize read against
+        # transmit
+        "1 KB pieces >= 256 B pieces": piece_bw[1024] >= piece_bw[256],
+        "1 KB pieces >= 0.95 x 4 KB pieces":
+            piece_bw[1024] >= piece_bw[4096] * 0.95,
+        # the sender's side: with a shallow transmit queue it stalls on
+        # the consumer-pointer poll until CTRL drains a slot; the
+        # receiver-bound end reads the same at every depth
+        "sender MB/s: depth 2 < depth 4 < depth 16":
+            send_bw[2] < send_bw[4] < send_bw[16],
+        "sender MB/s: |depth 64 - depth 16| <= 0.1 x depth 16":
+            abs(send_bw[64] - send_bw[16]) <= 0.1 * send_bw[16],
+        "open-page DRAM > flat DRAM (block streams are row-hit heavy)":
+            dram_bw[True] > dram_bw[False],
+        "200-insn poll backoff > tight polling":
+            poll_bw[200] > poll_bw[0],
+    })
 
 
-def test_open_page_speeds_block_streams(benchmark):
-    def run():
-        return (_a3_with_dram(False).bandwidth_mb_s,
-                _a3_with_dram(True).bandwidth_mb_s)
-
-    flat, openpage = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert openpage > flat  # block streams are row-hit heavy
-
-
-def test_tight_polling_steals_bus_bandwidth(benchmark):
-    def run():
-        return (_a3_with_poll(0).bandwidth_mb_s,
-                _a3_with_poll(200).bandwidth_mb_s)
-
-    tight, loose = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("Ablations", HEADER,
-           ["polling contention", "0 vs 200", "bandwidth ratio",
-            loose / tight])
-    assert loose > tight  # backing off the poll loop speeds the transfer
+BENCH = {
+    "summary": "Ablations: DMA piece size, queue depth, poll backoff, "
+               "DRAM open page",
+    "flags": None,
+    "run": run,
+}

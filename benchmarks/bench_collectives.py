@@ -13,81 +13,70 @@ doubling amount for a linear one.  The NIC path carries a higher
 constant (every hop pays sP dispatch + combining occupancy), so the
 curves are about growth rates, not absolute crossover at these sizes.
 
-Also runnable directly, fanning the grid out over processes with
-byte-identical output (every point is an independent seeded machine);
-the record lands in ``benchmarks/results/collectives.json``::
+The CLI fans the grid out over processes with byte-identical output
+(every point is an independent seeded machine), writes its record to
+``benchmarks/results/collectives.json`` and exits 1 when a scaling
+claim fails (see :func:`claims`)::
 
     python -m repro.bench collectives --jobs 4
 """
 
-import pytest
-
-from benchmarks.conftest import record
-from repro.bench import collective_metrics_sweep, print_table, write_record
+from repro.bench import check_claims, print_table, run_sweep, write_record
 from repro.scenarios import measure
 
 HEADER = ["collective", "algo"] + [f"{n} nodes (us)" for n in (2, 4, 8, 16, 32)]
 NODES = [2, 4, 8, 16, 32]
 ALGOS = ["flat", "tree", "nic"]
+COLLECTIVES = ["barrier", "bcast", "allreduce"]
 
 
-def _sweep(name, algo):
-    xs = [measure("collective", n, collective=name, algo=algo, repeats=2)
-          for n in NODES]
-    record("collective scaling", HEADER,
-           [name, algo] + [x / 1000.0 for x in xs])
-    return xs
-
-
-@pytest.mark.parametrize("algo", ALGOS)
-@pytest.mark.parametrize("name", ["barrier", "bcast", "allreduce"])
-def test_collective_sweep(benchmark, name, algo):
-    xs = benchmark.pedantic(_sweep, args=(name, algo), rounds=1,
-                            iterations=1)
-    assert all(x > 0 for x in xs)
+def collective_point(spec):
+    """One point: ``(name, n_nodes, algo, repeats)`` -> result row."""
+    name, n_nodes, algo, repeats = spec
+    return {
+        "collective": name,
+        "n_nodes": n_nodes,
+        "algo": algo,
+        "latency_ns": measure("collective", n_nodes, collective=name,
+                              algo=algo, repeats=repeats),
+    }
 
 
 def _increments(xs):
     return [b - a for a, b in zip(xs, xs[1:])]
 
 
-@pytest.mark.parametrize("name", ["barrier", "allreduce"])
-def test_nic_sublinear_flat_linear(benchmark, name):
-    """The acceptance criterion: NIC grows sub-linearly, flat linearly.
+def claims(series):
+    """The scaling claims over ``series[name][algo][n_nodes]``.
 
-    A linear algorithm's per-doubling increment doubles with N; a
+    The acceptance criterion: NIC grows sub-linearly, flat linearly.  A
+    linear algorithm's per-doubling increment doubles with N; a
     logarithmic one's stays roughly constant.  Measured flat ratios are
-    ~6-7x, NIC ~1.5-1.7x; the thresholds leave generous margin.
+    ~6-7x, NIC ~1.5-1.7x; the thresholds leave generous margin.  And
+    recursive doubling beats the flat reduce+bcast well before 32 nodes
+    (every rank stays busy; log rounds).
     """
+    def xs(name, algo):
+        return [series[name][algo][n] for n in NODES]
 
-    def run():
-        return (_sweep(name, "flat"), _sweep(name, "nic"))
+    out = {f"{name}/{algo}: every latency > 0":
+           all(x > 0 for x in xs(name, algo))
+           for name in COLLECTIVES for algo in ALGOS}
+    for name in ("barrier", "allreduce"):
+        flat_inc = _increments(xs(name, "flat"))
+        nic_inc = _increments(xs(name, "nic"))
+        out.update({
+            f"{name}: flat last increment > 3 x first (linear)":
+                flat_inc[-1] > 3.0 * flat_inc[0],
+            f"{name}: nic last increment < 3 x first (sub-linear)":
+                nic_inc[-1] < 3.0 * nic_inc[0],
+            f"{name}: nic last increment < flat last increment":
+                nic_inc[-1] < flat_inc[-1],
+        })
+    out["allreduce: tree < flat at 32 nodes"] = (
+        series["allreduce"]["tree"][32] < series["allreduce"]["flat"][32])
+    return out
 
-    flat, nic = benchmark.pedantic(run, rounds=1, iterations=1)
-    flat_inc, nic_inc = _increments(flat), _increments(nic)
-    assert flat_inc[-1] > 3.0 * flat_inc[0], (
-        f"flat {name} no longer grows linearly: increments {flat_inc}")
-    assert nic_inc[-1] < 3.0 * nic_inc[0], (
-        f"nic {name} no longer grows logarithmically: increments {nic_inc}")
-    # and the NIC increment at the largest doubling is well below flat's
-    assert nic_inc[-1] < flat_inc[-1]
-
-
-def test_tree_allreduce_beats_flat(benchmark):
-    """Recursive doubling beats the flat reduce+bcast well before 32
-    nodes (every rank stays busy; log rounds)."""
-
-    def run():
-        return (_sweep("allreduce", "flat")[-1],
-                _sweep("allreduce", "tree")[-1])
-
-    flat32, tree32 = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert tree32 < flat32
-
-
-# ----------------------------------------------------------------------
-# direct CLI (parallel sweep)
-# ----------------------------------------------------------------------
 
 def _flags(parser):
     parser.add_argument("--repeats", type=int, default=2,
@@ -95,9 +84,9 @@ def _flags(parser):
 
 
 def run(args):
-    points = collective_metrics_sweep(
-        ["barrier", "bcast", "allreduce"], NODES, ALGOS,
-        repeats=args.repeats, jobs=args.jobs)
+    specs = [(name, n, algo, args.repeats)
+             for name in COLLECTIVES for algo in ALGOS for n in NODES]
+    points = run_sweep(collective_point, specs, jobs=args.jobs)
 
     series = {}
     for p in points:
@@ -111,10 +100,11 @@ def run(args):
                          "unit": "ns"},
                         {"series": series}, {})
     print(f"record: {path}")
+    return check_claims(claims(series))
 
 
 BENCH = {
-    "summary": "Collective latency scaling: flat vs tree vs NIC vs switch",
+    "summary": "Collective latency scaling: flat vs tree vs NIC",
     "flags": _flags,
     "run": run,
 }

@@ -19,8 +19,7 @@ pattern (8 dirty bytes in each of 8 lines spread over a 4 KB region):
 """
 
 
-from benchmarks.conftest import record
-from repro.bench import fresh_machine
+from repro.bench import check_claims, fresh_machine, print_table, write_record
 from repro.mp.basic import BasicPort
 from repro.shm.update import UpdateRegion
 
@@ -37,6 +36,9 @@ def _sparse_writes(api, region_addr):
 
 
 def _update_release(diff: bool):
+    """One release of the sparse pattern: its writer-visible ns, the wire
+    bytes, the lines node 0 diffed, and whether both peers hold the
+    data."""
     machine = fresh_machine(3)
     region = UpdateRegion(machine, base=BASE, size=REGION)
     if not diff:
@@ -53,14 +55,15 @@ def _update_release(diff: bool):
         t0 = api.now
         yield from region.release(api, port, notify_queue=0)
         out["release_ns"] = api.now - t0
+        out["lines_diffed"] = region.units[0].diffs_produced
 
     machine.run_until(machine.spawn(0, writer), limit=1e10)
     machine.run(until=machine.now + 500_000)
-    wire = sum(l.bytes_sent for l in machine.network.links)
-    for n in range(1, 3):
-        for i in range(N_LINES_TOUCHED):
-            assert region.peek(n, i * 512, 8) == bytes([i + 1] * 8)
-    return out["release_ns"], wire
+    out["wire_bytes"] = sum(l.bytes_sent for l in machine.network.links)
+    out["delivered"] = all(
+        region.peek(n, i * 512, 8) == bytes([i + 1] * 8)
+        for n in range(1, 3) for i in range(N_LINES_TOUCHED))
+    return out
 
 
 def _reflective():
@@ -74,74 +77,57 @@ def _reflective():
     def writer(api):
         t0 = api.now
         yield from _sparse_writes(api, lambda off: BASE + off)
-        out["ns"] = api.now - t0
+        out["writer_ns"] = api.now - t0
 
     machine.run_until(machine.spawn(0, writer), limit=1e10)
     machine.run(until=machine.now + 500_000)
-    wire = sum(l.bytes_sent for l in machine.network.links)
-    for n in range(1, 3):
-        for i in range(N_LINES_TOUCHED):
-            assert machine.node(n).dram.peek(BASE + i * 512, 8) == \
-                bytes([i + 1] * 8)
-    return out["ns"], wire
+    out["wire_bytes"] = sum(l.bytes_sent for l in machine.network.links)
+    out["delivered"] = all(
+        machine.node(n).dram.peek(BASE + i * 512, 8) == bytes([i + 1] * 8)
+        for n in range(1, 3) for i in range(N_LINES_TOUCHED))
+    return out
 
 
-def test_update_with_diff(benchmark):
-    ns, wire = benchmark.pedantic(_update_release, args=(True,), rounds=1,
-                                  iterations=1)
-    record("Diff-ing ablation (8 sparse 8-byte writes)", HEADER,
-           ["update + hw diff", "release ns / wire bytes", f"{ns:.0f} / {wire}"])
-
-
-def test_update_without_diff(benchmark):
-    ns, wire = benchmark.pedantic(_update_release, args=(False,), rounds=1,
-                                  iterations=1)
-    record("Diff-ing ablation (8 sparse 8-byte writes)", HEADER,
-           ["update, whole lines", "release ns / wire bytes", f"{ns:.0f} / {wire}"])
-
-
-def test_reflective_eager(benchmark):
-    ns, wire = benchmark.pedantic(_reflective, rounds=1, iterations=1)
-    record("Diff-ing ablation (8 sparse 8-byte writes)", HEADER,
-           ["reflective (eager)", "writer-visible ns / wire bytes",
-            f"{ns:.0f} / {wire}"])
-
-
-def test_diff_reduces_wire_traffic(benchmark):
-    def run():
-        _ns_d, wire_diff = _update_release(True)
-        _ns_n, wire_nodiff = _update_release(False)
-        return wire_diff, wire_nodiff
-
-    wire_diff, wire_nodiff = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("Diff-ing ablation (8 sparse 8-byte writes)", HEADER,
-           ["wire reduction", "nodiff/diff", wire_nodiff / wire_diff])
-    # 8 dirty bytes per 32-byte line: diffing should cut traffic well
-    # below the whole-line variant
-    assert wire_diff < 0.7 * wire_nodiff
-
-
-def test_line_tracking_beats_page_diffing(benchmark):
-    """The paper's point about clsSRAM tracking: diff only the 8 touched
-    lines, not the whole page (128 lines)."""
-
-    def run():
-        machine = fresh_machine(3)
-        region = UpdateRegion(machine, base=BASE, size=REGION)
-        port = BasicPort(machine.node(0), 0, 0)
-        compared = {}
-
-        def writer(api):
-            yield from _sparse_writes(api, region.addr)
-            yield from region.release(api, port, notify_queue=0)
-            compared["lines"] = region.units[0].diffs_produced
-
-        machine.run_until(machine.spawn(0, writer), limit=1e10)
-        return compared["lines"]
-
-    lines_diffed = benchmark.pedantic(run, rounds=1, iterations=1)
+def run(args):
+    diff, nodiff, eager = _update_release(True), _update_release(False), \
+        _reflective()
+    ratio = nodiff["wire_bytes"] / diff["wire_bytes"]
     page_lines = REGION // 32
-    record("Diff-ing ablation (8 sparse 8-byte writes)", HEADER,
-           ["lines diffed (tracked vs page)", f"of {page_lines}",
-            lines_diffed])
-    assert lines_diffed == N_LINES_TOUCHED  # not the whole page
+    print_table("Diff-ing ablation (8 sparse 8-byte writes)", HEADER, [
+        ["update + hw diff", "release ns / wire bytes",
+         f"{diff['release_ns']:.0f} / {diff['wire_bytes']}"],
+        ["update, whole lines", "release ns / wire bytes",
+         f"{nodiff['release_ns']:.0f} / {nodiff['wire_bytes']}"],
+        ["reflective (eager)", "writer-visible ns / wire bytes",
+         f"{eager['writer_ns']:.0f} / {eager['wire_bytes']}"],
+        ["wire reduction", "nodiff/diff", ratio],
+        ["lines diffed (tracked vs page)", f"of {page_lines}",
+         diff["lines_diffed"]],
+    ])
+    path = write_record(args.json, "diffing",
+                        {"region_bytes": REGION,
+                         "lines_touched": N_LINES_TOUCHED},
+                        {"update_diff": diff, "update_whole_lines": nodiff,
+                         "reflective": eager, "wire_reduction": ratio,
+                         "page_lines": page_lines}, {})
+    print(f"record: {path}")
+    return check_claims({
+        "update + hw diff delivered every write": diff["delivered"],
+        "update, whole lines delivered every write": nodiff["delivered"],
+        "reflective delivered every write": eager["delivered"],
+        # 8 dirty bytes per 32-byte line: diffing should cut traffic
+        # well below the whole-line variant
+        "diff wire bytes < 0.7 x whole-line wire bytes":
+            diff["wire_bytes"] < 0.7 * nodiff["wire_bytes"],
+        # clsSRAM tracking diffs only the touched lines, not the page
+        f"lines diffed == {N_LINES_TOUCHED} touched, not the page":
+            diff["lines_diffed"] == N_LINES_TOUCHED,
+    })
+
+
+BENCH = {
+    "summary": "X-diff: update-protocol diffing vs whole lines vs "
+               "reflective memory",
+    "flags": None,
+    "run": run,
+}

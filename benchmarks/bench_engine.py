@@ -50,7 +50,7 @@ import json
 import os
 import time
 
-from repro.bench import print_table, write_record
+from repro.bench import check_claims, print_table, write_record
 from repro.mp.basic import BasicPort
 from repro.mp import vdst_for
 from repro.sim.engine import Engine  # repro: allow ARCH002 -- event-kernel microbenchmark drives the raw engine
@@ -275,26 +275,6 @@ def measure(quick: bool = False, repeats: int = 3) -> dict:
 
 
 # ----------------------------------------------------------------------
-# pytest entry points (collected with the rest of the benchmark suite)
-# ----------------------------------------------------------------------
-
-def test_engine_microbench(benchmark):
-    from benchmarks.conftest import record
-
-    results = benchmark.pedantic(measure, kwargs={"quick": True},
-                                 rounds=1, iterations=1)
-    for workload in WORKLOADS:
-        record("engine kernel throughput",
-               ["workload", "events/s", "ns/event"],
-               [workload, results[workload]["events_per_s"],
-                results[workload]["ns_per_event"]])
-    assert results["events_per_s"] > 0
-    assert results["bytes_moved_per_s"] > 0
-    assert results["basic_poll"]["items_per_poll"] == POLL_ITEMS
-    assert results["basic_poll64"]["items_per_poll"] == POLL_ITEMS
-
-
-# ----------------------------------------------------------------------
 # direct CLI
 # ----------------------------------------------------------------------
 
@@ -350,12 +330,13 @@ def run(args):
                  {"quick": args.quick, "record_as": args.record_as},
                  sim, wall)
     print(f"\nrecorded as {args.record_as!r} in {args.json}")
-    for poll in polls:
-        if poll["items_per_poll"] != POLL_ITEMS:
-            print(f"FAIL: an empty poll on {poll['n_nodes']} nodes executed "
-                  f"{poll['items_per_poll']:g} items, expected {POLL_ITEMS}")
-            return 1
-    return None
+    return check_claims({
+        "kernel events/s > 0": results["events_per_s"] > 0,
+        "alltoall8 bytes moved/s > 0": results["bytes_moved_per_s"] > 0,
+        **{f"an empty poll on {poll['n_nodes']} nodes executed "
+           f"{poll['items_per_poll']:g} items, expected {POLL_ITEMS}":
+           poll["items_per_poll"] == POLL_ITEMS for poll in polls},
+    })
 
 
 BENCH = {

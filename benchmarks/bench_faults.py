@@ -15,7 +15,7 @@ corrupt-drop counts, and delivered-message latency percentiles (each
 payload carries its send timestamp).  Everything is seeded — the sweep
 is byte-identical for any ``--jobs`` value.
 
-Also runnable directly (no pytest); the record lands in
+The record lands in
 ``benchmarks/results/faults.json``, ``--emit-metrics`` adds each point's
 metrics snapshot to it::
 
@@ -29,6 +29,7 @@ is what the golden gate's ``faults`` entry checks.
 import sys
 
 from repro.bench import (
+    check_claims,
     fresh_machine,
     print_table,
     run_sweep,
@@ -71,15 +72,14 @@ def _pctl(xs, q):
 
 
 def _rel_counters(machine):
-    rep = machine.stats.report()
+    counters = machine.metrics()["counters"]
     return {
-        "retransmits": int(sum(v for k, v in rep.items()
-                               if k.endswith(".rel.retransmits"))),
-        "timeouts": int(sum(v for k, v in rep.items()
-                            if k.endswith(".rel.timeouts"))),
-        "corrupt_drops": int(sum(v for k, v in rep.items()
-                                 if ".rx_drops." in k
-                                 and k.endswith(".corrupt"))),
+        "retransmits": sum(v for k, v in counters.items()
+                           if k.endswith(".rel.retransmits")),
+        "timeouts": sum(v for k, v in counters.items()
+                        if k.endswith(".rel.timeouts")),
+        "corrupt_drops": sum(v for k, v in counters.items()
+                             if ".rx_drops." in k and k.endswith(".corrupt")),
     }
 
 
@@ -253,19 +253,15 @@ def run(args):
                         {"points": points}, {})
     print(f"record: {path}")
 
-    undelivered = [p for p in points
-                   if p["reliable"] and p["goodput"] < 1.0]
-    if undelivered:
-        for p in undelivered:
-            print(f"FAIL: reliable {p['workload']} at loss={p['loss']} "
-                  f"delivered {p['delivered']}/{p['sent']}", file=sys.stderr)
-        return 1
     lossy_unreliable = [p for p in points
                         if not p["reliable"] and p["loss"] > 0.0]
     if lossy_unreliable and all(p["goodput"] >= 1.0
                                 for p in lossy_unreliable):
         print("note: unreliable rows lost nothing this seed", file=sys.stderr)
-    return 0
+    return check_claims({
+        f"reliable {p['workload']} at loss={p['loss']} delivered "
+        f"{p['delivered']}/{p['sent']}": p["goodput"] >= 1.0
+        for p in points if p["reliable"]})
 
 
 BENCH = {

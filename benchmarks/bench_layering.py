@@ -13,9 +13,8 @@ the raw network flight time of the same packet.
 """
 
 
-from benchmarks.conftest import record
 from repro import default_config
-from repro.bench import fresh_machine
+from repro.bench import check_claims, fresh_machine, print_table, write_record
 from repro.firmware.reflective import install_reflective  # repro: allow ARCH002 -- compares firmware layers below the public API
 from repro.mp.express import ExpressPort
 from repro.mp import EXPRESS_RX_LOGICAL, vdst_for
@@ -51,59 +50,62 @@ def _store_costs():
     return out
 
 
-def test_handler_indirection_cost(benchmark):
-    out = benchmark.pedantic(_store_costs, rounds=1, iterations=1)
-    record("Layering overhead", HEADER,
-           ["uncached store to DRAM", "aP-visible", out["plain"]])
-    record("Layering overhead", HEADER,
-           ["Express send (layer-1 handler)", "aP-visible", out["express"]])
-    overhead = out["express"] - out["plain"]
-    record("Layering overhead", HEADER,
-           ["layer-1 decode overhead", "delta", overhead])
-    # "very little or no additional overhead": within a few bus cycles;
-    # the Express path can even be CHEAPER than a DRAM store because the
-    # capture FIFO acknowledges before the DRAM access time
-    assert overhead < 4 * 15.2  # four 66 MHz bus cycles
+def _express_with_extra_handler():
+    """Express one-way latency (10 round trips) with a reflective-memory
+    layer-1 handler installed on both nodes."""
+    runner = ScenarioMachine(default_config(n_nodes=2),
+                             scenario("express", repeats=10))
+    for n in range(2):
+        install_reflective(runner.machine.node(n), 0x40000, 4096, [0, 1])
+    return runner.run().results[0]
 
 
-def test_end_to_end_layer_budget(benchmark):
-    """One-way Express latency vs the raw wire time of its packet."""
+def run(args):
+    stores = _store_costs()
+    overhead = stores["express"] - stores["plain"]
+    latency = measure("express", repeats=20)
+    # the same packet's unavoidable network time: serialization on two
+    # links (node->switch->node) + switch + wire latencies
+    ncfg = default_config(n_nodes=2).network
+    wire = 2 * (16 * ncfg.ns_per_byte + ncfg.wire_latency_ns) \
+        + ncfg.switch_latency_ns
+    base = measure("express", repeats=10)
+    with_handler = _express_with_extra_handler()
+    print_table("Layering overhead", HEADER, [
+        ["uncached store to DRAM", "aP-visible", stores["plain"]],
+        ["Express send (layer-1 handler)", "aP-visible", stores["express"]],
+        ["layer-1 decode overhead", "delta", overhead],
+        ["Express one-way", "total", latency],
+        ["  of which raw network", "flight", wire],
+        ["  of which NIU layers + polling", "overhead", latency - wire],
+        ["Express one-way (10 round trips)", "one-way", base],
+        ["Express with extra handler installed", "one-way", with_handler],
+    ])
+    path = write_record(args.json, "layering", {},
+                        {"store_ns": stores, "decode_overhead_ns": overhead,
+                         "express_one_way_ns": latency, "wire_ns": wire,
+                         "layers_ns": latency - wire,
+                         "express_10_ns": base,
+                         "express_10_extra_handler_ns": with_handler}, {})
+    print(f"record: {path}")
+    return check_claims({
+        # "very little or no additional overhead": within a few bus
+        # cycles; the Express path can even be CHEAPER than a DRAM store
+        # because the capture FIFO acknowledges before the DRAM access
+        "layer-1 decode overhead < 4 x 15.2 ns (four 66 MHz bus cycles)":
+            overhead < 4 * 15.2,
+        # the full four-layer stack costs less than ~3x the raw flight
+        "Express one-way < raw network flight + 700 ns":
+            latency < wire + 700,
+        # handlers are per-region: an extra one must not slow Express
+        "Express with an extra handler < 1.05 x without":
+            with_handler < 1.05 * base,
+    })
 
-    def run():
-        latency = measure("express", repeats=20)
-        # the same packet's unavoidable network time: serialization on two
-        # links (node->switch->node) + switch + wire latencies
-        machine = fresh_machine(2)
-        ncfg = machine.config.network
-        wire = 2 * (16 * ncfg.ns_per_byte + ncfg.wire_latency_ns) \
-            + ncfg.switch_latency_ns
-        return latency, wire
 
-    latency, wire = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("Layering overhead", HEADER,
-           ["Express one-way", "total", latency])
-    record("Layering overhead", HEADER,
-           ["  of which raw network", "flight", wire])
-    record("Layering overhead", HEADER,
-           ["  of which NIU layers + polling", "overhead", latency - wire])
-    # the full four-layer stack costs less than ~3x the raw flight time
-    assert latency < wire + 700
-
-
-def test_new_mechanism_does_not_tax_existing(benchmark):
-    """Installing an extra layer-1 handler (reflective memory) must not
-    slow unrelated Express traffic — handlers are per-region."""
-
-    def run():
-        base = measure("express", repeats=10)
-        runner = ScenarioMachine(default_config(n_nodes=2),
-                                 scenario("express", repeats=10))
-        for n in range(2):
-            install_reflective(runner.machine.node(n), 0x40000, 4096, [0, 1])
-        return base, runner.run().results[0]
-
-    base, with_handler = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("Layering overhead", HEADER,
-           ["Express with extra handler installed", "one-way",
-            with_handler])
-    assert with_handler < 1.05 * base
+BENCH = {
+    "summary": "X-layers: layer-1 handler cost and the four-layer "
+               "latency budget",
+    "flags": None,
+    "run": run,
+}

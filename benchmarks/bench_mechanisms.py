@@ -8,87 +8,47 @@ for latency, and TagOn raising Basic's per-message data capacity
 at marginal cost.
 """
 
-import pytest
-
-from benchmarks.conftest import record
-from repro.bench import fresh_machine
-from repro.mp.basic import BasicPort
-from repro.mp import vdst_for
+from repro.bench import check_claims, print_table, write_record
 from repro.scenarios import measure
 
 HEADER = ["mechanism", "metric", "value"]
 
 
-def test_express_latency(benchmark):
-    latency = benchmark.pedantic(measure, args=("express",), rounds=1,
-                                 iterations=1)
-    record("Mechanism microbenchmarks", HEADER,
-           ["express", "one-way ns (5 B)", latency])
-    assert latency < 2_000
+def run(args):
+    express = measure("express")
+    basic = {n: measure("basic", payload_bytes=n) for n in (8, 64, 88)}
+    tagon = measure("tagon")
+    stream = measure("basic_stream")
+    mpi = measure("mpi_pingpong")
+    print_table("Mechanism microbenchmarks", HEADER, [
+        ["express", "one-way ns (5 B)", express],
+        *[["basic", f"one-way ns ({n} B)", ns] for n, ns in basic.items()],
+        ["basic+tagon", "per-message ns (83 B)", tagon],
+        ["basic", "stream MB/s (64 B msgs)", stream["mb_per_s"]],
+        ["basic", "stream msgs/s", stream["msgs_per_s"]],
+        ["mini-MPI", "one-way ns (64 B)", mpi],
+    ])
+    path = write_record(args.json, "mechanisms", {},
+                        {"express_ns": express, "basic_ns": basic,
+                         "tagon_ns_per_msg": tagon, "basic_stream": stream,
+                         "mpi_ns": mpi}, {})
+    print(f"record: {path}")
+    return check_claims({
+        "express one-way < 2000 ns": express < 2_000,
+        "basic one-way (8 B) < 10000 ns": basic[8] < 10_000,
+        "basic one-way (88 B) < 10000 ns": basic[88] < 10_000,
+        "express < basic (8 B)": express < basic[8],
+        # 83 bytes per message must cost far less than 11 separate sends
+        "TagOn 83 B per message < 5 x basic (8 B)": tagon < 5 * basic[8],
+        "basic stream > 30 MB/s": stream["mb_per_s"] > 30,
+        # library layering costs something, but not an order of magnitude
+        "mini-MPI (64 B) < 10 x basic (64 B)": mpi < 10 * basic[64],
+    })
 
 
-@pytest.mark.parametrize("payload", [8, 88])
-def test_basic_latency(benchmark, payload):
-    latency = benchmark.pedantic(measure, args=("basic",),
-                                 kwargs={"payload_bytes": payload},
-                                 rounds=1, iterations=1)
-    record("Mechanism microbenchmarks", HEADER,
-           ["basic", f"one-way ns ({payload} B)", latency])
-    assert latency < 10_000
-
-
-def test_express_beats_basic(benchmark):
-    def both():
-        return measure("express"), measure("basic", payload_bytes=8)
-
-    express, basic = benchmark.pedantic(both, rounds=1, iterations=1)
-    assert express < basic
-
-
-def test_tagon_amortizes_data(benchmark):
-    """Per-byte cost of an 80-byte TagOn send beats eleven 8-byte sends."""
-
-    def run():
-        machine = fresh_machine(2)
-        p0 = BasicPort(machine.node(0), 0, 0)
-        p1 = BasicPort(machine.node(1), 0, 0)
-        staging = machine.node(0).niu.alloc_asram(80, align=16)
-
-        def sender(api):
-            tag = yield from p0.stage_tagon(api, staging, bytes(80))
-            for _ in range(20):
-                yield from p0.send(api, vdst_for(1, 0), b"hdr", tagon=tag)
-
-        def receiver(api):
-            for _ in range(20):
-                yield from p1.recv(api)
-
-        t0 = machine.now
-        machine.run_all([machine.spawn(0, sender),
-                         machine.spawn(1, receiver)])
-        return (machine.now - t0) / 20
-
-    per_msg = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("Mechanism microbenchmarks", HEADER,
-           ["basic+tagon", "per-message ns (83 B)", per_msg])
-    # 83 bytes per message must cost far less than 11 separate sends
-    assert per_msg < 5 * measure("basic", payload_bytes=8)
-
-
-def test_basic_stream_rate(benchmark):
-    stats = benchmark.pedantic(measure, args=("basic_stream",), rounds=1,
-                               iterations=1)
-    record("Mechanism microbenchmarks", HEADER,
-           ["basic", "stream MB/s (64 B msgs)", stats["mb_per_s"]])
-    record("Mechanism microbenchmarks", HEADER,
-           ["basic", "stream msgs/s", stats["msgs_per_s"]])
-    assert stats["mb_per_s"] > 30
-
-
-def test_mpi_latency(benchmark):
-    latency = benchmark.pedantic(measure, args=("mpi_pingpong",), rounds=1,
-                                 iterations=1)
-    record("Mechanism microbenchmarks", HEADER,
-           ["mini-MPI", "one-way ns (64 B)", latency])
-    # library layering costs something, but not an order of magnitude
-    assert latency < 10 * measure("basic", payload_bytes=64)
+BENCH = {
+    "summary": "X-mp: Express, Basic, TagOn and mini-MPI latency and "
+               "stream rate",
+    "flags": None,
+    "run": run,
+}

@@ -6,56 +6,47 @@ benches measure ping-pong vs payload (fragmentation) and collective
 completion time vs node count on the linear-algorithm collectives.
 """
 
-import pytest
-
-from benchmarks.conftest import record
+from repro.bench import check_claims, print_table, write_record
 from repro.scenarios import measure
 
 HEADER = ["operation", "scale", "us"]
+#: one fragment carries 78 B; 312 B is four.
+PAYLOADS = (8, 78, 256, 312, 1024)
+NODES = (2, 4, 8)
+COLLECTIVES = ("barrier", "bcast", "allreduce")
 
 
-def _pingpong(payload_bytes):
-    return measure("mpi_pingpong", payload_bytes=payload_bytes) / 1000.0
+def run(args):
+    pingpong = {n: measure("mpi_pingpong", payload_bytes=n) / 1000.0
+                for n in PAYLOADS}
+    collectives = {name: {n: measure("collective", n, collective=name,
+                                     algo="flat", repeats=1,
+                                     payload_bytes=64) / 1000.0
+                          for n in NODES}
+                   for name in COLLECTIVES}
+    rows = [["ping-pong one-way", f"{n} B", us] for n, us in pingpong.items()]
+    rows += [[name, f"{n} nodes", collectives[name][n]]
+             for n in NODES for name in COLLECTIVES]
+    print_table("mini-MPI scaling", HEADER, rows)
+    path = write_record(args.json, "mpi", {"unit": "us"},
+                        {"pingpong_us": pingpong,
+                         "flat_collectives_us": collectives}, {})
+    print(f"record: {path}")
+    return check_claims({
+        # above one fragment latency grows roughly linearly with the
+        # fragment count, not worse
+        "ping-pong: 4 fragments (312 B) < 6 x one (78 B)":
+            pingpong[312] < 6 * pingpong[78],
+        # the linear collectives scale ~linearly in node count (the
+        # simple algorithms' expected cost, not a platform pathology)
+        "flat barrier: 8 nodes < 8 x 2 nodes":
+            collectives["barrier"][8] < 8 * collectives["barrier"][2],
+    })
 
 
-@pytest.mark.parametrize("payload", [8, 78, 256, 1024])
-def test_pingpong_fragmentation(benchmark, payload):
-    us = benchmark.pedantic(_pingpong, args=(payload,), rounds=1,
-                            iterations=1)
-    record("mini-MPI scaling", HEADER,
-           ["ping-pong one-way", f"{payload} B", us])
-
-
-def test_fragmentation_cost_linear(benchmark):
-    """Above one fragment (78 B) latency grows roughly linearly with the
-    fragment count, not worse."""
-
-    def run():
-        return _pingpong(78), _pingpong(4 * 78)
-
-    one, four = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert four < 6 * one  # 4 fragments cost < 6x one fragment
-
-
-def _collective(name, n_nodes):
-    return measure("collective", n_nodes, collective=name, algo="flat",
-                   repeats=1, payload_bytes=64) / 1000.0
-
-
-@pytest.mark.parametrize("name", ["barrier", "bcast", "allreduce"])
-@pytest.mark.parametrize("n_nodes", [2, 4, 8])
-def test_collectives(benchmark, name, n_nodes):
-    us = benchmark.pedantic(_collective, args=(name, n_nodes), rounds=1,
-                            iterations=1)
-    record("mini-MPI scaling", HEADER, [name, f"{n_nodes} nodes", us])
-
-
-def test_collective_scaling_linear(benchmark):
-    """The linear-tree collectives scale ~linearly in node count (the
-    expected cost of the simple algorithms, not a platform pathology)."""
-
-    def run():
-        return _collective("barrier", 2), _collective("barrier", 8)
-
-    two, eight = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert eight < 8 * two
+BENCH = {
+    "summary": "X-mpi: mini-MPI ping-pong fragmentation and flat "
+               "collective scaling",
+    "flags": None,
+    "run": run,
+}

@@ -5,19 +5,18 @@ bandwidth near 160 MB/s for full packets, aggregate bandwidth scaling
 with node count under random traffic (fat-tree bisection), and the
 high network priority overtaking congested low-priority traffic.
 
-Also runnable directly; ``--jobs N`` fans the scenario grid out over
-processes with byte-identical output::
+``--jobs N`` fans the scenario grid out over processes with
+byte-identical output; the CLI exits 1 when a claim fails::
 
     python -m repro.bench network --jobs 4
 """
 
-import pytest
-
-from benchmarks.conftest import record
+from repro.bench import check_claims, print_table, run_sweep, write_record
 from repro.common.config import default_config
 from repro.net.network import ArcticNetwork  # repro: allow ARCH002 -- raw-fabric benchmark bypasses the machine on purpose
 from repro.net.packet import PRIORITY_HIGH, PRIORITY_LOW, Packet, PacketKind  # repro: allow ARCH002 -- raw-fabric benchmark bypasses the machine on purpose
 from repro.sim.engine import Engine  # repro: allow ARCH002 -- raw-fabric benchmark bypasses the machine on purpose
+from repro.sim.events import AllOf  # repro: allow ARCH002 -- raw-fabric benchmark bypasses the machine on purpose
 
 HEADER = ["scenario", "metric", "value"]
 
@@ -54,13 +53,6 @@ def _stream(n_packets=100, payload=88):
     return total_bytes / engine.now * 1000.0  # MB/s
 
 
-def test_link_saturation(benchmark):
-    mb_s = benchmark.pedantic(_stream, rounds=1, iterations=1)
-    record("Arctic network", HEADER, ["2-node stream", "wire MB/s", mb_s])
-    # store-and-forward pipeline sustains near the 160 MB/s link rate
-    assert mb_s > 0.9 * 160.0
-
-
 def _random_traffic(n_nodes, packets_per_node=40):
     """Each node streams full packets to random partners; returns
     aggregate delivered MB/s."""
@@ -94,27 +86,9 @@ def _random_traffic(n_nodes, packets_per_node=40):
         engine.process(sender(src))
     for dst in range(n_nodes):
         procs.append(engine.process(receiver(dst, expected[dst])))
-    from repro.sim.events import AllOf  # repro: allow ARCH002 -- raw-fabric benchmark bypasses the machine on purpose
     engine.run_until_triggered(AllOf(engine, procs), limit=1e10)
     total = n_nodes * packets_per_node * 96
     return total / engine.now * 1000.0
-
-
-@pytest.mark.parametrize("n_nodes", [2, 4, 8, 16])
-def test_bisection_scaling(benchmark, n_nodes):
-    mb_s = benchmark.pedantic(_random_traffic, args=(n_nodes,), rounds=1,
-                              iterations=1)
-    record("Arctic network", HEADER,
-           [f"random traffic, {n_nodes} nodes", "aggregate MB/s", mb_s])
-
-
-def test_aggregate_grows_with_nodes(benchmark):
-    def run():
-        return _random_traffic(2), _random_traffic(8)
-
-    two, eight = benchmark.pedantic(run, rounds=1, iterations=1)
-    # a fat tree's aggregate bandwidth scales with the node count
-    assert eight > 2.0 * two
 
 
 def _oneway(n_nodes, cut_through):
@@ -139,61 +113,33 @@ def _oneway(n_nodes, cut_through):
     return got["t"]
 
 
-@pytest.mark.parametrize("n_nodes", [2, 4, 16])
-def test_cut_through_latency(benchmark, n_nodes):
-    """X-cutthru: the real Arctic forwarded cut-through; this ablation
-    shows what store-and-forward (the model default) costs per hop."""
+def _priority_overtaking():
+    """A high-priority packet injected behind a low-priority backlog:
+    its arrival time and the backlog's drain time."""
+    engine, net = _raw_net(2)
+    arrivals = {}
 
-    def run():
-        return _oneway(n_nodes, False), _oneway(n_nodes, True)
+    def sender():
+        for i in range(10):
+            yield from net.port(0).inject(_pkt(net, 0, 1, 88))
+        yield from net.port(0).inject(
+            _pkt(net, 0, 1, 8, priority=PRIORITY_HIGH))
 
-    sf, ct = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("Arctic network", HEADER,
-           [f"{n_nodes}-node one-way 96B", "store&fwd / cut-through ns",
-            f"{sf:.0f} / {ct:.0f}"])
-    assert ct <= sf
+    def low_receiver():
+        for i in range(10):
+            yield net.port(1).receive(PRIORITY_LOW)
+        arrivals["low_done"] = engine.now
 
+    def high_receiver():
+        yield net.port(1).receive(PRIORITY_HIGH)
+        arrivals["high"] = engine.now
 
-def test_priority_overtakes_congestion(benchmark):
-    """A high-priority packet injected behind a low-priority backlog
-    arrives before the backlog drains."""
+    engine.process(sender())
+    a = engine.process(low_receiver())
+    b = engine.process(high_receiver())
+    engine.run_until_triggered(AllOf(engine, [a, b]), limit=1e10)
+    return arrivals
 
-    def run():
-        engine, net = _raw_net(2)
-        arrivals = {}
-
-        def sender():
-            for i in range(10):
-                yield from net.port(0).inject(_pkt(net, 0, 1, 88))
-            yield from net.port(0).inject(
-                _pkt(net, 0, 1, 8, priority=PRIORITY_HIGH))
-
-        def low_receiver():
-            for i in range(10):
-                yield net.port(1).receive(PRIORITY_LOW)
-            arrivals["low_done"] = engine.now
-
-        def high_receiver():
-            yield net.port(1).receive(PRIORITY_HIGH)
-            arrivals["high"] = engine.now
-
-        engine.process(sender())
-        a = engine.process(low_receiver())
-        b = engine.process(high_receiver())
-        from repro.sim.events import AllOf  # repro: allow ARCH002 -- raw-fabric benchmark bypasses the machine on purpose
-        engine.run_until_triggered(AllOf(engine, [a, b]), limit=1e10)
-        return arrivals
-
-    arrivals = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("Arctic network", HEADER,
-           ["priority overtaking", "high_arrival/low_backlog_drain",
-            arrivals["high"] / arrivals["low_done"]])
-    assert arrivals["high"] < arrivals["low_done"]
-
-
-# ----------------------------------------------------------------------
-# direct CLI (parallel sweep)
-# ----------------------------------------------------------------------
 
 def _network_point(spec):
     """One sweep scenario -> a table row dict (module-level, picklable)."""
@@ -208,28 +154,60 @@ def _network_point(spec):
                 "value": _random_traffic(n_nodes)}
     if kind == "cut_through":
         n_nodes = spec[1]
+        sf, ct = _oneway(n_nodes, False), _oneway(n_nodes, True)
         return {"scenario": f"{n_nodes}-node one-way 96B",
                 "metric": "store&fwd / cut-through ns",
-                "value": f"{_oneway(n_nodes, False):.0f} / "
-                         f"{_oneway(n_nodes, True):.0f}"}
+                "value": f"{sf:.0f} / {ct:.0f}",
+                "store_forward_ns": sf, "cut_through_ns": ct}
+    if kind == "priority":
+        arrivals = _priority_overtaking()
+        return {"scenario": "priority overtaking",
+                "metric": "high_arrival/low_backlog_drain",
+                "value": arrivals["high"] / arrivals["low_done"],
+                "high_ns": arrivals["high"],
+                "low_done_ns": arrivals["low_done"]}
     raise ValueError(f"unknown scenario {spec!r}")
 
 
-def run(args):
-    from repro.bench import print_table, run_sweep, write_record
+def claims(rows):
+    """The fabric claims over the sweep's rows, ``{claim: held}``."""
+    at = {r["scenario"]: r for r in rows}
+    out = {
+        # store-and-forward sustains near the 160 MB/s link rate
+        "2-node stream > 0.9 x 160 MB/s":
+            at["2-node stream"]["value"] > 0.9 * 160.0,
+        # a fat tree's aggregate bandwidth scales with the node count
+        "random traffic: 8 nodes > 2 x 2 nodes":
+            at["random traffic, 8 nodes"]["value"]
+            > 2.0 * at["random traffic, 2 nodes"]["value"],
+        # the real Arctic forwarded cut-through; store-and-forward (the
+        # model default) costs per hop
+        **{f"{r['scenario']}: cut-through <= store&fwd":
+           r["cut_through_ns"] <= r["store_forward_ns"]
+           for r in rows if "cut_through_ns" in r},
+        "priority: high arrival < low backlog drain":
+            at["priority overtaking"]["high_ns"]
+            < at["priority overtaking"]["low_done_ns"],
+    }
+    return out
 
+
+def run(args):
     specs = ([("stream",)]
              + [("random", n) for n in (2, 4, 8, 16)]
-             + [("cut_through", n) for n in (2, 4, 16)])
+             + [("cut_through", n) for n in (2, 4, 16)]
+             + [("priority",)])
     rows = run_sweep(_network_point, specs, jobs=args.jobs)
     print_table("Arctic network", HEADER,
                 [[r["scenario"], r["metric"], r["value"]] for r in rows])
     path = write_record(args.json, "network", {}, {"rows": rows}, {})
     print(f"record: {path}")
+    return check_claims(claims(rows))
 
 
 BENCH = {
-    "summary": "Arctic fabric: saturation, bisection scaling, cut-through",
+    "summary": "Arctic fabric: saturation, bisection scaling, cut-through, "
+               "priority",
     "flags": None,
     "run": run,
 }

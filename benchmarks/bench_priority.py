@@ -8,9 +8,7 @@ round-robin arbiter splits service evenly; raising one queue's priority
 makes it drain strictly first whenever both hold messages.
 """
 
-
-from benchmarks.conftest import record
-from repro.bench import fresh_machine
+from repro.bench import check_claims, fresh_machine, print_table, write_record
 from repro.mp.basic import BasicPort
 from repro.mp import vdst_for
 from repro.sim.store import Store  # repro: allow ARCH002 -- taps CTRL's transmit FIFO to read the arbiter's launch order
@@ -72,38 +70,44 @@ def _race(priorities):
     return "".join(tap.launched)
 
 
-def test_equal_priorities_interleave(benchmark):
-    order = benchmark.pedantic(_race, args=((1, 1),), rounds=1, iterations=1)
-    first_half = order[: COUNT // 2]
-    share_a = first_half.count("A") / len(first_half)
-    record("Transmit priority arbitration", HEADER,
-           ["equal priorities", "A share of first half", share_a])
-    assert 0.25 < share_a < 0.75  # round-robin interleaves
-    assert order == "AB" * (COUNT // 2)
+def _first_half_share(order, queue):
+    return order[: COUNT // 2].count(queue) / (COUNT // 2)
 
 
-def test_prioritized_queue_drains_first(benchmark):
-    order = benchmark.pedantic(_race, args=((5, 0),), rounds=1, iterations=1)
-    first_half = order[: COUNT // 2]
-    share_b = first_half.count("B") / len(first_half)
-    record("Transmit priority arbitration", HEADER,
-           ["B prioritized", "B share of first half", share_b])
-    assert share_b > 0.8  # the high-priority queue dominates early service
-    assert order == "B" * (COUNT // 2) + "A" * (COUNT // 2)
+def run(args):
+    # flipping the "dynamically reconfigurable" register must reverse
+    # the winner
+    orders = {"1,1": _race((1, 1)), "5,0": _race((5, 0)),
+              "0,5": _race((0, 5))}
+    share_a = _first_half_share(orders["1,1"], "A")
+    share_b = _first_half_share(orders["5,0"], "B")
+    flipped = _first_half_share(orders["0,5"], "A")
+    print_table("Transmit priority arbitration", HEADER, [
+        ["equal priorities", "A share of first half", share_a],
+        ["B prioritized", "B share of first half", share_b],
+        ["flipped registers", "winner share", min(flipped, share_b)],
+    ])
+    path = write_record(args.json, "priority", {"count": COUNT},
+                        {"launch_orders": orders,
+                         "equal_a_share": share_a,
+                         "b_prioritized_b_share": share_b,
+                         "flipped_a_share": flipped}, {})
+    print(f"record: {path}")
+    return check_claims({
+        "equal priorities: 0.25 < A share < 0.75 (round-robin)":
+            0.25 < share_a < 0.75,
+        "equal priorities: launch order alternates AB":
+            orders["1,1"] == "AB" * (COUNT // 2),
+        "B prioritized: B share > 0.8": share_b > 0.8,
+        "B prioritized: every B launches before any A":
+            orders["5,0"] == "B" * (COUNT // 2) + "A" * (COUNT // 2),
+        "flipped registers: both winners' shares > 0.8":
+            share_b > 0.8 and flipped > 0.8,
+    })
 
 
-def test_reconfiguration_takes_effect_dynamically(benchmark):
-    """The register is 'dynamically reconfigurable': flipping it reverses
-    the winner."""
-
-    def run():
-        o1 = _race((5, 0))
-        o2 = _race((0, 5))
-        return o1, o2
-
-    o1, o2 = benchmark.pedantic(run, rounds=1, iterations=1)
-    b_first = o1[: COUNT // 2].count("B") / (COUNT // 2)
-    a_first = o2[: COUNT // 2].count("A") / (COUNT // 2)
-    record("Transmit priority arbitration", HEADER,
-           ["flipped registers", "winner share", min(a_first, b_first)])
-    assert b_first > 0.8 and a_first > 0.8
+BENCH = {
+    "summary": "X-prio: transmit-queue priority arbitration",
+    "flags": None,
+    "run": run,
+}

@@ -6,135 +6,81 @@ miss once and then hits local DRAM ("a region of DRAM used as a level 3
 cache").  Expected shape: S-COMA cold miss ~ NUMA read; S-COMA warm hit
 orders of magnitude cheaper; NUMA flat regardless of reuse.
 
-The sweep CLI writes its record to ``benchmarks/results/shm.json``::
+Every run measures those access latencies (and the cold miss under
+bulk low-priority DMA) and checks the claims; ``--workload`` adds the
+sharing-pattern sweep and/or the two shared-memory workloads at cluster
+scale.  The record lands in ``benchmarks/results/shm.json``, and the CLI
+exits 1 when a claim or a workload check fails::
 
     python -m repro.bench shm --workload all --json BENCH_shm.json
 """
 
 import repro
-from benchmarks.conftest import record
-from repro.bench import fresh_machine, print_table, write_record
+from repro.bench import check_claims, fresh_machine, print_table, write_record
 from repro.scenarios import measure
 from repro.shm import ScomaRegion
 
 HEADER = ["mechanism", "access", "latency_ns"]
 
 
-def test_numa_remote_read(benchmark):
-    latency = benchmark.pedantic(measure, args=("numa_read",), rounds=1,
-                                 iterations=1)
-    record("Shared-memory access latency", HEADER,
-           ["NUMA", "remote read (every access)", latency])
-    assert latency > 1_000  # always a firmware round-trip
-
-
-def test_scoma_cold_and_warm(benchmark):
-    out = benchmark.pedantic(measure, args=("scoma_read",), rounds=1,
-                             iterations=1)
-    record("Shared-memory access latency", HEADER,
-           ["S-COMA", "cold miss (protocol fill)", out["cold"]])
-    record("Shared-memory access latency", HEADER,
-           ["S-COMA", "warm hit (local L3)", out["warm"]])
-    assert out["warm"] < out["cold"] / 20
-
-
-def test_scoma_amortizes_vs_numa(benchmark):
-    """Ten reads of one remote location: S-COMA pays once, NUMA pays ten
-    times."""
-
-    def run():
-        scoma = measure("scoma_read", warm_reads=9)
-        return measure("numa_read") * 10, scoma["cold"] + 9 * scoma["warm"]
-
-    numa_total, scoma_total = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("Shared-memory access latency", HEADER,
-           ["NUMA", "10 reads of one line (total)", numa_total])
-    record("Shared-memory access latency", HEADER,
-           ["S-COMA", "10 reads of one line (total)", scoma_total])
-    assert scoma_total < numa_total / 2
-
-
-def test_scoma_write_ownership_cost(benchmark):
+def _scoma_write_costs():
     """First write takes ownership (recall/invalidate); later writes are
     local."""
-
-    def run():
-        machine = fresh_machine(2)
-        region = ScomaRegion(machine, n_lines=64)
-        region.init_data(0, bytes(32))
-        out = {}
-
-        def prog(api):
-            t0 = api.now
-            yield from api.store(region.addr(0), b"w" * 8)
-            out["first"] = api.now - t0
-            t0 = api.now
-            for _ in range(10):
-                yield from api.store(region.addr(0), b"v" * 8)
-            out["rest"] = (api.now - t0) / 10
-
-        machine.run_until(machine.spawn(1, prog), limit=1e10)
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("Shared-memory access latency", HEADER,
-           ["S-COMA", "first write (ownership)", out["first"]])
-    record("Shared-memory access latency", HEADER,
-           ["S-COMA", "owned write", out["rest"]])
-    assert out["rest"] < out["first"] / 10
-
-
-def _scoma_miss_under_load(background_dma: bool):
-    """S-COMA cold-miss latency, optionally under a saturating DMA.
-
-    The protocol rides the HIGH network priority, so bulk data on the
-    LOW priority should inflate the miss only modestly — the reason the
-    paper "require[s] that the network supports at least two priority
-    levels"."""
-    from repro.mp.basic import BasicPort
-    from repro.mp.dma import dma_write
-
     machine = fresh_machine(2)
     region = ScomaRegion(machine, n_lines=64)
-    region.init_data(0, bytes(range(32)))
+    region.init_data(0, bytes(32))
     out = {}
-
-    if background_dma:
-        machine.node(0).dram.poke(0x10000, bytes(32768))
-        port = BasicPort(machine.node(0), 1, 1)
-
-        def bulk(api):
-            # continuous low-priority bulk traffic 0 -> 1
-            for _ in range(4):
-                yield from dma_write(api, port, 1, 0x10000, 0x28000, 8192)
-                yield from api.sleep(1_000)
-
-        machine.spawn(0, bulk)
-        machine.run(until=machine.now + 30_000)  # let the bulk stream start
 
     def prog(api):
         t0 = api.now
-        yield from api.load(region.addr(0), 8)
-        out["cold"] = api.now - t0
+        yield from api.store(region.addr(0), b"w" * 8)
+        out["first"] = api.now - t0
+        t0 = api.now
+        for _ in range(10):
+            yield from api.store(region.addr(0), b"v" * 8)
+        out["rest"] = (api.now - t0) / 10
 
     machine.run_until(machine.spawn(1, prog), limit=1e10)
-    return out["cold"]
+    return out
 
 
-def test_priority_isolates_protocol_from_bulk(benchmark):
-    def run():
-        return (_scoma_miss_under_load(False),
-                _scoma_miss_under_load(True))
+def _latency():
+    """The access-latency section: every point once, ``{name: ns}``."""
+    numa = measure("numa_read")
+    scoma = measure("scoma_read")
+    ten = measure("scoma_read", warm_reads=9)
+    writes = _scoma_write_costs()
+    return {
+        "numa_read": numa,
+        "scoma_cold": scoma["cold"],
+        "scoma_warm": scoma["warm"],
+        # ten reads of one remote location: S-COMA pays once, NUMA ten
+        # times
+        "numa_10_reads": numa * 10,
+        "scoma_10_reads": ten["cold"] + 9 * ten["warm"],
+        "scoma_first_write": writes["first"],
+        "scoma_owned_write": writes["rest"],
+        "scoma_cold_under_bulk_dma":
+            measure("scoma_read", bulk_dma=True)["cold"],
+    }
 
-    quiet, loaded = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("Shared-memory access latency", HEADER,
-           ["S-COMA", "cold miss, quiet network", quiet])
-    record("Shared-memory access latency", HEADER,
-           ["S-COMA", "cold miss, under bulk DMA", loaded])
-    # the high-priority protocol path keeps the miss within ~3x even
-    # while low-priority bulk saturates the same links (the home's bus
-    # and command stream still share, so some inflation is real)
-    assert loaded < 4.0 * quiet
+
+def _latency_claims(lat):
+    return {
+        "NUMA remote read > 1000 ns (always a firmware round-trip)":
+            lat["numa_read"] > 1_000,
+        "S-COMA warm hit < cold miss / 20":
+            lat["scoma_warm"] < lat["scoma_cold"] / 20,
+        "S-COMA 10 reads < NUMA 10 reads / 2":
+            lat["scoma_10_reads"] < lat["numa_10_reads"] / 2,
+        "S-COMA owned write < first write / 10":
+            lat["scoma_owned_write"] < lat["scoma_first_write"] / 10,
+        # the high-priority protocol path keeps the miss within ~3x even
+        # while low-priority bulk saturates the same links (the home's
+        # bus and command stream still share, so some inflation is real)
+        "S-COMA cold miss under bulk DMA < 4 x quiet":
+            lat["scoma_cold_under_bulk_dma"] < 4.0 * lat["scoma_cold"],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +142,19 @@ def _shm_flags(parser):
 def run(args):
     args.nodes = sorted({int(tok) for tok in
                          str(args.nodes).replace(",", " ").split()})
-    sim = {}
+    lat = _latency()
+    print_table("Shared-memory access latency", HEADER, [
+        ["NUMA", "remote read (every access)", lat["numa_read"]],
+        ["S-COMA", "cold miss (protocol fill)", lat["scoma_cold"]],
+        ["S-COMA", "warm hit (local L3)", lat["scoma_warm"]],
+        ["NUMA", "10 reads of one line (total)", lat["numa_10_reads"]],
+        ["S-COMA", "10 reads of one line (total)", lat["scoma_10_reads"]],
+        ["S-COMA", "first write (ownership)", lat["scoma_first_write"]],
+        ["S-COMA", "owned write", lat["scoma_owned_write"]],
+        ["S-COMA", "cold miss, under bulk DMA",
+         lat["scoma_cold_under_bulk_dma"]],
+    ])
+    sim = {"latency": lat}
     if args.workload in ("patterns", "all"):
         curves = sim["patterns"] = _pattern_sweep(args)
         rows = [[pattern, point["nodes"],
@@ -214,8 +172,10 @@ def run(args):
                         {"nodes": args.nodes, "rounds": args.rounds,
                          "workload": args.workload}, sim, {})
     print(f"record: {path}")
-    ok = all(c["ok"] for c in sim.get("workloads", {}).values())
-    return 0 if ok else 1
+    claims = _latency_claims(lat)
+    claims.update({f"{name} workload correct at {c['nodes']} nodes": c["ok"]
+                   for name, c in sim.get("workloads", {}).items()})
+    return check_claims(claims)
 
 
 BENCH = {

@@ -21,7 +21,7 @@ default full-memory nodes with radix-8 switches, so the 1024-node fat
 tree stays 5 levels.  Everything is seeded: the sweep is byte-identical
 for any ``--jobs``.
 
-Also runnable directly (no pytest); the record lands in
+The record lands in
 ``benchmarks/results/sync.json`` (the committed full-axis run is
 ``BENCH_sync.json``), and ``--emit-metrics`` adds each point's metrics
 snapshot to it::
@@ -29,15 +29,14 @@ snapshot to it::
     python -m repro.bench sync --nodes 64 --sanitize combine
     python -m repro.bench sync --jobs 6 --json BENCH_sync.json
 
-The CLI exits nonzero if in-switch combining fails to beat the
-pure-endpoint implementation at any size >= 256 nodes (at the largest
-size, for a smaller axis), which the golden gate's ``sync`` entry
-checks.
+The CLI exits nonzero if a hot spot loses or double-counts an update,
+or if in-switch combining fails to beat the pure-endpoint
+implementation at any size >= 256 nodes (at the largest size, for a
+smaller axis), which the golden gate's ``sync`` entry checks.
 """
 
-import sys
-
 from repro.bench import (
+    check_claims,
     fresh_machine,
     print_table,
     run_sweep,
@@ -68,9 +67,8 @@ def sync_machine(n_nodes, **overrides):
 
 
 def _combine_hits(machine):
-    rep = machine.stats.report()
-    return int(sum(v for k, v in rep.items()
-                   if k.endswith(".combine_hits")))
+    return sum(v for k, v in machine.metrics()["counters"].items()
+               if k.endswith(".combine_hits"))
 
 
 def barrier_point(spec):
@@ -121,8 +119,9 @@ def hotspot_point(spec):
 
     ``num/den`` of the machine's nodes each issue ``HOTSPOT_ROUNDS``
     fetch-and-adds on the same counter cell; the row reports the wall
-    from first request to last reply.  The final counter value is
-    asserted, so a dropped or double-applied combine fails the sweep.
+    from first request to last reply, and the final counter value
+    (``final``, which :func:`run` checks against ``ops`` and drops from
+    the record), so a dropped or double-applied combine fails the run.
     """
     n, num, den, transport = spec
     contenders = max(2, n * num // den)
@@ -144,13 +143,13 @@ def hotspot_point(spec):
     total_ns = machine.now - t0
     final = machine.run_until(machine.spawn(0, check), limit=1e11)
     ops = contenders * HOTSPOT_ROUNDS
-    assert final == ops, f"hot spot lost updates: {final} != {ops}"
     return {
         "workload": "hotspot",
         "nodes": n,
         "contenders": contenders,
         "transport": transport,
         "ops": ops,
+        "final": final,
         "total_ns": total_ns,
         "per_op_ns": total_ns / ops,
         "combine_hits": _combine_hits(machine),
@@ -210,6 +209,13 @@ def _flags(parser):
 def run(args):
     node_axis = tuple(args.nodes) if args.nodes else NODE_AXIS
     points = sync_sweep(jobs=args.jobs, node_axis=node_axis)
+    claims = {}
+    for p in points:
+        if p["workload"] == "hotspot":
+            final = p.pop("final")
+            claims[f"hot spot at {p['nodes']} ({p['contenders']} "
+                   f"contenders, {p['transport']}) counted {final} of "
+                   f"{p['ops']} updates"] = final == p["ops"]
 
     barrier_rows = [[p["nodes"], p["algo"], p["rounds"],
                      f"{p['total_ns'] / 1e3:.1f}",
@@ -233,10 +239,8 @@ def run(args):
                         {"switch_beats_endpoint": not violations,
                          "violations": violations, "points": points}, {})
     print(f"record: {path}")
-
-    for v in violations:
-        print(f"FAIL: {v}", file=sys.stderr)
-    return 1 if violations else 0
+    claims.update({v: False for v in violations})
+    return check_claims(claims)
 
 
 BENCH = {

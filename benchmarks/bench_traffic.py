@@ -14,8 +14,9 @@ offered requests) and the p50/p99/p99.9 latency tail, for the three
 * **microservice fan-out** — depth-2 request trees, tail-at-scale.
 
 Determinism is part of the contract and gated here: the mid-load KV
-point is re-run through a 4-wide process pool, and its wall-stripped
-snapshot must be byte-identical to the inline run.
+point is re-run twice through a two-worker process pool, and each
+pooled run's wall-stripped snapshot must be byte-identical to the
+inline run's.
 
 The record lands in ``benchmarks/results/traffic.json`` (the committed
 64-node run is ``BENCH_traffic.json``); each point's wall seconds go to
@@ -28,10 +29,10 @@ snapshot to its ``sim``::
 """
 
 import os
-import sys
 import time
 
 from repro.bench import (
+    check_claims,
     comparable,
     print_table,
     run_sweep,
@@ -99,13 +100,16 @@ def kv_sweep(args):
 
 def parity_checks(args, baseline_point):
     """The determinism gate: the mid-load KV point must be byte-identical
-    (wall-stripped) when computed through a 4-wide process pool."""
+    (wall-stripped) when computed in pool worker processes.  Two copies
+    go to a two-worker pool, since :func:`run_sweep` runs a one-point
+    list inline."""
     rate = baseline_point["rate_rps"]
     base = comparable(dict(baseline_point["snapshot"]))
-    pooled = run_sweep(traffic_point, [_kv_spec(rate, args)], jobs=4)[0]
+    pooled = run_sweep(traffic_point, [_kv_spec(rate, args)] * 2, jobs=2)
     return {
         "rate_rps": rate,
-        "jobs4_identical": comparable(pooled["snapshot"]) == base,
+        "jobs4_identical": all(comparable(p["snapshot"]) == base
+                               for p in pooled),
     }
 
 
@@ -205,11 +209,10 @@ def replay_trace_in(args):
         {"trace_requests": len(records), "replay_point": _sim(point, args)},
         {"seconds": {"replay_point": point["wall_seconds"]}})
     print(f"record: {path}")
-    if t.get("completed") != t.get("offered") or not t.get("offered"):
-        print(f"FAIL: replay completed {t.get('completed')} of "
-              f"{t.get('offered')} offered", file=sys.stderr)
-        return 1
-    return 0
+    return check_claims({
+        f"replay completed {t.get('completed')} of {t.get('offered')} "
+        f"offered": bool(t.get("offered"))
+        and t.get("completed") == t.get("offered")})
 
 
 def run(args):
@@ -247,7 +250,7 @@ def run(args):
     if not args.skip_parity:
         parity = parity_checks(args, mid)
         print(f"parity @ {round(parity['rate_rps'])} req/s/node: "
-              f"jobs4={parity['jobs4_identical']}")
+              f"pooled={parity['jobs4_identical']}")
 
     low, high = kv_points[0], kv_points[-1]
     low_goodput = low["traffic"].get("kv", {}).get("goodput", 0.0)
@@ -269,29 +272,24 @@ def run(args):
                      "usvc_point": usvc["wall_seconds"]}})
     print(f"record: {path}")
 
-    failed = False
-    if low_goodput <= args.min_goodput:
-        print(f"FAIL: low-load KV goodput {low_goodput:.3f} <= "
-              f"{args.min_goodput}", file=sys.stderr)
-        failed = True
-    if not knee_visible:
-        print(f"FAIL: no SLO knee — goodput {high_goodput:.3f} at "
-              f"{round(high['rate_rps'])} req/s/node is not below "
-              f"{low_goodput:.3f} at {round(low['rate_rps'])}",
-              file=sys.stderr)
-        failed = True
-    if parity is not None and not parity["jobs4_identical"]:
-        print(f"FAIL: traffic metrics not deterministic: {parity}",
-              file=sys.stderr)
-        failed = True
+    claims = {
+        f"low-load KV goodput {low_goodput:.3f} > {args.min_goodput}":
+            low_goodput > args.min_goodput,
+        f"SLO knee: goodput {high_goodput:.3f} at "
+        f"{round(high['rate_rps'])} req/s/node below {low_goodput:.3f} at "
+        f"{round(low['rate_rps'])}": knee_visible,
+    }
+    if parity is not None:
+        claims[f"traffic metrics deterministic in a process pool: "
+               f"{parity}"] = parity["jobs4_identical"]
     for p in trains + [usvc]:
         app = "usvc" if p["scenario"] == "traffic_usvc" else "ps"
         t = p["traffic"].get(app, {})
-        if t.get("offered", 0) and t["completed"] != t["offered"]:
-            print(f"FAIL: {p['scenario']} completed {t['completed']} of "
-                  f"{t['offered']} offered", file=sys.stderr)
-            failed = True
-    return 1 if failed else 0
+        if t.get("offered", 0):
+            claims[f"{p['scenario']} {p.get('variant', '')} completed "
+                   f"{t['completed']} of {t['offered']} offered"] = (
+                t["completed"] == t["offered"])
+    return check_claims(claims)
 
 
 BENCH = {

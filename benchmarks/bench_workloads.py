@@ -8,85 +8,84 @@ mixed messaging+DMA+S-COMA load — verifying integrity and reporting
 delivered throughput.
 """
 
-import pytest
-
-from benchmarks.conftest import record
-from repro.bench import fresh_machine
+from repro.bench import check_claims, fresh_machine, print_table, write_record
 from repro.bench.workloads import hotspot, mixed, pipeline, uniform_random
 
 HEADER = ["workload", "nodes", "metric", "value"]
 
 
 def _run(machine, procs, verify):
+    """Run a workload, then a drain window: its completion time and
+    whether every message arrived intact."""
     machine.run_all(procs, limit=1e11)
     done = machine.now  # workload completion, before the drain window
     machine.run(until=machine.now + 500_000)
-    assert verify()
-    return done
+    return done, verify()
 
 
-@pytest.mark.parametrize("n_nodes", [2, 4, 8])
-def test_uniform_random(benchmark, n_nodes):
-    def run():
-        machine = fresh_machine(n_nodes)
-        procs, verify = uniform_random(machine)
-        elapsed = _run(machine, procs, verify)
-        total_msgs = n_nodes * 20
-        return total_msgs / (elapsed / 1e9)
-
-    rate = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("System workloads", HEADER,
-           ["uniform random", n_nodes, "msg/s", rate])
+def _uniform(n_nodes):
+    machine = fresh_machine(n_nodes)
+    elapsed, ok = _run(machine, *uniform_random(machine))
+    return n_nodes * 20 / (elapsed / 1e9), ok
 
 
-@pytest.mark.parametrize("n_nodes", [4, 8])
-def test_hotspot(benchmark, n_nodes):
-    def run():
-        machine = fresh_machine(n_nodes)
-        procs, verify = hotspot(machine)
-        elapsed = _run(machine, procs, verify)
-        total = (n_nodes - 1) * 20
-        return total / (elapsed / 1e9)
-
-    rate = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("System workloads", HEADER,
-           ["hotspot (all -> node 0)", n_nodes, "msg/s at sink", rate])
+def _hotspot(n_nodes):
+    machine = fresh_machine(n_nodes)
+    elapsed, ok = _run(machine, *hotspot(machine))
+    return (n_nodes - 1) * 20 / (elapsed / 1e9), ok
 
 
-def test_hotspot_does_not_lose_messages(benchmark):
-    """Congestion at the hot node backpressures; nothing is dropped."""
-
-    def run():
-        machine = fresh_machine(8)
-        procs, verify = hotspot(machine, messages_per_node=30)
-        _run(machine, procs, verify)
-        drops = sum(v for k, v in machine.stats.report().items()
-                    if ".rx_drops." in k)
-        return drops
-
-    assert benchmark.pedantic(run, rounds=1, iterations=1) == 0
+def _hotspot_drops():
+    """Receive drops under a heavier 8-node hot spot (congestion at the
+    hot node must backpressure, not drop)."""
+    machine = fresh_machine(8)
+    _done, ok = _run(machine, *hotspot(machine, messages_per_node=30))
+    counters = machine.metrics()["counters"]
+    return sum(v for k, v in counters.items() if ".rx_drops." in k), ok
 
 
-@pytest.mark.parametrize("n_nodes", [2, 4])
-def test_pipeline(benchmark, n_nodes):
-    def run():
-        machine = fresh_machine(n_nodes)
-        procs, verify = pipeline(machine)
-        elapsed = _run(machine, procs, verify)
-        return elapsed / 10 / n_nodes  # ns per hop
-
-    per_hop = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("System workloads", HEADER,
-           ["ring pipeline", n_nodes, "ns/hop", per_hop])
-    assert per_hop < 10_000
+def _pipeline(n_nodes):
+    machine = fresh_machine(n_nodes)
+    elapsed, ok = _run(machine, *pipeline(machine))
+    return elapsed / 10 / n_nodes, ok  # ns per hop
 
 
-def test_mixed_workload(benchmark):
-    def run():
-        machine = fresh_machine(2)
-        procs, verify = mixed(machine)
-        return _run(machine, procs, verify)
+def _mixed():
+    machine = fresh_machine(2)
+    elapsed, ok = _run(machine, *mixed(machine))
+    return elapsed / 1000, ok
 
-    elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("System workloads", HEADER,
-           ["mixed msg+DMA+S-COMA", 2, "completion us", elapsed / 1000])
+
+def run(args):
+    points = {
+        **{("uniform random", n, "msg/s"): _uniform(n) for n in (2, 4, 8)},
+        **{("hotspot (all -> node 0)", n, "msg/s at sink"): _hotspot(n)
+           for n in (4, 8)},
+        ("hotspot, 30 msgs/node", 8, "rx drops"): _hotspot_drops(),
+        **{("ring pipeline", n, "ns/hop"): _pipeline(n) for n in (2, 4)},
+        ("mixed msg+DMA+S-COMA", 2, "completion us"): _mixed(),
+    }
+    print_table("System workloads", HEADER,
+                [[*key, value] for key, (value, _ok) in points.items()])
+    path = write_record(args.json, "workloads", {},
+                        {"rows": [{"workload": w, "nodes": n, "metric": m,
+                                   "value": value, "verified": ok}
+                                  for (w, n, m), (value, ok)
+                                  in points.items()]}, {})
+    print(f"record: {path}")
+    claims = {f"{w} on {n} nodes delivered every message intact": ok
+              for (w, n, _m), (_value, ok) in points.items()}
+    claims["hot spot drops nothing (backpressure)"] = (
+        points[("hotspot, 30 msgs/node", 8, "rx drops")][0] == 0)
+    for n in (2, 4):
+        claims[f"ring pipeline on {n} nodes < 10000 ns/hop"] = (
+            points[("ring pipeline", n, "ns/hop")][0] < 10_000)
+    return check_claims(claims)
+
+
+BENCH = {
+    "summary": "X-work: uniform, hot-spot, pipeline and mixed system "
+               "workloads",
+    "flags": None,
+    "run": run,
+}

@@ -8,10 +8,8 @@ golden`` hashes them all (:mod:`repro.bench.golden`).
 
 from repro.bench.harness import (
     FIG_SIZES,
-    block_transfer_metrics_sweep,
     block_transfer_point,
-    collective_metrics_sweep,
-    collective_point,
+    check_claims,
     comparable,
     fresh_machine,
     print_table,
@@ -23,10 +21,8 @@ from repro.bench.harness import (
 __all__ = [
     "FIG_SIZES",
     "fresh_machine",
-    "block_transfer_metrics_sweep",
     "block_transfer_point",
-    "collective_metrics_sweep",
-    "collective_point",
+    "check_claims",
     "run_sweep",
     "strip_wall",
     "comparable",

@@ -1,28 +1,25 @@
 """``python -m repro.bench`` — the unified benchmark front door.
 
-Every benchmark lives in ``benchmarks/bench_*.py``.  This CLI owns the
-*shared* flags once (``--jobs``, ``--emit-metrics``, ``--trace``,
-``--sanitize``, ``--seed``, ``--json``) and discovers the per-file
-workers:
-
-* a module that defines a ``BENCH`` registration — ``{"summary": str,
-  "run": callable(args), "flags": callable(parser) | None}`` — is a
-  *CLI worker*: the CLI builds shared flags + the module's extras and
-  calls ``run(args)``, which writes one ``startv.bench`` record
-  (:func:`repro.bench.harness.write_record`) to ``--json OUT``, by
-  default ``benchmarks/results/<name>.json``;
-* any other ``bench_*.py`` is a *pytest worker* and is executed through
-  ``pytest`` with the remaining arguments (the pedantic-benchmark style
-  files); sanitize one with ``REPRO_SANITIZE=... python -m repro.bench
-  <name>``.
+Every benchmark is one ``benchmarks/bench_<name>.py`` that defines a
+``BENCH`` registration — ``{"summary": str, "run": callable(args),
+"flags": callable(parser) | None}``.  This CLI owns the *shared* flags
+once (``--jobs``, ``--emit-metrics``, ``--trace``, ``--sanitize``,
+``--seed``, ``--json``), adds the module's extras and calls
+``run(args)``, which measures each of its points once, prints its
+tables, writes one ``startv.bench`` record
+(:func:`repro.bench.harness.write_record`) holding every number it
+printed to ``--json OUT`` (default ``benchmarks/results/<name>.json``),
+and returns its exit status: 1, with a ``FAIL: <claim>`` line per
+failed claim (:func:`repro.bench.harness.check_claims`), when any of
+its claims does not hold.
 
 ``python -m repro.bench golden`` (no options) runs the golden-output
-gate of :mod:`repro.bench.golden`.
+gate of :mod:`repro.bench.golden`: every bench, hashed.
 
 Usage::
 
     python -m repro.bench                  # list every benchmark
-    python -m repro.bench fig3_latency --emit-metrics --jobs 4
+    python -m repro.bench blocks --emit-metrics --jobs 4
     python -m repro.bench sync --json BENCH_sync.json
     python -m repro.bench golden
 """
@@ -123,14 +120,6 @@ def sanitized(spec: Optional[str]) -> Iterator[None]:
             os.environ["REPRO_SANITIZE"] = previous
 
 
-def _summary_of(module) -> str:
-    bench = getattr(module, "BENCH", None)
-    if bench and bench.get("summary"):
-        return bench["summary"]
-    doc = (module.__doc__ or "").strip().splitlines()
-    return doc[0] if doc else ""
-
-
 def list_benchmarks(stream=None) -> int:
     stream = stream or sys.stdout
     names = discover()
@@ -141,14 +130,12 @@ def list_benchmarks(stream=None) -> int:
           file=stream)
     for name in names:
         try:
-            module = load_bench(name)
-            kind = "cli   " if hasattr(module, "BENCH") else "pytest"
-            summary = _summary_of(module)
+            summary = load_bench(name).BENCH["summary"]
         except Exception as exc:  # a broken bench must not hide the rest
-            kind, summary = "error ", f"import failed: {exc}"
-        print(f"  {name:<16s} [{kind}] {summary}", file=stream)
-    print(f"  {'golden':<16s} [gate  ] every scenario and smoke bench, "
-          f"hashed into GOLDEN.json", file=stream)
+            summary = f"import failed: {exc}"
+        print(f"  {name:<16s} {summary}", file=stream)
+    print(f"  {'golden':<16s} every scenario and bench, each held to its "
+          f"gate, hashed into GOLDEN.json", file=stream)
     return 0
 
 
@@ -169,17 +156,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"unknown benchmark {name!r}; known: {', '.join(known)}",
               file=sys.stderr)
         return 2
-    module = load_bench(name)
-    bench: Optional[Dict[str, Any]] = getattr(module, "BENCH", None)
-    if bench is None:
-        import pytest
-
-        return pytest.main([known[name], "-q", "-s", *rest])
-    parser = shared_parser(name, _summary_of(module))
-    flags = bench.get("flags")
-    if flags is not None:
-        flags(parser)
+    bench: Dict[str, Any] = load_bench(name).BENCH
+    parser = shared_parser(name, bench["summary"])
+    if bench["flags"] is not None:
+        bench["flags"](parser)
     args = parser.parse_args(rest)
     with sanitized(args.sanitize):
-        result = bench["run"](args)
-    return 0 if result is None else int(result)
+        return bench["run"](args)

@@ -5,11 +5,15 @@ Runs a fixed table of entries (:func:`entries`), each with its own gate:
 * every registered scenario (:func:`repro.scenarios.scenario_names`),
   built with its ``explore_params`` at its ``min_nodes`` and held to
   its own ``check``;
+* every ``benchmarks/bench_*.py`` but ``engine`` (wall-clock only; CI's
+  bench-smoke job gates its one simulated count), at smoke size and, for
+  the fault, shm, traffic and sync benches, under their sanitizer sets,
+  each held to its exit code, i.e. its own claims.  The 64-node ``sync``
+  points must also equal the committed ``BENCH_sync.json``'s;
 * ``python -m repro.bench.report --plot``, which rewrites
-  ``REPORT.txt``;
-* ``bench collectives``, and the smoke-size bench and explorer commands
-  at their sanitizer sets, each held to its exit code.  The 64-node
-  ``sync`` points must also equal the committed ``BENCH_sync.json``'s.
+  ``REPORT.txt`` from the ``blocks``, ``mechanisms`` and ``shm``
+  records, so no point is measured twice;
+* two smoke-size explorer sweeps, held to their clean result.
 
 Each entry but the report leaves its record (the explorer: its
 ``startv.explore/v1`` summary) in
@@ -64,13 +68,20 @@ def _scenario(name: str) -> Runner:
 
 
 def _report(path: str, root: str) -> int:
-    """Rewrite ``REPORT.txt``; it writes no record, since CI diffs the
-    report itself."""
+    """Rewrite ``REPORT.txt`` from the ``blocks``, ``mechanisms`` and
+    ``shm`` records this run wrote (a missing one is measured again); it
+    writes no record, since CI diffs the report itself."""
     from repro.bench import report
 
+    records = {}
+    for name in ("blocks", "mechanisms", "shm"):
+        record_path = os.path.join(os.path.dirname(path), f"{name}.json")
+        if os.path.exists(record_path):
+            with open(record_path) as fh:
+                records[name] = json.load(fh)["sim"]
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
-        status = report.main(["--plot"])
+        status = report.main(["--plot"], records=records)
     with open(os.path.join(root, "REPORT.txt"), "w") as fh:
         fh.write(text.getvalue())
     return status
@@ -120,15 +131,25 @@ def entries() -> List[Tuple[str, Runner]]:
     table = [(f"scenario.{name}", _scenario(name))
              for name in scenario_names()]
     table += [
-        ("report", _report),
+        ("ablations", _bench("ablations")),
+        ("blocks", _bench("blocks")),
         ("collectives", _bench("collectives")),
+        ("diffing", _bench("diffing")),
         ("faults", _bench("faults", "--emit-metrics", "--jobs", "2",
                           "--sanitize", SMOKE_SANITIZE)),
+        ("layering", _bench("layering")),
+        ("mechanisms", _bench("mechanisms")),
+        ("mpi", _bench("mpi")),
+        ("network", _bench("network")),
+        ("priority", _bench("priority")),
+        ("queue_cache", _bench("queue_cache")),
         ("shm", _bench("shm", "--workload", "workloads", "--nodes", "16",
                        "--sanitize", "coherence,deadlock")),
+        ("report", _report),
         ("traffic", _bench("traffic", "--rates", "20000,100000,400000",
                            "--sanitize", SMOKE_SANITIZE)),
         ("sync", _sync),
+        ("workloads", _bench("workloads")),
         ("explore.shm_hash", _explore(
             "--scenario", "shm_hash", "--nodes", "2", "--max-schedules",
             "60", "--sanitize", "all")),

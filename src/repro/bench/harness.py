@@ -1,10 +1,11 @@
-"""Benchmark harness: sweeps, table printing, the bench record.
+"""Benchmark harness: sweeps, table printing, claims, the bench record.
 
 Shared by the ``benchmarks/`` targets so that every table and figure is
-regenerated through one code path: every data point is a registered
-scenario (:func:`repro.scenarios.measure`) run on a fresh machine, and
-the harness prints the paper-style rows (and returns them for
-programmatic checks).
+regenerated through one code path: every data point runs on a fresh
+machine (most are registered scenarios, :func:`repro.scenarios.measure`),
+the harness prints the paper-style rows, :func:`check_claims` turns the
+bench's claims into its exit status, and :func:`write_record` writes
+the one record.
 
 Sweeps fan out across processes through :func:`run_sweep`: every data
 point is an independent, fully seeded simulation, so the grid is
@@ -18,11 +19,12 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import sys
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import repro
 from repro.obs.snapshot import comparable
-from repro.scenarios import measure, run_scenario, scenario
+from repro.scenarios import run_scenario, scenario
 
 #: the size axis used for the Figure 3/4 sweeps.
 FIG_SIZES = [256, 1024, 4096, 16384, 65536]
@@ -49,6 +51,15 @@ def _fmt(v: object) -> str:
     if isinstance(v, float):
         return f"{v:.2f}"
     return str(v)
+
+
+def check_claims(claims: Dict[str, bool]) -> int:
+    """A bench's gate: print ``FAIL: <claim>`` for every claim that does
+    not hold; the exit status (1 when any failed, else 0)."""
+    failed = [claim for claim, held in claims.items() if not held]
+    for claim in failed:
+        print(f"FAIL: {claim}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 #: the one bench document schema (see :func:`write_record`).
@@ -162,11 +173,12 @@ def run_sweep(worker: Callable[[Any], Any], points: Sequence[Any],
 
 
 def block_transfer_point(spec: Tuple[int, int]) -> Dict[str, Any]:
-    """One Figure-3/4 sweep point: ``(approach, size)`` -> result row.
+    """One §6 block-transfer point: ``(approach, size)`` -> result row.
 
-    The row carries the transfer's latencies plus the machine's full
-    (wall-stripped) metrics snapshot, so figure scripts get the
-    schema-versioned measurement without a second run.
+    The row carries the transfer's latencies, bandwidth and per-processor
+    occupancy plus the machine's full (wall-stripped) metrics snapshot,
+    so the bench gets the schema-versioned measurement without a second
+    run.
     """
     approach, size = spec
     run = run_scenario(scenario("block_transfer", approach=approach,
@@ -181,34 +193,6 @@ def block_transfer_point(spec: Tuple[int, int]) -> Dict[str, Any]:
         "data_ready_latency_ns": result.data_ready_latency_ns,
         "bandwidth_mb_s": result.bandwidth_mb_s,
         "verified": result.verified,
+        "occupancy": result.occupancy_row(),
         "metrics": snapshot,
     }
-
-
-def block_transfer_metrics_sweep(approaches: Sequence[int],
-                                 sizes: Sequence[int] = FIG_SIZES,
-                                 jobs: int = 1) -> List[Dict[str, Any]]:
-    """The (approach x size) grid with per-point metrics snapshots."""
-    specs = [(a, s) for a in approaches for s in sizes]
-    return run_sweep(block_transfer_point, specs, jobs=jobs)
-
-
-def collective_point(spec: Tuple[str, int, str, int]) -> Dict[str, Any]:
-    """One collective-scaling point: ``(name, n_nodes, algo, repeats)``."""
-    name, n_nodes, algo, repeats = spec
-    return {
-        "collective": name,
-        "n_nodes": n_nodes,
-        "algo": algo,
-        "latency_ns": measure("collective", n_nodes, collective=name,
-                              algo=algo, repeats=repeats),
-    }
-
-
-def collective_metrics_sweep(names: Sequence[str], nodes: Sequence[int],
-                             algos: Sequence[str], repeats: int = 2,
-                             jobs: int = 1) -> List[Dict[str, Any]]:
-    """The (collective x algo x node-count) grid, in spec order."""
-    specs = [(name, n, algo, repeats)
-             for name in names for algo in algos for n in nodes]
-    return run_sweep(collective_point, specs, jobs=jobs)

@@ -91,21 +91,22 @@ def _fmt_size(x: float) -> str:
     return f"{x:g}"
 
 
-def figure3(results) -> str:
-    """Render Figure 3 (latency) from TransferResult rows."""
+def figure3(rows) -> str:
+    """Render Figure 3 (latency) from block-transfer point rows
+    (:func:`repro.bench.harness.block_transfer_point`)."""
     series: Dict[str, List[Tuple[float, float]]] = {}
-    for r in results:
-        series.setdefault(f"A{r.approach}", []).append(
-            (r.size, r.notify_latency_ns / 1000.0))
+    for r in rows:
+        series.setdefault(f"A{r['approach']}", []).append(
+            (r["size_bytes"], r["notify_latency_ns"] / 1000.0))
     return render_figure("Figure 3: block-transfer latency (us)",
                          series, y_label="latency (us)")
 
 
-def figure4(results) -> str:
-    """Render Figure 4 (bandwidth) from TransferResult rows."""
+def figure4(rows) -> str:
+    """Render Figure 4 (bandwidth) from block-transfer point rows."""
     series: Dict[str, List[Tuple[float, float]]] = {}
-    for r in results:
-        series.setdefault(f"A{r.approach}", []).append(
-            (r.size, r.bandwidth_mb_s))
+    for r in rows:
+        series.setdefault(f"A{r['approach']}", []).append(
+            (r["size_bytes"], r["bandwidth_mb_s"]))
     return render_figure("Figure 4: block-transfer bandwidth (MB/s)",
                          series, y_label="MB/s")

@@ -26,8 +26,9 @@ The paper's points, each result a number in ns unless noted:
 latency), ``basic_stream`` (msgs/s and MB/s), ``collective`` (one
 barrier / bcast / allreduce at N nodes for an ``algo``),
 ``block_transfer`` (one §6 transfer: a
-:class:`~repro.core.blocktransfer.TransferResult`), ``numa_read`` and
-``scoma_read`` (cold miss and warm hit).  The workloads: ``fig3``
+:class:`~repro.core.blocktransfer.TransferResult`), ``tagon`` (per-message
+ns of a TagOn-augmented Basic stream), ``numa_read`` and ``scoma_read``
+(cold miss and warm hit, optionally under bulk DMA).  The workloads: ``fig3``
 (ping-pong ladder), ``mixed`` (staggered all-to-all), ``sync``
 (barrier + allreduce), ``chaos`` (``mixed`` over failing links),
 ``shm_graph`` (parallel BFS), ``shm_hash`` (striped-lock hash table),
@@ -425,20 +426,46 @@ class NumaReadScenario(Scenario):
 class ScomaReadScenario(Scenario):
     """Node 1 loads one S-COMA line homed at node 0: the result is
     ``{"cold": ns, "warm": ns}``, the protocol fill and the mean of
-    ``warm_reads`` local hits after it."""
+    ``warm_reads`` local hits after it.
+
+    With ``bulk_dma`` node 0 first streams four 8 KB DMA writes to node 1
+    on the LOW network priority, and the load starts 30 us in, while the
+    bulk stream holds the links: the protocol rides the HIGH priority,
+    so the miss should inflate only modestly — the reason the paper
+    "require[s] that the network supports at least two priority
+    levels"."""
 
     name = "scoma_read"
 
-    def __init__(self, warm_reads: int = 20) -> None:
+    def __init__(self, warm_reads: int = 20, bulk_dma: bool = False) -> None:
         self.warm_reads = warm_reads
+        self.bulk_dma = bulk_dma
+
+    def _bulk(self, machine) -> None:
+        from repro.mp import BasicPort
+        from repro.mp.dma import dma_write
+
+        machine.node(0).dram.poke(0x10000, bytes(32768))
+        port = BasicPort(machine.node(0), 1, 1)
+
+        def bulk(api):
+            for _ in range(4):
+                yield from dma_write(api, port, 1, 0x10000, 0x28000, 8192)
+                yield from api.sleep(1_000)
+
+        machine.spawn(0, bulk)
 
     def setup(self, phase: int, machine, nodes, ctx) -> None:
         from repro.shm import ScomaRegion
 
         region = ScomaRegion(machine, n_lines=64)
         region.init_data(0, bytes(32))
+        if self.bulk_dma:
+            self._bulk(machine)
 
         def prog(api):
+            if self.bulk_dma:
+                yield from api.sleep(30_000)  # let the bulk stream start
             t0 = api.now
             yield from api.load(region.addr(0), 8)
             ctx["cold"] = api.now - t0
@@ -456,6 +483,50 @@ class ScomaReadScenario(Scenario):
         if not 0 < result["warm"] < result["cold"]:
             return f"warm hit not cheaper than the cold miss: {result}"
         return None
+
+
+TAGON_BYTES = 80  # one large TagOn: five 16-byte aSRAM units
+
+
+class TagOnScenario(Scenario):
+    """Node 0 streams ``count`` Basic messages to node 1, each a 3-byte
+    header plus ``TAGON_BYTES`` of TagOn data staged once in aSRAM: the
+    result is the mean ns per message, to the end of the stream."""
+
+    name = "tagon"
+    explore_params = {"count": 4}
+
+    def __init__(self, count: int = 20) -> None:
+        self.count = count
+
+    def setup(self, phase: int, machine, nodes, ctx) -> None:
+        from repro.mp import BasicPort, vdst_for
+
+        p0 = BasicPort(machine.node(0), 0, 0)
+        p1 = BasicPort(machine.node(1), 0, 0)
+        staging = machine.node(0).niu.alloc_asram(TAGON_BYTES, align=16)
+        ctx["t0"] = machine.now
+
+        def sender(api):
+            tag = yield from p0.stage_tagon(api, staging, bytes(TAGON_BYTES))
+            for _ in range(self.count):
+                yield from p0.send(api, vdst_for(1, 0), b"hdr", tagon=tag)
+            ctx["send_end"] = api.now
+
+        def receiver(api):
+            for _ in range(self.count):
+                yield from p1.recv(api)
+            ctx["recv_end"] = api.now
+
+        machine.spawn(0, sender)
+        machine.spawn(1, receiver)
+
+    def result(self, machine, nodes, ctx) -> float:
+        end = max(ctx["send_end"], ctx["recv_end"])
+        return (end - ctx["t0"]) / self.count
+
+    def check(self, result: float) -> Optional[str]:
+        return _positive(result)
 
 
 # ----------------------------------------------------------------------
@@ -908,7 +979,7 @@ class TakeoverScenario(Scenario):
 _REGISTRY = {cls.name: cls for cls in (
     ExpressScenario, BasicScenario, BasicStreamScenario, MpiPingPongScenario,
     CollectiveScenario, BlockTransferScenario, NumaReadScenario,
-    ScomaReadScenario, PingScenario, MixedScenario, SyncScenario,
+    ScomaReadScenario, TagOnScenario, PingScenario, MixedScenario, SyncScenario,
     ChaosScenario, GraphScenario, HashScenario, PatternScenario,
     BurstScenario, TakeoverScenario,
 )}

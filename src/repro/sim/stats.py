@@ -280,40 +280,6 @@ class StatsRegistry:
             out[name] = merged
         return out
 
-    def report(self) -> Dict[str, float]:
-        """Flat snapshot of every statistic, for experiment logs.
-
-        Key scheme (one flat namespace, ``<aspect>.<statistic name>``):
-
-        * ``count.<name>``   — counter value;
-        * ``n.<name>``       — accumulator sample count (0 when empty, so
-          a registered-but-never-hit site is visible in the log);
-        * ``mean.<name>``, ``min.<name>``, ``max.<name>``,
-          ``total.<name>`` — accumulator sample statistics (only when
-          ``n > 0``; an empty accumulator has no meaningful extremes);
-        * ``p50.<name>``, ``p99.<name>``, ``p999.<name>`` — latency
-          quantiles from the riding histogram (SLO reporting needs the
-          deep tail, so the set runs down to p99.9; ``max.<name>`` is
-          the exact observed worst case);
-        * ``busy_ns.<name>`` — busy-tracker accumulated busy time.
-        """
-        out: Dict[str, float] = {}
-        for name, c in sorted(self._counters.items()):
-            out[f"count.{name}"] = float(c.value)
-        for name, a in sorted(self.merged_accumulators().items()):
-            out[f"n.{name}"] = float(a.n)
-            if a.n:
-                out[f"mean.{name}"] = a.mean
-                out[f"min.{name}"] = a.min
-                out[f"max.{name}"] = a.max
-                out[f"total.{name}"] = a.total
-                out[f"p50.{name}"] = a.p50
-                out[f"p99.{name}"] = a.p99
-                out[f"p999.{name}"] = a.p999
-        for name, b in sorted(self._busy.items()):
-            out[f"busy_ns.{name}"] = b.current()
-        return out
-
     def names(self) -> List[str]:
         """Every registered statistic name (diagnostics)."""
         return sorted(

@@ -19,6 +19,7 @@ from repro.mem.backing import ByteBacking
 from repro.mp.basic import BasicPort
 from repro.net.packet import Packet, PacketKind
 from repro.niu.niu import vdst_for
+from repro.obs.snapshot import comparable
 
 
 def _messaging_trace():
@@ -70,7 +71,7 @@ def test_statistics_identical():
     def run():
         machine = repro.StarTVoyager(repro.default_config(n_nodes=2))
         BlockTransferExperiment(machine).run(2, 2048)
-        return machine.stats.report()
+        return comparable(machine.metrics())
 
     assert run() == run()
 

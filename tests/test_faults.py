@@ -9,7 +9,7 @@ consistency when a node dies mid-S-COMA.
 """
 
 import repro
-from repro.bench.harness import run_sweep
+from repro.bench.harness import comparable, run_sweep
 from repro.faults import FaultPlan, LinkEvent, LinkFault, NodeCrash, SpStall
 from repro.firmware.reliable import SEQ_MOD, seq_lt
 from repro.lib.mpi import MiniMPI
@@ -57,8 +57,8 @@ def _flood(machine, count, reliable, payload_bytes=16, idle_ns=None):
 
 
 def _rel_count(machine, suffix):
-    rep = machine.stats.report()
-    return int(sum(v for k, v in rep.items() if k.endswith(suffix)))
+    counters = machine.metrics()["counters"]
+    return sum(v for k, v in counters.items() if k.endswith(suffix))
 
 
 # ----------------------------------------------------------------------
@@ -86,12 +86,8 @@ def test_lossless_baseline_with_zero_prob_plan():
     got_a = _flood(base, count, reliable=False)
     got_b = _flood(faulted, count, reliable=False)
     assert got_a == got_b
-    strip = ("sim.wall", "wall.")
-    rep_a = {k: v for k, v in base.stats.report().items()
-             if not any(s in k for s in strip)}
-    rep_b = {k: v for k, v in faulted.stats.report().items()
-             if not any(s in k for s in strip)}
-    assert rep_a == rep_b
+    assert (comparable(base.metrics(include_config=False))
+            == comparable(faulted.metrics(include_config=False)))
 
 
 def test_unreliable_loses_and_reliable_does_not():
@@ -141,8 +137,7 @@ def _loss_point(spec):
     plan = FaultPlan.uniform_loss(loss, corrupt_p=loss / 2, seed=seed)
     m = _machine(2, plan)
     got = _flood(m, 80, reliable=True)
-    rep = {k: v for k, v in m.stats.report().items() if "wall" not in k}
-    return got, sorted(rep.items())
+    return got, comparable(m.metrics())
 
 
 def test_fault_sweep_byte_identical_across_jobs():

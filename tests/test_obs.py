@@ -119,15 +119,29 @@ def test_accumulator_reports_percentiles(m2):
 
 
 def test_stats_report_includes_min_total_and_empty(m2):
+    """The metrics snapshot is the registry's one report: every counter,
+    accumulator (min and total included; a registered-but-never-hit one
+    shows n == 0) and busy time."""
+    m2.stats.counter("hits").incr(3)
     acc = m2.stats.accumulator("seen_ns")
     acc.add(5.0)
     acc.add(15.0)
     m2.stats.accumulator("never_hit_ns")  # registered, no samples
-    report = m2.stats.report()
-    assert report["min.seen_ns"] == 5.0
-    assert report["total.seen_ns"] == 20.0
-    assert report["n.never_hit_ns"] == 0.0
-    assert "mean.never_hit_ns" not in report
+    busy = m2.stats.busy_tracker("unit")
+
+    def prog(api):
+        busy.begin()
+        yield from api.sleep(40.0)
+        busy.end()
+
+    m2.run_until(m2.spawn(0, prog), limit=1e6)
+    snap = m2.metrics()
+    assert snap["counters"]["hits"] == 3
+    assert snap["accumulators"]["seen_ns"]["min"] == 5.0
+    assert snap["accumulators"]["seen_ns"]["total"] == 20.0
+    assert snap["accumulators"]["seen_ns"]["mean"] == 10.0
+    assert snap["accumulators"]["never_hit_ns"]["n"] == 0
+    assert snap["busy_ns"]["unit"] == pytest.approx(40.0)
 
 
 # ----------------------------------------------------------------------
@@ -249,10 +263,10 @@ def test_queue_sampler_counters(m2):
 # ----------------------------------------------------------------------
 
 def test_machine_report_removed(m2):
-    # the deprecation cycle is over: metrics() is the snapshot, and the
-    # flat legacy view lives only on the registry itself
+    # the deprecation cycle is over: metrics() is the snapshot, and no
+    # second flat view is left on the machine or the registry
     assert not hasattr(m2, "report")
-    assert isinstance(m2.stats.report(), dict)
+    assert not hasattr(m2.stats, "report")
 
 
 def test_machine_occupancies_removed(m2):

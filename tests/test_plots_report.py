@@ -2,7 +2,6 @@
 
 
 from repro.bench.plots import _fmt_size, figure3, figure4, render_figure
-from repro.core.blocktransfer import TransferResult
 
 
 def test_render_empty():
@@ -36,11 +35,8 @@ def test_size_ticks():
 
 
 def _fake_result(approach, size, lat_us, bw):
-    return TransferResult(
-        approach=approach, size=size,
-        notify_latency_ns=lat_us * 1000.0,
-        data_ready_latency_ns=lat_us * 1000.0,
-    )
+    return {"approach": approach, "size_bytes": size,
+            "notify_latency_ns": lat_us * 1000.0, "bandwidth_mb_s": bw}
 
 
 def test_figure3_groups_series():
@@ -52,7 +48,8 @@ def test_figure3_groups_series():
 
 
 def test_figure4_uses_bandwidth():
-    results = [_fake_result(1, 1024, 10.0, 0), _fake_result(1, 4096, 20.0, 0)]
+    results = [_fake_result(1, 1024, 10.0, 102.4),
+               _fake_result(1, 4096, 20.0, 204.8)]
     out = figure4(results)
     assert "MB/s" in out
 
@@ -70,3 +67,32 @@ def test_report_cli_shm(capsys):
     assert main(["--only", "shm"]) == 0
     out = capsys.readouterr().out
     assert "S-COMA" in out and "NUMA" in out
+
+
+def test_report_shows_known_records_without_measuring(monkeypatch, capsys):
+    from repro.bench import report
+    from repro.bench.harness import FIG_SIZES
+
+    def measured(*args, **kwargs):
+        raise AssertionError("a recorded point was measured again")
+
+    monkeypatch.setattr(report, "block_transfer_point", measured)
+    monkeypatch.setattr(report, "measure", measured)
+    occupancy = {"sender_ap": 0.5, "sender_sp": 0.25, "receiver_ap": 0.0,
+                 "receiver_sp": 0.125}
+    points = [{"approach": a, "size_bytes": s, "notify_latency_ns": 1e3 * a,
+               "bandwidth_mb_s": s / a, "verified": True,
+               "occupancy": occupancy}
+              for a in report.APPROACHES
+              for s in sorted({*FIG_SIZES, report.OCC_SIZE})]
+    records = {
+        "blocks": {"points": points},
+        "mechanisms": {"express_ns": 1.0, "basic_ns": {"8": 2.0, "88": 3.0},
+                       "basic_stream": {"mb_per_s": 4.0}, "mpi_ns": 5.0},
+        "shm": {"latency": {"numa_read": 6.0, "scoma_cold": 7.0,
+                            "scoma_warm": 8.0}},
+    }
+    assert report.main(["--plot"], records=records) == 0
+    out = capsys.readouterr().out
+    assert "Figure 3" in out and "Occupancy during an 8 KB transfer" in out
+    assert "Mechanism microbenchmarks" in out and "S-COMA" in out
