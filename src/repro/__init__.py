@@ -29,7 +29,6 @@ from repro.obs import (
     Observability,
     export_perfetto,
     metrics_snapshot,
-    write_metrics,
 )
 from repro.scenarios import ScenarioRun, run_scenario, scenario, scenario_names
 from repro.sync import (
@@ -95,7 +94,6 @@ __all__ = [
     "Observability",
     "Histogram",
     "metrics_snapshot",
-    "write_metrics",
     "export_perfetto",
     "describe_machine",
     "__version__",

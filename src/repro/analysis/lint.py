@@ -42,7 +42,7 @@ PERF003  an attribute load on a hot enum class (``SnoopResult``,
          ``OP_READ``...)
 ARCH003  a hand-rolled byte codec (``int.from_bytes(`` or
          ``.to_bytes(``) in ``firmware/``, ``collectives/``, ``sync/``,
-         ``traffic/`` or ``net/combine.py`` — message layouts are
+         ``traffic/``, ``lib/`` or ``net/combine.py`` — message layouts are
          declared once in :mod:`repro.common.wire`; a non-wire use
          (a hash input, a DRAM word) takes a justifying suppression
 ======== ==============================================================
@@ -176,7 +176,7 @@ HOT_ENUMS = frozenset({
 #: where message bytes are built and parsed (ARCH003): these speak only
 #: through the layouts of ``common/wire.py``.
 _WIRE_SPEAKERS: Tuple[Tuple[str, ...], ...] = (
-    ("firmware",), ("collectives",), ("sync",), ("traffic",),
+    ("firmware",), ("collectives",), ("sync",), ("traffic",), ("lib",),
     ("net", "combine.py"),
 )
 

@@ -539,16 +539,16 @@ class CoherenceSanitizer:
         if mirror.state != old:
             raise SanitizerError(
                 f"directory mirror divergence ({where}): controller is in "
-                f"{cp.dir_state_name(old)} but the mirror says "
-                f"{cp.dir_state_name(mirror.state)}"
+                f"{old.upper()} but the mirror says "
+                f"{mirror.state.upper()}"
             )
         rules = cp.DIR_TABLE.get((old, event))
         if rules is None or (action, new) not in \
                 {(r.action, r.next_state) for r in rules}:
             raise SanitizerError(
                 f"off-table directory transition ({where}): "
-                f"{cp.dir_state_name(old)} --{event}/{action}--> "
-                f"{cp.dir_state_name(new)} matches no DIR_TABLE rule"
+                f"{old.upper()} --{event}/{action}--> "
+                f"{new.upper()} matches no DIR_TABLE rule"
             )
         requester, src = detail["requester"], detail["src"]
         if action in cp.GRANT_ACTIONS:
@@ -632,7 +632,7 @@ class CoherenceSanitizer:
                 raise SanitizerError(
                     f"directory not quiescent at drain (home {home}, "
                     f"line {line}): state "
-                    f"{cp.dir_state_name(mirror.state)}, "
+                    f"{mirror.state.upper()}, "
                     f"{mirror.expected_acks} ack(s) outstanding, "
                     f"{mirror.waiters} waiter(s) queued"
                 )
@@ -698,7 +698,7 @@ class DeadlockWatchdog:
         """Unsettled coherence transactions are wait-for edges too: a
         BUSY directory line means some requester is spinning on PENDING
         until the home's invalidation/recall round completes."""
-        from repro.coherence.protocol import BUSY, dir_state_name
+        from repro.coherence.protocol import BUSY
 
         lines = []
         for node in self.machine.nodes:
@@ -711,7 +711,7 @@ class DeadlockWatchdog:
                 want_rw, requester = entry.pending or (None, None)
                 lines.append(
                     f"  directory home {node.node_id} line {line}: "
-                    f"{dir_state_name(entry.state)}, pending "
+                    f"{entry.state.upper()}, pending "
                     f"{'write' if want_rw else 'read'} for node "
                     f"{requester}, {entry.pending_acks} ack(s) "
                     f"outstanding, {len(entry.waiters)} waiter(s) queued"

@@ -118,10 +118,6 @@ class BusTransaction:
         #: set when a snooping cache supplied the data instead of memory.
         self.intervened = False
 
-    def line_base(self, line_bytes: int) -> int:
-        """Base address of the cache line this transaction touches."""
-        return self.addr & ~(line_bytes - 1)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<BusTxn#{self.txn_id} {self.op.value} @{self.addr:#x} "

@@ -32,9 +32,7 @@ from repro.coherence.protocol import (
     MSI_RO,
     MSI_RW,
     cache_transition_legal,
-    dir_state_name,
     l2_snoop_reaction,
-    line_state_name,
 )
 
 __all__ = [
@@ -50,7 +48,5 @@ __all__ = [
     "MSI_RO",
     "MSI_RW",
     "cache_transition_legal",
-    "dir_state_name",
     "l2_snoop_reaction",
-    "line_state_name",
 ]

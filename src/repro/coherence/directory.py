@@ -110,7 +110,7 @@ class DirectoryController:
         if rules is None:
             raise FirmwareError(
                 f"home {self.node_id}: no directory rules for event "
-                f"{event!r} in state {P.dir_state_name(old)} (line {line})"
+                f"{event!r} in state {old.upper()} (line {line})"
             )
         # completion events act for the pending request, not the sender
         if event in (P.EV_ACK, P.EV_WBDATA, P.EV_EVICT_DIRTY) \
@@ -123,7 +123,7 @@ class DirectoryController:
         else:
             raise FirmwareError(
                 f"home {self.node_id}: no directory rule matched event "
-                f"{event!r} in state {P.dir_state_name(old)} (line {line}, "
+                f"{event!r} in state {old.upper()} (line {line}, "
                 f"requester {requester}, src {src})"
             )
         detail = {"requester": requester, "src": src, "want_rw": want_rw,

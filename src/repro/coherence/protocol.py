@@ -44,14 +44,6 @@ MSI_RW = 3  #: writable (owned/modified) copy present
 MSI_STATES: FrozenSet[int] = frozenset(
     {MSI_INVALID, MSI_PENDING, MSI_RO, MSI_RW})
 
-_LINE_NAMES = {MSI_INVALID: "INVALID", MSI_PENDING: "PENDING",
-               MSI_RO: "RO", MSI_RW: "RW"}
-
-
-def line_state_name(state: int) -> str:
-    """Human name of a 4-bit line state (``custom(n)`` off-protocol)."""
-    return _LINE_NAMES.get(state, f"custom({state})")
-
 
 # ----------------------------------------------------------------------
 # directory states and events
@@ -62,10 +54,6 @@ EXCLUSIVE = "excl"  #: one remote owner holds the only valid (RW) copy
 BUSY = "busy"  #: invalidation or recall in flight
 
 DIR_STATES: Tuple[str, ...] = (HOME_VALID, EXCLUSIVE, BUSY)
-
-
-def dir_state_name(state: str) -> str:
-    return state.upper()
 
 
 #: directory events (what arrives at, or completes inside, the home).

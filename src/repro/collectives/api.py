@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Generator, List, Optional
 
 from repro.collectives.plan import RdSchedule, TreePlan
 from repro.common.errors import ProgramError
-from repro.common.wire import VALUE
+from repro.common.wire import GATHER_ITEM, VALUE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.node.ap import ApApi
@@ -136,7 +136,7 @@ def tree_gather(comm, api: "ApApi", data: bytes, plan: TreePlan, tag: int
     """
     t0 = api.now
     me = comm.rank
-    blob = _pack_item(me, data)
+    blob = GATHER_ITEM.pack(me, tail=data)
     for child in plan.children[me]:
         _src, _tag, sub = yield from comm.recv(api, src=child, tag=tag)
         blob += sub
@@ -145,25 +145,12 @@ def tree_gather(comm, api: "ApApi", data: bytes, plan: TreePlan, tag: int
         _record(comm, api, "coll.tree_gather_ns", t0)
         return None
     parts: List[Optional[bytes]] = [None] * comm.size
-    for rank, item in _unpack_items(blob):
-        parts[rank] = item
+    view, off = memoryview(blob), 0
+    while off < len(blob):
+        rank, item = GATHER_ITEM.unpack(view[off:])
+        parts[rank] = bytes(item)
+        off += GATHER_ITEM.size + len(item)
     if any(p is None for p in parts):
         raise ProgramError("gather blob did not cover every rank")
     _record(comm, api, "coll.tree_gather_ns", t0)
     return parts  # type: ignore[return-value]
-
-
-# A gather blob is aP-side framing inside one mini-MPI message, not an
-# sP message layout.
-def _pack_item(rank: int, data: bytes) -> bytes:
-    return (rank.to_bytes(2, "big")  # repro: allow ARCH003
-            + len(data).to_bytes(4, "big") + data)  # repro: allow ARCH003
-
-
-def _unpack_items(blob: bytes):
-    off = 0
-    while off < len(blob):
-        rank = int.from_bytes(blob[off : off + 2], "big")  # repro: allow ARCH003
-        length = int.from_bytes(blob[off + 2 : off + 6], "big")  # repro: allow ARCH003
-        yield rank, blob[off + 6 : off + 6 + length]
-        off += 6 + length

@@ -56,12 +56,12 @@ KIND_ALLREDUCE = 3
 class _Pending:
     """Combining state of one in-flight collective at one sP."""
 
-    __slots__ = ("kind", "op", "root", "tag", "reply_queue", "arrived",
-                 "want", "acc")
+    __slots__ = ("kind", "op", "tag", "reply_queue", "arrived", "want",
+                 "acc")
 
     def __init__(self, msg: tuple, want: int) -> None:
-        (_type, self.kind, self.op, _comm, _seq, self.root,
-         self.reply_queue, self.tag, _data) = msg
+        (_type, self.kind, self.op, _comm, _seq, self.reply_queue, self.tag,
+         _data) = msg
         self.arrived = 0
         self.want = want
         self.acc: Optional[int] = None
@@ -134,11 +134,11 @@ def on_coll_request(sp: "ServiceProcessor", src: int, payload: bytes
     yield sp.compute(sp.fw.coll_request_insns)
     st = _state(sp)
     msg = COLL.unpack(payload)
-    _type, kind, _op, comm, seq, root, reply_queue, tag, data = msg
+    _type, kind, _op, comm, seq, reply_queue, tag, data = msg
     if kind == KIND_BCAST:
         # broadcast has no combining phase: the root's request starts the
         # down-sweep immediately
-        if sp.node_id != root:
+        if sp.node_id != st.plan.root:
             raise FirmwareError(
                 f"{sp.name}: bcast request at non-root rank {sp.node_id}"
             )
@@ -160,8 +160,7 @@ def on_coll_down(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_COLL_DOWN``: the result fanning back out over the tree."""
     yield sp.compute(sp.fw.coll_forward_insns)
     st = _state(sp)
-    _type, kind, _op, comm, seq, _root, reply_queue, tag, data = \
-        COLL.unpack(payload)
+    _type, kind, _op, comm, seq, reply_queue, tag, data = COLL.unpack(payload)
     yield from _down_sweep(sp, st, tag, reply_queue, kind, comm, seq, data)
 
 
@@ -176,7 +175,7 @@ def _contribute(sp: "ServiceProcessor", st: CollectiveState,
     pending state, keyed by (comm, seq)."""
     me = sp.node_id
     want = len(st.plan.children[me]) + 1  # children's UPs + the local REQ
-    _type, _kind, _op, comm, seq, _root, _queue, _tag, data = msg
+    _type, _kind, _op, comm, seq, _queue, _tag, data = msg
     key = (comm, seq)
     pend = st.pending.get(key)
     if pend is None:
@@ -196,7 +195,7 @@ def _contribute(sp: "ServiceProcessor", st: CollectiveState,
     data = VALUE.pack(pend.acc) if pend.acc is not None else b""
     if me != st.plan.root:
         up = COLL.pack(MSG_COLL_UP, pend.kind, pend.op, comm, seq,
-                       pend.root, pend.reply_queue, pend.tag, tail=data)
+                       pend.reply_queue, pend.tag, tail=data)
         parent = st.plan.parent[me]
         yield from fw_send_to(sp, parent, SP_SERVICE_QUEUE, up)
         return
@@ -216,8 +215,8 @@ def _down_sweep(sp: "ServiceProcessor", st: CollectiveState, tag: int,
     """Forward the result to tree children and the local aP."""
     me = sp.node_id
     for child in st.plan.children[me]:
-        down = COLL.pack(MSG_COLL_DOWN, kind, 0, comm, seq, st.plan.root,
-                         reply_queue, tag, tail=data)
+        down = COLL.pack(MSG_COLL_DOWN, kind, 0, comm, seq, reply_queue,
+                         tag, tail=data)
         yield from fw_send_to(sp, child, SP_SERVICE_QUEUE, down)
     yield from _deliver(sp, tag, reply_queue, data)
 

@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigError
 from repro.common.units import KB, MB, is_power_of_two, mbps_to_ns_per_byte, mhz_to_ns
+from repro.common.wire import MAX_NODE
 from repro.faults.plan import FaultPlan
 
 
@@ -440,6 +441,9 @@ class MachineConfig:
         """Check cross-field consistency; returns self for chaining."""
         if self.n_nodes < 1:
             raise ConfigError("need at least one node")
+        if self.n_nodes > MAX_NODE + 1:
+            raise ConfigError(f"{self.n_nodes} nodes: node ids stop at "
+                              f"{MAX_NODE} (repro.common.wire.MAX_NODE)")
         if not isinstance(self.sanitize, str):
             self.sanitize = tuple(self.sanitize)
         if self.scoma_home_of is not None:

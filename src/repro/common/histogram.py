@@ -15,7 +15,7 @@ bucket when percentiles are computed.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Tuple
 
 #: sub-bucket resolution: 2**(1/8) growth => <= ~9% relative bucket width.
 SUB_BUCKET_BITS = 3
@@ -130,30 +130,9 @@ class Histogram:
         """99.9th-percentile estimate (the SLO-reporting tail)."""
         return self.percentile(99.9)
 
-    def percentiles(self) -> Dict[str, float]:
-        """The standard latency-reporting quantile set, max included.
-
-        SLO dashboards read the deep tail: p99 alone hides the worst
-        0.1% of requests, so the set runs p50/p90/p99/p99.9 plus the
-        exact observed maximum.
-        """
-        return {
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-            "p999": self.p999,
-            "max": self.max if self.n else 0.0,
-        }
-
-    def buckets(self) -> Iterator[Tuple[float, float, int]]:
-        """Yield ``(lo, hi, count)`` for every occupied bucket, ascending."""
-        for idx in sorted(self._counts):
-            lo, hi = bucket_bounds(idx)
-            yield lo, hi, self._counts[idx]
-
-    def to_dict(self, include_buckets: bool = False) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         """JSON-ready summary (the metrics-snapshot accumulator schema)."""
-        out: Dict[str, Any] = {
+        return {
             "n": self.n,
             "mean": self.mean,
             "min": self.min if self.n else 0.0,
@@ -164,12 +143,6 @@ class Histogram:
             "p99": self.p99,
             "p999": self.p999,
         }
-        if include_buckets:
-            rows: List[List[float]] = [[lo, hi, c] for lo, hi, c in self.buckets()]
-            if self._nonpos:
-                rows.insert(0, [0.0, 0.0, self._nonpos])
-            out["buckets"] = rows
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Histogram({self.name}: n={self.n} p50={self.p50:.2f} "

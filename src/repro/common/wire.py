@@ -12,8 +12,8 @@ code   field
 ``B``  unsigned byte
 ``?``  flag byte (packs truthiness as 0/1, unpacks a bool)
 ``H``  unsigned 16-bit
+``N``  node id: unsigned 16-bit, 0..``MAX_NODE`` or ``NO_NODE``
 ``I``  unsigned 32-bit
-``i``  signed 32-bit
 ``q``  signed 64-bit
 ``A``  48-bit address (6 bytes; pack rejects values outside 48 bits)
 ====== ===============================================================
@@ -25,6 +25,15 @@ A layout's tail is ``None`` (the message is exactly the header),
 pad bytes and a tail-length field; ``Layout.unpack(p)`` returns them in
 the same order, plus the tail when there is one.  A layout declaring
 several type bytes takes and returns the type as its first field.
+
+A node id goes on the wire only where the receiver cannot know it
+otherwise: the rx header already carries every message's source node
+(the handler's ``src``, kept by go-back-N and overflow redelivery), and
+an installed collectives plan already names its root.  Where an id must
+travel (a DMA or reliable-send destination, a sync tag's member, a
+gather item's rank) it uses code ``N``; :func:`check_table` rejects a
+node-named field with any other code.  Fields that once carried the
+sender are pad bytes, so every message kept its length.
 
 The registry lives in ``common`` because it is the one layer every
 speaker may import: the firmware writes the same reply formats the
@@ -86,7 +95,17 @@ MSG_USVC_REQ = MSG_USER + 4  #: parent -> child sP: fan-out stage request
 MSG_USVC_REP = MSG_USER + 5  #: child sP -> parent: stage complete
 MSG_KV_PUTREF = MSG_USER + 6  #: client -> server sP: PUT by DMA reference
 
-_CODES = {"B": "B", "?": "?", "H": "H", "I": "I", "i": "i", "q": "q",
+#: the ``N`` value naming no node (a combined sync tag's origin).
+NO_NODE = 0xFFFF
+#: the largest node id: ``N`` fields and wide CTRL headers
+#: (:mod:`repro.niu.msgformat`) carry 0..MAX_NODE, so a machine has at
+#: most ``MAX_NODE + 1`` nodes (:meth:`MachineConfig.validate`).
+MAX_NODE = NO_NODE - 1
+#: field names that hold a node id: :func:`check_table` requires ``N``.
+NODE_FIELDS = frozenset({"requester", "origin", "root", "dst_node", "rank",
+                         "node"})
+
+_CODES = {"B": "B", "?": "?", "H": "H", "N": "H", "I": "I", "q": "q",
           "A": "HI"}
 
 # field kinds of a layout's slot list
@@ -97,8 +116,9 @@ class Layout:
     """One message format: a precompiled big-endian ``struct`` codec with
     an optional leading type byte and an optional tail."""
 
-    __slots__ = ("name", "types", "size", "error", "max_tail", "_type",
-                 "_multi", "_st", "_body", "_tail", "_len_at", "_slots")
+    __slots__ = ("name", "types", "fields", "size", "error", "max_tail",
+                 "_type", "_multi", "_st", "_body", "_tail", "_len_at",
+                 "_slots")
 
     def __init__(self, spec: str, types: Union[int, Tuple[int, ...]] = (),
                  tail: Optional[str] = None,
@@ -115,17 +135,19 @@ class Layout:
         self._multi = len(self.types) > 1
         fmt = ">" + ("B" if self.types else "")
         slots = [_PLAIN] if self._multi else []
-        names = []
+        fields = []
         for token in spec.split():
             if token == "x":
                 fmt += "x"
                 continue
             name, code = token.split(":")
             fmt += _CODES[code]
-            names.append(name)
+            fields.append((name, code))
             slots.append(_ADDR if code == "A" else
                          _LEN if name == tail else _PLAIN)
-        if tail not in (None, "rest") and tail not in names:
+        #: ``(name, code)`` of each field in wire order (pads left out).
+        self.fields: Tuple[Tuple[str, str], ...] = tuple(fields)
+        if tail not in (None, "rest") and tail not in dict(fields):
             raise ValueError(f"tail length field {tail!r} not in {spec!r}")
         self._st = struct.Struct(fmt)
         #: the header after a single type byte (what unpack reads).
@@ -226,7 +248,7 @@ class Layout:
 
 
 # -- block transfer and DMA ------------------------------------------------------
-DMA_REQ = Layout("src_addr:A dst_node:H dst_addr:A length:I notify_queue:B "
+DMA_REQ = Layout("src_addr:A dst_node:N dst_addr:A length:I notify_queue:B "
                  "mode:B", types=MSG_DMA_REQ)
 BT45_ARM = Layout("mode:B addr:A length:I", types=MSG_BT45_ARM)
 #: Approach-2 chunk descriptor; the data is the TagOn attachment after it.
@@ -239,7 +261,7 @@ DMA_NOTIFY = Layout("length:I")
 NUMA_RREQ = Layout("size:B addr:A", types=MSG_NUMA_RREQ)
 NUMA_RREP = Layout("length:B addr:A", types=MSG_NUMA_RREP, tail="length")
 NUMA_WREQ = Layout("length:B addr:A", types=MSG_NUMA_WREQ, tail="length")
-SCOMA_REQ = Layout("requester:B offset:I",
+SCOMA_REQ = Layout("x offset:I",
                    types=(MSG_SCOMA_RREQ, MSG_SCOMA_WREQ))
 SCOMA_INV = Layout("x offset:I", types=MSG_SCOMA_INV)
 SCOMA_INVACK = Layout("x offset:I", types=MSG_SCOMA_INVACK)
@@ -255,65 +277,86 @@ UPDATE_RELEASE = Layout("notify_queue:B", types=MSG_UPDATE_RELEASE)
 # -- collectives and the mini-MPI fragment ----------------------------------------
 #: one layout for REQ/UP/DOWN.  ``seq`` keys the firmware combining
 #: state, so host-side 15-bit tag wraps never alias in-flight state;
-#: ``tag`` is the mini-MPI fragment tag the aP waits on.
-COLL = Layout("kind:B op:B comm:B seq:I root:B reply_queue:B tag:H length:B",
+#: ``tag`` is the mini-MPI fragment tag the aP waits on.  The root is
+#: the installed plan's.
+COLL = Layout("kind:B op:B comm:B seq:I x reply_queue:B tag:H length:B",
               types=(MSG_COLL_REQ, MSG_COLL_UP, MSG_COLL_DOWN),
               tail="length")
 #: a mini-MPI fragment (no type byte: it lands in the aP's own queue).
 MPI_FRAG = Layout("tag:H total:I offset:I", tail="rest", error=ProgramError)
+#: one rank's item in a host-side tree gather blob (items concatenate).
+GATHER_ITEM = Layout("rank:N length:I", tail="length", error=ProgramError)
 #: a 64-bit signed contribution or result.
 VALUE = Layout("value:q")
 
 # -- reliable delivery (go-back-N) --------------------------------------------------
-REL_SEND = Layout("dst_queue:B dst_node:H", types=MSG_REL_SEND, tail="rest")
+REL_SEND = Layout("dst_queue:B dst_node:N", types=MSG_REL_SEND, tail="rest")
 REL_DATA = Layout("dst_queue:B seq:H", types=MSG_REL_DATA, tail="rest")
 REL_ACK = Layout("x ack:H", types=MSG_REL_ACK)
 
 # -- scalable synchronization -------------------------------------------------------
-SYNC_REQ = Layout("group:I cell:I op:B origin:I req:I reply_queue:B value:q "
+SYNC_REQ = Layout("group:I cell:I op:B x x x x req:I reply_queue:B value:q "
                   "aux:q", types=MSG_SYNC_REQ)
 #: fetch-and-op reply, from the home sP or a combining switch.
 SYNC_REP = Layout("req:I ok:? value:q", types=MSG_SYNC_REP)
 #: carries one packed :data:`SYNC_TAG` as its tail.
 SYNC_INJECT = Layout("", types=MSG_SYNC_INJECT, tail="rest")
-SYNC_DEQUE = Layout("group:I verb:B origin:I req:I reply_queue:B value:q",
+SYNC_DEQUE = Layout("group:I verb:B x x x x req:I reply_queue:B value:q",
                     types=MSG_SYNC_DEQUE)
 #: collective result, from the central sP or the tree's switches.
 SYNC_TREE_REP = Layout("group:I seq:I value:q", types=MSG_SYNC_TREE_REP)
-SYNC_CBAR = Layout("group:I seq:I origin:I n:I reply_queue:B op:B value:q",
+SYNC_CBAR = Layout("group:I seq:I x x x x n:I reply_queue:B op:B value:q",
                    types=MSG_SYNC_CBAR)
-#: the switch combining header (:class:`repro.net.combine.SyncTag`).
+#: the switch combining header (:class:`repro.net.combine.SyncTag`);
+#: ``origin`` is the member a leaf request came from, :data:`NO_NODE`
+#: once combined.
 SYNC_TAG = Layout("phase:B mode:B group:I cell:I seq:I op:B reply_queue:B "
-                  "value:q aux:q token:I origin:i count:I", error=NetworkError)
+                  "value:q aux:q token:I x x origin:N count:I",
+                  error=NetworkError)
 #: MCS lock handoff between aPs.
-LOCK_MSG = Layout("group:I cell:I origin:I",
+LOCK_MSG = Layout("group:I cell:I x x x x",
                   types=(MSG_LOCK_LINK, MSG_LOCK_GRANT))
 
 # -- serving applications (``MSG_USER`` and up) ----------------------------------
 #: a KV PUT's value is the trailing bytes, inline or as a TagOn
 #: attachment (delivered to the same place).
-KV_REQ = Layout("op:B reply_queue:B origin:H req_id:I key:I count:H",
+KV_REQ = Layout("op:B reply_queue:B x x req_id:I key:I count:H",
                 types=MSG_KV_REQ, tail="rest")
 KV_REP = Layout("status:B req_id:I", types=MSG_KV_REP, tail="rest")
 #: PUT by reference: the value already sits at ``addr`` in server DRAM.
-KV_PUTREF = Layout("x reply_queue:B origin:H req_id:I key:I addr:A length:I",
+KV_PUTREF = Layout("x reply_queue:B x x req_id:I key:I addr:A length:I",
                    types=MSG_KV_PUTREF)
-PS_PUSH = Layout("reply_queue:B origin:H step:I block:I n_workers:H grad:q",
+PS_PUSH = Layout("reply_queue:B x x step:I block:I n_workers:H grad:q",
                  types=MSG_PS_PUSH)
 PS_REP = Layout("x step:I block:I weight:q", types=MSG_PS_REP)
-USVC_REQ = Layout("depth:B fanout:B reply_queue:B origin:H ctx:I svc_insns:I",
+USVC_REQ = Layout("depth:B fanout:B reply_queue:B x x ctx:I svc_insns:I",
                   types=MSG_USVC_REQ)
 USVC_REP = Layout("x ctx:I", types=MSG_USVC_REP)
 
+# -- aP-to-aP library messages ----------------------------------------------------
+#: an Active Message (:mod:`repro.lib.activemsg`): the handler id, then
+#: the handler's arguments.
+AM = Layout("handler:B", tail="rest", error=ProgramError)
+#: an am_store's landed region: a store handler's arguments, and (with
+#: the store handler id appended as an :data:`AM` byte) the announcement
+#: that arms it.
+AM_STORE = Layout("addr:A length:I", tail="rest", error=ProgramError)
+#: one token on an Express channel (:mod:`repro.lib.channels`).
+TOKEN = Layout("channel:B value:I", error=ProgramError)
+
 
 def check_table(table: Dict[str, Layout]) -> None:
-    """Raise ``ValueError`` unless every type byte has one layout and
-    every header fits the payload cap."""
+    """Raise ``ValueError`` unless every type byte has one layout, every
+    header fits the payload cap and every node field uses code ``N``."""
     owner: Dict[int, str] = {}
     for name, layout in table.items():
         if layout.size > MAX_PAYLOAD:
             raise ValueError(f"{name} is {layout.size} bytes, over the "
                              f"{MAX_PAYLOAD}-byte payload cap")
+        for field, code in layout.fields:
+            if field in NODE_FIELDS and code != "N":
+                raise ValueError(f"{name}.{field} holds a node id: code N, "
+                                 f"not {code}")
         for t in layout.types:
             if t in owner:
                 raise ValueError(f"type byte {t} is claimed by both "

@@ -73,14 +73,9 @@ class TransferResult:
         This is the Figure-4 metric: data delivered over the time until
         the receiver is told the transfer is done.  (For approaches 4/5
         the notification is optimistic, so compare those on
-        :attr:`consume_bandwidth_mb_s` instead.)
+        :attr:`data_ready_latency_ns` instead.)
         """
         return (self.size / self.notify_latency_ns) * 1000.0
-
-    @property
-    def consume_bandwidth_mb_s(self) -> float:
-        """Bandwidth to the point every byte has been touched."""
-        return (self.size / self.data_ready_latency_ns) * 1000.0
 
     def occupancy_row(self) -> Dict[str, float]:
         """Occupancy fractions over the transfer window."""

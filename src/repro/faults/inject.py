@@ -224,20 +224,6 @@ class FaultInjector:
             tr.instant("faults.link_up" if up else "faults.link_down",
                        source=name, track="faults")
 
-    def crash(self, node_id: int) -> None:
-        """Fail one node silently: aP programs die, sP halts, CTRL goes
-        deaf, and both attachment links drop.  Nothing is cleaned up —
-        exactly the failure the reliability protocol must tolerate.
-
-        This is the direct (test-facing) entry point; plan-driven crashes
-        arrive as a :meth:`_crash_board` event plus separately scheduled
-        attachment-link flips."""
-        self._crash_board(node_id)
-        net = self.machine.network
-        if net is not None:
-            for name in net.node_link_names(node_id):
-                self.set_link(name, up=False)
-
     def _crash_board(self, node_id: int) -> None:
         if node_id in self.crashed_nodes:
             return

@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import List
 
 from repro.common.errors import ConfigError
 
@@ -170,10 +170,6 @@ class FaultPlan:
             st.validate(n_nodes)
         for cr in self.node_crashes:
             cr.validate(n_nodes)
-
-    def describe(self) -> Dict[str, Any]:
-        """Plain-dict form for experiment logs (mirrors config.describe)."""
-        return dataclasses.asdict(self)
 
     def copy(self) -> "FaultPlan":
         """Deep copy (MachineConfig.copy duplicates the plan with this)."""

@@ -54,11 +54,6 @@ class DramRing:
     base: int
     depth: int
 
-    @property
-    def size_bytes(self) -> int:
-        """Total DRAM footprint of the ring."""
-        return RING_HEADER_BYTES + self.depth * ENTRY_BYTES
-
     def entry_addr(self, n: int) -> int:
         """DRAM address of entry number ``n``."""
         return self.base + RING_HEADER_BYTES + (n % self.depth) * ENTRY_BYTES

@@ -152,11 +152,6 @@ class ScomaState:
         #: this node's directory controller (lines it is home for).
         self.dir = DirectoryController(node_id)
 
-    @property
-    def directory(self):
-        """Line -> :class:`DirEntry` (inspection/test compatibility)."""
-        return self.dir.directory
-
     def entry(self, line: int) -> DirEntry:
         return self.dir.entry(line)
 
@@ -216,7 +211,7 @@ def handle_miss(sp: "ServiceProcessor", event: Tuple
     else:
         yield from _send_proto(
             sp, home, SCOMA_REQ.pack(MSG_SCOMA_WREQ if want_rw else MSG_SCOMA_RREQ,
-                                     sp.node_id, line * st.line_bytes))
+                                     line * st.line_bytes))
 
 
 # ----------------------------------------------------------------------
@@ -226,11 +221,11 @@ def handle_miss(sp: "ServiceProcessor", event: Tuple
 def handle_request_msg(sp: "ServiceProcessor", src: int, payload: bytes
                        ) -> Generator["Event", None, None]:
     """RREQ/WREQ arriving at the home node."""
-    kind, requester, offset = SCOMA_REQ.unpack(payload)
+    kind, offset = SCOMA_REQ.unpack(payload)
     want_rw = kind == MSG_SCOMA_WREQ
     yield sp.compute(sp.fw.scoma_home_insns)
     st: ScomaState = sp.state["scoma"]
-    yield from home_request(sp, want_rw, st.line_of_offset(offset), requester)
+    yield from home_request(sp, want_rw, st.line_of_offset(offset), src)
 
 
 def home_request(sp: "ServiceProcessor", want_rw: bool, line: int,

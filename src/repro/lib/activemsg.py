@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional, Tuple
 
 from repro.common.errors import ProgramError
+from repro.common.wire import AM, AM_STORE, DMA_NOTIFY
 from repro.mp.basic import BasicPort
 from repro.mp.dma import dma_write
 from repro.niu.niu import NOTIFY_QUEUE, vdst_for
@@ -67,7 +68,7 @@ class AmEndpoint:
             raise ProgramError(f"AM args of {len(args)} bytes exceed 87")
         yield from self.port.send(
             api, vdst_for(dst_node, self.port.rx_logical),
-            bytes([handler_id]) + args,
+            AM.pack(handler_id, tail=args),
         )
 
     def am_store(self, api: "ApApi", request_port: BasicPort, dst_node: int,
@@ -98,8 +99,7 @@ class AmEndpoint:
                                ) -> Generator["Event", None, None]:
         """Pre-arm the destination: the next am_store completion from this
         node runs ``handler_id`` (sent as an ordinary AM)."""
-        args = (dst_addr.to_bytes(6, "big") + length.to_bytes(4, "big")
-                + bytes([handler_id]))
+        args = AM_STORE.pack(dst_addr, length, tail=AM.pack(handler_id))
         yield from self.send(api, dst_node, 0xEE, args)
 
     # -- receiving -------------------------------------------------------------
@@ -133,12 +133,10 @@ class AmEndpoint:
                   ) -> Generator["Event", None, None]:
         if not payload:
             return
-        handler_id = payload[0]
+        handler_id, args = AM.unpack(payload)
         if handler_id == 0xEE:  # store-handler announcement
-            args = payload[1:]
-            addr = int.from_bytes(args[0:6], "big")
-            length = int.from_bytes(args[6:10], "big")
-            store_id = args[10]
+            addr, length, rest = AM_STORE.unpack(args)
+            store_id, _ = AM.unpack(rest)
             pending = self._pending_stores = getattr(
                 self, "_pending_stores", {})
             pending[(src, length)] = (store_id, addr)
@@ -147,11 +145,12 @@ class AmEndpoint:
         if fn is None:
             raise ProgramError(f"no AM handler {handler_id} registered")
         self.dispatched += 1
-        yield from fn(api, src, payload[1:])
+        yield from fn(api, src, args)
 
     def _dispatch_store(self, api: "ApApi", src: int, payload: bytes
                         ) -> Generator["Event", None, None]:
-        length = int.from_bytes(payload[:4], "big") if len(payload) >= 4 else 0
+        length = (DMA_NOTIFY.unpack(payload[:DMA_NOTIFY.size])[0]
+                  if len(payload) >= DMA_NOTIFY.size else 0)
         pending = getattr(self, "_pending_stores", {})
         entry: Optional[Tuple[int, int]] = pending.pop((src, length), None)
         if entry is None:
@@ -161,5 +160,4 @@ class AmEndpoint:
         if fn is None:
             raise ProgramError(f"no AM store handler {store_id} registered")
         self.dispatched += 1
-        args = addr.to_bytes(6, "big") + length.to_bytes(4, "big")
-        yield from fn(api, src, args)
+        yield from fn(api, src, AM_STORE.pack(addr, length))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
-from repro.common.errors import ProgramError
+from repro.common.wire import TOKEN
 from repro.mp.express import ExpressPort
 from repro.niu.niu import EXPRESS_RX_LOGICAL, vdst_for
 
@@ -33,13 +33,9 @@ class TokenChannel:
     def send(self, api: "ApApi", dst: int, channel: int, value: int
              ) -> Generator["Event", None, None]:
         """Send ``value`` on ``channel`` to node ``dst`` (one store)."""
-        if not (0 <= channel <= 255):
-            raise ProgramError(f"channel id {channel} outside one byte")
-        if not (0 <= value < 1 << 32):
-            raise ProgramError(f"value {value:#x} outside 32 bits")
-        payload = bytes([channel]) + value.to_bytes(4, "big")
         yield from self.port.send(
-            api, vdst_for(dst, EXPRESS_RX_LOGICAL), payload)
+            api, vdst_for(dst, EXPRESS_RX_LOGICAL),
+            TOKEN.pack(channel, value))  # ProgramError outside the fields
 
     def recv(self, api: "ApApi", channel: int, poll_insns: int = 25
              ) -> Generator["Event", None, Tuple[int, int]]:
@@ -53,8 +49,7 @@ class TokenChannel:
                 yield from api.compute(poll_insns)
                 continue
             src, payload = msg
-            got_channel = payload[0]
-            value = int.from_bytes(payload[1:5], "big")
+            got_channel, value = TOKEN.unpack(payload)
             if got_channel == channel:
                 return src, value
             self._stash.setdefault(got_channel, []).append((src, value))

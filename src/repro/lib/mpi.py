@@ -328,11 +328,12 @@ class MpiRank:
             )
 
     def _nic_request(self, api: "ApApi", kind: int, op_code: int, seq: int,
-                     tag: int, root: int, data: bytes
+                     tag: int, data: bytes
                      ) -> Generator["Event", None, None]:
         """The single enqueue: one Basic message to the local sP (a
-        lossless loopback hand-off, so never the reliable path)."""
-        payload = COLL.pack(MSG_COLL_REQ, kind, op_code, 0, seq, root,
+        lossless loopback hand-off, so never the reliable path).  The
+        firmware's installed plan supplies the root."""
+        payload = COLL.pack(MSG_COLL_REQ, kind, op_code, 0, seq,
                             self.mpi.rx_logical, tag, tail=data)
         yield from self.port.send_to(api, self.rank, SP_SERVICE_QUEUE,
                                      payload)
@@ -361,7 +362,7 @@ class MpiRank:
             yield from coll_api.tree_barrier(self, api, self.mpi.plan(0), tag)
         elif algo == "nic":
             yield from self._nic_request(api, KIND_BARRIER, 0, seq, tag,
-                                         0, b"")
+                                         b"")
             yield from self.recv(api, tag=tag)
         elif self.rank == 0:
             for _ in range(self.size - 1):
@@ -400,7 +401,7 @@ class MpiRank:
                         f"algo='tree' for larger payloads"
                     )
                 yield from self._nic_request(api, KIND_BCAST, 0, seq,
-                                             tag, root, data)
+                                             tag, data)
             _src, _tag, got = yield from self.recv(api, tag=tag)
             return got
         if self.rank == root:
@@ -471,7 +472,7 @@ class MpiRank:
             if self.size == 1:
                 return value
             yield from self._nic_request(api, KIND_REDUCE, code, seq,
-                                         tag, root, VALUE.pack(value))
+                                         tag, VALUE.pack(value))
             if self.rank != root:
                 return None
             _src, _tag, got = yield from self.recv(api, tag=tag)
@@ -520,7 +521,7 @@ class MpiRank:
             out = value
             if self.size > 1:
                 yield from self._nic_request(api, KIND_ALLREDUCE, code,
-                                             seq, tag, 0, VALUE.pack(value))
+                                             seq, tag, VALUE.pack(value))
                 _src, _tag, got = yield from self.recv(api, tag=tag)
                 out = VALUE.unpack(got)[0]
         else:

@@ -42,11 +42,14 @@ MODE_CACHED = AccessMode.CACHED
 MODE_UNCACHED = AccessMode.UNCACHED
 MODE_BURST = AccessMode.BURST
 
+#: the largest region whose addresses lookups memoize (:attr:`Region.memo`).
+MEMO_MAX_REGION_BYTES = 1 << 20
+
 
 class Region:
     """A named, half-open physical address range ``[base, base+size)``."""
 
-    __slots__ = ("name", "base", "size", "end", "mode", "owner")
+    __slots__ = ("name", "base", "size", "end", "mode", "owner", "memo")
 
     def __init__(
         self,
@@ -69,6 +72,12 @@ class Region:
         #: the bus slave that serves accesses (None = claimed by a snooper,
         #: e.g. the aBIU for NIU windows).
         self.owner = owner
+        #: whether :meth:`AddressMap.lookup` and the aBIU memoize its
+        #: addresses: a device window (uncached or burst, at most 1 MiB:
+        #: the NIU's pointer, Express, sysreg and SRAM windows).  DRAM
+        #: and the 1 GB NUMA window are bisected on every lookup, so no
+        #: memo grows with the lines a run touches.
+        self.memo = mode is not MODE_CACHED and size <= MEMO_MAX_REGION_BYTES
 
     def contains(self, addr: int, length: int = 1) -> bool:
         """True when ``[addr, addr+length)`` lies entirely inside."""
@@ -101,8 +110,9 @@ class AddressMap:
     def __init__(self) -> None:
         self._bases: List[int] = []
         self._regions: List[Region] = []
-        #: address -> the region containing it, filled by :meth:`lookup`;
-        #: :meth:`add` (and so :meth:`carve`) empties it
+        #: address -> the region containing it, filled by :meth:`lookup`
+        #: for :attr:`Region.memo` regions; :meth:`add` (and so
+        #: :meth:`carve`) empties it
         self._memo: Dict[int, Region] = {}
 
     def add(self, region: Region) -> Region:
@@ -132,7 +142,8 @@ class AddressMap:
             region = self._regions[idx]
             # the bisect already guarantees ``region.base <= addr``
             if addr + length <= region.end:
-                self._memo[addr] = region
+                if region.memo:
+                    self._memo[addr] = region
                 return region
             if addr < region.end:
                 raise AddressError(

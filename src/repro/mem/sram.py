@@ -53,11 +53,6 @@ class DualPortedSRAM:
             Resource(engine, 1, name=f"{name}.p1"),
         )
 
-    @property
-    def size(self) -> int:
-        """Capacity in bytes."""
-        return self.backing.size
-
     def _beats(self, length: int) -> int:
         return max(1, -(-length // self.width_bytes))  # ceil division
 

@@ -13,7 +13,7 @@ helper that waits for it (the am_store pattern of §6).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Generator, Tuple
 
 from repro.common.errors import ProgramError
 from repro.common.wire import DMA_NOTIFY, DMA_REQ
@@ -65,15 +65,5 @@ class DmaNotifier:
         t0 = api.now
         src, payload = yield from self.port.recv(api)
         self.port.stats.accumulator("mp.dma.notify_wait_ns").add(api.now - t0)
-        length = DMA_NOTIFY.unpack(payload[:4])[0] if len(payload) >= 4 else 0
-        return src, length
-
-    def poll(self, api: "ApApi"
-             ) -> Generator["Event", None, Optional[Tuple[int, int]]]:
-        """Non-blocking notification check."""
-        msg = yield from self.port.poll(api)
-        if msg is None:
-            return None
-        src, payload = msg
         length = DMA_NOTIFY.unpack(payload[:4])[0] if len(payload) >= 4 else 0
         return src, length

@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import NetworkError, ProgramError
-from repro.common.wire import SYNC_REP, SYNC_TAG, SYNC_TREE_REP
+from repro.common.wire import NO_NODE, SYNC_REP, SYNC_TAG, SYNC_TREE_REP
 from repro.net.packet import PRIORITY_HIGH, Packet, PacketKind
 from repro.sim.store import Store
 
@@ -120,7 +120,7 @@ class SyncTag:
 
     def __init__(self, phase: int, mode: int, group: int, op: int,
                  value: int = 0, cell: int = 0, seq: int = 0, aux: int = 0,
-                 token: int = 0, origin: int = -1, reply_queue: int = 0,
+                 token: int = 0, origin: int = NO_NODE, reply_queue: int = 0,
                  count: int = 1) -> None:
         self.phase = phase
         self.mode = mode
@@ -136,7 +136,8 @@ class SyncTag:
         #: fetch mode: requester cookie on a member request, or the
         #: emitting switch's decombine-record handle on a combined hop.
         self.token = token
-        #: contributing member node on a leaf request; -1 once combined.
+        #: contributing member node on a leaf request; NO_NODE once
+        #: combined.
         self.origin = origin
         #: member's logical rx queue for the final reply.
         self.reply_queue = reply_queue
@@ -191,7 +192,8 @@ class _Slot:
 
     def __init__(self) -> None:
         #: ordered contributions: (port, origin, child_token, req_token,
-        #: reply_queue, value) — origin >= 0 marks a member entry.
+        #: reply_queue, value) — an origin other than NO_NODE marks a
+        #: member entry.
         self.entries: List[Tuple[int, int, int, int, int, int]] = []
         self.acc = 0
         self.aux = 0
@@ -402,7 +404,7 @@ class CombineStage:
         else:
             self.cells[ckey] = apply_op(tag.op, old, tag.value)
         self._count("cell_ops")
-        if tag.origin >= 0:
+        if tag.origin != NO_NODE:
             self._member_fetch_reply(port, tag.origin, tag.reply_queue,
                                      tag.token, old, tag)
         else:
@@ -426,7 +428,7 @@ class CombineStage:
             return
         running = tag.value
         for port, origin, child_token, _req, reply_queue, value in entries:
-            if origin >= 0:
+            if origin != NO_NODE:
                 self._member_fetch_reply(port, origin, reply_queue,
                                          child_token, running, tag)
             else:

@@ -98,11 +98,6 @@ class NetworkPort:
         ev.add_callback(_count)
         return ev
 
-    def pending(self, priority: int) -> int:
-        """Arrived-but-undrained packets of one priority (diagnostics)."""
-        return self._from_switch.pending(priority)
-
-
 class ArcticNetwork:
     """Fat tree of :class:`ArcticSwitch`\\ es with per-node ports."""
 

@@ -22,6 +22,7 @@ aBIU)").
 
 from __future__ import annotations
 
+import bisect
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from repro.bus.ops import BusTransaction
@@ -34,11 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.ctrl import Ctrl
     from repro.sim.engine import Engine
     from repro.sim.events import Event
-
-
-#: marks an address :meth:`ABiu.handler_for` has not memoized yet (its
-#: memo also stores None, for an address no handler covers).
-_UNSEEN = object()
 
 
 class BusHandler:
@@ -74,10 +70,12 @@ class ABiu(Snooper):
         self.name = f"abiu{node_id}"
         self.snooper_name = self.name
         self._master = f"niu{node_id}"
+        #: installed (region, handler) pairs, sorted by base, and the bases
         self._handlers: List[Tuple[Region, BusHandler]] = []
-        #: address -> covering handler (or None), filled by
-        #: :meth:`handler_for`; :meth:`install` empties it
-        self._handler_memo: Dict[int, Optional[BusHandler]] = {}
+        self._bases: List[int] = []
+        #: address -> covering handler, filled by :meth:`handler_for` for
+        #: :attr:`Region.memo` regions; :meth:`install` empties it
+        self._handler_memo: Dict[int, BusHandler] = {}
         self._claimed: Dict[int, BusHandler] = {}
         self.observed = 0
         bus.attach_snooper(self)
@@ -103,20 +101,23 @@ class ABiu(Snooper):
                 )
         self._handlers.append((region, handler))
         self._handlers.sort(key=lambda pair: pair[0].base)
+        self._bases = [r.base for r, _h in self._handlers]
         return None
 
     def handler_for(self, addr: int) -> Optional[BusHandler]:
         """The installed handler covering ``addr`` (None when uncovered)."""
-        memo = self._handler_memo
-        if addr in memo:
-            return memo[addr]
-        found = None
-        for region, handler in self._handlers:
-            if region.contains(addr):
-                found = handler
-                break
-        memo[addr] = found
-        return found
+        handler = self._handler_memo.get(addr)
+        if handler is not None:
+            return handler
+        i = bisect.bisect_right(self._bases, addr) - 1
+        if i < 0:
+            return None
+        region, handler = self._handlers[i]
+        if addr >= region.end:
+            return None
+        if region.memo:
+            self._handler_memo[addr] = handler
+        return handler
 
     # -- snooper interface -----------------------------------------------------
 
@@ -129,11 +130,11 @@ class ABiu(Snooper):
         if txn.master == self._master:
             return SNOOP_OK
         # handler_for's memo, read inline: every aP bus operation asks
-        handler = self._handler_memo.get(txn.addr, _UNSEEN)
-        if handler is _UNSEEN:
-            handler = self.handler_for(txn.addr)
+        handler = self._handler_memo.get(txn.addr)
         if handler is None:
-            return SNOOP_OK
+            handler = self.handler_for(txn.addr)
+            if handler is None:
+                return SNOOP_OK
         self.observed += 1
         verdict = handler.decide(txn)
         if verdict is SNOOP_CLAIM:

@@ -187,9 +187,6 @@ class CmdSetClsState(Command):
     n_lines: int
     state: int
 
-    def wire_bytes(self) -> int:
-        return 8
-
 
 @dataclass
 class CmdBusOp(Command):

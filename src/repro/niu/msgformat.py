@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.common.errors import QueueError
-from repro.common.wire import MAX_PAYLOAD
+from repro.common.wire import MAX_NODE, MAX_PAYLOAD
 
 HEADER_BYTES = 8
 #: one queue entry in SRAM: header + max payload.
@@ -57,9 +57,6 @@ FLAG_EXPRESS = 0x04
 #: 4), so the entry stays 8 bytes.  Set/cleared by the encoders; user
 #: code never passes it.
 FLAG_WIDE = 0x08
-
-#: widest node number any header can carry (wide mode: 16-bit ids).
-MAX_NODE = 0xFFFF
 
 #: TagOn length codes, in 16-byte units (1.5 and 2.5 cache lines).
 TAGON_SMALL_UNITS = 3  # 48 bytes
@@ -106,7 +103,8 @@ class MsgHeader:
             raise QueueError(f"payload length {self.length} outside 0..{MAX_PAYLOAD}")
         if not (0 <= self.vdst <= 255):
             if not (0 <= self.vdst <= MAX_NODE):
-                raise QueueError(f"vdst {self.vdst} outside two bytes")
+                raise QueueError(f"vdst {self.vdst} outside two bytes "
+                                 f"(node ids 0..{MAX_NODE})")
             if not self.is_raw:
                 raise QueueError(
                     f"vdst {self.vdst} outside one byte (translated "
@@ -118,7 +116,8 @@ class MsgHeader:
                     "(they share header bytes)"
                 )
         if not (0 <= self.src_node <= MAX_NODE):
-            raise QueueError(f"source node {self.src_node} outside two bytes")
+            raise QueueError(f"source node {self.src_node} outside two "
+                             f"bytes (node ids 0..{MAX_NODE})")
         if self.has_tagon:
             if self.tagon_units not in (TAGON_SMALL_UNITS, TAGON_LARGE_UNITS):
                 raise QueueError(
@@ -200,7 +199,8 @@ def encode_rx_header(
     if not (0 <= length <= MAX_PAYLOAD):
         raise QueueError(f"rx length {length} outside 0..{MAX_PAYLOAD}")
     if not (0 <= src_node <= MAX_NODE):
-        raise QueueError(f"source node {src_node} outside two bytes")
+        raise QueueError(f"source node {src_node} outside two bytes "
+                         f"(node ids 0..{MAX_NODE})")
     if src_node > 0xFF:
         return bytes([(flags | FLAG_WIDE) & 0xFF, src_node & 0xFF, 0,
                       length & 0xFF, (src_node >> 8) & 0xFF, 0, 0, 0])

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Tuple
 from repro.common.config import MachineConfig
 from repro.mem.sram import PORT_BUS, DualPortedSRAM
 from repro.niu.commands import Command
-from repro.niu.queues import QueueKind
 from repro.sim.store import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,13 +90,6 @@ class SBiu:
         """
         yield self._busop_ns() + self.ctrl.op_ns
         return fn()
-
-    def read_pointer(self, kind: QueueKind, index: int, which: str
-                     ) -> Generator["Event", None, int]:
-        """Timed pointer read through the immediate interface."""
-        return (yield from self.immediate(
-            lambda: self.ctrl.read_pointer(kind, index, which)
-        ))
 
     # -- command queues -----------------------------------------------------------
 

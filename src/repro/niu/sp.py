@@ -127,9 +127,3 @@ class ServiceProcessor:
                 self.busy.end()
                 if span is not None:
                     span.end()
-
-    # -- diagnostics ---------------------------------------------------------------------
-
-    def occupancy(self, window_ns: float = None) -> float:  # type: ignore[assignment]
-        """Fraction of (window) time the sP spent in firmware."""
-        return self.busy.occupancy(window_ns)

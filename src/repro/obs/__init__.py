@@ -11,7 +11,7 @@ Typical use::
     machine.obs.enable("niu", "mp", "sp", "net")
     ...  # run a workload
     machine.obs.export_perfetto("trace.json")   # open in ui.perfetto.dev
-    machine.obs.export_metrics("metrics.json")  # p50/p90/p99 and friends
+    machine.obs.snapshot()  # p50/p90/p99 and friends, as a dict
 """
 
 from repro.obs.core import Observability
@@ -29,7 +29,6 @@ from repro.obs.snapshot import (
     comparable,
     metrics_snapshot,
     strip_wall,
-    write_metrics,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "metrics_snapshot",
     "strip_wall",
     "comparable",
-    "write_metrics",
     "export_perfetto",
     "trace_events",
 ]

@@ -4,12 +4,11 @@ One object, hung off :class:`~repro.core.machine.StarTVoyager` as
 ``machine.obs``, gathers the measurement surface the paper's evaluation
 methodology needs:
 
-* category-gated typed tracing (``obs.enable("niu", "mp")``,
-  ``obs.span("niu.tx", node=0, track="txq0")``) over the machine's
-  :class:`~repro.sim.trace.Tracer`;
+* category control (``obs.enable("niu", "mp")``) over the machine's
+  :class:`~repro.sim.trace.Tracer`, whose spans components open
+  directly;
 * periodic queue-depth/occupancy sampling (:meth:`start_sampler`);
-* exporters: :meth:`snapshot` (schema-versioned metrics dict),
-  :meth:`export_metrics` (its JSON file twin), and
+* exporters: :meth:`snapshot` (schema-versioned metrics dict) and
   :meth:`export_perfetto` (Chrome/Perfetto timeline).
 
 Everything here is off until asked for: with no categories enabled and
@@ -23,11 +22,10 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.obs.perfetto import export_perfetto
 from repro.obs.sampler import QueueSampler
-from repro.obs.snapshot import metrics_snapshot, write_metrics
+from repro.obs.snapshot import metrics_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import StarTVoyager
-    from repro.sim.trace import Span
 
 
 class Observability:
@@ -49,28 +47,6 @@ class Observability:
         """Disable trace categories ("*" clears everything)."""
         self.tracer.disable(*categories)
 
-    def wants(self, category: str) -> bool:
-        """Hot-path guard: would records of ``category`` be kept?"""
-        return self.tracer.wants(category)
-
-    @property
-    def active(self) -> bool:
-        """True when any trace category is enabled."""
-        return self.tracer.active
-
-    def span(self, kind: str, source: str = "", node: Optional[int] = None,
-             track: str = "", **args: Any) -> "Span":
-        """Open a typed span (see :meth:`repro.sim.trace.Tracer.span`)."""
-        return self.tracer.span(kind, source=source, node=node, track=track,
-                                **args)
-
-    def instant(self, kind: str, source: str = "",
-                node: Optional[int] = None, track: str = "",
-                **args: Any) -> None:
-        """Record a zero-duration typed occurrence."""
-        self.tracer.instant(kind, source=source, node=node, track=track,
-                            **args)
-
     # -- sampling ----------------------------------------------------------
 
     def start_sampler(self, period_ns: float = 1000.0,
@@ -90,11 +66,6 @@ class Observability:
     def snapshot(self, include_config: bool = True) -> Dict[str, Any]:
         """Schema-versioned metrics snapshot (see :mod:`repro.obs.snapshot`)."""
         return metrics_snapshot(self.machine, include_config=include_config)
-
-    def export_metrics(self, path: str,
-                       include_config: bool = True) -> str:
-        """Write :meth:`snapshot` as JSON; returns the path."""
-        return write_metrics(path, self.snapshot(include_config))
 
     def export_perfetto(self, path: Optional[str] = None) -> Dict[str, Any]:
         """Build (and optionally write) the Perfetto trace document."""

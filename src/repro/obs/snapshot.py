@@ -51,8 +51,6 @@ wall-stripped snapshot or digest changed.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import TYPE_CHECKING, Any, Dict
 
 from repro.sim.stats import Accumulator
@@ -191,20 +189,3 @@ def strip_wall(snapshot: Dict[str, Any]) -> Dict[str, Any]:
 #: a snapshot's deterministic core, in place: everything but ``sim.wall``.
 comparable = strip_wall
 
-
-def write_metrics(path: str, snapshot: Dict[str, Any]) -> str:
-    """Write one snapshot (or snapshot-carrying document) as JSON."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
-    return path
-
-
-def _jsonable(value: Any) -> Any:
-    """Last-resort JSON coercion (infinities from empty accumulators)."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

@@ -45,7 +45,7 @@ from time import perf_counter
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError, SimulationError
-from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import _PENDING, AllOf, Event, Timeout
 from repro.sim.process import ProcGen, Process
 
 #: scheduled-item kinds — element 2 of a heap entry.
@@ -174,10 +174,6 @@ class Engine:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Join helper: triggers when every event has succeeded."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Race helper: triggers on the first success."""
-        return AnyOf(self, events)
 
     # -- scheduling (internal API used by events/processes) ---------------
 

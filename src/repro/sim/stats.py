@@ -129,21 +129,6 @@ class Accumulator:
         """Median estimate."""
         return self.hist.p50
 
-    @property
-    def p90(self) -> float:
-        """90th-percentile estimate."""
-        return self.hist.p90
-
-    @property
-    def p99(self) -> float:
-        """99th-percentile estimate."""
-        return self.hist.p99
-
-    @property
-    def p999(self) -> float:
-        """99.9th-percentile estimate (SLO tail)."""
-        return self.hist.p999
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"Accumulator({self.name}: n={self.n} mean={self.mean:.2f} "
@@ -210,10 +195,6 @@ class ScopedStats:
         self._registry = registry
         self.scope = scope
 
-    @property
-    def engine(self) -> "Engine":
-        return self._registry.engine
-
     def counter(self, name: str) -> Counter:
         return self._registry.counter(name)
 
@@ -222,9 +203,6 @@ class ScopedStats:
 
     def busy_tracker(self, name: str) -> BusyTracker:
         return self._registry.busy_tracker(name)
-
-    def scoped(self, scope: str) -> "ScopedStats":
-        return self._registry.scoped(scope)
 
 
 class StatsRegistry:

@@ -192,27 +192,28 @@ class SyncGroup:
     # -- transport helpers -------------------------------------------------
 
     def _await(self, api: "ApApi", cl: _NodeClient,
-               match: Callable[[bytes], Any]) -> Generator["Event", None, Any]:
-        """Claim the first message ``match`` maps to a non-None result:
-        the inbox first, then fresh arrivals, stashing non-matches in
-        arrival order."""
-        for i, (_src, p) in enumerate(cl.inbox):
-            got = match(p)
+               match: Callable[[int, bytes], Any]
+               ) -> Generator["Event", None, Any]:
+        """Claim the first message ``match(src, payload)`` maps to a
+        non-None result: the inbox first, then fresh arrivals, stashing
+        non-matches in arrival order."""
+        for i, (src, p) in enumerate(cl.inbox):
+            got = match(src, p)
             if got is not None:
                 del cl.inbox[i]
                 return got
         while True:
             src, p = yield from cl.port.recv(api)
-            got = match(p)
+            got = match(src, p)
             if got is not None:
                 return got
             cl.inbox.append((src, p))
 
     @staticmethod
-    def _rep_match(req: int) -> Callable[[bytes], Any]:
+    def _rep_match(req: int) -> Callable[[int, bytes], Any]:
         """``_await`` matcher: the ``MSG_SYNC_REP`` answering request
         ``req``, as ``(ok, value)``."""
-        def match(p: bytes) -> Optional[Tuple[bool, int]]:
+        def match(_src: int, p: bytes) -> Optional[Tuple[bool, int]]:
             if p[0] == MSG_SYNC_REP:
                 rtok, ok, value = SYNC_REP.unpack(p)
                 if rtok == req:
@@ -221,10 +222,10 @@ class SyncGroup:
 
         return match
 
-    def _tree_match(self, seq: int) -> Callable[[bytes], Any]:
+    def _tree_match(self, seq: int) -> Callable[[int, bytes], Any]:
         """``_await`` matcher: this group's ``MSG_SYNC_TREE_REP`` for
         collective ``seq``, as the folded value."""
-        def match(p: bytes) -> Optional[int]:
+        def match(_src: int, p: bytes) -> Optional[int]:
             if p[0] == MSG_SYNC_TREE_REP:
                 g, s, value = SYNC_TREE_REP.unpack(p)
                 if g == self.gid and s == seq:
@@ -233,14 +234,15 @@ class SyncGroup:
 
         return match
 
-    def _lock_match(self, kind: int, cell: int) -> Callable[[bytes], Any]:
+    def _lock_match(self, kind: int, cell: int
+                    ) -> Callable[[int, bytes], Any]:
         """``_await`` matcher: this group's MCS ``kind`` message for
-        ``cell``, as its origin node."""
-        def match(p: bytes) -> Optional[int]:
+        ``cell``, as its sender node."""
+        def match(src: int, p: bytes) -> Optional[int]:
             if p[0] == kind:
-                _kind, g, c, origin = LOCK_MSG.unpack(p)
+                _kind, g, c = LOCK_MSG.unpack(p)
                 if g == self.gid and c == cell:
-                    return origin
+                    return src
             return None
 
         return match
@@ -269,8 +271,8 @@ class SyncGroup:
         else:
             yield from cl.port.send_to(
                 api, self.home(cell), SP_SERVICE_QUEUE,
-                SYNC_REQ.pack(self.gid, cell, op, node, req,
-                              SYNC_RX_LOGICAL, value, aux))
+                SYNC_REQ.pack(self.gid, cell, op, req, SYNC_RX_LOGICAL,
+                              value, aux))
         _ok, old = yield from self._await(api, cl, self._rep_match(req))
         return old
 
@@ -296,7 +298,7 @@ class SyncGroup:
         else:
             yield from cl.port.send_to(
                 api, self.members[0], SP_SERVICE_QUEUE,
-                SYNC_CBAR.pack(self.gid, seq, node, len(self.members),
+                SYNC_CBAR.pack(self.gid, seq, len(self.members),
                                SYNC_RX_LOGICAL, op, value))
         return (yield from self._await(api, cl, self._tree_match(seq)))
 
@@ -438,7 +440,7 @@ class McsLock:
         cl = g.fabric.client(node)
         yield from cl.port.send_to(
             api, prev - 1, SYNC_RX_LOGICAL,
-            LOCK_MSG.pack(MSG_LOCK_LINK, g.gid, self.cell, node))
+            LOCK_MSG.pack(MSG_LOCK_LINK, g.gid, self.cell))
         yield from g._await(api, cl, g._lock_match(MSG_LOCK_GRANT, self.cell))
 
     def release(self, api: "ApApi", node: int
@@ -453,7 +455,7 @@ class McsLock:
             api, cl, g._lock_match(MSG_LOCK_LINK, self.cell))
         yield from cl.port.send_to(
             api, successor, SYNC_RX_LOGICAL,
-            LOCK_MSG.pack(MSG_LOCK_GRANT, g.gid, self.cell, node))
+            LOCK_MSG.pack(MSG_LOCK_GRANT, g.gid, self.cell))
 
 
 class WorkDeque:
@@ -478,7 +480,7 @@ class WorkDeque:
         req = cl.req
         yield from cl.port.send_to(
             api, self.owner, SP_SERVICE_QUEUE,
-            SYNC_DEQUE.pack(g.gid, verb, node, req, SYNC_RX_LOGICAL, value))
+            SYNC_DEQUE.pack(g.gid, verb, req, SYNC_RX_LOGICAL, value))
         ok, got = yield from g._await(api, cl, g._rep_match(req))
         return ok, got
 

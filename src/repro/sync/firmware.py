@@ -117,8 +117,7 @@ def on_sync_req(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_SYNC_REQ``: serialized endpoint fetch-and-op."""
     yield sp.compute(sp.fw.sync_cell_insns)
     st = _state(sp)
-    group, cell, op, origin, req, reply_queue, value, aux = \
-        SYNC_REQ.unpack(payload)
+    group, cell, op, req, reply_queue, value, aux = SYNC_REQ.unpack(payload)
     key = (group, cell)
     old = st.cells.get(key, 0)
     if op == OP_CSWAP:
@@ -127,7 +126,7 @@ def on_sync_req(sp: "ServiceProcessor", src: int, payload: bytes
     else:
         st.cells[key] = apply_op(op, old, value)
     sp.stats.counter(f"{sp.name}.sync_cell_ops").incr()
-    yield from fw_send_to(sp, origin, reply_queue,
+    yield from fw_send_to(sp, src, reply_queue,
                           SYNC_REP.pack(req, True, old))
 
 
@@ -136,7 +135,7 @@ def on_sync_cbar(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_SYNC_CBAR``: central counting barrier / serial allreduce."""
     yield sp.compute(sp.fw.sync_barrier_insns)
     st = _state(sp)
-    group, seq, origin, n, reply_queue, op, value = SYNC_CBAR.unpack(payload)
+    group, seq, n, reply_queue, op, value = SYNC_CBAR.unpack(payload)
     key = (group, seq)
     pend = st.central.get(key)
     if pend is None:
@@ -146,7 +145,7 @@ def on_sync_cbar(sp: "ServiceProcessor", src: int, payload: bytes
     else:
         pend.acc = value
         pend.have_acc = True
-    pend.waiters.append((origin, reply_queue))
+    pend.waiters.append((src, reply_queue))
     if len(pend.waiters) < pend.want:
         return
     # everyone arrived: release serially (the hot-spot cost is the point)
@@ -173,12 +172,12 @@ def on_sync_deque(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_SYNC_DEQUE``: owner-resident work-stealing deque."""
     yield sp.compute(sp.fw.sync_deque_insns)
     st = _state(sp)
-    group, verb, origin, req, reply_queue, value = SYNC_DEQUE.unpack(payload)
+    group, verb, req, reply_queue, value = SYNC_DEQUE.unpack(payload)
     dq = st.deques.setdefault(group, [])
     if verb == DEQUE_PUSH:
         dq.append(value)
         sp.stats.counter(f"{sp.name}.deque_pushes").incr()
-        yield from fw_send_to(sp, origin, reply_queue,
+        yield from fw_send_to(sp, src, reply_queue,
                               SYNC_REP.pack(req, True, len(dq)))
         return
     if verb == DEQUE_POP:
@@ -191,7 +190,7 @@ def on_sync_deque(sp: "ServiceProcessor", src: int, payload: bytes
             sp.stats.counter(f"{sp.name}.deque_steals").incr()
     else:
         raise FirmwareError(f"{sp.name}: unknown deque verb {verb}")
-    yield from fw_send_to(sp, origin, reply_queue,
+    yield from fw_send_to(sp, src, reply_queue,
                           SYNC_REP.pack(req, ok, got))
 
 

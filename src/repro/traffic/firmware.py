@@ -92,9 +92,9 @@ class TrafficState:
         self.store: Dict[int, bytes] = {}
         #: parameter-server weights: block -> integer weight.
         self.ps_weights: Dict[int, int] = {}
-        #: (step, block) -> [grad_sum, [(origin, reply_queue), ...]].
+        #: (step, block) -> [grad_sum, [(worker, reply_queue), ...]].
         self.ps_pending: Dict[Tuple[int, int], list] = {}
-        #: fan-out bookkeeping: token -> [remaining, origin, reply_q, ctx].
+        #: fan-out bookkeeping: token -> [remaining, parent, reply_q, ctx].
         self.usvc_pending: Dict[int, List[int]] = {}
         self.usvc_next_ctx = 0
 
@@ -115,7 +115,7 @@ def _state(sp: "ServiceProcessor") -> TrafficState:
 def _on_kv_req(sp: "ServiceProcessor", src: int, payload: bytes
                ) -> Generator["Event", None, None]:
     st = _state(sp)
-    op, reply_q, origin, req_id, key, count, value = KV_REQ.unpack(payload)
+    op, reply_q, req_id, key, count, value = KV_REQ.unpack(payload)
     if op == KV_PUT:
         yield sp.compute(sp.fw.kv_op_insns)
         st.store[key] = bytes(value)
@@ -134,7 +134,7 @@ def _on_kv_req(sp: "ServiceProcessor", src: int, payload: bytes
     else:
         raise FirmwareError(f"unknown KV op {op}")
     sp.stats.counter(f"traffic.kv.s{sp.node_id}.served").incr()
-    yield from fw_send_to(sp, origin, reply_q, rep)
+    yield from fw_send_to(sp, src, reply_q, rep)
 
 
 def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
@@ -148,7 +148,7 @@ def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
     the standard RDMA completion idiom, here in sP firmware.
     """
     st = _state(sp)
-    reply_q, origin, req_id, key, addr, length = KV_PUTREF.unpack(payload)
+    reply_q, req_id, key, addr, length = KV_PUTREF.unpack(payload)
     yield sp.compute(sp.fw.kv_op_insns)
     for attempt in range(_PUTREF_POLL_LIMIT):
         data = yield from fw_dram_read(sp, addr, length + 4, _KV_STAGING)
@@ -162,7 +162,7 @@ def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
             f"never rang (addr {addr:#x})")
     st.store[key] = data[:length]
     sp.stats.counter(f"traffic.kv.s{sp.node_id}.served").incr()
-    yield from fw_send_to(sp, origin, reply_q, KV_REP.pack(KV_OK, req_id))
+    yield from fw_send_to(sp, src, reply_q, KV_REP.pack(KV_OK, req_id))
 
 
 # ----------------------------------------------------------------------
@@ -173,13 +173,13 @@ def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
 def _on_ps_push(sp: "ServiceProcessor", src: int, payload: bytes
                 ) -> Generator["Event", None, None]:
     st = _state(sp)
-    reply_q, origin, step, block, n_workers, grad = PS_PUSH.unpack(payload)
+    reply_q, step, block, n_workers, grad = PS_PUSH.unpack(payload)
     yield sp.compute(sp.fw.ps_push_insns)
     entry = st.ps_pending.get((step, block))
     if entry is None:
         entry = st.ps_pending[(step, block)] = [0, []]
     entry[0] += grad
-    entry[1].append((origin, reply_q))
+    entry[1].append((src, reply_q))
     if len(entry[1]) < n_workers:
         return
     # last contribution: apply the summed gradient, broadcast the weight
@@ -207,18 +207,18 @@ def _usvc_children(me: int, fanout: int, n_nodes: int) -> List[int]:
 def _on_usvc_req(sp: "ServiceProcessor", src: int, payload: bytes
                  ) -> Generator["Event", None, None]:
     st = _state(sp)
-    depth, fanout, reply_q, origin, ctx, svc_insns = USVC_REQ.unpack(payload)
+    depth, fanout, reply_q, ctx, svc_insns = USVC_REQ.unpack(payload)
     yield sp.compute(sp.fw.usvc_dispatch_insns + svc_insns)
     sp.stats.counter(f"traffic.usvc.s{sp.node_id}.stages").incr()
     if depth == 0 or fanout == 0:
-        yield from fw_send_to(sp, origin, reply_q, USVC_REP.pack(ctx))
+        yield from fw_send_to(sp, src, reply_q, USVC_REP.pack(ctx))
         return
     children = _usvc_children(sp.node_id, fanout, st.n_nodes)
     token = st.usvc_next_ctx
     st.usvc_next_ctx = (token + 1) & 0xFFFFFFFF
-    st.usvc_pending[token] = [len(children), origin, reply_q, ctx]
-    fwd = USVC_REQ.pack(depth - 1, fanout, SP_SERVICE_QUEUE, sp.node_id,
-                        token, svc_insns)
+    st.usvc_pending[token] = [len(children), src, reply_q, ctx]
+    fwd = USVC_REQ.pack(depth - 1, fanout, SP_SERVICE_QUEUE, token,
+                        svc_insns)
     for child in children:
         yield from fw_send_to(sp, child, SP_SERVICE_QUEUE, fwd)
 

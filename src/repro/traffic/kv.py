@@ -115,11 +115,10 @@ class KvClient:
         home = home_node(rec.key, self.n_nodes)
         if rec.op == "get":
             yield from self._send(api, home, KV_REQ.pack(
-                KV_GET, RX_LOGICAL, self.me, req_id, rec.key, 0))
+                KV_GET, RX_LOGICAL, req_id, rec.key, 0))
         elif rec.op == "range":
             yield from self._send(api, home, KV_REQ.pack(
-                KV_RANGE, RX_LOGICAL, self.me, req_id, rec.key,
-                self.range_count))
+                KV_RANGE, RX_LOGICAL, req_id, rec.key, self.range_count))
         elif rec.op == "put":
             yield from self._put(api, home, req_id, rec)
         else:
@@ -130,12 +129,12 @@ class KvClient:
         value = _value_bytes(req_id, rec.size)
         if self.transport == "basic":
             yield from self._send(api, home, KV_REQ.pack(
-                KV_PUT, RX_LOGICAL, self.me, req_id, rec.key, 0, tail=value))
+                KV_PUT, RX_LOGICAL, req_id, rec.key, 0, tail=value))
         elif self.transport == "tagon":
             tagon = yield from self.port.stage_tagon(
                 api, self._tagon_staging, value)
             yield from self._send(api, home, KV_REQ.pack(
-                KV_PUT, RX_LOGICAL, self.me, req_id, rec.key, 0), tagon=tagon)
+                KV_PUT, RX_LOGICAL, req_id, rec.key, 0), tagon=tagon)
         else:  # dma
             # stage value + doorbell locally, RDMA it into the home's
             # per-request slot, then race the by-reference PUT after it
@@ -149,7 +148,7 @@ class KvClient:
             # lossless, so it never needs the reliable path
             yield from self.port.send_to(api, self.me, SP_SERVICE_QUEUE, dma)
             yield from self._send(api, home, KV_PUTREF.pack(
-                RX_LOGICAL, self.me, req_id, rec.key, dst, len(value)))
+                RX_LOGICAL, req_id, rec.key, dst, len(value)))
 
     def _complete(self, api: "ApApi", payload: bytes) -> None:
         _status, req_id, _value = KV_REP.unpack(payload)

@@ -23,7 +23,7 @@ reports training exactly like serving.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, List
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.common.errors import ConfigError
 from repro.common.wire import PS_PUSH, PS_REP
@@ -75,10 +75,6 @@ class TrainJob:
             return self._ps_worker(node)
         return self._allreduce_worker(node)
 
-    def workers(self) -> List[Callable[["ApApi"], Generator]]:
-        """One worker program per node, in node order."""
-        return [self.worker(i) for i in range(self.n_nodes)]
-
     # -- parameter server ------------------------------------------------------
 
     def _ps_worker(self, node: int) -> Callable[["ApApi"], Generator]:
@@ -96,8 +92,8 @@ class TrainJob:
                     home = block_home(block, self.n_nodes)
                     yield from port.send_to(
                         api, home, SP_SERVICE_QUEUE,
-                        PS_PUSH.pack(RX_LOGICAL, node, step, block,
-                                     self.n_nodes, grad),
+                        PS_PUSH.pack(RX_LOGICAL, step, block, self.n_nodes,
+                                     grad),
                         reliable=self.reliable)
                 # synchronous step: wait for every block's new weight
                 for _ in range(self.n_blocks):

@@ -45,7 +45,6 @@ class UsvcClient:
         ensure_traffic(machine)
         self.machine = machine
         self.node = node
-        self.me = node.node_id
         self.n_nodes = machine.config.n_nodes
         self.depth = depth
         self.fanout = fanout
@@ -64,7 +63,7 @@ class UsvcClient:
         self.slo.offer()
         entry = rec.key % self.n_nodes
         payload = USVC_REQ.pack(self.depth, self.fanout, RX_LOGICAL,
-                                self.me, req_id, self.svc_insns)
+                                req_id, self.svc_insns)
         yield from self.port.send_to(api, entry, SP_SERVICE_QUEUE, payload,
                                      reliable=self.reliable)
 

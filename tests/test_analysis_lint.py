@@ -421,14 +421,14 @@ def test_arch003_hand_rolled_codecs_fire():
     """
     for path in ("src/repro/firmware/numa.py", "src/repro/collectives/api.py",
                  "src/repro/sync/api.py", "src/repro/traffic/kv.py",
-                 "src/repro/net/combine.py"):
+                 "src/repro/net/combine.py", "src/repro/lib/activemsg.py"):
         assert rules_of(src, path) == ["ARCH003"] * 3, path
 
 
 def test_arch003_registry_and_other_layers_exempt():
     src = "def f(v):\n    return v.to_bytes(4, 'big'), int.from_bytes(b'ab', 'big')\n"
     for path in ("src/repro/common/wire.py", "src/repro/net/link.py",
-                 "src/repro/niu/ctrl.py", "src/repro/lib/mpi.py",
+                 "src/repro/niu/ctrl.py", "src/repro/mp/basic.py",
                  TESTFILE, BENCHFILE):
         assert rules_of(src, path) == [], path
 

@@ -343,3 +343,15 @@ def test_reset_keeps_live_ledgers(monkeypatch):
     checker.reset()
     assert {lane.name: lane.held for lane in checker.lanes} == held_before
     assert all(lane.acquires == 0 for lane in checker.lanes)
+
+
+def test_queue_fill_of_unconsumed_slot_detected():
+    """A fill is a write: the guarded backing checks it too."""
+    machine = machine_with("queue")
+    ctrl = machine.node(0).ctrl
+    q = ctrl.tx_queues[0]
+    q.producer = q.consumer + 1
+    sram = ctrl.asram if q.bank == 0 else ctrl.ssram
+    with pytest.raises(SanitizerError, match="overwrites unconsumed entry"):
+        sram.backing.fill(q.slot_offset(q.consumer), 4)
+    q.producer = q.consumer

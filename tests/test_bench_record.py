@@ -184,3 +184,12 @@ def test_traffic_parity_runs_in_pool_workers(tmp_path, monkeypatch):
         "rate_rps": 1.0, "jobs4_identical": True}
     pids = {int(name) for name in os.listdir(tmp_path)}
     assert pids and os.getpid() not in pids
+
+
+def test_bare_cli_lists_every_bench_and_golden(capsys):
+    """``python -m repro.bench`` with no name lists what it can run."""
+    assert cli.main([]) == 0
+    out = capsys.readouterr().out
+    for name in cli.discover():
+        assert f"  {name} " in out
+    assert "  golden " in out

@@ -136,3 +136,16 @@ def test_two_pairs_share_network():
     machine.run_all(procs, limit=1e10)
     for dst, pattern in patterns.items():
         assert machine.node(dst).dram.peek(0x20000, size) == pattern
+
+
+def test_address_memos_stay_bounded_by_the_device_windows():
+    """Only device-window addresses are memoized: each 64 KB transfer
+    moves 2,048 DRAM lines, yet both memos hold just the few polled
+    window addresses."""
+    machine = repro.StarTVoyager(repro.default_config(n_nodes=2))
+    exp = BlockTransferExperiment(machine)
+    node = machine.node(1)
+    for _ in range(3):
+        assert exp.run(2, 65536).verified
+        assert len(node.address_map._memo) <= 16
+        assert len(node.niu.abiu._handler_memo) <= 16

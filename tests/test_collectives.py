@@ -240,3 +240,24 @@ def test_collective_plan_shared_by_every_node():
     machine = _machine(8)
     plans = {id(node.sp.state["collectives"].plan) for node in machine.nodes}
     assert len(plans) == 1
+
+
+def test_nic_collectives_rooted_past_one_byte():
+    """An explicit plan rooted at node 258: the firmware takes the root
+    from the installed plan, so bcast and allreduce complete."""
+    n, root = 260, 258
+    machine = _machine(n)
+    mpi = MiniMPI(machine, algo="nic")
+    mpi.nic_plan = ensure_collectives(machine, mpi.plan(root))
+
+    def worker(api, rank):
+        comm = mpi.rank(rank)
+        data = yield from comm.bcast(
+            api, b"from-258" if rank == root else None, root=root)
+        total = yield from comm.allreduce(api, rank, op="sum")
+        return data, total
+
+    procs = [machine.spawn(i, worker, i) for i in range(n)]
+    assert machine.run_all(procs, limit=1e10) == \
+        [(b"from-258", sum(range(n)))] * n
+    assert machine.stats.counter(f"sp{root}.coll_completed").value == 1

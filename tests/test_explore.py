@@ -224,3 +224,19 @@ def test_guided_policy_records_decisions():
     policy = GuidedPolicy()
     assert policy.decisions == []
     assert policy.schedule_hash == policy.schedule_hash  # stable
+
+
+def test_cli_replays_a_trace_file(tmp_path, capsys):
+    """``python -m repro.explore replay``: re-runs a saved trace and
+    prints the verdict (the CLI's only path to :func:`replay_trace`)."""
+    from repro.explore.__main__ import _parse_params, main
+
+    params = _parse_params(["queue_depth=2", "ratio=0.5", "flag=true",
+                            "name=x"])
+    assert params == {"queue_depth": 2, "ratio": 0.5, "flag": True,
+                      "name": "x"}
+    path = tmp_path / "trace.json"
+    path.write_text(dump_trace(trace_document(
+        "sync_burst", {"queue_depth": 2}, 2, 0, "all", None, [])))
+    assert main(["replay", str(path), "--json"]) == 0
+    assert '"ok": true' in capsys.readouterr().out

@@ -254,3 +254,20 @@ def test_default_home_map_shared_and_never_mutated(m2):
     assert list(maps[0]) == before
     with pytest.raises(TypeError):
         maps[0][0] = 1  # read-only: a tuple
+
+
+def test_miss_from_a_node_past_one_byte_reads_the_line():
+    """The home learns the requester from the rx header, so a miss from
+    node 290 of 300 is served like any other."""
+    machine = repro.StarTVoyager(repro.default_config(n_nodes=300))
+    region = _region(machine, n_lines=4)
+    assert region.home_of(0) == 0
+    line = bytes(range(region.line_bytes))
+    region.init_data(0, line)
+
+    def reader(api):
+        return (yield from api.load(region.addr(0), 8))
+
+    assert machine.run_until(machine.spawn(290, reader), limit=1e9) == \
+        line[:8]
+    assert region.cls_state(290, 0) == CLS_RO

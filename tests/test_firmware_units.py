@@ -86,10 +86,11 @@ def test_numa_packing_roundtrips():
 
 
 def test_scoma_packing_roundtrips():
-    assert SCOMA_REQ.unpack(SCOMA_REQ.pack(MSG_SCOMA_WREQ, 2, 0x40)) == \
-        (MSG_SCOMA_WREQ, 2, 0x40)
-    assert SCOMA_REQ.unpack(SCOMA_REQ.pack(MSG_SCOMA_RREQ, 2, 0x40)) == \
-        (MSG_SCOMA_RREQ, 2, 0x40)
+    # the requester is the rx header's source, not a field
+    assert SCOMA_REQ.unpack(SCOMA_REQ.pack(MSG_SCOMA_WREQ, 0x40)) == \
+        (MSG_SCOMA_WREQ, 0x40)
+    assert SCOMA_REQ.unpack(SCOMA_REQ.pack(MSG_SCOMA_RREQ, 0x40)) == \
+        (MSG_SCOMA_RREQ, 0x40)
     assert SCOMA_INV.unpack(SCOMA_INV.pack(0x80)) == (0x80,)
     assert SCOMA_INVACK.unpack(SCOMA_INVACK.pack(0x80)) == (0x80,)
     assert SCOMA_WBREQ.unpack(SCOMA_WBREQ.pack(True, 0x80)) == (True, 0x80)

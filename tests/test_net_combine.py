@@ -50,9 +50,9 @@ def test_sync_tag_roundtrip():
     back = SyncTag.unpack(raw)
     for field in SyncTag.__slots__:
         assert getattr(back, field) == getattr(tag, field), field
-    # combined packets carry origin -1
+    # combined packets carry origin NO_NODE
     anon = SyncTag(PHASE_DOWN, MODE_FETCH, group=1, op=OP_ADD)
-    assert SyncTag.unpack(anon.pack()).origin == -1
+    assert SyncTag.unpack(anon.pack()).origin == wire.NO_NODE
     with pytest.raises(NetworkError):
         SyncTag.unpack(raw[:10])
 

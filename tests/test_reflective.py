@@ -96,7 +96,7 @@ def test_install_over_accessed_address_reaches_new_handler():
         return (yield from api.load(BASE, 8))
 
     m.run_until(m.spawn(0, reader), limit=1e8)
-    assert abiu.handler_for(BASE) is None  # seen, and remembered as plain DRAM
+    assert abiu.handler_for(BASE) is None  # seen as plain DRAM
     handlers = [install_reflective(m.node(n), BASE, BYTES, [0, 1])
                 for n in range(2)]
 

@@ -189,3 +189,21 @@ def test_try_acquire_on_busy_resource_changes_nothing(engine, cls):
     assert state() == before
     res.release()
     assert waiter.triggered  # the queued request still gets the unit
+
+
+def test_priority_using_serves_the_urgent_waiter_first(engine):
+    """``PriorityResource.using`` queues at its priority (a plain
+    ``Resource.using`` would queue FIFO)."""
+    res = PriorityResource(engine)
+    order = []
+
+    def user(name, priority, delay):
+        yield delay
+        yield from res.using(10.0, priority=priority)
+        order.append(name)
+
+    engine.process(user("holder", 5, 0.0))
+    engine.process(user("late", 5, 1.0))
+    engine.process(user("urgent", 0, 2.0))
+    engine.run()
+    assert order == ["holder", "urgent", "late"]

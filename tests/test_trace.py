@@ -92,3 +92,16 @@ def test_bus_category_alone_records_every_transaction(machine2):
     assert len(records) == txns
     assert all(r.start == r.end for r in records)
     assert [r for r in m.tracer.spans("bus.read_line") if r.source == "bus0"]
+
+
+def test_span_as_a_context_manager_records_its_extent(engine):
+    t = Tracer(engine)
+    t.enable("bus")
+
+    def prog():
+        with t.span("bus.write", source="bus0"):
+            yield 7.0
+
+    engine.run_until_triggered(engine.process(prog()))
+    (rec,) = t.spans()
+    assert (rec.kind, rec.start, rec.end) == ("bus.write", 0.0, 7.0)

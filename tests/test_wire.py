@@ -11,6 +11,8 @@ from the recording (``RENUMBERED``).
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common import wire
 from repro.common.errors import FirmwareError, NetworkError, ProgramError
@@ -45,8 +47,8 @@ PINS = [
     ("NUMA_RREP", (A48,), full(80), "0650ffffffffffff" + full(80).hex()),
     ("NUMA_WREQ", (0,), b"", "0700000000000000"),
     ("NUMA_WREQ", (A48,), full(80), "0750ffffffffffff" + full(80).hex()),
-    ("SCOMA_REQ", (wire.MSG_SCOMA_RREQ, 0, 0), b"", "080000000000"),
-    ("SCOMA_REQ", (wire.MSG_SCOMA_WREQ, 255, U32), b"", "09ffffffffff"),
+    ("SCOMA_REQ", (wire.MSG_SCOMA_RREQ, 0), b"", "080000000000"),
+    ("SCOMA_REQ", (wire.MSG_SCOMA_WREQ, U32), b"", "0900ffffffff"),
     ("SCOMA_INV", (0,), b"", "0a0000000000"),
     ("SCOMA_INV", (U32,), b"", "0a00ffffffff"),
     ("SCOMA_INVACK", (0,), b"", "0b0000000000"),
@@ -64,15 +66,17 @@ PINS = [
     ("SCOMA_EVICT_REQ", (U32,), b"", "4200ffffffff"),
     ("UPDATE_RELEASE", (0,), b"", "4100"),
     ("UPDATE_RELEASE", (255,), b"", "41ff"),
-    ("COLL", (wire.MSG_COLL_REQ, 0, 0, 0, 0, 0, 0, 0), b"",
+    ("COLL", (wire.MSG_COLL_REQ, 0, 0, 0, 0, 0, 0), b"",
      "10000000000000000000000000"),
-    ("COLL", (wire.MSG_COLL_DOWN, 3, 255, 255, U32, 255, 255, 0xFFFF),
-     full(75), "1203ffffffffffffffffffff4b" + full(75).hex()),
-    ("COLL", (wire.MSG_COLL_UP, 3, 0, 0, 7, 0, 2, 0x8001),
+    ("COLL", (wire.MSG_COLL_DOWN, 3, 255, 255, U32, 255, 0xFFFF),
+     full(75), "1203ffffffffffff00ffffff4b" + full(75).hex()),
+    ("COLL", (wire.MSG_COLL_UP, 3, 0, 0, 7, 2, 0x8001),
      bytes.fromhex("ffffffffffffffd6"),
      "11030000000000070002800108ffffffffffffffd6"),
     ("MPI_FRAG", (0, 0, 0), b"", "00000000000000000000"),
     ("MPI_FRAG", (0xFFFF, U32, U32), full(78), "ff" * 10 + full(78).hex()),
+    ("GATHER_ITEM", (0,), b"", "000000000000"),
+    ("GATHER_ITEM", (wire.MAX_NODE,), full(3), "fffe00000003000102"),
     ("VALUE", (0,), b"", "0000000000000000"),
     ("VALUE", (1,), b"", "0000000000000001"),
     ("VALUE", (-1,), b"", "ffffffffffffffff"),
@@ -84,56 +88,66 @@ PINS = [
     ("REL_DATA", (255, 0xFFFF), full(84), "14ffffff" + full(84).hex()),
     ("REL_ACK", (0,), b"", "15000000"),
     ("REL_ACK", (0xFFFF,), b"", "1500ffff"),
-    ("SYNC_REQ", (0, 0, 0, 0, 0, 0, 0, 0), b"", "16" + "00" * 34),
-    ("SYNC_REQ", (U32, U32, 255, U32, U32, 255, QMAX, QMIN), b"",
-     "16" + "ff" * 18 + "7fffffffffffffff8000000000000000"),
+    ("SYNC_REQ", (0, 0, 0, 0, 0, 0, 0), b"", "16" + "00" * 34),
+    ("SYNC_REQ", (U32, U32, 255, U32, 255, QMAX, QMIN), b"",
+     "16" + "ff" * 9 + "00" * 4 + "ff" * 5
+     + "7fffffffffffffff8000000000000000"),
     ("SYNC_REP", (0, False, 0), b"", "17" + "00" * 13),
     ("SYNC_REP", (U32, True, QMIN), b"", "17ffffffff018000000000000000"),
     ("SYNC_REP", (5, True, QMAX), b"", "1700000005017fffffffffffffff"),
-    ("SYNC_INJECT", (), bytes.fromhex("00" * 36 + "ffffffff00000001"),
-     "18" + "00" * 36 + "ffffffff00000001"),
-    ("SYNC_DEQUE", (0, 0, 0, 0, 0, 0), b"", "19" + "00" * 22),
-    ("SYNC_DEQUE", (U32, 255, U32, U32, 255, QMIN), b"",
-     "19" + "ff" * 14 + "8000000000000000"),
+    ("SYNC_INJECT", (), bytes.fromhex("00" * 36 + "0000ffff00000001"),
+     "18" + "00" * 36 + "0000ffff00000001"),
+    ("SYNC_DEQUE", (0, 0, 0, 0, 0), b"", "19" + "00" * 22),
+    ("SYNC_DEQUE", (U32, 255, U32, 255, QMIN), b"",
+     "19" + "ff" * 5 + "00" * 4 + "ff" * 5 + "8000000000000000"),
     ("SYNC_TREE_REP", (0, 0, 0), b"", "1a" + "00" * 16),
     ("SYNC_TREE_REP", (U32, U32, QMIN), b"",
      "1affffffffffffffff8000000000000000"),
     ("SYNC_TREE_REP", (7, 3, QMAX), b"",
      "1a00000007000000037fffffffffffffff"),
-    ("SYNC_CBAR", (0, 0, 0, 0, 0, 0, 0), b"", "1b" + "00" * 26),
-    ("SYNC_CBAR", (U32, U32, U32, U32, 255, 255, QMIN), b"",
-     "1b" + "ff" * 18 + "8000000000000000"),
-    # a combined tag carries origin -1
-    ("SYNC_TAG", (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1), b"",
-     "00" * 36 + "ffffffff00000001"),
+    ("SYNC_CBAR", (0, 0, 0, 0, 0, 0), b"", "1b" + "00" * 26),
+    ("SYNC_CBAR", (U32, U32, U32, 255, 255, QMIN), b"",
+     "1b" + "ff" * 8 + "00" * 4 + "ff" * 6 + "8000000000000000"),
+    # a combined tag carries origin NO_NODE
+    ("SYNC_TAG", (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, wire.NO_NODE, 1), b"",
+     "00" * 36 + "0000ffff00000001"),
     ("SYNC_TAG", (255, 255, U32, U32, U32, 255, 255, QMIN, QMAX, U32,
-                  0x7FFFFFFF, U32), b"",
+                  wire.MAX_NODE, U32), b"",
      "ff" * 16 + "8000000000000000" + "7fffffffffffffff" + "ffffffff"
-     + "7fffffff" + "ffffffff"),
+     + "0000fffe" + "ffffffff"),
     ("SYNC_TAG", (1, 1, 9, 3, 11, 4, 3, -17, -2, 42, 6, 5), b"",
      "010100000009000000030000000b0403ffffffffffffffef"
      "fffffffffffffffe0000002a0000000600000005"),
-    ("LOCK_MSG", (wire.MSG_LOCK_LINK, 0, 0, 0), b"", "43" + "00" * 12),
-    ("LOCK_MSG", (wire.MSG_LOCK_GRANT, U32, U32, U32), b"", "44" + "ff" * 12),
-    ("KV_REQ", (0, 0, 0, 0, 0, 0), b"", "40" + "00" * 14),
-    ("KV_REQ", (2, 255, 0xFFFF, U32, U32, 0xFFFF), full(73),
-     "4002" + "ff" * 13 + full(73).hex()),
+    ("LOCK_MSG", (wire.MSG_LOCK_LINK, 0, 0), b"", "43" + "00" * 12),
+    ("LOCK_MSG", (wire.MSG_LOCK_GRANT, U32, U32), b"",
+     "44" + "ff" * 8 + "00" * 4),
+    ("KV_REQ", (0, 0, 0, 0, 0), b"", "40" + "00" * 14),
+    ("KV_REQ", (2, 255, U32, U32, 0xFFFF), full(73),
+     "4002ff0000" + "ff" * 10 + full(73).hex()),
     ("KV_REP", (0, 0), b"", "410000000000"),
     ("KV_REP", (1, U32), full(82), "4101ffffffff" + full(82).hex()),
-    ("KV_PUTREF", (0, 0, 0, 0, 0, 0), b"", "46" + "00" * 22),
-    ("KV_PUTREF", (255, 0xFFFF, U32, U32, A48, U32), b"",
-     "4600" + "ff" * 21),
-    ("PS_PUSH", (0, 0, 0, 0, 0, 0), b"", "42" + "00" * 21),
-    ("PS_PUSH", (255, 0xFFFF, U32, U32, 0xFFFF, QMIN), b"",
-     "42" + "ff" * 13 + "8000000000000000"),
-    ("PS_PUSH", (1, 2, 3, 4, 5, QMAX), b"",
-     "42010002000000030000000400057fffffffffffffff"),
+    ("KV_PUTREF", (0, 0, 0, 0, 0), b"", "46" + "00" * 22),
+    ("KV_PUTREF", (255, U32, U32, A48, U32), b"",
+     "4600ff0000" + "ff" * 18),
+    ("PS_PUSH", (0, 0, 0, 0, 0), b"", "42" + "00" * 21),
+    ("PS_PUSH", (255, U32, U32, 0xFFFF, QMIN), b"",
+     "42ff0000" + "ff" * 10 + "8000000000000000"),
+    ("PS_PUSH", (1, 3, 4, 5, QMAX), b"",
+     "42010000000000030000000400057fffffffffffffff"),
     ("PS_REP", (0, 0, 0), b"", "43" + "00" * 17),
     ("PS_REP", (U32, U32, QMIN), b"", "4300ffffffffffffffff8000000000000000"),
-    ("USVC_REQ", (0, 0, 0, 0, 0, 0), b"", "44" + "00" * 13),
-    ("USVC_REQ", (255, 255, 255, 0xFFFF, U32, U32), b"", "44" + "ff" * 13),
+    ("USVC_REQ", (0, 0, 0, 0, 0), b"", "44" + "00" * 13),
+    ("USVC_REQ", (255, 255, 255, U32, U32), b"",
+     "44ffffff0000" + "ff" * 8),
     ("USVC_REP", (0,), b"", "450000000000"),
     ("USVC_REP", (U32,), b"", "4500ffffffff"),
+    # aP-to-aP library messages
+    ("AM", (0,), b"", "00"),
+    ("AM", (0xEE,), full(11), "ee" + full(11).hex()),
+    ("AM_STORE", (0, 0), b"", "00" * 10),
+    ("AM_STORE", (A48, U32), bytes([240]), "ff" * 10 + "f0"),
+    ("TOKEN", (0, 0), b"", "0000000000"),
+    ("TOKEN", (255, U32), b"", "ff" * 5),
 ]
 
 #: type bytes moved out of the application range: recorded -> now.
@@ -223,14 +237,14 @@ def test_pack_input_checks():
         wire.DMA_REQ.pack(-1, 0, 0, 0, 0, 0)
     coll = (wire.MSG_COLL_REQ, 0, 0, 0)
     with pytest.raises(ProgramError):
-        wire.COLL.pack(*coll, 1 << 32, 0, 2, 0x8000)  # seq outside 32 bits
+        wire.COLL.pack(*coll, 1 << 32, 2, 0x8000)  # seq outside 32 bits
     with pytest.raises(ProgramError):
-        wire.COLL.pack(*coll, 1, 0, 2, 0x10000)  # tag outside 16 bits
+        wire.COLL.pack(*coll, 1, 2, 0x10000)  # tag outside 16 bits
     with pytest.raises(ProgramError):
-        wire.COLL.pack(*coll, 1, 0, 2, 0x8000,
+        wire.COLL.pack(*coll, 1, 2, 0x8000,
                        tail=bytes(wire.COLL_MAX_DATA + 1))
     with pytest.raises(ProgramError):
-        wire.COLL.pack(wire.MSG_SYNC_REP, 0, 0, 0, 1, 0, 2, 0)  # not a COLL type
+        wire.COLL.pack(wire.MSG_SYNC_REP, 0, 0, 0, 1, 2, 0)  # not a COLL type
     with pytest.raises(ProgramError):
         wire.SYNC_REP.pack(1, True)  # a field short
 
@@ -247,3 +261,36 @@ def test_table_rejects_a_double_booked_type_byte():
         check_table(clash)
     with pytest.raises(ValueError, match="payload cap"):
         check_table({"BIG": Layout(" ".join(f"f{i}:q" for i in range(12)))})
+
+
+def test_table_rejects_a_node_field_with_another_code():
+    check_table({"OK": Layout("x root:N origin:N", types=90)})
+    for spec in ("requester:B x", "x origin:I", "dst_node:H", "rank:q"):
+        with pytest.raises(ValueError, match="holds a node id"):
+            check_table({"BAD": Layout(spec)})
+
+
+#: every registry layout carrying a node id
+NODE_LAYOUTS = sorted(name for name, layout in wire.TABLE.items()
+                      if any(code == "N" for _f, code in layout.fields))
+
+
+def test_node_fields_use_n_and_sender_fields_are_gone():
+    assert NODE_LAYOUTS == ["DMA_REQ", "GATHER_ITEM", "REL_SEND", "SYNC_TAG"]
+    fields = {f for layout in wire.TABLE.values() for f, _c in layout.fields}
+    assert "requester" not in fields
+    assert [n for n, layout in wire.TABLE.items()
+            if "origin" in dict(layout.fields)] == ["SYNC_TAG"]
+
+
+@given(name=st.sampled_from(NODE_LAYOUTS),
+       node=st.sampled_from([0, 1023, wire.MAX_NODE]))
+def test_node_fields_round_trip_every_node_id(name, node):
+    layout = wire.TABLE[name]
+    values = [node if code == "N" else 0 for field, code in layout.fields
+              if field != layout._tail]
+    if len(layout.types) > 1:
+        values.insert(0, layout.types[0])
+    tail = b"ab" if layout._tail else b""
+    back = layout.unpack(layout.pack(*values, tail=tail))
+    assert back == tuple(values) + ((tail,) if layout._tail else ())
