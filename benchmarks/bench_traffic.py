@@ -28,7 +28,6 @@ snapshot to its ``sim``::
     python -m repro.bench traffic --rates 20000,200000
 """
 
-import os
 import time
 
 from repro.bench import (
@@ -49,6 +48,15 @@ DEFAULT_RATES = (20_000.0, 50_000.0, 100_000.0, 200_000.0, 400_000.0)
 TRAIN_ROWS = (("ps", "-"), ("allreduce", "flat"), ("allreduce", "tree"),
               ("allreduce", "nic"), ("allreduce", "switch"))
 
+#: the KV requests' path (the record's ``params`` name both keys).
+KV_PATH = {"transport": "basic", "reliable": False}
+
+#: the microservice request tree: depth and children per stage.
+USVC_SHAPE = {"depth": 2, "fanout": 2}
+
+#: the low-load KV goodput gate.
+MIN_GOODPUT = 0.99
+
 KV_HEADER = ["rate/node", "offered", "goodput", "p50_ns", "p99_ns",
              "p999_ns", "max_ns"]
 APP_HEADER = ["app", "variant", "offered", "goodput", "p50_ns", "p99_ns",
@@ -58,9 +66,9 @@ APP_HEADER = ["app", "variant", "offered", "goodput", "p50_ns", "p99_ns",
 def traffic_point(spec):
     """One sweep point: build the scenario from a picklable spec, run it,
     return the traffic rollup plus the full snapshot."""
-    name, kwargs, n_nodes, seed = spec
+    name, kwargs, n_nodes = spec
     t0 = time.monotonic()
-    run = run_scenario(scenario(name, **kwargs), n_nodes=n_nodes, seed=seed)
+    run = run_scenario(scenario(name, **kwargs), n_nodes=n_nodes)
     wall = time.monotonic() - t0
     return {
         "scenario": name,
@@ -74,9 +82,8 @@ def traffic_point(spec):
 
 def _kv_spec(rate, args):
     return ("traffic_kv",
-            {"per_node": args.per_node, "rate_rps": rate,
-             "transport": args.transport, "reliable": args.reliable},
-            args.nodes, args.seed)
+            {"per_node": args.per_node, "rate_rps": rate, **KV_PATH},
+            args.nodes)
 
 
 def _app_row(app, variant, section):
@@ -121,7 +128,7 @@ def train_points(args):
                   "n_blocks": args.blocks}
         if mode == "allreduce":
             kwargs["algo"] = algo
-        spec = ("traffic_train", kwargs, args.nodes, args.seed)
+        spec = ("traffic_train", kwargs, args.nodes)
         p = traffic_point(spec)
         p["variant"] = f"{mode}/{algo}" if mode == "allreduce" else mode
         points.append(p)
@@ -129,11 +136,9 @@ def train_points(args):
 
 
 def usvc_point(args):
-    spec = ("traffic_usvc",
-            {"per_node": args.per_node, "depth": args.depth,
-             "fanout": args.fanout},
-            args.nodes, args.seed)
-    return traffic_point(spec)
+    return traffic_point(("traffic_usvc",
+                          {"per_node": args.per_node, **USVC_SHAPE},
+                          args.nodes))
 
 
 def _flags(parser):
@@ -145,27 +150,12 @@ def _flags(parser):
                              "20k,50k,100k,200k,400k)")
     parser.add_argument("--per-node", type=int, default=8,
                         help="requests per node per point (default 8)")
-    parser.add_argument("--transport", default="basic",
-                        choices=("basic", "tagon", "dma"),
-                        help="KV PUT transport (default basic)")
-    parser.add_argument("--reliable", action="store_true",
-                        help="send KV requests over reliable delivery")
     parser.add_argument("--steps", type=int, default=2,
                         help="training steps per run (default 2)")
     parser.add_argument("--blocks", type=int, default=2,
                         help="parameter blocks per step (default 2)")
-    parser.add_argument("--depth", type=int, default=2,
-                        help="microservice fan-out depth (default 2)")
-    parser.add_argument("--fanout", type=int, default=2,
-                        help="children per microservice stage (default 2)")
-    parser.add_argument("--min-goodput", type=float, default=0.99,
-                        help="low-load KV goodput gate (default 0.99)")
     parser.add_argument("--skip-parity", action="store_true",
                         help="skip the jobs determinism re-run")
-    parser.add_argument("--trace-in", default=None, metavar="FILE",
-                        help="replay a recorded KV trace (JSON lines from "
-                             "repro.traffic.dump_trace) instead of sweeping "
-                             "the offered-load axis")
 
 
 def _sim(point, args):
@@ -178,46 +168,7 @@ def _sim(point, args):
     return sim
 
 
-def replay_trace_in(args):
-    """``--trace-in``: run one KV point that replays a recorded trace
-    (JSON lines from :func:`repro.traffic.dump_trace`) instead of
-    sweeping the offered-load axis.  The same request schedule, byte for
-    byte, drives the machine — the row a bug report or an explorer
-    witness pins down is reproducible by anyone holding the file."""
-    from repro.traffic import load_trace
-
-    with open(args.trace_in, "r", encoding="utf-8") as fh:
-        records = load_trace(fh.read())
-    spec = ("traffic_kv",
-            {"transport": args.transport, "reliable": args.reliable,
-             "trace": records},
-            args.nodes, args.seed)
-    point = traffic_point(spec)
-    t = point["traffic"].get("kv", {})
-    lat = t.get("latency_ns") or {}
-    print_table(
-        f"X-traffic: replay of {os.path.basename(args.trace_in)} "
-        f"({len(records)} requests) @ {args.nodes} nodes",
-        KV_HEADER[1:],
-        [[t.get("offered", 0), t.get("goodput", 0.0),
-          round(lat.get("p50", 0.0)), round(lat.get("p99", 0.0)),
-          round(lat.get("p999", 0.0)), round(lat.get("max", 0.0))]])
-    path = write_record(
-        args.json, "traffic",
-        {"n_nodes": args.nodes, "transport": args.transport,
-         "trace_in": os.path.basename(args.trace_in)},
-        {"trace_requests": len(records), "replay_point": _sim(point, args)},
-        {"seconds": {"replay_point": point["wall_seconds"]}})
-    print(f"record: {path}")
-    return check_claims({
-        f"replay completed {t.get('completed')} of {t.get('offered')} "
-        f"offered": bool(t.get("offered"))
-        and t.get("completed") == t.get("offered")})
-
-
 def run(args):
-    if args.trace_in:
-        return replay_trace_in(args)
     args.rates = (DEFAULT_RATES if not args.rates else
                   tuple(sorted(float(tok) for tok in
                                str(args.rates).replace(",", " ").split())))
@@ -234,14 +185,15 @@ def run(args):
                         round(lat.get("max", 0.0))])
     print_table(
         f"X-traffic: KV offered load vs goodput @ {args.nodes} nodes "
-        f"({args.transport}{'/reliable' if args.reliable else ''})",
+        f"({KV_PATH['transport']})",
         KV_HEADER, kv_rows)
 
     trains = train_points(args)
     usvc = usvc_point(args)
     app_rows = [_app_row("ps", p["variant"], p["traffic"]) for p in trains]
-    app_rows.append(_app_row("usvc", f"d{args.depth}xf{args.fanout}",
-                             usvc["traffic"]))
+    app_rows.append(_app_row(
+        "usvc", f"d{USVC_SHAPE['depth']}xf{USVC_SHAPE['fanout']}",
+        usvc["traffic"]))
     print_table(f"X-traffic: training + fan-out @ {args.nodes} nodes",
                 APP_HEADER, app_rows)
 
@@ -259,7 +211,7 @@ def run(args):
     knee_visible = high_goodput < low_goodput
     path = write_record(
         args.json, "traffic",
-        {"n_nodes": args.nodes, "transport": args.transport},
+        {"n_nodes": args.nodes, "transport": KV_PATH["transport"]},
         {"kv_points": [_sim(p, args) for p in kv_points],
          "train_points": [_sim(p, args) for p in trains],
          "usvc_point": _sim(usvc, args),
@@ -273,8 +225,8 @@ def run(args):
     print(f"record: {path}")
 
     claims = {
-        f"low-load KV goodput {low_goodput:.3f} > {args.min_goodput}":
-            low_goodput > args.min_goodput,
+        f"low-load KV goodput {low_goodput:.3f} > {MIN_GOODPUT}":
+            low_goodput > MIN_GOODPUT,
         f"SLO knee: goodput {high_goodput:.3f} at "
         f"{round(high['rate_rps'])} req/s/node below {low_goodput:.3f} at "
         f"{round(low['rate_rps'])}": knee_visible,

@@ -2,68 +2,43 @@
 
 "Because it will be an actual running system, the investigations will
 not be confined to single program simulations, but system workload
-level studies."  These benches run the synthetic workload generators —
-uniform random messaging, hotspot congestion, ring pipelines, and a
-mixed messaging+DMA+S-COMA load — verifying integrity and reporting
+level studies."  This bench measures the registered workload scenarios
+``uniform_random``, ``hotspot``, ``pipeline`` and ``mechanism_mix``
+(:mod:`repro.scenarios`), holds each to its own check and reports
 delivered throughput.
 """
 
-from repro.bench import check_claims, fresh_machine, print_table, write_record
-from repro.bench.workloads import hotspot, mixed, pipeline, uniform_random
+from repro.bench import check_claims, print_table, write_record
+from repro.scenarios import run_scenario, scenario
 
 HEADER = ["workload", "nodes", "metric", "value"]
 
 
-def _run(machine, procs, verify):
-    """Run a workload, then a drain window: its completion time and
-    whether every message arrived intact."""
-    machine.run_all(procs, limit=1e11)
-    done = machine.now  # workload completion, before the drain window
-    machine.run(until=machine.now + 500_000)
-    return done, verify()
-
-
-def _uniform(n_nodes):
-    machine = fresh_machine(n_nodes)
-    elapsed, ok = _run(machine, *uniform_random(machine))
-    return n_nodes * 20 / (elapsed / 1e9), ok
-
-
-def _hotspot(n_nodes):
-    machine = fresh_machine(n_nodes)
-    elapsed, ok = _run(machine, *hotspot(machine))
-    return (n_nodes - 1) * 20 / (elapsed / 1e9), ok
-
-
-def _hotspot_drops():
-    """Receive drops under a heavier 8-node hot spot (congestion at the
-    hot node must backpressure, not drop)."""
-    machine = fresh_machine(8)
-    _done, ok = _run(machine, *hotspot(machine, messages_per_node=30))
-    counters = machine.metrics()["counters"]
-    return sum(v for k, v in counters.items() if ".rx_drops." in k), ok
-
-
-def _pipeline(n_nodes):
-    machine = fresh_machine(n_nodes)
-    elapsed, ok = _run(machine, *pipeline(machine))
-    return elapsed / 10 / n_nodes, ok  # ns per hop
-
-
-def _mixed():
-    machine = fresh_machine(2)
-    elapsed, ok = _run(machine, *mixed(machine))
-    return elapsed / 1000, ok
+def _point(name, n_nodes, key, **params):
+    """One registered workload on a fresh machine: its result's ``key``
+    (or ``rx_drops``, the receive drops summed over every queue: a hot
+    spot must backpressure, not drop) and whether the scenario's own
+    check passed."""
+    scen = scenario(name, **params)
+    run = run_scenario(scen, n_nodes=n_nodes)
+    result = run.results[0]
+    drops = sum(v for k, v in run.snapshot["counters"].items()
+                if ".rx_drops." in k)
+    return dict(result, rx_drops=drops)[key], scen.check(result) is None
 
 
 def run(args):
+    mix_ns, mix_ok = _point("mechanism_mix", 2, "elapsed_ns")
     points = {
-        **{("uniform random", n, "msg/s"): _uniform(n) for n in (2, 4, 8)},
-        **{("hotspot (all -> node 0)", n, "msg/s at sink"): _hotspot(n)
-           for n in (4, 8)},
-        ("hotspot, 30 msgs/node", 8, "rx drops"): _hotspot_drops(),
-        **{("ring pipeline", n, "ns/hop"): _pipeline(n) for n in (2, 4)},
-        ("mixed msg+DMA+S-COMA", 2, "completion us"): _mixed(),
+        **{("uniform random", n, "msg/s"):
+           _point("uniform_random", n, "msgs_per_s") for n in (2, 4, 8)},
+        **{("hotspot (all -> node 0)", n, "msg/s at sink"):
+           _point("hotspot", n, "msgs_per_s") for n in (4, 8)},
+        ("hotspot, 30 msgs/node", 8, "rx drops"):
+            _point("hotspot", 8, "rx_drops", messages_per_node=30),
+        **{("ring pipeline", n, "ns/hop"):
+           _point("pipeline", n, "ns_per_hop") for n in (2, 4)},
+        ("mixed msg+DMA+S-COMA", 2, "completion us"): (mix_ns / 1000, mix_ok),
     }
     print_table("System workloads", HEADER,
                 [[*key, value] for key, (value, _ok) in points.items()])

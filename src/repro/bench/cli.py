@@ -4,7 +4,7 @@ Every benchmark is one ``benchmarks/bench_<name>.py`` that defines a
 ``BENCH`` registration — ``{"summary": str, "run": callable(args),
 "flags": callable(parser) | None}``.  This CLI owns the *shared* flags
 once (``--jobs``, ``--emit-metrics``, ``--trace``, ``--sanitize``,
-``--seed``, ``--json``), adds the module's extras and calls
+``--json``), adds the module's extras and calls
 ``run(args)``, which measures each of its points once, prints its
 tables, writes one ``startv.bench`` record
 (:func:`repro.bench.harness.write_record`) holding every number it
@@ -40,7 +40,6 @@ SHARED_FLAG_HELP = {
     "--trace": "render a Perfetto trace of one representative run",
     "--sanitize": "comma-separated runtime sanitizers to install in every "
                   "machine the run builds (see repro.analysis)",
-    "--seed": "topology/workload seed (default 0)",
     "--json": "where to write the startv.bench record "
               "(default benchmarks/results/<name>.json)",
 }
@@ -90,8 +89,6 @@ def shared_parser(name: str, summary: str) -> argparse.ArgumentParser:
                         help=SHARED_FLAG_HELP["--trace"])
     parser.add_argument("--sanitize", default=None, metavar="NAMES",
                         help=SHARED_FLAG_HELP["--sanitize"])
-    parser.add_argument("--seed", type=int, default=0,
-                        help=SHARED_FLAG_HELP["--seed"])
     parser.add_argument("--json", metavar="OUT",
                         default=os.path.join(benchmarks_dir(), "results",
                                              f"{name}.json"),

@@ -17,7 +17,8 @@ supplies that programming model as layer-0 code:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Generator, Tuple
 
 from repro.common.errors import ProgramError
 from repro.common.wire import AM, AM_STORE, DMA_NOTIFY
@@ -49,6 +50,10 @@ class AmEndpoint:
         #: am_store completions arrive on the notification queue.
         self.notify_port = BasicPort(node, tx_index, NOTIFY_QUEUE)
         self._handlers: Dict[int, AmHandler] = {}
+        #: announced store handlers not yet matched by a completion, in
+        #: announcement order per ``(src, length)``: ``(store_id, addr)``.
+        self._pending_stores: Dict[Tuple[int, int],
+                                   Deque[Tuple[int, int]]] = {}
         self.dispatched = 0
 
     # -- registration -----------------------------------------------------
@@ -77,28 +82,26 @@ class AmEndpoint:
         """Bulk store + remote handler: the §6 am_store pattern.
 
         The data moves by hardware DMA; the completion notification (which
-        follows the data through the same FIFO path) selects
-        ``handler_id`` at the destination.  ``request_port`` is the
-        sender-side port that carries the DMA request to the local sP.
+        follows the data through the same FIFO path) carries only the
+        length, so ``handler_id`` must first be announced with
+        :meth:`announce_store_handler`: the destination matches each
+        completion to the oldest announcement of its source and length.
+        ``request_port`` is the sender-side port that carries the DMA
+        request to the local sP.
         """
         if not (STORE_HANDLER_BASE <= handler_id <= 255):
             raise ProgramError(
                 f"am_store handlers use ids {STORE_HANDLER_BASE}..255"
             )
-        # the notification payload is the 4-byte length; the handler id
-        # rides in the notify queue selection: we encode it by target
-        # queue... the model keeps one notify queue, so the id travels in
-        # a preceding registration: store handlers match on the length
-        # message source + a per-endpoint pending table
-        self._pending_store_handler = handler_id  # type: ignore[attr-defined]
         yield from dma_write(api, request_port, dst_node, src_addr,
                              dst_addr, length, notify_queue=NOTIFY_QUEUE)
 
     def announce_store_handler(self, api: "ApApi", dst_node: int,
                                handler_id: int, dst_addr: int, length: int
                                ) -> Generator["Event", None, None]:
-        """Pre-arm the destination: the next am_store completion from this
-        node runs ``handler_id`` (sent as an ordinary AM)."""
+        """Pre-arm the destination: its next unmatched am_store completion
+        of ``length`` bytes from this node runs ``handler_id`` (sent as an
+        ordinary AM)."""
         args = AM_STORE.pack(dst_addr, length, tail=AM.pack(handler_id))
         yield from self.send(api, dst_node, 0xEE, args)
 
@@ -137,9 +140,8 @@ class AmEndpoint:
         if handler_id == 0xEE:  # store-handler announcement
             addr, length, rest = AM_STORE.unpack(args)
             store_id, _ = AM.unpack(rest)
-            pending = self._pending_stores = getattr(
-                self, "_pending_stores", {})
-            pending[(src, length)] = (store_id, addr)
+            self._pending_stores.setdefault((src, length), deque()).append(
+                (store_id, addr))
             return
         fn = self._handlers.get(handler_id)
         if fn is None:
@@ -151,11 +153,10 @@ class AmEndpoint:
                         ) -> Generator["Event", None, None]:
         length = (DMA_NOTIFY.unpack(payload[:DMA_NOTIFY.size])[0]
                   if len(payload) >= DMA_NOTIFY.size else 0)
-        pending = getattr(self, "_pending_stores", {})
-        entry: Optional[Tuple[int, int]] = pending.pop((src, length), None)
-        if entry is None:
+        pending = self._pending_stores.get((src, length))
+        if not pending:
             return  # plain DMA completion without an armed handler
-        store_id, addr = entry
+        store_id, addr = pending.popleft()
         fn = self._handlers.get(store_id)
         if fn is None:
             raise ProgramError(f"no AM store handler {store_id} registered")

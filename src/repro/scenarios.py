@@ -30,11 +30,14 @@ barrier / bcast / allreduce at N nodes for an ``algo``),
 ns of a TagOn-augmented Basic stream), ``numa_read`` and ``scoma_read``
 (cold miss and warm hit, optionally under bulk DMA).  The workloads: ``fig3``
 (ping-pong ladder), ``mixed`` (staggered all-to-all), ``sync``
-(barrier + allreduce), ``chaos`` (``mixed`` over failing links),
-``shm_graph`` (parallel BFS), ``shm_hash`` (striped-lock hash table),
-``shm_patterns`` (one sharing-pattern kernel), and the explorer's
-regression shapes ``sync_burst`` (service-queue overflow) and
-``shm_takeover`` (FLUSH-vs-KILL).
+(barrier + allreduce), ``chaos`` (``mixed`` over failing links), the
+§7 system workloads ``uniform_random`` (random partners), ``hotspot``
+(everyone to one sink), ``pipeline`` (a forwarding ring) and
+``mechanism_mix`` (messaging, DMA and S-COMA at once), ``shm_graph``
+(parallel BFS), ``shm_hash`` (striped-lock hash table), ``shm_patterns``
+(one sharing-pattern kernel), and the explorer's regression shapes
+``sync_burst`` (service-queue overflow) and ``shm_takeover``
+(FLUSH-vs-KILL).
 
 The production-traffic scenarios (``traffic_kv``, ``traffic_train``,
 ``traffic_usvc`` — see :mod:`repro.traffic.scenarios`) register here
@@ -700,6 +703,230 @@ class ChaosScenario(MixedScenario):
         config.faults = FaultPlan(seed=config.seed, link_events=events)
 
 
+class _Workload(Scenario):
+    """A §7 system workload.  Each program stamps ``ctx["end"]`` as it
+    finishes and logs what arrived wrong in ``ctx["problems"]``; the
+    result is ``elapsed_ns`` (setup to the last program's end), the
+    subclass's :meth:`rates` and those ``problems``, which the check
+    refuses."""
+
+    def rates(self, machine, elapsed: float) -> Dict[str, float]:
+        return {}
+
+    def result(self, machine, nodes, ctx) -> Dict[str, Any]:
+        elapsed = ctx["end"] - ctx["t0"]
+        return {"elapsed_ns": elapsed, **self.rates(machine, elapsed),
+                "problems": ctx["problems"]}
+
+    def check(self, result: Dict[str, Any]) -> Optional[str]:
+        return "; ".join(result["problems"]) or None
+
+
+class UniformRandomScenario(_Workload):
+    """Every node sends ``messages_per_node`` Basic messages to random
+    partners (a plan drawn from ``seed``) and drains the ones addressed
+    to it, checking each source stamp; adds ``msgs_per_s``."""
+
+    name = "uniform_random"
+    explore_params = {"messages_per_node": 3}
+
+    def __init__(self, messages_per_node: int = 20, payload: int = 32,
+                 seed: int = 7) -> None:
+        self.messages_per_node = messages_per_node
+        self.payload = payload
+        self.seed = seed
+
+    def setup(self, phase: int, machine, nodes, ctx) -> None:
+        import random
+
+        from repro.mp import BasicPort, vdst_for
+
+        n = machine.config.n_nodes
+        rng = random.Random(self.seed)
+        ports = [BasicPort(machine.node(i), 0, 0) for i in nodes]
+        plan: Dict[int, List[Tuple[int, int]]] = {src: [] for src in nodes}
+        incoming = [0] * n
+        for src in nodes:
+            for seq in range(self.messages_per_node):
+                dst = rng.randrange(n - 1)
+                dst = dst if dst < src else dst + 1
+                plan[src].append((dst, seq))
+                incoming[dst] += 1
+        problems = ctx["problems"] = []
+        ctx["t0"] = machine.now
+
+        def sender(api, src):
+            for dst, seq in plan[src]:
+                body = bytes([src, seq]) + bytes(self.payload - 2)
+                yield from ports[src].send(api, vdst_for(dst, 0), body)
+            ctx["end"] = api.now
+
+        def receiver(api, me):
+            for _ in range(incoming[me]):
+                src, body = yield from ports[me].recv(api)
+                if body[0] != src:
+                    problems.append(f"node {me}: stamp {body[0]} != {src}")
+            ctx["end"] = api.now
+
+        for i in nodes:
+            machine.spawn(i, sender, i, name=f"ur.send{i}")
+            machine.spawn(i, receiver, i, name=f"ur.recv{i}")
+
+    def rates(self, machine, elapsed: float) -> Dict[str, float]:
+        sent = machine.config.n_nodes * self.messages_per_node
+        return {"msgs_per_s": sent / (elapsed / 1e9)}
+
+
+class HotspotScenario(_Workload):
+    """Every node but ``hot_node`` sends it ``messages_per_node`` Basic
+    messages, which it drains, checking each source stamp: the
+    congestion receive-queue flow control exists for.  Adds
+    ``msgs_per_s``, taken at the sink."""
+
+    name = "hotspot"
+    explore_params = {"messages_per_node": 3}
+
+    def __init__(self, messages_per_node: int = 20, hot_node: int = 0
+                 ) -> None:
+        self.messages_per_node = messages_per_node
+        self.hot_node = hot_node
+
+    def setup(self, phase: int, machine, nodes, ctx) -> None:
+        from repro.mp import BasicPort, vdst_for
+
+        hot = self.hot_node
+        sent = (machine.config.n_nodes - 1) * self.messages_per_node
+        ports = [BasicPort(machine.node(i), 0, 0) for i in nodes]
+        problems = ctx["problems"] = []
+        ctx["t0"] = machine.now
+
+        def sender(api, src):
+            for seq in range(self.messages_per_node):
+                yield from ports[src].send(api, vdst_for(hot, 0),
+                                           bytes([src, seq]))
+            ctx["end"] = api.now
+
+        def sink(api):
+            for _ in range(sent):
+                src, body = yield from ports[hot].recv(api)
+                if body[0] != src:
+                    problems.append(f"sink: stamp {body[0]} != {src}")
+            ctx["end"] = api.now
+
+        for i in nodes:
+            if i != hot:
+                machine.spawn(i, sender, i, name=f"hs.send{i}")
+        machine.spawn(hot, sink, name="hs.sink")
+
+    def rates(self, machine, elapsed: float) -> Dict[str, float]:
+        sent = (machine.config.n_nodes - 1) * self.messages_per_node
+        return {"msgs_per_s": sent / (elapsed / 1e9)}
+
+
+class PipelineScenario(_Workload):
+    """A ring pipeline: node 0 injects ``rounds`` tokens, every other
+    node bumps each token's hop count and forwards it, and node 0 checks
+    that each came back having counted every hop; adds ``ns_per_hop``."""
+
+    name = "pipeline"
+    explore_params = {"rounds": 2}
+
+    def __init__(self, rounds: int = 10, payload: int = 64) -> None:
+        self.rounds = rounds
+        self.payload = payload
+
+    def setup(self, phase: int, machine, nodes, ctx) -> None:
+        from repro.mp import BasicPort, vdst_for
+
+        n = machine.config.n_nodes
+        ports = [BasicPort(machine.node(i), 0, 0) for i in nodes]
+        problems = ctx["problems"] = []
+        ctx["t0"] = machine.now
+
+        def stage(api, rank):
+            if rank == 0:
+                for round_ in range(self.rounds):
+                    token = bytes([round_]) + bytes(self.payload - 1)
+                    yield from ports[0].send(api, vdst_for(1, 0), token)
+                for _ in range(self.rounds):
+                    _s, token = yield from ports[0].recv(api)
+                    if token[1] != n - 1:
+                        problems.append(f"round {token[0]}: {token[1]} "
+                                        f"of {n - 1} hops")
+            else:
+                for _ in range(self.rounds):
+                    _s, token = yield from ports[rank].recv(api)
+                    stamped = bytes([token[0], token[1] + 1]) + token[2:]
+                    yield from ports[rank].send(
+                        api, vdst_for((rank + 1) % n, 0), stamped)
+            ctx["end"] = api.now
+
+        for i in nodes:
+            machine.spawn(i, stage, i, name=f"pl.{i}")
+
+    def rates(self, machine, elapsed: float) -> Dict[str, float]:
+        return {"ns_per_hop": elapsed / self.rounds / machine.config.n_nodes}
+
+
+class MechanismMixScenario(_Workload):
+    """Messaging, DMA and S-COMA sharing at once on nodes 0 and 1: node 0
+    DMAs a 3000-byte block (drawn from ``seed``) to node 1, sends it ten
+    Basic messages and loads an S-COMA line; node 1 checks the messages'
+    order, waits for the DMA notification, checks the block and loads
+    the same line, which both nodes check."""
+
+    name = "mechanism_mix"
+
+    def __init__(self, seed: int = 11) -> None:
+        self.seed = seed
+
+    def setup(self, phase: int, machine, nodes, ctx) -> None:
+        import random
+
+        from repro.mp import BasicPort, vdst_for
+        from repro.mp.dma import DmaNotifier, dma_write
+        from repro.shm import ScomaRegion
+
+        region = ScomaRegion(machine, n_lines=64)
+        region.init_data(0, bytes(range(32)))
+        msg_port0 = BasicPort(machine.node(0), 0, 0)
+        msg_port1 = BasicPort(machine.node(1), 0, 0)
+        dma_port = BasicPort(machine.node(0), 1, 1)
+        notifier = DmaNotifier(machine.node(1))
+        rng = random.Random(self.seed)
+        dma_data = bytes(rng.randrange(256) for _ in range(3000))
+        machine.node(0).dram.poke(0x16000, dma_data)
+        problems = ctx["problems"] = []
+        ctx["t0"] = machine.now
+
+        def load_line(api, node):
+            line = yield from api.load(region.addr(0), 8)
+            if line != bytes(range(8)):
+                problems.append(f"node {node}: S-COMA line {line.hex()}")
+            ctx["end"] = api.now
+
+        def node0(api):
+            yield from dma_write(api, dma_port, 1, 0x16000, 0x26000,
+                                 len(dma_data))
+            for i in range(10):
+                yield from msg_port0.send(api, vdst_for(1, 0),
+                                          bytes([i] * 16))
+            yield from load_line(api, 0)
+
+        def node1(api):
+            for i in range(10):
+                _s, body = yield from msg_port1.recv(api)
+                if body[0] != i:
+                    problems.append(f"message {i} arrived as {body[0]}")
+            yield from notifier.wait(api)
+            if machine.node(1).dram.peek(0x26000, len(dma_data)) != dma_data:
+                problems.append("DMA block corrupted")
+            yield from load_line(api, 1)
+
+        machine.spawn(0, node0, name="mx.0")
+        machine.spawn(1, node1, name="mx.1")
+
+
 class GraphScenario(Scenario):
     """Parallel BFS over a shared distance array (see
     :mod:`repro.shm.workloads`): phase 0 runs the level-synchronous
@@ -980,7 +1207,8 @@ _REGISTRY = {cls.name: cls for cls in (
     ExpressScenario, BasicScenario, BasicStreamScenario, MpiPingPongScenario,
     CollectiveScenario, BlockTransferScenario, NumaReadScenario,
     ScomaReadScenario, TagOnScenario, PingScenario, MixedScenario, SyncScenario,
-    ChaosScenario, GraphScenario, HashScenario, PatternScenario,
+    ChaosScenario, UniformRandomScenario, HotspotScenario, PipelineScenario,
+    MechanismMixScenario, GraphScenario, HashScenario, PatternScenario,
     BurstScenario, TakeoverScenario,
 )}
 

@@ -17,7 +17,7 @@ applications run on the messaging and firmware layers:
 Load is open-loop by default (:mod:`repro.traffic.load`): seeded
 Poisson or bursty MMPP arrivals with per-node schedules that depend
 only on ``(seed, node)`` — deterministic at any ``--jobs`` count —
-plus replayable traces.  Per-request accounting
+or an explicit replayed trace.  Per-request accounting
 (:mod:`repro.traffic.slo`) flows into the ``traffic`` section of
 ``machine.metrics()`` with goodput and p50/p99/p99.9.
 """
@@ -29,8 +29,6 @@ from repro.traffic.load import (
     PoissonArrivals,
     TraceRecord,
     ZipfKeys,
-    dump_trace,
-    load_trace,
     make_kv_trace,
     node_slice,
 )
@@ -59,10 +57,8 @@ __all__ = [
     "UsvcScenario",
     "ZipfKeys",
     "block_home",
-    "dump_trace",
     "ensure_traffic",
     "home_node",
-    "load_trace",
     "make_kv_trace",
     "node_slice",
     "setup_traffic",

@@ -23,16 +23,13 @@ Key popularity is Zipf-skewed (:class:`ZipfKeys`): rank-``r`` keys draw
 with weight ``1/r**skew``, the shape measured for memcached-style
 workloads, and the reason hot-key incast is a first-class scenario.
 
-Every schedule can be exported as a replayable trace
-(:class:`TraceRecord` rows, JSON-lines via :func:`dump_trace` /
-:func:`load_trace`) so a run can be reproduced, sliced per node, or
-hand-edited into a regression case.
+Every schedule is a list of :class:`TraceRecord` rows, which a
+scenario can replay exactly or slice per node.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import random
 from typing import Iterable, List, NamedTuple
 
@@ -231,23 +228,3 @@ def node_slice(records: Iterable[TraceRecord], node: int
                ) -> List[TraceRecord]:
     """The sub-trace one client node replays (original time order)."""
     return [r for r in records if r.node == node]
-
-
-def dump_trace(records: Iterable[TraceRecord]) -> str:
-    """Serialize a trace as JSON lines (one record per line)."""
-    return "\n".join(
-        json.dumps([r.time_ns, r.node, r.op, r.key, r.size])
-        for r in records)
-
-
-def load_trace(text: str) -> List[TraceRecord]:
-    """Parse a JSON-lines trace back into records."""
-    out: List[TraceRecord] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        t, node, op, key, size = json.loads(line)
-        out.append(TraceRecord(float(t), int(node), str(op), int(key),
-                               int(size)))
-    return out

@@ -123,6 +123,43 @@ def test_am_store_runs_handler_after_data(m2):
     assert m2.node(1).dram.peek(0x22000, len(data)) == data
 
 
+def test_same_length_stores_each_run_their_own_handler(m2):
+    """Two announce + am_store pairs of one length from one sender, both
+    queued before the receiver polls: each handler runs once, with its
+    own address, in announcement order."""
+    ep0, ep1 = AmEndpoint(m2.node(0)), AmEndpoint(m2.node(1))
+    req_port = BasicPort(m2.node(0), 1, 1)
+    stores = ((STORE_HANDLER_BASE, 0x22000),
+              (STORE_HANDLER_BASE + 1, 0x23000))
+    seen = []
+
+    def on_store(handler_id):
+        def handler(api, src, args):
+            seen.append((handler_id, int.from_bytes(args[0:6], "big")))
+            yield from api.compute(1)
+        return handler
+
+    for handler_id, _addr in stores:
+        ep1.register(handler_id, on_store(handler_id))
+
+    def sender(api):
+        for handler_id, dst_addr in stores:
+            yield from ep0.announce_store_handler(api, 1, handler_id,
+                                                  dst_addr, 256)
+            yield from ep0.am_store(api, req_port, 1, 0x12000, dst_addr,
+                                    256, handler_id)
+
+    def receiver(api):
+        yield from api.sleep(200_000)  # both pairs are queued by now
+        for _ in range(4):  # two announcements, two completions
+            yield from ep1.poll_wait(api)
+
+    m2.spawn(0, sender)
+    m2.run_until(m2.spawn(1, receiver), limit=1e10)
+    assert seen == list(stores)
+    assert ep1.dispatched == 2
+
+
 def test_bad_ids_rejected(m2):
     ep = AmEndpoint(m2.node(0))
     from repro.common.errors import ProgramError

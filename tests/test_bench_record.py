@@ -3,6 +3,7 @@ gate: one bench kind, wall-free records, hashing that names what moved,
 and failing claims and gates that fail the run."""
 
 import ast
+import inspect
 import itertools
 import json
 import os
@@ -176,14 +177,46 @@ def test_traffic_parity_runs_in_pool_workers(tmp_path, monkeypatch):
     traffic = cli.load_bench("traffic")
     monkeypatch.setattr(traffic, "traffic_point", _pid_point)
     monkeypatch.setenv("PID_DIR", str(tmp_path))
-    args = types.SimpleNamespace(per_node=1, transport="basic",
-                                 reliable=False, nodes=2, seed=0)
+    args = types.SimpleNamespace(per_node=1, nodes=2)
     baseline = {"rate_rps": 1.0,
                 "snapshot": {"sim": {"events_executed": 1}}}
     assert traffic.parity_checks(args, baseline) == {
         "rate_rps": 1.0, "jobs4_identical": True}
     pids = {int(name) for name in os.listdir(tmp_path)}
     assert pids and os.getpid() not in pids
+
+
+def _flag_dests(func):
+    """The ``dest`` of every ``add_argument`` call in ``func``."""
+    return {next((kw.value.value for kw in node.keywords
+                  if kw.arg == "dest"),
+                 node.args[0].value.lstrip("-").replace("-", "_"))
+            for node in ast.walk(ast.parse(inspect.getsource(func)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"}
+
+
+def _args_reads(obj):
+    """Every ``args.<name>`` that ``obj``'s source reads."""
+    return {node.attr
+            for node in ast.walk(ast.parse(inspect.getsource(obj)))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+def test_every_bench_flag_has_a_reader():
+    """A bench's own flags are each read as ``args.<dest>`` in its
+    module, and each shared flag by some bench or by ``cli.main`` (as
+    ``--sanitize`` is): no flag is accepted and then ignored."""
+    readers = _args_reads(cli.main)
+    for name in cli.discover():
+        module = cli.load_bench(name)
+        reads = _args_reads(module)
+        readers |= reads
+        if module.BENCH["flags"] is not None:
+            assert not _flag_dests(module.BENCH["flags"]) - reads, name
+    assert not _flag_dests(cli.shared_parser) - readers
 
 
 def test_bare_cli_lists_every_bench_and_golden(capsys):

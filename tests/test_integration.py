@@ -12,6 +12,7 @@ from repro.mp.basic import BasicPort
 from repro.mp.dma import DmaNotifier, dma_write
 from repro.mp.express import ExpressPort
 from repro.niu.niu import EXPRESS_RX_LOGICAL, vdst_for
+from repro.scenarios import measure
 from repro.shm import NumaSpace, ScomaRegion
 
 
@@ -178,41 +179,16 @@ def test_four_node_ring_pipeline(machine4):
     assert results[0] == b"token-0-1-2-3"
 
 
-def test_protocol_latency_isolated_from_bulk(m2):
+def test_protocol_latency_isolated_from_bulk():
     """Shared-memory protocol traffic keeps its latency while bulk DMA
     saturates the network — the paper's two-priority requirement plus
-    the split remote command queue and the background DMA engine.
+    the split remote command queue and the background DMA engine.  The
+    registered ``scoma_read`` cold miss, quiet and under its four 8 KB
+    low-priority DMA writes.
 
     Regression guard: before the high-priority remote command queue and
     the background firmware task existed, this ratio was ~60x.
     """
-    from repro.shm import ScomaRegion
-
-    def miss_ns(background):
-        machine = repro.StarTVoyager(repro.default_config(n_nodes=2))
-        region = ScomaRegion(machine, n_lines=64)
-        region.init_data(0, bytes(range(32)))
-        if background:
-            machine.node(0).dram.poke(0x10000, bytes(16384))
-            port = BasicPort(machine.node(0), 1, 1)
-
-            def bulk(api):
-                for _ in range(2):
-                    yield from dma_write(api, port, 1, 0x10000, 0x28000,
-                                         8192)
-
-            machine.spawn(0, bulk)
-            machine.run(until=machine.now + 30_000)
-        out = {}
-
-        def prog(api):
-            t0 = api.now
-            yield from api.load(region.addr(0), 8)
-            out["ns"] = api.now - t0
-
-        machine.run_until(machine.spawn(1, prog), limit=1e10)
-        return out["ns"]
-
-    quiet = miss_ns(False)
-    loaded = miss_ns(True)
+    quiet = measure("scoma_read")["cold"]
+    loaded = measure("scoma_read", bulk_dma=True)["cold"]
     assert loaded < 4.0 * quiet

@@ -13,10 +13,7 @@ from repro.common.errors import ConfigError
 from repro.traffic.load import (
     MmppArrivals,
     PoissonArrivals,
-    TraceRecord,
     ZipfKeys,
-    dump_trace,
-    load_trace,
     make_kv_trace,
     node_rng,
     node_slice,
@@ -124,14 +121,6 @@ def test_make_kv_trace_validation():
         make_kv_trace(2, 4, 1000.0, put_fraction=0.8, range_fraction=0.4)
     with pytest.raises(ConfigError):
         make_kv_trace(2, 4, 1000.0, process="bogus")
-
-
-def test_trace_roundtrip():
-    trace = make_kv_trace(3, 8, 50_000.0, seed=2, put_fraction=0.5)
-    assert load_trace(dump_trace(trace)) == trace
-    assert load_trace("") == []
-    assert load_trace('[1.5, 0, "get", 7, 0]\n\n') == [
-        TraceRecord(1.5, 0, "get", 7, 0)]
 
 
 def test_node_rng_salt_separates_streams():

@@ -1,58 +1,50 @@
-"""The synthetic workload generators (unit level)."""
+"""The §7 system workloads, each a registered scenario."""
+
+from repro.scenarios import run_scenario, scenario
 
 
-import repro
-from repro.bench.workloads import hotspot, mixed, pipeline, uniform_random
-
-
-def _run(machine, procs, verify):
-    machine.run_all(procs, limit=1e11)
-    machine.run(until=machine.now + 500_000)
-    return verify()
+def _run(name, n_nodes=4, **params):
+    """The scenario's result on a fresh machine, held to its own check."""
+    scn = scenario(name, **params)
+    result = run_scenario(scn, n_nodes=n_nodes).results[0]
+    assert scn.check(result) is None
+    return result
 
 
 def test_uniform_random_verifies():
-    machine = repro.StarTVoyager(repro.default_config(n_nodes=4))
-    procs, verify = uniform_random(machine, messages_per_node=10)
-    assert _run(machine, procs, verify)
+    result = _run("uniform_random", messages_per_node=10)
+    assert result["problems"] == [] and result["msgs_per_s"] > 0
 
 
 def test_uniform_random_deterministic_plan():
     """The same seed produces the same traffic plan (and simulated time)."""
 
-    def run(seed):
-        machine = repro.StarTVoyager(repro.default_config(n_nodes=4))
-        procs, verify = uniform_random(machine, messages_per_node=8,
-                                       seed=seed)
-        assert _run(machine, procs, verify)
-        return machine.now
+    def elapsed(seed):
+        return _run("uniform_random", messages_per_node=8,
+                    seed=seed)["elapsed_ns"]
 
-    assert run(3) == run(3)
-    assert run(3) != run(4)  # different plan, different schedule
+    assert elapsed(3) == elapsed(3)
+    assert elapsed(3) != elapsed(4)  # different plan, different schedule
 
 
 def test_hotspot_counts_all():
-    machine = repro.StarTVoyager(repro.default_config(n_nodes=4))
-    procs, verify = hotspot(machine, messages_per_node=12)
-    assert _run(machine, procs, verify)
+    assert _run("hotspot", messages_per_node=12)["msgs_per_s"] > 0
 
 
 def test_hotspot_custom_hot_node():
-    machine = repro.StarTVoyager(repro.default_config(n_nodes=4))
-    procs, verify = hotspot(machine, messages_per_node=5, hot_node=2)
-    assert _run(machine, procs, verify)
+    assert _run("hotspot", messages_per_node=5, hot_node=2)["problems"] == []
 
 
 def test_pipeline_transform_chain():
-    machine = repro.StarTVoyager(repro.default_config(n_nodes=4))
-    procs, verify = pipeline(machine, rounds=6)
-    assert _run(machine, procs, verify)
+    assert _run("pipeline", rounds=6)["ns_per_hop"] > 0
 
 
 def test_mixed_workload_integrity():
-    machine = repro.StarTVoyager(repro.default_config(n_nodes=2))
-    procs, verify = mixed(machine)
-    assert _run(machine, procs, verify)
+    assert _run("mechanism_mix", n_nodes=2)["problems"] == []
+
+
+def test_workload_check_refuses_any_problem():
+    assert scenario("hotspot").check({"problems": ["a", "b"]}) == "a; b"
 
 
 def test_print_table_formatting(capsys):
