@@ -21,6 +21,10 @@ DET005   ``heappush`` of a ``(priority, ...)`` tuple with no sequence
          which is either a crash (unorderable types) or an
          address-dependent order; only ``sim/engine.py`` (whose heap
          discipline the schedule-policy hook audits) is exempt
+DET006   a write to an engine's clock or schedule (``_now``, ``_seq``,
+         ``_heap``, ``events_executed``) outside ``sim/`` (``tests/``
+         exempt): only the kernel moves them, the dormant-spin replay's
+         clock rewind included
 ARCH001  layering violation: ``sim/`` imports only ``sim``/``common``;
          ``net/`` never imports ``niu``/``firmware``; ``mem/`` never
          imports ``mp``/``shm``
@@ -71,6 +75,7 @@ RULES: Dict[str, str] = {
     "DET003": "iteration over a set/frozenset (nondeterministic order)",
     "DET004": "id()-derived ordering or dict key",
     "DET005": "heap push of a priority tuple without a seq tie-breaker",
+    "DET006": "write to an engine's _now/_seq/_heap/events_executed outside sim/",
     "ARCH001": "import violates the layering rules",
     "ARCH002": "examples/benchmarks must import the public surface only",
     "PERF001": "hot-path class must declare __slots__",
@@ -618,6 +623,78 @@ def _check_heap_ties(tree: ast.AST, path: str) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
+# DET006 — only the kernel moves an engine's clock and schedule
+# ----------------------------------------------------------------------
+
+_ENGINE_STATE = frozenset({"_now", "_seq", "_heap", "events_executed"})
+_HEAP_FNS = frozenset({"heappush", "heappop", "heapreplace", "heappushpop",
+                       "heapify"})
+_LIST_MUTATORS = frozenset({"append", "extend", "insert", "pop", "remove",
+                            "clear", "sort"})
+
+
+def _engine_state(node: ast.AST) -> Optional[ast.Attribute]:
+    """``node`` when it names an engine state attribute of another
+    object (``engine._now``, ``self.engine._seq``; not ``self._seq``,
+    an object's own attribute), else None."""
+    if (isinstance(node, ast.Attribute) and node.attr in _ENGINE_STATE
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id == "self")):
+        return node
+    return None
+
+
+def _written(target: ast.AST) -> Iterable[ast.AST]:
+    """The expressions an assignment target writes through."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for el in target.elts:
+            yield from _written(el)
+    elif isinstance(target, ast.Starred):
+        yield from _written(target.value)
+    elif isinstance(target, ast.Subscript):
+        yield target.value
+    else:
+        yield target
+
+
+def _check_engine_writes(tree: ast.AST, path: str) -> List[Violation]:
+    """Flag assignments, deletions and in-place heap or list mutations
+    of an engine's ``_now``, ``_seq``, ``_heap`` or ``events_executed``."""
+    out: List[Violation] = []
+
+    def flag(node: ast.AST, attr: str) -> None:
+        out.append(Violation(
+            "DET006", path, node.lineno, node.col_offset,
+            f"write to an engine's {attr} outside repro.sim: only the "
+            "kernel moves the clock, the sequence counter and the heap",
+        ))
+
+    for node in ast.walk(tree):
+        targets: List[ast.AST] = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else (
+                func.attr if isinstance(func, ast.Attribute) else "")
+            if name in _HEAP_FNS:
+                targets = [node.args[0]]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _LIST_MUTATORS):
+            targets = [node.func.value]
+        for target in targets:
+            for written in _written(target):
+                hit = _engine_state(written)
+                if hit is not None:
+                    flag(node, hit.attr)
+    return out
+
+
+# ----------------------------------------------------------------------
 # ARCH001 — layering
 # ----------------------------------------------------------------------
 
@@ -841,6 +918,9 @@ def check_source(source: str, relpath: str) -> List[Violation]:
     violations += _check_id_ordering(tree, relpath)
     if module_parts != ("sim", "engine.py"):
         violations += _check_heap_ties(tree, relpath)
+    if not (module_parts[0:1] == ("sim",) if in_repro
+            else "tests" in module_parts):
+        violations += _check_engine_writes(tree, relpath)
 
     suppressed = _suppressions(source)
     kept = [v for v in violations

@@ -66,6 +66,9 @@ class MemoryBus:
         self._txns: Optional[Counter] = None
         self._bytes: Optional[Counter] = None
         self._retries: Optional[Counter] = None
+        #: a dormant spin polling over this bus (:class:`repro.sim.process.Spin`):
+        #: any other transaction wakes it before arbitrating.
+        self.waker = None
 
     # -- construction ------------------------------------------------------
 
@@ -107,6 +110,8 @@ class MemoryBus:
         stats = self.stats
 
         while True:
+            if self.waker is not None:
+                self.waker.wake()
             # arbitration + address tenure + snoop window, bus held; a
             # free bus is taken without yielding (see Resource.try_acquire)
             if not arbiter.try_acquire():
@@ -197,6 +202,11 @@ class MemoryBus:
                 f"region {region.name!r} owner is not a BusSlave: {owner!r}"
             )
         return (yield from owner.access(txn))
+
+    def idle(self) -> bool:
+        """True when no master holds or waits for the bus."""
+        arbiter = self._arbiter
+        return not arbiter.in_use and not arbiter.queue_length
 
     # -- diagnostics -----------------------------------------------------------
 

@@ -114,9 +114,14 @@ class AddressMap:
         #: for :attr:`Region.memo` regions; :meth:`add` (and so
         #: :meth:`carve`) empties it
         self._memo: Dict[int, Region] = {}
+        #: a dormant spin polling through this map
+        #: (:class:`repro.sim.process.Spin`): any change wakes it first.
+        self.waker = None
 
     def add(self, region: Region) -> Region:
         """Register a region; overlap with an existing region is an error."""
+        if self.waker is not None:
+            self.waker.wake()
         self._memo.clear()
         idx = bisect.bisect_right(self._bases, region.base)
         if idx > 0 and self._regions[idx - 1].end > region.base:
@@ -162,6 +167,8 @@ class AddressMap:
         runtime reconfiguration (e.g. installing a reflective-memory
         window over part of DRAM) adjusts the map without rebuilding it.
         """
+        if self.waker is not None:
+            self.waker.wake()
         parent = self.lookup(base, size)
         idx = self._regions.index(parent)
         del self._regions[idx]

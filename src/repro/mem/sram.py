@@ -52,6 +52,15 @@ class DualPortedSRAM:
             Resource(engine, 1, name=f"{name}.p0"),
             Resource(engine, 1, name=f"{name}.p1"),
         )
+        #: a dormant spin polling bytes ``[watch.lo, watch.hi)`` of this
+        #: bank (:class:`repro.sim.process.Spin`): a write that changes
+        #: any of them wakes it first.
+        self.watch = None
+
+    def port_idle(self, port: int) -> bool:
+        """True when nobody holds or waits for ``port``."""
+        res = self._ports[port]
+        return not res.in_use and not res.queue_length
 
     def _beats(self, length: int) -> int:
         return max(1, -(-length // self.width_bytes))  # ceil division
@@ -98,6 +107,8 @@ class DualPortedSRAM:
             yield res.request()
         try:
             yield self._beats(len(data)) * self.access_ns
+            if self.watch is not None:
+                self._guard(offset, data)
             self.backing.write(offset, data)
         finally:
             res.release()
@@ -118,6 +129,8 @@ class DualPortedSRAM:
             yield res.request()
         try:
             yield self._beats(total) * self.access_ns
+            if self.watch is not None:
+                self._guard(offset, b"".join(parts))
             self.backing.write_parts(offset, parts)
         finally:
             res.release()
@@ -134,4 +147,16 @@ class DualPortedSRAM:
 
     def poke(self, offset: int, data: bytes) -> None:
         """Untimed write of the backing store."""
+        if self.watch is not None:
+            self._guard(offset, data)
         self.backing.write(offset, data)
+
+    def _guard(self, offset: int, data: bytes) -> None:
+        """Wake the watching spin if ``data`` at ``offset`` changes a
+        watched byte (rewriting the same value changes no poll)."""
+        watch = self.watch
+        lo = max(offset, watch.lo)
+        hi = min(offset + len(data), watch.hi)
+        if lo < hi and bytes(data[lo - offset : hi - offset]) != \
+                self.backing.read(lo, hi - lo):
+            watch.wake()

@@ -32,6 +32,7 @@ from repro.mem.address import Region
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bus.bus import MemoryBus
+    from repro.mem.sram import DualPortedSRAM
     from repro.niu.ctrl import Ctrl
     from repro.sim.engine import Engine
     from repro.sim.events import Event
@@ -51,6 +52,12 @@ class BusHandler:
               ) -> Generator["Event", None, Optional[bytes]]:
         """Data tenure for claimed transactions (process fragment)."""
         raise NotImplementedError
+
+    def polled_shadow(self, addr: int) -> Optional[Tuple["DualPortedSRAM", int]]:
+        """``(bank, offset)`` of the 4-byte SRAM shadow a 4-byte read of
+        ``addr`` is served from, once one has been; None when such a read
+        is anything more than that timed shadow read."""
+        return None
 
 
 class ABiu(Snooper):
@@ -76,8 +83,14 @@ class ABiu(Snooper):
         #: address -> covering handler, filled by :meth:`handler_for` for
         #: :attr:`Region.memo` regions; :meth:`install` empties it
         self._handler_memo: Dict[int, BusHandler] = {}
+        #: the last (region, handler) a bisect found: a run of accesses
+        #: to one large region (DRAM-backed S-COMA, NUMA) skips the bisect
+        self._last_hit: Optional[Tuple[Region, BusHandler]] = None
         self._claimed: Dict[int, BusHandler] = {}
         self.observed = 0
+        #: a dormant spin polling a register this aBIU serves
+        #: (:class:`repro.sim.process.Spin`): any install wakes it first.
+        self.waker = None
         bus.attach_snooper(self)
         ctrl.abiu_issue = self.issue
 
@@ -88,9 +101,13 @@ class ABiu(Snooper):
 
         Replacing a handler at runtime models reprogramming the FPGA with
         new state machines.  Any install empties the per-address handler
-        memo, so the next operation on any address sees the new table.
+        memo and the last hit, so the next operation on any address sees
+        the new table.
         """
+        if self.waker is not None:
+            self.waker.wake()
         self._handler_memo.clear()
+        self._last_hit = None
         for i, (r, old) in enumerate(self._handlers):
             if r.base == region.base and r.size == region.size:
                 self._handlers[i] = (region, handler)
@@ -109,14 +126,18 @@ class ABiu(Snooper):
         handler = self._handler_memo.get(addr)
         if handler is not None:
             return handler
+        last = self._last_hit
+        if last is not None and last[0].base <= addr < last[0].end:
+            return last[1]
         i = bisect.bisect_right(self._bases, addr) - 1
         if i < 0:
             return None
-        region, handler = self._handlers[i]
+        region, handler = hit = self._handlers[i]
         if addr >= region.end:
             return None
         if region.memo:
             self._handler_memo[addr] = handler
+        self._last_hit = hit
         return handler
 
     # -- snooper interface -----------------------------------------------------

@@ -99,6 +99,9 @@ class PointerWindowHandler(BusHandler):
             return SNOOP_CLAIM
         return SNOOP_OK
 
+    def polled_shadow(self, addr: int) -> Optional[Tuple[DualPortedSRAM, int]]:
+        return self._shadows.get(addr)
+
     def _owner_ok(self, q, txn: BusTransaction) -> bool:
         """Queue-ownership check: pid 0 (kernel) and unowned queues pass.
 

@@ -26,8 +26,12 @@ from repro.bus.ops import (OP_READ, OP_READ_LINE, OP_WRITE, OP_WRITE_LINE,
 from repro.common.config import MachineConfig
 from repro.common.errors import ProgramError
 from repro.mem.address import MODE_BURST, MODE_CACHED, AccessMode
+from repro.mem.sram import PORT_BUS
+from repro.sim.process import Spin
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.mem.sram import DualPortedSRAM
+    from repro.niu.abiu import BusHandler
     from repro.node.node import NodeBoard
     from repro.sim.events import Event
     from repro.sim.process import Process
@@ -101,6 +105,67 @@ class ApApi:
         return self._ap.access(
             addr, 4, (value & 0xFFFFFFFF).to_bytes(4, "big"), self.pid)
 
+    def shadow_poll(self, addr: int) -> Optional["ShadowPoll"]:
+        """The :class:`ShadowPoll` of a loop spinning on 4-byte loads of
+        the NIU register at ``addr``, or None when such a load is not
+        served from an aSRAM pointer shadow (or has not been yet)."""
+        ap = self._ap
+        abiu = ap.node.niu.abiu
+        handler = abiu.handler_for(addr)
+        shadow = handler.polled_shadow(addr) if handler is not None else None
+        if shadow is None or shadow[0] is not ap.node.ctrl.asram:
+            return None
+        return ShadowPoll(ap, abiu, handler, addr, *shadow)
+
+
+class ShadowPoll(Spin):
+    """The guards of an empty poll of an SRAM-shadowed NIU register.
+
+    An empty :meth:`repro.mp.basic.BasicPort.recv` iteration is one
+    uncached 4-byte load of the rx producer pointer, then the loop's
+    compute.  It touches the aP's busy tracker, one transaction on the
+    node bus (its arbiter, the L2's snoop, which finds nothing, and the
+    aBIU's, which claims it for the pointer window), the node's address
+    map and the aBIU's handler table, and the pointer's shadow bytes
+    through the aSRAM's bus port.  :meth:`guard` puts a guard on each:
+    any other use of the busy tracker (another program computing or
+    accessing memory), any other transaction on the bus, any change to
+    the map or the handler table, and any write that changes a shadow
+    byte wakes the spin first.  It is :meth:`ready` only while the bus
+    and that port are idle, tracing is off, and the register still
+    resolves to the same uncached region and handler.
+    """
+
+    __slots__ = ("ap", "abiu", "handler", "addr", "bank", "lo", "hi")
+
+    def __init__(self, ap: "AppProcessor", abiu: Any, handler: "BusHandler",
+                 addr: int, bank: "DualPortedSRAM", offset: int) -> None:
+        super().__init__(ap.engine)
+        self.ap = ap
+        self.abiu = abiu
+        self.handler = handler
+        self.addr = addr
+        self.bank = bank
+        #: the watched shadow bytes
+        self.lo = offset
+        self.hi = offset + 4
+
+    def ready(self) -> bool:
+        ap = self.ap
+        tracer = ap.tracer
+        return not (
+            (tracer is not None and tracer.active)
+            or ap.busy.waker is not None
+            or not ap._bus.idle()
+            or not self.bank.port_idle(PORT_BUS)
+            or self.abiu.handler_for(self.addr) is not self.handler
+            or ap._address_map.lookup(self.addr, 4).mode is MODE_CACHED)
+
+    def guard(self, waker: Optional[Spin]) -> None:
+        ap = self.ap
+        ap.busy.waker = ap._bus.waker = ap._address_map.waker = waker
+        self.abiu.waker = self.bank.watch = waker
+
 
 class AppProcessor:
     """Drives user program generators against one node's memory system."""
@@ -134,6 +199,8 @@ class AppProcessor:
         ``pid`` tags the program's bus operations for queue-ownership
         protection (0 = kernel: accepted everywhere).
         """
+        if self.busy.waker is not None:
+            self.busy.waker.wake()
         api = ApApi(self, pid=pid)
         proc = self.engine.process(
             program(api, *args), name=name or f"{self.name}.{program.__name__}"

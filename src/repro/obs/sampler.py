@@ -55,7 +55,9 @@ class QueueSampler:
         self._running = False
 
     def _take(self) -> None:
-        now = self.machine.engine.now
+        engine = self.machine.engine
+        engine.wake_dormant()
+        now = engine.now
         add = self.samples.append
         for node in self.machine.nodes:
             nid = node.node_id

@@ -14,8 +14,10 @@ key                   contents
 ``sim``               engine health: ``events_executed``, ``pending_events``,
                       plus ``wall`` — *wall-clock*
                       gauges (``seconds``, ``events_per_second``) that vary
-                      run to run with host load; determinism comparisons
-                      must strip ``sim.wall``
+                      run to run with host load, and ``spin_ties``, the
+                      dormant-spin tie count (DESIGN.md §8.1; 0 on the
+                      slow path); determinism comparisons must strip
+                      ``sim.wall``
 ``counters``          flat name -> int (monotonic event counts)
 ``accumulators``      name -> {n, mean, min, max, total, stddev,
                       p50, p90, p99, p999} (percentiles from the
@@ -136,6 +138,8 @@ def _accumulator_rows(merged: Dict[str, Accumulator]) -> Dict[str, Any]:
 def metrics_snapshot(machine: "StarTVoyager",
                      include_config: bool = True) -> Dict[str, Any]:
     """One machine's complete measurement state as a JSON-ready dict."""
+    engine = machine.engine
+    engine.wake_dormant()
     stats = machine.stats
     counters = {name: c.value for name, c in sorted(stats._counters.items())}
     accumulators = _accumulator_rows(stats.merged_accumulators())
@@ -145,12 +149,13 @@ def metrics_snapshot(machine: "StarTVoyager",
         "now_ns": machine.now,
         "n_nodes": machine.config.n_nodes,
         "sim": {
-            "events_executed": machine.engine.events_executed,
-            "pending_events": machine.engine.pending_events,
+            "events_executed": engine.events_executed,
+            "pending_events": engine.pending_events,
             # wall-clock, not simulated: nondeterministic by nature.
             "wall": {
-                "seconds": machine.engine.wall_seconds,
-                "events_per_second": machine.engine.events_per_second,
+                "seconds": engine.wall_seconds,
+                "events_per_second": engine.events_per_second,
+                "spin_ties": engine.spin_ties,
             },
         },
         "counters": counters,

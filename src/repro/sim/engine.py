@@ -40,13 +40,16 @@ Time is a float in nanoseconds (see :mod:`repro.common.units`).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace
+from array import array
+from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heappush, heapreplace
+from math import nextafter
 from time import perf_counter
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError, SimulationError
 from repro.sim.events import _PENDING, AllOf, Event, Timeout
-from repro.sim.process import ProcGen, Process
+from repro.sim.process import ProcGen, Process, Spin
 
 #: scheduled-item kinds — element 2 of a heap entry.
 KIND_CALL = 0
@@ -57,6 +60,22 @@ KIND_WAKE = 4
 
 #: an unbounded run horizon.
 INFINITY = float("inf")
+
+#: the seq a replayed sleep's key adds per rank within one gap (see
+#: :meth:`Engine._key`): exact below 2**32 sequence numbers.
+_RANK_STEP = 2.0 ** -20
+
+#: clock-log entries kept before the dormant spins catch up (bounds its
+#: memory; see :meth:`Engine._catch_up`).
+_LOG_CAP = 4096
+
+#: how many replayed ends :meth:`Engine._find_starts` hashes at a time
+#: (bounds its memory).
+_SHARED_SLICE = 8192
+
+#: how many distinct replayed instants :meth:`Engine._lockstep` hashes
+#: at most to find lockstep blocks (bounds its memory).
+_LOCKSTEP_ENDS = 8192
 
 #: one heap entry: (time, seq, kind, target, arg).
 ScheduledItem = Tuple[float, int, int, Any, Any]
@@ -103,6 +122,12 @@ class Engine:
         "deadlock_dump",
         "process_registry",
         "schedule_policy",
+        "_dormant",
+        "_spin_off",
+        "spin_ties",
+        "_log",
+        "_rank_gap",
+        "_ranks",
     )
 
     def __init__(self) -> None:
@@ -138,6 +163,25 @@ class Engine:
         #: path.  Install before calling a run loop: the loops hoist the
         #: attribute into a local once per call.
         self.schedule_policy: Optional["SchedulePolicy"] = None
+        #: dormant spinners, process -> its :class:`Spin`, in the order
+        #: they went dormant (see :meth:`_doze`).
+        self._dormant: Dict[Process, Spin] = {}
+        #: True keeps every spin awake: the slow path, for comparisons.
+        self._spin_off = False
+        #: woken spins whose next sleep could not run where it would have
+        #: (the tie rule, DESIGN.md §8.1): it ended at the instant of the
+        #: guard that woke it, before that guard's item.  Kept out of the
+        #: compared snapshot (``sim.wall``); 0 means every catch-up was
+        #: exact.
+        self.spin_ties = 0
+        #: the clock log, kept while any spin is dormant: per executed
+        #: item in run order, ``(time, seq, counter)``, its key and the
+        #: seq counter before it ran (see :meth:`_key`).
+        self._log: List[Tuple[float, Any, int]] = []
+        #: the gap (the seq counter value) replayed steps last handed
+        #: keys out in, and how many per instant (see :meth:`_key`).
+        self._rank_gap = -1
+        self._ranks: Dict[float, int] = {}
 
     # -- clock -----------------------------------------------------------
 
@@ -273,6 +317,8 @@ class Engine:
         crashes = self._crashes
         policy = self.schedule_policy
         pop, push, replace = heappop, heappush, heapreplace
+        dormant = self._dormant
+        log = self._log.append
         executed = 0
         t0 = perf_counter()
         try:
@@ -294,6 +340,10 @@ class Engine:
                     pop(heap)
                 self._now = time
                 executed += 1
+                if dormant:
+                    log((time, _seq, self._seq))
+                    if len(self._log) > _LOG_CAP:
+                        self._catch_up(time)
                 # Inline dispatch, most frequent kinds first.
                 if kind >= 3:  # SLEEP / WAKE: arg is the process's wait token
                     if kind == 3:
@@ -313,6 +363,8 @@ class Engine:
                                 push(heap, (time, seq, 4, target, arg))
                             continue
                         executed += 1  # the WAKE item, run inline
+                        if dormant:
+                            log((time, seq, seq))
                     if target._waiting_on is arg:
                         target._waiting_on = None
                         try:
@@ -348,6 +400,8 @@ class Engine:
                             push(heap, (time, seq, 2, callbacks, target))
                         else:
                             executed += 1
+                            if dormant:
+                                log((time, seq, seq))
                             for cb in callbacks:
                                 cb(target)
                 elif kind == 2:  # KIND_CALLBACKS
@@ -361,9 +415,327 @@ class Engine:
                     stop._value is not _PENDING or stop._exc is not None
                 ):
                     break
+            if self._dormant:
+                self._stop_spins(last, stop)
         finally:
             self.events_executed += executed
             self.wall_seconds += perf_counter() - t0
+
+    # -- dormant spins (DESIGN.md §8.1) -----------------------------------
+
+    def _doze(self, spin: Spin, proc: Process, delay: float, seq: int) -> bool:
+        """Let ``proc``'s sleep of ``delay`` (token ``seq``, already
+        counted) go dormant instead of being pushed, when ``spin`` has
+        seen one full empty iteration run through the engine and can arm
+        its guards.  Never under a schedule policy or the opt-out."""
+        if (spin.marks < 2 or self.schedule_policy is not None
+                or self._spin_off or not spin.ready()):
+            return False
+        spin.guard(spin)
+        spin.dormant = True
+        spin.due = self._now + delay
+        spin.token = seq
+        self._dormant[proc] = spin
+        return True
+
+    def _replay(self, t: float, inclusive: bool) -> None:
+        """Run every dormant sleep due before ``t`` (at or before it when
+        ``inclusive``), for every dormant spinner, then key what is left.
+
+        A replayed sleep resumes its spinner's own generator with the
+        clock at the sleep's end, and counts the two executed items and
+        two sequence numbers the dispatch core would have; the poll code
+        does all the rest of the accounting.  An empty iteration
+        schedules nothing and yields only floats (and its mark); anything
+        else means a guard is missing, and is an error.  Only the
+        engine's own bookkeeping depends on the order the spinners'
+        sleeps would have run in, so each spinner replays alone, and
+        :meth:`_key` then gives each its next sleep's key.
+        """
+        replayed: List[Tuple[Spin, "array[float]"]] = []
+        queued = len(self._heap)
+        now = latest = self._now
+        steps = 0
+        spin = None
+        try:
+            for spin in self._dormant.values():
+                due = spin.due
+                if due > t or (due == t and not inclusive):
+                    continue
+                spin.guard(None)  # its own poll must not wake it
+                send = spin.loop.send
+                ends = array("d", (due,))
+                while True:
+                    self._now = due
+                    delay = send(None)
+                    if type(delay) is not float or delay < 0.0:
+                        delay = self._replay_delay(spin, delay, due)
+                    due = due + delay
+                    if due > t or (due == t and not inclusive):
+                        break
+                    ends.append(due)
+                spin.due = due
+                spin.guard(spin)
+                steps += len(ends)
+                replayed.append((spin, ends))
+                # a stop point replays past the last item run: the clock
+                # stops at the last step, as the dispatch core's would
+                latest = max(latest, ends[-1])
+        except SimulationError:
+            raise
+        except BaseException as err:
+            raise SimulationError(
+                f"dormant spin of {spin.proc.name!r} failed on replay at "
+                f"t={self._now:.1f}ns") from err
+        finally:
+            self._now = latest
+            # two executed items and two sequence numbers per sleep
+            self.events_executed += 2 * steps
+            self._seq += 2 * steps
+        if len(self._heap) != queued:
+            raise SimulationError("a dormant spin scheduled work on replay")
+        if replayed:
+            self._key(replayed, self._seq - 2 * steps)
+
+    @staticmethod
+    def _replay_delay(spin: Spin, delay: Any, due: float) -> float:
+        """The sleep a replayed WAKE ends in, past any marks."""
+        while isinstance(delay, Spin):  # a later iteration's mark
+            delay = spin.loop.send(None)
+        if not isinstance(delay, float) or delay < 0.0:
+            raise SimulationError(
+                f"dormant spin of {spin.proc.name!r} yielded {delay!r} at "
+                f"t={due:.1f}ns; an empty poll must only sleep")
+        return delay
+
+    def _key(self, replayed: List[Tuple[Spin, "array[float]"]],
+             counter: int) -> None:
+        """Give each replayed spinner's next sleep the key its item would
+        have had, walking the replayed SLEEPs and WAKEs in the order
+        their items would have run.
+
+        A sleep's seq is handed out by the WAKE of the sleep before it,
+        so it goes just after every seq handed out before that WAKE
+        would have run, found in the clock log: ``c + 0.5`` sorts
+        between ``c`` and ``c + 1``.  Keys handed out in one gap for one
+        instant are ranked in the order their WAKEs run; a rank adds
+        ``2**-20``.  A SLEEP runs its WAKE inline unless another item,
+        logged or replayed, was queued at its instant; then the WAKE
+        waits its turn, keyed where the SLEEP ran, as its item would
+        have.  A sleep ending at an instant nothing else shares has its
+        place fixed by that instant alone, whatever its key, so each
+        spinner's walk starts at its last such sleep
+        (:meth:`_find_starts`).
+
+        Spins in lockstep, whose sleeps all end at the same instants,
+        which no other replayed sleep and no logged item shares, keep
+        their order from one instant to the next: each SLEEP finds the
+        others queued and defers its WAKE, all in one gap.  Such a block
+        starts its walks at its last sleeps, in the order of the keys its
+        members started with.
+        """
+        keys: Dict[int, float] = {}
+        shapes = {(len(ends), ends[0], ends[-1]) for _spin, ends in replayed}
+        if len(shapes) < len(replayed):  # maybe some spins in lockstep
+            keys = self._lockstep(replayed)
+        rest = [i for i in range(len(replayed)) if i not in keys]
+        starts = dict(zip(rest, self._find_starts(
+            [replayed[i] for i in rest]) if rest else []))
+        walk = []
+        for i, (spin, ends) in enumerate(replayed):
+            if i in keys:
+                walk.append((len(ends) - 1, keys[i]))
+            else:
+                k = starts[i]
+                # from the start its key is known; elsewhere it does not
+                # matter
+                walk.append((max(k, 0), spin.token if k < 0 else -1.0))
+        self._key_walk(replayed, counter, walk)
+
+    def _find_starts(self, replayed: List[Tuple[Spin, "array[float]"]]
+                     ) -> List[int]:
+        """Where each spinner's walk starts: at its last sleep when no end
+        of its is shared (with another replayed sleep or a logged item),
+        else just before its first shared one (-1: from its first sleep).
+        Every sleep sharing an instant is then walked, and every walk
+        starts at an instant nobody shares.  Searched back from the last
+        sleeps a slice of about ``_SHARED_SLICE`` ends at a time, until
+        every start is known."""
+        log = self._log
+        firsts: List[Optional[int]] = [None] * len(replayed)
+        step = max(1, _SHARED_SLICE // len(replayed))
+        hi = INFINITY
+        back = 1
+        while True:
+            since = min(ends[max(0, len(ends) - back)]
+                        for _spin, ends in replayed)
+            seen: set = set()
+            shared: set = set()
+            spans = []
+            for _spin, ends in replayed:
+                a, b = bisect_left(ends, since), bisect_left(ends, hi)
+                mine = set(ends[a:b])
+                shared |= seen & mine
+                seen |= mine
+                spans.append((a, b))
+            shared |= seen.intersection(
+                [item[0] for item in
+                 log[bisect_left(log, (since,)):bisect_left(log, (hi,))]])
+            unknown = False
+            for i, ((a, b), (_spin, ends)) in enumerate(zip(spans, replayed)):
+                if shared and not shared.isdisjoint(ends[a:b]):
+                    firsts[i] = next(k for k in range(a, b)
+                                     if ends[k] in shared)
+                f = firsts[i]
+                if f and ends[f - 1] < since:
+                    unknown = True  # shared before ``since``?
+            if not unknown or since <= min(ends[0] for _s, ends in replayed):
+                return [len(ends) - 1 if f is None else f - 1
+                        for f, (_spin, ends) in zip(firsts, replayed)]
+            hi = since
+            back += step
+
+    def _lockstep(self, replayed: List[Tuple[Spin, "array[float]"]]
+                  ) -> Dict[int, float]:
+        """The replayed spinners in lockstep blocks (see :meth:`_key`),
+        by index, each with a key for its last sleep that orders it
+        within its block."""
+        blocks: Dict[bytes, List[int]] = {}
+        for i, (_spin, ends) in enumerate(replayed):
+            blocks.setdefault(ends.tobytes(), []).append(i)
+        if len(blocks) == len(replayed) or sum(
+                len(replayed[members[0]][1]) for members in blocks.values()
+        ) > _LOCKSTEP_ENDS:
+            return {}
+        seen: set = set()
+        shared: set = set()
+        for members in blocks.values():
+            mine = set(replayed[members[0]][1])
+            shared |= seen & mine
+            seen |= mine
+        log = self._log
+        lo = bisect_left(log, (min(seen),))
+        shared |= seen.intersection([item[0] for item in log[lo:]])
+        keys: Dict[int, float] = {}
+        for members in blocks.values():
+            if len(members) > 1 and shared.isdisjoint(replayed[members[0]][1]):
+                members.sort(key=lambda i: replayed[i][0].token)
+                for rank, i in enumerate(members):
+                    keys[i] = float(rank)
+        return keys
+
+    def _key_walk(self, replayed: List[Tuple[Spin, "array[float]"]],
+                  counter: int, starts: List[Tuple[int, Any]]) -> None:
+        """Walk :meth:`_key`'s steps from each spinner's start: the index
+        of a sleep and the key to order it by there."""
+        log = self._log
+        n = len(log)
+        # per spinner: the sleeps' ends, the next one's index, and what
+        # runs next (a SLEEP, or the WAKE its SLEEP deferred)
+        state = []
+        queue: List[Tuple[float, Any, int]] = []
+        for i, ((spin, ends), (k, key)) in enumerate(zip(replayed, starts)):
+            state.append([spin, ends, k, KIND_SLEEP])
+            queue.append((ends[k], key, i))
+        heapify(queue)
+        j = bisect_left(log, (queue[0][0],))
+        while queue:
+            due, key, i = queue[0]
+            row = state[i]
+            spin, ends = row[0], row[1]
+            # the first item that ran after this step would have
+            j = bisect_right(log, (due, key), j)
+            c = log[j][2] if j < n else counter
+            if row[3] == KIND_SLEEP and (
+                    (j < n and log[j][0] == due)
+                    or (len(queue) > 1 and queue[1][0] == due)
+                    or (len(queue) > 2 and queue[2][0] == due)):
+                row[3] = KIND_WAKE  # tied: the WAKE waits its turn
+            else:
+                row[3] = KIND_SLEEP
+                row[2] += 1
+                due = ends[row[2]] if row[2] < len(ends) else spin.due
+            key = self._ranked(c, due)
+            if row[2] == len(ends):
+                spin.token = key
+                heappop(queue)
+            else:
+                heapreplace(queue, (due, key, i))
+
+    def _ranked(self, c: int, due: float) -> float:
+        """The next key in gap ``c`` for a sleep ending at ``due``: keys
+        are handed out gap by gap, in increasing order."""
+        ranks = self._ranks
+        if c != self._rank_gap:
+            self._rank_gap = c
+            ranks.clear()
+        rank = ranks.get(due, 0)
+        ranks[due] = rank + 1
+        return c + 0.5 + rank * _RANK_STEP
+
+    def _wake(self, spin: Spin, t: float, inclusive: bool) -> None:
+        """Catch a dormant spinner up to instant ``t`` (every dormant
+        spinner, so that their keys are handed out in order) and queue
+        it again: its next sleep becomes an ordinary KIND_SLEEP item with
+        the key it would have had."""
+        self._replay(t, inclusive)
+        proc = spin.proc
+        del self._dormant[proc]
+        spin.guard(None)
+        spin.dormant = False
+        spin.marks = 0
+        due, key = spin.due, spin.token
+        log = self._log
+        if due == t and not inclusive and log and log[-1][0] == t \
+                and key < log[-1][1]:
+            # the tie rule: the sleep would have ended before the item
+            # running now, the guard's own; it ends right after it
+            self.spin_ties += 1
+            key = nextafter(log[-1][1], INFINITY)
+        proc._waiting_on = key
+        heappush(self._heap, (due, key, KIND_SLEEP, proc, key))
+        self._trim_log()
+
+    def _trim_log(self) -> None:
+        """Drop what no dormant sleep can still need: the clock log
+        before the earliest one's end, or all of it once none is left."""
+        log = self._log
+        if self._dormant:
+            first = min(spin.due for spin in self._dormant.values())
+            del log[:bisect_left(log, (first,))]
+        else:
+            del log[:]
+
+    def _catch_up(self, t: float) -> None:
+        """Replay the dormant sleeps ending before ``t`` without waking
+        anyone, so the clock log can shrink (every ``_LOG_CAP`` items)."""
+        self._replay(t, False)
+        self._trim_log()
+
+    def wake_dormant(self) -> None:
+        """Wake every dormant spinner at the current instant: for anything
+        about to read machine-wide state (metrics, samplers, tracing)."""
+        if self._dormant:
+            now = self._now
+            for spin in list(self._dormant.values()):
+                self._wake(spin, now, False)
+
+    def _stop_spins(self, last: float, stop: Optional[Event]) -> None:
+        """A run loop is about to return: bring every dormant spinner to
+        where the slow path would have stopped it."""
+        if stop is not None and (
+                stop._value is not _PENDING or stop._exc is not None):
+            self.wake_dormant()
+        elif last == INFINITY:
+            # nothing is left to schedule, so no poll can ever succeed:
+            # the slow path would spin here forever
+            names = ", ".join(repr(p.name) for p in self._dormant)
+            raise SimulationError(
+                f"spin never ends: nothing left to schedule at "
+                f"t={self._now:.1f}ns while {names} polls")
+        else:
+            for spin in list(self._dormant.values()):
+                self._wake(spin, last, True)
 
     def run(self, until: Optional[float] = None) -> float:
         """Execute events until the heap drains or ``until`` is reached.

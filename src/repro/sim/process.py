@@ -37,6 +37,61 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+class Spin:
+    """A polling loop's offer to go dormant (DESIGN.md §8.1, "Dormant
+    spins").
+
+    A process spinning on a location yields its Spin once per empty
+    iteration, just before that iteration's last sleep.  The yield costs
+    no simulated time and no scheduled item: the process resumes at
+    once.  Once one full empty iteration has run through the engine
+    since the spin began (or last woke), the sleep that follows the mark
+    goes *dormant* instead of being pushed, provided the spin is
+    :meth:`ready` to guard everything an empty iteration touches.  The
+    first guard to fire calls :meth:`wake`, and the engine replays the
+    missed iterations through the process's own generator (see
+    :meth:`repro.sim.engine.Engine._wake`).
+
+    Subclasses name what an empty iteration touches: :meth:`ready` says
+    whether all of it is idle, and :meth:`guard` points a guard on each
+    part at a waker (``None`` removes them).  A guard calls its waker's
+    :meth:`wake` before it lets anything else touch that part.
+    """
+
+    __slots__ = ("engine", "proc", "loop", "marks", "dormant", "due",
+                 "token")
+
+    def __init__(self, engine: "Engine") -> None:
+        self.engine = engine
+        #: the spinning process, once its first mark has been seen, and
+        #: the generator of its polling loop, the one that yields the
+        #: mark: a replay resumes that one, past the frames delegating to it.
+        self.proc: Optional["Process"] = None
+        self.loop: Optional[ProcGen] = None
+        #: marks seen through the engine since the spin began or woke.
+        self.marks = 0
+        #: True from going dormant to waking: a replayed iteration need
+        #: not yield its mark (the spin's owner may skip it).
+        self.dormant = False
+        #: while dormant: when the pending sleep ends, and its wait token,
+        #: the seq its KIND_SLEEP item would carry (an int, or a float a
+        #: replay placed between two ints).
+        self.due = 0.0
+        self.token: Any = 0
+
+    def ready(self) -> bool:
+        """True when every part an empty iteration touches is idle."""
+        return False
+
+    def guard(self, waker: Optional["Spin"]) -> None:
+        """Point the guard on every part an empty iteration touches at
+        ``waker`` (None removes them)."""
+
+    def wake(self) -> None:
+        """A guard fired: replay the missed iterations up to now."""
+        self.engine._wake(self, self.engine._now, False)
+
+
 class Process(Event):
     """A running generator, schedulable and joinable.
 
@@ -77,10 +132,15 @@ class Process(Event):
         Interrupting a finished process is an error; interrupting a process
         blocked on an event or a sleep detaches it from that wait (the
         event may still trigger, the sleep's items still run and count;
-        the process simply no longer waits on them).
+        the process simply no longer waits on them).  A dormant spinner
+        first replays its missed iterations, so it is interrupted exactly
+        where it would have been.
         """
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
+        spin = self.engine._dormant.get(self)
+        if spin is not None:
+            spin.wake()
         self._waiting_on = None
         self.engine._schedule_call(lambda: self._resume(throw=Interrupt(cause)))
 
@@ -125,7 +185,9 @@ class Process(Event):
         target in a loop: one stack frame however many yields in a row
         need no waiting (draining a pre-filled store, uncontended
         requests).  Nothing is scheduled for those, exactly as when each
-        resumed through a callback run in place.
+        resumed through a callback run in place.  A yielded :class:`Spin`
+        is passed the same way, after counting it; the sleep right after
+        it may go dormant (:meth:`Engine._doze`) instead of being pushed.
 
         A float ``target`` sleeps: one KIND_SLEEP item whose sequence
         number doubles as the wait token, pushed here — at the yield,
@@ -135,6 +197,7 @@ class Process(Event):
         a process it has just woken from a sleep.)
         """
         gen = self._gen
+        spin: Optional[Spin] = None
         while True:
             if isinstance(target, float):
                 if target < 0:
@@ -144,9 +207,25 @@ class Process(Event):
                     engine = self.engine
                     engine._seq = seq = engine._seq + 1
                     self._waiting_on = seq
-                    heappush(engine._heap,
-                             (engine._now + target, seq, 3, self, seq))
+                    if spin is None or not engine._doze(spin, self, target, seq):
+                        heappush(engine._heap,
+                                 (engine._now + target, seq, 3, self, seq))
                     return
+            elif isinstance(target, Spin):
+                spin = target
+                if spin.loop is None:
+                    spin.proc = self
+                    loop = gen
+                    while loop.gi_yieldfrom is not None:
+                        loop = loop.gi_yieldfrom
+                    spin.loop = loop
+                spin.marks += 1
+                try:
+                    target = gen.send(None)
+                except BaseException as err:
+                    self._finish(err)
+                    return
+                continue
             elif not isinstance(target, Event):
                 err = SimulationError(
                     f"process {self.name!r} yielded {target!r}; processes must "
@@ -165,6 +244,7 @@ class Process(Event):
                     callbacks.append(self._on_event)
                     return
                 exc = target._exc
+            spin = None
             try:
                 if exc is None:
                     target = gen.send(target._value)

@@ -143,7 +143,7 @@ class BusyTracker:
     inside a handler that itself issues timed sub-work).
     """
 
-    __slots__ = ("name", "engine", "_depth", "_since", "busy_ns")
+    __slots__ = ("name", "engine", "_depth", "_since", "busy_ns", "waker")
 
     def __init__(self, engine: "Engine", name: str) -> None:
         self.engine = engine
@@ -151,15 +151,22 @@ class BusyTracker:
         self._depth = 0
         self._since = 0.0
         self.busy_ns = 0.0
+        #: a dormant spin whose busy sections this tracker also counts
+        #: (:class:`repro.sim.process.Spin`): any use wakes it first.
+        self.waker = None
 
     def begin(self) -> None:
         """Enter a busy section."""
+        if self.waker is not None:
+            self.waker.wake()
         if self._depth == 0:
             self._since = self.engine._now
         self._depth += 1
 
     def end(self) -> None:
         """Leave a busy section."""
+        if self.waker is not None:
+            self.waker.wake()
         if self._depth <= 0:
             raise SimulationError(f"busy tracker {self.name!r} not busy")
         self._depth -= 1
@@ -168,6 +175,8 @@ class BusyTracker:
 
     def current(self) -> float:
         """Busy ns so far, including an open section."""
+        if self.waker is not None:
+            self.waker.wake()
         open_ns = (self.engine.now - self._since) if self._depth > 0 else 0.0
         return self.busy_ns + open_ns
 

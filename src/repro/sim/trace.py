@@ -121,6 +121,8 @@ class Tracer:
 
     def enable(self, *categories: str) -> None:
         """Enable tracing of the given categories ("*" = everything)."""
+        # a dormant spin replays without spans: bring spinners up to now
+        self.engine.wake_dormant()
         for cat in categories:
             if cat == "*":
                 self._all = True

@@ -219,6 +219,39 @@ def test_det005_suppressible():
 
 
 # ----------------------------------------------------------------------
+# DET006 — only the kernel moves an engine's clock and schedule
+# ----------------------------------------------------------------------
+
+
+def test_det006_engine_state_writes_fire():
+    assert rules_of("engine._now = 5.0\n") == ["DET006"]
+    assert rules_of("machine.engine._seq += 2\n") == ["DET006"]
+    assert rules_of("self.engine.events_executed = 0\n") == ["DET006"]
+    assert rules_of("heapq.heappush(engine._heap, item)\n") == ["DET006"]
+    assert rules_of("engine._heap.clear()\n") == ["DET006"]
+    assert rules_of("t, engine._now = 1, 2.0\n") == ["DET006"]
+
+
+def test_det006_reads_and_own_attributes_are_fine():
+    assert rules_of("t = engine._now + engine.events_executed\n") == []
+    assert rules_of("self._seq = {}\nself._seq[node] = 1\n") == []
+    assert rules_of("n = len(engine._heap)\n") == []
+
+
+def test_det006_kernel_and_tests_exempt():
+    src = "engine._now = 5.0\n"
+    assert rules_of(src, SIM) == []
+    assert rules_of(src, "src/repro/sim/process.py") == []
+    assert rules_of(src, TESTFILE) == []
+    assert rules_of(src, BENCHFILE) == ["DET006"]
+
+
+def test_det006_suppressible():
+    src = "engine._now = 5.0  # repro: allow DET006 -- a rewind test\n"
+    assert rules_of(src) == []
+
+
+# ----------------------------------------------------------------------
 # ARCH001 — layering
 # ----------------------------------------------------------------------
 

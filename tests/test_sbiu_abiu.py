@@ -148,3 +148,31 @@ def test_serve_without_claim_is_error(m2):
 
     with pytest.raises(SimulationError):
         _run_gen(m2, body())
+
+
+def test_abiu_install_over_an_already_accessed_address(m2):
+    # an S-COMA address: the aBIU finds its handler by bisecting once,
+    # then by its last hit; an install must drop both
+    from repro.bus.ops import OP_READ_LINE
+    from repro.bus.snoop import SNOOP_OK
+    from repro.niu.abiu import BusHandler
+
+    node = m2.node(0)
+    abiu = node.niu.abiu
+    addr = node.scoma_base + 64
+    scoma = abiu.handler_for(addr)
+    assert scoma is node.niu.scoma_handler
+    assert abiu.handler_for(addr + 32) is scoma  # the last hit
+
+    class Quiet(BusHandler):
+        handler_name = "quiet"
+
+        def decide(self, txn):
+            return SNOOP_OK
+
+    region = next(r for r, h in abiu._handlers if h is scoma)
+    quiet = Quiet()
+    assert abiu.install(region, quiet) is scoma
+    assert abiu.handler_for(addr) is quiet
+    txn = BusTransaction(OP_READ_LINE, addr, 32, master="ap0")
+    assert abiu.snoop(txn) is SNOOP_OK
