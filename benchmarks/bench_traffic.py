@@ -48,9 +48,6 @@ DEFAULT_RATES = (20_000.0, 50_000.0, 100_000.0, 200_000.0, 400_000.0)
 TRAIN_ROWS = (("ps", "-"), ("allreduce", "flat"), ("allreduce", "tree"),
               ("allreduce", "nic"), ("allreduce", "switch"))
 
-#: the KV requests' path (the record's ``params`` name both keys).
-KV_PATH = {"transport": "basic", "reliable": False}
-
 #: the microservice request tree: depth and children per stage.
 USVC_SHAPE = {"depth": 2, "fanout": 2}
 
@@ -82,7 +79,7 @@ def traffic_point(spec):
 
 def _kv_spec(rate, args):
     return ("traffic_kv",
-            {"per_node": args.per_node, "rate_rps": rate, **KV_PATH},
+            {"per_node": args.per_node, "rate_rps": rate},
             args.nodes)
 
 
@@ -184,8 +181,7 @@ def run(args):
                         round(lat.get("p999", 0.0)),
                         round(lat.get("max", 0.0))])
     print_table(
-        f"X-traffic: KV offered load vs goodput @ {args.nodes} nodes "
-        f"({KV_PATH['transport']})",
+        f"X-traffic: KV offered load vs goodput @ {args.nodes} nodes",
         KV_HEADER, kv_rows)
 
     trains = train_points(args)
@@ -211,7 +207,7 @@ def run(args):
     knee_visible = high_goodput < low_goodput
     path = write_record(
         args.json, "traffic",
-        {"n_nodes": args.nodes, "transport": KV_PATH["transport"]},
+        {"n_nodes": args.nodes},
         {"kv_points": [_sim(p, args) for p in kv_points],
          "train_points": [_sim(p, args) for p in trains],
          "usvc_point": _sim(usvc, args),

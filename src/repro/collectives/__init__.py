@@ -11,23 +11,23 @@ collective instead of O(N) point-to-point messages.
 Three layers, lowest first (the ``COLL`` message layout they share is
 declared in :mod:`repro.common.wire`):
 
-* :mod:`repro.collectives.plan` — pure-data spanning trees (k-ary,
-  binomial) and recursive-doubling schedules; unit-testable without the
-  simulator;
+* :mod:`repro.collectives.plan` — pure-data binomial spanning trees and
+  recursive-doubling schedules; unit-testable without the simulator;
 * :mod:`repro.collectives.firmware` — the ``CollectiveUnit`` sP firmware
   (combining state, arrival counters, tree forwarding);
 * :mod:`repro.collectives.api` — host-side tree algorithms over mini-MPI
   point-to-point (the ``algo="tree"`` middle ground).
 
 :class:`repro.lib.mpi.MiniMPI` selects between them with its ``algo=``
-switch (``"flat"`` / ``"tree"`` / ``"nic"``).
+switch (``"flat"`` / ``"tree"`` / ``"nic"``, plus ``"switch"`` for the
+in-fabric :mod:`repro.sync` tree); a communicator runs every collective
+on its one family.
 """
 
 from repro.collectives.plan import (
     RdSchedule,
     TreePlan,
     binomial_tree,
-    kary_tree,
     recursive_doubling,
 )
 from repro.collectives.firmware import setup_collectives, ensure_collectives
@@ -35,7 +35,6 @@ from repro.collectives.firmware import setup_collectives, ensure_collectives
 __all__ = [
     "TreePlan",
     "RdSchedule",
-    "kary_tree",
     "binomial_tree",
     "recursive_doubling",
     "setup_collectives",

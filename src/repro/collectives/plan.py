@@ -2,10 +2,10 @@
 
 Plans are *pure data* — tuples of parent links, child lists, and
 exchange rounds — so the algorithms can be unit-tested exhaustively
-without building a machine.  Both tree shapes handle arbitrary (not just
-power-of-two) node counts, and non-zero roots are expressed by rotating
-"virtual ranks": virtual rank ``v = (r - root) mod n`` so the root is
-always virtual 0.
+without building a machine.  The binomial tree handles arbitrary (not
+just power-of-two) node counts, and non-zero roots are expressed by
+rotating "virtual ranks": virtual rank ``v = (r - root) mod n`` so the
+root is always virtual 0.
 
 The binomial tree has the property the reduction algorithms rely on for
 non-commutative operators: the subtree of virtual rank ``v`` spans the
@@ -94,24 +94,6 @@ def _rotate(
         children[p].append(r)
     # fold order: ascending *virtual* rank, which is the append order
     return parent, children
-
-
-def kary_tree(n: int, root: int = 0, k: int = 2) -> TreePlan:
-    """Heap-shaped k-ary spanning tree (children of v: ``k*v+1..k*v+k``)."""
-    if n < 1:
-        raise ProgramError(f"tree needs at least one rank, got {n}")
-    if k < 1:
-        raise ProgramError(f"arity must be at least 1, got {k}")
-    if not (0 <= root < n):
-        raise ProgramError(f"root {root} outside 0..{n - 1}")
-    virtual_parent: List[Optional[int]] = [
-        None if v == 0 else (v - 1) // k for v in range(n)
-    ]
-    parent, children = _rotate(n, root, virtual_parent)
-    plan = TreePlan(n, root, f"kary{k}", tuple(parent),
-                    tuple(tuple(c) for c in children))
-    plan.validate()
-    return plan
 
 
 def binomial_tree(n: int, root: int = 0) -> TreePlan:

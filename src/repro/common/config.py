@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigError
 from repro.common.units import KB, MB, is_power_of_two, mbps_to_ns_per_byte, mhz_to_ns
-from repro.common.wire import MAX_NODE
+from repro.common.wire import MAX_NODE, MAX_PAYLOAD
 from repro.faults.plan import FaultPlan
 
 
@@ -203,16 +203,6 @@ class NIUConfig:
     sram_cycles: int = 1
     #: IBus: 64-bit path clocked with the bus.
     ibus_width_bytes: int = 8
-    #: clsSRAM keeps 4 state bits per cache line of a coverage window.
-    clssram_lines: int = 64 * KB // 32 * 8
-    #: Basic message maximum payload (paper: "up to 88 bytes").
-    basic_max_payload: int = 88
-    #: Express message payload (paper: "five-byte payload": 4 data bytes on
-    #: the data bus + 1 byte encoded in the store address).
-    express_payload: int = 5
-    #: TagOn attachment sizes in cache lines (paper: 1.5 or 2.5 lines).
-    tagon_small_lines: float = 1.5
-    tagon_large_lines: float = 2.5
     #: depth of each CTRL command queue (2 local + 1 remote) in commands.
     cmdq_depth: int = 32
     #: depth of the rx miss/overflow queue in messages.
@@ -229,8 +219,6 @@ class NIUConfig:
             raise ConfigError("logical rx namespace smaller than hardware set")
         if self.queue_depth < 2 or not is_power_of_two(self.queue_depth):
             raise ConfigError("queue depth must be a power of two >= 2")
-        if self.basic_max_payload <= 0 or self.basic_max_payload % 8:
-            raise ConfigError("basic payload cap must be a positive multiple of 8")
         if self.cmdq_depth < 1 or self.missq_depth < 1:
             raise ConfigError("command/miss queue depths must be positive")
 
@@ -358,9 +346,6 @@ class FirmwareCostConfig:
     #: repro.traffic KV store: serve one get/put (decode, hash-table
     #: probe or install, compose reply).
     kv_op_insns: int = 90
-    #: repro.traffic KV store: per-key scan cost of a range request, on
-    #: top of the base op cost.
-    kv_range_per_key_insns: int = 25
     #: repro.traffic parameter server: fold one pushed gradient into a
     #: block accumulator.
     ps_push_insns: int = 60
@@ -465,9 +450,11 @@ class MachineConfig:
             self.faults.validate(self.n_nodes)
         if self.l2.line_bytes != self.bus.line_bytes:
             raise ConfigError("L2 line size must match the bus coherence line")
-        if self.niu.basic_max_payload > self.network.max_payload_bytes:
+        if self.network.max_payload_bytes < MAX_PAYLOAD:
             raise ConfigError(
-                "basic message payload cannot exceed the network packet payload"
+                f"a packet must carry the {MAX_PAYLOAD}-byte Basic payload "
+                f"(repro.common.wire.MAX_PAYLOAD); this network carries "
+                f"{self.network.max_payload_bytes}"
             )
         if self.dram.page_bytes % self.bus.line_bytes:
             raise ConfigError("page size must be a multiple of the line size")

@@ -87,13 +87,12 @@ MSG_UPDATE_RELEASE = 29  #: aP -> own sP: release an update region
 MSG_LOCK_LINK = 30  #: MCS (aP -> aP): successor announces itself
 MSG_LOCK_GRANT = 31  #: MCS (aP -> aP): predecessor hands the lock over
 MSG_USER = 64  #: first type value free for applications
-MSG_KV_REQ = MSG_USER  #: client -> server sP: get/put/range (value trailing)
+MSG_KV_REQ = MSG_USER  #: client -> server sP: get/put (value trailing)
 MSG_KV_REP = MSG_USER + 1  #: server sP -> client: status + value bytes
 MSG_PS_PUSH = MSG_USER + 2  #: worker -> parameter server sP: gradient push
 MSG_PS_REP = MSG_USER + 3  #: parameter server sP -> worker: updated weight
 MSG_USVC_REQ = MSG_USER + 4  #: parent -> child sP: fan-out stage request
 MSG_USVC_REP = MSG_USER + 5  #: child sP -> parent: stage complete
-MSG_KV_PUTREF = MSG_USER + 6  #: client -> server sP: PUT by DMA reference
 
 #: the ``N`` value naming no node (a combined sync tag's origin).
 NO_NODE = 0xFFFF
@@ -318,14 +317,10 @@ LOCK_MSG = Layout("group:I cell:I x x x x",
                   types=(MSG_LOCK_LINK, MSG_LOCK_GRANT))
 
 # -- serving applications (``MSG_USER`` and up) ----------------------------------
-#: a KV PUT's value is the trailing bytes, inline or as a TagOn
-#: attachment (delivered to the same place).
+#: a KV PUT's value is the trailing bytes; ``count`` is sent as 0.
 KV_REQ = Layout("op:B reply_queue:B x x req_id:I key:I count:H",
                 types=MSG_KV_REQ, tail="rest")
 KV_REP = Layout("status:B req_id:I", types=MSG_KV_REP, tail="rest")
-#: PUT by reference: the value already sits at ``addr`` in server DRAM.
-KV_PUTREF = Layout("x reply_queue:B x x req_id:I key:I addr:A length:I",
-                   types=MSG_KV_PUTREF)
 PS_PUSH = Layout("reply_queue:B x x step:I block:I n_workers:H grad:q",
                  types=MSG_PS_PUSH)
 PS_REP = Layout("x step:I block:I weight:q", types=MSG_PS_REP)

@@ -27,8 +27,8 @@ Collectives are selectable per machine through ``algo=``:
   Only those two collectives offload this far; the rest fall back to
   the machine's base algorithm.
 
-``barrier``/``allreduce`` also accept a per-call ``algo=`` override,
-so one program can compare families without rebuilding communicators.
+The ``"tree"`` and ``"nic"`` families fold along binomial trees
+(:func:`repro.collectives.plan.binomial_tree`).
 
 Fragment format (within one Basic payload, 88-byte cap):
 
@@ -53,7 +53,7 @@ from repro.collectives.firmware import (KIND_ALLREDUCE, KIND_BARRIER,
                                         KIND_BCAST, KIND_REDUCE,
                                         ensure_collectives)
 from repro.collectives.plan import (RdSchedule, TreePlan, binomial_tree,
-                                    kary_tree, recursive_doubling)
+                                    recursive_doubling)
 from repro.common.errors import ProgramError
 from repro.common.wire import COLL, COLL_MAX_DATA, MPI_FRAG, MSG_COLL_REQ, VALUE
 from repro.mp.basic import BasicPort
@@ -114,9 +114,7 @@ def _offload_code(code: Optional[int], where: str) -> int:
 class MiniMPI:
     """Factory for per-rank communicators over one (tx, rx) queue pair.
 
-    ``algo`` selects the collective family (see the module docstring);
-    ``tree``/``arity`` pick the spanning-tree shape (``"binomial"`` or
-    ``"kary"``) used by the ``"tree"`` and ``"nic"`` paths.
+    ``algo`` selects the collective family (see the module docstring).
 
     ``reliable=True`` routes every point-to-point fragment through the
     sP's go-back-N ack/retransmit firmware
@@ -128,20 +126,15 @@ class MiniMPI:
 
     def __init__(self, machine: "StarTVoyager", tx_index: int = 2,
                  rx_logical: int = 2, algo: str = "flat",
-                 tree: str = "binomial", arity: int = 2,
                  reliable: bool = False) -> None:
         if algo not in ALGOS:
             raise ProgramError(f"unknown collective algo {algo!r}; "
                                f"choose from {ALGOS}")
-        if tree not in ("binomial", "kary"):
-            raise ProgramError(f"unknown tree shape {tree!r}")
         self.machine = machine
         self.size = machine.config.n_nodes
         self.tx_index = tx_index
         self.rx_logical = rx_logical
         self.algo = algo
-        self.tree = tree
-        self.arity = arity
         self.reliable = reliable
         self.frag_data = FRAG_DATA_RELIABLE if reliable else FRAG_DATA
         if reliable:
@@ -157,7 +150,7 @@ class MiniMPI:
         if algo == "nic":
             # installs the CollectiveUnit firmware cluster-wide (no-op if
             # the shipped image already carries it)
-            self.nic_plan = ensure_collectives(machine, self._build_plan(0))
+            self.nic_plan = ensure_collectives(machine, self.plan(0))
         elif algo == "switch":
             self.sync_group()
 
@@ -178,15 +171,10 @@ class MiniMPI:
 
     # -- collective plans -----------------------------------------------------
 
-    def _build_plan(self, root: int) -> TreePlan:
-        if self.tree == "binomial":
-            return binomial_tree(self.size, root)
-        return kary_tree(self.size, root, self.arity)
-
     def plan(self, root: int) -> TreePlan:
-        """The spanning tree rooted at ``root`` (cached per root)."""
+        """The binomial tree rooted at ``root`` (cached per root)."""
         if root not in self._plans:
-            self._plans[root] = self._build_plan(root)
+            self._plans[root] = binomial_tree(self.size, root)
         return self._plans[root]
 
     def rd_schedule(self) -> RdSchedule:
@@ -305,18 +293,6 @@ class MpiRank:
         self._coll_seq += 1
         return seq & 0xFFFFFFFF, _COLL_TAG_BASE | (seq % _COLL_TAG_SPAN)
 
-    def _pick_algo(self, algo: Optional[str]) -> str:
-        """Resolve a per-call algorithm override (None = communicator's)."""
-        if algo is None:
-            return self.mpi.algo
-        if algo not in ALGOS:
-            raise ProgramError(f"unknown collective algo {algo!r}; "
-                               f"choose from {ALGOS}")
-        if algo == "nic" and self.mpi.nic_plan is None:
-            self.mpi.nic_plan = ensure_collectives(
-                self.mpi.machine, self.mpi._build_plan(0))
-        return algo
-
     def _nic_root(self, root: int) -> None:
         plan = self.mpi.nic_plan
         assert plan is not None
@@ -338,24 +314,17 @@ class MpiRank:
         yield from self.port.send_to(api, self.rank, SP_SERVICE_QUEUE,
                                      payload)
 
-    def barrier(self, api: "ApApi", algo: Optional[str] = None
-                ) -> Generator["Event", None, None]:
-        """All ranks synchronize.
-
-        ``algo`` overrides the communicator's family for this one call
-        (every rank must pass the same value — collective-call
-        discipline applies to the override too).
-        """
+    def barrier(self, api: "ApApi") -> Generator["Event", None, None]:
+        """All ranks synchronize."""
         t0 = api.now
-        yield from self._do_barrier(api, algo)
+        yield from self._do_barrier(api)
         self.stats.accumulator("mpi.barrier_ns").add(api.now - t0)
 
-    def _do_barrier(self, api: "ApApi", algo: Optional[str] = None
-                    ) -> Generator["Event", None, None]:
+    def _do_barrier(self, api: "ApApi") -> Generator["Event", None, None]:
         seq, tag = self._next_coll()
         if self.size == 1:
             return
-        algo = self._pick_algo(algo)
+        algo = self.mpi.algo
         if algo == "switch":
             yield from self.mpi.sync_group().barrier(api, self.rank)
         elif algo == "tree":
@@ -486,12 +455,10 @@ class MpiRank:
         yield from self._send(api, root, VALUE.pack(value), tag)
         return None
 
-    def allreduce(self, api: "ApApi", value: int, op: OpSpec = None,
-                  algo: Optional[str] = None
+    def allreduce(self, api: "ApApi", value: int, op: OpSpec = None
                   ) -> Generator["Event", None, int]:
         """Reduce with ``op`` (default sum); every rank returns the result.
 
-        ``algo`` overrides the communicator's family for this call.
         Every family accepts the named ops of
         :data:`repro.net.combine.OPS`; callables run only on the host
         families (``"flat"``/``"tree"``).
@@ -500,7 +467,7 @@ class MpiRank:
         # spinning in the NIC allreduce's receive resumes this chain on
         # every poll.  Each branch leaves its result in ``out``.
         t0 = api.now
-        algo = self._pick_algo(algo)
+        algo = self.mpi.algo
         if algo == "switch":
             self._next_coll()  # keep tag sequencing aligned across algos
             code = _offload_code(_resolve_op(op)[0], "in-switch")

@@ -6,18 +6,17 @@ does an application see under production-shaped load?*  Three
 applications run on the messaging and firmware layers:
 
 * a distributed **KV store** (:mod:`repro.traffic.kv`) — consistent-hash
-  sharded, served by sP firmware, Zipf-skewed keys, PUTs over the
-  Basic/TagOn/DMA paths, optional reliable delivery;
+  sharded, served by sP firmware, Zipf-skewed keys, every request one
+  Basic message;
 * a **parameter-server / allreduce training loop**
   (:mod:`repro.traffic.train`) — the same synchronous step through a
   central server or through flat/tree/nic/switch collectives;
 * **microservice fan-out trees** (:mod:`repro.traffic.usvc`) — per-stage
   service times, tail-at-scale request shapes.
 
-Load is open-loop by default (:mod:`repro.traffic.load`): seeded
-Poisson or bursty MMPP arrivals with per-node schedules that depend
-only on ``(seed, node)`` — deterministic at any ``--jobs`` count —
-or an explicit replayed trace.  Per-request accounting
+Load is open-loop (:mod:`repro.traffic.load`): seeded Poisson arrivals
+with per-node schedules that depend only on ``(seed, node)`` —
+deterministic at any ``--jobs`` count — or an explicit trace.  Per-request accounting
 (:mod:`repro.traffic.slo`) flows into the ``traffic`` section of
 ``machine.metrics()`` with goodput and p50/p99/p99.9.
 """
@@ -25,7 +24,6 @@ or an explicit replayed trace.  Per-request accounting
 from repro.traffic.firmware import ensure_traffic, setup_traffic
 from repro.traffic.kv import KvClient, home_node
 from repro.traffic.load import (
-    MmppArrivals,
     PoissonArrivals,
     TraceRecord,
     ZipfKeys,
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_SLO_NS",
     "KvClient",
     "KvScenario",
-    "MmppArrivals",
     "PoissonArrivals",
     "SloRecorder",
     "TRAFFIC_SCENARIOS",

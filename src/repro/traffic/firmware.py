@@ -5,13 +5,10 @@ queue, exactly like the platform protocols — the paper's point that the
 embedded sP makes the NIU a *programmable* application accelerator:
 
 * **KV store** — each node is home for a shard of the key space;
-  get/put/range run against an in-DRAM table (modelled as ``sp.state``)
-  with per-op instruction budgets from
-  :class:`~repro.common.config.FirmwareCostConfig`.  PUT values arrive
-  inline, as TagOn attachments (same handler — see ``KV_REQ`` in
-  :mod:`repro.common.wire`), or by DMA reference
-  (``MSG_KV_PUTREF``, where the handler pulls the staged bytes through
-  :func:`~repro.firmware.base.fw_dram_read`).
+  get/put run against an in-DRAM table (modelled as ``sp.state``)
+  with the per-op instruction budget from
+  :class:`~repro.common.config.FirmwareCostConfig`.  A PUT's value
+  arrives inline, after the ``KV_REQ`` header.
 * **Parameter server** — accumulates one gradient per worker per
   ``(step, block)``; when the last contribution lands it applies the
   update and fans the new weight back to every contributor, the classic
@@ -33,10 +30,8 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
 from repro.common.errors import FirmwareError
 from repro.common.wire import (
-    KV_PUTREF,
     KV_REP,
     KV_REQ,
-    MSG_KV_PUTREF,
     MSG_KV_REQ,
     MSG_PS_PUSH,
     MSG_USVC_REP,
@@ -46,12 +41,7 @@ from repro.common.wire import (
     USVC_REP,
     USVC_REQ,
 )
-from repro.firmware.base import (
-    fw_dram_read,
-    fw_send_to,
-    fw_wait,
-    register_msg_handler,
-)
+from repro.firmware.base import fw_send_to, register_msg_handler
 from repro.niu.niu import SP_SERVICE_QUEUE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,22 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: KV operations (the ``op`` byte of ``MSG_KV_REQ``).
 KV_GET = 0
 KV_PUT = 1
-KV_RANGE = 2
 
 #: KV reply status byte.
 KV_OK = 0
 KV_MISS = 1
-
-#: sSRAM staging offset for DMA-referenced PUT values (distinct from the
-#: DMA/blockxfer staging areas, which use low offsets).
-_KV_STAGING = 0x700
-
-#: a KV reply must fit one Basic message: 6 header bytes + value.
-_KV_REPLY_VALUE_CAP = 80
-
-#: doorbell poll period / retry bound for DMA-referenced PUTs.
-_PUTREF_POLL_NS = 500.0
-_PUTREF_POLL_LIMIT = 256
 
 
 class TrafficState:
@@ -115,54 +93,19 @@ def _state(sp: "ServiceProcessor") -> TrafficState:
 def _on_kv_req(sp: "ServiceProcessor", src: int, payload: bytes
                ) -> Generator["Event", None, None]:
     st = _state(sp)
-    op, reply_q, req_id, key, count, value = KV_REQ.unpack(payload)
+    op, reply_q, req_id, key, _count, value = KV_REQ.unpack(payload)
+    yield sp.compute(sp.fw.kv_op_insns)
     if op == KV_PUT:
-        yield sp.compute(sp.fw.kv_op_insns)
         st.store[key] = bytes(value)
         rep = KV_REP.pack(KV_OK, req_id)
     elif op == KV_GET:
-        yield sp.compute(sp.fw.kv_op_insns)
         found = st.store.get(key)
         rep = KV_REP.pack(KV_OK if found is not None else KV_MISS, req_id,
                           tail=found or b"")
-    elif op == KV_RANGE:
-        yield sp.compute(sp.fw.kv_op_insns
-                         + count * sp.fw.kv_range_per_key_insns)
-        joined = b"".join(st.store.get(k, b"")
-                          for k in range(key, key + count))
-        rep = KV_REP.pack(KV_OK, req_id, tail=joined[:_KV_REPLY_VALUE_CAP])
     else:
         raise FirmwareError(f"unknown KV op {op}")
     sp.stats.counter(f"traffic.kv.s{sp.node_id}.served").incr()
     yield from fw_send_to(sp, src, reply_q, rep)
-
-
-def _on_kv_putref(sp: "ServiceProcessor", src: int, payload: bytes
-                  ) -> Generator["Event", None, None]:
-    """PUT by DMA reference: RDMA-write plus doorbell polling.
-
-    The control message (this request) races the block-transfer data on
-    the network, so the staged region carries a trailing 4-byte doorbell
-    token (the request id, written *last* by the sequential block
-    pieces).  The handler polls the region until the doorbell matches —
-    the standard RDMA completion idiom, here in sP firmware.
-    """
-    st = _state(sp)
-    reply_q, req_id, key, addr, length = KV_PUTREF.unpack(payload)
-    yield sp.compute(sp.fw.kv_op_insns)
-    for attempt in range(_PUTREF_POLL_LIMIT):
-        data = yield from fw_dram_read(sp, addr, length + 4, _KV_STAGING)
-        if int.from_bytes(data[length:], "big") == req_id:  # repro: allow ARCH003 -- doorbell
-            break
-        poll = sp.engine.timeout(_PUTREF_POLL_NS)  # fw_wait takes an Event
-        yield from fw_wait(sp, poll)
-    else:
-        raise FirmwareError(
-            f"node {sp.node_id}: DMA PUT doorbell for req {req_id} "
-            f"never rang (addr {addr:#x})")
-    st.store[key] = data[:length]
-    sp.stats.counter(f"traffic.kv.s{sp.node_id}.served").incr()
-    yield from fw_send_to(sp, src, reply_q, KV_REP.pack(KV_OK, req_id))
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +193,6 @@ def setup_traffic(sp: "ServiceProcessor", n_nodes: int) -> None:
         return
     sp.state["traffic"] = TrafficState(n_nodes)
     register_msg_handler(sp, MSG_KV_REQ, _on_kv_req)
-    register_msg_handler(sp, MSG_KV_PUTREF, _on_kv_putref)
     register_msg_handler(sp, MSG_PS_PUSH, _on_ps_push)
     register_msg_handler(sp, MSG_USVC_REQ, _on_usvc_req)
     register_msg_handler(sp, MSG_USVC_REP, _on_usvc_rep)

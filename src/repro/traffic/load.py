@@ -9,22 +9,15 @@ generator therefore owns a private :class:`random.Random` seeded from
 ``(seed, node)``, so node 37's schedule is the same sequence in any
 process.
 
-Three arrival shapes cover the datacenter-serving literature:
-
-* :class:`PoissonArrivals` — memoryless open-loop load, the baseline
-  every queueing result is stated against;
-* :class:`MmppArrivals` — a two-state Markov-modulated Poisson process,
-  the standard bursty-traffic model (quiet periods punctuated by
-  arrival storms that stress tail latency far beyond the mean rate);
-* closed-loop client pools live with the applications (a closed loop
-  has no schedule — its "arrivals" are reply-triggered).
+Arrivals are open-loop Poisson (:class:`PoissonArrivals`): memoryless
+load, the baseline every queueing result is stated against.
 
 Key popularity is Zipf-skewed (:class:`ZipfKeys`): rank-``r`` keys draw
 with weight ``1/r**skew``, the shape measured for memcached-style
 workloads, and the reason hot-key incast is a first-class scenario.
 
 Every schedule is a list of :class:`TraceRecord` rows, which a
-scenario can replay exactly or slice per node.
+scenario replays, sliced per node.
 """
 
 from __future__ import annotations
@@ -61,8 +54,6 @@ class PoissonArrivals:
     ``1e9 / rate_rps`` nanoseconds.
     """
 
-    kind = "poisson"
-
     def __init__(self, rate_rps: float, seed: int = 0, node: int = 0,
                  start_ns: float = 0.0) -> None:
         if rate_rps <= 0:
@@ -80,62 +71,6 @@ class PoissonArrivals:
         out: List[float] = []
         for _ in range(n):
             t += rng.expovariate(rate_per_ns)
-            out.append(t)
-        return out
-
-
-class MmppArrivals:
-    """Two-state Markov-modulated Poisson process (bursty arrivals).
-
-    The process alternates exponentially-distributed sojourns in a
-    *quiet* state (``rate_rps``) and a *burst* state (``rate_rps *
-    burst_factor``); within a sojourn, arrivals are Poisson at the
-    state's rate.  Mean sojourn lengths come from ``quiet_ns`` /
-    ``burst_ns``.  The long-run mean rate sits between the two state
-    rates, but the tail behaviour is dominated by the bursts — the
-    point of using an MMPP at all.
-    """
-
-    kind = "mmpp"
-
-    def __init__(self, rate_rps: float, seed: int = 0, node: int = 0,
-                 burst_factor: float = 8.0, quiet_ns: float = 200_000.0,
-                 burst_ns: float = 50_000.0, start_ns: float = 0.0) -> None:
-        if rate_rps <= 0:
-            raise ConfigError(f"arrival rate must be positive: {rate_rps}")
-        if burst_factor < 1.0:
-            raise ConfigError(
-                f"burst factor must be >= 1 (got {burst_factor})")
-        if quiet_ns <= 0 or burst_ns <= 0:
-            raise ConfigError("MMPP sojourn means must be positive")
-        self.rate_rps = rate_rps
-        self.burst_factor = burst_factor
-        self.quiet_ns = quiet_ns
-        self.burst_ns = burst_ns
-        self.seed = seed
-        self.node = node
-        self.start_ns = start_ns
-
-    def schedule(self, n: int) -> List[float]:
-        """The node's first ``n`` arrival times (ns, ascending)."""
-        rng = node_rng(self.seed, self.node, salt=2)
-        rates = (self.rate_rps / 1e9,
-                 self.rate_rps * self.burst_factor / 1e9)
-        sojourns = (self.quiet_ns, self.burst_ns)
-        state = 0
-        t = self.start_ns
-        state_end = t + rng.expovariate(1.0 / sojourns[state])
-        out: List[float] = []
-        while len(out) < n:
-            gap = rng.expovariate(rates[state])
-            if t + gap >= state_end:
-                # no arrival before the state flips; advance the clock
-                # to the transition and redraw in the new state
-                t = state_end
-                state = 1 - state
-                state_end = t + rng.expovariate(1.0 / sojourns[state])
-                continue
-            t += gap
             out.append(t)
         return out
 
@@ -173,7 +108,7 @@ class ZipfKeys:
 
 
 # ----------------------------------------------------------------------
-# replayable traces
+# traces
 # ----------------------------------------------------------------------
 
 
@@ -182,41 +117,31 @@ class TraceRecord(NamedTuple):
 
     time_ns: float  #: scheduled (open-loop) arrival time
     node: int  #: client node issuing the request
-    op: str  #: application operation ("get", "put", "range", ...)
+    op: str  #: application operation ("get", "put", "tree")
     key: int  #: key / block / tree id the request addresses
     size: int  #: payload bytes (0 where the op carries none)
 
 
 def make_kv_trace(n_nodes: int, per_node: int, rate_rps: float, *,
                   seed: int = 0, n_keys: int = 256, skew: float = 1.1,
-                  put_fraction: float = 0.25, range_fraction: float = 0.0,
-                  value_bytes: int = 8, process: str = "poisson",
-                  burst_factor: float = 8.0) -> List[TraceRecord]:
+                  put_fraction: float = 0.25, value_bytes: int = 8
+                  ) -> List[TraceRecord]:
     """A complete KV-store trace: every node's schedule, merged in time.
 
     Built per node from the seeded generators above and merged on
     ``(time_ns, node)``, so the trace is byte-identical however many
     processes later replay it.
     """
-    if not (0.0 <= put_fraction + range_fraction <= 1.0):
-        raise ConfigError("op fractions must sum to at most 1")
+    if not (0.0 <= put_fraction <= 1.0):
+        raise ConfigError("put fraction must lie in [0, 1]")
     records: List[TraceRecord] = []
     for node in range(n_nodes):
-        if process == "poisson":
-            arrivals = PoissonArrivals(rate_rps, seed=seed, node=node)
-        elif process == "mmpp":
-            arrivals = MmppArrivals(rate_rps, seed=seed, node=node,
-                                    burst_factor=burst_factor)
-        else:
-            raise ConfigError(f"unknown arrival process {process!r}")
+        arrivals = PoissonArrivals(rate_rps, seed=seed, node=node)
         keys = ZipfKeys(n_keys, skew=skew, seed=seed, node=node)
         ops = node_rng(seed, node, salt=4)
         for t in arrivals.schedule(per_node):
-            u = ops.random()
-            if u < put_fraction:
+            if ops.random() < put_fraction:
                 op, size = "put", value_bytes
-            elif u < put_fraction + range_fraction:
-                op, size = "range", 0
             else:
                 op, size = "get", 0
             records.append(TraceRecord(t, node, op, keys.draw(), size))

@@ -5,8 +5,8 @@ These plug the serving workloads into the same
 use, so the :mod:`repro.scenarios` runner (and therefore the benches,
 the tests, the explorer and CI) can run them at any node count:
 
-``traffic_kv``     open- or closed-loop KV store load (the arrival
-                   schedules derive only from seed+node).
+``traffic_kv``     open-loop KV store load (the arrival schedules
+                   derive only from seed+node).
 ``traffic_train``  parameter-server or allreduce training steps.
 ``traffic_usvc``   microservice fan-out trees.
 
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.common.errors import ConfigError
 from repro.scenarios import Scenario
 from repro.traffic.load import (
-    MmppArrivals,
     PoissonArrivals,
     TraceRecord,
     make_kv_trace,
@@ -32,33 +32,31 @@ from repro.traffic.slo import DEFAULT_SLO_NS
 
 
 class KvScenario(Scenario):
-    """The KV store under seeded open-loop (or closed-loop) load."""
+    """The KV store under seeded open-loop load.
+
+    ``transport`` names the requests' path; ``"basic"`` (one Basic
+    message per request, values inline) is the only one.
+    """
 
     name = "traffic_kv"
     explore_params = {"per_node": 3, "rate_rps": 200_000.0, "n_keys": 16}
 
     def __init__(self, per_node: int = 8, rate_rps: float = 100_000.0,
                  n_keys: int = 256, skew: float = 1.1,
-                 put_fraction: float = 0.25, range_fraction: float = 0.0,
-                 value_bytes: int = 8, process: str = "poisson",
-                 transport: str = "basic", reliable: bool = False,
-                 slo_ns: float = DEFAULT_SLO_NS, seed: int = None,
-                 closed_loop: bool = False, window: int = 4,
-                 trace: List[TraceRecord] = None) -> None:
+                 put_fraction: float = 0.25, value_bytes: int = 8,
+                 transport: str = "basic", slo_ns: float = DEFAULT_SLO_NS,
+                 seed: int = None, trace: List[TraceRecord] = None) -> None:
+        if transport != "basic":
+            raise ConfigError(f"unknown KV transport {transport!r}; "
+                              "requests travel as Basic messages")
         self.per_node = per_node
         self.rate_rps = rate_rps
         self.n_keys = n_keys
         self.skew = skew
         self.put_fraction = put_fraction
-        self.range_fraction = range_fraction
         self.value_bytes = value_bytes
-        self.process = process
-        self.transport = transport
-        self.reliable = reliable
         self.slo_ns = slo_ns
         self.seed = seed
-        self.closed_loop = closed_loop
-        self.window = window
         #: an explicit replay trace overrides the generated schedules.
         self.trace = trace
 
@@ -69,9 +67,7 @@ class KvScenario(Scenario):
         return make_kv_trace(
             machine.config.n_nodes, self.per_node, self.rate_rps,
             seed=seed, n_keys=self.n_keys, skew=self.skew,
-            put_fraction=self.put_fraction,
-            range_fraction=self.range_fraction,
-            value_bytes=self.value_bytes, process=self.process)
+            put_fraction=self.put_fraction, value_bytes=self.value_bytes)
 
     def setup(self, phase: int, machine, nodes, ctx) -> None:
         from repro.traffic.kv import KvClient
@@ -79,16 +75,10 @@ class KvScenario(Scenario):
         trace = self._records(machine)
         clients = ctx.setdefault("clients", [])
         for node in nodes:
-            records = node_slice(trace, node)
-            client = KvClient(machine, machine.node(node),
-                              slo_ns=self.slo_ns, transport=self.transport,
-                              reliable=self.reliable)
+            client = KvClient(machine, machine.node(node), slo_ns=self.slo_ns)
             clients.append(client)
-            if self.closed_loop:
-                machine.spawn(node, client.closed_loop(records, self.window))
-            else:
-                for prog in client.open_loop(records):
-                    machine.spawn(node, prog)
+            for prog in client.open_loop(node_slice(trace, node)):
+                machine.spawn(node, prog)
 
     def result(self, machine, nodes, ctx) -> Dict[str, int]:
         clients = ctx.get("clients", [])
@@ -109,12 +99,11 @@ class TrainScenario(Scenario):
 
     def __init__(self, mode: str = "ps", algo: str = "tree",
                  n_blocks: int = 4, steps: int = 4,
-                 reliable: bool = False, slo_ns: float = None) -> None:
+                 slo_ns: float = None) -> None:
         self.mode = mode
         self.algo = algo
         self.n_blocks = n_blocks
         self.steps = steps
-        self.reliable = reliable
         self.slo_ns = slo_ns
 
     def setup(self, phase: int, machine, nodes, ctx) -> None:
@@ -126,8 +115,7 @@ class TrainScenario(Scenario):
                    else DEFAULT_STEP_SLO_NS)
             job = ctx["job"] = TrainJob(
                 machine, mode=self.mode, algo=self.algo,
-                n_blocks=self.n_blocks, steps=self.steps, slo_ns=slo,
-                reliable=self.reliable)
+                n_blocks=self.n_blocks, steps=self.steps, slo_ns=slo)
         for node in nodes:
             machine.spawn(node, job.worker(node))
 
@@ -149,15 +137,12 @@ class UsvcScenario(Scenario):
 
     def __init__(self, per_node: int = 4, rate_rps: float = 20_000.0,
                  depth: int = 2, fanout: int = 2, svc_insns: int = 200,
-                 process: str = "poisson", reliable: bool = False,
                  slo_ns: float = None, seed: int = None) -> None:
         self.per_node = per_node
         self.rate_rps = rate_rps
         self.depth = depth
         self.fanout = fanout
         self.svc_insns = svc_insns
-        self.process = process
-        self.reliable = reliable
         self.slo_ns = slo_ns
         self.seed = seed
 
@@ -170,18 +155,13 @@ class UsvcScenario(Scenario):
                else DEFAULT_TREE_SLO_NS)
         clients = ctx.setdefault("clients", [])
         for node in nodes:
-            if self.process == "mmpp":
-                arrivals = MmppArrivals(self.rate_rps, seed=seed, node=node)
-            else:
-                arrivals = PoissonArrivals(self.rate_rps, seed=seed,
-                                           node=node)
+            arrivals = PoissonArrivals(self.rate_rps, seed=seed, node=node)
             entries = node_rng(seed, node, salt=5)
             records = [TraceRecord(t, node, "tree", entries.randrange(n), 0)
                        for t in arrivals.schedule(self.per_node)]
             client = UsvcClient(machine, machine.node(node),
                                 depth=self.depth, fanout=self.fanout,
-                                svc_insns=self.svc_insns, slo_ns=slo,
-                                reliable=self.reliable)
+                                svc_insns=self.svc_insns, slo_ns=slo)
             clients.append(client)
             for prog in client.open_loop(records):
                 machine.spawn(node, prog)

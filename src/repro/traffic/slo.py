@@ -5,8 +5,8 @@ counters and one latency accumulator with names the metrics snapshot
 (:mod:`repro.obs.snapshot`) knows how to roll up into the ``traffic``
 section:
 
-* ``traffic.<app>.n<node>.offered`` — requests scheduled (open loop) or
-  issued (closed loop);
+* ``traffic.<app>.n<node>.offered`` — requests scheduled (a training
+  step counts when it starts);
 * ``traffic.<app>.n<node>.completed`` — replies received;
 * ``traffic.<app>.n<node>.slo_violations`` — completions later than the
   SLO bound;

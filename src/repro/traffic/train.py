@@ -53,8 +53,7 @@ class TrainJob:
 
     def __init__(self, machine: "StarTVoyager", *, mode: str = "ps",
                  algo: str = "tree", n_blocks: int = 4, steps: int = 4,
-                 slo_ns: float = DEFAULT_STEP_SLO_NS,
-                 reliable: bool = False) -> None:
+                 slo_ns: float = DEFAULT_STEP_SLO_NS) -> None:
         if mode not in ("ps", "allreduce"):
             raise ConfigError(f"unknown training mode {mode!r}")
         ensure_traffic(machine)
@@ -65,8 +64,7 @@ class TrainJob:
         self.steps = steps
         self.slo_ns = slo_ns
         self.n_nodes = machine.config.n_nodes
-        self.reliable = reliable
-        self._mpi = (MiniMPI(machine, algo=algo, reliable=reliable)
+        self._mpi = (MiniMPI(machine, algo=algo)
                      if mode == "allreduce" else None)
 
     def worker(self, node: int) -> Callable[["ApApi"], Generator]:
@@ -93,8 +91,7 @@ class TrainJob:
                     yield from port.send_to(
                         api, home, SP_SERVICE_QUEUE,
                         PS_PUSH.pack(RX_LOGICAL, step, block, self.n_nodes,
-                                     grad),
-                        reliable=self.reliable)
+                                     grad))
                 # synchronous step: wait for every block's new weight
                 for _ in range(self.n_blocks):
                     _src, payload = yield from port.recv(api)

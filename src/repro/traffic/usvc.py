@@ -40,8 +40,7 @@ class UsvcClient:
 
     def __init__(self, machine: "StarTVoyager", node: "NodeBoard", *,
                  depth: int = 2, fanout: int = 2, svc_insns: int = 200,
-                 slo_ns: float = DEFAULT_TREE_SLO_NS,
-                 reliable: bool = False) -> None:
+                 slo_ns: float = DEFAULT_TREE_SLO_NS) -> None:
         ensure_traffic(machine)
         self.machine = machine
         self.node = node
@@ -49,23 +48,20 @@ class UsvcClient:
         self.depth = depth
         self.fanout = fanout
         self.svc_insns = svc_insns
-        self.reliable = reliable
         self.port = BasicPort(node, TX_INDEX, RX_LOGICAL)
         self.slo = SloRecorder(node, "usvc", slo_ns)
         self.inflight: Dict[int, float] = {}
         self._next_req = 0
 
-    def _issue(self, api: "ApApi", rec: TraceRecord, sched_ns: float
-               ) -> Generator:
+    def _issue(self, api: "ApApi", rec: TraceRecord) -> Generator:
         req_id = self._next_req
         self._next_req += 1
-        self.inflight[req_id] = sched_ns
+        self.inflight[req_id] = rec.time_ns
         self.slo.offer()
         entry = rec.key % self.n_nodes
         payload = USVC_REQ.pack(self.depth, self.fanout, RX_LOGICAL,
                                 req_id, self.svc_insns)
-        yield from self.port.send_to(api, entry, SP_SERVICE_QUEUE, payload,
-                                     reliable=self.reliable)
+        yield from self.port.send_to(api, entry, SP_SERVICE_QUEUE, payload)
 
     def open_loop(self, records: Sequence[TraceRecord]
                   ) -> List[Callable[["ApApi"], Generator]]:
@@ -76,7 +72,7 @@ class UsvcClient:
             for rec in records:
                 if rec.time_ns > api.now:
                     yield from api.sleep(rec.time_ns - api.now)
-                yield from self._issue(api, rec, rec.time_ns)
+                yield from self._issue(api, rec)
 
         def receiver(api: "ApApi"):
             for _ in range(total):

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.collectives.firmware import ensure_collectives
-from repro.collectives.plan import kary_tree
+from repro.collectives.plan import binomial_tree
 from repro.common.errors import ProgramError, SimulationError
 from repro.lib.mpi import MiniMPI
 
@@ -52,14 +52,6 @@ def test_algos_agree(algo, n):
         assert total == (n * (n + 1) // 2 if rank == 0 else None)
         assert big == n
         assert parts == (expected_gather if rank == 0 else None)
-
-
-@pytest.mark.parametrize("algo", ["tree", "nic"])
-def test_kary_tree_shape(algo):
-    machine = _machine(6)
-    results = _run_suite(machine, MiniMPI(machine, algo=algo, tree="kary",
-                                          arity=3))
-    assert all(r[2] == 6 for r in results)
 
 
 def test_nic_firmware_combines():
@@ -141,8 +133,8 @@ def test_ensure_collectives_replaces_idle_plan():
     # the default image ships a binomial plan; an explicit different
     # plan reinstalls cluster-wide while nothing is in flight
     assert ensure_collectives(machine).kind == "binomial"
-    plan = ensure_collectives(machine, kary_tree(4, k=3))
-    assert plan.kind == "kary3"
+    plan = ensure_collectives(machine, binomial_tree(4, root=2))
+    assert plan.root == 2
     assert machine.node(2).sp.state["collectives"].plan is plan
     # and asking again without a plan keeps it
     assert ensure_collectives(machine) is plan
@@ -152,8 +144,6 @@ def test_invalid_algo_rejected():
     machine = _machine(2)
     with pytest.raises(ProgramError):
         MiniMPI(machine, algo="quantum")
-    with pytest.raises(ProgramError):
-        MiniMPI(machine, tree="fractal")
 
 
 def test_tree_reduce_canonical_order():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.collectives.firmware import KIND_ALLREDUCE, KIND_BCAST
-from repro.collectives.plan import binomial_tree, kary_tree, recursive_doubling
+from repro.collectives.plan import binomial_tree, recursive_doubling
 from repro.common.errors import NetworkError, ProgramError
 from repro.common.wire import COLL, COLL_MAX_DATA, MSG_COLL_REQ, VALUE
 from repro.net.combine import (OP_ADD, OP_CSWAP, OP_MAX, OP_MIN, OP_OR,
@@ -38,9 +38,7 @@ def test_unknown_ops_rejected():
 # -- spanning trees -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("builder", [binomial_tree,
-                                     lambda n, r=0: kary_tree(n, r, 2),
-                                     lambda n, r=0: kary_tree(n, r, 4)])
+@pytest.mark.parametrize("builder", [binomial_tree])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 8, 13, 16, 17, 32, 33])
 def test_trees_are_spanning(builder, n):
     for root in {0, n // 2, n - 1}:
@@ -58,12 +56,6 @@ def test_binomial_depth_logarithmic():
     # depth is the max popcount of a virtual rank, e.g. 15 = 0b1111
     assert binomial_tree(17).depth() == 4
     assert binomial_tree(32).depth() == 5
-
-
-def test_kary_depth_logarithmic():
-    assert kary_tree(15, k=2).depth() == 3
-    assert kary_tree(16, k=2).depth() == 4
-    assert kary_tree(21, k=4).depth() == 2
 
 
 def test_binomial_subtree_contiguous():
@@ -102,8 +94,6 @@ def test_tree_argument_errors():
         binomial_tree(0)
     with pytest.raises(ProgramError):
         binomial_tree(4, root=4)
-    with pytest.raises(ProgramError):
-        kary_tree(4, k=0)
 
 
 # -- recursive doubling ----------------------------------------------------------

@@ -1,7 +1,13 @@
 """MachineConfig defaults, validation, and copying."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.common import wire
 from repro.common.config import (
     BusConfig,
     CacheConfig,
@@ -27,7 +33,7 @@ def test_paper_constants():
     # 96-byte Arctic packets leave 88 bytes of payload, the Basic cap
     assert cfg.network.max_packet_bytes == 96
     assert cfg.network.max_payload_bytes == 88
-    assert cfg.niu.basic_max_payload == 88
+    assert wire.MAX_PAYLOAD == 88
     # 16 hardware queues each way
     assert cfg.niu.n_hw_tx_queues == 16
     assert cfg.niu.n_hw_rx_queues == 16
@@ -65,10 +71,34 @@ def test_line_mismatch_rejected():
 
 
 def test_payload_exceeding_packet_rejected():
+    """A packet too small for the Basic payload cap is refused."""
     cfg = default_config()
-    cfg.niu.basic_max_payload = 96
+    cfg.network.max_packet_bytes = 88  # 80 payload bytes < MAX_PAYLOAD
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_every_config_field_has_a_reader():
+    """Every field of every sub-config (``cfg.niu``, ``cfg.firmware``,
+    ...) is read as an attribute somewhere in ``src/repro`` outside
+    ``common/config.py``: a knob the simulator never reads changes
+    nothing, yet validates and lands in every metrics snapshot."""
+    root = Path(repro.__file__).parent
+    read = set()
+    for path in root.rglob("*.py"):
+        if path == root / "common" / "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+    cfg = default_config()
+    unread = [f"{type(sub).__name__}.{f.name}"
+              for sub in (getattr(cfg, top.name)
+                          for top in dataclasses.fields(cfg))
+              if dataclasses.is_dataclass(sub)
+              for f in dataclasses.fields(sub) if f.name not in read]
+    assert not unread, f"config fields nothing reads: {unread}"
 
 
 def test_priorities_minimum_two():

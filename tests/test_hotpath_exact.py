@@ -32,15 +32,15 @@ from repro.scenarios import ScenarioMachine, scenario
 PINS = {
     ("traffic_train", (("algo", "nic"), ("mode", "allreduce")), 8): (
         125642, 125642, 301450.16429354844,
-        "039479d912fbcbb7669c1e8329014d9cd98da459aed6948a6f372a9fa94d05d8",
+        "0e27937a6dca5fbbcb6f24db4da080fa46f9e3a2aadd3ee88a8c8234e05b3c65",
     ),
     ("traffic_kv", (), 4): (
         16792, 16792, 79970.70551357562,
-        "7cacdeda936eafa79a7768f0c7737fa05e039d376487d501470def2b58545469",
+        "9ad3f6a956dfa612fcb87fafb5bb582ffb9e040cb3d798c601473f64bf07c0c1",
     ),
     ("shm_hash", (), 4): (
         98948, 98948, 437677.40781307913,
-        "bfcf49ea6d7d27381580f6dcaf311d0f184c76731b4c29e26c8635b58f8a472c",
+        "63454285d4c32f4dd2b5bb91238303d54cf4adff2de5b83cb49746571cf8457f",
     ),
 }
 
@@ -72,11 +72,11 @@ def test_stock_scenario_matches_pins(key):
 CRASH_PINS = {
     "mid_bus_op": (2333.0, (
         2287, 2287, 9675.063891931355,
-        "f2af9d3a6b7f9168b8790afa72b421908368128ba93cf88f3d38e47e76479a72",
+        "c599ebe68cfab4062a28f7f66a61bfec8914feef40255682f22ee16f3049f753",
     )),
     "mid_compute": (2703.0, (
         2310, 2310, 9675.063891931355,
-        "0db1cd5d4cca13840b4c89d7a2f81245b67937f6869dd3f0fb35f15f4e356bf1",
+        "9f72a9b946f8b9c9dd819f341d14439d65b3571d9e1606ac602109d2120bc815",
     )),
 }
 

@@ -126,9 +126,6 @@ PINS = [
      "4002ff0000" + "ff" * 10 + full(73).hex()),
     ("KV_REP", (0, 0), b"", "410000000000"),
     ("KV_REP", (1, U32), full(82), "4101ffffffff" + full(82).hex()),
-    ("KV_PUTREF", (0, 0, 0, 0, 0), b"", "46" + "00" * 22),
-    ("KV_PUTREF", (255, U32, U32, A48, U32), b"",
-     "4600ff0000" + "ff" * 18),
     ("PS_PUSH", (0, 0, 0, 0, 0), b"", "42" + "00" * 21),
     ("PS_PUSH", (255, U32, U32, 0xFFFF, QMIN), b"",
      "42ff0000" + "ff" * 10 + "8000000000000000"),
@@ -184,10 +181,12 @@ def test_every_layout_is_pinned():
 def test_renumbered_types_sit_below_the_application_range():
     moved = [t for old_new in RENUMBERED.values() for t in old_new.values()]
     assert all(t < wire.MSG_USER for t in moved)
-    # the serving applications keep MSG_USER + 0..6
+    # the serving applications keep MSG_USER + 0..5; + 6 stays unassigned
     assert [wire.MSG_KV_REQ, wire.MSG_KV_REP, wire.MSG_PS_PUSH,
-            wire.MSG_PS_REP, wire.MSG_USVC_REQ, wire.MSG_USVC_REP,
-            wire.MSG_KV_PUTREF] == [wire.MSG_USER + i for i in range(7)]
+            wire.MSG_PS_REP, wire.MSG_USVC_REQ, wire.MSG_USVC_REP
+            ] == [wire.MSG_USER + i for i in range(6)]
+    claimed = {t for layout in wire.TABLE.values() for t in layout.types}
+    assert wire.MSG_USER + 6 not in claimed
 
 
 # -- length and type guards ------------------------------------------------------
