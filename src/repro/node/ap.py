@@ -26,10 +26,13 @@ from repro.bus.ops import (OP_READ, OP_READ_LINE, OP_WRITE, OP_WRITE_LINE,
 from repro.common.config import MachineConfig
 from repro.common.errors import ProgramError
 from repro.mem.address import MODE_BURST, MODE_CACHED, AccessMode
+from repro.mem.backing import ByteBacking
 from repro.mem.sram import PORT_BUS
 from repro.sim.process import Spin
 
 if TYPE_CHECKING:  # pragma: no cover
+    from array import array
+
     from repro.mem.sram import DualPortedSRAM
     from repro.niu.abiu import BusHandler
     from repro.node.node import NodeBoard
@@ -134,9 +137,16 @@ class ShadowPoll(Spin):
     byte wakes the spin first.  It is :meth:`ready` only while the bus
     and that port are idle, tracing is off, and the register still
     resolves to the same uncached region and handler.
+
+    The iteration is five sleeps: the bus's arbitration and address
+    tenure, its snoop window, the aBIU's CTRL op, the shadow read through
+    the port, and the loop's compute, which a dormant spin is parked in.
+    :meth:`skip` replays whole ones arithmetically.
     """
 
     __slots__ = ("ap", "abiu", "handler", "addr", "bank", "lo", "hi")
+
+    sleeps = 5
 
     def __init__(self, ap: "AppProcessor", abiu: Any, handler: "BusHandler",
                  addr: int, bank: "DualPortedSRAM", offset: int) -> None:
@@ -165,6 +175,64 @@ class ShadowPoll(Spin):
         ap = self.ap
         ap.busy.waker = ap._bus.waker = ap._address_map.waker = waker
         self.abiu.waker = self.bank.watch = waker
+
+    def skip(self, due: float, t: float, inclusive: bool,
+             ends: "array[float]") -> float:
+        """Whole empty iterations from the end of the loop's compute at
+        ``due``, with the slow path's floats: each sleep ends at the
+        previous end plus its delay, and each busy time adds the same
+        terms in the same order as the poll code (the aP's compute, then
+        its load; the bus held from arbitration to the read's end; the
+        port for the read).  The counters the poll code steps by one per
+        iteration take the iteration count.  Nothing else changes: the
+        aBIU's claim is served in the same iteration, and the L2's snoop
+        reacts to nothing after the first (the spin went dormant only
+        after one full iteration).  Skips nothing when the shadow read
+        is not the plain backing read, the bus counters are not yet
+        created, or the compute's busy section is nested in another."""
+        ap = self.ap
+        bus = ap._bus
+        busy = ap.busy
+        bank = self.bank
+        txns, n_bytes = bus._txns, bus._bytes
+        if (txns is None or n_bytes is None or busy._depth != 1
+                or type(bank.backing).read is not ByteBacking.read):
+            return due
+        address, snoop = bus._address_ns, bus._snoop_ns
+        op = ap.node.ctrl.op_ns
+        # DualPortedSRAM.read's beats for the 4 shadow bytes
+        read = max(1, -(-4 // bank.width_bytes)) * bank.access_ns
+        compute = self.delay
+        arbiter = bus._arbiter
+        port = bank._ports[PORT_BUS]
+        busy_ns, since = busy.busy_ns, busy._since
+        bus_ns, port_ns = arbiter._busy_time, port._busy_time
+        extend = ends.extend
+        n = 0
+        while True:
+            e1 = due + address
+            e2 = e1 + snoop
+            e3 = e2 + op
+            e4 = e3 + read
+            e5 = e4 + compute
+            if e5 > t or (e5 == t and not inclusive):
+                break
+            busy_ns += due - since
+            busy_ns += e4 - due
+            bus_ns += e4 - due
+            port_ns += e4 - e3
+            since = e4
+            extend((e1, e2, e3, e4, e5))
+            due = e5
+            n += 1
+        if n:
+            busy.busy_ns, busy._since = busy_ns, since
+            arbiter._busy_time, port._busy_time = bus_ns, port_ns
+            ap.loads += n
+            self.abiu.observed += n
+            txns.value += n
+            n_bytes.value += 4 * n
+        return due
 
 
 class AppProcessor:

@@ -435,6 +435,8 @@ class Engine:
         spin.dormant = True
         spin.due = self._now + delay
         spin.token = seq
+        spin.delay = delay
+        spin.phase = 0
         self._dormant[proc] = spin
         return True
 
@@ -442,15 +444,18 @@ class Engine:
         """Run every dormant sleep due before ``t`` (at or before it when
         ``inclusive``), for every dormant spinner, then key what is left.
 
-        A replayed sleep resumes its spinner's own generator with the
-        clock at the sleep's end, and counts the two executed items and
-        two sequence numbers the dispatch core would have; the poll code
-        does all the rest of the accounting.  An empty iteration
-        schedules nothing and yields only floats (and its mark); anything
-        else means a guard is missing, and is an error.  Only the
-        engine's own bookkeeping depends on the order the spinners'
-        sleeps would have run in, so each spinner replays alone, and
-        :meth:`_key` then gives each its next sleep's key.
+        While the pending sleep is the one the spin dozed on, the spin's
+        :meth:`~repro.sim.process.Spin.skip` steps whole empty iterations
+        arithmetically; every other replayed sleep resumes the spinner's
+        own generator with the clock at the sleep's end, and the poll
+        code does the accounting.  Each replayed sleep counts the two
+        executed items and two sequence numbers the dispatch core would
+        have.  An empty iteration schedules nothing and yields only
+        floats (and its mark); anything else means a guard is missing,
+        and is an error.  Only the engine's own bookkeeping depends on
+        the order the spinners' sleeps would have run in, so each
+        spinner replays alone, and :meth:`_key` then gives each its next
+        sleep's key.
         """
         replayed: List[Tuple[Spin, "array[float]"]] = []
         queued = len(self._heap)
@@ -465,16 +470,21 @@ class Engine:
                 spin.guard(None)  # its own poll must not wake it
                 send = spin.loop.send
                 ends = array("d", (due,))
+                phase, sleeps = spin.phase, spin.sleeps
                 while True:
+                    if not phase:
+                        due = spin.skip(due, t, inclusive, ends)
                     self._now = due
                     delay = send(None)
                     if type(delay) is not float or delay < 0.0:
                         delay = self._replay_delay(spin, delay, due)
+                    phase = (phase + 1) % sleeps
                     due = due + delay
                     if due > t or (due == t and not inclusive):
                         break
                     ends.append(due)
                 spin.due = due
+                spin.phase = phase
                 spin.guard(spin)
                 steps += len(ends)
                 replayed.append((spin, ends))

@@ -24,6 +24,8 @@ from repro.common.errors import SimulationError
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from array import array
+
     from repro.sim.engine import Engine
 
 ProcGen = Generator[Any, Any, Any]
@@ -49,8 +51,9 @@ class Spin:
     goes *dormant* instead of being pushed, provided the spin is
     :meth:`ready` to guard everything an empty iteration touches.  The
     first guard to fire calls :meth:`wake`, and the engine replays the
-    missed iterations through the process's own generator (see
-    :meth:`repro.sim.engine.Engine._wake`).
+    missed iterations (see :meth:`repro.sim.engine.Engine._wake`): whole
+    ones through :meth:`skip` where it can, the rest through the
+    process's own generator.
 
     Subclasses name what an empty iteration touches: :meth:`ready` says
     whether all of it is idle, and :meth:`guard` points a guard on each
@@ -59,7 +62,10 @@ class Spin:
     """
 
     __slots__ = ("engine", "proc", "loop", "marks", "dormant", "due",
-                 "token")
+                 "token", "delay", "phase")
+
+    #: sleeps per empty iteration, the last being the one a spin dozes on
+    sleeps = 1
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
@@ -78,6 +84,11 @@ class Spin:
         #: replay placed between two ints).
         self.due = 0.0
         self.token: Any = 0
+        #: the delay of the sleep the spin dozed on, and the index (mod
+        #: :attr:`sleeps`) of the pending sleep in its iteration: 0 while
+        #: it is that one.
+        self.delay = 0.0
+        self.phase = 0
 
     def ready(self) -> bool:
         """True when every part an empty iteration touches is idle."""
@@ -86,6 +97,15 @@ class Spin:
     def guard(self, waker: Optional["Spin"]) -> None:
         """Point the guard on every part an empty iteration touches at
         ``waker`` (None removes them)."""
+
+    def skip(self, due: float, t: float, inclusive: bool,
+             ends: "array[float]") -> float:
+        """Replay whole empty iterations without resuming the generator,
+        while its pending sleep, the one it dozed on, ends at ``due``.
+        Each iteration must end before ``t`` (at or before it when
+        ``inclusive``) and appends its sleeps' ends to ``ends``; returns
+        where the pending sleep then ends.  This one skips nothing."""
+        return due
 
     def wake(self) -> None:
         """A guard fired: replay the missed iterations up to now."""

@@ -54,20 +54,18 @@ class PoissonArrivals:
     ``1e9 / rate_rps`` nanoseconds.
     """
 
-    def __init__(self, rate_rps: float, seed: int = 0, node: int = 0,
-                 start_ns: float = 0.0) -> None:
+    def __init__(self, rate_rps: float, seed: int = 0, node: int = 0) -> None:
         if rate_rps <= 0:
             raise ConfigError(f"arrival rate must be positive: {rate_rps}")
         self.rate_rps = rate_rps
         self.seed = seed
         self.node = node
-        self.start_ns = start_ns
 
     def schedule(self, n: int) -> List[float]:
         """The node's first ``n`` arrival times (ns, ascending)."""
         rng = node_rng(self.seed, self.node, salt=1)
         rate_per_ns = self.rate_rps / 1e9
-        t = self.start_ns
+        t = 0.0
         out: List[float] = []
         for _ in range(n):
             t += rng.expovariate(rate_per_ns)

@@ -1,7 +1,8 @@
 """Dormant receive spins replay exactly (DESIGN.md §8.1, "Dormant spins").
 
 A ``BasicPort.recv`` spin that nothing else touches goes dormant and is
-replayed when a guard fires.  Every test here runs the same machine twice,
+replayed when a guard fires, whole empty iterations arithmetically
+(``ShadowPoll.skip``).  Every test here runs the same machine twice,
 once with the engine's private opt-out ``_spin_off`` set (the slow path,
 every poll through the engine) and once without, and requires the same
 wall-stripped snapshot, executed-item count, final sequence number and
@@ -18,8 +19,10 @@ from repro.common.config import default_config
 from repro.common.errors import SimulationError
 from repro.core.machine import StarTVoyager
 from repro.faults import FaultPlan, NodeCrash
+from repro.mem.sram import PORT_BUS
 from repro.mp import BasicPort
 from repro.niu.msgformat import encode_rx_header
+from repro.node.ap import ShadowPoll
 from repro.obs.snapshot import metrics_snapshot
 from repro.scenarios import ScenarioMachine, scenario, scenario_names
 from repro.sim.engine import Engine, SchedulePolicy
@@ -45,6 +48,21 @@ def _both(build):
     return fast_extra
 
 
+def _count_skips(monkeypatch):
+    """Every iteration ShadowPoll.skip replays, counted."""
+    skipped = []
+    skip = ShadowPoll.skip
+
+    def counting(self, due, t, inclusive, ends):
+        n = len(ends)
+        due = skip(self, due, t, inclusive, ends)
+        skipped.append((len(ends) - n) // self.sleeps)
+        return due
+
+    monkeypatch.setattr(ShadowPoll, "skip", counting)
+    return skipped
+
+
 def _scenario_machine(name, n_nodes, params):
     def build(spin_off):
         scn = scenario(name, **params)
@@ -63,11 +81,13 @@ def test_every_scenario_point_replays_exactly(name):
 
 
 @pytest.mark.parametrize("algo", ["nic", "tree"])
-def test_sixteen_node_allreduce_replays_exactly(algo):
+def test_sixteen_node_allreduce_replays_exactly(monkeypatch, algo):
     # "tree" keeps all 16 ranks polling in lockstep: many dormant spins
     # share every instant, the case the replay's walk orders
+    skipped = _count_skips(monkeypatch)
     _both(_scenario_machine("collective", 16,
                             {"collective": "allreduce", "algo": algo}))
+    assert sum(skipped) > 0
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +139,8 @@ def _shadow_reads(n):
         return read(port_no, offset, length)
 
     bank.read = tapped
-    machine.run(until=4000.0)
+    while len(reads) < n:
+        machine.run(until=machine.now + 4000.0)
     return reads[:n]
 
 
@@ -139,6 +160,68 @@ def test_shadow_write_around_a_poll_read(offset):
 
     done = _both(build)
     assert done["msg"] == (1, b"")
+
+
+# ----------------------------------------------------------------------
+# whole empty iterations replayed arithmetically (ShadowPoll.skip)
+# ----------------------------------------------------------------------
+
+
+def _poll_sleeps(read_at, machine):
+    """The five sleeps of the empty iteration whose shadow read starts at
+    ``read_at``, as (start, end) instants: address, snoop, CTRL op,
+    read, compute."""
+    node = machine.node(0)
+    bus, bank = node.bus, node.ctrl.asram
+    op = node.ctrl.op_ns
+    read = bank.access_ns  # 4 bytes, one beat
+    compute = machine.config.ap.insn_ns(25)  # recv's default poll_insns
+    snooped = read_at - op
+    addressed = snooped - bus._snoop_ns
+    began = addressed - bus._address_ns
+    return [(began, addressed), (addressed, snooped), (snooped, read_at),
+            (read_at, read_at + read), (read_at + read, read_at + read + compute)]
+
+
+@pytest.mark.parametrize("sleep", range(5),
+                         ids=["address", "snoop", "op", "read", "compute"])
+def test_shadow_write_in_each_sleep_after_skipped_iterations(
+        monkeypatch, sleep):
+    # the write lands inside one sleep of the 151st iteration, after
+    # the dormant stretch before it was skipped whole
+    reads = _shadow_reads(151)
+    start, end = _poll_sleeps(reads[-1], _spinner(True)[0])[sleep]
+    at = (start + end) / 2
+    skipped = _count_skips(monkeypatch)
+
+    def build(spin_off):
+        machine, port, proc, done = _spinner(
+            spin_off, lambda m, p: m.engine._schedule_call(
+                lambda: _deliver(m, p), at))
+        machine.run_until(proc, limit=1e6)
+        return machine, done
+
+    done = _both(build)
+    assert done["msg"] == (1, b"")
+    assert sum(skipped) >= 100
+
+
+def test_long_spin_accounting_is_bit_exact(monkeypatch):
+    skipped = _count_skips(monkeypatch)
+
+    def build(spin_off):
+        machine, _port, _proc, _done = _spinner(spin_off)
+        machine.run(until=200_000.0)
+        node = machine.node(0)
+        bus = node.bus
+        floats = (node.ap.busy.busy_ns, bus._arbiter._busy_time,
+                  node.ctrl.asram._ports[PORT_BUS]._busy_time)
+        return machine, ([x.hex() for x in floats], node.ap.loads,
+                         node.niu.abiu.observed, bus._txns.value,
+                         bus._bytes.value)
+
+    _both(build)
+    assert sum(skipped) >= 100
 
 
 def test_another_program_storing_over_the_bus_mid_spin():

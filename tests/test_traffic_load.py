@@ -37,11 +37,6 @@ def test_poisson_schedule_ascending_with_mean_gap():
     assert 0.5 * 1e9 / rate < mean_gap < 2.0 * 1e9 / rate
 
 
-def test_poisson_start_offset():
-    sched = PoissonArrivals(100_000.0, seed=1, start_ns=5_000.0).schedule(5)
-    assert sched[0] > 5_000.0
-
-
 def test_arrival_parameter_validation():
     with pytest.raises(ConfigError):
         PoissonArrivals(0.0)
