@@ -4,9 +4,10 @@
 C = A x B over four nodes.  Node 0 owns A and B; it DMAs each worker its
 row block of A and the whole of B (hardware block transfer — the bulk
 path §6 motivates), workers compute their block of C on the aP (with
-modeled FLOP time), and mini-MPI gathers the result.  The example shows
-the message-passing and DMA mechanisms composing into a real kernel: a
-control plane of small messages over a data plane of block transfers.
+modeled FLOP time) and send it to node 0 with mini-MPI `send`, where
+`recv` collects the blocks.  The example shows the message-passing and
+DMA mechanisms composing into a real kernel: a control plane of small
+messages over a data plane of block transfers.
 
 Run:  python examples/matmul.py
 """

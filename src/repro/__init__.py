@@ -20,7 +20,6 @@ Perfetto export, queue-depth sampling) — see :mod:`repro.obs`.
 
 from repro.analysis import SANITIZER_NAMES, resolve_sanitizers
 from repro.common.config import MachineConfig, ReliabilityConfig, default_config
-from repro.core.inspect import describe_machine
 from repro.core.machine import StarTVoyager
 from repro.faults import FaultPlan, LinkEvent, LinkFault, NodeCrash, SpStall
 from repro.lib.mpi import MiniMPI
@@ -31,15 +30,7 @@ from repro.obs import (
     metrics_snapshot,
 )
 from repro.scenarios import ScenarioRun, run_scenario, scenario, scenario_names
-from repro.sync import (
-    Counter,
-    McsLock,
-    SyncFabric,
-    SyncGroup,
-    TasLock,
-    TicketLock,
-    WorkDeque,
-)
+from repro.sync import Counter, SyncFabric, SyncGroup, TicketLock
 from repro.traffic import (
     KvClient,
     SloRecorder,
@@ -83,10 +74,7 @@ __all__ = [
     "SyncFabric",
     "SyncGroup",
     "Counter",
-    "TasLock",
     "TicketLock",
-    "McsLock",
-    "WorkDeque",
     # runtime sanitizers
     "SANITIZER_NAMES",
     "resolve_sanitizers",
@@ -95,6 +83,5 @@ __all__ = [
     "Histogram",
     "metrics_snapshot",
     "export_perfetto",
-    "describe_machine",
     "__version__",
 ]

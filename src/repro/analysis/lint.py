@@ -33,7 +33,10 @@ ARCH002  ``examples/``/``benchmarks/`` import of a repro internal —
          (``repro``, ``repro.bench``, the programming layers); a
          deliberate internals poke needs a justifying suppression
 PERF001  class registered as hot-path (engine events, packets, queue
-         state...) missing ``__slots__``
+         state...) missing ``__slots__``; or a ``HOT_CLASSES`` entry
+         naming a class its module no longer defines (or a module that
+         is gone), reported when the module (or the package root) is
+         linted
 PERF002  a yielded ``Timeout(...)`` or ``<x>.timeout(...)`` in
          ``src/`` — a process sleeps by yielding the float delay,
          which schedules the same items without an Event; keep a
@@ -142,7 +145,7 @@ _PUBLIC_PREFIXES: Tuple[str, ...] = (
     "repro.scenarios", "repro.shm", "repro.sync", "repro.traffic",
 )
 _PUBLIC_EXACT: Tuple[str, ...] = (
-    "repro", "repro.core.blocktransfer", "repro.core.inspect",
+    "repro", "repro.core.blocktransfer",
 )
 
 #: hot-path class registry (PERF001): repro-relative module -> classes
@@ -157,8 +160,7 @@ HOT_CLASSES: Dict[Tuple[str, ...], Set[str]] = {
     ("net", "packet.py"): {"Packet"},
     ("net", "combine.py"): {"SyncTag", "GroupProgram", "_Slot", "CombineStage"},
     ("sync", "api.py"): {
-        "_NodeClient", "SyncFabric", "SyncGroup", "Counter", "TasLock",
-        "TicketLock", "McsLock", "WorkDeque",
+        "_NodeClient", "SyncFabric", "SyncGroup", "Counter", "TicketLock",
     },
     ("sync", "firmware.py"): {"SyncFwState", "_CentralOp"},
     ("sync", "plan.py"): {"SwitchTreePlan"},
@@ -804,6 +806,31 @@ def _check_slots(tree: ast.AST, path: str,
     return out
 
 
+def _check_hot_registry(defined: Dict[Tuple[str, ...], Tuple[str, Set[str]]],
+                        root: Optional[str]) -> List[Violation]:
+    """PERF001's registry half: every ``HOT_CLASSES`` class a linted
+    module (``defined``: its path and the classes it defines) does not
+    define, and, when the package root ``__init__.py`` was linted, every
+    registered module that is gone."""
+    out: List[Violation] = []
+    for parts, wanted in sorted(HOT_CLASSES.items()):
+        module = "/".join(parts)
+        if parts in defined:
+            path, names = defined[parts]
+            for name in sorted(wanted - names):
+                out.append(Violation(
+                    "PERF001", path, 1, 0,
+                    f"HOT_CLASSES names {name}, which {module} does not "
+                    "define",
+                ))
+        elif root is not None:
+            out.append(Violation(
+                "PERF001", root, 1, 0,
+                f"HOT_CLASSES names {module}, which does not exist",
+            ))
+    return out
+
+
 # ----------------------------------------------------------------------
 # PERF002 — sleep with a float, not a Timeout
 # ----------------------------------------------------------------------
@@ -951,11 +978,25 @@ def lint_paths(paths: Sequence[str]) -> Tuple[List[Violation], int]:
     """Lint every .py file under ``paths``; returns (violations, n_files)."""
     violations: List[Violation] = []
     n_files = 0
+    defined: Dict[Tuple[str, ...], Tuple[str, Set[str]]] = {}
+    root = None
     for path in iter_py_files(paths):
         n_files += 1
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
-        violations += check_source(source, os.path.normpath(path))
+        relpath = os.path.normpath(path)
+        found = check_source(source, relpath)
+        violations += found
+        category, parts = classify(relpath)
+        if category != "repro" or any(v.rule == "PARSE" for v in found):
+            continue
+        if parts == ("__init__.py",):
+            root = relpath
+        if parts in HOT_CLASSES:
+            defined[parts] = (relpath, {
+                node.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ClassDef)})
+    violations += _check_hot_registry(defined, root)
     return violations, n_files
 
 

@@ -3,7 +3,7 @@
 StarT-Voyager's thesis is that a programmable NIU lets new communication
 mechanisms be added without touching the aP or the core hardware.  This
 package exercises that claim end to end: collective operations (barrier,
-broadcast, reduce, allreduce, gather) move off the host into sP firmware
+broadcast, reduce, allreduce) move off the host into sP firmware
 that combines contributions as they arrive and forwards one message per
 tree edge — the aP issues a single enqueue and a single dequeue per
 collective instead of O(N) point-to-point messages.

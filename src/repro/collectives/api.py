@@ -4,9 +4,8 @@ The ``algo="tree"`` middle ground: same O(log N) communication structure
 as the NIC-offloaded path, but executed by the aPs with ordinary
 point-to-point sends/receives — no firmware involvement beyond normal
 message delivery.  Useful both as a benchmark rung between ``"flat"``
-and ``"nic"`` and as the fallback for operations the combining firmware
-does not accelerate (variable-size ``gather``, arbitrary callable
-reduction operators).
+and ``"nic"`` and as the fallback for what the combining firmware does not
+accelerate (arbitrary callable reduction operators).
 
 Every function is a generator fragment run on the aP; ``comm`` is a
 :class:`repro.lib.mpi.MpiRank` (or anything offering ``rank``/``size``/
@@ -20,11 +19,10 @@ MPI's canonical reduction order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.collectives.plan import RdSchedule, TreePlan
-from repro.common.errors import ProgramError
-from repro.common.wire import GATHER_ITEM, VALUE
+from repro.common.wire import VALUE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.node.ap import ApApi
@@ -124,33 +122,3 @@ def rd_allreduce(comm, api: "ApApi", value: int,
         yield from comm._send(api, extra, VALUE.pack(acc), tag)
     _record(comm, api, "coll.rd_allreduce_ns", t0)
     return acc
-
-
-def tree_gather(comm, api: "ApApi", data: bytes, plan: TreePlan, tag: int
-                ) -> Generator["Event", None, Optional[List[bytes]]]:
-    """Gather rank-labeled byte strings up the tree to ``plan.root``.
-
-    Each rank forwards one packed blob (its own item plus every child
-    subtree's items) per tree edge; fragmentation in the point-to-point
-    layer handles arbitrary sizes.
-    """
-    t0 = api.now
-    me = comm.rank
-    blob = GATHER_ITEM.pack(me, tail=data)
-    for child in plan.children[me]:
-        _src, _tag, sub = yield from comm.recv(api, src=child, tag=tag)
-        blob += sub
-    if me != plan.root:
-        yield from comm._send(api, plan.parent[me], blob, tag)
-        _record(comm, api, "coll.tree_gather_ns", t0)
-        return None
-    parts: List[Optional[bytes]] = [None] * comm.size
-    view, off = memoryview(blob), 0
-    while off < len(blob):
-        rank, item = GATHER_ITEM.unpack(view[off:])
-        parts[rank] = bytes(item)
-        off += GATHER_ITEM.size + len(item)
-    if any(p is None for p in parts):
-        raise ProgramError("gather blob did not cover every rank")
-    _record(comm, api, "coll.tree_gather_ns", t0)
-    return parts  # type: ignore[return-value]

@@ -340,9 +340,6 @@ class FirmwareCostConfig:
     #: repro.sync central (hot-spot) barrier: count one arrival / send
     #: one release at the home sP.
     sync_barrier_insns: int = 40
-    #: repro.sync work-stealing deque: one push/pop/steal served by the
-    #: owning sP.
-    sync_deque_insns: int = 60
     #: repro.traffic KV store: serve one get/put (decode, hash-table
     #: probe or install, compose reply).
     kv_op_insns: int = 90

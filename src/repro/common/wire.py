@@ -30,10 +30,10 @@ A node id goes on the wire only where the receiver cannot know it
 otherwise: the rx header already carries every message's source node
 (the handler's ``src``, kept by go-back-N and overflow redelivery), and
 an installed collectives plan already names its root.  Where an id must
-travel (a DMA or reliable-send destination, a sync tag's member, a
-gather item's rank) it uses code ``N``; :func:`check_table` rejects a
-node-named field with any other code.  Fields that once carried the
-sender are pad bytes, so every message kept its length.
+travel (a DMA or reliable-send destination, a sync tag's member) it uses
+code ``N``; :func:`check_table` rejects a node-named field with any
+other code.  Fields that once carried the sender are pad bytes, so
+every message kept its length.
 
 The registry lives in ``common`` because it is the one layer every
 speaker may import: the firmware writes the same reply formats the
@@ -79,13 +79,11 @@ MSG_REL_ACK = 21  #: receiver sP -> sender sP: cumulative acknowledgement
 MSG_SYNC_REQ = 22  #: requester -> home sP: endpoint fetch-and-op request
 MSG_SYNC_REP = 23  #: home sP / switch -> requester: fetch-and-op reply
 MSG_SYNC_INJECT = 24  #: aP -> local sP: inject a sync tag into the fabric
-MSG_SYNC_DEQUE = 25  #: aP/sP -> owner sP: work-stealing deque operation
 MSG_SYNC_TREE_REP = 26  #: tree root (sP or switch) -> member: collective result
 MSG_SYNC_CBAR = 27  #: member -> home sP: central counting-barrier arrival
 MSG_SCOMA_EVICT_REQ = 28  #: aP -> own sP: evict this line
 MSG_UPDATE_RELEASE = 29  #: aP -> own sP: release an update region
-MSG_LOCK_LINK = 30  #: MCS (aP -> aP): successor announces itself
-MSG_LOCK_GRANT = 31  #: MCS (aP -> aP): predecessor hands the lock over
+# 25, 30 and 31 are unassigned
 MSG_USER = 64  #: first type value free for applications
 MSG_KV_REQ = MSG_USER  #: client -> server sP: get/put (value trailing)
 MSG_KV_REP = MSG_USER + 1  #: server sP -> client: status + value bytes
@@ -283,8 +281,6 @@ COLL = Layout("kind:B op:B comm:B seq:I x reply_queue:B tag:H length:B",
               tail="length")
 #: a mini-MPI fragment (no type byte: it lands in the aP's own queue).
 MPI_FRAG = Layout("tag:H total:I offset:I", tail="rest", error=ProgramError)
-#: one rank's item in a host-side tree gather blob (items concatenate).
-GATHER_ITEM = Layout("rank:N length:I", tail="length", error=ProgramError)
 #: a 64-bit signed contribution or result.
 VALUE = Layout("value:q")
 
@@ -300,8 +296,6 @@ SYNC_REQ = Layout("group:I cell:I op:B x x x x req:I reply_queue:B value:q "
 SYNC_REP = Layout("req:I ok:? value:q", types=MSG_SYNC_REP)
 #: carries one packed :data:`SYNC_TAG` as its tail.
 SYNC_INJECT = Layout("", types=MSG_SYNC_INJECT, tail="rest")
-SYNC_DEQUE = Layout("group:I verb:B x x x x req:I reply_queue:B value:q",
-                    types=MSG_SYNC_DEQUE)
 #: collective result, from the central sP or the tree's switches.
 SYNC_TREE_REP = Layout("group:I seq:I value:q", types=MSG_SYNC_TREE_REP)
 SYNC_CBAR = Layout("group:I seq:I x x x x n:I reply_queue:B op:B value:q",
@@ -312,9 +306,6 @@ SYNC_CBAR = Layout("group:I seq:I x x x x n:I reply_queue:B op:B value:q",
 SYNC_TAG = Layout("phase:B mode:B group:I cell:I seq:I op:B reply_queue:B "
                   "value:q aux:q token:I x x origin:N count:I",
                   error=NetworkError)
-#: MCS lock handoff between aPs.
-LOCK_MSG = Layout("group:I cell:I x x x x",
-                  types=(MSG_LOCK_LINK, MSG_LOCK_GRANT))
 
 # -- serving applications (``MSG_USER`` and up) ----------------------------------
 #: a KV PUT's value is the trailing bytes; ``count`` is sent as 0.
@@ -329,13 +320,6 @@ USVC_REQ = Layout("depth:B fanout:B reply_queue:B x x ctx:I svc_insns:I",
 USVC_REP = Layout("x ctx:I", types=MSG_USVC_REP)
 
 # -- aP-to-aP library messages ----------------------------------------------------
-#: an Active Message (:mod:`repro.lib.activemsg`): the handler id, then
-#: the handler's arguments.
-AM = Layout("handler:B", tail="rest", error=ProgramError)
-#: an am_store's landed region: a store handler's arguments, and (with
-#: the store handler id appended as an :data:`AM` byte) the announcement
-#: that arms it.
-AM_STORE = Layout("addr:A length:I", tail="rest", error=ProgramError)
 #: one token on an Express channel (:mod:`repro.lib.channels`).
 TOKEN = Layout("channel:B value:I", error=ProgramError)
 

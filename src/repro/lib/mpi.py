@@ -8,7 +8,7 @@ actual communication."
 :class:`MiniMPI` is that library: ranks map to nodes, large sends
 fragment into Basic messages, receives reassemble and match on
 ``(source, tag)``, and the usual collectives (barrier, bcast, reduce,
-allreduce, gather) are built from point-to-point — all of it ordinary
+allreduce) are built from point-to-point — all of it ordinary
 user code over :class:`~repro.mp.basic.BasicPort`.
 
 Collectives are selectable per machine through ``algo=``:
@@ -381,34 +381,6 @@ class MpiRank:
             return data
         _src, _tag, got = yield from self.recv(api, src=root, tag=tag)
         return got
-
-    def gather(self, api: "ApApi", data: bytes, root: int = 0
-               ) -> Generator["Event", None, Optional[List[bytes]]]:
-        """Gather per-rank byte strings at ``root`` (rank order).
-
-        Variable-size data does not fit the firmware combining protocol,
-        so ``algo="nic"`` routes gather over the host-side tree.
-        """
-        t0 = api.now
-        out = yield from self._do_gather(api, data, root)
-        self.stats.accumulator("mpi.gather_ns").add(api.now - t0)
-        return out
-
-    def _do_gather(self, api: "ApApi", data: bytes, root: int = 0
-                   ) -> Generator["Event", None, Optional[List[bytes]]]:
-        seq, tag = self._next_coll()
-        if self.mpi.algo in ("tree", "nic"):
-            return (yield from coll_api.tree_gather(
-                self, api, data, self.mpi.plan(root), tag))
-        if self.rank == root:
-            parts: List[Optional[bytes]] = [None] * self.size
-            parts[root] = data
-            for _ in range(self.size - 1):
-                src, _tag, got = yield from self.recv(api, tag=tag)
-                parts[src] = got
-            return parts  # type: ignore[return-value]
-        yield from self._send(api, root, data, tag)
-        return None
 
     def reduce(self, api: "ApApi", value: int, root: int = 0,
                op: OpSpec = None

@@ -34,7 +34,7 @@ route").
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Tuple
+from typing import AbstractSet, List, Optional, Tuple
 
 from repro.common.errors import NetworkError
 
@@ -265,13 +265,3 @@ class FatTreeTopology:
                     return last and target[1] == dst
                 _, level, index = target
         return False
-
-    def describe(self) -> Dict[str, int]:
-        """Topology summary (diagnostics)."""
-        return {
-            "nodes": self.n_nodes,
-            "leaf_slots": self.leaf_slots,
-            "levels": self.levels,
-            "switches_per_level": self.switches_per_level,
-            "radix": self.radix,
-        }

@@ -73,10 +73,6 @@ _LOG_CAP = 4096
 #: (bounds its memory).
 _SHARED_SLICE = 8192
 
-#: how many distinct replayed instants :meth:`Engine._lockstep` hashes
-#: at most to find lockstep blocks (bounds its memory).
-_LOCKSTEP_ENDS = 8192
-
 #: one heap entry: (time, seq, kind, target, arg).
 ScheduledItem = Tuple[float, int, int, Any, Any]
 
@@ -450,12 +446,12 @@ class Engine:
         own generator with the clock at the sleep's end, and the poll
         code does the accounting.  Each replayed sleep counts the two
         executed items and two sequence numbers the dispatch core would
-        have.  An empty iteration schedules nothing and yields only
-        floats (and its mark); anything else means a guard is missing,
-        and is an error.  Only the engine's own bookkeeping depends on
-        the order the spinners' sleeps would have run in, so each
-        spinner replays alone, and :meth:`_key` then gives each its next
-        sleep's key.
+        have.  A replayed iteration schedules nothing and yields only
+        floats (a dormant spin yields no mark); anything else means a
+        guard is missing, and is an error.  Only the engine's own
+        bookkeeping depends on the order the spinners' sleeps would have
+        run in, so each spinner replays alone, and :meth:`_key` then
+        gives each its next sleep's key.
         """
         replayed: List[Tuple[Spin, "array[float]"]] = []
         queued = len(self._heap)
@@ -477,7 +473,10 @@ class Engine:
                     self._now = due
                     delay = send(None)
                     if type(delay) is not float or delay < 0.0:
-                        delay = self._replay_delay(spin, delay, due)
+                        raise SimulationError(
+                            f"dormant spin of {spin.proc.name!r} yielded "
+                            f"{delay!r} at t={due:.1f}ns; an empty poll "
+                            "must only sleep")
                     phase = (phase + 1) % sleeps
                     due = due + delay
                     if due > t or (due == t and not inclusive):
@@ -507,17 +506,6 @@ class Engine:
         if replayed:
             self._key(replayed, self._seq - 2 * steps)
 
-    @staticmethod
-    def _replay_delay(spin: Spin, delay: Any, due: float) -> float:
-        """The sleep a replayed WAKE ends in, past any marks."""
-        while isinstance(delay, Spin):  # a later iteration's mark
-            delay = spin.loop.send(None)
-        if not isinstance(delay, float) or delay < 0.0:
-            raise SimulationError(
-                f"dormant spin of {spin.proc.name!r} yielded {delay!r} at "
-                f"t={due:.1f}ns; an empty poll must only sleep")
-        return delay
-
     def _key(self, replayed: List[Tuple[Spin, "array[float]"]],
              counter: int) -> None:
         """Give each replayed spinner's next sleep the key its item would
@@ -536,30 +524,12 @@ class Engine:
         place fixed by that instant alone, whatever its key, so each
         spinner's walk starts at its last such sleep
         (:meth:`_find_starts`).
-
-        Spins in lockstep, whose sleeps all end at the same instants,
-        which no other replayed sleep and no logged item shares, keep
-        their order from one instant to the next: each SLEEP finds the
-        others queued and defers its WAKE, all in one gap.  Such a block
-        starts its walks at its last sleeps, in the order of the keys its
-        members started with.
         """
-        keys: Dict[int, float] = {}
-        shapes = {(len(ends), ends[0], ends[-1]) for _spin, ends in replayed}
-        if len(shapes) < len(replayed):  # maybe some spins in lockstep
-            keys = self._lockstep(replayed)
-        rest = [i for i in range(len(replayed)) if i not in keys]
-        starts = dict(zip(rest, self._find_starts(
-            [replayed[i] for i in rest]) if rest else []))
-        walk = []
-        for i, (spin, ends) in enumerate(replayed):
-            if i in keys:
-                walk.append((len(ends) - 1, keys[i]))
-            else:
-                k = starts[i]
-                # from the start its key is known; elsewhere it does not
-                # matter
-                walk.append((max(k, 0), spin.token if k < 0 else -1.0))
+        # from the first sleep its key is known; elsewhere it does not
+        # matter
+        walk = [(max(k, 0), spin.token if k < 0 else -1.0)
+                for k, (spin, _ends) in zip(self._find_starts(replayed),
+                                            replayed)]
         self._key_walk(replayed, counter, walk)
 
     def _find_starts(self, replayed: List[Tuple[Spin, "array[float]"]]
@@ -604,35 +574,6 @@ class Engine:
                         for f, (_spin, ends) in zip(firsts, replayed)]
             hi = since
             back += step
-
-    def _lockstep(self, replayed: List[Tuple[Spin, "array[float]"]]
-                  ) -> Dict[int, float]:
-        """The replayed spinners in lockstep blocks (see :meth:`_key`),
-        by index, each with a key for its last sleep that orders it
-        within its block."""
-        blocks: Dict[bytes, List[int]] = {}
-        for i, (_spin, ends) in enumerate(replayed):
-            blocks.setdefault(ends.tobytes(), []).append(i)
-        if len(blocks) == len(replayed) or sum(
-                len(replayed[members[0]][1]) for members in blocks.values()
-        ) > _LOCKSTEP_ENDS:
-            return {}
-        seen: set = set()
-        shared: set = set()
-        for members in blocks.values():
-            mine = set(replayed[members[0]][1])
-            shared |= seen & mine
-            seen |= mine
-        log = self._log
-        lo = bisect_left(log, (min(seen),))
-        shared |= seen.intersection([item[0] for item in log[lo:]])
-        keys: Dict[int, float] = {}
-        for members in blocks.values():
-            if len(members) > 1 and shared.isdisjoint(replayed[members[0]][1]):
-                members.sort(key=lambda i: replayed[i][0].token)
-                for rank, i in enumerate(members):
-                    keys[i] = float(rank)
-        return keys
 
     def _key_walk(self, replayed: List[Tuple[Spin, "array[float]"]],
                   counter: int, starts: List[Tuple[int, Any]]) -> None:

@@ -46,14 +46,16 @@ class Spin:
     A process spinning on a location yields its Spin once per empty
     iteration, just before that iteration's last sleep.  The yield costs
     no simulated time and no scheduled item: the process resumes at
-    once.  Once one full empty iteration has run through the engine
-    since the spin began (or last woke), the sleep that follows the mark
-    goes *dormant* instead of being pushed, provided the spin is
-    :meth:`ready` to guard everything an empty iteration touches.  The
-    first guard to fire calls :meth:`wake`, and the engine replays the
-    missed iterations (see :meth:`repro.sim.engine.Engine._wake`): whole
-    ones through :meth:`skip` where it can, the rest through the
-    process's own generator.
+    once.  A replayed iteration, run while the spin is :attr:`dormant`,
+    must not yield its mark: the replay takes only sleeps.  Once one
+    full empty iteration has run through the engine since the spin began
+    (or last woke), the sleep that follows the mark goes *dormant*
+    instead of being pushed, provided the spin is :meth:`ready` to guard
+    everything an empty iteration touches.  The first guard to fire
+    calls :meth:`wake`, and the engine replays the missed iterations
+    (see :meth:`repro.sim.engine.Engine._wake`): whole ones through
+    :meth:`skip` where it can, the rest through the process's own
+    generator.
 
     Subclasses name what an empty iteration touches: :meth:`ready` says
     whether all of it is idle, and :meth:`guard` points a guard on each
@@ -76,8 +78,8 @@ class Spin:
         self.loop: Optional[ProcGen] = None
         #: marks seen through the engine since the spin began or woke.
         self.marks = 0
-        #: True from going dormant to waking: a replayed iteration need
-        #: not yield its mark (the spin's owner may skip it).
+        #: True from going dormant to waking: a replayed iteration must
+        #: not yield its mark (the replay takes only floats).
         self.dormant = False
         #: while dormant: when the pending sleep ends, and its wait token,
         #: the seq its KIND_SLEEP item would carry (an int, or a float a

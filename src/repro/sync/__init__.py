@@ -3,8 +3,8 @@
 Switch-resident combining (:mod:`repro.net.combine`) planned over the
 fat tree (:mod:`repro.sync.plan`), served at the endpoints by sP
 firmware (:mod:`repro.sync.firmware`), and exposed to programs as a
-small library of scalable primitives (:mod:`repro.sync.api`):
-counters, the group barrier, locks and a work-stealing deque, each with
+small library of scalable primitives (:mod:`repro.sync.api`): the
+fetch-and-add counter, the ticket lock and the group barrier, each with
 both an in-switch transport and a pure-endpoint fallback.
 """
 
@@ -20,12 +20,9 @@ from repro.sync.api import (
     SYNC_RX_LOGICAL,
     SYNC_TX_INDEX,
     Counter,
-    McsLock,
     SyncFabric,
     SyncGroup,
-    TasLock,
     TicketLock,
-    WorkDeque,
 )
 from repro.sync.plan import SwitchTreePlan, plan_group, validate_plan
 
@@ -39,13 +36,10 @@ __all__ = [
     "SYNC_RX_LOGICAL",
     "SYNC_TX_INDEX",
     "Counter",
-    "McsLock",
     "SwitchTreePlan",
     "SyncFabric",
     "SyncGroup",
-    "TasLock",
     "TicketLock",
-    "WorkDeque",
     "plan_group",
     "validate_plan",
 ]

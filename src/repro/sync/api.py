@@ -21,11 +21,8 @@ Each verb has two transports selected per group:
   is both the degraded path for machines without a network and the
   hot-spot baseline ``benchmarks/bench_sync.py`` measures against.
 
-On top of the verbs: :class:`Counter`, three locks of increasing
-sophistication (:class:`TasLock`, :class:`TicketLock` — fetch-and-add
-tickets, FIFO fair — and :class:`McsLock` — a queue lock whose handoff
-is two point-to-point messages), and a :class:`WorkDeque` for work
-stealing.
+On top of the verbs: :class:`Counter` and :class:`TicketLock`
+(fetch-and-add tickets, FIFO fair).
 
 Concurrency model: one sync client per node — the per-node port
 (aP tx queue ``SYNC_TX_INDEX``, rx logical ``SYNC_RX_LOGICAL``) is a
@@ -42,32 +39,18 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
 
 from repro.common.errors import ConfigError, ProgramError
 from repro.common.wire import (
-    LOCK_MSG,
-    MSG_LOCK_GRANT,
-    MSG_LOCK_LINK,
     MSG_SYNC_REP,
     MSG_SYNC_TREE_REP,
     SYNC_CBAR,
-    SYNC_DEQUE,
     SYNC_INJECT,
     SYNC_REP,
     SYNC_REQ,
     SYNC_TREE_REP,
 )
 from repro.mp.basic import BasicPort
-from repro.net.combine import (
-    MODE_FETCH,
-    MODE_TREE,
-    OP_ADD,
-    OP_CSWAP,
-    OP_OR,
-    OP_SWAP,
-    PHASE_REQ,
-    SyncTag,
-)
+from repro.net.combine import MODE_FETCH, MODE_TREE, OP_ADD, PHASE_REQ, SyncTag
 from repro.niu.niu import SP_SERVICE_QUEUE
-from repro.sync.firmware import (DEQUE_POP, DEQUE_PUSH, DEQUE_STEAL,
-                                 ensure_sync_firmware)
+from repro.sync.firmware import ensure_sync_firmware
 from repro.sync.plan import SwitchTreePlan, plan_group
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,8 +71,8 @@ class _NodeClient:
     def __init__(self, board, node_id: int) -> None:
         self.node_id = node_id
         self.port = BasicPort(board, SYNC_TX_INDEX, SYNC_RX_LOGICAL)
-        #: arrived-but-unclaimed messages (out-of-order replies, early
-        #: LINKs, other groups' collectives): (src, payload).
+        #: arrived-but-unclaimed messages (out-of-order replies, other
+        #: groups' collectives): (src, payload).
         self.inbox: List[Tuple[int, bytes]] = []
         self.req = 0
 
@@ -212,12 +195,12 @@ class SyncGroup:
     @staticmethod
     def _rep_match(req: int) -> Callable[[int, bytes], Any]:
         """``_await`` matcher: the ``MSG_SYNC_REP`` answering request
-        ``req``, as ``(ok, value)``."""
-        def match(_src: int, p: bytes) -> Optional[Tuple[bool, int]]:
+        ``req``, as its value."""
+        def match(_src: int, p: bytes) -> Optional[int]:
             if p[0] == MSG_SYNC_REP:
-                rtok, ok, value = SYNC_REP.unpack(p)
+                rtok, _ok, value = SYNC_REP.unpack(p)
                 if rtok == req:
-                    return ok, value
+                    return value
             return None
 
         return match
@@ -230,19 +213,6 @@ class SyncGroup:
                 g, s, value = SYNC_TREE_REP.unpack(p)
                 if g == self.gid and s == seq:
                     return value
-            return None
-
-        return match
-
-    def _lock_match(self, kind: int, cell: int
-                    ) -> Callable[[int, bytes], Any]:
-        """``_await`` matcher: this group's MCS ``kind`` message for
-        ``cell``, as its sender node."""
-        def match(src: int, p: bytes) -> Optional[int]:
-            if p[0] == kind:
-                _kind, g, c = LOCK_MSG.unpack(p)
-                if g == self.gid and c == cell:
-                    return src
             return None
 
         return match
@@ -273,8 +243,7 @@ class SyncGroup:
                 api, self.home(cell), SP_SERVICE_QUEUE,
                 SYNC_REQ.pack(self.gid, cell, op, req, SYNC_RX_LOGICAL,
                               value, aux))
-        _ok, old = yield from self._await(api, cl, self._rep_match(req))
-        return old
+        return (yield from self._await(api, cl, self._rep_match(req)))
 
     def tree_op(self, api: "ApApi", node: int, op: int, value: int = 0
                 ) -> Generator["Event", None, int]:
@@ -315,17 +284,8 @@ class SyncGroup:
     def counter(self, cell: int = 0) -> "Counter":
         return Counter(self, cell)
 
-    def tas_lock(self, cell: int = 0) -> "TasLock":
-        return TasLock(self, cell)
-
     def ticket_lock(self, cell: int = 0) -> "TicketLock":
         return TicketLock(self, cell)
-
-    def mcs_lock(self, cell: int = 0) -> "McsLock":
-        return McsLock(self, cell)
-
-    def deque(self, owner_rank: int = 0) -> "WorkDeque":
-        return WorkDeque(self, owner_rank)
 
 
 class Counter:
@@ -349,36 +309,6 @@ class Counter:
         """Current value (a fetch-and-add of zero, so reads combine too)."""
         old = yield from self.group.cell_op(api, node, self.cell, OP_ADD, 0)
         return old
-
-
-class TasLock:
-    """Test-and-set spinlock: the simplest — and under contention the
-    worst — primitive; every retry is a full round trip."""
-
-    __slots__ = ("group", "cell")
-
-    def __init__(self, group: SyncGroup, cell: int) -> None:
-        self.group = group
-        self.cell = cell
-
-    def acquire(self, api: "ApApi", node: int
-                ) -> Generator["Event", None, int]:
-        """Spin (with exponential backoff) until the set wins.  Returns
-        the number of failed attempts (contention diagnostics)."""
-        tries = 0
-        backoff = 60
-        while True:
-            old = yield from self.group.cell_op(api, node, self.cell,
-                                                OP_OR, 1)
-            if old == 0:
-                return tries
-            tries += 1
-            yield from api.compute(backoff)
-            backoff = min(backoff * 2, 2000)
-
-    def release(self, api: "ApApi", node: int
-                ) -> Generator["Event", None, None]:
-        yield from self.group.cell_op(api, node, self.cell, OP_SWAP, 0)
 
 
 class TicketLock:
@@ -414,103 +344,11 @@ class TicketLock:
         yield from self.group.cell_op(api, node, self.cell + 1, OP_ADD, 1)
 
 
-class McsLock:
-    """MCS-style queue lock: constant traffic per handoff.
-
-    The tail cell holds the last waiter's node id + 1 (0 = free).
-    Acquire swaps itself in; a contended acquirer announces itself to
-    its predecessor (``MSG_LOCK_LINK``) and blocks for ``MSG_LOCK_GRANT``.
-    Release compare-and-swaps the tail back to 0 — the one place the
-    non-combining CSWAP is required: a plain swap would race a
-    concurrent enqueuer and strand it.
-    """
-
-    __slots__ = ("group", "cell")
-
-    def __init__(self, group: SyncGroup, cell: int) -> None:
-        self.group = group
-        self.cell = cell
-
-    def acquire(self, api: "ApApi", node: int
-                ) -> Generator["Event", None, None]:
-        g = self.group
-        prev = yield from g.cell_op(api, node, self.cell, OP_SWAP, node + 1)
-        if prev == 0:
-            return
-        cl = g.fabric.client(node)
-        yield from cl.port.send_to(
-            api, prev - 1, SYNC_RX_LOGICAL,
-            LOCK_MSG.pack(MSG_LOCK_LINK, g.gid, self.cell))
-        yield from g._await(api, cl, g._lock_match(MSG_LOCK_GRANT, self.cell))
-
-    def release(self, api: "ApApi", node: int
-                ) -> Generator["Event", None, None]:
-        g = self.group
-        old = yield from g.cell_op(api, node, self.cell, OP_CSWAP, 0,
-                                   aux=node + 1)
-        if old == node + 1:
-            return  # no successor; the CSWAP freed the lock
-        cl = g.fabric.client(node)
-        successor = yield from g._await(
-            api, cl, g._lock_match(MSG_LOCK_LINK, self.cell))
-        yield from cl.port.send_to(
-            api, successor, SYNC_RX_LOGICAL,
-            LOCK_MSG.pack(MSG_LOCK_GRANT, g.gid, self.cell))
-
-
-class WorkDeque:
-    """A work-stealing deque owned by one member's sP.
-
-    The owner pushes/pops at the tail (LIFO — locality), thieves steal
-    from the head (FIFO — oldest, largest work first).  One deque per
-    (group, owner).
-    """
-
-    __slots__ = ("group", "owner")
-
-    def __init__(self, group: SyncGroup, owner_rank: int) -> None:
-        self.group = group
-        self.owner = group.members[owner_rank]
-
-    def _op(self, api: "ApApi", node: int, verb: int, value: int
-            ) -> Generator["Event", None, Tuple[bool, int]]:
-        g = self.group
-        cl = g.fabric.client(node)
-        cl.req += 1
-        req = cl.req
-        yield from cl.port.send_to(
-            api, self.owner, SP_SERVICE_QUEUE,
-            SYNC_DEQUE.pack(g.gid, verb, req, SYNC_RX_LOGICAL, value))
-        ok, got = yield from g._await(api, cl, g._rep_match(req))
-        return ok, got
-
-    def push(self, api: "ApApi", node: int, value: int
-             ) -> Generator["Event", None, int]:
-        """Append one work item; returns the deque depth after the push."""
-        _ok, depth = yield from self._op(api, node, DEQUE_PUSH, value)
-        return depth
-
-    def pop(self, api: "ApApi", node: int
-            ) -> Generator["Event", None, Optional[int]]:
-        """Owner-side LIFO pop; None when empty."""
-        ok, got = yield from self._op(api, node, DEQUE_POP, 0)
-        return got if ok else None
-
-    def steal(self, api: "ApApi", node: int
-              ) -> Generator["Event", None, Optional[int]]:
-        """Thief-side FIFO steal; None when empty."""
-        ok, got = yield from self._op(api, node, DEQUE_STEAL, 0)
-        return got if ok else None
-
-
 __all__ = [
     "SYNC_RX_LOGICAL",
     "SYNC_TX_INDEX",
     "Counter",
-    "McsLock",
     "SyncFabric",
     "SyncGroup",
-    "TasLock",
     "TicketLock",
-    "WorkDeque",
 ]

@@ -1,6 +1,6 @@
 """sP firmware for the scalable-synchronization library.
 
-Four services, all running on the node's embedded service processor
+Three services, all running on the node's embedded service processor
 (the paper's "library functions may also run on the sP" claim, applied
 to synchronization):
 
@@ -19,11 +19,6 @@ to synchronization):
   the tagged packet through the CTRL's TX path.  The sP is the
   combining tree's *leaf*: switch-resident combining starts one hop
   above it.
-* **work deque** (``MSG_SYNC_DEQUE``) — an owner-resident LIFO/FIFO
-  deque: the owner pushes and pops at the tail, thieves steal from the
-  head, all serialized through the owner's sP (the standard
-  work-stealing memory model, minus the CAS loop the serial firmware
-  makes unnecessary).
 """
 
 from __future__ import annotations
@@ -33,11 +28,9 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 from repro.common.errors import FirmwareError
 from repro.common.wire import (
     MSG_SYNC_CBAR,
-    MSG_SYNC_DEQUE,
     MSG_SYNC_INJECT,
     MSG_SYNC_REQ,
     SYNC_CBAR,
-    SYNC_DEQUE,
     SYNC_INJECT,
     SYNC_REP,
     SYNC_REQ,
@@ -49,11 +42,6 @@ from repro.net.combine import OP_CSWAP, SyncTag, apply_op
 if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
     from repro.sim.events import Event
-
-#: work-stealing deque verbs (the ``verb`` byte of ``MSG_SYNC_DEQUE``).
-DEQUE_PUSH = 0
-DEQUE_POP = 1
-DEQUE_STEAL = 2
 
 
 class _CentralOp:
@@ -72,15 +60,13 @@ class _CentralOp:
 class SyncFwState:
     """Per-node sync firmware state."""
 
-    __slots__ = ("cells", "central", "deques")
+    __slots__ = ("cells", "central")
 
     def __init__(self) -> None:
         #: endpoint-mode cells homed here: (group, cell) -> value.
         self.cells: Dict[Tuple[int, int], int] = {}
         #: central collectives in flight: (group, seq) -> _CentralOp.
         self.central: Dict[Tuple[int, int], _CentralOp] = {}
-        #: work deques owned here, one per group.
-        self.deques: Dict[int, List[int]] = {}
 
 
 def setup_sync(sp: "ServiceProcessor") -> None:
@@ -91,7 +77,6 @@ def setup_sync(sp: "ServiceProcessor") -> None:
     register_msg_handler(sp, MSG_SYNC_REQ, on_sync_req)
     register_msg_handler(sp, MSG_SYNC_CBAR, on_sync_cbar)
     register_msg_handler(sp, MSG_SYNC_INJECT, on_sync_inject)
-    register_msg_handler(sp, MSG_SYNC_DEQUE, on_sync_deque)
 
 
 def ensure_sync_firmware(machine) -> None:
@@ -165,33 +150,6 @@ def on_sync_inject(sp: "ServiceProcessor", src: int, payload: bytes
     tag.origin = sp.node_id
     sp.stats.counter(f"{sp.name}.sync_injects").incr()
     yield from sp.ctrl.emit_sync(tag)
-
-
-def on_sync_deque(sp: "ServiceProcessor", src: int, payload: bytes
-                  ) -> Generator["Event", None, None]:
-    """``MSG_SYNC_DEQUE``: owner-resident work-stealing deque."""
-    yield sp.compute(sp.fw.sync_deque_insns)
-    st = _state(sp)
-    group, verb, req, reply_queue, value = SYNC_DEQUE.unpack(payload)
-    dq = st.deques.setdefault(group, [])
-    if verb == DEQUE_PUSH:
-        dq.append(value)
-        sp.stats.counter(f"{sp.name}.deque_pushes").incr()
-        yield from fw_send_to(sp, src, reply_queue,
-                              SYNC_REP.pack(req, True, len(dq)))
-        return
-    if verb == DEQUE_POP:
-        ok = bool(dq)
-        got = dq.pop() if ok else 0
-    elif verb == DEQUE_STEAL:
-        ok = bool(dq)
-        got = dq.pop(0) if ok else 0
-        if ok:
-            sp.stats.counter(f"{sp.name}.deque_steals").incr()
-    else:
-        raise FirmwareError(f"{sp.name}: unknown deque verb {verb}")
-    yield from fw_send_to(sp, src, reply_queue,
-                          SYNC_REP.pack(req, ok, got))
 
 
 __all__ = [

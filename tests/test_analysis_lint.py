@@ -352,6 +352,25 @@ def test_perf001_unregistered_class_exempt():
     assert rules_of(src, "src/repro/net/packet.py") == []
 
 
+def test_perf001_stale_registry_entry_fires(tmp_path):
+    """A registered class its module no longer defines, or a registered
+    module that is gone, is a stale HOT_CLASSES entry."""
+    pkg = tmp_path / "src" / "repro"
+    packet = pkg / "net" / "packet.py"
+    packet.parent.mkdir(parents=True)
+    packet.write_text("class Renamed:\n    __slots__ = ()\n")
+    violations, _n = lint_paths([str(tmp_path)])
+    assert [(v.rule, v.line, v.message) for v in violations] == [
+        ("PERF001", 1, "HOT_CLASSES names Packet, which net/packet.py "
+                       "does not define")]
+    # with the package root linted, every other registered module is gone
+    (pkg / "__init__.py").write_text("")
+    violations, _n = lint_paths([str(tmp_path)])
+    gone = [v.message for v in violations if v.path.endswith("__init__.py")]
+    assert "HOT_CLASSES names sync/api.py, which does not exist" in gone
+    assert not any("net/packet.py" in m for m in gone)
+
+
 # ----------------------------------------------------------------------
 # PERF002 — sleep with a float, not a Timeout
 # ----------------------------------------------------------------------
@@ -454,7 +473,7 @@ def test_arch003_hand_rolled_codecs_fire():
     """
     for path in ("src/repro/firmware/numa.py", "src/repro/collectives/api.py",
                  "src/repro/sync/api.py", "src/repro/traffic/kv.py",
-                 "src/repro/net/combine.py", "src/repro/lib/activemsg.py"):
+                 "src/repro/net/combine.py", "src/repro/lib/mpi.py"):
         assert rules_of(src, path) == ["ARCH003"] * 3, path
 
 

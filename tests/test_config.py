@@ -81,8 +81,10 @@ def test_payload_exceeding_packet_rejected():
 def test_every_config_field_has_a_reader():
     """Every field of every sub-config (``cfg.niu``, ``cfg.firmware``,
     ...) is read as an attribute somewhere in ``src/repro`` outside
-    ``common/config.py``: a knob the simulator never reads changes
-    nothing, yet validates and lands in every metrics snapshot."""
+    ``common/config.py``, directly or through a property of its own that
+    is (``cycle_ns`` reads ``clock_mhz``): a knob the simulator never
+    reads changes nothing, yet validates and lands in every metrics
+    snapshot."""
     root = Path(repro.__file__).parent
     read = set()
     for path in root.rglob("*.py"):
@@ -92,6 +94,15 @@ def test_every_config_field_has_a_reader():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                               ast.Load):
                 read.add(node.attr)
+    config = ast.parse((root / "common" / "config.py").read_text())
+    for fn in ast.walk(config):
+        if (isinstance(fn, ast.FunctionDef) and fn.name in read
+                and any(isinstance(d, ast.Name) and d.id == "property"
+                        for d in fn.decorator_list)):
+            read |= {node.attr for node in ast.walk(fn)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id == "self"}
     cfg = default_config()
     unread = [f"{type(sub).__name__}.{f.name}"
               for sub in (getattr(cfg, top.name)

@@ -32,15 +32,15 @@ from repro.scenarios import ScenarioMachine, scenario
 PINS = {
     ("traffic_train", (("algo", "nic"), ("mode", "allreduce")), 8): (
         125642, 125642, 301450.16429354844,
-        "0e27937a6dca5fbbcb6f24db4da080fa46f9e3a2aadd3ee88a8c8234e05b3c65",
+        "21a6bc031cc19ccc1b55a1cb1f4783fe892c2dd24bdbfa8fffa13e4ba5aba600",
     ),
     ("traffic_kv", (), 4): (
         16792, 16792, 79970.70551357562,
-        "9ad3f6a956dfa612fcb87fafb5bb582ffb9e040cb3d798c601473f64bf07c0c1",
+        "c61032006e4010aa9a7846ad92be61a2bbb2c21511a3da106fcd58f644f0e11c",
     ),
     ("shm_hash", (), 4): (
         98948, 98948, 437677.40781307913,
-        "63454285d4c32f4dd2b5bb91238303d54cf4adff2de5b83cb49746571cf8457f",
+        "134081678a975b6f3d0be518fe3abca3d1db4a4b12c332ba9858c5cde973f781",
     ),
 }
 
@@ -72,11 +72,11 @@ def test_stock_scenario_matches_pins(key):
 CRASH_PINS = {
     "mid_bus_op": (2333.0, (
         2287, 2287, 9675.063891931355,
-        "c599ebe68cfab4062a28f7f66a61bfec8914feef40255682f22ee16f3049f753",
+        "45d91c94c1107e6b2bc78c4fa43fa241a997062789b481cd031b4db8036e62f4",
     )),
     "mid_compute": (2703.0, (
         2310, 2310, 9675.063891931355,
-        "9f72a9b946f8b9c9dd819f341d14439d65b3571d9e1606ac602109d2120bc815",
+        "3c263b8c11c6397cb6dde69983e9a719dec5a44c44a699c6ab416e59a5c07cbf",
     )),
 }
 

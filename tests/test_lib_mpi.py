@@ -129,19 +129,6 @@ def test_bcast(m4):
     assert m4.run_all(procs, limit=1e10) == [b"broadcast-data"] * 4
 
 
-def test_gather(m4):
-    mpi = MiniMPI(m4)
-
-    def worker(api, rank):
-        comm = mpi.rank(rank)
-        return (yield from comm.gather(api, bytes([rank * 2]), root=0))
-
-    procs = [m4.spawn(n, worker, n) for n in range(4)]
-    results = m4.run_all(procs, limit=1e10)
-    assert results[0] == [b"\x00", b"\x02", b"\x04", b"\x06"]
-    assert results[1] is None
-
-
 def test_reduce_and_allreduce(m4):
     mpi = MiniMPI(m4)
 
@@ -195,11 +182,10 @@ def test_size_one_collectives():
         data = yield from comm.bcast(api, b"solo")
         total = yield from comm.reduce(api, 7)
         big = yield from comm.allreduce(api, 7, op="max")
-        parts = yield from comm.gather(api, b"only")
-        return data, total, big, parts
+        return data, total, big
 
     result = m1.run_until(m1.spawn(0, worker), limit=1e9)
-    assert result == (b"solo", 7, 7, [b"only"])
+    assert result == (b"solo", 7, 7)
 
 
 def test_non_power_of_two_collectives():

