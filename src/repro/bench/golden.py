@@ -4,7 +4,7 @@ Runs a fixed table of entries (:func:`entries`), each with its own gate:
 
 * every registered scenario (:func:`repro.scenarios.scenario_names`),
   built with its ``explore_params`` at its ``min_nodes`` and held to
-  its own ``check`` and to zero dormant-spin ties (``sim.wall``);
+  its own ``check``;
 * every ``benchmarks/bench_*.py`` but ``engine`` (wall-clock only; CI's
   bench-smoke job gates its one simulated count), at smoke size and, for
   the fault, shm, traffic and sync benches, under their sanitizer sets,
@@ -60,9 +60,6 @@ def _scenario(name: str) -> Runner:
                      {"result": result, "snapshot": out.snapshot},
                      {"snapshot": wall})
         problem = scen.check(result)
-        if problem is None and wall["spin_ties"]:
-            problem = (f"{wall['spin_ties']} dormant-spin ties: a woken "
-                       "spin's next sleep missed its exact key")
         if problem is not None:
             print(f"FAIL: scenario {name}: {problem}", file=sys.stderr)
             return 1

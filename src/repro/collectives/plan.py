@@ -42,17 +42,6 @@ class TreePlan:
     parent: Tuple[Optional[int], ...]
     children: Tuple[Tuple[int, ...], ...]
 
-    def depth(self) -> int:
-        """Longest root-to-leaf path in edges (0 for a single node)."""
-        best = 0
-        for r in range(self.n):
-            d, node = 0, r
-            while self.parent[node] is not None:
-                node = self.parent[node]  # type: ignore[assignment]
-                d += 1
-            best = max(best, d)
-        return best
-
     def validate(self) -> None:
         """Check the plan is a spanning tree rooted at ``root``."""
         if not (0 <= self.root < self.n):

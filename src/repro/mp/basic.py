@@ -232,19 +232,23 @@ class BasicPort:
         """
         t0 = api.now
         spin = None
-        while True:
-            # api.load hands back the aP's generator, so each poll
-            # resumes straight into AppProcessor.access
-            raw = yield from api.load(self._rx_producer_addr, 4)
-            if int.from_bytes(raw, "big") != self._rx_consumer:
-                break
-            # an empty poll: mark it, so that the spin may go dormant
-            # while nothing it touches changes (DESIGN.md §8.1)
-            if spin is None:
-                spin = api.shadow_poll(self._rx_producer_addr) or False
-            if spin and not spin.dormant:
-                yield spin
-            yield from api.compute(poll_insns)
+        try:
+            while True:
+                # api.load hands back the aP's generator, so each poll
+                # resumes straight into AppProcessor.access
+                raw = yield from api.load(self._rx_producer_addr, 4)
+                if int.from_bytes(raw, "big") != self._rx_consumer:
+                    break
+                # an empty poll: mark it, so that the spin may go dormant
+                # while nothing it touches changes (DESIGN.md §8.1)
+                if spin is None:
+                    spin = api.shadow_poll(self._rx_producer_addr) or False
+                if spin and not spin.dormant:
+                    yield spin
+                yield from api.compute(poll_insns)
+        finally:
+            if spin:
+                spin.exit()
         msg = yield from self._take(api)
         self.stats.accumulator("mp.basic.recv_ns").add(api.now - t0)
         return msg

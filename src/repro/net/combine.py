@@ -60,8 +60,7 @@ OP_ADD = 0
 OP_MIN = 1
 OP_MAX = 2
 OP_OR = 3
-OP_SWAP = 4  #: unconditional exchange (MCS tail updates); combines.
-OP_CSWAP = 5  #: compare-and-swap; forwards uncombined (not associative).
+OP_SWAP = 4  #: unconditional exchange; combines.
 OP_MUL = 6
 OP_AND = 7
 OP_XOR = 8
@@ -116,10 +115,10 @@ class SyncTag:
     """The in-network computing header riding one tagged packet."""
 
     __slots__ = ("phase", "mode", "group", "cell", "seq", "op", "value",
-                 "aux", "token", "origin", "reply_queue", "count")
+                 "token", "origin", "reply_queue", "count")
 
     def __init__(self, phase: int, mode: int, group: int, op: int,
-                 value: int = 0, cell: int = 0, seq: int = 0, aux: int = 0,
+                 value: int = 0, cell: int = 0, seq: int = 0,
                  token: int = 0, origin: int = NO_NODE, reply_queue: int = 0,
                  count: int = 1) -> None:
         self.phase = phase
@@ -131,8 +130,6 @@ class SyncTag:
         self.cell = cell
         #: tree mode: the collective sequence number; fetch mode: unused.
         self.seq = seq
-        #: second operand (compare value) for ``OP_CSWAP``.
-        self.aux = aux
         #: fetch mode: requester cookie on a member request, or the
         #: emitting switch's decombine-record handle on a combined hop.
         self.token = token
@@ -145,17 +142,18 @@ class SyncTag:
         self.count = count
 
     def pack(self) -> bytes:
-        """Wire encoding (size realism; switches read the object fields)."""
+        """Wire encoding (size realism; switches read the object fields).
+        The wire's ``aux`` field is always 0."""
         return SYNC_TAG.pack(self.phase, self.mode, self.group, self.cell,
                              self.seq, self.op, self.reply_queue, self.value,
-                             self.aux, self.token, self.origin, self.count)
+                             0, self.token, self.origin, self.count)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "SyncTag":
         """Decode :meth:`pack` (used by the sP leaf-inject handler)."""
-        (phase, mode, group, cell, seq, op, reply_queue, value, aux, token,
+        (phase, mode, group, cell, seq, op, reply_queue, value, _aux, token,
          origin, count) = SYNC_TAG.unpack(raw)
-        return cls(phase, mode, group, op, value, cell, seq, aux, token,
+        return cls(phase, mode, group, op, value, cell, seq, token,
                    origin, reply_queue, count)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -188,7 +186,7 @@ class GroupProgram:
 class _Slot:
     """An open combining slot: contributions gathered, not yet flushed."""
 
-    __slots__ = ("entries", "acc", "aux", "count", "ports")
+    __slots__ = ("entries", "acc", "count", "ports")
 
     def __init__(self) -> None:
         #: ordered contributions: (port, origin, child_token, req_token,
@@ -196,7 +194,6 @@ class _Slot:
         #: member entry.
         self.entries: List[Tuple[int, int, int, int, int, int]] = []
         self.acc = 0
-        self.aux = 0
         self.count = 0
         self.ports: List[int] = []
 
@@ -348,16 +345,11 @@ class CombineStage:
         slot = self.slots.get(key)
         entry = (port, tag.origin, tag.token, tag.token, tag.reply_queue,
                  tag.value)
-        if slot is None or tag.op == OP_CSWAP:
+        if slot is None:
             slot = _Slot()
             slot.acc = tag.value
-            slot.aux = tag.aux
             slot.count = tag.count
             slot.entries.append(entry)
-            if tag.op == OP_CSWAP:
-                # compare-and-swap is not associative: forward it alone
-                self._flush_fetch(prog, key, slot)
-                return
             self.slots[key] = slot
             if self.sanitizer is not None:
                 self.sanitizer.note_open(self.switch.name, key)
@@ -390,7 +382,7 @@ class CombineStage:
         self.combined_packets += 1
         _mode, group, cell, op = key
         up = SyncTag(PHASE_REQ, MODE_FETCH, group, op, value=slot.acc,
-                     cell=cell, aux=slot.aux, token=token, count=slot.count)
+                     cell=cell, token=token, count=slot.count)
         self._emit_switch(prog.up_port, up)
 
     def _fetch_apply_root(self, prog: GroupProgram, port: int, tag: SyncTag
@@ -398,11 +390,7 @@ class CombineStage:
         """Apply at the cell's home switch and turn the reply around."""
         ckey = (tag.group, tag.cell)
         old = self.cells.get(ckey, 0)
-        if tag.op == OP_CSWAP:
-            if old == tag.aux:
-                self.cells[ckey] = tag.value
-        else:
-            self.cells[ckey] = apply_op(tag.op, old, tag.value)
+        self.cells[ckey] = apply_op(tag.op, old, tag.value)
         self._count("cell_ops")
         if tag.origin != NO_NODE:
             self._member_fetch_reply(port, tag.origin, tag.reply_queue,
@@ -438,8 +426,7 @@ class CombineStage:
                 self._emit_switch(port, down)
             if self.sanitizer is not None:
                 self.sanitizer.note_reply(self.switch.name, tag.token, port)
-            running = apply_op(tag.op if tag.op != OP_CSWAP else OP_SWAP,
-                               running, value)
+            running = apply_op(tag.op, running, value)
         if self.sanitizer is not None:
             self.sanitizer.note_close(self.switch.name, tag.token,
                                       len(entries))

@@ -19,7 +19,8 @@ tracker to compare per-approach processor overhead.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Generator, List, Optional,
+                    Tuple)
 
 from repro.bus.ops import (OP_READ, OP_READ_LINE, OP_WRITE, OP_WRITE_LINE,
                            BusTransaction)
@@ -31,8 +32,6 @@ from repro.mem.sram import PORT_BUS
 from repro.sim.process import Spin
 
 if TYPE_CHECKING:  # pragma: no cover
-    from array import array
-
     from repro.mem.sram import DualPortedSRAM
     from repro.niu.abiu import BusHandler
     from repro.node.node import NodeBoard
@@ -176,8 +175,7 @@ class ShadowPoll(Spin):
         ap.busy.waker = ap._bus.waker = ap._address_map.waker = waker
         self.abiu.waker = self.bank.watch = waker
 
-    def skip(self, due: float, t: float, inclusive: bool,
-             ends: "array[float]") -> float:
+    def skip(self, due: float, t: float, inclusive: bool) -> Tuple[float, int]:
         """Whole empty iterations from the end of the loop's compute at
         ``due``, with the slow path's floats: each sleep ends at the
         previous end plus its delay, and each busy time adds the same
@@ -187,9 +185,11 @@ class ShadowPoll(Spin):
         iteration take the iteration count.  Nothing else changes: the
         aBIU's claim is served in the same iteration, and the L2's snoop
         reacts to nothing after the first (the spin went dormant only
-        after one full iteration).  Skips nothing when the shadow read
-        is not the plain backing read, the bus counters are not yet
-        created, or the compute's busy section is nested in another."""
+        after one full iteration).  Returns where the pending compute
+        then ends and how many iterations were skipped: none when the
+        shadow read is not the plain backing read, the bus counters are
+        not yet created, or the compute's busy section is nested in
+        another."""
         ap = self.ap
         bus = ap._bus
         busy = ap.busy
@@ -197,7 +197,7 @@ class ShadowPoll(Spin):
         txns, n_bytes = bus._txns, bus._bytes
         if (txns is None or n_bytes is None or busy._depth != 1
                 or type(bank.backing).read is not ByteBacking.read):
-            return due
+            return due, 0
         address, snoop = bus._address_ns, bus._snoop_ns
         op = ap.node.ctrl.op_ns
         # DualPortedSRAM.read's beats for the 4 shadow bytes
@@ -207,7 +207,6 @@ class ShadowPoll(Spin):
         port = bank._ports[PORT_BUS]
         busy_ns, since = busy.busy_ns, busy._since
         bus_ns, port_ns = arbiter._busy_time, port._busy_time
-        extend = ends.extend
         n = 0
         while True:
             e1 = due + address
@@ -222,7 +221,6 @@ class ShadowPoll(Spin):
             bus_ns += e4 - due
             port_ns += e4 - e3
             since = e4
-            extend((e1, e2, e3, e4, e5))
             due = e5
             n += 1
         if n:
@@ -232,7 +230,7 @@ class ShadowPoll(Spin):
             self.abiu.observed += n
             txns.value += n
             n_bytes.value += 4 * n
-        return due
+        return due, n
 
 
 class AppProcessor:

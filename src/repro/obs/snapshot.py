@@ -14,10 +14,8 @@ key                   contents
 ``sim``               engine health: ``events_executed``, ``pending_events``,
                       plus ``wall`` — *wall-clock*
                       gauges (``seconds``, ``events_per_second``) that vary
-                      run to run with host load, and ``spin_ties``, the
-                      dormant-spin tie count (DESIGN.md §8.1; 0 on the
-                      slow path); determinism comparisons must strip
-                      ``sim.wall``
+                      run to run with host load; determinism comparisons
+                      must strip ``sim.wall``
 ``counters``          flat name -> int (monotonic event counts)
 ``accumulators``      name -> {n, mean, min, max, total, stddev,
                       p50, p90, p99, p999} (percentiles from the
@@ -155,7 +153,6 @@ def metrics_snapshot(machine: "StarTVoyager",
             "wall": {
                 "seconds": engine.wall_seconds,
                 "events_per_second": engine.events_per_second,
-                "spin_ties": engine.spin_ties,
             },
         },
         "counters": counters,

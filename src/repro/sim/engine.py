@@ -28,7 +28,10 @@ kind  name            meaning
 A SLEEP/WAKE pair is a yielded ``Timeout(engine, d)`` without the Event:
 SLEEP stands where the Timeout's SUCCEED item stood and WAKE where its
 CALLBACKS item stood, with the same sequence numbers and the same two
-executed items per sleep, tied or not.
+executed items per sleep, tied or not.  The one exception is the key of
+a spinning process's sleep, *banded* (:class:`~repro.sim.process.Spin`):
+``BAND`` plus its spin's index instead of its seq, so that it sorts
+after every ordinary item due at the same instant.
 
 Earlier revisions stored a closure per entry (``lambda: ev.succeed(v)``)
 — one allocation per scheduled event plus an indirect call at dispatch.
@@ -40,16 +43,13 @@ Time is a float in nanoseconds (see :mod:`repro.common.units`).
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
-from heapq import heapify, heappop, heappush, heapreplace
-from math import nextafter
+from heapq import heappop, heappush, heapreplace
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError, SimulationError
 from repro.sim.events import _PENDING, AllOf, Event, Timeout
-from repro.sim.process import ProcGen, Process, Spin
+from repro.sim.process import BAND, ProcGen, Process, Spin
 
 #: scheduled-item kinds — element 2 of a heap entry.
 KIND_CALL = 0
@@ -61,19 +61,8 @@ KIND_WAKE = 4
 #: an unbounded run horizon.
 INFINITY = float("inf")
 
-#: the seq a replayed sleep's key adds per rank within one gap (see
-#: :meth:`Engine._key`): exact below 2**32 sequence numbers.
-_RANK_STEP = 2.0 ** -20
-
-#: clock-log entries kept before the dormant spins catch up (bounds its
-#: memory; see :meth:`Engine._catch_up`).
-_LOG_CAP = 4096
-
-#: how many replayed ends :meth:`Engine._find_starts` hashes at a time
-#: (bounds its memory).
-_SHARED_SLICE = 8192
-
-#: one heap entry: (time, seq, kind, target, arg).
+#: one heap entry: (time, key, kind, target, arg); the key is the item's
+#: seq, or a banded sleep's ``BAND`` plus its spin's index.
 ScheduledItem = Tuple[float, int, int, Any, Any]
 
 
@@ -83,9 +72,9 @@ class SchedulePolicy:
     With a policy installed on :attr:`Engine.schedule_policy`, every run
     loop turns a group of heap entries tied at the minimal timestamp
     into an explicit *decision point*: the whole tie group is popped (in
-    seq order, so ``ready[0]`` is what the default scheduler would run),
+    key order, so ``ready[0]`` is what the default scheduler would run),
     :meth:`choose` picks one, and the rest re-enter the heap with their
-    original sequence numbers — their relative order, and their order
+    original keys — their relative order, and their order
     against items scheduled later, is unchanged.  Items the chosen
     item's execution schedules at the same instant join the *next*
     decision point, so a policy sees every racy ordering the seq
@@ -104,7 +93,13 @@ class SchedulePolicy:
 
 
 class Engine:
-    """Event loop, clock, and factory for events and processes."""
+    """Event loop, clock, and factory for events and processes.
+
+    A spinning process's sleeps are banded (:class:`Spin`): they sort
+    after every ordinary item due at their instant, so a dormant spin
+    (:meth:`_doze`) knows its pending sleep's key alone, and a wake
+    (:meth:`_wake`) replays that one spin.
+    """
 
     __slots__ = (
         "_now",
@@ -120,10 +115,8 @@ class Engine:
         "schedule_policy",
         "_dormant",
         "_spin_off",
-        "spin_ties",
-        "_log",
-        "_rank_gap",
-        "_ranks",
+        "_spins",
+        "_banded",
     )
 
     def __init__(self) -> None:
@@ -164,20 +157,12 @@ class Engine:
         self._dormant: Dict[Process, Spin] = {}
         #: True keeps every spin awake: the slow path, for comparisons.
         self._spin_off = False
-        #: woken spins whose next sleep could not run where it would have
-        #: (the tie rule, DESIGN.md §8.1): it ended at the instant of the
-        #: guard that woke it, before that guard's item.  Kept out of the
-        #: compared snapshot (``sim.wall``); 0 means every catch-up was
-        #: exact.
-        self.spin_ties = 0
-        #: the clock log, kept while any spin is dormant: per executed
-        #: item in run order, ``(time, seq, counter)``, its key and the
-        #: seq counter before it ran (see :meth:`_key`).
-        self._log: List[Tuple[float, Any, int]] = []
-        #: the gap (the seq counter value) replayed steps last handed
-        #: keys out in, and how many per instant (see :meth:`_key`).
-        self._rank_gap = -1
-        self._ranks: Dict[float, int] = {}
+        #: spins made so far: the next one's index (:attr:`Spin.key`).
+        self._spins = 0
+        #: ``(time, key)`` of the last banded sleep dispatched: banded
+        #: items due at one instant run in key order, so at that instant
+        #: every banded sleep with a smaller key has run (see :meth:`_wake`).
+        self._banded: Tuple[float, int] = (-1.0, 0)
 
     # -- clock -----------------------------------------------------------
 
@@ -296,7 +281,7 @@ class Engine:
         Peek, then replace: without a policy the core reads the heap top
         and leaves a KIND_SLEEP or KIND_WAKE item queued while it runs.
         It is the minimum, and everything pushed meanwhile is due no
-        earlier and has a larger ``seq``, so it stays at ``heap[0]``.
+        earlier and has a larger key, so it stays at ``heap[0]``.
         The item that follows it (the KIND_WAKE, or the resumed
         process's next sleep) takes its place with one ``heapreplace``
         instead of a pop and a push.  The tie test looks past it, at
@@ -304,17 +289,18 @@ class Engine:
         item can sit.  Every other exit pops it before calling anything
         that could raise or schedule, so it never outlives its own
         dispatch.  Pop order depends only on the set of queued
-        ``(time, seq)`` keys, never on the heap's layout, so nothing
-        observable moves.  Under a schedule policy a lone item takes the
-        same path; a tie group goes to :meth:`_pop_decision`, which pops
-        the chosen item itself (``queued`` is then False).
+        ``(time, key)`` pairs, never on the heap's layout, so nothing
+        observable moves.  A banded SLEEP is popped at once instead: the
+        poll it resumes may push an ordinary item due at its own instant
+        (a bus release), which sorts ahead of it.  Under a schedule
+        policy a lone item takes the same path; a tie group goes to
+        :meth:`_pop_decision`, which pops the chosen item itself
+        (``queued`` is then False).
         """
         heap = self._heap
         crashes = self._crashes
         policy = self.schedule_policy
         pop, push, replace = heappop, heappush, heapreplace
-        dormant = self._dormant
-        log = self._log.append
         executed = 0
         t0 = perf_counter()
         try:
@@ -331,15 +317,14 @@ class Engine:
                     time, _seq, kind, target, arg = self._pop_decision(policy)
                     queued = False
                 elif kind >= 3:
-                    queued = True  # replaced or popped below
+                    queued = _seq < BAND  # if so, replaced or popped below
+                    if not queued:
+                        pop(heap)
+                        self._banded = time, _seq
                 else:
                     pop(heap)
                 self._now = time
                 executed += 1
-                if dormant:
-                    log((time, _seq, self._seq))
-                    if len(self._log) > _LOG_CAP:
-                        self._catch_up(time)
                 # Inline dispatch, most frequent kinds first.
                 if kind >= 3:  # SLEEP / WAKE: arg is the process's wait token
                     if kind == 3:
@@ -359,8 +344,6 @@ class Engine:
                                 push(heap, (time, seq, 4, target, arg))
                             continue
                         executed += 1  # the WAKE item, run inline
-                        if dormant:
-                            log((time, seq, seq))
                     if target._waiting_on is arg:
                         target._waiting_on = None
                         try:
@@ -373,7 +356,8 @@ class Engine:
                             if type(arg) is float and arg >= 0.0:
                                 self._seq = seq = self._seq + 1
                                 target._waiting_on = seq
-                                item = (time + arg, seq, 3, target, seq)
+                                item = (time + arg, target._band or seq, 3,
+                                        target, seq)
                                 if queued:
                                     replace(heap, item)
                                 else:
@@ -396,8 +380,6 @@ class Engine:
                             push(heap, (time, seq, 2, callbacks, target))
                         else:
                             executed += 1
-                            if dormant:
-                                log((time, seq, seq))
                             for cb in callbacks:
                                 cb(target)
                 elif kind == 2:  # KIND_CALLBACKS
@@ -419,26 +401,32 @@ class Engine:
 
     # -- dormant spins (DESIGN.md §8.1) -----------------------------------
 
-    def _doze(self, spin: Spin, proc: Process, delay: float, seq: int) -> bool:
-        """Let ``proc``'s sleep of ``delay`` (token ``seq``, already
-        counted) go dormant instead of being pushed, when ``spin`` has
-        seen one full empty iteration run through the engine and can arm
-        its guards.  Never under a schedule policy or the opt-out."""
+    def _doze(self, spin: Spin, proc: Process, delay: float) -> bool:
+        """Let ``proc``'s sleep of ``delay`` (its seq already counted) go
+        dormant instead of being pushed, when ``spin`` has seen one full
+        empty iteration run through the engine and can arm its guards.
+        Never under a schedule policy or the opt-out."""
         if (spin.marks < 2 or self.schedule_policy is not None
                 or self._spin_off or not spin.ready()):
             return False
         spin.guard(spin)
         spin.dormant = True
         spin.due = self._now + delay
-        spin.token = seq
         spin.delay = delay
         spin.phase = 0
         self._dormant[proc] = spin
         return True
 
-    def _replay(self, t: float, inclusive: bool) -> None:
-        """Run every dormant sleep due before ``t`` (at or before it when
-        ``inclusive``), for every dormant spinner, then key what is left.
+    def _wake(self, spin: Spin, t: float, inclusive: bool) -> None:
+        """Catch a dormant spinner up to instant ``t`` and queue it again:
+        its pending sleep becomes an ordinary banded KIND_SLEEP item.
+
+        Every sleep that would have run by now is replayed: each one due
+        before ``t`` and, at ``t``, each one when ``inclusive`` (a run
+        loop's bound, where everything due runs) or when its key is below
+        that of the last banded sleep dispatched at ``t``.  Every ordinary
+        item at ``t`` sorts before the spin's sleep, and the item running
+        now either is that banded sleep or was pushed after it ran.
 
         While the pending sleep is the one the spin dozed on, the spin's
         :meth:`~repro.sim.process.Spin.skip` steps whole empty iterations
@@ -448,48 +436,35 @@ class Engine:
         executed items and two sequence numbers the dispatch core would
         have.  A replayed iteration schedules nothing and yields only
         floats (a dormant spin yields no mark); anything else means a
-        guard is missing, and is an error.  Only the engine's own
-        bookkeeping depends on the order the spinners' sleeps would have
-        run in, so each spinner replays alone, and :meth:`_key` then
-        gives each its next sleep's key.
+        guard is missing, and is an error.
         """
-        replayed: List[Tuple[Spin, "array[float]"]] = []
+        if not inclusive:
+            at, key = self._banded
+            inclusive = at == t and spin.key < key
+        spin.guard(None)  # its own poll must not wake it
         queued = len(self._heap)
-        now = latest = self._now
+        now = self._now
+        due, phase, sleeps = spin.due, spin.phase, spin.sleeps
+        send = spin.loop.send
         steps = 0
-        spin = None
         try:
-            for spin in self._dormant.values():
-                due = spin.due
-                if due > t or (due == t and not inclusive):
-                    continue
-                spin.guard(None)  # its own poll must not wake it
-                send = spin.loop.send
-                ends = array("d", (due,))
-                phase, sleeps = spin.phase, spin.sleeps
-                while True:
-                    if not phase:
-                        due = spin.skip(due, t, inclusive, ends)
-                    self._now = due
-                    delay = send(None)
-                    if type(delay) is not float or delay < 0.0:
-                        raise SimulationError(
-                            f"dormant spin of {spin.proc.name!r} yielded "
-                            f"{delay!r} at t={due:.1f}ns; an empty poll "
-                            "must only sleep")
-                    phase = (phase + 1) % sleeps
-                    due = due + delay
-                    if due > t or (due == t and not inclusive):
-                        break
-                    ends.append(due)
-                spin.due = due
-                spin.phase = phase
-                spin.guard(spin)
-                steps += len(ends)
-                replayed.append((spin, ends))
+            while due < t or (due == t and inclusive):
+                if not phase:
+                    due, n = spin.skip(due, t, inclusive)
+                    steps += n * sleeps
+                self._now = due
+                delay = send(None)
+                if type(delay) is not float or delay < 0.0:
+                    raise SimulationError(
+                        f"dormant spin of {spin.proc.name!r} yielded "
+                        f"{delay!r} at t={due:.1f}ns; an empty poll "
+                        "must only sleep")
+                steps += 1
                 # a stop point replays past the last item run: the clock
-                # stops at the last step, as the dispatch core's would
-                latest = max(latest, ends[-1])
+                # stops at the last sleep's end, as the dispatch core's would
+                now = max(now, due)
+                phase = (phase + 1) % sleeps
+                due += delay
         except SimulationError:
             raise
         except BaseException as err:
@@ -497,171 +472,18 @@ class Engine:
                 f"dormant spin of {spin.proc.name!r} failed on replay at "
                 f"t={self._now:.1f}ns") from err
         finally:
-            self._now = latest
+            self._now = now
             # two executed items and two sequence numbers per sleep
             self.events_executed += 2 * steps
             self._seq += 2 * steps
         if len(self._heap) != queued:
             raise SimulationError("a dormant spin scheduled work on replay")
-        if replayed:
-            self._key(replayed, self._seq - 2 * steps)
-
-    def _key(self, replayed: List[Tuple[Spin, "array[float]"]],
-             counter: int) -> None:
-        """Give each replayed spinner's next sleep the key its item would
-        have had, walking the replayed SLEEPs and WAKEs in the order
-        their items would have run.
-
-        A sleep's seq is handed out by the WAKE of the sleep before it,
-        so it goes just after every seq handed out before that WAKE
-        would have run, found in the clock log: ``c + 0.5`` sorts
-        between ``c`` and ``c + 1``.  Keys handed out in one gap for one
-        instant are ranked in the order their WAKEs run; a rank adds
-        ``2**-20``.  A SLEEP runs its WAKE inline unless another item,
-        logged or replayed, was queued at its instant; then the WAKE
-        waits its turn, keyed where the SLEEP ran, as its item would
-        have.  A sleep ending at an instant nothing else shares has its
-        place fixed by that instant alone, whatever its key, so each
-        spinner's walk starts at its last such sleep
-        (:meth:`_find_starts`).
-        """
-        # from the first sleep its key is known; elsewhere it does not
-        # matter
-        walk = [(max(k, 0), spin.token if k < 0 else -1.0)
-                for k, (spin, _ends) in zip(self._find_starts(replayed),
-                                            replayed)]
-        self._key_walk(replayed, counter, walk)
-
-    def _find_starts(self, replayed: List[Tuple[Spin, "array[float]"]]
-                     ) -> List[int]:
-        """Where each spinner's walk starts: at its last sleep when no end
-        of its is shared (with another replayed sleep or a logged item),
-        else just before its first shared one (-1: from its first sleep).
-        Every sleep sharing an instant is then walked, and every walk
-        starts at an instant nobody shares.  Searched back from the last
-        sleeps a slice of about ``_SHARED_SLICE`` ends at a time, until
-        every start is known."""
-        log = self._log
-        firsts: List[Optional[int]] = [None] * len(replayed)
-        step = max(1, _SHARED_SLICE // len(replayed))
-        hi = INFINITY
-        back = 1
-        while True:
-            since = min(ends[max(0, len(ends) - back)]
-                        for _spin, ends in replayed)
-            seen: set = set()
-            shared: set = set()
-            spans = []
-            for _spin, ends in replayed:
-                a, b = bisect_left(ends, since), bisect_left(ends, hi)
-                mine = set(ends[a:b])
-                shared |= seen & mine
-                seen |= mine
-                spans.append((a, b))
-            shared |= seen.intersection(
-                [item[0] for item in
-                 log[bisect_left(log, (since,)):bisect_left(log, (hi,))]])
-            unknown = False
-            for i, ((a, b), (_spin, ends)) in enumerate(zip(spans, replayed)):
-                if shared and not shared.isdisjoint(ends[a:b]):
-                    firsts[i] = next(k for k in range(a, b)
-                                     if ends[k] in shared)
-                f = firsts[i]
-                if f and ends[f - 1] < since:
-                    unknown = True  # shared before ``since``?
-            if not unknown or since <= min(ends[0] for _s, ends in replayed):
-                return [len(ends) - 1 if f is None else f - 1
-                        for f, (_spin, ends) in zip(firsts, replayed)]
-            hi = since
-            back += step
-
-    def _key_walk(self, replayed: List[Tuple[Spin, "array[float]"]],
-                  counter: int, starts: List[Tuple[int, Any]]) -> None:
-        """Walk :meth:`_key`'s steps from each spinner's start: the index
-        of a sleep and the key to order it by there."""
-        log = self._log
-        n = len(log)
-        # per spinner: the sleeps' ends, the next one's index, and what
-        # runs next (a SLEEP, or the WAKE its SLEEP deferred)
-        state = []
-        queue: List[Tuple[float, Any, int]] = []
-        for i, ((spin, ends), (k, key)) in enumerate(zip(replayed, starts)):
-            state.append([spin, ends, k, KIND_SLEEP])
-            queue.append((ends[k], key, i))
-        heapify(queue)
-        j = bisect_left(log, (queue[0][0],))
-        while queue:
-            due, key, i = queue[0]
-            row = state[i]
-            spin, ends = row[0], row[1]
-            # the first item that ran after this step would have
-            j = bisect_right(log, (due, key), j)
-            c = log[j][2] if j < n else counter
-            if row[3] == KIND_SLEEP and (
-                    (j < n and log[j][0] == due)
-                    or (len(queue) > 1 and queue[1][0] == due)
-                    or (len(queue) > 2 and queue[2][0] == due)):
-                row[3] = KIND_WAKE  # tied: the WAKE waits its turn
-            else:
-                row[3] = KIND_SLEEP
-                row[2] += 1
-                due = ends[row[2]] if row[2] < len(ends) else spin.due
-            key = self._ranked(c, due)
-            if row[2] == len(ends):
-                spin.token = key
-                heappop(queue)
-            else:
-                heapreplace(queue, (due, key, i))
-
-    def _ranked(self, c: int, due: float) -> float:
-        """The next key in gap ``c`` for a sleep ending at ``due``: keys
-        are handed out gap by gap, in increasing order."""
-        ranks = self._ranks
-        if c != self._rank_gap:
-            self._rank_gap = c
-            ranks.clear()
-        rank = ranks.get(due, 0)
-        ranks[due] = rank + 1
-        return c + 0.5 + rank * _RANK_STEP
-
-    def _wake(self, spin: Spin, t: float, inclusive: bool) -> None:
-        """Catch a dormant spinner up to instant ``t`` (every dormant
-        spinner, so that their keys are handed out in order) and queue
-        it again: its next sleep becomes an ordinary KIND_SLEEP item with
-        the key it would have had."""
-        self._replay(t, inclusive)
         proc = spin.proc
         del self._dormant[proc]
-        spin.guard(None)
         spin.dormant = False
         spin.marks = 0
-        due, key = spin.due, spin.token
-        log = self._log
-        if due == t and not inclusive and log and log[-1][0] == t \
-                and key < log[-1][1]:
-            # the tie rule: the sleep would have ended before the item
-            # running now, the guard's own; it ends right after it
-            self.spin_ties += 1
-            key = nextafter(log[-1][1], INFINITY)
-        proc._waiting_on = key
-        heappush(self._heap, (due, key, KIND_SLEEP, proc, key))
-        self._trim_log()
-
-    def _trim_log(self) -> None:
-        """Drop what no dormant sleep can still need: the clock log
-        before the earliest one's end, or all of it once none is left."""
-        log = self._log
-        if self._dormant:
-            first = min(spin.due for spin in self._dormant.values())
-            del log[:bisect_left(log, (first,))]
-        else:
-            del log[:]
-
-    def _catch_up(self, t: float) -> None:
-        """Replay the dormant sleeps ending before ``t`` without waking
-        anyone, so the clock log can shrink (every ``_LOG_CAP`` items)."""
-        self._replay(t, False)
-        self._trim_log()
+        heappush(self._heap,
+                 (due, spin.key, KIND_SLEEP, proc, proc._waiting_on))
 
     def wake_dormant(self) -> None:
         """Wake every dormant spinner at the current instant: for anything

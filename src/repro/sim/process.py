@@ -18,17 +18,19 @@ value when the generator finishes, so processes can wait on each other
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Generator, Optional, Union
+from typing import TYPE_CHECKING, Any, Generator, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from array import array
-
     from repro.sim.engine import Engine
 
 ProcGen = Generator[Any, Any, Any]
+
+#: the heap key of a banded sleep is ``BAND`` plus its spin's index
+#: (:attr:`Spin.key`): above every sequence number a run can reach.
+BAND = 1 << 62
 
 
 class Interrupt(Exception):
@@ -46,16 +48,20 @@ class Spin:
     A process spinning on a location yields its Spin once per empty
     iteration, just before that iteration's last sleep.  The yield costs
     no simulated time and no scheduled item: the process resumes at
-    once.  A replayed iteration, run while the spin is :attr:`dormant`,
-    must not yield its mark: the replay takes only sleeps.  Once one
-    full empty iteration has run through the engine since the spin began
-    (or last woke), the sleep that follows the mark goes *dormant*
-    instead of being pushed, provided the spin is :meth:`ready` to guard
-    everything an empty iteration touches.  The first guard to fire
-    calls :meth:`wake`, and the engine replays the missed iterations
-    (see :meth:`repro.sim.engine.Engine._wake`): whole ones through
-    :meth:`skip` where it can, the rest through the process's own
-    generator.
+    once.  From its first mark until its polling loop exits (the loop
+    calls :meth:`exit`), every float sleep the process takes is
+    *banded*: its heap key is ``(due, BAND + index)``, so it sorts after
+    every ordinary item due at the same instant, and after the banded
+    sleeps of spins made before it.  A replayed iteration, run while the
+    spin is :attr:`dormant`, must not yield its mark: the replay takes
+    only sleeps.  Once one full empty iteration has run through the
+    engine since the spin began (or last woke), the sleep that follows
+    the mark goes *dormant* instead of being pushed, provided the spin
+    is :meth:`ready` to guard everything an empty iteration touches.
+    The first guard to fire calls :meth:`wake`, and the engine replays
+    the missed iterations (see :meth:`repro.sim.engine.Engine._wake`):
+    whole ones through :meth:`skip` where it can, the rest through the
+    process's own generator.
 
     Subclasses name what an empty iteration touches: :meth:`ready` says
     whether all of it is idle, and :meth:`guard` points a guard on each
@@ -63,8 +69,8 @@ class Spin:
     :meth:`wake` before it lets anything else touch that part.
     """
 
-    __slots__ = ("engine", "proc", "loop", "marks", "dormant", "due",
-                 "token", "delay", "phase")
+    __slots__ = ("engine", "proc", "loop", "key", "marks", "dormant",
+                 "due", "delay", "phase")
 
     #: sleeps per empty iteration, the last being the one a spin dozes on
     sleeps = 1
@@ -76,16 +82,17 @@ class Spin:
         #: mark: a replay resumes that one, past the frames delegating to it.
         self.proc: Optional["Process"] = None
         self.loop: Optional[ProcGen] = None
+        #: the heap key of the process's banded sleeps: ``BAND`` plus the
+        #: spin's index among the spins its engine has made.
+        self.key = BAND + engine._spins
+        engine._spins += 1
         #: marks seen through the engine since the spin began or woke.
         self.marks = 0
         #: True from going dormant to waking: a replayed iteration must
         #: not yield its mark (the replay takes only floats).
         self.dormant = False
-        #: while dormant: when the pending sleep ends, and its wait token,
-        #: the seq its KIND_SLEEP item would carry (an int, or a float a
-        #: replay placed between two ints).
+        #: while dormant: when the pending sleep ends.
         self.due = 0.0
-        self.token: Any = 0
         #: the delay of the sleep the spin dozed on, and the index (mod
         #: :attr:`sleeps`) of the pending sleep in its iteration: 0 while
         #: it is that one.
@@ -100,18 +107,22 @@ class Spin:
         """Point the guard on every part an empty iteration touches at
         ``waker`` (None removes them)."""
 
-    def skip(self, due: float, t: float, inclusive: bool,
-             ends: "array[float]") -> float:
+    def skip(self, due: float, t: float, inclusive: bool) -> Tuple[float, int]:
         """Replay whole empty iterations without resuming the generator,
         while its pending sleep, the one it dozed on, ends at ``due``.
         Each iteration must end before ``t`` (at or before it when
-        ``inclusive``) and appends its sleeps' ends to ``ends``; returns
-        where the pending sleep then ends.  This one skips nothing."""
-        return due
+        ``inclusive``); returns where the pending sleep then ends and how
+        many iterations were skipped.  This one skips nothing."""
+        return due, 0
 
     def wake(self) -> None:
         """A guard fired: replay the missed iterations up to now."""
         self.engine._wake(self, self.engine._now, False)
+
+    def exit(self) -> None:
+        """The polling loop is done: the process's sleeps are ordinary
+        again."""
+        self.proc._band = 0
 
 
 class Process(Event):
@@ -122,7 +133,7 @@ class Process(Event):
     creation order does not leak into event order subtleties).
     """
 
-    __slots__ = ("_gen", "_waiting_on", "_started", "daemon")
+    __slots__ = ("_gen", "_waiting_on", "_band", "_started", "daemon")
 
     def __init__(
         self, engine: "Engine", gen: ProcGen, name: str = "", daemon: bool = False
@@ -137,6 +148,9 @@ class Process(Event):
         #: the Event this process is parked on, or the int token (the
         #: KIND_SLEEP item's seq) of the sleep it is in; None otherwise.
         self._waiting_on: Union[Event, int, None] = None
+        #: the heap key of its sleeps while it spins (:attr:`Spin.key`),
+        #: else 0: its sleeps take their sequence number as key.
+        self._band = 0
         self._started = False
         #: infrastructure service loop — expected to idle-block forever,
         #: invisible to the deadlock watchdog.
@@ -212,7 +226,8 @@ class Process(Event):
         it may go dormant (:meth:`Engine._doze`) instead of being pushed.
 
         A float ``target`` sleeps: one KIND_SLEEP item whose sequence
-        number doubles as the wait token, pushed here — at the yield,
+        number doubles as the wait token and, unless the process spins
+        (:attr:`Spin.key`), as its key, pushed here — at the yield,
         where ``Timeout.__init__`` pushed its KIND_SUCCEED item.  A
         negative one throws ``Timeout``'s error into the generator at
         the yield.  (:meth:`Engine._dispatch` inlines the float case for
@@ -229,9 +244,10 @@ class Process(Event):
                     engine = self.engine
                     engine._seq = seq = engine._seq + 1
                     self._waiting_on = seq
-                    if spin is None or not engine._doze(spin, self, target, seq):
-                        heappush(engine._heap,
-                                 (engine._now + target, seq, 3, self, seq))
+                    if spin is None or not engine._doze(spin, self, target):
+                        heappush(engine._heap, (engine._now + target,
+                                                self._band or seq, 3, self,
+                                                seq))
                     return
             elif isinstance(target, Spin):
                 spin = target
@@ -241,6 +257,7 @@ class Process(Event):
                     while loop.gi_yieldfrom is not None:
                         loop = loop.gi_yieldfrom
                     spin.loop = loop
+                    self._band = spin.key
                 spin.marks += 1
                 try:
                     target = gen.send(None)

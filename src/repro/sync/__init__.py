@@ -10,7 +10,6 @@ both an in-switch transport and a pure-endpoint fallback.
 
 from repro.net.combine import (
     OP_ADD,
-    OP_CSWAP,
     OP_MAX,
     OP_MIN,
     OP_OR,
@@ -28,7 +27,6 @@ from repro.sync.plan import SwitchTreePlan, plan_group, validate_plan
 
 __all__ = [
     "OP_ADD",
-    "OP_CSWAP",
     "OP_MAX",
     "OP_MIN",
     "OP_OR",

@@ -220,8 +220,7 @@ class SyncGroup:
     # -- the two verbs -----------------------------------------------------
 
     def cell_op(self, api: "ApApi", node: int, cell: int, op: int,
-                value: int, aux: int = 0
-                ) -> Generator["Event", None, int]:
+                value: int) -> Generator["Event", None, int]:
         """Fetch-and-op on one cell; returns the pre-op value.
 
         Serializable: the returned values are exactly those of *some*
@@ -234,7 +233,7 @@ class SyncGroup:
         req = cl.req
         if self.switch:
             tag = SyncTag(PHASE_REQ, MODE_FETCH, self.gid, op, value=value,
-                          cell=cell, aux=aux, token=req, origin=node,
+                          cell=cell, token=req, origin=node,
                           reply_queue=SYNC_RX_LOGICAL)
             yield from cl.port.send_to(api, node, SP_SERVICE_QUEUE,
                                        SYNC_INJECT.pack(tail=tag.pack()))
@@ -242,7 +241,7 @@ class SyncGroup:
             yield from cl.port.send_to(
                 api, self.home(cell), SP_SERVICE_QUEUE,
                 SYNC_REQ.pack(self.gid, cell, op, req, SYNC_RX_LOGICAL,
-                              value, aux))
+                              value, 0))
         return (yield from self._await(api, cl, self._rep_match(req)))
 
     def tree_op(self, api: "ApApi", node: int, op: int, value: int = 0

@@ -37,7 +37,7 @@ from repro.common.wire import (
     SYNC_TREE_REP,
 )
 from repro.firmware.base import fw_send_to, register_msg_handler
-from repro.net.combine import OP_CSWAP, SyncTag, apply_op
+from repro.net.combine import SyncTag, apply_op
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
@@ -102,14 +102,10 @@ def on_sync_req(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_SYNC_REQ``: serialized endpoint fetch-and-op."""
     yield sp.compute(sp.fw.sync_cell_insns)
     st = _state(sp)
-    group, cell, op, req, reply_queue, value, aux = SYNC_REQ.unpack(payload)
+    group, cell, op, req, reply_queue, value, _aux = SYNC_REQ.unpack(payload)
     key = (group, cell)
     old = st.cells.get(key, 0)
-    if op == OP_CSWAP:
-        if old == aux:
-            st.cells[key] = value
-    else:
-        st.cells[key] = apply_op(op, old, value)
+    st.cells[key] = apply_op(op, old, value)
     sp.stats.counter(f"{sp.name}.sync_cell_ops").incr()
     yield from fw_send_to(sp, src, reply_queue,
                           SYNC_REP.pack(req, True, old))

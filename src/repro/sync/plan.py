@@ -57,15 +57,6 @@ class SwitchTreePlan:
         self.root = root
         self.programs = programs
 
-    def describe(self) -> Dict[str, object]:
-        """Plan summary (diagnostics / tests)."""
-        return {
-            "group": self.group,
-            "members": list(self.members),
-            "root": self.root,
-            "switches": sorted(self.programs),
-        }
-
 
 def plan_group(topo: FatTreeTopology, group: int, members: Iterable[int],
                seed: int = 0) -> SwitchTreePlan:

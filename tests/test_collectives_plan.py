@@ -6,8 +6,8 @@ from repro.collectives.firmware import KIND_ALLREDUCE, KIND_BCAST
 from repro.collectives.plan import binomial_tree, recursive_doubling
 from repro.common.errors import NetworkError, ProgramError
 from repro.common.wire import COLL, COLL_MAX_DATA, MSG_COLL_REQ, VALUE
-from repro.net.combine import (OP_ADD, OP_CSWAP, OP_MAX, OP_MIN, OP_OR,
-                               OP_SWAP, OPS, apply_op, op_code)
+from repro.net.combine import (OP_ADD, OP_MAX, OP_MIN, OP_OR, OP_SWAP, OPS,
+                               apply_op, op_code)
 
 
 # -- operators ---------------------------------------------------------------
@@ -20,7 +20,7 @@ def test_op_codes_bijective():
     assert len(set(OPS.values())) == len(OPS)
     assert (OPS["sum"], OPS["min"], OPS["max"], OPS["bor"]) \
         == (OP_ADD, OP_MIN, OP_MAX, OP_OR) == (0, 1, 2, 3)
-    assert not set(OPS.values()) & {OP_SWAP, OP_CSWAP}
+    assert OP_SWAP not in OPS.values()
     for name, code in OPS.items():
         assert op_code(name) == code
     want = {"sum": 10, "prod": 21, "min": 3, "max": 7, "band": 3,
@@ -49,13 +49,20 @@ def test_trees_are_spanning(builder, n):
 
 
 def test_binomial_depth_logarithmic():
-    assert binomial_tree(1).depth() == 0
-    assert binomial_tree(2).depth() == 1
-    assert binomial_tree(8).depth() == 3
-    assert binomial_tree(16).depth() == 4
+    def depth(plan):
+        """Longest parent chain, in edges."""
+        best = 0
+        for r in range(plan.n):
+            hops = 0
+            while plan.parent[r] is not None:
+                r = plan.parent[r]
+                hops += 1
+            best = max(best, hops)
+        return best
+
+    assert [depth(binomial_tree(n)) for n in (1, 2, 8, 16, 17, 32)] \
+        == [0, 1, 3, 4, 4, 5]
     # depth is the max popcount of a virtual rank, e.g. 15 = 0b1111
-    assert binomial_tree(17).depth() == 4
-    assert binomial_tree(32).depth() == 5
 
 
 def test_binomial_subtree_contiguous():

@@ -20,7 +20,7 @@ from repro.common.errors import SimulationError
 from repro.explore.conflict import conflict_key
 from repro.sim.engine import Engine, SchedulePolicy
 from repro.sim.events import Timeout
-from repro.sim.process import Interrupt
+from repro.sim.process import BAND, Interrupt
 from repro.sim.resource import PriorityResource
 
 
@@ -78,7 +78,10 @@ def test_untied_timeout_keeps_sequence_numbers(engine):
 def _reference_run(eng):
     """The pushed form: a dispatch loop that never inlines, so every
     fired Timeout with waiters queues its KIND_CALLBACKS item and every
-    float sleep its KIND_WAKE item."""
+    float sleep its KIND_WAKE item.  Every item is popped, so a banded
+    sleep (a spinning process's, keyed ``BAND`` plus its spin's index)
+    runs after every ordinary item due at its instant, those its own
+    poll pushes included; its WAKE takes an ordinary seq."""
     heap = eng._heap
     policy = eng.schedule_policy
     while heap:
@@ -202,6 +205,35 @@ def test_machine_decision_points_match_pushed_form(monkeypatch):
     assert inlined == machine_run(_reference_run)
     assert inlined[1] == [3, 3, 3, (0, b"ping"), None]
     assert len(inlined[0]) > 0
+
+
+def test_banded_sleeps_reach_decision_points():
+    """Two nodes receive in lockstep: their spins' banded sleeps tie at
+    every poll instant, and a policy sees the same decision points as
+    in the pushed form."""
+
+    def machine_run(runner):
+        m = repro.StarTVoyager(repro.default_config(n_nodes=2))
+        m.engine.schedule_policy = rec = _Recorder()
+        ports = [BasicPort(m.node(n), 0, 0) for n in range(2)]
+
+        def spin(api, n):
+            return (yield from ports[n].recv(api))
+
+        def ping(api, n):
+            yield from api.compute(200)
+            yield from ports[n].send(api, vdst_for(1 - n, 0), b"ping")
+
+        procs = [m.spawn(n, spin, n) for n in range(2)]
+        procs += [m.spawn(n, ping, n) for n in range(2)]
+        runner(m.engine)
+        return (rec.points, [p.value for p in procs],
+                m.engine.events_executed, m.engine._seq, m.now)
+
+    inlined = machine_run(lambda eng: eng.run())
+    assert inlined == machine_run(_reference_run)
+    assert inlined[1] == [(1, b"ping"), (0, b"ping"), None, None]
+    assert any(key >= BAND for _t, ready in inlined[0] for key, _k in ready)
 
 
 # ----------------------------------------------------------------------

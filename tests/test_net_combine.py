@@ -19,7 +19,6 @@ from repro.common.errors import NetworkError, SanitizerError, SimulationError
 from repro.net.combine import (
     MODE_FETCH,
     OP_ADD,
-    OP_CSWAP,
     OP_MAX,
     OP_MIN,
     OP_OR,
@@ -43,7 +42,7 @@ def test_reply_bytes_mirror_firmware_proto():
 
 def test_sync_tag_roundtrip():
     tag = SyncTag(PHASE_DOWN, MODE_FETCH, group=9, op=OP_ADD, value=-17,
-                  cell=3, seq=11, aux=-2, token=42, origin=6,
+                  cell=3, seq=11, token=42, origin=6,
                   reply_queue=3, count=5)
     raw = tag.pack()
     assert len(raw) == wire.SYNC_TAG.size == 44
@@ -63,8 +62,6 @@ def test_apply_op_semantics():
     assert apply_op(OP_MAX, 5, 9) == 9
     assert apply_op(OP_OR, 0b100, 0b001) == 0b101
     assert apply_op(OP_SWAP, 5, 9) == 9
-    with pytest.raises(NetworkError):
-        apply_op(OP_CSWAP, 0, 1)  # not associative, never combines
 
 
 def _switch_machine(n=4, **overrides):

@@ -6,7 +6,7 @@ replayed when a guard fires, whole empty iterations arithmetically
 once with the engine's private opt-out ``_spin_off`` set (the slow path,
 every poll through the engine) and once without, and requires the same
 wall-stripped snapshot, executed-item count, final sequence number and
-clock, and no tie (``spin_ties``) on the fast path.
+clock.
 """
 
 import hashlib
@@ -26,6 +26,7 @@ from repro.node.ap import ShadowPoll
 from repro.obs.snapshot import metrics_snapshot
 from repro.scenarios import ScenarioMachine, scenario, scenario_names
 from repro.sim.engine import Engine, SchedulePolicy
+from repro.sim.process import Spin
 
 
 def _state(machine):
@@ -40,10 +41,9 @@ def _state(machine):
 
 def _both(build):
     """``build(spin_off)`` -> (machine, extra) on each path; asserts they
-    agree and the fast path had no tie.  Returns the fast path's extra."""
+    agree.  Returns the fast path's extra."""
     slow, slow_extra = build(True)
     fast, fast_extra = build(False)
-    assert fast.engine.spin_ties == 0
     assert (_state(fast), fast_extra) == (_state(slow), slow_extra)
     return fast_extra
 
@@ -53,11 +53,10 @@ def _count_skips(monkeypatch):
     skipped = []
     skip = ShadowPoll.skip
 
-    def counting(self, due, t, inclusive, ends):
-        n = len(ends)
-        due = skip(self, due, t, inclusive, ends)
-        skipped.append((len(ends) - n) // self.sleeps)
-        return due
+    def counting(self, due, t, inclusive):
+        due, n = skip(self, due, t, inclusive)
+        skipped.append(n)
+        return due, n
 
     monkeypatch.setattr(ShadowPoll, "skip", counting)
     return skipped
@@ -160,6 +159,94 @@ def test_shadow_write_around_a_poll_read(offset):
 
     done = _both(build)
     assert done["msg"] == (1, b"")
+
+
+def test_write_at_the_end_of_a_shadow_read_is_seen():
+    # a spinning process's sleeps sort after every ordinary item due at
+    # the same instant: the tenth shadow read sees a pointer write
+    # landing at its very end, whether the write was scheduled before
+    # the read began or while it runs
+    read_at = _shadow_reads(10)[-1]
+
+    def order(first):
+        def build(spin_off):
+            def setup(m, p):
+                def deliver():
+                    _deliver(m, p)
+
+                access = m.node(0).ctrl.asram.access_ns
+                end = read_at + access  # the read's end, as the core adds
+                if first == "write":
+                    m.engine._schedule_call(deliver, end)
+                else:
+                    mid = read_at + access / 2  # so end - mid is exact
+                    m.engine._schedule_call(lambda: m.engine._schedule_call(
+                        deliver, end - mid), mid)
+
+            machine, port, proc, done = _spinner(spin_off, setup)
+            machine.run_until(proc, limit=1e6)
+            return machine, (done, machine.node(0).ap.loads)
+
+        return _both(build)
+
+    seen = order("write")
+    assert order("read") == seen
+    # ten pointer loads, the last one finding the message, then its entry
+    assert seen[0]["msg"] == (1, b"") and seen[1] == 10 + 1
+
+
+class _Flag(Spin):
+    """A toy spin with one guard, a flag that other code must check."""
+
+    __slots__ = ("waker",)
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.waker = None
+
+    def ready(self):
+        return True
+
+    def guard(self, waker):
+        self.waker = waker
+
+
+def _poller(eng, spin, log, touch=None, at=None):
+    """Logs a poll every 10 ns until the run stops.  At ``at`` it first
+    touches the guard of ``touch`` (a spin and its log) and logs whether
+    that spin has polled at ``at`` yet."""
+    while True:
+        if eng.now == at:
+            other, other_log = touch
+            if other.waker is not None:
+                other.waker.wake()
+            log.append(("saw", at in other_log))
+        log.append(eng.now)
+        if not spin.dormant:
+            yield spin
+        yield 10.0
+
+
+@pytest.mark.parametrize("first", ["dozer", "toucher"])
+def test_banded_guard_at_the_instant_of_a_dormant_sleep(first):
+    # a spinner that never dozes touches a dormant one's guard at the
+    # instant its pending sleep ends: that sleep ran first exactly when
+    # its spin was made first (its key is the smaller)
+    runs = []
+    for spin_off in (True, False):
+        eng = Engine()
+        eng._spin_off = spin_off
+        if first == "dozer":
+            dozer, toucher = _Flag(eng), Spin(eng)
+        else:
+            toucher, dozer = Spin(eng), _Flag(eng)
+        logs = [], []
+        eng.process(_poller(eng, dozer, logs[0]))
+        eng.process(_poller(eng, toucher, logs[1], (dozer, logs[0]), 50.0))
+        eng.run(until=75.0)
+        runs.append((logs, eng.events_executed, eng._seq, eng.now))
+    assert runs[0] == runs[1]
+    assert ("saw", first == "dozer") in runs[0][0][1]
 
 
 # ----------------------------------------------------------------------
