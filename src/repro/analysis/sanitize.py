@@ -464,9 +464,7 @@ class CoherenceSanitizer:
             cls = node.ctrl.cls
             if cls is not None:
                 cls.sanitizer = self
-            scoma = node.sp.state.get("scoma")
-            if scoma is not None:
-                scoma.dir.sanitizer = self
+            node.sp.state["scoma"].dir.sanitizer = self
 
     # -- cache side --------------------------------------------------------
 
@@ -702,9 +700,7 @@ class DeadlockWatchdog:
 
         lines = []
         for node in self.machine.nodes:
-            scoma = node.sp.state.get("scoma")
-            if scoma is None:
-                continue
+            scoma = node.sp.state["scoma"]
             for line, entry in sorted(scoma.dir.directory.items()):
                 if entry.state != BUSY and not entry.waiters:
                     continue

@@ -8,8 +8,9 @@ Runs a fixed table of entries (:func:`entries`), each with its own gate:
 * every ``benchmarks/bench_*.py`` but ``engine`` (wall-clock only; CI's
   bench-smoke job gates its one simulated count), at smoke size and, for
   the fault, shm, traffic and sync benches, under their sanitizer sets,
-  each held to its exit code, i.e. its own claims.  The 64-node ``sync``
-  points must also equal the committed ``BENCH_sync.json``'s;
+  each held to its exit code, i.e. its own claims.  The ``sync`` bench
+  runs its full 64/256/1024-node axis, and every point must also equal
+  the committed ``BENCH_sync.json``'s;
 * ``python -m repro.bench.report --plot``, which rewrites
   ``REPORT.txt`` from the ``blocks``, ``mechanisms`` and ``shm``
   records, so no point is measured twice;
@@ -104,21 +105,21 @@ def _explore(*argv: str) -> Runner:
 
 
 def _sync(path: str, root: str) -> int:
-    """The 64-node sync smoke run; every field of a sweep point is
-    simulated, so its points must equal the committed full-axis
-    ``BENCH_sync.json``'s 64-node points."""
-    status = _bench("sync", "--nodes", "64", "--jobs", "2", "--sanitize",
-                    SMOKE_SANITIZE, "--emit-metrics")(path, root)
+    """The full 64/256/1024-node sync axis; every field of a sweep point
+    is simulated, so its points must equal the committed
+    ``BENCH_sync.json``'s, every one of them."""
+    status = _bench("sync", "--jobs", "2", "--sanitize", SMOKE_SANITIZE,
+                    "--emit-metrics")(path, root)
 
     def points(record_path: str) -> List[Dict[str, Any]]:
         with open(record_path) as fh:
             record = json.load(fh)
         return [{k: v for k, v in p.items() if k != "metrics"}
-                for p in record["sim"]["points"] if p["nodes"] == 64]
+                for p in record["sim"]["points"]]
 
     committed = points(os.path.join(root, "BENCH_sync.json"))
     if not committed or points(path) != committed:
-        print("FAIL: 64-node sync points differ from BENCH_sync.json",
+        print("FAIL: sync points differ from BENCH_sync.json",
               file=sys.stderr)
         return 1
     return status

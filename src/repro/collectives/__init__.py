@@ -14,7 +14,8 @@ declared in :mod:`repro.common.wire`):
 * :mod:`repro.collectives.plan` — pure-data binomial spanning trees and
   recursive-doubling schedules; unit-testable without the simulator;
 * :mod:`repro.collectives.firmware` — the ``CollectiveUnit`` sP firmware
-  (combining state, arrival counters, tree forwarding);
+  (combining state, arrival counters, tree forwarding), loaded on every
+  sP by the default firmware image at machine build;
 * :mod:`repro.collectives.api` — host-side tree algorithms over mini-MPI
   point-to-point (the ``algo="tree"`` middle ground).
 
@@ -30,13 +31,10 @@ from repro.collectives.plan import (
     binomial_tree,
     recursive_doubling,
 )
-from repro.collectives.firmware import setup_collectives, ensure_collectives
 
 __all__ = [
     "TreePlan",
     "RdSchedule",
     "binomial_tree",
     "recursive_doubling",
-    "setup_collectives",
-    "ensure_collectives",
 ]

@@ -22,13 +22,18 @@ Combining happens in arrival order, so the offloaded reduction path is
 restricted to the commutative + associative named operators in
 :data:`repro.net.combine.OPS`; host-side algorithms handle arbitrary
 callables.
+
+The unit is part of the default firmware image
+(:func:`repro.firmware.install_default_firmware`): machine assembly
+installs it on every sP with the machine's one binomial tree rooted at
+node 0, and the plan never changes while the machine lives.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
 
-from repro.collectives.plan import TreePlan, binomial_tree
+from repro.collectives.plan import TreePlan
 from repro.common.errors import FirmwareError
 from repro.common.wire import (
     COLL,
@@ -70,8 +75,8 @@ class _Pending:
 class CollectiveState:
     """Per-node collective firmware state: the tree and in-flight calls.
 
-    ``plan`` is validated once by whoever builds it and shared read-only
-    by every node of the machine."""
+    ``plan`` is built and validated once at machine assembly and shared
+    read-only by every node of the machine."""
 
     def __init__(self, plan: TreePlan) -> None:
         self.plan = plan
@@ -86,53 +91,16 @@ def setup_collectives(sp: "ServiceProcessor", plan: TreePlan) -> None:
     register_msg_handler(sp, MSG_COLL_DOWN, on_coll_down)
 
 
-def ensure_collectives(machine, plan: Optional[TreePlan] = None) -> TreePlan:
-    """Install collective firmware cluster-wide; return the active plan.
-
-    With ``plan=None``, an already-installed CollectiveUnit keeps its
-    plan and a missing one gets the default binomial tree.  An explicit
-    differing ``plan`` *reinstalls* cluster-wide — runtime firmware
-    reconfiguration is the platform's point — which is safe as long as no
-    collective is in flight (in-flight combining state would refer to the
-    old tree, so reinstalling rejects that case).
-    """
-    installed = [
-        node.sp.state["collectives"]
-        for node in machine.nodes if "collectives" in node.sp.state
-    ]
-    if installed and (plan is None or plan == installed[0].plan):
-        return installed[0].plan
-    if any(st.pending for st in installed):
-        raise FirmwareError(
-            "cannot replace the collective plan while collectives are "
-            "in flight"
-        )
-    if plan is None:
-        plan = binomial_tree(machine.config.n_nodes)
-    else:
-        plan.validate()
-    for node in machine.nodes:
-        setup_collectives(node.sp, plan)
-    return plan
-
-
 # ----------------------------------------------------------------------
 # firmware handlers
 # ----------------------------------------------------------------------
-
-
-def _state(sp: "ServiceProcessor") -> CollectiveState:
-    st = sp.state.get("collectives")
-    if st is None:
-        raise FirmwareError(f"{sp.name}: collective firmware not installed")
-    return st
 
 
 def on_coll_request(sp: "ServiceProcessor", src: int, payload: bytes
                     ) -> Generator["Event", None, None]:
     """``MSG_COLL_REQ``: the local aP's single enqueue."""
     yield sp.compute(sp.fw.coll_request_insns)
-    st = _state(sp)
+    st = sp.state["collectives"]
     msg = COLL.unpack(payload)
     _type, kind, _op, comm, seq, reply_queue, tag, data = msg
     if kind == KIND_BCAST:
@@ -152,14 +120,15 @@ def on_coll_up(sp: "ServiceProcessor", src: int, payload: bytes
                ) -> Generator["Event", None, None]:
     """``MSG_COLL_UP``: a child subtree's combined contribution."""
     yield sp.compute(sp.fw.coll_combine_insns)
-    yield from _contribute(sp, _state(sp), COLL.unpack(payload))
+    yield from _contribute(sp, sp.state["collectives"],
+                           COLL.unpack(payload))
 
 
 def on_coll_down(sp: "ServiceProcessor", src: int, payload: bytes
                  ) -> Generator["Event", None, None]:
     """``MSG_COLL_DOWN``: the result fanning back out over the tree."""
     yield sp.compute(sp.fw.coll_forward_insns)
-    st = _state(sp)
+    st = sp.state["collectives"]
     _type, kind, _op, comm, seq, reply_queue, tag, data = COLL.unpack(payload)
     yield from _down_sweep(sp, st, tag, reply_queue, kind, comm, seq, data)
 

@@ -405,9 +405,6 @@ class MachineConfig:
     faults: Optional[FaultPlan] = None
     #: seed for any randomized choices (e.g. fat-tree up-link spreading).
     seed: int = 0
-    #: load the shipped sP firmware image at machine assembly (tests that
-    #: install firmware piecemeal turn this off).
-    install_firmware: bool = True
     #: S-COMA home node per covered line (None = round-robin by page).
     scoma_home_of: Optional[List[int]] = None
     #: runtime invariant checkers to install at machine assembly: a tuple

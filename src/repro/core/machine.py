@@ -17,11 +17,10 @@ the library touches starts here::
     machine.run()
 
 One validated :class:`~repro.common.config.MachineConfig` fully
-describes a machine — including whether the shipped firmware image is
-loaded (``install_firmware``) and the S-COMA home map
-(``scoma_home_of``).  Measurement goes through :meth:`metrics` (the
-schema-versioned snapshot) and the :class:`~repro.obs.Observability`
-facade at :attr:`obs`.
+describes a machine, the S-COMA home map (``scoma_home_of``) included;
+every node's sP boots the one shipped firmware image.  Measurement goes
+through :meth:`metrics` (the schema-versioned snapshot) and the
+:class:`~repro.obs.Observability` facade at :attr:`obs`.
 """
 
 from __future__ import annotations
@@ -52,10 +51,8 @@ class StarTVoyager:
     """A cluster of StarT-Voyager nodes on an Arctic fat tree.
 
     Construction is fully described by one validated
-    :class:`~repro.common.config.MachineConfig` — including firmware
-    installation (``install_firmware``) and the S-COMA home map
-    (``scoma_home_of``), which earlier revisions accepted as loose
-    constructor kwargs.
+    :class:`~repro.common.config.MachineConfig`, the S-COMA home map
+    (``scoma_home_of``) included.
     """
 
     def __init__(
@@ -89,15 +86,14 @@ class StarTVoyager:
             for i in range(config.n_nodes)
         ]
         self._install_translation()
-        if config.install_firmware:
-            # one S-COMA home map and one collectives tree per machine,
-            # shared read-only by its nodes
-            home_map = HomeMap.for_machine(
-                self.nodes[0], config.n_nodes, config.scoma_home_of)
-            coll_plan = binomial_tree(config.n_nodes)
-            for node in self.nodes:
-                install_default_firmware(node, config.n_nodes, home_map,
-                                         coll_plan)
+        # one S-COMA home map and one collectives tree per machine,
+        # shared read-only by its nodes
+        home_map = HomeMap.for_machine(
+            self.nodes[0], config.n_nodes, config.scoma_home_of)
+        coll_plan = binomial_tree(config.n_nodes)
+        for node in self.nodes:
+            install_default_firmware(node, config.n_nodes, home_map,
+                                     coll_plan)
         for node in self.nodes:
             node.start()
         #: fault injector, armed when the config carries a fault plan
@@ -158,8 +154,8 @@ class StarTVoyager:
 
     def sync_fabric(self):
         """The machine's scalable-synchronization context (lazy
-        singleton; see :class:`repro.sync.api.SyncFabric`).  Creating it
-        installs the sync firmware cluster-wide; combining stages appear
+        singleton; see :class:`repro.sync.api.SyncFabric`).  The sync
+        firmware is already in every sP's image; combining stages appear
         on switches only as groups are planned through them."""
         if self._sync_fabric is None:
             from repro.sync.api import SyncFabric

@@ -1,13 +1,17 @@
 """sP firmware: the programs the NIU's embedded 604 runs.
 
 :func:`install_default_firmware` loads the shipped firmware image onto a
-node's service processor: the message dispatcher, miss-queue service,
-the DMA engine, and the NUMA and S-COMA shared-memory protocols —
-the complete set of §5 "default communication mechanisms" that need
-firmware.  Individual engines can also be installed piecemeal (tests do)
-and replaced at runtime (experiments do).
+node's service processor at machine build, so every service is on every
+sP from the start: the message dispatcher, miss-queue service, the DMA
+engine, the block-transfer arm, the NUMA and S-COMA shared-memory
+protocols, go-back-N reliable delivery, the collectives
+``CollectiveUnit``, the sync services and the traffic services.  Two
+parameterised extensions are not in the image and install per use, once
+per sP: a reflective window (:func:`install_reflective`) and an update
+region (:func:`repro.firmware.update_shm.install_update_region`).
 """
 
+from repro.collectives.firmware import setup_collectives
 from repro.firmware.base import (
     fw_dram_read,
     fw_dram_write,
@@ -24,8 +28,9 @@ from repro.firmware.dma import install_dma_firmware
 from repro.firmware.msg import declare_dram_queue, install_missq_firmware
 from repro.firmware.numa import NumaMap, setup_numa
 from repro.firmware.reflective import install_reflective
-from repro.firmware.reliable import ensure_reliable, setup_reliable
+from repro.firmware.reliable import setup_reliable
 from repro.firmware.scoma import HomeMap, setup_scoma
+from repro.sync.firmware import setup_sync
 
 __all__ = [
     "install_default_firmware",
@@ -35,7 +40,6 @@ __all__ = [
     "install_reflective",
     "setup_numa",
     "setup_reliable",
-    "ensure_reliable",
     "setup_scoma",
     "HomeMap",
     "declare_dram_queue",
@@ -71,8 +75,10 @@ def install_default_firmware(node, n_nodes: int, home_map: HomeMap,
     setup_numa(sp, numa_map)
     setup_scoma(sp, home_map)
     setup_reliable(sp)
-    # the CollectiveUnit (lazy import: repro.collectives builds on this
-    # package's primitives)
-    from repro.collectives.firmware import setup_collectives
+    # lazy: the traffic package's scenarios import the machine, which
+    # imports this package
+    from repro.traffic.firmware import setup_traffic
 
     setup_collectives(sp, coll_plan)
+    setup_sync(sp)
+    setup_traffic(sp, n_nodes)

@@ -173,16 +173,16 @@ def register_msg_handler(sp: "ServiceProcessor", msg_type: int,
                          handler: MsgHandler) -> None:
     """Bind a protocol message type byte to its firmware handler.
 
-    Re-binding the same handler is a no-op (setups are idempotent); a
-    type byte already bound to a *different* handler raises rather than
-    silently replacing it."""
+    Each type byte is bound once per sP: every setup runs once, so a
+    second binding is a clash and raises rather than silently replacing
+    the first."""
     handlers = sp.state.setdefault("msg_handlers", {})
     bound = handlers.get(msg_type)
-    if bound is not None and bound is not handler:
+    if bound is not None:
         raise FirmwareError(
             f"{sp.name}: message type {msg_type} is already bound to "
-            f"{getattr(bound, '__name__', bound)}, not "
-            f"{getattr(handler, '__name__', handler)}")
+            f"{getattr(bound, '__name__', bound)} (binding "
+            f"{getattr(handler, '__name__', handler)})")
     handlers[msg_type] = handler
 
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
 from repro.bus.ops import OP_WRITE, OP_WRITE_LINE, BusTransaction
 from repro.bus.snoop import SNOOP_CLAIM, SNOOP_OK, SnoopResult
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.mem.address import Region
 from repro.niu.abiu import BusHandler
 from repro.niu.commands import LOCAL_CMDQ_0, CmdForward, CmdWriteDram
@@ -64,8 +64,6 @@ class ReflectiveWindowHandler(BusHandler):
         # as the FPGA would merge this into the same tenure)
         offset = txn.addr - self.region.base
         self.ctrl.post_sp_event(("reflect", offset, bytes(txn.data)))  # type: ignore[arg-type]
-        dram = self.ctrl.config  # timing only; data applied below
-        del dram
         self._apply_local(txn)
         return None
 
@@ -98,11 +96,16 @@ def install_reflective(node, window_base: int, window_bytes: int,
     """Set up a reflective window on one node.
 
     ``window_base`` must name the same DRAM range on every subscriber
-    (symmetric windows, as in Memory Channel).  Returns the installed
-    handler for test introspection.
+    (symmetric windows, as in Memory Channel).  An sP holds one window:
+    a second install on the same node raises :class:`ConfigError`.
+    Returns the installed handler for test introspection.
     """
     from repro.mem.address import MODE_UNCACHED
 
+    if "reflective" in node.sp.state:
+        raise ConfigError(
+            f"node {node.node_id} already has a reflective window "
+            f"at {node.sp.state['reflective'][0]:#x}")
     if window_base + window_bytes > node.user_dram_bytes:
         raise SimulationError("reflective window outside user DRAM")
     # the window must be uncached so every store appears on the bus —

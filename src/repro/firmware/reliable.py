@@ -42,7 +42,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Generator, Tuple
 
-from repro.common.errors import FirmwareError
 from repro.common.wire import (
     MSG_REL_ACK,
     MSG_REL_DATA,
@@ -125,20 +124,6 @@ def setup_reliable(sp: "ServiceProcessor") -> None:
     sp.register("rel.timer", on_rel_timer)
 
 
-def ensure_reliable(machine) -> None:
-    """Install the reliable engine cluster-wide where missing."""
-    for node in machine.nodes:
-        if "rel" not in node.sp.state:
-            setup_reliable(node.sp)
-
-
-def _state(sp: "ServiceProcessor") -> ReliableState:
-    st = sp.state.get("rel")
-    if st is None:
-        raise FirmwareError(f"{sp.name}: reliable firmware not installed")
-    return st
-
-
 # ----------------------------------------------------------------------
 # sender side
 # ----------------------------------------------------------------------
@@ -153,7 +138,7 @@ def rel_tx_dispatcher(sp: "ServiceProcessor", logical: int
     filling up is what backpressures the aP.  ACK processing re-posts
     this dispatcher when cumulative progress opens the window.
     """
-    st = _state(sp)
+    st = sp.state["rel"]
     ctrl = sp.ctrl
     cfg = ctrl.config.reliability
     slot = ctrl.rx_cache.resident().get(logical)
@@ -209,7 +194,7 @@ def on_rel_timer(sp: "ServiceProcessor", event: Tuple
                  ) -> Generator["Event", None, None]:
     """Retransmit timer expiry: resend the whole window, back off."""
     _kind, dst_node, gen = event
-    st = _state(sp)
+    st = sp.state["rel"]
     flow = st.flows.get(dst_node)
     if flow is None or gen != flow.timer_gen:
         return  # stale timer: progress re-armed a newer one
@@ -233,7 +218,7 @@ def on_rel_ack(sp: "ServiceProcessor", src: int, payload: bytes
                ) -> Generator["Event", None, None]:
     """Cumulative ACK: release the window prefix, reset the timer."""
     yield sp.compute(sp.fw.rel_ack_insns)
-    st = _state(sp)
+    st = sp.state["rel"]
     flow = st.flows.get(src)
     if flow is None:
         return
@@ -271,7 +256,7 @@ def on_rel_data(sp: "ServiceProcessor", src: int, payload: bytes
                 ) -> Generator["Event", None, None]:
     """One DATA segment: deliver if in order, always re-ack."""
     yield sp.compute(sp.fw.rel_data_insns)
-    st = _state(sp)
+    st = sp.state["rel"]
     dst_queue, seq, user = REL_DATA.unpack(payload)
     expected = st.rx_expected.get(src, 0)
     san = sp.sanitizer

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Generator, List
 from repro.bus.ops import (OP_FLUSH, OP_KILL, OP_RWITM, OP_WRITE,
                            OP_WRITE_LINE, BusTransaction)
 from repro.bus.snoop import SNOOP_OK, SnoopResult
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.wire import MSG_UPDATE_RELEASE, UPDATE_RELEASE
 from repro.firmware.base import fw_dram_read, register_msg_handler
 from repro.mem.address import Region
@@ -117,10 +117,16 @@ def install_update_region(node, base: int, size: int,
     """Set up one node's side of a shared update region.
 
     ``base``/``size`` name the same cached DRAM range on every peer.
-    Returns the node's :class:`DiffUnit` for inspection.
+    An sP holds one region: a second install on the same node raises
+    :class:`ConfigError`.  Returns the node's :class:`DiffUnit` for
+    inspection.
     """
     from repro.mem.address import MODE_CACHED
 
+    if "update_unit" in node.sp.state:
+        raise ConfigError(
+            f"node {node.node_id} already has an update region at "
+            f"{node.sp.state['update_unit'].base:#x}")
     if base + size > node.user_dram_bytes:
         raise SimulationError("update region outside user DRAM")
     line = node.config.bus.line_bytes

@@ -50,8 +50,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, Generator, List, Optional,
 
 from repro.collectives import api as coll_api
 from repro.collectives.firmware import (KIND_ALLREDUCE, KIND_BARRIER,
-                                        KIND_BCAST, KIND_REDUCE,
-                                        ensure_collectives)
+                                        KIND_BCAST, KIND_REDUCE)
 from repro.collectives.plan import (RdSchedule, TreePlan, binomial_tree,
                                     recursive_doubling)
 from repro.common.errors import ProgramError
@@ -118,8 +117,9 @@ class MiniMPI:
 
     ``reliable=True`` routes every point-to-point fragment through the
     sP's go-back-N ack/retransmit firmware
-    (:mod:`repro.firmware.reliable`), surviving lossy links at the cost
-    of a 4-byte header per fragment and the firmware round trip.
+    (:mod:`repro.firmware.reliable`, in every sP's default image),
+    surviving lossy links at the cost of a 4-byte header per fragment
+    and the firmware round trip.
     Collectives built from point-to-point (``"flat"``/``"tree"``)
     inherit reliability; the ``"nic"`` combining path does not.
     """
@@ -137,27 +137,21 @@ class MiniMPI:
         self.algo = algo
         self.reliable = reliable
         self.frag_data = FRAG_DATA_RELIABLE if reliable else FRAG_DATA
-        if reliable:
-            # make sure every node's sP carries the go-back-N engine
-            # (no-op under the shipped default image)
-            from repro.firmware.reliable import ensure_reliable
-            ensure_reliable(machine)
         self._ranks: Dict[int, "MpiRank"] = {}
         self._plans: Dict[int, TreePlan] = {}
         self._rd: Optional[RdSchedule] = None
         self.nic_plan: Optional[TreePlan] = None
         self._sync_group = None
         if algo == "nic":
-            # installs the CollectiveUnit firmware cluster-wide (no-op if
-            # the shipped image already carries it)
-            self.nic_plan = ensure_collectives(machine, self.plan(0))
+            # the CollectiveUnit's tree, installed with the firmware image
+            self.nic_plan = machine.node(0).sp.state["collectives"].plan
         elif algo == "switch":
             self.sync_group()
 
     def sync_group(self):
         """The whole-communicator sync group backing ``algo="switch"``
         (lazy: created on first use, planning the combining tree through
-        the fabric and installing the sync firmware)."""
+        the fabric)."""
         if self._sync_group is None:
             fabric = self.machine.sync_fabric()
             self._sync_group = fabric.group(range(self.size), mode="switch")

@@ -4,7 +4,7 @@ The library half of in-network computing: every primitive here is built
 from two tiny verbs a :class:`SyncGroup` provides —
 
 * :meth:`SyncGroup.cell_op` — fetch-and-op on a named 64-bit cell
-  (add / min / max / or / swap / compare-and-swap);
+  (add / min / max / or / swap);
 * :meth:`SyncGroup.tree_op` — a full-group combining collective
   (:meth:`SyncGroup.barrier` when the value is ignored, allreduce when
   it is not).
@@ -17,9 +17,10 @@ Each verb has two transports selected per group:
   ``tree_op`` runs over a planned SHARP-style reduction tree
   (:mod:`repro.sync.plan`), one packet per tree edge per direction.
 * ``mode="endpoint"`` — the pure-endpoint fallback: the same wire
-  verbs served by a single home sP (:mod:`repro.sync.firmware`).  This
-  is both the degraded path for machines without a network and the
-  hot-spot baseline ``benchmarks/bench_sync.py`` measures against.
+  verbs served by a single home sP (:mod:`repro.sync.firmware`, in
+  every sP's default firmware image).  This is both the degraded path
+  for machines without a network and the hot-spot baseline
+  ``benchmarks/bench_sync.py`` measures against.
 
 On top of the verbs: :class:`Counter` and :class:`TicketLock`
 (fetch-and-add tickets, FIFO fair).
@@ -50,7 +51,6 @@ from repro.common.wire import (
 from repro.mp.basic import BasicPort
 from repro.net.combine import MODE_FETCH, MODE_TREE, OP_ADD, PHASE_REQ, SyncTag
 from repro.niu.niu import SP_SERVICE_QUEUE
-from repro.sync.firmware import ensure_sync_firmware
 from repro.sync.plan import SwitchTreePlan, plan_group
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,7 +103,6 @@ class SyncFabric:
         self.groups: Dict[int, "SyncGroup"] = {}
         self._next_gid = 1
         self._clients: Dict[int, _NodeClient] = {}
-        ensure_sync_firmware(machine)
 
     def client(self, node: int) -> _NodeClient:
         """The (lazily created) sync endpoint of one node."""

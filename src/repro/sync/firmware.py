@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
-from repro.common.errors import FirmwareError
 from repro.common.wire import (
     MSG_SYNC_CBAR,
     MSG_SYNC_INJECT,
@@ -70,26 +69,12 @@ class SyncFwState:
 
 
 def setup_sync(sp: "ServiceProcessor") -> None:
-    """Install the sync firmware on one node's sP (idempotent)."""
-    if "sync" in sp.state:
-        return
+    """Install the sync firmware on one node's sP (part of the default
+    image, :func:`repro.firmware.install_default_firmware`)."""
     sp.state["sync"] = SyncFwState()
     register_msg_handler(sp, MSG_SYNC_REQ, on_sync_req)
     register_msg_handler(sp, MSG_SYNC_CBAR, on_sync_cbar)
     register_msg_handler(sp, MSG_SYNC_INJECT, on_sync_inject)
-
-
-def ensure_sync_firmware(machine) -> None:
-    """Install the sync firmware cluster-wide (idempotent)."""
-    for node in machine.nodes:
-        setup_sync(node.sp)
-
-
-def _state(sp: "ServiceProcessor") -> SyncFwState:
-    st = sp.state.get("sync")
-    if st is None:
-        raise FirmwareError(f"{sp.name}: sync firmware not installed")
-    return st
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +86,7 @@ def on_sync_req(sp: "ServiceProcessor", src: int, payload: bytes
                 ) -> Generator["Event", None, None]:
     """``MSG_SYNC_REQ``: serialized endpoint fetch-and-op."""
     yield sp.compute(sp.fw.sync_cell_insns)
-    st = _state(sp)
+    st = sp.state["sync"]
     group, cell, op, req, reply_queue, value, _aux = SYNC_REQ.unpack(payload)
     key = (group, cell)
     old = st.cells.get(key, 0)
@@ -115,7 +100,7 @@ def on_sync_cbar(sp: "ServiceProcessor", src: int, payload: bytes
                  ) -> Generator["Event", None, None]:
     """``MSG_SYNC_CBAR``: central counting barrier / serial allreduce."""
     yield sp.compute(sp.fw.sync_barrier_insns)
-    st = _state(sp)
+    st = sp.state["sync"]
     group, seq, n, reply_queue, op, value = SYNC_CBAR.unpack(payload)
     key = (group, seq)
     pend = st.central.get(key)
@@ -150,6 +135,5 @@ def on_sync_inject(sp: "ServiceProcessor", src: int, payload: bytes
 
 __all__ = [
     "SyncFwState",
-    "ensure_sync_firmware",
     "setup_sync",
 ]

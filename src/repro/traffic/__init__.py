@@ -21,7 +21,6 @@ deterministic at any ``--jobs`` count — or an explicit trace.  Per-request acc
 ``machine.metrics()`` with goodput and p50/p99/p99.9.
 """
 
-from repro.traffic.firmware import ensure_traffic, setup_traffic
 from repro.traffic.kv import KvClient, home_node
 from repro.traffic.load import (
     PoissonArrivals,
@@ -54,9 +53,7 @@ __all__ = [
     "UsvcScenario",
     "ZipfKeys",
     "block_home",
-    "ensure_traffic",
     "home_node",
     "make_kv_trace",
     "node_slice",
-    "setup_traffic",
 ]

@@ -20,8 +20,9 @@ embedded sP makes the NIU a *programmable* application accelerator:
   pending tables by a locally unique context token so overlapping trees
   never cross wires.
 
-``setup_traffic`` installs the handlers on one sP; ``ensure_traffic``
-covers a whole machine.
+``setup_traffic`` installs the handlers on one sP.  It is part of the
+default firmware image (:func:`repro.firmware.install_default_firmware`),
+so every sP serves all three from machine build on.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.firmware.base import fw_send_to, register_msg_handler
 from repro.niu.niu import SP_SERVICE_QUEUE
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.machine import StarTVoyager
     from repro.niu.sp import ServiceProcessor
     from repro.sim.events import Event
 
@@ -77,14 +77,6 @@ class TrafficState:
         self.usvc_next_ctx = 0
 
 
-def _state(sp: "ServiceProcessor") -> TrafficState:
-    st = sp.state.get("traffic")
-    if st is None:
-        raise FirmwareError(
-            f"traffic firmware not installed on node {sp.node_id}")
-    return st
-
-
 # ----------------------------------------------------------------------
 # KV store
 # ----------------------------------------------------------------------
@@ -92,7 +84,7 @@ def _state(sp: "ServiceProcessor") -> TrafficState:
 
 def _on_kv_req(sp: "ServiceProcessor", src: int, payload: bytes
                ) -> Generator["Event", None, None]:
-    st = _state(sp)
+    st = sp.state["traffic"]
     op, reply_q, req_id, key, _count, value = KV_REQ.unpack(payload)
     yield sp.compute(sp.fw.kv_op_insns)
     if op == KV_PUT:
@@ -115,7 +107,7 @@ def _on_kv_req(sp: "ServiceProcessor", src: int, payload: bytes
 
 def _on_ps_push(sp: "ServiceProcessor", src: int, payload: bytes
                 ) -> Generator["Event", None, None]:
-    st = _state(sp)
+    st = sp.state["traffic"]
     reply_q, step, block, n_workers, grad = PS_PUSH.unpack(payload)
     yield sp.compute(sp.fw.ps_push_insns)
     entry = st.ps_pending.get((step, block))
@@ -149,7 +141,7 @@ def _usvc_children(me: int, fanout: int, n_nodes: int) -> List[int]:
 
 def _on_usvc_req(sp: "ServiceProcessor", src: int, payload: bytes
                  ) -> Generator["Event", None, None]:
-    st = _state(sp)
+    st = sp.state["traffic"]
     depth, fanout, reply_q, ctx, svc_insns = USVC_REQ.unpack(payload)
     yield sp.compute(sp.fw.usvc_dispatch_insns + svc_insns)
     sp.stats.counter(f"traffic.usvc.s{sp.node_id}.stages").incr()
@@ -168,7 +160,7 @@ def _on_usvc_req(sp: "ServiceProcessor", src: int, payload: bytes
 
 def _on_usvc_rep(sp: "ServiceProcessor", src: int, payload: bytes
                  ) -> Generator["Event", None, None]:
-    st = _state(sp)
+    st = sp.state["traffic"]
     (token,) = USVC_REP.unpack(payload)
     entry = st.usvc_pending.get(token)
     if entry is None:
@@ -189,17 +181,9 @@ def _on_usvc_rep(sp: "ServiceProcessor", src: int, payload: bytes
 
 def setup_traffic(sp: "ServiceProcessor", n_nodes: int) -> None:
     """Install every traffic service handler on one node's sP."""
-    if "traffic" in sp.state:
-        return
     sp.state["traffic"] = TrafficState(n_nodes)
     register_msg_handler(sp, MSG_KV_REQ, _on_kv_req)
     register_msg_handler(sp, MSG_PS_PUSH, _on_ps_push)
     register_msg_handler(sp, MSG_USVC_REQ, _on_usvc_req)
     register_msg_handler(sp, MSG_USVC_REP, _on_usvc_rep)
 
-
-def ensure_traffic(machine: "StarTVoyager") -> None:
-    """Install the traffic firmware machine-wide (idempotent)."""
-    for node in machine.nodes:
-        if "traffic" not in node.sp.state:
-            setup_traffic(node.sp, machine.config.n_nodes)

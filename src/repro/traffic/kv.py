@@ -27,7 +27,7 @@ from repro.common.errors import ConfigError
 from repro.common.wire import KV_REP, KV_REQ
 from repro.mp.basic import BasicPort
 from repro.niu.niu import SP_SERVICE_QUEUE
-from repro.traffic.firmware import KV_GET, KV_PUT, ensure_traffic
+from repro.traffic.firmware import KV_GET, KV_PUT
 from repro.traffic.load import TraceRecord
 from repro.traffic.slo import DEFAULT_SLO_NS, SloRecorder
 
@@ -58,7 +58,6 @@ class KvClient:
 
     def __init__(self, machine: "StarTVoyager", node: "NodeBoard", *,
                  slo_ns: float = DEFAULT_SLO_NS) -> None:
-        ensure_traffic(machine)
         self.machine = machine
         self.node = node
         self.n_nodes = machine.config.n_nodes

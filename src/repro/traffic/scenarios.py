@@ -124,9 +124,8 @@ class TrainScenario(Scenario):
         weights: Dict[int, int] = {}
         if job is not None and job.mode == "ps":
             for node in nodes:
-                st = machine.node(node).sp.state.get("traffic")
-                if st is not None:
-                    weights.update(st.ps_weights)
+                weights.update(machine.node(node).sp.state["traffic"]
+                               .ps_weights)
         return {"steps": self.steps, "weights": weights}
 
 

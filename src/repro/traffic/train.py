@@ -30,7 +30,6 @@ from repro.common.wire import PS_PUSH, PS_REP
 from repro.lib.mpi import MiniMPI
 from repro.mp.basic import BasicPort
 from repro.niu.niu import SP_SERVICE_QUEUE
-from repro.traffic.firmware import ensure_traffic
 from repro.traffic.kv import RX_LOGICAL, TX_INDEX
 from repro.traffic.slo import SloRecorder
 
@@ -56,7 +55,6 @@ class TrainJob:
                  slo_ns: float = DEFAULT_STEP_SLO_NS) -> None:
         if mode not in ("ps", "allreduce"):
             raise ConfigError(f"unknown training mode {mode!r}")
-        ensure_traffic(machine)
         self.machine = machine
         self.mode = mode
         self.algo = algo

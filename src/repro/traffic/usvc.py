@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Sequence
 from repro.common.wire import USVC_REP, USVC_REQ
 from repro.mp.basic import BasicPort
 from repro.niu.niu import SP_SERVICE_QUEUE
-from repro.traffic.firmware import ensure_traffic
 from repro.traffic.kv import RX_LOGICAL, TX_INDEX
 from repro.traffic.load import TraceRecord
 from repro.traffic.slo import SloRecorder
@@ -41,7 +40,6 @@ class UsvcClient:
     def __init__(self, machine: "StarTVoyager", node: "NodeBoard", *,
                  depth: int = 2, fanout: int = 2, svc_insns: int = 200,
                  slo_ns: float = DEFAULT_TREE_SLO_NS) -> None:
-        ensure_traffic(machine)
         self.machine = machine
         self.node = node
         self.n_nodes = machine.config.n_nodes

@@ -9,8 +9,6 @@ dequeue).
 import pytest
 
 import repro
-from repro.collectives.firmware import ensure_collectives
-from repro.collectives.plan import binomial_tree
 from repro.common.errors import ProgramError, SimulationError
 from repro.lib.mpi import MiniMPI
 
@@ -124,18 +122,6 @@ def test_nic_bcast_payload_cap():
         machine.run_until(machine.spawn(0, worker, 0), limit=1e9)
 
 
-def test_ensure_collectives_replaces_idle_plan():
-    machine = _machine(4)
-    # the default image ships a binomial plan; an explicit different
-    # plan reinstalls cluster-wide while nothing is in flight
-    assert ensure_collectives(machine).kind == "binomial"
-    plan = ensure_collectives(machine, binomial_tree(4, root=2))
-    assert plan.root == 2
-    assert machine.node(2).sp.state["collectives"].plan is plan
-    # and asking again without a plan keeps it
-    assert ensure_collectives(machine) is plan
-
-
 def test_invalid_algo_rejected():
     machine = _machine(2)
     with pytest.raises(ProgramError):
@@ -228,22 +214,29 @@ def test_collective_plan_shared_by_every_node():
     assert len(plans) == 1
 
 
-def test_nic_collectives_rooted_past_one_byte():
-    """An explicit plan rooted at node 258: the firmware takes the root
-    from the installed plan, so bcast and allreduce complete."""
-    n, root = 260, 258
+def test_nic_collectives_past_one_byte():
+    """A 260-node tree at the image's root: node ids above 255 travel
+    as tree parents and children (256 is 0's child and 257's and
+    258's parent), so bcast and allreduce complete only if the wire
+    carries them whole."""
+    n = 260
     machine = _machine(n)
     mpi = MiniMPI(machine, algo="nic")
-    mpi.nic_plan = ensure_collectives(machine, mpi.plan(root))
+    plan = mpi.nic_plan
+    root = plan.root
+    assert plan.parent[256] == root and plan.parent[258] == 256
+    assert 259 in plan.children[258]
 
     def worker(api, rank):
         comm = mpi.rank(rank)
         data = yield from comm.bcast(
-            api, b"from-258" if rank == root else None, root=root)
+            api, b"from-root" if rank == root else None, root=root)
         total = yield from comm.allreduce(api, rank, op="sum")
         return data, total
 
     procs = [machine.spawn(i, worker, i) for i in range(n)]
     assert machine.run_all(procs, limit=1e10) == \
-        [(b"from-258", sum(range(n)))] * n
+        [(b"from-root", sum(range(n)))] * n
     assert machine.stats.counter(f"sp{root}.coll_completed").value == 1
+    for node in (256, 258, 259):
+        assert machine.stats.counter(f"sp{node}.coll_delivered").value == 2

@@ -162,12 +162,9 @@ def test_arm_mode5_uses_block_machinery(m2):
 
 def test_traffic_firmware_keeps_platform_handlers(m2):
     """The serving applications' type bytes no longer shadow the
-    default firmware: with the traffic firmware installed, the arm and
-    the S-COMA evict request still reach their handlers, and an arm
+    default firmware: with the traffic firmware in the image, the arm
+    and the S-COMA evict request still reach their handlers, and an arm
     still sets its lines PENDING."""
-    from repro.traffic.firmware import ensure_traffic
-
-    ensure_traffic(m2)
     handlers = m2.node(1).sp.state["msg_handlers"]
     assert handlers[MSG_BT45_ARM] is handle_arm
     assert handlers[MSG_SCOMA_EVICT_REQ] is handle_evict_request
@@ -178,11 +175,62 @@ def test_traffic_firmware_keeps_platform_handlers(m2):
 
 
 def test_rebinding_a_type_byte_raises(m2):
+    """Every setup runs once, so any second binding is a clash: the same
+    handler again as much as a different one."""
     sp = m2.node(0).sp
-    register_msg_handler(sp, MSG_BT45_ARM, handle_arm)  # same: idempotent
-    with pytest.raises(FirmwareError, match="already bound"):
-        register_msg_handler(sp, MSG_BT45_ARM, handle_evict_request)
+    for handler in (handle_arm, handle_evict_request):
+        with pytest.raises(FirmwareError, match="already bound"):
+            register_msg_handler(sp, MSG_BT45_ARM, handler)
     assert sp.state["msg_handlers"][MSG_BT45_ARM] is handle_arm
+
+
+def test_image_binds_every_service_once():
+    """A fresh machine's sPs already serve sync, traffic, collectives and
+    go-back-N; building the libraries on top binds nothing more."""
+    from repro.collectives import firmware as coll_fw
+    from repro.common.wire import (
+        MSG_COLL_DOWN,
+        MSG_COLL_REQ,
+        MSG_COLL_UP,
+        MSG_REL_ACK,
+        MSG_REL_DATA,
+        MSG_SYNC_CBAR,
+        MSG_SYNC_INJECT,
+        MSG_SYNC_REQ,
+        MSG_USVC_REP,
+        MSG_USVC_REQ,
+    )
+    from repro.firmware import reliable
+    from repro.lib.mpi import MiniMPI
+    from repro.sync import firmware as sync_fw
+    from repro.traffic import KvClient, TrainJob
+    from repro.traffic import firmware as traffic_fw
+
+    expected = {
+        MSG_SYNC_REQ: sync_fw.on_sync_req,
+        MSG_SYNC_CBAR: sync_fw.on_sync_cbar,
+        MSG_SYNC_INJECT: sync_fw.on_sync_inject,
+        MSG_KV_REQ: traffic_fw._on_kv_req,
+        MSG_PS_PUSH: traffic_fw._on_ps_push,
+        MSG_USVC_REQ: traffic_fw._on_usvc_req,
+        MSG_USVC_REP: traffic_fw._on_usvc_rep,
+        MSG_COLL_REQ: coll_fw.on_coll_request,
+        MSG_COLL_UP: coll_fw.on_coll_up,
+        MSG_COLL_DOWN: coll_fw.on_coll_down,
+        MSG_REL_DATA: reliable.on_rel_data,
+        MSG_REL_ACK: reliable.on_rel_ack,
+    }
+    m = repro.StarTVoyager(repro.default_config(n_nodes=4))
+    before = [dict(node.sp.state["msg_handlers"]) for node in m.nodes]
+    for handlers in before:
+        assert {t: handlers.get(t) for t in expected} == expected
+    MiniMPI(m, algo="nic", reliable=True)
+    fabric = m.sync_fabric()
+    fabric.group(range(4), mode="switch")
+    fabric.group(range(4), mode="endpoint")
+    KvClient(m, m.node(0))
+    TrainJob(m)
+    assert [node.sp.state["msg_handlers"] for node in m.nodes] == before
 
 
 # -- DMA request validation --------------------------------------------------------

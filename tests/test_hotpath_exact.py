@@ -32,15 +32,15 @@ from repro.scenarios import ScenarioMachine, scenario
 PINS = {
     ("traffic_train", (("algo", "nic"), ("mode", "allreduce")), 8): (
         125642, 125642, 301450.16429354844,
-        "21a6bc031cc19ccc1b55a1cb1f4783fe892c2dd24bdbfa8fffa13e4ba5aba600",
+        "704964355a5deeac9a16232fbfb297ce6f273c7ef58c069679b5a56f6e869ad9",
     ),
     ("traffic_kv", (), 4): (
         16792, 16792, 79970.70551357562,
-        "c61032006e4010aa9a7846ad92be61a2bbb2c21511a3da106fcd58f644f0e11c",
+        "17862f15b0c96137e9df110ec93b156379ad7250d2c39792139dd3a9e8bc590a",
     ),
     ("shm_hash", (), 4): (
         98948, 98948, 437677.40781307913,
-        "134081678a975b6f3d0be518fe3abca3d1db4a4b12c332ba9858c5cde973f781",
+        "34438154f73475ce8c7da5b989a3da1f6b1e1608d49fb0372d1ff5191370fb39",
     ),
 }
 
@@ -72,11 +72,11 @@ def test_stock_scenario_matches_pins(key):
 CRASH_PINS = {
     "mid_bus_op": (2333.0, (
         2287, 2287, 9675.063891931355,
-        "45d91c94c1107e6b2bc78c4fa43fa241a997062789b481cd031b4db8036e62f4",
+        "5851eeb4fd7735c543666af18501d307008835fde61f18486789fef289338444",
     )),
     "mid_compute": (2703.0, (
         2310, 2310, 9675.063891931355,
-        "3c263b8c11c6397cb6dde69983e9a719dec5a44c44a699c6ab416e59a5c07cbf",
+        "5d1872ca15a4fb291d7edf01b4a138b26a0038dd1a10abfad3f8ebd5d392d85b",
     )),
 }
 

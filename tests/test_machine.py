@@ -87,14 +87,6 @@ def test_metrics_contains_bus_stats():
     assert snap["counters"].get("bus0.txns", 0) >= 1
 
 
-def test_firmware_optional():
-    cfg = repro.default_config(n_nodes=2)
-    cfg.install_firmware = False
-    m = repro.StarTVoyager(cfg)
-    # no firmware image: the sP has no handlers
-    assert not m.node(0).sp._handlers
-
-
 def test_invalid_config_rejected():
     cfg = repro.default_config()
     cfg.n_nodes = 0

@@ -283,16 +283,16 @@ def test_ctor_kwargs_removed():
     # the deprecated loose kwargs are gone: MachineConfig owns the fields
     with pytest.raises(TypeError):
         repro.StarTVoyager(repro.default_config(n_nodes=2),
-                           install_firmware=False)
+                           scoma_home_of=[1])
 
 
 def test_config_fields_replace_ctor_kwargs():
     cfg = repro.default_config(n_nodes=2)
-    cfg.install_firmware = False
+    cfg.scoma_home_of = [1, 0, 1]
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         m = repro.StarTVoyager(cfg)  # no warning on the new spelling
-    assert not m.node(0).sp._handlers
+    assert m.node(0).sp.state["scoma"].home_of == (1, 0, 1)
 
 
 def test_scoma_home_of_validated():

@@ -107,3 +107,24 @@ def test_install_over_accessed_address_reaches_new_handler():
     _settle(m)
     assert handlers[0].captured == 1
     assert m.node(1).dram.peek(BASE, 8) == b"reflect!"
+
+
+def test_second_window_on_one_sp_rejected():
+    """An sP holds one window: a second install would overwrite the
+    first's base, so a store to the first would land in the second's
+    range on the peer.  It is refused, and the first keeps working."""
+    from repro.common.errors import ConfigError
+
+    m = repro.StarTVoyager(repro.default_config(n_nodes=2))
+    for n in range(2):
+        install_reflective(m.node(n), BASE, BYTES, [0, 1])
+    with pytest.raises(ConfigError, match="already has a reflective"):
+        install_reflective(m.node(0), BASE + 0x4000, BYTES, [0, 1])
+
+    def writer(api):
+        yield from api.store(BASE + 0x10, b"first!!!")
+
+    m.run_until(m.spawn(0, writer), limit=1e8)
+    _settle(m)
+    assert m.node(1).dram.peek(BASE + 0x10, 8) == b"first!!!"
+    assert m.node(1).dram.peek(BASE + 0x4010, 8) == bytes(8)

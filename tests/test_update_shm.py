@@ -219,3 +219,23 @@ def test_needs_two_peers():
     from repro.common.errors import ProgramError
     with pytest.raises(ProgramError):
         UpdateRegion(machine, base=BASE, size=SIZE, nodes=[0])
+
+
+def test_second_region_on_one_sp_rejected(rig):
+    """An sP holds one region: a second install would take over its diff
+    unit, and releasing the first would propagate nothing.  It is
+    refused, and the first still propagates."""
+    from repro.common.errors import ConfigError
+
+    machine, region, ports = rig
+    with pytest.raises(ConfigError, match="already has an update region"):
+        UpdateRegion(machine, base=BASE + 2 * SIZE, size=SIZE)
+
+    def writer(api):
+        yield from api.store(region.addr(0), b"released")
+        yield from region.release(api, ports[0], notify_queue=0)
+
+    machine.run_until(machine.spawn(0, writer), limit=1e9)
+    _settle(machine)
+    for n in range(3):
+        assert region.peek(n, 0, 8) == b"released"
