@@ -154,7 +154,7 @@ def allreduce_point(spec):
         comm = mpi.rank(rank)
         oks = 0
         for _ in range(ALLREDUCE_REPEATS):
-            got = yield from comm.allreduce(api, rank + 1, op="sum")
+            got = yield from comm.allreduce(api, rank + 1)
             oks += int(got == expect)
         return oks
 

@@ -45,7 +45,7 @@ def collectives() -> None:
     def worker(api, rank: int):
         comm = mpi.rank(rank)
         greeting = yield from comm.bcast(
-            api, b"hello from root" if rank == 0 else None, root=0)
+            api, b"hello from root" if rank == 0 else None)
         total = yield from comm.allreduce(api, (rank + 1) ** 2)
         yield from comm.barrier(api)
         return greeting.decode(), total

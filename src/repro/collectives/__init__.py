@@ -3,16 +3,18 @@
 StarT-Voyager's thesis is that a programmable NIU lets new communication
 mechanisms be added without touching the aP or the core hardware.  This
 package exercises that claim end to end: collective operations (barrier,
-broadcast, reduce, allreduce) move off the host into sP firmware
-that combines contributions as they arrive and forwards one message per
-tree edge — the aP issues a single enqueue and a single dequeue per
-collective instead of O(N) point-to-point messages.
+broadcast, allreduce) move off the host into sP firmware that sums
+contributions as they arrive and forwards one message per tree edge —
+the aP issues a single enqueue and a single dequeue per collective
+instead of O(N) point-to-point messages.  Every collective is rooted at
+rank 0, and every reduction is a sum.
 
 Three layers, lowest first (the ``COLL`` message layout they share is
 declared in :mod:`repro.common.wire`):
 
-* :mod:`repro.collectives.plan` — pure-data binomial spanning trees and
-  recursive-doubling schedules; unit-testable without the simulator;
+* :mod:`repro.collectives.plan` — the pure-data binomial spanning tree
+  rooted at rank 0 and the recursive-doubling schedule; unit-testable
+  without the simulator;
 * :mod:`repro.collectives.firmware` — the ``CollectiveUnit`` sP firmware
   (combining state, arrival counters, tree forwarding), loaded on every
   sP by the default firmware image at machine build;

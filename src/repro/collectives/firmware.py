@@ -12,16 +12,15 @@ per-``(communicator, sequence)`` combining state along a spanning tree
   contributions *as they arrive* and forwards a single combined
   ``MSG_COLL_UP`` message to its tree parent — one message per tree edge
   instead of N-1 messages through one root;
-* the root sP turns the fully combined value around as ``MSG_COLL_DOWN``
-  messages that fan back out over the tree, and every sP delivers the
-  result into its local aP's receive queue, formatted as a mini-MPI
-  fragment so the aP's ordinary tag-matched dequeue completes the
-  collective.
+* the root sP (node 0) turns the fully combined value around as
+  ``MSG_COLL_DOWN`` messages that fan back out over the tree, and every
+  sP delivers the result into its local aP's receive queue, formatted
+  as a mini-MPI fragment so the aP's ordinary tag-matched dequeue
+  completes the collective.
 
-Combining happens in arrival order, so the offloaded reduction path is
-restricted to the commutative + associative named operators in
-:data:`repro.net.combine.OPS`; host-side algorithms handle arbitrary
-callables.
+Contributions are summed in arrival order, the one fold every combining
+path in the machine applies.  The ``op`` byte of a ``COLL`` message is
+always 0.
 
 The unit is part of the default firmware image
 (:func:`repro.firmware.install_default_firmware`): machine assembly
@@ -44,7 +43,6 @@ from repro.common.wire import (
     VALUE,
 )
 from repro.firmware.base import fw_send_to, register_msg_handler
-from repro.net.combine import apply_op
 from repro.niu.niu import SP_SERVICE_QUEUE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,18 +52,16 @@ if TYPE_CHECKING:  # pragma: no cover
 #: collective kinds (the ``kind`` byte of a ``COLL`` message).
 KIND_BARRIER = 0
 KIND_BCAST = 1
-KIND_REDUCE = 2
 KIND_ALLREDUCE = 3
 
 
 class _Pending:
     """Combining state of one in-flight collective at one sP."""
 
-    __slots__ = ("kind", "op", "tag", "reply_queue", "arrived", "want",
-                 "acc")
+    __slots__ = ("kind", "tag", "reply_queue", "arrived", "want", "acc")
 
     def __init__(self, msg: tuple, want: int) -> None:
-        (_type, self.kind, self.op, _comm, _seq, self.reply_queue, self.tag,
+        (_type, self.kind, _op, _comm, _seq, self.reply_queue, self.tag,
          _data) = msg
         self.arrived = 0
         self.want = want
@@ -106,7 +102,7 @@ def on_coll_request(sp: "ServiceProcessor", src: int, payload: bytes
     if kind == KIND_BCAST:
         # broadcast has no combining phase: the root's request starts the
         # down-sweep immediately
-        if sp.node_id != st.plan.root:
+        if sp.node_id != 0:
             raise FirmwareError(
                 f"{sp.name}: bcast request at non-root rank {sp.node_id}"
             )
@@ -155,25 +151,21 @@ def _contribute(sp: "ServiceProcessor", st: CollectiveState,
             pend.acc = value
         else:
             yield sp.compute(sp.fw.coll_combine_insns)
-            pend.acc = apply_op(pend.op, pend.acc, value)
+            pend.acc += value
     pend.arrived += 1
     if pend.arrived < pend.want:
         return
     # subtree complete
     del st.pending[key]
     data = VALUE.pack(pend.acc) if pend.acc is not None else b""
-    if me != st.plan.root:
-        up = COLL.pack(MSG_COLL_UP, pend.kind, pend.op, comm, seq,
+    parent = st.plan.parent[me]
+    if parent is not None:
+        up = COLL.pack(MSG_COLL_UP, pend.kind, 0, comm, seq,
                        pend.reply_queue, pend.tag, tail=data)
-        parent = st.plan.parent[me]
         yield from fw_send_to(sp, parent, SP_SERVICE_QUEUE, up)
         return
     # fully combined at the root
     sp.stats.counter(f"{sp.name}.coll_completed").incr()
-    if pend.kind == KIND_REDUCE:
-        # root-only result: no down phase at all
-        yield from _deliver(sp, pend.tag, pend.reply_queue, data)
-        return
     yield from _down_sweep(sp, st, pend.tag, pend.reply_queue, pend.kind,
                            comm, seq, data)
 

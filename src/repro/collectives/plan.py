@@ -3,16 +3,9 @@
 Plans are *pure data* — tuples of parent links, child lists, and
 exchange rounds — so the algorithms can be unit-tested exhaustively
 without building a machine.  The binomial tree handles arbitrary (not
-just power-of-two) node counts, and non-zero roots are expressed by
-rotating "virtual ranks": virtual rank ``v = (r - root) mod n`` so the
-root is always virtual 0.
-
-The binomial tree has the property the reduction algorithms rely on for
-non-commutative operators: the subtree of virtual rank ``v`` spans the
-contiguous virtual range ``[v, v + lowbit(v))``, so folding own-value-
-first then children in ascending order reproduces the exact
-ascending-rank fold (MPI's canonical reduction order), rotated by
-``root`` when ``root != 0``.
+just power-of-two) node counts and is always rooted at rank 0: the
+machine builds one at assembly, the sP firmware image installs it, and
+MiniMPI's ``tree`` and ``nic`` algorithms both read that one plan.
 """
 
 from __future__ import annotations
@@ -29,26 +22,21 @@ from repro.common.errors import ProgramError
 
 @dataclass(frozen=True)
 class TreePlan:
-    """One rooted spanning tree over ranks ``0..n-1`` (pure data).
+    """One spanning tree over ranks ``0..n-1``, rooted at rank 0 (pure
+    data).
 
-    ``parent[r]`` is ``None`` only at the root; ``children[r]`` lists a
-    rank's children in the tree's deterministic fold order (ascending
-    virtual rank).
+    ``parent[r]`` is ``None`` only at rank 0; ``children[r]`` lists a
+    rank's children in ascending order.
     """
 
     n: int
-    root: int
-    kind: str
     parent: Tuple[Optional[int], ...]
     children: Tuple[Tuple[int, ...], ...]
 
     def validate(self) -> None:
-        """Check the plan is a spanning tree rooted at ``root``."""
-        if not (0 <= self.root < self.n):
-            raise ProgramError(f"root {self.root} outside 0..{self.n - 1}")
-        if self.parent[self.root] is not None:
-            raise ProgramError("root must have no parent")
-        seen = 0
+        """Check the plan is a spanning tree rooted at rank 0."""
+        if self.parent[0] is not None:
+            raise ProgramError("rank 0 must have no parent")
         for r in range(self.n):
             node, hops = r, 0
             while self.parent[node] is not None:
@@ -56,9 +44,8 @@ class TreePlan:
                 hops += 1
                 if hops > self.n:
                     raise ProgramError(f"cycle reached from rank {r}")
-            if node != self.root:
-                raise ProgramError(f"rank {r} does not reach the root")
-            seen += 1
+            if node != 0:
+                raise ProgramError(f"rank {r} does not reach rank 0")
         for r in range(self.n):
             for c in self.children[r]:
                 if self.parent[c] != r:
@@ -67,42 +54,17 @@ class TreePlan:
             raise ProgramError("tree must have exactly n-1 edges")
 
 
-def _rotate(
-    n: int, root: int, virtual_parent: List[Optional[int]]
-) -> Tuple[List[Optional[int]], List[List[int]]]:
-    """Map a virtual-rank tree (rooted at virtual 0) back to real ranks."""
-    parent: List[Optional[int]] = [None] * n
-    children: List[List[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        r = (v + root) % n
-        pv = virtual_parent[v]
-        if pv is None:
-            continue
-        p = (pv + root) % n
-        parent[r] = p
-        children[p].append(r)
-    # fold order: ascending *virtual* rank, which is the append order
-    return parent, children
-
-
-def binomial_tree(n: int, root: int = 0) -> TreePlan:
-    """Binomial spanning tree: parent of virtual ``v`` is ``v & (v - 1)``.
-
-    The subtree of virtual rank ``v`` spans the contiguous range
-    ``[v, v + lowbit(v))``, which makes own-then-ascending-children folds
-    equal to the ascending-virtual-rank fold — the property the reduce
-    algorithms need for non-commutative operators.
-    """
+def binomial_tree(n: int) -> TreePlan:
+    """Binomial spanning tree rooted at rank 0: parent of ``r`` is
+    ``r & (r - 1)``, so the critical path is the largest popcount of a
+    rank, O(log n)."""
     if n < 1:
         raise ProgramError(f"tree needs at least one rank, got {n}")
-    if not (0 <= root < n):
-        raise ProgramError(f"root {root} outside 0..{n - 1}")
-    virtual_parent: List[Optional[int]] = [
-        None if v == 0 else v & (v - 1) for v in range(n)
-    ]
-    parent, children = _rotate(n, root, virtual_parent)
-    plan = TreePlan(n, root, "binomial", tuple(parent),
-                    tuple(tuple(c) for c in children))
+    parent: List[Optional[int]] = [None] + [r & (r - 1) for r in range(1, n)]
+    children: List[List[int]] = [[] for _ in range(n)]
+    for r in range(1, n):
+        children[parent[r]].append(r)  # type: ignore[index]
+    plan = TreePlan(n, tuple(parent), tuple(tuple(c) for c in children))
     plan.validate()
     return plan
 

@@ -250,7 +250,7 @@ class NetworkConfig:
     #: False = store-and-forward (conservative default; the shipped
     #: experiment numbers use it).
     cut_through: bool = False
-    #: switch-resident combining: how long a fetch-and-op combining slot
+    #: switch-resident combining: how long a fetch-and-add combining slot
     #: stays open for later colliding requests before the combined packet
     #: is forwarded (Ultracomputer-style window).  Tree-mode collectives
     #: ignore it — they wait for their planned contribution count.
@@ -331,7 +331,7 @@ class FirmwareCostConfig:
     rel_ack_insns: int = 35
     #: reliable delivery: one retransmit-timer firing (window walk).
     rel_timer_insns: int = 50
-    #: repro.sync endpoint fallback: apply one fetch-and-op at a cell's
+    #: repro.sync endpoint fallback: apply one fetch-and-add at a cell's
     #: home sP (decode, read-modify-write, compose reply).
     sync_cell_insns: int = 55
     #: repro.sync: inject one tagged packet toward the switch fabric

@@ -76,8 +76,8 @@ MSG_COLL_DOWN = 18  #: parent sP -> child sP: collective result going down
 MSG_REL_SEND = 19  #: aP -> local sP: submit one reliable-delivery segment
 MSG_REL_DATA = 20  #: sender sP -> receiver sP: go-back-N DATA segment
 MSG_REL_ACK = 21  #: receiver sP -> sender sP: cumulative acknowledgement
-MSG_SYNC_REQ = 22  #: requester -> home sP: endpoint fetch-and-op request
-MSG_SYNC_REP = 23  #: home sP / switch -> requester: fetch-and-op reply
+MSG_SYNC_REQ = 22  #: requester -> home sP: endpoint fetch-and-add request
+MSG_SYNC_REP = 23  #: home sP / switch -> requester: fetch-and-add reply
 MSG_SYNC_INJECT = 24  #: aP -> local sP: inject a sync tag into the fabric
 MSG_SYNC_TREE_REP = 26  #: tree root (sP or switch) -> member: collective result
 MSG_SYNC_CBAR = 27  #: member -> home sP: central counting-barrier arrival
@@ -275,7 +275,9 @@ UPDATE_RELEASE = Layout("notify_queue:B", types=MSG_UPDATE_RELEASE)
 #: one layout for REQ/UP/DOWN.  ``seq`` keys the firmware combining
 #: state, so host-side 15-bit tag wraps never alias in-flight state;
 #: ``tag`` is the mini-MPI fragment tag the aP waits on.  The root is
-#: the installed plan's.
+#: the installed plan's, rank 0.  Every sender packs ``op`` as 0 (the
+#: fold is always a sum), as it does in ``SYNC_REQ``, ``SYNC_CBAR`` and
+#: ``SYNC_TAG``.
 COLL = Layout("kind:B op:B comm:B seq:I x reply_queue:B tag:H length:B",
               types=(MSG_COLL_REQ, MSG_COLL_UP, MSG_COLL_DOWN),
               tail="length")
@@ -292,7 +294,7 @@ REL_ACK = Layout("x ack:H", types=MSG_REL_ACK)
 # -- scalable synchronization -------------------------------------------------------
 SYNC_REQ = Layout("group:I cell:I op:B x x x x req:I reply_queue:B value:q "
                   "aux:q", types=MSG_SYNC_REQ)
-#: fetch-and-op reply, from the home sP or a combining switch.
+#: fetch-and-add reply, from the home sP or a combining switch.
 SYNC_REP = Layout("req:I ok:? value:q", types=MSG_SYNC_REP)
 #: carries one packed :data:`SYNC_TAG` as its tail.
 SYNC_INJECT = Layout("", types=MSG_SYNC_INJECT, tail="rest")

@@ -7,9 +7,11 @@ actual communication."
 
 :class:`MiniMPI` is that library: ranks map to nodes, large sends
 fragment into Basic messages, receives reassemble and match on
-``(source, tag)``, and the usual collectives (barrier, bcast, reduce,
+``(source, tag)``, and the usual collectives (barrier, bcast,
 allreduce) are built from point-to-point — all of it ordinary
-user code over :class:`~repro.mp.basic.BasicPort`.
+user code over :class:`~repro.mp.basic.BasicPort`.  Every collective is
+rooted at rank 0, and ``allreduce`` sums 64-bit integers: the one
+reduction every combining path in the machine applies.
 
 Collectives are selectable per machine through ``algo=``:
 
@@ -21,14 +23,15 @@ Collectives are selectable per machine through ``algo=``:
   (:mod:`repro.collectives.firmware`) combines contributions in the
   network interface and the aP issues a single enqueue plus a single
   dequeue per collective.
-* ``"switch"`` — in-network computing: barrier and named-op allreduce
+* ``"switch"`` — in-network computing: barrier and allreduce
   ride a switch-resident combining tree (:mod:`repro.sync`), one
   packet per tree edge with the folding done *inside the fabric*.
   Only those two collectives offload this far; the rest fall back to
   the machine's base algorithm.
 
-The ``"tree"`` and ``"nic"`` families fold along binomial trees
-(:func:`repro.collectives.plan.binomial_tree`).
+The ``"tree"`` and ``"nic"`` families walk the machine's one binomial
+tree (:func:`repro.collectives.plan.binomial_tree`), which machine
+assembly builds and the sP firmware image installs.
 
 Fragment format (within one Basic payload, 88-byte cap):
 
@@ -44,19 +47,15 @@ bytes  field
 
 from __future__ import annotations
 
-from functools import partial
-from typing import (TYPE_CHECKING, Callable, Dict, Generator, List, Optional,
-                    Tuple, Union)
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from repro.collectives import api as coll_api
 from repro.collectives.firmware import (KIND_ALLREDUCE, KIND_BARRIER,
-                                        KIND_BCAST, KIND_REDUCE)
-from repro.collectives.plan import (RdSchedule, TreePlan, binomial_tree,
-                                    recursive_doubling)
+                                        KIND_BCAST)
+from repro.collectives.plan import RdSchedule, TreePlan, recursive_doubling
 from repro.common.errors import ProgramError
 from repro.common.wire import COLL, COLL_MAX_DATA, MPI_FRAG, MSG_COLL_REQ, VALUE
 from repro.mp.basic import BasicPort
-from repro.net import combine
 from repro.niu.niu import SP_SERVICE_QUEUE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,33 +80,6 @@ _COLL_TAG_SPAN = 0x8000
 
 #: the collective algorithm families MiniMPI can route through.
 ALGOS = ("flat", "tree", "nic", "switch")
-
-#: a reduction operator: a name from :data:`repro.net.combine.OPS`, an
-#: arbitrary callable (host algorithms only), or None for sum.
-OpSpec = Union[None, str, Callable[[int, int], int]]
-
-
-def _resolve_op(op: OpSpec) -> Tuple[Optional[int], Callable[[int, int], int]]:
-    """``(op-code-or-None, fn)`` for an operator spec (None = sum)."""
-    if op is None:
-        op = "sum"
-    if isinstance(op, str):
-        code = combine.op_code(op)
-        return code, partial(combine.apply_op, code)
-    if callable(op):
-        return None, op
-    raise ProgramError(f"op must be None, a name, or a callable: {op!r}")
-
-
-def _offload_code(code: Optional[int], where: str) -> int:
-    """The op code an offloaded (``nic``/``switch``) reduction carries;
-    callables only run on the host algorithms."""
-    if code is None:
-        raise ProgramError(
-            f"{where} reduction needs a named op from "
-            f"{sorted(combine.OPS)}; use algo='tree' for callables"
-        )
-    return code
 
 
 class MiniMPI:
@@ -138,14 +110,13 @@ class MiniMPI:
         self.reliable = reliable
         self.frag_data = FRAG_DATA_RELIABLE if reliable else FRAG_DATA
         self._ranks: Dict[int, "MpiRank"] = {}
-        self._plans: Dict[int, TreePlan] = {}
+        #: the machine's binomial tree rooted at rank 0, installed with
+        #: the firmware image: ``tree`` walks it from the aPs, ``nic``
+        #: from the sPs.
+        self.plan: TreePlan = machine.node(0).sp.state["collectives"].plan
         self._rd: Optional[RdSchedule] = None
-        self.nic_plan: Optional[TreePlan] = None
         self._sync_group = None
-        if algo == "nic":
-            # the CollectiveUnit's tree, installed with the firmware image
-            self.nic_plan = machine.node(0).sp.state["collectives"].plan
-        elif algo == "switch":
+        if algo == "switch":
             self.sync_group()
 
     def sync_group(self):
@@ -162,14 +133,6 @@ class MiniMPI:
         if node not in self._ranks:
             self._ranks[node] = MpiRank(self, node)
         return self._ranks[node]
-
-    # -- collective plans -----------------------------------------------------
-
-    def plan(self, root: int) -> TreePlan:
-        """The binomial tree rooted at ``root`` (cached per root)."""
-        if root not in self._plans:
-            self._plans[root] = binomial_tree(self.size, root)
-        return self._plans[root]
 
     def rd_schedule(self) -> RdSchedule:
         """The recursive-doubling allreduce schedule (cached)."""
@@ -188,8 +151,12 @@ class MpiRank:
         self.port = BasicPort(mpi.machine.node(node), mpi.tx_index,
                               mpi.rx_logical)
         self.stats = self.port.stats
-        #: out-of-order arrivals waiting for a matching recv.
-        self._mailbox: Dict[Tuple[int, int], List[bytes]] = {}
+        #: completed messages waiting for a matching recv, oldest first:
+        #: (src, tag) -> [(arrival number, data), ...].  A key leaves
+        #: the dict with its last message.
+        self._mailbox: Dict[Tuple[int, int], List[Tuple[int, bytes]]] = {}
+        #: messages completed so far: orders wildcard matches.
+        self._arrivals = 0
         #: partially reassembled messages: (src, tag) -> (total, bytearray, got)
         self._partial: Dict[Tuple[int, int], Tuple[int, bytearray, int]] = {}
         #: collective-call sequence number (identical across ranks because
@@ -238,7 +205,8 @@ class MpiRank:
              ) -> Generator["Event", None, Tuple[int, int, bytes]]:
         """Blocking receive; returns ``(src, tag, data)``.
 
-        ``None`` wildcards match any source / any tag, in arrival order.
+        ``None`` wildcards match any source / any tag, in arrival order:
+        the earliest-completed matching message is returned first.
         """
         t0 = api.now
         while True:
@@ -251,17 +219,34 @@ class MpiRank:
 
     def _match(self, src: Optional[int], tag: Optional[int]
                ) -> Optional[Tuple[int, int, bytes]]:
-        for (s, t), queue in self._mailbox.items():
-            if queue and (src is None or s == src) and (tag is None or t == tag):
-                data = queue.pop(0)
-                return s, t, data
-        return None
+        if src is not None and tag is not None:
+            key: Optional[Tuple[int, int]] = (src, tag)
+            if key not in self._mailbox:
+                return None
+        else:
+            key, first = None, 0
+            for k, queue in self._mailbox.items():
+                if ((src is None or k[0] == src)
+                        and (tag is None or k[1] == tag)
+                        and (key is None or queue[0][0] < first)):
+                    key, first = k, queue[0][0]
+            if key is None:
+                return None
+        queue = self._mailbox[key]
+        _n, data = queue.pop(0)
+        if not queue:
+            del self._mailbox[key]
+        return key[0], key[1], data
+
+    def _complete(self, key: Tuple[int, int], data: bytes) -> None:
+        self._arrivals += 1
+        self._mailbox.setdefault(key, []).append((self._arrivals, data))
 
     def _absorb(self, src: int, payload: bytes) -> None:
         tag, total, offset, frag = MPI_FRAG.unpack(payload)
         key = (src, tag)
         if offset == 0 and len(frag) >= total:
-            self._mailbox.setdefault(key, []).append(frag[:total])
+            self._complete(key, frag[:total])
             return
         if key not in self._partial:
             self._partial[key] = (total, bytearray(total), 0)
@@ -275,7 +260,7 @@ class MpiRank:
         got += len(frag)
         if got >= total:
             del self._partial[key]
-            self._mailbox.setdefault(key, []).append(bytes(buf))
+            self._complete(key, bytes(buf))
         else:
             self._partial[key] = (total, buf, got)
 
@@ -287,23 +272,13 @@ class MpiRank:
         self._coll_seq += 1
         return seq & 0xFFFFFFFF, _COLL_TAG_BASE | (seq % _COLL_TAG_SPAN)
 
-    def _nic_root(self, root: int) -> None:
-        plan = self.mpi.nic_plan
-        assert plan is not None
-        if root != plan.root:
-            raise ProgramError(
-                f"NIC-offloaded collectives run on the installed tree "
-                f"(root {plan.root}); got root {root}.  Use algo='tree' "
-                f"for arbitrary roots."
-            )
-
-    def _nic_request(self, api: "ApApi", kind: int, op_code: int, seq: int,
-                     tag: int, data: bytes
-                     ) -> Generator["Event", None, None]:
+    def _nic_request(self, api: "ApApi", kind: int, seq: int, tag: int,
+                     data: bytes) -> Generator["Event", None, None]:
         """The single enqueue: one Basic message to the local sP (a
         lossless loopback hand-off, so never the reliable path).  The
-        firmware's installed plan supplies the root."""
-        payload = COLL.pack(MSG_COLL_REQ, kind, op_code, 0, seq,
+        firmware's installed plan supplies the root; the ``op`` byte is
+        always 0."""
+        payload = COLL.pack(MSG_COLL_REQ, kind, 0, 0, seq,
                             self.mpi.rx_logical, tag, tail=data)
         yield from self.port.send_to(api, self.rank, SP_SERVICE_QUEUE,
                                      payload)
@@ -322,10 +297,9 @@ class MpiRank:
         if algo == "switch":
             yield from self.mpi.sync_group().barrier(api, self.rank)
         elif algo == "tree":
-            yield from coll_api.tree_barrier(self, api, self.mpi.plan(0), tag)
+            yield from coll_api.tree_barrier(self, api, self.mpi.plan, tag)
         elif algo == "nic":
-            yield from self._nic_request(api, KIND_BARRIER, 0, seq, tag,
-                                         b"")
+            yield from self._nic_request(api, KIND_BARRIER, seq, tag, b"")
             yield from self.recv(api, tag=tag)
         elif self.rank == 0:
             for _ in range(self.size - 1):
@@ -336,15 +310,15 @@ class MpiRank:
             yield from self._send(api, 0, b"a", tag)
             yield from self.recv(api, src=0, tag=tag)
 
-    def bcast(self, api: "ApApi", data: Optional[bytes], root: int = 0
+    def bcast(self, api: "ApApi", data: Optional[bytes]
               ) -> Generator["Event", None, bytes]:
-        """Broadcast ``data`` from ``root``; every rank returns it."""
+        """Broadcast ``data`` from rank 0; every rank returns it."""
         t0 = api.now
-        out = yield from self._do_bcast(api, data, root)
+        out = yield from self._do_bcast(api, data)
         self.stats.accumulator("mpi.bcast_ns").add(api.now - t0)
         return out
 
-    def _do_bcast(self, api: "ApApi", data: Optional[bytes], root: int = 0
+    def _do_bcast(self, api: "ApApi", data: Optional[bytes]
                   ) -> Generator["Event", None, bytes]:
         seq, tag = self._next_coll()
         if self.size == 1:
@@ -352,10 +326,9 @@ class MpiRank:
         algo = self.mpi.algo
         if algo == "tree":
             return (yield from coll_api.tree_bcast(
-                self, api, data, self.mpi.plan(root), tag))
+                self, api, data, self.mpi.plan, tag))
         if algo == "nic":
-            self._nic_root(root)
-            if self.rank == root:
+            if self.rank == 0:
                 assert data is not None, "root must supply the data"
                 if len(data) > COLL_MAX_DATA:
                     raise ProgramError(
@@ -363,72 +336,20 @@ class MpiRank:
                         f"{COLL_MAX_DATA} bytes (got {len(data)}); use "
                         f"algo='tree' for larger payloads"
                     )
-                yield from self._nic_request(api, KIND_BCAST, 0, seq,
-                                             tag, data)
+                yield from self._nic_request(api, KIND_BCAST, seq, tag, data)
             _src, _tag, got = yield from self.recv(api, tag=tag)
             return got
-        if self.rank == root:
+        if self.rank == 0:
             assert data is not None, "root must supply the data"
-            for dst in range(self.size):
-                if dst != root:
-                    yield from self._send(api, dst, data, tag)
+            for dst in range(1, self.size):
+                yield from self._send(api, dst, data, tag)
             return data
-        _src, _tag, got = yield from self.recv(api, src=root, tag=tag)
+        _src, _tag, got = yield from self.recv(api, src=0, tag=tag)
         return got
 
-    def reduce(self, api: "ApApi", value: int, root: int = 0,
-               op: OpSpec = None
-               ) -> Generator["Event", None, Optional[int]]:
-        """Reduce 64-bit integers to ``root`` with ``op`` (default sum).
-
-        ``op`` may be a name from :data:`repro.net.combine.OPS` or —
-        on the host algorithm paths — an arbitrary callable.  The tree
-        path folds in ascending-rank order (MPI's canonical order); the
-        flat path folds in *arrival* order, so non-commutative callables
-        are rank-order sensitive there.
-        """
-        t0 = api.now
-        out = yield from self._do_reduce(api, value, root, op)
-        self.stats.accumulator("mpi.reduce_ns").add(api.now - t0)
-        return out
-
-    def _do_reduce(self, api: "ApApi", value: int, root: int = 0,
-                   op: OpSpec = None
-                   ) -> Generator["Event", None, Optional[int]]:
-        seq, tag = self._next_coll()
-        code, fn = _resolve_op(op)
-        algo = self.mpi.algo
-        if algo == "tree":
-            return (yield from coll_api.tree_reduce(
-                self, api, value, fn, self.mpi.plan(root), tag))
-        if algo == "nic":
-            self._nic_root(root)
-            code = _offload_code(code, "NIC-offloaded")
-            if self.size == 1:
-                return value
-            yield from self._nic_request(api, KIND_REDUCE, code, seq,
-                                         tag, VALUE.pack(value))
-            if self.rank != root:
-                return None
-            _src, _tag, got = yield from self.recv(api, tag=tag)
-            return VALUE.unpack(got)[0]
-        if self.rank == root:
-            acc = value
-            for _ in range(self.size - 1):
-                _src, _tag, got = yield from self.recv(api, tag=tag)
-                acc = fn(acc, VALUE.unpack(got)[0])
-            return acc
-        yield from self._send(api, root, VALUE.pack(value), tag)
-        return None
-
-    def allreduce(self, api: "ApApi", value: int, op: OpSpec = None
+    def allreduce(self, api: "ApApi", value: int
                   ) -> Generator["Event", None, int]:
-        """Reduce with ``op`` (default sum); every rank returns the result.
-
-        Every family accepts the named ops of
-        :data:`repro.net.combine.OPS`; callables run only on the host
-        families (``"flat"``/``"tree"``).
-        """
+        """Sum 64-bit ``value`` over every rank; every rank returns it."""
         # one frame, unlike the other collectives' _do_* split: a rank
         # spinning in the NIC allreduce's receive resumes this chain on
         # every poll.  Each branch leaves its result in ``out``.
@@ -436,34 +357,36 @@ class MpiRank:
         algo = self.mpi.algo
         if algo == "switch":
             self._next_coll()  # keep tag sequencing aligned across algos
-            code = _offload_code(_resolve_op(op)[0], "in-switch")
             out = value
             if self.size > 1:
                 out = yield from self.mpi.sync_group().tree_op(
-                    api, self.rank, code, value)
+                    api, self.rank, value)
         elif algo == "tree":
-            seq, tag = self._next_coll()
-            _name, fn = _resolve_op(op)
+            _seq, tag = self._next_coll()
             out = value
             if self.size > 1:
                 out = yield from coll_api.rd_allreduce(
-                    self, api, value, fn, self.mpi.rd_schedule(), tag)
+                    self, api, value, self.mpi.rd_schedule(), tag)
         elif algo == "nic":
             seq, tag = self._next_coll()
-            code = _offload_code(_resolve_op(op)[0], "NIC-offloaded")
             out = value
             if self.size > 1:
-                yield from self._nic_request(api, KIND_ALLREDUCE, code,
-                                             seq, tag, VALUE.pack(value))
+                yield from self._nic_request(api, KIND_ALLREDUCE, seq, tag,
+                                             VALUE.pack(value))
                 _src, _tag, got = yield from self.recv(api, tag=tag)
                 out = VALUE.unpack(got)[0]
         else:
-            # flat: reduce to rank 0, then broadcast the result
-            acc = yield from self.reduce(api, value, root=0, op=op)
+            # flat: sum at rank 0 in arrival order, then broadcast it
+            _seq, tag = self._next_coll()
             if self.rank == 0:
-                result = yield from self.bcast(api, VALUE.pack(acc), root=0)
+                acc = value
+                for _ in range(self.size - 1):
+                    _src, _tag, got = yield from self.recv(api, tag=tag)
+                    acc += VALUE.unpack(got)[0]
+                result = yield from self.bcast(api, VALUE.pack(acc))
             else:
-                result = yield from self.bcast(api, None, root=0)
+                yield from self._send(api, 0, VALUE.pack(value), tag)
+                result = yield from self.bcast(api, None)
             out = VALUE.unpack(result)[0]
         self.stats.accumulator("mpi.allreduce_ns").add(api.now - t0)
         return out

@@ -8,20 +8,21 @@ into one packet travelling up a planned tree, and the single reply is
 that story; :mod:`repro.sync` plans the trees and provides the
 user-level primitives.
 
-Two combining modes share one stage:
+Two combining modes share one stage, and both sum: addition is the one
+fold every combining path in the machine applies.
 
 * ``MODE_TREE`` — collective combining (barrier / allreduce).  Every
   group member contributes exactly once per sequence number; a switch
-  waits for its planned contribution count, folds with the op, and
-  forwards one combined packet up.  The root turns around and the
-  result fans back down the same tree, one packet per tree edge.
-* ``MODE_FETCH`` — opportunistic hot-spot combining (fetch-and-add and
-  friends).  The target cell lives at the group's root switch.  A
-  request opens a short combining window at each switch on its way up;
-  later requests for the same (group, cell, op) that arrive within the
-  window are folded in.  The switch keeps a *decombine record* — the
-  ordered contributions — and when the single reply returns it hands
-  each contributor the value it would have seen had the requests been
+  waits for its planned contribution count, sums, and forwards one
+  combined packet up.  The root turns around and the result fans back
+  down the same tree, one packet per tree edge.
+* ``MODE_FETCH`` — opportunistic hot-spot combining (fetch-and-add).
+  The target cell lives at the group's root switch.  A request opens a
+  short combining window at each switch on its way up; later requests
+  for the same (group, cell) that arrive within the window are folded
+  in.  The switch keeps a *decombine record* — the ordered
+  contributions — and when the single reply returns it hands each
+  contributor the value it would have seen had the requests been
   applied serially in combining order (the classic serializable
   fetch-and-add guarantee).
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.common.errors import NetworkError, ProgramError
+from repro.common.errors import NetworkError
 from repro.common.wire import NO_NODE, SYNC_REP, SYNC_TAG, SYNC_TREE_REP
 from repro.net.packet import PRIORITY_HIGH, Packet, PacketKind
 from repro.sim.store import Store
@@ -55,34 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
     from repro.sim.stats import StatsRegistry
 
-# combining ops ---------------------------------------------------------------
-OP_ADD = 0
-OP_MIN = 1
-OP_MAX = 2
-OP_OR = 3
-OP_SWAP = 4  #: unconditional exchange; combines.
-OP_MUL = 6
-OP_AND = 7
-OP_XOR = 8
-
-#: the named reduction ops and their wire codes: the one op table every
-#: combining path reads (switch ``SyncTag``s, the central sP, the sP
-#: collectives tree and MiniMPI's host algorithms).  All are commutative
-#: and associative, so any arrival order folds to the same result.
-OPS = {"sum": OP_ADD, "prod": OP_MUL, "min": OP_MIN, "max": OP_MAX,
-       "band": OP_AND, "bor": OP_OR, "bxor": OP_XOR}
-
-
-def op_code(name: str) -> int:
-    """The wire code of a named reduction op (raises on unknown names)."""
-    try:
-        return OPS[name]
-    except KeyError:
-        raise ProgramError(
-            f"unknown reduction op {name!r}; known: {sorted(OPS)}"
-        ) from None
-
-
 # tag phases / modes ----------------------------------------------------------
 PHASE_REQ = 0
 PHASE_DOWN = 1
@@ -90,41 +63,19 @@ MODE_TREE = 0
 MODE_FETCH = 1
 
 
-def apply_op(op: int, acc: int, value: int) -> int:
-    """Fold one contribution into an accumulator (serialization order)."""
-    if op == OP_ADD:
-        return acc + value
-    if op == OP_MIN:
-        return acc if acc <= value else value
-    if op == OP_MAX:
-        return acc if acc >= value else value
-    if op == OP_OR:
-        return acc | value
-    if op == OP_SWAP:
-        return value
-    if op == OP_MUL:
-        return acc * value
-    if op == OP_AND:
-        return acc & value
-    if op == OP_XOR:
-        return acc ^ value
-    raise NetworkError(f"op {op} does not combine")
-
-
 class SyncTag:
     """The in-network computing header riding one tagged packet."""
 
-    __slots__ = ("phase", "mode", "group", "cell", "seq", "op", "value",
+    __slots__ = ("phase", "mode", "group", "cell", "seq", "value",
                  "token", "origin", "reply_queue", "count")
 
-    def __init__(self, phase: int, mode: int, group: int, op: int,
+    def __init__(self, phase: int, mode: int, group: int,
                  value: int = 0, cell: int = 0, seq: int = 0,
                  token: int = 0, origin: int = NO_NODE, reply_queue: int = 0,
                  count: int = 1) -> None:
         self.phase = phase
         self.mode = mode
         self.group = group
-        self.op = op
         self.value = value
         #: fetch mode: which cell of the group; tree mode: unused.
         self.cell = cell
@@ -143,24 +94,25 @@ class SyncTag:
 
     def pack(self) -> bytes:
         """Wire encoding (size realism; switches read the object fields).
-        The wire's ``aux`` field is always 0."""
+        The wire's ``op`` and ``aux`` fields are always 0 (every tag
+        sums)."""
         return SYNC_TAG.pack(self.phase, self.mode, self.group, self.cell,
-                             self.seq, self.op, self.reply_queue, self.value,
+                             self.seq, 0, self.reply_queue, self.value,
                              0, self.token, self.origin, self.count)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "SyncTag":
         """Decode :meth:`pack` (used by the sP leaf-inject handler)."""
-        (phase, mode, group, cell, seq, op, reply_queue, value, _aux, token,
-         origin, count) = SYNC_TAG.unpack(raw)
-        return cls(phase, mode, group, op, value, cell, seq, token,
+        (phase, mode, group, cell, seq, _op, reply_queue, value, _aux,
+         token, origin, count) = SYNC_TAG.unpack(raw)
+        return cls(phase, mode, group, value, cell, seq, token,
                    origin, reply_queue, count)
 
     def __repr__(self) -> str:  # pragma: no cover
         ph = "REQ" if self.phase == PHASE_REQ else "DOWN"
         md = "tree" if self.mode == MODE_TREE else "fetch"
         return (f"<SyncTag {ph}/{md} g={self.group} cell={self.cell} "
-                f"seq={self.seq} op={self.op} "
+                f"seq={self.seq} "
                 f"v={self.value} tok={self.token} origin={self.origin}>")
 
 
@@ -224,7 +176,7 @@ class CombineStage:
         #: fetch-mode cells homed at this switch: (group, cell) -> value.
         self.cells: Dict[Tuple[int, int], int] = {}
         #: open combining slots.  Tree mode keys (MODE_TREE, group, seq);
-        #: fetch mode keys (MODE_FETCH, group, cell, op).
+        #: fetch mode keys (MODE_FETCH, group, cell).
         self.slots: Dict[Tuple, _Slot] = {}
         #: flushed fetch slots awaiting their reply: token -> entries.
         self.records: Dict[int, List[Tuple[int, int, int, int, int, int]]] = {}
@@ -282,7 +234,7 @@ class CombineStage:
             if self.sanitizer is not None:
                 self.sanitizer.note_open(self.switch.name, key)
         else:
-            slot.acc = apply_op(tag.op, slot.acc, tag.value)
+            slot.acc += tag.value
             self.hits += 1
             self._count("combine_hits")
         if port in slot.ports:
@@ -307,8 +259,8 @@ class CombineStage:
             self._tree_fanout(prog, tag, slot.acc, slot.entries)
         else:
             self.pending_down[(tag.group, tag.seq)] = slot.entries
-            up = SyncTag(PHASE_REQ, MODE_TREE, tag.group, tag.op,
-                         value=slot.acc, seq=tag.seq, count=slot.count)
+            up = SyncTag(PHASE_REQ, MODE_TREE, tag.group, value=slot.acc,
+                         seq=tag.seq, count=slot.count)
             self._emit_switch(prog.up_port, up)
 
     def _tree_fanout(self, prog: GroupProgram, tag: SyncTag, value: int,
@@ -320,14 +272,14 @@ class CombineStage:
         for port, member in prog.down:
             entry = by_port[port]
             if member is None:
-                down = SyncTag(PHASE_DOWN, MODE_TREE, tag.group, tag.op,
+                down = SyncTag(PHASE_DOWN, MODE_TREE, tag.group,
                                value=value, seq=tag.seq)
                 self._emit_switch(port, down)
             else:
                 payload = SYNC_TREE_REP.pack(tag.group, tag.seq, value)
                 self._emit_member(port, member, entry[4], payload,
                                   SyncTag(PHASE_DOWN, MODE_TREE, tag.group,
-                                          tag.op, value=value, seq=tag.seq,
+                                          value=value, seq=tag.seq,
                                           origin=member))
             if self.sanitizer is not None:
                 self.sanitizer.note_reply(self.switch.name, token, port)
@@ -335,13 +287,13 @@ class CombineStage:
             self.sanitizer.note_close(self.switch.name, token,
                                       len(prog.down))
 
-    # -- fetch mode (combining fetch-and-op) -------------------------------
+    # -- fetch mode (combining fetch-and-add) ------------------------------
 
     def _fetch_req(self, prog: GroupProgram, port: int, tag: SyncTag) -> None:
         if prog.is_root:
             self._fetch_apply_root(prog, port, tag)
             return
-        key = (MODE_FETCH, tag.group, tag.cell, tag.op)
+        key = (MODE_FETCH, tag.group, tag.cell)
         slot = self.slots.get(key)
         entry = (port, tag.origin, tag.token, tag.token, tag.reply_queue,
                  tag.value)
@@ -357,7 +309,7 @@ class CombineStage:
                                 name=f"{self.switch.name}.window",
                                 daemon=True)
         else:
-            slot.acc = apply_op(tag.op, slot.acc, tag.value)
+            slot.acc += tag.value
             slot.count += tag.count
             slot.entries.append(entry)
             self.hits += 1
@@ -380,8 +332,8 @@ class CombineStage:
                                       len(slot.entries))
         self._count("combine_folds")
         self.combined_packets += 1
-        _mode, group, cell, op = key
-        up = SyncTag(PHASE_REQ, MODE_FETCH, group, op, value=slot.acc,
+        _mode, group, cell = key
+        up = SyncTag(PHASE_REQ, MODE_FETCH, group, value=slot.acc,
                      cell=cell, token=token, count=slot.count)
         self._emit_switch(prog.up_port, up)
 
@@ -390,14 +342,14 @@ class CombineStage:
         """Apply at the cell's home switch and turn the reply around."""
         ckey = (tag.group, tag.cell)
         old = self.cells.get(ckey, 0)
-        self.cells[ckey] = apply_op(tag.op, old, tag.value)
+        self.cells[ckey] = old + tag.value
         self._count("cell_ops")
         if tag.origin != NO_NODE:
             self._member_fetch_reply(port, tag.origin, tag.reply_queue,
                                      tag.token, old, tag)
         else:
-            down = SyncTag(PHASE_DOWN, MODE_FETCH, tag.group, tag.op,
-                           value=old, cell=tag.cell, token=tag.token)
+            down = SyncTag(PHASE_DOWN, MODE_FETCH, tag.group, value=old,
+                           cell=tag.cell, token=tag.token)
             self._emit_switch(port, down)
 
     def _down(self, prog: GroupProgram, tag: SyncTag) -> None:
@@ -420,13 +372,13 @@ class CombineStage:
                 self._member_fetch_reply(port, origin, reply_queue,
                                          child_token, running, tag)
             else:
-                down = SyncTag(PHASE_DOWN, MODE_FETCH, tag.group, tag.op,
+                down = SyncTag(PHASE_DOWN, MODE_FETCH, tag.group,
                                value=running, cell=tag.cell,
                                token=child_token)
                 self._emit_switch(port, down)
             if self.sanitizer is not None:
                 self.sanitizer.note_reply(self.switch.name, tag.token, port)
-            running = apply_op(tag.op, running, value)
+            running += value
         if self.sanitizer is not None:
             self.sanitizer.note_close(self.switch.name, tag.token,
                                       len(entries))
@@ -442,9 +394,8 @@ class CombineStage:
     def _member_fetch_reply(self, port: int, member: int, reply_queue: int,
                             req_token: int, value: int, tag: SyncTag) -> None:
         payload = SYNC_REP.pack(req_token, True, value)
-        reply = SyncTag(PHASE_DOWN, MODE_FETCH, tag.group, tag.op,
-                        value=value, cell=tag.cell, token=req_token,
-                        origin=member)
+        reply = SyncTag(PHASE_DOWN, MODE_FETCH, tag.group, value=value,
+                        cell=tag.cell, token=req_token, origin=member)
         self._emit_member(port, member, reply_queue, payload, reply)
 
     # -- egress ------------------------------------------------------------

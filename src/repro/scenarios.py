@@ -357,7 +357,7 @@ class CollectiveScenario(Scenario):
                 elif self.collective == "bcast":
                     yield from comm.bcast(api, payload if rank == 0 else None)
                 else:
-                    yield from comm.allreduce(api, rank + 1, op="sum")
+                    yield from comm.allreduce(api, rank + 1)
             ctx["end"] = api.now
 
         for rank in nodes:
@@ -638,7 +638,7 @@ class SyncScenario(Scenario):
         def worker(api, rank):
             comm = mpi.rank(rank)
             yield from comm.barrier(api)
-            total = yield from comm.allreduce(api, rank + 1, op="sum")
+            total = yield from comm.allreduce(api, rank + 1)
             yield from comm.barrier(api)
             sums[rank] = total
 

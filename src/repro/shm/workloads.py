@@ -124,7 +124,7 @@ def bfs_worker(api: "ApApi", comm, region: "ScomaRegion",
                     yield from api.store(region.addr(u),
                                          bytes([level + 1]))
                     updates += 1
-        total = yield from comm.allreduce(api, updates, op="sum")
+        total = yield from comm.allreduce(api, updates)
         level += 1
         if total == 0:
             break

@@ -8,13 +8,6 @@ fetch-and-add counter, the ticket lock and the group barrier, each with
 both an in-switch transport and a pure-endpoint fallback.
 """
 
-from repro.net.combine import (
-    OP_ADD,
-    OP_MAX,
-    OP_MIN,
-    OP_OR,
-    OP_SWAP,
-)
 from repro.sync.api import (
     SYNC_RX_LOGICAL,
     SYNC_TX_INDEX,
@@ -26,11 +19,6 @@ from repro.sync.api import (
 from repro.sync.plan import SwitchTreePlan, plan_group, validate_plan
 
 __all__ = [
-    "OP_ADD",
-    "OP_MAX",
-    "OP_MIN",
-    "OP_OR",
-    "OP_SWAP",
     "SYNC_RX_LOGICAL",
     "SYNC_TX_INDEX",
     "Counter",

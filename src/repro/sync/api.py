@@ -3,11 +3,13 @@
 The library half of in-network computing: every primitive here is built
 from two tiny verbs a :class:`SyncGroup` provides —
 
-* :meth:`SyncGroup.cell_op` — fetch-and-op on a named 64-bit cell
-  (add / min / max / or / swap);
-* :meth:`SyncGroup.tree_op` — a full-group combining collective
+* :meth:`SyncGroup.cell_op` — fetch-and-add on a named 64-bit cell;
+* :meth:`SyncGroup.tree_op` — a full-group sum
   (:meth:`SyncGroup.barrier` when the value is ignored, allreduce when
   it is not).
+
+Both sum, like every combining path in the machine; the ``op`` byte of
+each request on the wire is always 0.
 
 Each verb has two transports selected per group:
 
@@ -49,7 +51,7 @@ from repro.common.wire import (
     SYNC_TREE_REP,
 )
 from repro.mp.basic import BasicPort
-from repro.net.combine import MODE_FETCH, MODE_TREE, OP_ADD, PHASE_REQ, SyncTag
+from repro.net.combine import MODE_FETCH, MODE_TREE, PHASE_REQ, SyncTag
 from repro.niu.niu import SP_SERVICE_QUEUE
 from repro.sync.plan import SwitchTreePlan, plan_group
 
@@ -218,9 +220,9 @@ class SyncGroup:
 
     # -- the two verbs -----------------------------------------------------
 
-    def cell_op(self, api: "ApApi", node: int, cell: int, op: int,
-                value: int) -> Generator["Event", None, int]:
-        """Fetch-and-op on one cell; returns the pre-op value.
+    def cell_op(self, api: "ApApi", node: int, cell: int, value: int
+                ) -> Generator["Event", None, int]:
+        """Fetch-and-add on one cell; returns the pre-add value.
 
         Serializable: the returned values are exactly those of *some*
         serial order of the concurrent requests (in switch mode the
@@ -231,7 +233,7 @@ class SyncGroup:
         cl.req += 1
         req = cl.req
         if self.switch:
-            tag = SyncTag(PHASE_REQ, MODE_FETCH, self.gid, op, value=value,
+            tag = SyncTag(PHASE_REQ, MODE_FETCH, self.gid, value=value,
                           cell=cell, token=req, origin=node,
                           reply_queue=SYNC_RX_LOGICAL)
             yield from cl.port.send_to(api, node, SP_SERVICE_QUEUE,
@@ -239,13 +241,14 @@ class SyncGroup:
         else:
             yield from cl.port.send_to(
                 api, self.home(cell), SP_SERVICE_QUEUE,
-                SYNC_REQ.pack(self.gid, cell, op, req, SYNC_RX_LOGICAL,
+                SYNC_REQ.pack(self.gid, cell, 0, req, SYNC_RX_LOGICAL,
                               value, 0))
         return (yield from self._await(api, cl, self._rep_match(req)))
 
-    def tree_op(self, api: "ApApi", node: int, op: int, value: int = 0
+    def tree_op(self, api: "ApApi", node: int, value: int = 0
                 ) -> Generator["Event", None, int]:
-        """Full-group combining collective; returns the folded value.
+        """Full-group combining collective; returns the sum of every
+        member's ``value``.
 
         Every member must call once per collective, in the same order
         (the MPI collective-call discipline).  Switch mode combines in
@@ -257,7 +260,7 @@ class SyncGroup:
         seq = self._seq.get(node, 0) + 1
         self._seq[node] = seq
         if self.switch:
-            tag = SyncTag(PHASE_REQ, MODE_TREE, self.gid, op, value=value,
+            tag = SyncTag(PHASE_REQ, MODE_TREE, self.gid, value=value,
                           seq=seq, origin=node,
                           reply_queue=SYNC_RX_LOGICAL)
             yield from cl.port.send_to(api, node, SP_SERVICE_QUEUE,
@@ -266,7 +269,7 @@ class SyncGroup:
             yield from cl.port.send_to(
                 api, self.members[0], SP_SERVICE_QUEUE,
                 SYNC_CBAR.pack(self.gid, seq, len(self.members),
-                               SYNC_RX_LOGICAL, op, value))
+                               SYNC_RX_LOGICAL, 0, value))
         return (yield from self._await(api, cl, self._tree_match(seq)))
 
     def barrier(self, api: "ApApi", node: int
@@ -275,7 +278,7 @@ class SyncGroup:
         value is ignored (returns at once in a one-member group)."""
         if len(self.members) == 1:
             return
-        yield from self.tree_op(api, node, OP_ADD, 0)
+        yield from self.tree_op(api, node, 0)
 
     # -- primitive factories ----------------------------------------------
 
@@ -298,14 +301,13 @@ class Counter:
     def add(self, api: "ApApi", node: int, value: int = 1
             ) -> Generator["Event", None, int]:
         """Atomic add; returns the pre-add value."""
-        old = yield from self.group.cell_op(api, node, self.cell, OP_ADD,
-                                            value)
+        old = yield from self.group.cell_op(api, node, self.cell, value)
         return old
 
     def read(self, api: "ApApi", node: int
              ) -> Generator["Event", None, int]:
         """Current value (a fetch-and-add of zero, so reads combine too)."""
-        old = yield from self.group.cell_op(api, node, self.cell, OP_ADD, 0)
+        old = yield from self.group.cell_op(api, node, self.cell, 0)
         return old
 
 
@@ -328,18 +330,17 @@ class TicketLock:
     def acquire(self, api: "ApApi", node: int
                 ) -> Generator["Event", None, int]:
         """Take a ticket, spin until served; returns the ticket."""
-        ticket = yield from self.group.cell_op(api, node, self.cell,
-                                               OP_ADD, 1)
+        ticket = yield from self.group.cell_op(api, node, self.cell, 1)
         while True:
-            serving = yield from self.group.cell_op(api, node, self.cell + 1,
-                                                    OP_ADD, 0)
+            serving = yield from self.group.cell_op(
+                api, node, self.cell + 1, 0)
             if serving == ticket:
                 return ticket
             yield from api.compute(120)
 
     def release(self, api: "ApApi", node: int
                 ) -> Generator["Event", None, None]:
-        yield from self.group.cell_op(api, node, self.cell + 1, OP_ADD, 1)
+        yield from self.group.cell_op(api, node, self.cell + 1, 1)
 
 
 __all__ = [

@@ -4,14 +4,14 @@ Three services, all running on the node's embedded service processor
 (the paper's "library functions may also run on the sP" claim, applied
 to synchronization):
 
-* **endpoint cells** (``MSG_SYNC_REQ``) — a serialized fetch-and-op
+* **endpoint cells** (``MSG_SYNC_REQ``) — a serialized fetch-and-add
   server for the cells homed at this node.  This is the pure-endpoint
   fallback every primitive in :mod:`repro.sync.api` degrades to when
   the machine has no network or in-switch combining is off; it is also
   the hot-spot baseline the combining fabric is measured against.
 * **central collective** (``MSG_SYNC_CBAR``) — the counting barrier /
   serialized allreduce: every member sends one arrival to the group's
-  home sP, which folds values as they arrive and unicasts the result
+  home sP, which sums values as they arrive and unicasts the result
   back out.  Deliberately O(N) at one node — the classic hot spot.
 * **leaf inject** (``MSG_SYNC_INJECT``) — the bridge into in-network
   computing: the aP hands a packed :class:`~repro.net.combine.SyncTag`
@@ -19,6 +19,10 @@ to synchronization):
   the tagged packet through the CTRL's TX path.  The sP is the
   combining tree's *leaf*: switch-resident combining starts one hop
   above it.
+
+The cells and the central collective sum, like every other combining
+path in the machine; the ``op`` bytes of ``SYNC_REQ`` and ``SYNC_CBAR``
+are always 0.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.common.wire import (
     SYNC_TREE_REP,
 )
 from repro.firmware.base import fw_send_to, register_msg_handler
-from repro.net.combine import SyncTag, apply_op
+from repro.net.combine import SyncTag
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.niu.sp import ServiceProcessor
@@ -46,13 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class _CentralOp:
     """One in-flight central collective at the home sP."""
 
-    __slots__ = ("waiters", "acc", "have_acc", "op", "want")
+    __slots__ = ("waiters", "acc", "want")
 
-    def __init__(self, op: int, want: int) -> None:
+    def __init__(self, want: int) -> None:
         self.waiters: List[Tuple[int, int]] = []
         self.acc = 0
-        self.have_acc = False
-        self.op = op
         self.want = want
 
 
@@ -84,13 +86,13 @@ def setup_sync(sp: "ServiceProcessor") -> None:
 
 def on_sync_req(sp: "ServiceProcessor", src: int, payload: bytes
                 ) -> Generator["Event", None, None]:
-    """``MSG_SYNC_REQ``: serialized endpoint fetch-and-op."""
+    """``MSG_SYNC_REQ``: serialized endpoint fetch-and-add."""
     yield sp.compute(sp.fw.sync_cell_insns)
     st = sp.state["sync"]
-    group, cell, op, req, reply_queue, value, _aux = SYNC_REQ.unpack(payload)
+    group, cell, _op, req, reply_queue, value, _aux = SYNC_REQ.unpack(payload)
     key = (group, cell)
     old = st.cells.get(key, 0)
-    st.cells[key] = apply_op(op, old, value)
+    st.cells[key] = old + value
     sp.stats.counter(f"{sp.name}.sync_cell_ops").incr()
     yield from fw_send_to(sp, src, reply_queue,
                           SYNC_REP.pack(req, True, old))
@@ -101,16 +103,12 @@ def on_sync_cbar(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_SYNC_CBAR``: central counting barrier / serial allreduce."""
     yield sp.compute(sp.fw.sync_barrier_insns)
     st = sp.state["sync"]
-    group, seq, n, reply_queue, op, value = SYNC_CBAR.unpack(payload)
+    group, seq, n, reply_queue, _op, value = SYNC_CBAR.unpack(payload)
     key = (group, seq)
     pend = st.central.get(key)
     if pend is None:
-        pend = st.central[key] = _CentralOp(op, n)
-    if pend.have_acc:
-        pend.acc = apply_op(op, pend.acc, value)
-    else:
-        pend.acc = value
-        pend.have_acc = True
+        pend = st.central[key] = _CentralOp(n)
+    pend.acc += value
     pend.waiters.append((src, reply_queue))
     if len(pend.waiters) < pend.want:
         return

@@ -1,38 +1,11 @@
-"""Pure collective plans: spanning trees, schedules, ops, wire format."""
+"""Pure collective plans: spanning trees, schedules, wire format."""
 
 import pytest
 
 from repro.collectives.firmware import KIND_ALLREDUCE, KIND_BCAST
 from repro.collectives.plan import binomial_tree, recursive_doubling
-from repro.common.errors import NetworkError, ProgramError
+from repro.common.errors import ProgramError
 from repro.common.wire import COLL, COLL_MAX_DATA, MSG_COLL_REQ, VALUE
-from repro.net.combine import (OP_ADD, OP_MAX, OP_MIN, OP_OR, OP_SWAP, OPS,
-                               apply_op, op_code)
-
-
-# -- operators ---------------------------------------------------------------
-
-
-def test_op_codes_bijective():
-    """One table for every combining path: distinct codes, the switch's
-    existing codes unchanged (so SyncTag bytes keep their values), and
-    ``sum`` still code 0 on the COLL wire."""
-    assert len(set(OPS.values())) == len(OPS)
-    assert (OPS["sum"], OPS["min"], OPS["max"], OPS["bor"]) \
-        == (OP_ADD, OP_MIN, OP_MAX, OP_OR) == (0, 1, 2, 3)
-    assert OP_SWAP not in OPS.values()
-    for name, code in OPS.items():
-        assert op_code(name) == code
-    want = {"sum": 10, "prod": 21, "min": 3, "max": 7, "band": 3,
-            "bor": 7, "bxor": 4}
-    assert {name: apply_op(code, 7, 3) for name, code in OPS.items()} == want
-
-
-def test_unknown_ops_rejected():
-    with pytest.raises(ProgramError):
-        op_code("avg")
-    with pytest.raises(NetworkError):
-        apply_op(99, 1, 2)
 
 
 # -- spanning trees -------------------------------------------------------------
@@ -41,11 +14,10 @@ def test_unknown_ops_rejected():
 @pytest.mark.parametrize("builder", [binomial_tree])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 8, 13, 16, 17, 32, 33])
 def test_trees_are_spanning(builder, n):
-    for root in {0, n // 2, n - 1}:
-        plan = builder(n, root)
-        plan.validate()  # spanning-tree invariants
-        assert plan.parent[root] is None
-        assert sum(len(c) for c in plan.children) == n - 1
+    plan = builder(n)
+    plan.validate()  # spanning-tree invariants
+    assert plan.parent[0] is None
+    assert sum(len(c) for c in plan.children) == n - 1
 
 
 def test_binomial_depth_logarithmic():
@@ -62,13 +34,12 @@ def test_binomial_depth_logarithmic():
 
     assert [depth(binomial_tree(n)) for n in (1, 2, 8, 16, 17, 32)] \
         == [0, 1, 3, 4, 4, 5]
-    # depth is the max popcount of a virtual rank, e.g. 15 = 0b1111
+    # depth is the max popcount of a rank, e.g. 15 = 0b1111
 
 
 def test_binomial_subtree_contiguous():
-    """The property the non-commutative reductions rely on: the subtree
-    of virtual rank v spans [v, v + lowbit(v)), so own-first +
-    ascending-children folds equal the ascending-rank fold."""
+    """The subtree of rank v spans [v, v + lowbit(v)), and a preorder
+    walk of the whole tree visits the ranks in ascending order."""
     plan = binomial_tree(16)
 
     def subtree(r):
@@ -80,27 +51,12 @@ def test_binomial_subtree_contiguous():
     for v in range(1, 16):
         low = v & -v
         assert sorted(subtree(v)) == list(range(v, v + low))
-        # fold order is exactly ascending
-        assert subtree(0) == list(range(16)) if v == 1 else True
     assert subtree(0) == list(range(16))
-
-
-def test_rotation_maps_root():
-    plan = binomial_tree(6, root=4)
-    assert plan.root == 4
-    assert plan.parent[4] is None
-    # virtual rank v corresponds to real (v + 4) % 6
-    ref = binomial_tree(6, root=0)
-    for v in range(1, 6):
-        pv = ref.parent[v]
-        assert plan.parent[(v + 4) % 6] == (pv + 4) % 6
 
 
 def test_tree_argument_errors():
     with pytest.raises(ProgramError):
         binomial_tree(0)
-    with pytest.raises(ProgramError):
-        binomial_tree(4, root=4)
 
 
 # -- recursive doubling ----------------------------------------------------------

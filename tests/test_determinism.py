@@ -94,7 +94,7 @@ def _mixed_workload():
     def worker(api, rank):
         comm = mpi.rank(rank)
         yield from comm.barrier(api)
-        return (yield from comm.allreduce(api, rank + 1, op="sum"))
+        return (yield from comm.allreduce(api, rank + 1))
 
     procs = [machine.spawn(n, worker, n) for n in range(2)]
     sums = machine.run_all(procs, limit=1e10)

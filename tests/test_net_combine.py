@@ -1,7 +1,7 @@
 """Switch-resident combining (`repro.net.combine`): units and machine
 integration.
 
-Covers the tag wire format, the op fold semantics, the reply layouts
+Covers the tag wire format, the reply layouts
 the switches share with the firmware (one registry in
 ``repro.common.wire``), combine-hit counters flowing into
 ``machine.metrics()``, and
@@ -16,17 +16,7 @@ import pytest
 import repro
 from repro.common import wire
 from repro.common.errors import NetworkError, SanitizerError, SimulationError
-from repro.net.combine import (
-    MODE_FETCH,
-    OP_ADD,
-    OP_MAX,
-    OP_MIN,
-    OP_OR,
-    OP_SWAP,
-    PHASE_DOWN,
-    SyncTag,
-    apply_op,
-)
+from repro.net.combine import MODE_FETCH, PHASE_DOWN, SyncTag
 from repro.net.packet import PRIORITY_HIGH, Packet, PacketKind
 
 
@@ -41,7 +31,7 @@ def test_reply_bytes_mirror_firmware_proto():
 
 
 def test_sync_tag_roundtrip():
-    tag = SyncTag(PHASE_DOWN, MODE_FETCH, group=9, op=OP_ADD, value=-17,
+    tag = SyncTag(PHASE_DOWN, MODE_FETCH, group=9, value=-17,
                   cell=3, seq=11, token=42, origin=6,
                   reply_queue=3, count=5)
     raw = tag.pack()
@@ -49,19 +39,13 @@ def test_sync_tag_roundtrip():
     back = SyncTag.unpack(raw)
     for field in SyncTag.__slots__:
         assert getattr(back, field) == getattr(tag, field), field
+    # every tag sums: the wire's op byte is always 0
+    assert wire.SYNC_TAG.unpack(raw)[5] == 0
     # combined packets carry origin NO_NODE
-    anon = SyncTag(PHASE_DOWN, MODE_FETCH, group=1, op=OP_ADD)
+    anon = SyncTag(PHASE_DOWN, MODE_FETCH, group=1)
     assert SyncTag.unpack(anon.pack()).origin == wire.NO_NODE
     with pytest.raises(NetworkError):
         SyncTag.unpack(raw[:10])
-
-
-def test_apply_op_semantics():
-    assert apply_op(OP_ADD, 5, -3) == 2
-    assert apply_op(OP_MIN, 5, 9) == 5
-    assert apply_op(OP_MAX, 5, 9) == 9
-    assert apply_op(OP_OR, 0b100, 0b001) == 0b101
-    assert apply_op(OP_SWAP, 5, 9) == 9
 
 
 def _switch_machine(n=4, **overrides):
@@ -115,7 +99,7 @@ def _forge_stale_reply(machine, grp):
     class (duplicate / stale decombine) the sanitizer exists to catch."""
     root_key = grp.plan.root
     stage = machine.network.switches[root_key].combiner
-    tag = SyncTag(PHASE_DOWN, MODE_FETCH, grp.gid, OP_ADD, value=7,
+    tag = SyncTag(PHASE_DOWN, MODE_FETCH, grp.gid, value=7,
                   cell=0, token=0xDEAD)
     pkt = Packet(PacketKind.DATA, src=0, dst=0, dst_queue=0,
                  payload=tag.pack(), priority=PRIORITY_HIGH,
@@ -174,7 +158,7 @@ def test_unprogrammed_group_is_rejected_loudly():
     machine, grp = _switch_machine(4)
     root_key = grp.plan.root
     stage = machine.network.switches[root_key].combiner
-    tag = SyncTag(PHASE_DOWN, MODE_FETCH, group=999, op=OP_ADD, token=1)
+    tag = SyncTag(PHASE_DOWN, MODE_FETCH, group=999, token=1)
     pkt = Packet(PacketKind.DATA, src=0, dst=0, dst_queue=0,
                  payload=tag.pack(), priority=PRIORITY_HIGH,
                  header_bytes=machine.config.network.header_bytes,

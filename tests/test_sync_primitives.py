@@ -14,7 +14,6 @@ from repro.bench.harness import run_sweep, strip_wall
 from repro.common.errors import ConfigError, ProgramError
 from repro.lib.mpi import MiniMPI
 from repro.obs.snapshot import metrics_snapshot
-from repro.sync import OP_ADD, OP_MAX
 
 MODES = ("switch", "endpoint")
 
@@ -56,18 +55,20 @@ def test_counter_is_serializable(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_tree_op_allreduces(mode):
+    """Two back-to-back sums; distinct powers of two in the second show
+    every member counted exactly once."""
     n = 4
     machine = _machine(n)
     grp = _group(machine, mode)
 
     def prog(api, rank):
-        s = yield from grp.tree_op(api, rank, OP_ADD, rank + 1)
-        mx = yield from grp.tree_op(api, rank, OP_MAX, rank)
-        return s, mx
+        s = yield from grp.tree_op(api, rank, rank + 1)
+        bits = yield from grp.tree_op(api, rank, 1 << rank)
+        return s, bits
 
     procs = [machine.spawn(i, prog, i) for i in range(n)]
     results = machine.run_all(procs, limit=1e9)
-    assert results == [(sum(range(1, n + 1)), n - 1)] * n
+    assert results == [(sum(range(1, n + 1)), (1 << n) - 1)] * n
 
 
 def test_subgroup_membership_enforced():
@@ -290,23 +291,8 @@ def test_minimpi_switch_barrier_and_allreduce():
     def worker(api, rank):
         comm = mpi.rank(rank)
         yield from comm.barrier(api)
-        return (yield from comm.allreduce(api, rank + 1, op="sum"))
+        return (yield from comm.allreduce(api, rank + 1))
 
     procs = [machine.spawn(i, worker, i) for i in range(n)]
     results = machine.run_all(procs, limit=1e9)
     assert results == [sum(range(1, n + 1))] * n
-
-
-def test_minimpi_switch_rejects_unnamed_ops():
-    machine = _machine(2)
-    mpi = MiniMPI(machine, algo="switch")
-
-    def worker(api, rank):
-        comm = mpi.rank(rank)
-        got = yield from comm.allreduce(api, rank, op=lambda a, b: a + b)
-        return got
-
-    procs = [machine.spawn(i, worker, i) for i in range(2)]
-    with pytest.raises(Exception) as exc:
-        machine.run_all(procs, limit=1e9)
-    assert isinstance(exc.value.__cause__ or exc.value, ProgramError)
