@@ -3,8 +3,10 @@
 "Library functions may also run on the sP" — this module is the paper's
 extensibility claim exercised end to end: collectives move off the aP
 into firmware without touching the core hardware.  Each node's sP holds
-per-``(communicator, sequence)`` combining state along a spanning tree
-(:class:`~repro.collectives.plan.TreePlan`):
+per-``(reply queue, sequence)`` combining state along a spanning tree
+(:class:`~repro.collectives.plan.TreePlan`); every rank of one
+communicator names the same reply queue, so two communicators on
+different queues never fold into each other:
 
 * the aP contributes with **one** Basic enqueue to the local sP service
   queue (``MSG_COLL_REQ``);
@@ -19,8 +21,8 @@ per-``(communicator, sequence)`` combining state along a spanning tree
   completes the collective.
 
 Contributions are summed in arrival order, the one fold every combining
-path in the machine applies.  The ``op`` byte of a ``COLL`` message is
-always 0.
+path in the machine applies, so a ``COLL`` message carries no
+operator.
 
 The unit is part of the default firmware image
 (:func:`repro.firmware.install_default_firmware`): machine assembly
@@ -58,11 +60,11 @@ KIND_ALLREDUCE = 3
 class _Pending:
     """Combining state of one in-flight collective at one sP."""
 
-    __slots__ = ("kind", "tag", "reply_queue", "arrived", "want", "acc")
+    __slots__ = ("kind", "tag", "arrived", "want", "acc")
 
-    def __init__(self, msg: tuple, want: int) -> None:
-        (_type, self.kind, _op, _comm, _seq, self.reply_queue, self.tag,
-         _data) = msg
+    def __init__(self, kind: int, tag: int, want: int) -> None:
+        self.kind = kind
+        self.tag = tag
         self.arrived = 0
         self.want = want
         self.acc: Optional[int] = None
@@ -76,6 +78,7 @@ class CollectiveState:
 
     def __init__(self, plan: TreePlan) -> None:
         self.plan = plan
+        #: in-flight collectives: (reply_queue, seq) -> _Pending.
         self.pending: Dict[Tuple[int, int], _Pending] = {}
 
 
@@ -97,8 +100,7 @@ def on_coll_request(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_COLL_REQ``: the local aP's single enqueue."""
     yield sp.compute(sp.fw.coll_request_insns)
     st = sp.state["collectives"]
-    msg = COLL.unpack(payload)
-    _type, kind, _op, comm, seq, reply_queue, tag, data = msg
+    _type, kind, seq, reply_queue, tag, data = COLL.unpack(payload)
     if kind == KIND_BCAST:
         # broadcast has no combining phase: the root's request starts the
         # down-sweep immediately
@@ -106,27 +108,27 @@ def on_coll_request(sp: "ServiceProcessor", src: int, payload: bytes
             raise FirmwareError(
                 f"{sp.name}: bcast request at non-root rank {sp.node_id}"
             )
-        yield from _down_sweep(sp, st, tag, reply_queue, kind, comm, seq,
-                               data)
+        yield from _down_sweep(sp, st, kind, seq, reply_queue, tag, data)
         return
-    yield from _contribute(sp, st, msg)
+    yield from _contribute(sp, st, kind, seq, reply_queue, tag, data)
 
 
 def on_coll_up(sp: "ServiceProcessor", src: int, payload: bytes
                ) -> Generator["Event", None, None]:
     """``MSG_COLL_UP``: a child subtree's combined contribution."""
     yield sp.compute(sp.fw.coll_combine_insns)
-    yield from _contribute(sp, sp.state["collectives"],
-                           COLL.unpack(payload))
+    _type, kind, seq, reply_queue, tag, data = COLL.unpack(payload)
+    yield from _contribute(sp, sp.state["collectives"], kind, seq,
+                           reply_queue, tag, data)
 
 
 def on_coll_down(sp: "ServiceProcessor", src: int, payload: bytes
                  ) -> Generator["Event", None, None]:
     """``MSG_COLL_DOWN``: the result fanning back out over the tree."""
     yield sp.compute(sp.fw.coll_forward_insns)
-    st = sp.state["collectives"]
-    _type, kind, _op, comm, seq, reply_queue, tag, data = COLL.unpack(payload)
-    yield from _down_sweep(sp, st, tag, reply_queue, kind, comm, seq, data)
+    _type, kind, seq, reply_queue, tag, data = COLL.unpack(payload)
+    yield from _down_sweep(sp, sp.state["collectives"], kind, seq,
+                           reply_queue, tag, data)
 
 
 # ----------------------------------------------------------------------
@@ -134,17 +136,18 @@ def on_coll_down(sp: "ServiceProcessor", src: int, payload: bytes
 # ----------------------------------------------------------------------
 
 
-def _contribute(sp: "ServiceProcessor", st: CollectiveState,
-                msg: tuple) -> Generator["Event", None, None]:
+def _contribute(sp: "ServiceProcessor", st: CollectiveState, kind: int,
+                seq: int, reply_queue: int, tag: int, data: bytes
+                ) -> Generator["Event", None, None]:
     """Fold one decoded contribution (local REQ or child UP) into
-    pending state, keyed by (comm, seq)."""
+    pending state, keyed by (reply_queue, seq)."""
     me = sp.node_id
-    want = len(st.plan.children[me]) + 1  # children's UPs + the local REQ
-    _type, _kind, _op, comm, seq, _queue, _tag, data = msg
-    key = (comm, seq)
+    key = (reply_queue, seq)
     pend = st.pending.get(key)
     if pend is None:
-        pend = st.pending[key] = _Pending(msg, want)
+        # children's UPs + the local REQ
+        want = len(st.plan.children[me]) + 1
+        pend = st.pending[key] = _Pending(kind, tag, want)
     if data:
         (value,) = VALUE.unpack(data)
         if pend.acc is None:
@@ -160,24 +163,23 @@ def _contribute(sp: "ServiceProcessor", st: CollectiveState,
     data = VALUE.pack(pend.acc) if pend.acc is not None else b""
     parent = st.plan.parent[me]
     if parent is not None:
-        up = COLL.pack(MSG_COLL_UP, pend.kind, 0, comm, seq,
-                       pend.reply_queue, pend.tag, tail=data)
+        up = COLL.pack(MSG_COLL_UP, pend.kind, seq, reply_queue, pend.tag,
+                       tail=data)
         yield from fw_send_to(sp, parent, SP_SERVICE_QUEUE, up)
         return
     # fully combined at the root
     sp.stats.counter(f"{sp.name}.coll_completed").incr()
-    yield from _down_sweep(sp, st, pend.tag, pend.reply_queue, pend.kind,
-                           comm, seq, data)
+    yield from _down_sweep(sp, st, pend.kind, seq, reply_queue, pend.tag,
+                           data)
 
 
-def _down_sweep(sp: "ServiceProcessor", st: CollectiveState, tag: int,
-                reply_queue: int, kind: int, comm: int, seq: int,
-                data: bytes) -> Generator["Event", None, None]:
+def _down_sweep(sp: "ServiceProcessor", st: CollectiveState, kind: int,
+                seq: int, reply_queue: int, tag: int, data: bytes
+                ) -> Generator["Event", None, None]:
     """Forward the result to tree children and the local aP."""
-    me = sp.node_id
-    for child in st.plan.children[me]:
-        down = COLL.pack(MSG_COLL_DOWN, kind, 0, comm, seq, reply_queue,
-                         tag, tail=data)
+    for child in st.plan.children[sp.node_id]:
+        down = COLL.pack(MSG_COLL_DOWN, kind, seq, reply_queue, tag,
+                         tail=data)
         yield from fw_send_to(sp, child, SP_SERVICE_QUEUE, down)
     yield from _deliver(sp, tag, reply_queue, data)
 

@@ -32,8 +32,10 @@ otherwise: the rx header already carries every message's source node
 an installed collectives plan already names its root.  Where an id must
 travel (a DMA or reliable-send destination, a sync tag's member) it uses
 code ``N``; :func:`check_table` rejects a node-named field with any
-other code.  Fields that once carried the sender are pad bytes, so
-every message kept its length.
+other code.  Fields that once carried the sender are pad bytes, and so
+are fields every sender packed as a constant or no receiver read (an
+``op`` byte where every fold is a sum, a communicator id, a combined
+request count, an always-true flag), so every message kept its length.
 
 The registry lives in ``common`` because it is the one layer every
 speaker may import: the firmware writes the same reply formats the
@@ -272,13 +274,12 @@ SCOMA_EVICT_REQ = Layout("x offset:I", types=MSG_SCOMA_EVICT_REQ)
 UPDATE_RELEASE = Layout("notify_queue:B", types=MSG_UPDATE_RELEASE)
 
 # -- collectives and the mini-MPI fragment ----------------------------------------
-#: one layout for REQ/UP/DOWN.  ``seq`` keys the firmware combining
-#: state, so host-side 15-bit tag wraps never alias in-flight state;
-#: ``tag`` is the mini-MPI fragment tag the aP waits on.  The root is
-#: the installed plan's, rank 0.  Every sender packs ``op`` as 0 (the
-#: fold is always a sum), as it does in ``SYNC_REQ``, ``SYNC_CBAR`` and
-#: ``SYNC_TAG``.
-COLL = Layout("kind:B op:B comm:B seq:I x reply_queue:B tag:H length:B",
+#: one layout for REQ/UP/DOWN.  ``(reply_queue, seq)`` keys the
+#: firmware combining state: the reply queue names the communicator, and
+#: the 32-bit ``seq`` means host-side 15-bit tag wraps never alias
+#: in-flight state; ``tag`` is the mini-MPI fragment tag the aP waits
+#: on.  The root is the installed plan's, rank 0.
+COLL = Layout("kind:B x x seq:I x reply_queue:B tag:H length:B",
               types=(MSG_COLL_REQ, MSG_COLL_UP, MSG_COLL_DOWN),
               tail="length")
 #: a mini-MPI fragment (no type byte: it lands in the aP's own queue).
@@ -292,26 +293,26 @@ REL_DATA = Layout("dst_queue:B seq:H", types=MSG_REL_DATA, tail="rest")
 REL_ACK = Layout("x ack:H", types=MSG_REL_ACK)
 
 # -- scalable synchronization -------------------------------------------------------
-SYNC_REQ = Layout("group:I cell:I op:B x x x x req:I reply_queue:B value:q "
-                  "aux:q", types=MSG_SYNC_REQ)
+SYNC_REQ = Layout("group:I cell:I x x x x x req:I reply_queue:B value:q "
+                  "x x x x x x x x", types=MSG_SYNC_REQ)
 #: fetch-and-add reply, from the home sP or a combining switch.
-SYNC_REP = Layout("req:I ok:? value:q", types=MSG_SYNC_REP)
+SYNC_REP = Layout("req:I x value:q", types=MSG_SYNC_REP)
 #: carries one packed :data:`SYNC_TAG` as its tail.
 SYNC_INJECT = Layout("", types=MSG_SYNC_INJECT, tail="rest")
 #: collective result, from the central sP or the tree's switches.
 SYNC_TREE_REP = Layout("group:I seq:I value:q", types=MSG_SYNC_TREE_REP)
-SYNC_CBAR = Layout("group:I seq:I x x x x n:I reply_queue:B op:B value:q",
+SYNC_CBAR = Layout("group:I seq:I x x x x n:I reply_queue:B x value:q",
                    types=MSG_SYNC_CBAR)
 #: the switch combining header (:class:`repro.net.combine.SyncTag`);
 #: ``origin`` is the member a leaf request came from, :data:`NO_NODE`
 #: once combined.
-SYNC_TAG = Layout("phase:B mode:B group:I cell:I seq:I op:B reply_queue:B "
-                  "value:q aux:q token:I x x origin:N count:I",
+SYNC_TAG = Layout("phase:B mode:B group:I cell:I seq:I x reply_queue:B "
+                  "value:q x x x x x x x x token:I x x origin:N x x x x",
                   error=NetworkError)
 
 # -- serving applications (``MSG_USER`` and up) ----------------------------------
-#: a KV PUT's value is the trailing bytes; ``count`` is sent as 0.
-KV_REQ = Layout("op:B reply_queue:B x x req_id:I key:I count:H",
+#: a KV PUT's value is the trailing bytes.
+KV_REQ = Layout("op:B reply_queue:B x x req_id:I key:I x x",
                 types=MSG_KV_REQ, tail="rest")
 KV_REP = Layout("status:B req_id:I", types=MSG_KV_REP, tail="rest")
 PS_PUSH = Layout("reply_queue:B x x step:I block:I n_workers:H grad:q",

@@ -22,7 +22,8 @@ Collectives are selectable per machine through ``algo=``:
 * ``"nic"`` — NIC-offloaded: the sP ``CollectiveUnit`` firmware
   (:mod:`repro.collectives.firmware`) combines contributions in the
   network interface and the aP issues a single enqueue plus a single
-  dequeue per collective.
+  dequeue per collective, keyed at the sP by this communicator's
+  receive queue.
 * ``"switch"`` — in-network computing: barrier and allreduce
   ride a switch-resident combining tree (:mod:`repro.sync`), one
   packet per tree edge with the folding done *inside the fabric*.
@@ -73,8 +74,8 @@ FRAG_DATA_RELIABLE = 74
 #: would need that many collectives simultaneously outstanding between
 #: one rank pair; per-(src, tag) in-order delivery plus the FIFO mailbox
 #: keep even aliased single-fragment collectives correct.  The firmware
-#: path additionally keys its combining state by a 32-bit sequence
-#: number, so the NIC never sees a tag wrap at all.
+#: path additionally keys its combining state by the reply queue and a
+#: 32-bit sequence number, so the NIC never sees a tag wrap at all.
 _COLL_TAG_BASE = 0x8000
 _COLL_TAG_SPAN = 0x8000
 
@@ -276,10 +277,10 @@ class MpiRank:
                      data: bytes) -> Generator["Event", None, None]:
         """The single enqueue: one Basic message to the local sP (a
         lossless loopback hand-off, so never the reliable path).  The
-        firmware's installed plan supplies the root; the ``op`` byte is
-        always 0."""
-        payload = COLL.pack(MSG_COLL_REQ, kind, 0, 0, seq,
-                            self.mpi.rx_logical, tag, tail=data)
+        firmware's installed plan supplies the root, and the reply queue
+        names this communicator."""
+        payload = COLL.pack(MSG_COLL_REQ, kind, seq, self.mpi.rx_logical,
+                            tag, tail=data)
         yield from self.port.send_to(api, self.rank, SP_SERVICE_QUEUE,
                                      payload)
 

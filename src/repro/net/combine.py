@@ -67,12 +67,12 @@ class SyncTag:
     """The in-network computing header riding one tagged packet."""
 
     __slots__ = ("phase", "mode", "group", "cell", "seq", "value",
-                 "token", "origin", "reply_queue", "count")
+                 "token", "origin", "reply_queue")
 
     def __init__(self, phase: int, mode: int, group: int,
                  value: int = 0, cell: int = 0, seq: int = 0,
-                 token: int = 0, origin: int = NO_NODE, reply_queue: int = 0,
-                 count: int = 1) -> None:
+                 token: int = 0, origin: int = NO_NODE,
+                 reply_queue: int = 0) -> None:
         self.phase = phase
         self.mode = mode
         self.group = group
@@ -89,24 +89,22 @@ class SyncTag:
         self.origin = origin
         #: member's logical rx queue for the final reply.
         self.reply_queue = reply_queue
-        #: how many member requests this packet represents (statistics).
-        self.count = count
 
     def pack(self) -> bytes:
         """Wire encoding (size realism; switches read the object fields).
-        The wire's ``op`` and ``aux`` fields are always 0 (every tag
-        sums)."""
+        Every tag sums, so the wire's old ``op``, ``aux`` and ``count``
+        fields are pad bytes."""
         return SYNC_TAG.pack(self.phase, self.mode, self.group, self.cell,
-                             self.seq, 0, self.reply_queue, self.value,
-                             0, self.token, self.origin, self.count)
+                             self.seq, self.reply_queue, self.value,
+                             self.token, self.origin)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "SyncTag":
         """Decode :meth:`pack` (used by the sP leaf-inject handler)."""
-        (phase, mode, group, cell, seq, _op, reply_queue, value, _aux,
-         token, origin, count) = SYNC_TAG.unpack(raw)
+        (phase, mode, group, cell, seq, reply_queue, value, token,
+         origin) = SYNC_TAG.unpack(raw)
         return cls(phase, mode, group, value, cell, seq, token,
-                   origin, reply_queue, count)
+                   origin, reply_queue)
 
     def __repr__(self) -> str:  # pragma: no cover
         ph = "REQ" if self.phase == PHASE_REQ else "DOWN"
@@ -138,15 +136,15 @@ class GroupProgram:
 class _Slot:
     """An open combining slot: contributions gathered, not yet flushed."""
 
-    __slots__ = ("entries", "acc", "count", "ports")
+    __slots__ = ("entries", "acc", "ports")
 
     def __init__(self) -> None:
-        #: ordered contributions: (port, origin, child_token, req_token,
-        #: reply_queue, value) — an origin other than NO_NODE marks a
-        #: member entry.
-        self.entries: List[Tuple[int, int, int, int, int, int]] = []
+        #: ordered contributions: (port, origin, token, reply_queue,
+        #: value) — an origin other than NO_NODE marks a member entry,
+        #: whose token is its requester cookie; a child switch's is that
+        #: switch's decombine-record handle.
+        self.entries: List[Tuple[int, int, int, int, int]] = []
         self.acc = 0
-        self.count = 0
         self.ports: List[int] = []
 
 
@@ -160,7 +158,7 @@ class CombineStage:
 
     __slots__ = ("engine", "config", "switch", "stats", "sanitizer",
                  "programs", "cells", "slots", "records", "pending_down",
-                 "_egress", "_token", "hits", "combined_packets")
+                 "_egress", "_token")
 
     def __init__(self, engine: "Engine", switch: "ArcticSwitch",
                  stats: Optional["StatsRegistry"] = None,
@@ -179,11 +177,11 @@ class CombineStage:
         #: fetch mode keys (MODE_FETCH, group, cell).
         self.slots: Dict[Tuple, _Slot] = {}
         #: flushed fetch slots awaiting their reply: token -> entries.
-        self.records: Dict[int, List[Tuple[int, int, int, int, int, int]]] = {}
+        self.records: Dict[int, List[Tuple[int, int, int, int, int]]] = {}
         #: tree-mode folds forwarded up, awaiting the down sweep:
         #: (group, seq) -> the contribution entries (for member replies).
         self.pending_down: Dict[Tuple[int, int],
-                                List[Tuple[int, int, int, int, int, int]]] = {}
+                                List[Tuple[int, int, int, int, int]]] = {}
         #: switch-originated packets awaiting the transmitters — a
         #: dedicated egress FIFO so a busy output link cannot wedge the
         #: input lane that triggered the emission.
@@ -191,8 +189,6 @@ class CombineStage:
         engine.process(self._drain(), name=f"{switch.name}.combine.egress",
                        daemon=True)
         self._token = 0
-        self.hits = 0
-        self.combined_packets = 0
 
     # -- programming -------------------------------------------------------
 
@@ -235,7 +231,6 @@ class CombineStage:
                 self.sanitizer.note_open(self.switch.name, key)
         else:
             slot.acc += tag.value
-            self.hits += 1
             self._count("combine_hits")
         if port in slot.ports:
             raise NetworkError(
@@ -243,9 +238,8 @@ class CombineStage:
                 f"{port} for group {tag.group} seq {tag.seq}"
             )
         slot.ports.append(port)
-        slot.count += tag.count
-        slot.entries.append((port, tag.origin, tag.token, tag.token,
-                             tag.reply_queue, tag.value))
+        slot.entries.append((port, tag.origin, tag.token, tag.reply_queue,
+                             tag.value))
         if len(slot.ports) < len(prog.down):
             return
         # every planned contribution is in: fold complete
@@ -260,11 +254,11 @@ class CombineStage:
         else:
             self.pending_down[(tag.group, tag.seq)] = slot.entries
             up = SyncTag(PHASE_REQ, MODE_TREE, tag.group, value=slot.acc,
-                         seq=tag.seq, count=slot.count)
+                         seq=tag.seq)
             self._emit_switch(prog.up_port, up)
 
     def _tree_fanout(self, prog: GroupProgram, tag: SyncTag, value: int,
-                     entries: List[Tuple[int, int, int, int, int, int]]
+                     entries: List[Tuple[int, int, int, int, int]]
                      ) -> None:
         """The down sweep: one packet per tree edge, members get replies."""
         token = ("tree", tag.group, tag.seq)
@@ -277,7 +271,7 @@ class CombineStage:
                 self._emit_switch(port, down)
             else:
                 payload = SYNC_TREE_REP.pack(tag.group, tag.seq, value)
-                self._emit_member(port, member, entry[4], payload,
+                self._emit_member(port, member, entry[3], payload,
                                   SyncTag(PHASE_DOWN, MODE_TREE, tag.group,
                                           value=value, seq=tag.seq,
                                           origin=member))
@@ -295,12 +289,10 @@ class CombineStage:
             return
         key = (MODE_FETCH, tag.group, tag.cell)
         slot = self.slots.get(key)
-        entry = (port, tag.origin, tag.token, tag.token, tag.reply_queue,
-                 tag.value)
+        entry = (port, tag.origin, tag.token, tag.reply_queue, tag.value)
         if slot is None:
             slot = _Slot()
             slot.acc = tag.value
-            slot.count = tag.count
             slot.entries.append(entry)
             self.slots[key] = slot
             if self.sanitizer is not None:
@@ -310,9 +302,7 @@ class CombineStage:
                                 daemon=True)
         else:
             slot.acc += tag.value
-            slot.count += tag.count
             slot.entries.append(entry)
-            self.hits += 1
             self._count("combine_hits")
 
     def _window(self, prog: GroupProgram, key: Tuple):
@@ -331,10 +321,9 @@ class CombineStage:
             self.sanitizer.note_flush(self.switch.name, key, token,
                                       len(slot.entries))
         self._count("combine_folds")
-        self.combined_packets += 1
         _mode, group, cell = key
         up = SyncTag(PHASE_REQ, MODE_FETCH, group, value=slot.acc,
-                     cell=cell, token=token, count=slot.count)
+                     cell=cell, token=token)
         self._emit_switch(prog.up_port, up)
 
     def _fetch_apply_root(self, prog: GroupProgram, port: int, tag: SyncTag
@@ -367,14 +356,13 @@ class CombineStage:
             self._orphan(tag)
             return
         running = tag.value
-        for port, origin, child_token, _req, reply_queue, value in entries:
+        for port, origin, token, reply_queue, value in entries:
             if origin != NO_NODE:
-                self._member_fetch_reply(port, origin, reply_queue,
-                                         child_token, running, tag)
+                self._member_fetch_reply(port, origin, reply_queue, token,
+                                         running, tag)
             else:
                 down = SyncTag(PHASE_DOWN, MODE_FETCH, tag.group,
-                               value=running, cell=tag.cell,
-                               token=child_token)
+                               value=running, cell=tag.cell, token=token)
                 self._emit_switch(port, down)
             if self.sanitizer is not None:
                 self.sanitizer.note_reply(self.switch.name, tag.token, port)
@@ -393,7 +381,7 @@ class CombineStage:
 
     def _member_fetch_reply(self, port: int, member: int, reply_queue: int,
                             req_token: int, value: int, tag: SyncTag) -> None:
-        payload = SYNC_REP.pack(req_token, True, value)
+        payload = SYNC_REP.pack(req_token, value)
         reply = SyncTag(PHASE_DOWN, MODE_FETCH, tag.group, value=value,
                         cell=tag.cell, token=req_token, origin=member)
         self._emit_member(port, member, reply_queue, payload, reply)

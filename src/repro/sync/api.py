@@ -199,7 +199,7 @@ class SyncGroup:
         ``req``, as its value."""
         def match(_src: int, p: bytes) -> Optional[int]:
             if p[0] == MSG_SYNC_REP:
-                rtok, _ok, value = SYNC_REP.unpack(p)
+                rtok, value = SYNC_REP.unpack(p)
                 if rtok == req:
                     return value
             return None
@@ -241,8 +241,7 @@ class SyncGroup:
         else:
             yield from cl.port.send_to(
                 api, self.home(cell), SP_SERVICE_QUEUE,
-                SYNC_REQ.pack(self.gid, cell, 0, req, SYNC_RX_LOGICAL,
-                              value, 0))
+                SYNC_REQ.pack(self.gid, cell, req, SYNC_RX_LOGICAL, value))
         return (yield from self._await(api, cl, self._rep_match(req)))
 
     def tree_op(self, api: "ApApi", node: int, value: int = 0
@@ -269,7 +268,7 @@ class SyncGroup:
             yield from cl.port.send_to(
                 api, self.members[0], SP_SERVICE_QUEUE,
                 SYNC_CBAR.pack(self.gid, seq, len(self.members),
-                               SYNC_RX_LOGICAL, 0, value))
+                               SYNC_RX_LOGICAL, value))
         return (yield from self._await(api, cl, self._tree_match(seq)))
 
     def barrier(self, api: "ApApi", node: int

@@ -21,8 +21,8 @@ to synchronization):
   above it.
 
 The cells and the central collective sum, like every other combining
-path in the machine; the ``op`` bytes of ``SYNC_REQ`` and ``SYNC_CBAR``
-are always 0.
+path in the machine, so ``SYNC_REQ`` and ``SYNC_CBAR`` carry no
+operator.
 """
 
 from __future__ import annotations
@@ -89,13 +89,13 @@ def on_sync_req(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_SYNC_REQ``: serialized endpoint fetch-and-add."""
     yield sp.compute(sp.fw.sync_cell_insns)
     st = sp.state["sync"]
-    group, cell, _op, req, reply_queue, value, _aux = SYNC_REQ.unpack(payload)
+    group, cell, req, reply_queue, value = SYNC_REQ.unpack(payload)
     key = (group, cell)
     old = st.cells.get(key, 0)
     st.cells[key] = old + value
     sp.stats.counter(f"{sp.name}.sync_cell_ops").incr()
     yield from fw_send_to(sp, src, reply_queue,
-                          SYNC_REP.pack(req, True, old))
+                          SYNC_REP.pack(req, old))
 
 
 def on_sync_cbar(sp: "ServiceProcessor", src: int, payload: bytes
@@ -103,7 +103,7 @@ def on_sync_cbar(sp: "ServiceProcessor", src: int, payload: bytes
     """``MSG_SYNC_CBAR``: central counting barrier / serial allreduce."""
     yield sp.compute(sp.fw.sync_barrier_insns)
     st = sp.state["sync"]
-    group, seq, n, reply_queue, _op, value = SYNC_CBAR.unpack(payload)
+    group, seq, n, reply_queue, value = SYNC_CBAR.unpack(payload)
     key = (group, seq)
     pend = st.central.get(key)
     if pend is None:

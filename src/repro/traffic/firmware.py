@@ -85,7 +85,7 @@ class TrafficState:
 def _on_kv_req(sp: "ServiceProcessor", src: int, payload: bytes
                ) -> Generator["Event", None, None]:
     st = sp.state["traffic"]
-    op, reply_q, req_id, key, _count, value = KV_REQ.unpack(payload)
+    op, reply_q, req_id, key, value = KV_REQ.unpack(payload)
     yield sp.compute(sp.fw.kv_op_insns)
     if op == KV_PUT:
         st.store[key] = bytes(value)

@@ -81,7 +81,7 @@ class KvClient:
             raise ConfigError(f"unknown KV trace op {rec.op!r}")
         yield from self.port.send_to(
             api, home_node(rec.key, self.n_nodes), SP_SERVICE_QUEUE,
-            KV_REQ.pack(op, RX_LOGICAL, req_id, rec.key, 0, tail=value))
+            KV_REQ.pack(op, RX_LOGICAL, req_id, rec.key, tail=value))
 
     def _complete(self, api: "ApApi", payload: bytes) -> None:
         _status, req_id, _value = KV_REP.unpack(payload)

@@ -93,10 +93,10 @@ def test_rd_schedule_rejects_empty():
 def test_coll_wire_roundtrip():
     # the root is the installed plan's, not a field
     msg = COLL.unpack(COLL.pack(
-        MSG_COLL_REQ, KIND_ALLREDUCE, 3, 7, 0xDEADBEEF, 2, 0x8123,
+        MSG_COLL_REQ, KIND_ALLREDUCE, 0xDEADBEEF, 2, 0x8123,
         tail=VALUE.pack(-42)))
-    typ, kind, op, comm, seq, reply_queue, tag, data = msg
-    assert (typ, kind, op, comm) == (MSG_COLL_REQ, KIND_ALLREDUCE, 3, 7)
+    typ, kind, seq, reply_queue, tag, data = msg
+    assert (typ, kind) == (MSG_COLL_REQ, KIND_ALLREDUCE)
     assert (seq, reply_queue) == (0xDEADBEEF, 2)
     assert tag == 0x8123
     assert VALUE.unpack(data) == (-42,)
@@ -105,7 +105,7 @@ def test_coll_wire_roundtrip():
 def test_coll_wire_data_cap():
     big = bytes(COLL_MAX_DATA + 1)
     with pytest.raises(ProgramError):
-        COLL.pack(MSG_COLL_REQ, KIND_BCAST, 0, 0, 1, 2, 0x8000, tail=big)
+        COLL.pack(MSG_COLL_REQ, KIND_BCAST, 1, 2, 0x8000, tail=big)
 
 
 def test_value_packing_signed_64():

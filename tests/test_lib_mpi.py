@@ -254,3 +254,18 @@ def test_many_collectives_no_tag_aliasing(m2):
     results = m2.run_all(procs, limit=1e11)
     expected = [2 * i + 1 for i in range(rounds)]
     assert results == [expected, expected]
+
+
+def test_nic_communicators_on_separate_queues_stay_apart(m4):
+    """Two ``nic`` communicators run the same collective sequence numbers
+    at once; the sP keys each by its reply queue, so their sums never
+    fold into each other."""
+    ids = MiniMPI(m4, tx_index=2, rx_logical=2, algo="nic")
+    offset = MiniMPI(m4, tx_index=3, rx_logical=3, algo="nic")
+
+    def worker(api, mpi, value):
+        return (yield from mpi.rank(api.node_id).allreduce(api, value))
+
+    procs = [m4.spawn(n, worker, ids, n) for n in range(4)]
+    procs += [m4.spawn(n, worker, offset, 100 + n) for n in range(4)]
+    assert m4.run_all(procs, limit=1e10) == [6] * 4 + [406] * 4

@@ -25,22 +25,22 @@ def test_reply_bytes_mirror_firmware_proto():
     combining switch emits carry the firmware's reply type bytes."""
     assert wire.SYNC_REP.types == (wire.MSG_SYNC_REP,)
     assert wire.SYNC_TREE_REP.types == (wire.MSG_SYNC_TREE_REP,)
-    rep = wire.SYNC_REP.pack(42, True, -5)
+    rep = wire.SYNC_REP.pack(42, -5)
     assert rep[0] == wire.MSG_SYNC_REP
-    assert wire.SYNC_REP.unpack(rep) == (42, True, -5)
+    assert wire.SYNC_REP.unpack(rep) == (42, -5)
 
 
 def test_sync_tag_roundtrip():
     tag = SyncTag(PHASE_DOWN, MODE_FETCH, group=9, value=-17,
                   cell=3, seq=11, token=42, origin=6,
-                  reply_queue=3, count=5)
+                  reply_queue=3)
     raw = tag.pack()
     assert len(raw) == wire.SYNC_TAG.size == 44
     back = SyncTag.unpack(raw)
     for field in SyncTag.__slots__:
         assert getattr(back, field) == getattr(tag, field), field
-    # every tag sums: the wire's op byte is always 0
-    assert wire.SYNC_TAG.unpack(raw)[5] == 0
+    # every tag sums: the old op, aux and count bytes are zero pads
+    assert raw[14] == 0 and raw[24:32] == bytes(8) and raw[40:] == bytes(4)
     # combined packets carry origin NO_NODE
     anon = SyncTag(PHASE_DOWN, MODE_FETCH, group=1)
     assert SyncTag.unpack(anon.pack()).origin == wire.NO_NODE

@@ -7,7 +7,8 @@ registry replaced (``firmware/proto.py``, ``collectives/wire.py``,
 the inline mini-MPI fragment header), so every message keeps its length
 and its bytes.  Type bytes claimed twice were renumbered out of the
 application range; for those, only byte 0 differs from the recording
-(``RENUMBERED``).
+(``RENUMBERED``).  A field turned into pad bytes packs 0, so a row whose
+recorded value there was not 0 reads 0 in those bytes now.
 """
 
 import ast
@@ -69,11 +70,11 @@ PINS = [
     ("SCOMA_EVICT_REQ", (U32,), b"", "4200ffffffff"),
     ("UPDATE_RELEASE", (0,), b"", "4100"),
     ("UPDATE_RELEASE", (255,), b"", "41ff"),
-    ("COLL", (wire.MSG_COLL_REQ, 0, 0, 0, 0, 0, 0), b"",
+    ("COLL", (wire.MSG_COLL_REQ, 0, 0, 0, 0), b"",
      "10000000000000000000000000"),
-    ("COLL", (wire.MSG_COLL_DOWN, 3, 255, 255, U32, 255, 0xFFFF),
-     full(75), "1203ffffffffffff00ffffff4b" + full(75).hex()),
-    ("COLL", (wire.MSG_COLL_UP, 3, 0, 0, 7, 2, 0x8001),
+    ("COLL", (wire.MSG_COLL_DOWN, 3, U32, 255, 0xFFFF),
+     full(75), "12030000ffffffff00ffffff4b" + full(75).hex()),
+    ("COLL", (wire.MSG_COLL_UP, 3, 7, 2, 0x8001),
      bytes.fromhex("ffffffffffffffd6"),
      "11030000000000070002800108ffffffffffffffd6"),
     ("MPI_FRAG", (0, 0, 0), b"", "00000000000000000000"),
@@ -89,13 +90,13 @@ PINS = [
     ("REL_DATA", (255, 0xFFFF), full(84), "14ffffff" + full(84).hex()),
     ("REL_ACK", (0,), b"", "15000000"),
     ("REL_ACK", (0xFFFF,), b"", "1500ffff"),
-    ("SYNC_REQ", (0, 0, 0, 0, 0, 0, 0), b"", "16" + "00" * 34),
-    ("SYNC_REQ", (U32, U32, 255, U32, 255, QMAX, QMIN), b"",
-     "16" + "ff" * 9 + "00" * 4 + "ff" * 5
-     + "7fffffffffffffff8000000000000000"),
-    ("SYNC_REP", (0, False, 0), b"", "17" + "00" * 13),
-    ("SYNC_REP", (U32, True, QMIN), b"", "17ffffffff018000000000000000"),
-    ("SYNC_REP", (5, True, QMAX), b"", "1700000005017fffffffffffffff"),
+    ("SYNC_REQ", (0, 0, 0, 0, 0), b"", "16" + "00" * 34),
+    ("SYNC_REQ", (U32, U32, U32, 255, QMAX), b"",
+     "16" + "ff" * 8 + "00" * 5 + "ff" * 5
+     + "7fffffffffffffff0000000000000000"),
+    ("SYNC_REP", (0, 0), b"", "17" + "00" * 13),
+    ("SYNC_REP", (U32, QMIN), b"", "17ffffffff008000000000000000"),
+    ("SYNC_REP", (5, QMAX), b"", "1700000005007fffffffffffffff"),
     ("SYNC_INJECT", (), bytes.fromhex("00" * 36 + "0000ffff00000001"),
      "18" + "00" * 36 + "0000ffff00000001"),
     ("SYNC_TREE_REP", (0, 0, 0), b"", "1a" + "00" * 16),
@@ -103,22 +104,22 @@ PINS = [
      "1affffffffffffffff8000000000000000"),
     ("SYNC_TREE_REP", (7, 3, QMAX), b"",
      "1a00000007000000037fffffffffffffff"),
-    ("SYNC_CBAR", (0, 0, 0, 0, 0, 0), b"", "1b" + "00" * 26),
-    ("SYNC_CBAR", (U32, U32, U32, 255, 255, QMIN), b"",
-     "1b" + "ff" * 8 + "00" * 4 + "ff" * 6 + "8000000000000000"),
+    ("SYNC_CBAR", (0, 0, 0, 0, 0), b"", "1b" + "00" * 26),
+    ("SYNC_CBAR", (U32, U32, U32, 255, QMIN), b"",
+     "1b" + "ff" * 8 + "00" * 4 + "ff" * 5 + "00" + "8000000000000000"),
     # a combined tag carries origin NO_NODE
-    ("SYNC_TAG", (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, wire.NO_NODE, 1), b"",
-     "00" * 36 + "0000ffff00000001"),
-    ("SYNC_TAG", (255, 255, U32, U32, U32, 255, 255, QMIN, QMAX, U32,
-                  wire.MAX_NODE, U32), b"",
-     "ff" * 16 + "8000000000000000" + "7fffffffffffffff" + "ffffffff"
-     + "0000fffe" + "ffffffff"),
-    ("SYNC_TAG", (1, 1, 9, 3, 11, 4, 3, -17, -2, 42, 6, 5), b"",
-     "010100000009000000030000000b0403ffffffffffffffef"
-     "fffffffffffffffe0000002a0000000600000005"),
-    ("KV_REQ", (0, 0, 0, 0, 0), b"", "40" + "00" * 14),
-    ("KV_REQ", (2, 255, U32, U32, 0xFFFF), full(73),
-     "4002ff0000" + "ff" * 10 + full(73).hex()),
+    ("SYNC_TAG", (0, 0, 0, 0, 0, 0, 0, 0, wire.NO_NODE), b"",
+     "00" * 36 + "0000ffff00000000"),
+    ("SYNC_TAG", (255, 255, U32, U32, U32, 255, QMIN, U32,
+                  wire.MAX_NODE), b"",
+     "ff" * 14 + "00" + "ff" + "8000000000000000" + "00" * 8 + "ffffffff"
+     + "0000fffe" + "00000000"),
+    ("SYNC_TAG", (1, 1, 9, 3, 11, 3, -17, 42, 6), b"",
+     "010100000009000000030000000b0003ffffffffffffffef"
+     "00000000000000000000002a0000000600000000"),
+    ("KV_REQ", (0, 0, 0, 0), b"", "40" + "00" * 14),
+    ("KV_REQ", (2, 255, U32, U32), full(73),
+     "4002ff0000" + "ff" * 8 + "0000" + full(73).hex()),
     ("KV_REP", (0, 0), b"", "410000000000"),
     ("KV_REP", (1, U32), full(82), "4101ffffffff" + full(82).hex()),
     ("PS_PUSH", (0, 0, 0, 0, 0), b"", "42" + "00" * 21),
@@ -198,6 +199,80 @@ def test_every_layout_has_a_speaker():
     assert unclaimed == []
 
 
+#: fields no ``unpack`` site reads, with the reason each stays on the wire.
+UNREAD_FIELDS = {
+    "KV_REP.status": "a GET's hit or miss, which a real client would "
+                     "consume; the workloads check the store itself",
+    "PS_REP.step": "the step a parameter-server reply answers; the "
+                   "workloads check the server's state",
+    "PS_REP.block": "the block a parameter-server reply answers; the "
+                    "workloads check the server's state",
+    "PS_REP.weight": "the updated weight, a result a real worker would "
+                     "consume; the workloads check the server's state",
+}
+
+
+def _unpacked_layout(call):
+    """The registry layout a ``<LAYOUT>.unpack(...)`` call decodes."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "unpack"):
+        return None
+    owner = func.value
+    name = owner.id if isinstance(owner, ast.Name) else \
+        owner.attr if isinstance(owner, ast.Attribute) else None
+    return wire.TABLE.get(name)
+
+
+def _slots_read(call, parent):
+    """The unpack result indices one call site reads (None: all)."""
+    if isinstance(parent, ast.Expr):
+        return set()
+    if isinstance(parent, ast.Subscript) and parent.value is call:
+        index = parent.slice
+        if isinstance(index, ast.Constant) and isinstance(index.value, int):
+            return {index.value}
+        return None
+    if (isinstance(parent, ast.Assign) and len(parent.targets) == 1
+            and isinstance(parent.targets[0], (ast.Tuple, ast.List))):
+        names = parent.targets[0].elts
+        return {i for i, slot in enumerate(names)
+                if not (isinstance(slot, ast.Name)
+                        and slot.id.startswith("_"))}
+    return None
+
+
+def test_every_field_has_a_reader():
+    """A named field no ``unpack`` site reads is a header byte that costs
+    wire time and tells the receiver nothing: make it a pad.  A tuple
+    slot named ``_...`` does not read its field, a subscript reads its
+    index, a bare statement reads nothing; any other use reads every
+    field.  The type slot of a multi-type layout (the dispatch key) and
+    tails are left out."""
+    registry = pathlib.Path(wire.__file__).resolve()
+    read = {name: set() for name in wire.TABLE}
+    for path in sorted(registry.parent.parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            layout = (_unpacked_layout(node)
+                      if isinstance(node, ast.Call) else None)
+            if layout is None:
+                continue
+            # the unpack result: [type,] fields [, tail]; None is not a
+            # named field
+            slots = [None] if layout._multi else []
+            slots += [f for f, _c in layout.fields if f != layout._tail]
+            slots += [None] if layout._tail else []
+            seen = _slots_read(node, parents.get(node))
+            read[layout.name] |= set(slots) if seen is None else \
+                {slots[i] for i in seen}
+    unread = sorted(f"{name}.{field}" for name, layout in wire.TABLE.items()
+                    for field, _code in layout.fields
+                    if field != layout._tail and field not in read[name])
+    assert unread == sorted(UNREAD_FIELDS)
+
+
 def test_renumbered_types_sit_below_the_application_range():
     moved = [t for old_new in RENUMBERED.values() for t in old_new.values()]
     assert all(t < wire.MSG_USER for t in moved)
@@ -254,7 +329,7 @@ def test_pack_input_checks():
         wire.NUMA_RREQ.pack(8, 1 << 48)  # the 48-bit address guard
     with pytest.raises(FirmwareError):
         wire.DMA_REQ.pack(-1, 0, 0, 0, 0, 0)
-    coll = (wire.MSG_COLL_REQ, 0, 0, 0)
+    coll = (wire.MSG_COLL_REQ, 0)
     with pytest.raises(ProgramError):
         wire.COLL.pack(*coll, 1 << 32, 2, 0x8000)  # seq outside 32 bits
     with pytest.raises(ProgramError):
@@ -263,9 +338,9 @@ def test_pack_input_checks():
         wire.COLL.pack(*coll, 1, 2, 0x8000,
                        tail=bytes(wire.COLL_MAX_DATA + 1))
     with pytest.raises(ProgramError):
-        wire.COLL.pack(wire.MSG_SYNC_REP, 0, 0, 0, 1, 2, 0)  # not a COLL type
+        wire.COLL.pack(wire.MSG_SYNC_REP, 0, 1, 2, 0)  # not a COLL type
     with pytest.raises(ProgramError):
-        wire.SYNC_REP.pack(1, True)  # a field short
+        wire.SYNC_REP.pack(1)  # a field short
 
 
 def test_coll_cap_keeps_the_delivery_fragment_whole():
